@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from typing import Callable, Sequence
@@ -43,9 +44,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _float(name: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise _ConfigError(f"{name}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise _ConfigError(f"{name}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _int(name: str, raw: str) -> int:
@@ -91,7 +95,6 @@ def _add_sweep_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--omega-start", dest="omega_start", help="sweep start (default 0)")
     p.add_argument("--omega-stop", dest="omega_stop", help="sweep stop (default 5)")
     p.add_argument("--omega-step", dest="omega_step", help="sweep step (default 0.1)")
-    p.add_argument("--threads", help="worker threads for the sweep")
     _add_output_opts(p)
 
 
@@ -256,16 +259,6 @@ def _resolve_grid(v: dict, scale: float) -> tuple[list[float], list[float]]:
     return user, [w * scale for w in user]
 
 
-def _resolve_threads(v: dict) -> "int | None":
-    raw = v.get("threads")
-    if raw is None:
-        return None
-    n = _int("--threads", raw)
-    if n < 1:
-        raise _ConfigError("--threads must be at least 1")
-    return n
-
-
 def _emit_table(table: SpectrumTable, v: dict) -> None:
     fmt = v["format"]
     if fmt not in ("csv", "json"):
@@ -306,7 +299,6 @@ def _cmd_spectrum(v: dict) -> int:
         gain=_resolve_gain(v, for_swap=False),
         detector=_resolve_detector(v),
         in_model=_resolve_input(v),
-        threads=_resolve_threads(v),
     )
     _emit_table(_reindex(table, user), v)
     return 0
@@ -316,7 +308,7 @@ def _cmd_swap_spectrum(v: dict) -> int:
     src, scale = _resolve_source(v)
     user, grid = _resolve_grid(v, scale)
     cfg = SwapConfig(src, gain=_resolve_gain(v, for_swap=True))
-    table = swap_spectrum(cfg, grid, threads=_resolve_threads(v))
+    table = swap_spectrum(cfg, grid)
     _emit_table(_reindex(table, user), v)
     return 0
 
@@ -347,11 +339,10 @@ def _cmd_bandwidth(v: dict) -> int:
             gain=_resolve_gain(v, for_swap=False),
             detector=_resolve_detector(v),
             in_model=_resolve_input(v),
-            threads=_resolve_threads(v),
         )
     elif pipeline == "swap":
         cfg = SwapConfig(src, gain=_resolve_gain(v, for_swap=True))
-        table = swap_spectrum(cfg, grid, threads=_resolve_threads(v))
+        table = swap_spectrum(cfg, grid)
     else:
         raise _ConfigError(f"--pipeline: expected teleport or swap, got {pipeline!r}")
     width = bandwidth(table, threshold) / scale

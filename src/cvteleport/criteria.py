@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -227,7 +226,8 @@ def grid_search_classical(
             v = classical_objective(p, in_model, objective)
             if v < best_value:
                 best_params, best_value = p, v
-    assert best_params is not None
+    if best_params is None:
+        raise ValueError(f"{objective} objective is not finite anywhere on the grid")
     return best_params, best_value
 
 
@@ -458,6 +458,26 @@ class SpectrumTable:
         return text
 
 
+def _checked_fidelity(
+    src: SqueezerSpectrum,
+    out: TeleportOutcome,
+    detector: BellDetector,
+    in_model: InputModel,
+    alpha: complex,
+) -> float:
+    # The generic Q-function fidelity, or the exact closed form where one
+    # applies; the two must then agree to 1e-9.
+    f = teleport_fidelity(out, in_model, alpha).fidelity
+    closed = _closed_form_fidelity(src, out.omega, out.gain, detector.eta, in_model, alpha)
+    if closed is None:
+        return f
+    if not abs(closed - f) <= 1e-9:
+        raise AssertionError(
+            f"generic fidelity path disagrees with closed form at omega={out.omega}"
+        )
+    return closed
+
+
 def _fidelity_row(
     src: SqueezerSpectrum,
     schedule: GainSchedule,
@@ -468,14 +488,7 @@ def _fidelity_row(
     out = teleport(src, schedule, detector, omega)
     v_x = difference_variance(out.x_tel, in_model, Axis.X)
     v_p = difference_variance(out.p_tel, in_model, Axis.P)
-    f = teleport_fidelity(out, in_model, 0j).fidelity
-    closed = _closed_form_fidelity(src, omega, out.gain, detector.eta, in_model, 0j)
-    if closed is not None:
-        assert abs(closed - f) <= 1e-9, (
-            f"generic fidelity path disagrees with closed form at omega={omega}"
-        )
-        f = closed
-    return v_x, v_p, f
+    return v_x, v_p, _checked_fidelity(src, out, detector, in_model, 0j)
 
 
 def fidelity_spectrum(
@@ -484,15 +497,13 @@ def fidelity_spectrum(
     gain: GainSchedule | complex = GainSchedule.unit(),
     detector: BellDetector = BellDetector(1.0),
     in_model: InputModel | None = None,
-    threads: int | None = None,
 ) -> SpectrumTable:
     """Sweep the teleporter over a frequency grid.
 
     Rows carry the per-axis added-noise variances and the coherent-state
     fidelity.  For NOPA sources at unit gain the fidelity column is the
     exact closed form, cross-checked against the generic Q-function path;
-    otherwise the generic path stands alone.  Rows are independent, so an
-    optional thread pool may split the grid; order is always ascending.
+    otherwise the generic path stands alone.
     """
     schedule = as_gain(gain)
     model = in_model if in_model is not None else InputModel.coherent()
@@ -501,11 +512,7 @@ def fidelity_spectrum(
     def row(w: float) -> tuple[float, float, float]:
         return _fidelity_row(src, schedule, detector, model, w)
 
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(row, grid))
-    else:
-        results = [row(w) for w in grid]
+    results = [row(w) for w in grid]
     if any(schedule.at(w) != 1 for w in grid):
         warnings.warn(
             "nonunit gain: the v_x/v_p columns include the gain-mismatch "
@@ -665,11 +672,7 @@ def evaluate_criteria(
     v_out_x = normalized_variance(out.x_tel, model, Axis.X)
     v_out_p = normalized_variance(out.p_tel, model, Axis.P)
     rl = ralph_lam(out.x_tel, out.p_tel, model)
-    f = teleport_fidelity(out, model, alpha).fidelity
-    closed = _closed_form_fidelity(src, omega, out.gain, detector.eta, model, alpha)
-    if closed is not None:
-        assert abs(closed - f) <= 1e-9, "generic fidelity path disagrees with closed form"
-        f = closed
+    f = _checked_fidelity(src, out, detector, model, alpha)
     return CriteriaReport(
         omega=omega,
         gain=out.gain,

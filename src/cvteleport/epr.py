@@ -34,6 +34,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .linmode import Axis, QuadExpansion, combine
 
@@ -50,9 +51,7 @@ __all__ = [
     "ZeroBandwidth",
     "couple_modes",
     "make_epr_pair",
-    "make_lossy_epr_pair",
     "nopa_transfer",
-    "s_pair",
     "squeezing_spectrum",
 ]
 
@@ -78,6 +77,8 @@ class NopaParams:
     rho: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(r) for r in (self.kappa, self.gamma, self.rho)):
+            raise ValueError("rates kappa, gamma and rho must be finite")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.rho < 0:
@@ -158,11 +159,6 @@ class EprPort:
     second: complex
 
 
-def port_term(weight: complex, amplitude: complex) -> complex:
-    """weight*amplitude with an exact zero weight winning over any amplitude."""
-    return 0j if weight == 0 else weight * amplitude
-
-
 @dataclass(frozen=True)
 class EprQuadratures:
     """The four quadrature expansions of one EPR pair."""
@@ -173,22 +169,31 @@ class EprQuadratures:
     p2: QuadExpansion
 
 
-def _materialize(ports: tuple[EprPort, ...]) -> EprQuadratures:
-    x1: dict = {}
-    p1: dict = {}
-    x2: dict = {}
-    p2: dict = {}
+def _project(
+    ports: Iterable[EprPort],
+    x_weights: tuple[complex, complex],
+    p_weights: tuple[complex, complex],
+    x_terms: dict | None = None,
+    p_terms: dict | None = None,
+) -> tuple[dict, dict]:
+    """Map EPR ports onto one output mode's X and P coefficient tables.
+
+    Each port adds (a*first + b*second)*amplitude to its axis's table, with
+    (a, b) the weights of that axis; an exactly-zero combined weight adds
+    nothing, whatever the amplitude.  Pass existing tables to accumulate a
+    second pair into the same output.
+    """
+    x_terms = {} if x_terms is None else x_terms
+    p_terms = {} if p_terms is None else p_terms
     for port in ports:
+        if port.axis is Axis.X:
+            (a, b), terms = x_weights, x_terms
+        else:
+            (a, b), terms = p_weights, p_terms
         key = (port.label, port.axis)
-        one, two = (x1, x2) if port.axis is Axis.X else (p1, p2)
-        one[key] = one.get(key, 0j) + port_term(port.first, port.amplitude)
-        two[key] = two.get(key, 0j) + port_term(port.second, port.amplitude)
-    return EprQuadratures(
-        QuadExpansion(0j, x1),
-        QuadExpansion(0j, p1),
-        QuadExpansion(0j, x2),
-        QuadExpansion(0j, p2),
-    )
+        w = a * port.first + b * port.second
+        terms[key] = terms.get(key, 0j) + (0j if w == 0 else w * port.amplitude)
+    return x_terms, p_terms
 
 
 class SqueezerSpectrum(abc.ABC):
@@ -432,11 +437,6 @@ def nopa_transfer(
     return big_g, small_g, loss * d / den, kappa * loss / den
 
 
-def s_pair(src: SqueezerSpectrum, omega: float) -> TransferPair:
-    """Transfer pair of a source at dimensionless frequency omega."""
-    return src.pair(omega)
-
-
 def squeezing_spectrum(
     src_or_epsilon: "LosslessNopa | float", omega: float
 ) -> tuple[float, float]:
@@ -455,14 +455,15 @@ def squeezing_spectrum(
 
 def make_epr_pair(src: SqueezerSpectrum, omega: float) -> EprQuadratures:
     """EPR pair of a source at omega, materialized as expansions."""
-    return _materialize(src.epr_ports(omega))
-
-
-def make_lossy_epr_pair(params: NopaParams, big_omega: float) -> EprQuadratures:
-    """EPR pair of a lossy cavity, in physical units, loss ports included."""
-    src = LossyNopa.from_rates(params)
-    t = params.total_rate
-    return _materialize(src.epr_ports(2 * big_omega / t))
+    ports = src.epr_ports(omega)
+    x1, p1 = _project(ports, (1, 0), (1, 0))
+    x2, p2 = _project(ports, (0, 1), (0, 1))
+    return EprQuadratures(
+        QuadExpansion(0j, x1),
+        QuadExpansion(0j, p1),
+        QuadExpansion(0j, x2),
+        QuadExpansion(0j, p2),
+    )
 
 
 def couple_modes(

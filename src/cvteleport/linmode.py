@@ -58,10 +58,6 @@ class Axis(enum.Enum):
 TermKey = tuple[BasisLabel, Axis]
 
 
-def _sort_key(key: TermKey) -> tuple[str, str]:
-    return (key[0], key[1].value)
-
-
 @dataclass(frozen=True, eq=True)
 class QuadExpansion:
     """One quadrature operator as a linear expansion over labeled modes.
@@ -89,9 +85,6 @@ class QuadExpansion:
 
     def labels(self) -> set[BasisLabel]:
         return {label for (label, _axis) in self.terms}
-
-    def scaled(self, c: complex) -> "QuadExpansion":
-        return combine(self, zero_expansion(), c, 0.0)
 
     def is_zero(self) -> bool:
         return self.input_coeff == 0 and not self.terms
@@ -168,7 +161,7 @@ def normalized_variance(e: QuadExpansion, in_model: InputModel, axis: Axis) -> f
     contributes |input_coeff|^2 times the model variance on the given axis.
     """
     parts = [abs(e.input_coeff) ** 2 * in_model.variance(axis)]
-    parts.extend(abs(e.terms[k]) ** 2 for k in sorted(e.terms, key=_sort_key))
+    parts.extend(abs(c) ** 2 for c in e.terms.values())
     return math.fsum(parts)
 
 
@@ -188,7 +181,7 @@ def covariance(
     Independent modes are uncorrelated, so only matched coefficients
     contribute; the signal term carries the model variance.
     """
-    shared = sorted(set(a.terms) & set(b.terms), key=_sort_key)
+    shared = a.terms.keys() & b.terms.keys()
     re_parts = [
         (a.input_coeff.conjugate() * b.input_coeff).real * in_model.variance(axis)
     ]
@@ -207,7 +200,7 @@ def commutator_pairing(x: QuadExpansion, p: QuadExpansion) -> complex:
     equals exactly 1 whenever (x, p) obey the canonical commutation
     relation of a single mode.  Protocol outputs must preserve it.
     """
-    labels = sorted(x.labels() | p.labels())
+    labels = x.labels() | p.labels()
     re = [(x.input_coeff * p.input_coeff.conjugate()).real]
     im = [(x.input_coeff * p.input_coeff.conjugate()).imag]
     for label in labels:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linmode import Axis, InputModel, QuadExpansion, _sort_key, covariance, normalized_variance
+from .linmode import Axis, InputModel, QuadExpansion, covariance, normalized_variance
 
 __all__ = [
     "GaussianState",
@@ -303,7 +303,11 @@ def mc_check(
             raise ValueError(f"pair ({a}, {b}) references unknown entries")
         if named[a][1] is not named[b][1]:
             raise ValueError("covariance pairs must share an axis")
-    basis = sorted({k for _, e, _ in entries for k in e.terms}, key=_sort_key)
+    # A fixed basis order fixes which draw feeds which term, and so the
+    # seeded results.
+    basis = sorted(
+        {k for _, e, _ in entries for k in e.terms}, key=lambda k: (k[0], k[1].value)
+    )
     n_batches = -(-cfg.sample_count // _BATCH)
     streams = np.random.SeedSequence(cfg.seed).spawn(n_batches)
     sums2 = {name: [] for name in named}

@@ -17,12 +17,11 @@ they physically are.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 from .criteria import SpectrumTable, teleport_fidelity
-from .epr import SqueezerSpectrum, TransferPair, port_term
+from .epr import SqueezerSpectrum, TransferPair, _project
 from .linmode import (
     Axis,
     InputModel,
@@ -120,26 +119,11 @@ def swap_once(cfg: SwapConfig, omega: float) -> SwapOutcome:
     mode 1 stay finite there (see swapped_epr_variances).
     """
     gs = cfg.gain_at(omega)
-    x1: dict = {}
-    p1: dict = {}
-    x4: dict = {}
-    p4: dict = {}
-    for port in cfg.source_ab.epr_ports(omega, _AB_LABELS):
-        key = (port.label, port.axis)
-        if port.axis is Axis.X:
-            x1[key] = x1.get(key, 0j) + port_term(port.first, port.amplitude)
-            x4[key] = x4.get(key, 0j) + port_term(gs * port.second, port.amplitude)
-        else:
-            p1[key] = p1.get(key, 0j) + port_term(port.first, port.amplitude)
-            p4[key] = p4.get(key, 0j) + port_term(gs * port.second, port.amplitude)
-    for port in cfg.second_source.epr_ports(omega, _CD_LABELS):
-        key = (port.label, port.axis)
-        if port.axis is Axis.X:
-            w = port.second - gs * port.first
-        else:
-            w = port.second + gs * port.first
-        target = x4 if port.axis is Axis.X else p4
-        target[key] = target.get(key, 0j) + port_term(w, port.amplitude)
+    ab = cfg.source_ab.epr_ports(omega, _AB_LABELS)
+    cd = cfg.second_source.epr_ports(omega, _CD_LABELS)
+    x1, p1 = _project(ab, (1, 0), (1, 0))
+    x4, p4 = _project(ab, (0, gs), (0, gs))
+    _project(cd, (-gs, 1), (gs, 1), x4, p4)
     return SwapOutcome(
         x1=QuadExpansion(0j, x1),
         p1=QuadExpansion(0j, p1),
@@ -159,24 +143,10 @@ def swapped_epr_variances(cfg: SwapConfig, omega: float) -> tuple[float, float]:
     portwise so the threshold cancellations happen at the weight level.
     """
     gs = cfg.gain_at(omega)
-    x_terms: dict = {}
-    p_terms: dict = {}
-    for port in cfg.source_ab.epr_ports(omega, _AB_LABELS):
-        key = (port.label, port.axis)
-        if port.axis is Axis.X:
-            w = port.first - gs * port.second
-        else:
-            w = port.first + gs * port.second
-        target = x_terms if port.axis is Axis.X else p_terms
-        target[key] = target.get(key, 0j) + port_term(w, port.amplitude)
-    for port in cfg.second_source.epr_ports(omega, _CD_LABELS):
-        key = (port.label, port.axis)
-        if port.axis is Axis.X:
-            w = gs * port.first - port.second
-        else:
-            w = port.second + gs * port.first
-        target = x_terms if port.axis is Axis.X else p_terms
-        target[key] = target.get(key, 0j) + port_term(w, port.amplitude)
+    ab = cfg.source_ab.epr_ports(omega, _AB_LABELS)
+    cd = cfg.second_source.epr_ports(omega, _CD_LABELS)
+    x_terms, p_terms = _project(ab, (1, -gs), (1, gs))
+    _project(cd, (gs, -1), (gs, 1), x_terms, p_terms)
     model = InputModel.coherent()
     return (
         normalized_variance(QuadExpansion(0j, x_terms), model, Axis.X),
@@ -191,24 +161,10 @@ def verification_teleport(cfg: SwapConfig, omega: float) -> TeleportOutcome:
     x_tel = x_in + (X_4' - X_1), p_tel = p_in + (P_4' + P_1).
     """
     gs = cfg.gain_at(omega)
-    x_terms: dict = {}
-    p_terms: dict = {}
-    for port in cfg.source_ab.epr_ports(omega, _AB_LABELS):
-        key = (port.label, port.axis)
-        if port.axis is Axis.X:
-            w = gs * port.second - port.first
-        else:
-            w = gs * port.second + port.first
-        target = x_terms if port.axis is Axis.X else p_terms
-        target[key] = target.get(key, 0j) + port_term(w, port.amplitude)
-    for port in cfg.second_source.epr_ports(omega, _CD_LABELS):
-        key = (port.label, port.axis)
-        if port.axis is Axis.X:
-            w = port.second - gs * port.first
-        else:
-            w = port.second + gs * port.first
-        target = x_terms if port.axis is Axis.X else p_terms
-        target[key] = target.get(key, 0j) + port_term(w, port.amplitude)
+    ab = cfg.source_ab.epr_ports(omega, _AB_LABELS)
+    cd = cfg.second_source.epr_ports(omega, _CD_LABELS)
+    x_terms, p_terms = _project(ab, (-1, gs), (1, gs))
+    _project(cd, (-gs, 1), (gs, 1), x_terms, p_terms)
     return TeleportOutcome(
         x_tel=QuadExpansion(1.0, x_terms),
         p_tel=QuadExpansion(1.0, p_terms),
@@ -247,15 +203,7 @@ def swap_fidelity(cfg: SwapConfig, omega: float) -> float:
     1/(1 + (gs-1)^2 A/4 + (gs+1)^2 B/4); the symbolic pipeline is always
     evaluated and the two must agree to 1e-12.
     """
-    out = verification_teleport(cfg, omega)
-    f = teleport_fidelity(out).fidelity
-    closed = _closed_form_swap_fidelity(cfg, omega, cfg.gain_at(omega))
-    if closed is not None:
-        assert abs(closed - f) <= 1e-12, (
-            f"symbolic swap fidelity disagrees with closed form at omega={omega}"
-        )
-        f = closed
-    return f
+    return _swap_row(cfg, omega)[2]
 
 
 def _swap_row(cfg: SwapConfig, omega: float) -> tuple[float, float, float]:
@@ -266,33 +214,26 @@ def _swap_row(cfg: SwapConfig, omega: float) -> tuple[float, float, float]:
     f = teleport_fidelity(out).fidelity
     closed = _closed_form_swap_fidelity(cfg, omega, cfg.gain_at(omega))
     if closed is not None:
-        assert abs(closed - f) <= 1e-12
+        if not abs(closed - f) <= 1e-12:
+            raise AssertionError(
+                f"symbolic swap fidelity disagrees with closed form at omega={omega}"
+            )
         f = closed
     return v_x, v_p, f
 
 
-def swap_spectrum(
-    cfg: SwapConfig, omegas: Sequence[float], threads: int | None = None
-) -> SpectrumTable:
+def swap_spectrum(cfg: SwapConfig, omegas: Sequence[float]) -> SpectrumTable:
     """Sweep the swapping setup over a frequency grid.
 
     Columns hold the verification error variances and fidelity; the
     attached evaluator lets bandwidth() bisect between and beyond rows.
     """
     grid = [float(w) for w in omegas]
-
-    def row(w: float) -> tuple[float, float, float]:
-        return _swap_row(cfg, w)
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(row, grid))
-    else:
-        results = [row(w) for w in grid]
+    results = [_swap_row(cfg, w) for w in grid]
     return SpectrumTable(
         omega=tuple(grid),
         v_x=tuple(r[0] for r in results),
         v_p=tuple(r[1] for r in results),
         fidelity=tuple(r[2] for r in results),
-        evaluator=lambda w: row(float(w))[2],
+        evaluator=lambda w: _swap_row(cfg, float(w))[2],
     )

@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from .epr import SqueezerSpectrum, port_term
+from .epr import SqueezerSpectrum, _project
 from .linmode import (
     Axis,
     InputModel,
@@ -141,18 +141,8 @@ def teleport(
     contributes (second - gain*first) on X and (second + gain*first) on P,
     with exact-zero weights suppressing the (possibly infinite) amplitude.
     """
-    schedule = as_gain(gain)
-    g = schedule.at(omega)
-    x_terms: dict = {}
-    p_terms: dict = {}
-    for port in src.epr_ports(omega):
-        key = (port.label, port.axis)
-        if port.axis is Axis.X:
-            w = port.second - g * port.first
-            x_terms[key] = x_terms.get(key, 0j) + port_term(w, port.amplitude)
-        else:
-            w = port.second + g * port.first
-            p_terms[key] = p_terms.get(key, 0j) + port_term(w, port.amplitude)
+    g = as_gain(gain).at(omega)
+    x_terms, p_terms = _project(src.epr_ports(omega), (-g, 1), (g, 1))
     if detector.eta < 1.0:
         c = g * detector.excess
         for label in _DET_X:
@@ -209,7 +199,7 @@ def re_im_variances(
 
     Each frequency component splits into independent Re and Im vacuum parts
     (half the variance each, so per-term normalization is unchanged).  The
-    four results are asserted equal to the direct complex-path values; the
+    four results are checked against the direct complex-path values; the
     decomposition only exists for unit gain, where the signal drops out of
     the difference.
     """
@@ -221,9 +211,8 @@ def re_im_variances(
         direct = normalized_variance(diff, in_model, axis)
         for part in split_re_im(diff):
             v = normalized_variance(part, in_model, axis)
-            assert abs(v - direct) <= 1e-12 * max(1.0, abs(direct)), (
-                "re/im path disagrees with complex path"
-            )
+            if not abs(v - direct) <= 1e-12 * max(1.0, abs(direct)):
+                raise AssertionError("re/im path disagrees with complex path")
             results.append(v)
     vrx, vix, vrp, vip = results
     return vrx, vix, vrp, vip

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end via run()."""
 
+import hashlib
 import json
 import math
 
@@ -92,8 +93,9 @@ def test_spectrum_json_format(capsys):
 
 
 def test_spectrum_is_deterministic(capsys):
-    args = ("spectrum", "--epsilon", "0.37", "--omega-stop", "2", "--threads", "4")
-    _, first, _ = invoke(capsys, *args)
+    args = ("spectrum", "--epsilon", "0.37", "--omega-stop", "2")
+    code, first, _ = invoke(capsys, *args)
+    assert code == 0 and first.startswith(HEADER)
     _, second, _ = invoke(capsys, *args)
     assert first == second
 
@@ -289,12 +291,36 @@ def test_config_file_errors(capsys, tmp_path):
         ("oracle-check", "--epsilon", "0.5", "--samples", "10"),
         ("frobnicate",),
         (),
+        ("point", "--epsilon", "0.5", "--omega", "nan"),
+        ("point", "--epsilon", "0.5", "--gain", "fixed:nan"),
+        ("criteria", "--epsilon", "0.5", "--omega", "inf"),
+        ("spectrum", "--epsilon", "0.5", "--omega-stop", "nan"),
+        ("spectrum", "--epsilon", "0.5", "--omega-stop", "inf"),
+        ("point", "--kappa", "1", "--gamma", "nan"),
     ],
 )
 def test_configuration_errors_exit_1(capsys, args):
     code, _, err = invoke(capsys, *args)
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("point", "--epsilon", "0.5", "--omega", "nan"), "--omega"),
+        (("point", "--epsilon", "0.5", "--gain", "fixed:nan"), "--gain"),
+        (("criteria", "--epsilon", "0.5", "--omega", "inf"), "--omega"),
+        (("spectrum", "--epsilon", "0.5", "--omega-stop", "nan"), "--omega-stop"),
+        (("spectrum", "--epsilon", "0.5", "--omega-start=-inf"), "--omega-start"),
+        (("point", "--kappa", "1", "--gamma", "nan"), "--gamma"),
+        (("point", "--epsilon", "inf"), "--epsilon"),
+    ],
+)
+def test_non_finite_values_name_the_flag(capsys, args, flag):
+    code, _, err = invoke(capsys, *args)
+    assert code == 1
+    assert err.startswith(f"error: {flag}: expected a finite number")
 
 
 def test_unwritable_output_exits_2(capsys):
@@ -304,6 +330,88 @@ def test_unwritable_output_exits_2(capsys):
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# byte stability
+
+# sha256 of stdout for a fixed set of commands: every printed digit is
+# pinned, so a refactor that moves any output by one ulp at 12 significant
+# digits fails here.
+STDOUT_SHA256 = [
+    pytest.param(
+        "b8437c10a76751f3aef551da0885de01e33515aa4348fb2351e9cdd6aea0d4af",
+        ("spectrum", "--epsilon", "0.6", "--omega-stop", "3"),
+        id="spectrum-lossless",
+    ),
+    pytest.param(
+        "421b8103821c3a0018d64fda1a6db22d32388452d3852a9008857449e95e2feb",
+        (
+            "spectrum", "--epsilon", "0.6", "--beta", "0.9", "--eta2", "0.97",
+            "--omega-stop", "3",
+        ),
+        id="spectrum-lossy-eta2",
+    ),
+    pytest.param(
+        "65c48890a364bc3d3aff7f3bf4e21224e278eadea72e3544535f49bd8a58956c",
+        (
+            "spectrum", "--kappa", "1.54", "--gamma", "3.6", "--rho", "0.4",
+            "--omega-stop", "4", "--omega-step", "0.25",
+        ),
+        id="spectrum-physical",
+    ),
+    pytest.param(
+        "0c27b31fc8655a50319e9443df708d9ec522d8922ce92bc8b7a3666f32a0441e",
+        (
+            "spectrum", "--epsilon", "0.5", "--beta", "0.8", "--omega-stop", "2",
+            "--format", "json",
+        ),
+        id="spectrum-json",
+    ),
+    pytest.param(
+        "aaabd775915834714a7abb36961ed0ba406c89652762226e9370e7f1c09a49be",
+        ("swap-spectrum", "--epsilon", "0.4", "--omega-stop", "3"),
+        id="swap-optimal",
+    ),
+    pytest.param(
+        "b0bb17f565b56384ad08bc978cd0ac3808f531fd8942c0a6e1728ed4e17a9558",
+        (
+            "swap-spectrum", "--epsilon", "0.4", "--beta", "0.9", "--gain", "fixed:0.8",
+            "--omega-stop", "3",
+        ),
+        id="swap-fixed-gain",
+    ),
+    pytest.param(
+        "7b339a946c58d40ce2e734675cf0157219326da80ef31ecc50e959ac8e6659ac",
+        ("point", "--epsilon", "1"),
+        id="point-threshold",
+    ),
+    pytest.param(
+        "d4aae43634c13b608c29aed549c9d0597a7dfe7de9b5ed69308ff850e15e725e",
+        (
+            "criteria", "--epsilon", "0.6", "--omega", "0.5",
+            "--input", "squeezed:1.5", "--gain", "fixed:0.9",
+        ),
+        id="criteria-squeezed-fixed-gain",
+    ),
+    pytest.param(
+        "f256302db6b902a6e2635ed0f7ddd4965337f21a606bdabeb9bd61bc467c6dfd",
+        ("bandwidth", "--epsilon", "0.6"),
+        id="bandwidth-teleport",
+    ),
+    pytest.param(
+        "79719ae0910e54f27c30bd0415b9c4375db1066ed7757a512c167f64daf1abdc",
+        ("bandwidth", "--epsilon", "0.4", "--pipeline", "swap"),
+        id="bandwidth-swap",
+    ),
+]
+
+
+@pytest.mark.parametrize("digest, args", STDOUT_SHA256)
+def test_stdout_is_byte_stable(capsys, digest, args):
+    code, out, _ = invoke(capsys, *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import cvteleport
 from cvteleport.criteria import (
     CONDITIONAL_SUM_LIMIT,
     FIDELITY_CLASSICAL_BOUND,
@@ -113,6 +117,8 @@ def test_objective_validation():
         optimize_classical(COHERENT, "norm")
     with pytest.raises(ValueError):
         grid_search_classical(COHERENT, "sum", points=1)
+    with pytest.raises(ValueError, match="finite"):
+        grid_search_classical(InputModel(math.inf, 1.0), "out_sum", points=3)
 
 
 def test_output_product_limit_values():
@@ -229,6 +235,48 @@ def test_closed_form_fidelity_matches_generic_path():
         assert abs(generic - closed) < 1e-12
 
 
+_WRONG_CLOSED_FORMS = """
+import sys
+
+from cvteleport import cli, criteria, swap
+from cvteleport.epr import LosslessNopa
+
+closed = criteria._closed_form_fidelity
+criteria._closed_form_fidelity = lambda *args: closed(*args) + 1e-6
+closed_swap = swap._closed_form_swap_fidelity
+swap._closed_form_swap_fidelity = lambda *args: closed_swap(*args) + 1e-6
+checks = {
+    "fidelity_spectrum": lambda: criteria.fidelity_spectrum(LosslessNopa(0.5), [0.0, 1.0]),
+    "evaluate_criteria": lambda: criteria.evaluate_criteria(LosslessNopa(0.5), 1.0),
+    "swap_spectrum": lambda: swap.swap_spectrum(swap.SwapConfig(LosslessNopa(0.5)), [0.0]),
+}
+for name, check in checks.items():
+    try:
+        check()
+    except AssertionError:
+        continue
+    sys.exit(name + " accepted a closed form off by 1e-6")
+if cli.run(["point", "--epsilon", "0.5"]) != 2:
+    sys.exit("the CLI did not report the disagreement as a runtime error")
+sys.exit(0 if sys.flags.optimize else "not running under -O")
+"""
+
+
+def test_closed_form_disagreement_raises_under_optimize():
+    # python -O strips assert statements; the cross-checks must survive it.
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cvteleport.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_CLOSED_FORMS],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_fidelity_beats_half_iff_squeezed():
     rng = random.Random(331)
     for _ in range(100):
@@ -336,13 +384,6 @@ def test_bandwidth_without_evaluator_needs_a_crossing():
     )
     with pytest.raises(ValueError):
         bandwidth(loaded)
-
-
-def test_spectrum_threads_match_serial():
-    grid = [0.25 * k for k in range(0, 20)]
-    serial = fidelity_spectrum(LosslessNopa(0.45), grid)
-    pooled = fidelity_spectrum(LosslessNopa(0.45), grid, threads=4)
-    assert serial.to_csv() == pooled.to_csv()
 
 
 def test_nonunit_gain_spectrum_warns():

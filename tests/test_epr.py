@@ -15,7 +15,6 @@ from cvteleport.epr import (
     ZeroBandwidth,
     couple_modes,
     make_epr_pair,
-    make_lossy_epr_pair,
     nopa_transfer,
     squeezing_spectrum,
 )
@@ -103,6 +102,21 @@ def test_nopa_params_threshold_guard():
         NopaParams(-0.1, 2.0)
     with pytest.raises(ValueError):
         NopaParams(0.5, 2.0, rho=-0.2)
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [
+        (math.nan, 2.0, 0.0),
+        (0.5, math.nan, 0.0),
+        (0.5, math.inf, 0.0),
+        (0.5, 2.0, math.nan),
+        (0.5, 2.0, math.inf),
+    ],
+)
+def test_nopa_params_reject_non_finite_rates(rates):
+    with pytest.raises(ValueError, match="finite"):
+        NopaParams(*rates)
 
 
 def test_dimensionless_roundtrip():
@@ -234,7 +248,7 @@ def test_physical_rate_epr_pair_matches_dimensionless():
     # gamma + rho = 4 halves every physical frequency on the way in.
     params = NopaParams(kappa=1.0, gamma=3.2, rho=0.8)
     big_omega = 2.0
-    phys = make_lossy_epr_pair(params, big_omega)
+    phys = make_epr_pair(LossyNopa.from_rates(params), 2 * big_omega / params.total_rate)
     dimless = make_epr_pair(LossyNopa(0.5, 0.8), 1.0)
     for a, b, axis in (
         (phys.x1, dimless.x1, Axis.X),

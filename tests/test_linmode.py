@@ -71,10 +71,10 @@ def test_exact_zeros_are_pruned():
 
 def test_zero_and_scaled():
     assert zero_expansion().is_zero()
-    e = vacuum_mode("m", Axis.X, 2.0).scaled(1.5j)
+    e = combine(vacuum_mode("m", Axis.X, 2.0), zero_expansion(), 1.5j, 0.0)
     assert e.coefficient("m", Axis.X) == 3.0j
     assert not e.is_zero()
-    assert e.scaled(0.0).is_zero()
+    assert combine(e, zero_expansion(), 0.0, 0.0).is_zero()
 
 
 def test_combine_is_coefficientwise():

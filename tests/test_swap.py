@@ -246,12 +246,6 @@ def test_swap_bandwidth_crossing_sits_at_threshold():
     assert abs(swap_fidelity(cfg, width / 2) - 0.51) < 1e-5
 
 
-def test_swap_spectrum_threads_match_serial():
-    cfg = SwapConfig(LosslessNopa(0.35))
-    grid = [0.2 * k for k in range(0, 12)]
-    assert swap_spectrum(cfg, grid).to_csv() == swap_spectrum(cfg, grid, threads=3).to_csv()
-
-
 def test_swap_outcome_metadata():
     cfg = SwapConfig(LosslessNopa(0.3), gain=0.7)
     out = swap_once(cfg, 1.2)
