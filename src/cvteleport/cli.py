@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -243,8 +244,11 @@ def _resolve_input(v: dict) -> InputModel:
     raise _ConfigError(f"--input: expected coherent or squeezed:<s>, got {raw!r}")
 
 
-def _resolve_grid(v: dict, scale: float) -> tuple[list[float], list[float]]:
-    """(user-unit grid, dimensionless grid)."""
+_MAX_GRID_ROWS = 10 ** 6  # a tiny --omega-step must not ask for an unbounded list
+
+
+def _resolve_grid(v: dict) -> list[float]:
+    """The sweep grid in user units."""
     start = _float("--omega-start", v["omega_start"])
     stop = _float("--omega-stop", v["omega_stop"])
     step = _float("--omega-step", v["omega_step"])
@@ -254,9 +258,10 @@ def _resolve_grid(v: dict, scale: float) -> tuple[list[float], list[float]]:
         raise _ConfigError("--omega-start must be nonnegative")
     if stop < start:
         raise _ConfigError("--omega-stop must not be below --omega-start")
-    n = int((stop - start) / step + 1e-9) + 1
-    user = [start + i * step for i in range(n)]
-    return user, [w * scale for w in user]
+    span = (stop - start) / step + 1e-9
+    if not span < _MAX_GRID_ROWS:
+        raise _ConfigError(f"--omega-step: the grid would exceed {_MAX_GRID_ROWS} rows")
+    return [start + i * step for i in range(int(span) + 1)]
 
 
 def _emit_table(table: SpectrumTable, v: dict) -> None:
@@ -290,48 +295,14 @@ def _reindex(table: SpectrumTable, user_grid: list[float]) -> SpectrumTable:
     return SpectrumTable(tuple(user_grid), table.v_x, table.v_p, table.fidelity)
 
 
-def _cmd_spectrum(v: dict) -> int:
+def _table(v: dict, pipeline: str, point: bool = False) -> tuple[SpectrumTable, list[float], float]:
+    """(table, user-unit grid, scale) on the sweep grid, or at --omega if point.
+
+    The table has dimensionless frequencies and keeps its evaluator.
+    """
     src, scale = _resolve_source(v)
-    user, grid = _resolve_grid(v, scale)
-    table = fidelity_spectrum(
-        src,
-        grid,
-        gain=_resolve_gain(v, for_swap=False),
-        detector=_resolve_detector(v),
-        in_model=_resolve_input(v),
-    )
-    _emit_table(_reindex(table, user), v)
-    return 0
-
-
-def _cmd_swap_spectrum(v: dict) -> int:
-    src, scale = _resolve_source(v)
-    user, grid = _resolve_grid(v, scale)
-    cfg = SwapConfig(src, gain=_resolve_gain(v, for_swap=True))
-    table = swap_spectrum(cfg, grid)
-    _emit_table(_reindex(table, user), v)
-    return 0
-
-
-def _cmd_point(v: dict) -> int:
-    src, scale = _resolve_source(v)
-    omega = _float("--omega", v["omega"])
-    table = fidelity_spectrum(
-        src,
-        [omega * scale],
-        gain=_resolve_gain(v, for_swap=False),
-        detector=_resolve_detector(v),
-        in_model=_resolve_input(v),
-    )
-    sys.stdout.write(_reindex(table, [omega]).to_csv())
-    return 0
-
-
-def _cmd_bandwidth(v: dict) -> int:
-    src, scale = _resolve_source(v)
-    pipeline = v["pipeline"]
-    threshold = _float("--threshold", v["threshold"])
-    _, grid = _resolve_grid(v, scale)
+    user = [_float("--omega", v["omega"])] if point else _resolve_grid(v)
+    grid = [w * scale for w in user]
     if pipeline == "teleport":
         table = fidelity_spectrum(
             src,
@@ -341,12 +312,34 @@ def _cmd_bandwidth(v: dict) -> int:
             in_model=_resolve_input(v),
         )
     elif pipeline == "swap":
-        cfg = SwapConfig(src, gain=_resolve_gain(v, for_swap=True))
-        table = swap_spectrum(cfg, grid)
+        # Swapping verifies with a coherent input on ideal detectors.
+        if _float("--eta2", v["eta2"]) != 1.0:
+            raise _ConfigError("--eta2 does not apply to the swap pipeline")
+        if v["input"] != "coherent":
+            raise _ConfigError("--input does not apply to the swap pipeline")
+        table = swap_spectrum(SwapConfig(src, gain=_resolve_gain(v, for_swap=True)), grid)
     else:
         raise _ConfigError(f"--pipeline: expected teleport or swap, got {pipeline!r}")
-    width = bandwidth(table, threshold) / scale
-    sys.stdout.write(f"{width:.12g}\n")
+    return table, user, scale
+
+
+def _cmd_spectrum(v: dict, pipeline: str) -> int:
+    table, user, _ = _table(v, pipeline)
+    _emit_table(_reindex(table, user), v)
+    return 0
+
+
+def _cmd_point(v: dict) -> int:
+    table, user, _ = _table(v, "teleport", point=True)
+    sys.stdout.write(_reindex(table, user).to_csv())
+    return 0
+
+
+def _cmd_bandwidth(v: dict) -> int:
+    threshold = _float("--threshold", v["threshold"])
+    table, _, scale = _table(v, v["pipeline"])
+    # A fidelity that never drops below the threshold prints inf.
+    sys.stdout.write(f"{bandwidth(table, threshold) / scale:.12g}\n")
     return 0
 
 
@@ -414,8 +407,8 @@ def _cmd_oracle_check(v: dict) -> int:
 
 
 _COMMANDS: dict[str, Callable[[dict], int]] = {
-    "spectrum": _cmd_spectrum,
-    "swap-spectrum": _cmd_swap_spectrum,
+    "spectrum": functools.partial(_cmd_spectrum, pipeline="teleport"),
+    "swap-spectrum": functools.partial(_cmd_spectrum, pipeline="swap"),
     "point": _cmd_point,
     "bandwidth": _cmd_bandwidth,
     "criteria": _cmd_criteria,

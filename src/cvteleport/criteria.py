@@ -427,7 +427,7 @@ class SpectrumTable:
 
     @classmethod
     def from_csv(cls, path_or_text: str) -> "SpectrumTable":
-        if "\n" in path_or_text or "," in path_or_text:
+        if "\n" in path_or_text:  # every valid table has a header line
             text = path_or_text
         else:
             with open(path_or_text, "r", encoding="utf-8") as fh:
@@ -458,37 +458,44 @@ class SpectrumTable:
         return text
 
 
-def _checked_fidelity(
+def _teleport_row(
     src: SqueezerSpectrum,
-    out: TeleportOutcome,
-    detector: BellDetector,
-    in_model: InputModel,
-    alpha: complex,
-) -> float:
-    # The generic Q-function fidelity, or the exact closed form where one
-    # applies; the two must then agree to 1e-9.
-    f = teleport_fidelity(out, in_model, alpha).fidelity
-    closed = _closed_form_fidelity(src, out.omega, out.gain, detector.eta, in_model, alpha)
-    if closed is None:
-        return f
-    if not abs(closed - f) <= 1e-9:
-        raise AssertionError(
-            f"generic fidelity path disagrees with closed form at omega={out.omega}"
-        )
-    return closed
-
-
-def _fidelity_row(
-    src: SqueezerSpectrum,
-    schedule: GainSchedule,
+    gain: GainSchedule | complex,
     detector: BellDetector,
     in_model: InputModel,
     omega: float,
-) -> tuple[float, float, float]:
-    out = teleport(src, schedule, detector, omega)
+    alpha: complex = 0j,
+) -> tuple[TeleportOutcome, float, float, float]:
+    # One teleportation, its error variances and its fidelity: the generic
+    # Q-function one, or the exact closed form, which must agree to 1e-9.
+    out = teleport(src, gain, detector, omega)
     v_x = difference_variance(out.x_tel, in_model, Axis.X)
     v_p = difference_variance(out.p_tel, in_model, Axis.P)
-    return v_x, v_p, _checked_fidelity(src, out, detector, in_model, 0j)
+    f = teleport_fidelity(out, in_model, alpha).fidelity
+    closed = _closed_form_fidelity(src, out.omega, out.gain, detector.eta, in_model, alpha)
+    if closed is not None:
+        if not abs(closed - f) <= 1e-9:
+            raise AssertionError(
+                f"generic fidelity path disagrees with closed form at omega={out.omega}"
+            )
+        f = closed
+    return out, v_x, v_p, f
+
+
+def _spectrum_table(
+    omegas: Sequence[float], row: Callable[[float], tuple[float, float, float]]
+) -> SpectrumTable:
+    # Tabulate row(omega) -> (v_x, v_p, fidelity); the same row function is
+    # the evaluator bandwidth() bisects with.
+    grid = [float(w) for w in omegas]
+    results = [row(w) for w in grid]
+    return SpectrumTable(
+        omega=tuple(grid),
+        v_x=tuple(r[0] for r in results),
+        v_p=tuple(r[1] for r in results),
+        fidelity=tuple(r[2] for r in results),
+        evaluator=lambda w: row(float(w))[2],
+    )
 
 
 def fidelity_spectrum(
@@ -507,26 +514,17 @@ def fidelity_spectrum(
     """
     schedule = as_gain(gain)
     model = in_model if in_model is not None else InputModel.coherent()
-    grid = [float(w) for w in omegas]
-
-    def row(w: float) -> tuple[float, float, float]:
-        return _fidelity_row(src, schedule, detector, model, w)
-
-    results = [row(w) for w in grid]
-    if any(schedule.at(w) != 1 for w in grid):
+    table = _spectrum_table(
+        omegas, lambda w: _teleport_row(src, schedule, detector, model, w)[1:]
+    )
+    if any(schedule.at(w) != 1 for w in table.omega):
         warnings.warn(
             "nonunit gain: the v_x/v_p columns include the gain-mismatch "
             "input term and are not error spectra",
             NonUnitGainWarning,
             stacklevel=2,
         )
-    return SpectrumTable(
-        omega=tuple(grid),
-        v_x=tuple(r[0] for r in results),
-        v_p=tuple(r[1] for r in results),
-        fidelity=tuple(r[2] for r in results),
-        evaluator=lambda w: row(float(w))[2],
-    )
+    return table
 
 
 def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
@@ -536,7 +534,9 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
     source here).  The crossing is bracketed on the grid, then refined by
     bisection of the table's evaluator to 1e-6; tables without an evaluator
     fall back to linear interpolation between the bracketing rows.  Returns
-    0 when even the first row is below threshold.
+    0 when even the first row is below threshold, and math.inf when the
+    evaluator never drops below it (a threshold at or below the large-omega
+    limit of the fidelity: 1/2 at unit gain, 1/(1 + g^2) at fixed gain g).
     """
     om, fs = spectrum.omega, spectrum.fidelity
     if fs[0] < threshold:
@@ -557,7 +557,7 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
                 break
             lo, hi = hi, hi * 2.0
         else:
-            raise ValueError("fidelity never crosses the threshold")
+            return math.inf
     else:
         lo, hi = om[cross - 1], om[cross]
         if ev is None:
@@ -666,13 +666,10 @@ def evaluate_criteria(
 ) -> CriteriaReport:
     """Run one teleportation and score it against every classical boundary."""
     model = in_model if in_model is not None else InputModel.coherent()
-    out = teleport(src, gain, detector, omega)
-    v_x = difference_variance(out.x_tel, model, Axis.X)
-    v_p = difference_variance(out.p_tel, model, Axis.P)
+    out, v_x, v_p, f = _teleport_row(src, gain, detector, model, omega, alpha)
     v_out_x = normalized_variance(out.x_tel, model, Axis.X)
     v_out_p = normalized_variance(out.p_tel, model, Axis.P)
     rl = ralph_lam(out.x_tel, out.p_tel, model)
-    f = _checked_fidelity(src, out, detector, model, alpha)
     return CriteriaReport(
         omega=omega,
         gain=out.gain,

@@ -369,8 +369,8 @@ class CustomSpectrum(SqueezerSpectrum):
 
     @classmethod
     def from_csv(cls, path_or_text: str) -> "CustomSpectrum":
-        """Load a table from a CSV file path or from CSV text."""
-        if "\n" in path_or_text or "," in path_or_text:
+        """Load a table from CSV text (anything containing a newline) or a file path."""
+        if "\n" in path_or_text:
             handle = io.StringIO(path_or_text)
         else:
             handle = open(path_or_text, newline="")

@@ -166,8 +166,12 @@ def normalized_variance(e: QuadExpansion, in_model: InputModel, axis: Axis) -> f
 
 
 def difference_variance(out: QuadExpansion, in_model: InputModel, axis: Axis) -> float:
-    """Variance of (out - in), the teleportation error observable."""
-    return normalized_variance(combine(out, unit_input(), 1.0, -1.0), in_model, axis)
+    """Variance of (out - in), the teleportation error observable.
+
+    Only the input coefficient changes, so vacuum terms, infinite ones
+    included, enter exactly as in normalized_variance.
+    """
+    return normalized_variance(QuadExpansion(out.input_coeff - 1, out.terms), in_model, axis)
 
 
 def covariance(

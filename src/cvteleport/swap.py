@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .criteria import SpectrumTable, teleport_fidelity
-from .epr import SqueezerSpectrum, TransferPair, _project
+from .criteria import SpectrumTable, _spectrum_table, teleport_fidelity
+from .epr import EprPort, SqueezerSpectrum, TransferPair, _project
 from .linmode import (
     Axis,
     InputModel,
@@ -111,6 +111,17 @@ class SwapOutcome:
     source: str
 
 
+def _swap_ports(
+    cfg: SwapConfig, omega: float
+) -> tuple[complex, tuple[EprPort, ...], tuple[EprPort, ...]]:
+    """Swap gain and the EPR ports of both pairs at one frequency."""
+    return (
+        cfg.gain_at(omega),
+        cfg.source_ab.epr_ports(omega, _AB_LABELS),
+        cfg.second_source.epr_ports(omega, _CD_LABELS),
+    )
+
+
 def swap_once(cfg: SwapConfig, omega: float) -> SwapOutcome:
     """Materialize modes 1 and 4' after the swap at one frequency.
 
@@ -118,9 +129,7 @@ def swap_once(cfg: SwapConfig, omega: float) -> SwapOutcome:
     diverges at the squeezing threshold; only the EPR combinations with
     mode 1 stay finite there (see swapped_epr_variances).
     """
-    gs = cfg.gain_at(omega)
-    ab = cfg.source_ab.epr_ports(omega, _AB_LABELS)
-    cd = cfg.second_source.epr_ports(omega, _CD_LABELS)
+    gs, ab, cd = _swap_ports(cfg, omega)
     x1, p1 = _project(ab, (1, 0), (1, 0))
     x4, p4 = _project(ab, (0, gs), (0, gs))
     _project(cd, (-gs, 1), (gs, 1), x4, p4)
@@ -142,9 +151,7 @@ def swapped_epr_variances(cfg: SwapConfig, omega: float) -> tuple[float, float]:
     entanglement between the never-interacting modes 1 and 4'.  Built
     portwise so the threshold cancellations happen at the weight level.
     """
-    gs = cfg.gain_at(omega)
-    ab = cfg.source_ab.epr_ports(omega, _AB_LABELS)
-    cd = cfg.second_source.epr_ports(omega, _CD_LABELS)
+    gs, ab, cd = _swap_ports(cfg, omega)
     x_terms, p_terms = _project(ab, (1, -gs), (1, gs))
     _project(cd, (gs, -1), (gs, 1), x_terms, p_terms)
     model = InputModel.coherent()
@@ -160,12 +167,15 @@ def verification_teleport(cfg: SwapConfig, omega: float) -> TeleportOutcome:
     The output is input plus the swapped-pair EPR noise:
     x_tel = x_in + (X_4' - X_1), p_tel = p_in + (P_4' + P_1).
     """
-    gs = cfg.gain_at(omega)
-    ab = cfg.source_ab.epr_ports(omega, _AB_LABELS)
-    cd = cfg.second_source.epr_ports(omega, _CD_LABELS)
+    return _verification(cfg, omega)[1]
+
+
+def _verification(cfg: SwapConfig, omega: float) -> tuple[complex, TeleportOutcome]:
+    # The swap gain comes back with the outcome, so a row evaluates it once.
+    gs, ab, cd = _swap_ports(cfg, omega)
     x_terms, p_terms = _project(ab, (-1, gs), (1, gs))
     _project(cd, (-gs, 1), (gs, 1), x_terms, p_terms)
-    return TeleportOutcome(
+    return gs, TeleportOutcome(
         x_tel=QuadExpansion(1.0, x_terms),
         p_tel=QuadExpansion(1.0, p_terms),
         omega=omega,
@@ -207,12 +217,12 @@ def swap_fidelity(cfg: SwapConfig, omega: float) -> float:
 
 
 def _swap_row(cfg: SwapConfig, omega: float) -> tuple[float, float, float]:
-    out = verification_teleport(cfg, omega)
+    gs, out = _verification(cfg, omega)
     model = InputModel.coherent()
     v_x = difference_variance(out.x_tel, model, Axis.X)
     v_p = difference_variance(out.p_tel, model, Axis.P)
     f = teleport_fidelity(out).fidelity
-    closed = _closed_form_swap_fidelity(cfg, omega, cfg.gain_at(omega))
+    closed = _closed_form_swap_fidelity(cfg, omega, gs)
     if closed is not None:
         if not abs(closed - f) <= 1e-12:
             raise AssertionError(
@@ -228,12 +238,4 @@ def swap_spectrum(cfg: SwapConfig, omegas: Sequence[float]) -> SpectrumTable:
     Columns hold the verification error variances and fidelity; the
     attached evaluator lets bandwidth() bisect between and beyond rows.
     """
-    grid = [float(w) for w in omegas]
-    results = [_swap_row(cfg, w) for w in grid]
-    return SpectrumTable(
-        omega=tuple(grid),
-        v_x=tuple(r[0] for r in results),
-        v_p=tuple(r[1] for r in results),
-        fidelity=tuple(r[2] for r in results),
-        evaluator=lambda w: _swap_row(cfg, float(w))[2],
-    )
+    return _spectrum_table(omegas, lambda w: _swap_row(cfg, w))

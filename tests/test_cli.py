@@ -193,6 +193,40 @@ def test_bandwidth_custom_threshold(capsys):
     assert float(out) == pytest.approx(closed_width(0.6, 0.6), abs=1e-5)
 
 
+@pytest.mark.filterwarnings("ignore::cvteleport.teleport.NonUnitGainWarning")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--epsilon", "0.5", "--threshold", "0.4"),  # below the classical 1/2
+        ("--epsilon", "0.5", "--gain", "fixed:0.5"),  # F tends to 1/(1 + g^2) = 0.8
+    ],
+)
+def test_bandwidth_never_crossed_prints_inf(capsys, args):
+    code, out, _ = invoke(capsys, "bandwidth", *args)
+    assert code == 0
+    assert out == "inf\n"
+
+
+def test_bandwidth_threshold_below_one_half_can_be_finite(capsys):
+    # A lossy detector pulls the large-omega fidelity below 1/2.
+    code, out, _ = invoke(
+        capsys, "bandwidth", "--epsilon", "0.5", "--eta2", "0.8", "--threshold", "0.45",
+    )
+    assert code == 0
+    assert out == "16.7032927275\n"
+
+
+@pytest.mark.filterwarnings("ignore::cvteleport.teleport.NonUnitGainWarning")
+@pytest.mark.parametrize("command", ["spectrum", "swap-spectrum"])
+def test_threshold_row_prints_inf(capsys, command):
+    # At threshold a nonunit gain leaves an infinite noise term: inf, not nan.
+    code, out, _ = invoke(
+        capsys, command, "--epsilon", "1", "--gain", "fixed:0.5", "--omega-stop", "0",
+    )
+    assert code == 0
+    assert out == HEADER + "\n0,inf,inf,0\n"
+
+
 # ---------------------------------------------------------------------------
 # criteria
 
@@ -297,6 +331,9 @@ def test_config_file_errors(capsys, tmp_path):
         ("spectrum", "--epsilon", "0.5", "--omega-stop", "nan"),
         ("spectrum", "--epsilon", "0.5", "--omega-stop", "inf"),
         ("point", "--kappa", "1", "--gamma", "nan"),
+        ("swap-spectrum", "--epsilon", "0.5", "--eta2", "0.5", "--input", "squeezed:2"),
+        ("swap-spectrum", "--epsilon", "0.5", "--input", "squeezed:2"),
+        ("bandwidth", "--epsilon", "0.5", "--pipeline", "swap", "--eta2", "0.3"),
     ],
 )
 def test_configuration_errors_exit_1(capsys, args):
@@ -321,6 +358,37 @@ def test_non_finite_values_name_the_flag(capsys, args, flag):
     code, _, err = invoke(capsys, *args)
     assert code == 1
     assert err.startswith(f"error: {flag}: expected a finite number")
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("swap-spectrum", "--epsilon", "0.5", "--eta2", "0.5", "--input", "squeezed:2"), "--eta2"),
+        (("swap-spectrum", "--epsilon", "0.5", "--input", "squeezed:2"), "--input"),
+        (("bandwidth", "--epsilon", "0.5", "--pipeline", "swap", "--eta2", "0.3"), "--eta2"),
+    ],
+)
+def test_swap_pipeline_rejects_teleport_only_flags(capsys, args, flag):
+    # Swapping is verified with a coherent input on ideal detectors.
+    code, out, err = invoke(capsys, *args)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {flag} does not apply to the swap pipeline")
+
+
+@pytest.mark.parametrize(
+    "stop, step",
+    [
+        ("5", "1e-300"),  # 5e300 rows: rejected before any list is built
+        ("1e300", "1e-300"),  # the row count overflows to inf
+        ("1000000", "1"),  # one row over the cap
+    ],
+)
+def test_grid_size_is_capped(capsys, stop, step):
+    code, out, err = invoke(
+        capsys, "spectrum", "--epsilon", "0.5", "--omega-stop", stop, "--omega-step", step,
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --omega-step: the grid would exceed 1000000 rows")
 
 
 def test_unwritable_output_exits_2(capsys):

@@ -319,6 +319,13 @@ def test_spectrum_table_file_io(tmp_path):
     assert json.loads(jpath.read_text())["omega"] == [0.0, 1.0, 2.0]
 
 
+def test_spectrum_table_path_with_a_comma(tmp_path):
+    table = fidelity_spectrum(LosslessNopa(0.3), [0.0, 1.0, 2.0])
+    path = tmp_path / "tab,le.csv"
+    table.to_csv(str(path))
+    assert SpectrumTable.from_csv(str(path)).to_csv() == table.to_csv()
+
+
 def test_spectrum_table_validation():
     with pytest.raises(ValueError):
         SpectrumTable((), (), (), ())
@@ -367,6 +374,20 @@ def test_bandwidth_extends_beyond_the_grid():
     # double out until it brackets the crossing.
     table = fidelity_spectrum(LosslessNopa(0.6), [0.0, 0.5, 1.0])
     assert bandwidth(table) == pytest.approx(closed_form_width(0.6), abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "kwargs, threshold",
+    [
+        ({}, 0.4),  # below the classical 1/2 every frequency qualifies
+        ({"gain": 0.5}, 0.51),  # F tends to 1/(1 + g^2) = 0.8 at large omega
+    ],
+)
+def test_bandwidth_is_infinite_when_never_crossed(kwargs, threshold):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonUnitGainWarning)
+        table = fidelity_spectrum(LosslessNopa(0.5), [0.0, 1.0], **kwargs)
+    assert bandwidth(table, threshold) == math.inf
 
 
 def test_bandwidth_interpolates_without_evaluator():

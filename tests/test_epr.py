@@ -351,6 +351,17 @@ def test_custom_spectrum_file_roundtrip(tmp_path):
     assert abs(got.s_plus - want.s_plus) < 1e-12
 
 
+def test_custom_spectrum_path_with_a_comma(tmp_path):
+    # Only text with a newline is parsed as CSV; anything else is a path.
+    path = tmp_path / "tab,le.csv"
+    path.write_text(lossless_table(0.3, [0.0, 1.0, 2.0]), encoding="utf-8")
+    src = CustomSpectrum.from_csv(str(path))
+    from_text = CustomSpectrum.from_csv(path.read_text(encoding="utf-8"))
+    for w in (0.0, 0.5, 1.0, 2.0):
+        assert src.pair(w) == from_text.pair(w)
+    assert abs(src.pair(1.0).s_plus - LosslessNopa(0.3).pair(1.0).s_plus) < 1e-12
+
+
 def test_custom_spectrum_validation():
     with pytest.raises(ValueError):
         CustomSpectrum((0.0,), (1.0,), (1.0,))  # one row is not a table

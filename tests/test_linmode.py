@@ -121,9 +121,18 @@ def test_difference_variance_matches_explicit_combination():
         e = random_expansion(rng)
         diff = combine(e, unit_input(), 1.0, -1.0)
         for axis in (Axis.X, Axis.P):
-            assert difference_variance(e, COHERENT, axis) == pytest.approx(
-                normalized_variance(diff, COHERENT, axis), rel=1e-12
+            # Bit-identical: finite spectra must not move by one ulp.
+            assert difference_variance(e, COHERENT, axis) == normalized_variance(
+                diff, COHERENT, axis
             )
+
+
+@pytest.mark.parametrize("coeff", [complex(math.inf, math.inf), complex(math.inf, math.nan)])
+def test_difference_variance_keeps_infinite_terms_infinite(coeff):
+    # Scaling such a term by a float (1.0*c) would give nan through 0*inf.
+    e = QuadExpansion(0.5, {("a", Axis.X): coeff, ("b", Axis.X): 0.3j})
+    assert difference_variance(e, COHERENT, Axis.X) == math.inf
+    assert normalized_variance(e, COHERENT, Axis.X) == math.inf
 
 
 def test_covariance_with_self_is_variance():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import cvteleport.swap as swap_module
 from cvteleport.criteria import bandwidth, teleport_fidelity
 from cvteleport.epr import LosslessNopa, LossyNopa, TransferPair, ZeroBandwidth
 from cvteleport.linmode import (
@@ -237,6 +238,27 @@ def test_swap_spectrum_columns_match_point_evaluations():
         assert table.fidelity[i] == pytest.approx(swap_fidelity(cfg, w), rel=1e-12)
         v_x, _ = swapped_epr_variances(cfg, w)
         assert table.v_x[i] == pytest.approx(v_x, rel=1e-12)
+
+
+def test_swap_spectrum_evaluates_the_gain_once_per_row(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return optimal_gain(*args)
+
+    monkeypatch.setattr(swap_module, "optimal_gain", counted)
+    table = swap_spectrum(SwapConfig(LosslessNopa(0.4)), [0.1 * k for k in range(10)])
+    assert len(table) == 10
+    assert len(calls) == 10
+
+
+def test_threshold_row_is_infinite_not_nan():
+    # At threshold only unit swap gain keeps the verification noise finite.
+    cfg = SwapConfig(LosslessNopa(1.0), gain=0.5)
+    table = swap_spectrum(cfg, [0.0])
+    assert swapped_epr_variances(cfg, 0.0) == (math.inf, math.inf)
+    assert (table.v_x[0], table.v_p[0], table.fidelity[0]) == (math.inf, math.inf, 0.0)
 
 
 def test_swap_bandwidth_crossing_sits_at_threshold():
