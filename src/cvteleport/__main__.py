@@ -1,0 +1,6 @@
+"""``python -m cvteleport``: the cvteleport command."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

@@ -22,9 +22,10 @@ import os
 import sys
 from typing import Callable, Sequence
 
+from ._text import write_json
 from .criteria import SpectrumTable, bandwidth, evaluate_criteria, fidelity_spectrum, teleport_fidelity
 from .epr import LosslessNopa, LossyNopa, NopaParams, SqueezerSpectrum
-from .linmode import Axis, InputModel, combine, unit_input
+from .linmode import Axis, InputModel, combine, normalized_variance, unit_input
 from .oracle import McConfig, covariance_teleport, fidelity_to_coherent, mc_check
 from .swap import SwapConfig, swap_spectrum
 from .teleport import BellDetector, GainSchedule, teleport, teleport_single_mode
@@ -264,6 +265,12 @@ def _resolve_grid(v: dict) -> list[float]:
     return [start + i * step for i in range(int(span) + 1)]
 
 
+def _write(path: str, text: str) -> None:
+    """Write one --output file (or the plotting script beside it)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def _emit_table(table: SpectrumTable, v: dict) -> None:
     fmt = v["format"]
     if fmt not in ("csv", "json"):
@@ -272,20 +279,20 @@ def _emit_table(table: SpectrumTable, v: dict) -> None:
     if v.get("gnuplot"):
         if out is None or fmt != "csv":
             raise _ConfigError("--gnuplot needs --output and csv format")
-    text = table.to_csv(out) if fmt == "csv" else table.to_json(out)
+    text = table.to_csv() if fmt == "csv" else table.to_json()
     if out is None:
         sys.stdout.write(text)
-    elif v.get("gnuplot"):
-        script = os.path.splitext(out)[0] + ".gp"
-        name = os.path.basename(out)
-        with open(script, "w", encoding="utf-8", newline="") as fh:
-            fh.write(
-                "set datafile separator ','\n"
-                "set key autotitle columnhead\n"
-                "set xlabel 'omega'\n"
-                "set yrange [0:1]\n"
-                f"plot '{name}' using 1:4 with lines title 'fidelity'\n"
-            )
+        return
+    _write(out, text)
+    if v.get("gnuplot"):
+        _write(
+            os.path.splitext(out)[0] + ".gp",
+            "set datafile separator ','\n"
+            "set key autotitle columnhead\n"
+            "set xlabel 'omega'\n"
+            "set yrange [0:1]\n"
+            f"plot '{os.path.basename(out)}' using 1:4 with lines title 'fidelity'\n",
+        )
 
 
 def _reindex(table: SpectrumTable, user_grid: list[float]) -> SpectrumTable:
@@ -373,6 +380,16 @@ def _cmd_oracle_check(v: dict) -> int:
     except ValueError as exc:
         raise _ConfigError(str(exc)) from None
     out = teleport(src, schedule, detector, omega)
+    # At threshold only unit gain keeps the output finite; an infinite
+    # variance would turn every Monte-Carlo estimate into nan.
+    if not all(
+        math.isfinite(normalized_variance(e, model, axis))
+        for e, axis in ((out.x_tel, Axis.X), (out.p_tel, Axis.P))
+    ):
+        raise _ConfigError(
+            "--gain: the teleported output variance is infinite at this frequency; "
+            "a source at threshold needs unit gain"
+        )
     entries = [
         ("x_out", out.x_tel, Axis.X),
         ("p_out", out.p_tel, Axis.P),
@@ -392,18 +409,12 @@ def _cmd_oracle_check(v: dict) -> int:
         gauss_rows.append(
             {"name": f"fidelity(r={r:g},gain={g:g})", "analytic": ana, "estimate": est, "ok": ok}
         )
-    payload = {
-        "mc": json.loads(report.to_json()),
-        "gaussian": gauss_rows,
-        "all_ok": report.all_ok and gauss_ok,
-    }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    out_path = v.get("output")
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    all_ok = report.all_ok and gauss_ok
+    text = write_json({"mc": json.loads(report.to_json()), "gaussian": gauss_rows, "all_ok": all_ok})
+    if v.get("output") is not None:
+        _write(v["output"], text)
     sys.stdout.write(text)
-    return 0 if payload["all_ok"] else 2
+    return 0 if all_ok else 2
 
 
 _COMMANDS: dict[str, Callable[[dict], int]] = {

@@ -17,12 +17,12 @@ variance is 1/4, so a coherent state has sigma = 1/2 per axis.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+from ._text import read_csv, write_json
 from .epr import LosslessNopa, LossyNopa, SqueezerSpectrum
 from .linmode import (
     Axis,
@@ -416,46 +416,21 @@ class SpectrumTable:
     def rows(self) -> Iterable[tuple[float, float, float, float]]:
         return zip(self.omega, self.v_x, self.v_p, self.fidelity)
 
-    def to_csv(self, path: str | None = None) -> str:
+    def to_csv(self) -> str:
         lines = [",".join(CSV_HEADER)]
         lines += [",".join(f"{v:.12g}" for v in row) for row in self.rows()]
-        text = "\n".join(lines) + "\n"
-        if path is not None:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        return text
+        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_csv(cls, path_or_text: str) -> "SpectrumTable":
-        if "\n" in path_or_text:  # every valid table has a header line
-            text = path_or_text
-        else:
-            with open(path_or_text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or tuple(s.strip() for s in lines[0].split(",")) != CSV_HEADER:
-            raise ValueError(f"expected header {','.join(CSV_HEADER)}")
-        cols: list[list[float]] = [[], [], [], []]
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"malformed row: {ln!r}")
-            for col, part in zip(cols, parts):
-                col.append(float(part))
-        return cls(tuple(cols[0]), tuple(cols[1]), tuple(cols[2]), tuple(cols[3]))
+        """Load a table from CSV text (anything containing a newline) or a file path."""
+        return cls(*read_csv(path_or_text, CSV_HEADER))
 
-    def to_json(self, path: str | None = None) -> str:
-        payload = {
-            "omega": [float(f"{v:.12g}") for v in self.omega],
-            "v_x": [float(f"{v:.12g}") for v in self.v_x],
-            "v_p": [float(f"{v:.12g}") for v in self.v_p],
-            "fidelity": [float(f"{v:.12g}") for v in self.fidelity],
-        }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        if path is not None:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        return text
+    def to_json(self) -> str:
+        columns = (self.omega, self.v_x, self.v_p, self.fidelity)
+        return write_json(
+            {name: [float(f"{v:.12g}") for v in col] for name, col in zip(CSV_HEADER, columns)}
+        )
 
 
 def _teleport_row(
@@ -627,33 +602,17 @@ class CriteriaReport:
             "fidelity": self.fidelity > FIDELITY_CLASSICAL_BOUND,
         }
 
-    def to_json(self, path: str | None = None) -> str:
-        gain = self.gain.real if self.gain.imag == 0 else [self.gain.real, self.gain.imag]
-        payload = {
-            "omega": self.omega,
-            "gain": gain,
-            "eta": self.eta,
-            "v_x": self.v_x,
-            "v_p": self.v_p,
-            "v_product": self.v_product,
-            "v_sum": self.v_sum,
-            "v_out_x": self.v_out_x,
-            "v_out_p": self.v_out_p,
-            "v_out_product": self.v_out_product,
-            "v_c_x": self.v_c_x,
-            "v_c_p": self.v_c_p,
-            "t_x": self.t_x,
-            "t_p": self.t_p,
-            "fidelity": self.fidelity,
-            "out_product_limit": self.out_product_limit,
-            "avg_fidelity_zero": self.avg_fidelity_zero,
-            "verdicts": self.verdicts,
-        }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        if path is not None:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        return text
+    def to_json(self) -> str:
+        gain = self.gain
+        payload = asdict(self)
+        payload.update(
+            gain=gain.real if gain.imag == 0 else [gain.real, gain.imag],
+            v_product=self.v_product,
+            v_sum=self.v_sum,
+            v_out_product=self.v_out_product,
+            verdicts=self.verdicts,
+        )
+        return write_json(payload)
 
 
 def evaluate_criteria(

@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import abc
 import bisect
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Iterable
 
+from ._text import read_csv
 from .linmode import Axis, QuadExpansion, combine
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "EprQuadratures",
     "LosslessNopa",
     "LossyNopa",
-    "NopaDimensionless",
     "NopaParams",
     "SqueezerSpectrum",
     "TransferPair",
@@ -93,37 +91,6 @@ class NopaParams:
     @property
     def total_rate(self) -> float:
         return self.gamma + self.rho
-
-
-@dataclass(frozen=True)
-class NopaDimensionless:
-    """One evaluation point of a NOPA in dimensionless form."""
-
-    epsilon: float
-    omega: float
-    beta: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
-        if self.omega < 0:
-            raise ValueError("omega must be nonnegative")
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError("beta must lie in (0, 1]")
-
-    @classmethod
-    def from_physical(cls, params: NopaParams, big_omega: float) -> "NopaDimensionless":
-        t = params.total_rate
-        return cls(2 * params.kappa / t, 2 * big_omega / t, params.gamma / t)
-
-    def to_physical(self, total_rate: float = 2.0) -> tuple[NopaParams, float]:
-        """Invert the normalization for a given gamma+rho scale."""
-        params = NopaParams(
-            kappa=self.epsilon * total_rate / 2,
-            gamma=self.beta * total_rate,
-            rho=(1.0 - self.beta) * total_rate,
-        )
-        return params, self.omega * total_rate / 2
 
 
 @dataclass(frozen=True)
@@ -370,29 +337,8 @@ class CustomSpectrum(SqueezerSpectrum):
     @classmethod
     def from_csv(cls, path_or_text: str) -> "CustomSpectrum":
         """Load a table from CSV text (anything containing a newline) or a file path."""
-        if "\n" in path_or_text:
-            handle = io.StringIO(path_or_text)
-        else:
-            handle = open(path_or_text, newline="")
-        with handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or tuple(h.strip() for h in header) != cls.CSV_HEADER:
-                raise ValueError(
-                    "custom spectrum CSV must use the header "
-                    + ",".join(cls.CSV_HEADER)
-                )
-            omegas: list[float] = []
-            s_plus: list[complex] = []
-            s_minus: list[complex] = []
-            for row in reader:
-                if not row:
-                    continue
-                w, pr, pi, mr, mi = (float(v) for v in row)
-                omegas.append(w)
-                s_plus.append(complex(pr, pi))
-                s_minus.append(complex(mr, mi))
-        return cls(tuple(omegas), tuple(s_plus), tuple(s_minus))
+        omegas, pr, pi, mr, mi = read_csv(path_or_text, cls.CSV_HEADER)
+        return cls(omegas, tuple(map(complex, pr, pi)), tuple(map(complex, mr, mi)))
 
     def pair(self, omega: float) -> TransferPair:
         grid = self._omegas

@@ -16,13 +16,13 @@ means a bug on one side or the other.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._text import write_json
 from .linmode import Axis, InputModel, QuadExpansion, covariance, normalized_variance
 
 __all__ = [
@@ -244,28 +244,8 @@ class McReport:
     def all_ok(self) -> bool:
         return all(r.ok for r in self.rows)
 
-    def to_json(self, path: str | None = None) -> str:
-        payload = {
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "all_ok": self.all_ok,
-            "rows": [
-                {
-                    "name": r.name,
-                    "kind": r.kind,
-                    "analytic": r.analytic,
-                    "estimate": r.estimate,
-                    "se": r.se,
-                    "ok": r.ok,
-                }
-                for r in self.rows
-            ],
-        }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        if path is not None:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        return text
+    def to_json(self) -> str:
+        return write_json(dict(asdict(self), all_ok=self.all_ok))
 
 
 _BATCH = 1 << 16

@@ -85,11 +85,7 @@ class SwapConfig:
         return self.source_cd if self.source_cd is not None else self.source_ab
 
     def gain_at(self, omega: float) -> complex:
-        if self.gain is None:
-            return complex(
-                optimal_gain(self.source_ab.pair(omega), self.second_source.pair(omega))
-            )
-        return as_gain(self.gain).at(omega)
+        return _swap_gain(self, omega)
 
     def describe(self) -> str:
         ab = self.source_ab.describe()
@@ -111,12 +107,27 @@ class SwapOutcome:
     source: str
 
 
+_Pairs = tuple[TransferPair, TransferPair]
+
+
+def _transfer_pairs(cfg: SwapConfig, omega: float) -> _Pairs:
+    """Transfer pairs of both sources, evaluating a shared source once."""
+    ab = cfg.source_ab.pair(omega)
+    return ab, ab if cfg.source_cd is None else cfg.source_cd.pair(omega)
+
+
+def _swap_gain(cfg: SwapConfig, omega: float, pairs: _Pairs | None = None) -> complex:
+    if cfg.gain is not None:
+        return as_gain(cfg.gain).at(omega)
+    return complex(optimal_gain(*(pairs or _transfer_pairs(cfg, omega))))
+
+
 def _swap_ports(
-    cfg: SwapConfig, omega: float
+    cfg: SwapConfig, omega: float, pairs: _Pairs | None = None
 ) -> tuple[complex, tuple[EprPort, ...], tuple[EprPort, ...]]:
     """Swap gain and the EPR ports of both pairs at one frequency."""
     return (
-        cfg.gain_at(omega),
+        _swap_gain(cfg, omega, pairs),
         cfg.source_ab.epr_ports(omega, _AB_LABELS),
         cfg.second_source.epr_ports(omega, _CD_LABELS),
     )
@@ -170,9 +181,11 @@ def verification_teleport(cfg: SwapConfig, omega: float) -> TeleportOutcome:
     return _verification(cfg, omega)[1]
 
 
-def _verification(cfg: SwapConfig, omega: float) -> tuple[complex, TeleportOutcome]:
+def _verification(
+    cfg: SwapConfig, omega: float, pairs: _Pairs | None = None
+) -> tuple[complex, TeleportOutcome]:
     # The swap gain comes back with the outcome, so a row evaluates it once.
-    gs, ab, cd = _swap_ports(cfg, omega)
+    gs, ab, cd = _swap_ports(cfg, omega, pairs)
     x_terms, p_terms = _project(ab, (-1, gs), (1, gs))
     _project(cd, (-gs, 1), (gs, 1), x_terms, p_terms)
     return gs, TeleportOutcome(
@@ -191,13 +204,11 @@ def _uses_default_ports(src: SqueezerSpectrum) -> bool:
     return type(src).epr_ports is SqueezerSpectrum.epr_ports
 
 
-def _closed_form_swap_fidelity(cfg: SwapConfig, omega: float, gs: complex) -> float | None:
+def _closed_form_swap_fidelity(pairs: _Pairs, gs: complex) -> float | None:
     if gs.imag != 0:
         return None
-    if not (_uses_default_ports(cfg.source_ab) and _uses_default_ports(cfg.second_source)):
-        return None
-    sp1, sm1 = cfg.source_ab.pair(omega).magnitudes_sq()
-    sp2, sm2 = cfg.second_source.pair(omega).magnitudes_sq()
+    sp1, sm1 = pairs[0].magnitudes_sq()
+    sp2, sm2 = pairs[1].magnitudes_sq()
     a, b = sp1 + sp2, sm1 + sm2
     g = gs.real
     if math.isinf(a):
@@ -217,12 +228,16 @@ def swap_fidelity(cfg: SwapConfig, omega: float) -> float:
 
 
 def _swap_row(cfg: SwapConfig, omega: float) -> tuple[float, float, float]:
-    gs, out = _verification(cfg, omega)
+    # The transfer pairs feed both the optimal gain and the closed form, so
+    # a row evaluates them once, and only when one of the two needs them.
+    pure = _uses_default_ports(cfg.source_ab) and _uses_default_ports(cfg.second_source)
+    pairs = _transfer_pairs(cfg, omega) if pure or cfg.gain is None else None
+    gs, out = _verification(cfg, omega, pairs)
     model = InputModel.coherent()
     v_x = difference_variance(out.x_tel, model, Axis.X)
     v_p = difference_variance(out.p_tel, model, Axis.P)
     f = teleport_fidelity(out).fidelity
-    closed = _closed_form_swap_fidelity(cfg, omega, gs)
+    closed = _closed_form_swap_fidelity(pairs, gs) if pure else None
     if closed is not None:
         if not abs(closed - f) <= 1e-12:
             raise AssertionError(

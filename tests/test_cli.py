@@ -3,9 +3,13 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cvteleport
 from cvteleport.cli import run
 from cvteleport.epr import LosslessNopa
 from cvteleport.swap import SwapConfig, swap_fidelity
@@ -225,6 +229,28 @@ def test_threshold_row_prints_inf(capsys, command):
     )
     assert code == 0
     assert out == HEADER + "\n0,inf,inf,0\n"
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.filterwarnings("ignore::cvteleport.teleport.NonUnitGainWarning")
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (("spectrum", "--omega-stop", "0.3", "--format", "json"), "v_x"),
+        (("criteria",), "v_product"),
+    ],
+    ids=["spectrum-json", "criteria"],
+)
+def test_json_writes_infinite_values_as_strings(capsys, args, key):
+    # RFC 8259 has no Infinity or NaN token; they print as the CSV strings.
+    code, out, _ = invoke(capsys, *args, "--epsilon", "1", "--gain", "fixed:0.5")
+    assert code == 0
+    payload = json.loads(out, parse_constant=_reject_constant)
+    value = payload[key]
+    assert (value[0] if isinstance(value, list) else value) == "inf"
 
 
 # ---------------------------------------------------------------------------
@@ -501,3 +527,37 @@ def test_oracle_check_passes_and_writes_report(capsys, tmp_path):
     names = [row["name"] for row in payload["mc"]["rows"]]
     assert "x_err" in names and "x_out*x_in" in names
     assert report_path.read_text() == out
+
+
+def test_oracle_check_rejects_infinite_output_variance(capsys):
+    # At threshold a nonunit gain leaves the output variance infinite, so
+    # there is nothing to sample; the gain is the offending flag.
+    code, out, err = invoke(
+        capsys, "oracle-check", "--epsilon", "1", "--gain", "fixed:0.5", "--samples", "1000",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --gain:")
+
+
+def test_oracle_check_at_threshold_with_unit_gain_passes(capsys):
+    code, out, _ = invoke(capsys, "oracle-check", "--epsilon", "1", "--samples", "2000")
+    assert code == 0
+    assert json.loads(out)["all_ok"] is True
+
+
+# ---------------------------------------------------------------------------
+# python -m cvteleport
+
+
+def test_module_entry_point_matches_run(capsys):
+    argv = ["point", "--epsilon", "0.5"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cvteleport.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvteleport", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert proc.stdout == out

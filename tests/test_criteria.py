@@ -311,18 +311,18 @@ def test_spectrum_table_json_payload():
 def test_spectrum_table_file_io(tmp_path):
     table = fidelity_spectrum(LosslessNopa(0.3), [0.0, 1.0, 2.0])
     path = tmp_path / "sweep.csv"
-    table.to_csv(str(path))
+    path.write_text(table.to_csv())
     again = SpectrumTable.from_csv(str(path))
     assert again.omega == table.omega
     jpath = tmp_path / "sweep.json"
-    table.to_json(str(jpath))
+    jpath.write_text(table.to_json())
     assert json.loads(jpath.read_text())["omega"] == [0.0, 1.0, 2.0]
 
 
 def test_spectrum_table_path_with_a_comma(tmp_path):
     table = fidelity_spectrum(LosslessNopa(0.3), [0.0, 1.0, 2.0])
     path = tmp_path / "tab,le.csv"
-    table.to_csv(str(path))
+    path.write_text(table.to_csv())
     assert SpectrumTable.from_csv(str(path)).to_csv() == table.to_csv()
 
 

@@ -9,7 +9,6 @@ from cvteleport.epr import (
     CustomSpectrum,
     LosslessNopa,
     LossyNopa,
-    NopaDimensionless,
     NopaParams,
     TransferPair,
     ZeroBandwidth,
@@ -117,21 +116,6 @@ def test_nopa_params_threshold_guard():
 def test_nopa_params_reject_non_finite_rates(rates):
     with pytest.raises(ValueError, match="finite"):
         NopaParams(*rates)
-
-
-def test_dimensionless_roundtrip():
-    rng = random.Random(107)
-    for _ in range(50):
-        gamma, rho = rng.uniform(0.5, 3.0), rng.uniform(0, 1.0)
-        # kappa must stay below the oscillation threshold (gamma+rho)/2
-        params = NopaParams(rng.uniform(0, 0.95) * (gamma + rho) / 2, gamma, rho)
-        big_omega = rng.uniform(0, 5)
-        point = NopaDimensionless.from_physical(params, big_omega)
-        back, omega_back = point.to_physical(params.total_rate)
-        assert back.kappa == pytest.approx(params.kappa, rel=1e-12)
-        assert back.gamma == pytest.approx(params.gamma, rel=1e-12)
-        assert back.rho == pytest.approx(params.rho, rel=1e-12, abs=1e-12)
-        assert omega_back == pytest.approx(big_omega, rel=1e-12, abs=1e-12)
 
 
 def test_lossy_reduces_to_lossless_at_full_escape():
@@ -371,6 +355,18 @@ def test_custom_spectrum_validation():
         CustomSpectrum((0.0, 1.0), (1.0,), (1.0, 1.0))  # ragged columns
     with pytest.raises(ValueError):
         CustomSpectrum.from_csv("frequency,gain\n0,1\n")  # wrong header
+
+
+def test_custom_spectrum_csv_errors_name_the_problem():
+    # The same reader as SpectrumTable.from_csv: one header message, one
+    # malformed-row message.
+    header = ",".join(CustomSpectrum.CSV_HEADER)
+    with pytest.raises(ValueError, match=f"^expected header {header}$"):
+        CustomSpectrum.from_csv("frequency,gain\n0,1\n")
+    with pytest.raises(ValueError, match="^malformed row: '0,1,0,1'$"):
+        CustomSpectrum.from_csv(f"{header}\n0,1,0,1\n")
+    with pytest.raises(ValueError, match="^malformed row: '0,1,0,1,x'$"):
+        CustomSpectrum.from_csv(f"{header}\n0,1,0,1,x\n")
 
 
 def test_describe_strings():

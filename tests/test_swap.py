@@ -253,6 +253,38 @@ def test_swap_spectrum_evaluates_the_gain_once_per_row(monkeypatch):
     assert len(calls) == 10
 
 
+def _count_calls(monkeypatch, cls, name):
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "source, method, gain, want",
+    [
+        (LosslessNopa(0.4), "pair", None, 30),
+        (LosslessNopa(0.4), "pair", 0.8, 30),
+        (LossyNopa(0.4, 0.9), "transfer", None, 30),
+        (LossyNopa(0.4, 0.9), "transfer", 0.8, 20),
+    ],
+    ids=["lossless-optimal", "lossless-fixed", "lossy-optimal", "lossy-fixed"],
+)
+def test_swap_row_evaluates_each_source_once(monkeypatch, source, method, gain, want):
+    # Per row: one transfer pair, shared by the optimal gain and the closed
+    # form, plus one evaluation inside each pair's epr_ports.  A lossy source
+    # has no closed form, so at a fixed gain it needs no transfer pair.
+    calls = _count_calls(monkeypatch, type(source), method)
+    table = swap_spectrum(SwapConfig(source, gain=gain), [0.1 * k for k in range(10)])
+    assert len(table) == 10
+    assert len(calls) == want
+
+
 def test_threshold_row_is_infinite_not_nan():
     # At threshold only unit swap gain keeps the verification noise finite.
     cfg = SwapConfig(LosslessNopa(1.0), gain=0.5)
