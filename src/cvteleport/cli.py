@@ -378,7 +378,8 @@ def _cmd_oracle_check(v: dict) -> int:
     try:
         cfg = McConfig(_int("--samples", v["samples"]), _int("--seed", v["seed"]))
     except ValueError as exc:
-        raise _ConfigError(str(exc)) from None
+        flag = "--seed" if str(exc).startswith("seed") else "--samples"
+        raise _ConfigError(f"{flag}: {exc}") from None
     out = teleport(src, schedule, detector, omega)
     # At threshold only unit gain keeps the output finite; an infinite
     # variance would turn every Monte-Carlo estimate into nan.

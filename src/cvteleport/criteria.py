@@ -407,6 +407,8 @@ class SpectrumTable:
             raise ValueError("all columns must have equal length")
         if n == 0:
             raise ValueError("empty spectrum table")
+        if not all(map(math.isfinite, self.omega)):
+            raise ValueError("omega column must be finite")
         if any(b <= a for a, b in zip(self.omega, self.omega[1:])):
             raise ValueError("omega column must be strictly increasing")
 

@@ -326,6 +326,8 @@ class CustomSpectrum(SqueezerSpectrum):
             raise ValueError("table columns must have equal length")
         if len(omegas) < 2:
             raise ValueError("table needs at least two rows")
+        if not all(map(math.isfinite, omegas)):
+            raise ValueError("table frequencies must be finite")
         if any(b <= a for a, b in zip(omegas, omegas[1:])):
             raise ValueError("table frequencies must be strictly increasing")
         self._omegas = tuple(float(w) for w in omegas)

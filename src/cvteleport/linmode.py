@@ -117,8 +117,8 @@ class InputModel:
     family: str = "symbolic"
 
     def __post_init__(self) -> None:
-        if not (self.v_x > 0 and self.v_p > 0):
-            raise ValueError("input variances must be positive")
+        if not (0 < self.v_x < math.inf and 0 < self.v_p < math.inf):
+            raise ValueError("input variances must be finite and positive")
 
     @classmethod
     def coherent(cls) -> "InputModel":

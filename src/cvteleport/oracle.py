@@ -6,9 +6,11 @@ Two routes that share no code with the expansion algebra:
   explicit 6x6 covariance matrices, symplectic beamsplitters, Schur
   conditioning on the homodyne outcomes, analytic outcome averaging;
 * a Monte-Carlo sampler that draws every vacuum component as an actual
-  Gaussian variate and measures variances of the resulting linear
-  combinations, with deterministic seeding and batched, order-independent
-  reduction.
+  Gaussian variate and measures variances and covariances of the
+  resulting linear combinations: one seeded child stream per batch,
+  fixed-shape numpy sums per batch, batch totals combined with
+  ``math.fsum``, so a (seed, sample_count) gives the same report on a
+  fixed numpy build.
 
 Both report against the analytic values; disagreement beyond tolerance
 means a bug on one side or the other.
@@ -218,8 +220,11 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sample_count < 1_000:
-            raise ValueError("sample_count below 1000 cannot give a meaningful check")
+        # Below 1000 no check is meaningful; 10^8 bounds the per-batch seed streams.
+        if not 1_000 <= self.sample_count <= 10 ** 8:
+            raise ValueError(f"sample_count must lie in [1000, 10^8], got {self.sample_count}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -266,14 +271,16 @@ def mc_check(
     cfg: McConfig,
     pairs: Sequence[tuple[str, str]] = (),
 ) -> McReport:
-    """Sample every vacuum component and compare variances to the algebra.
+    """Sample every vacuum component and compare moments to the algebra.
 
     All entries share one draw of the common basis per sample, so
-    covariances between entries are physical.  Batches use independent
-    child streams of the seed and are reduced with compensated summation,
-    making the report byte-identical for a fixed (seed, sample_count) and
-    independent of batch execution order.  A row passes when the estimate
-    falls within five standard errors of the analytic value.
+    covariances between entries are physical.  Every row is a moment
+    Re<a conj(b)>: variance rows (an entry with itself) first, then one row
+    per pair.  Each batch uses its own child stream of the seed and keeps
+    fixed-shape numpy sums of each moment and its square; the batch totals
+    are combined with ``math.fsum``, so the report is byte-identical for a
+    fixed (seed, sample_count) on a fixed numpy build.  A row passes when
+    the estimate is within five standard errors of the analytic value.
     """
     named = {name: (e, axis) for name, e, axis in entries}
     if len(named) != len(entries):
@@ -283,6 +290,7 @@ def mc_check(
             raise ValueError(f"pair ({a}, {b}) references unknown entries")
         if named[a][1] is not named[b][1]:
             raise ValueError("covariance pairs must share an axis")
+    moments = [(n, n) for n in named] + list(pairs)
     # A fixed basis order fixes which draw feeds which term, and so the
     # seeded results.
     basis = sorted(
@@ -290,12 +298,9 @@ def mc_check(
     )
     n_batches = -(-cfg.sample_count // _BATCH)
     streams = np.random.SeedSequence(cfg.seed).spawn(n_batches)
-    sums2 = {name: [] for name in named}
-    sums4 = {name: [] for name in named}
-    psums = {p: [] for p in pairs}
-    psums2 = {p: [] for p in pairs}
+    sums = np.empty((len(moments), 2, n_batches))  # sum of m and of m*m per batch
     left = cfg.sample_count
-    for seq in streams:
+    for j, seq in enumerate(streams):
         n = min(left, _BATCH)
         left -= n
         rng = np.random.default_rng(seq)
@@ -308,31 +313,21 @@ def mc_check(
             for key, c in e.terms.items():
                 v = v + c * draws[key]
             values[name] = v
-            m2 = v.real * v.real + v.imag * v.imag
-            sums2[name].append(math.fsum(m2.tolist()))
-            sums4[name].append(math.fsum((m2 * m2).tolist()))
-        for p in pairs:
-            va, vb = values[p[0]], values[p[1]]
-            c = va.real * vb.real + va.imag * vb.imag  # Re(va * conj(vb))
-            psums[p].append(math.fsum(c.tolist()))
-            psums2[p].append(math.fsum((c * c).tolist()))
+        for k, (a, b) in enumerate(moments):
+            va, vb = values[a], values[b]
+            m = va.real * vb.real + va.imag * vb.imag  # Re(va * conj(vb))
+            sums[k, :, j] = m.sum(), (m * m).sum()
     n_tot = cfg.sample_count
     rows: list[McCheckRow] = []
-    for name, (e, axis) in named.items():
-        mean2 = math.fsum(sums2[name]) / n_tot
-        var2 = max(math.fsum(sums4[name]) / n_tot - mean2 * mean2, 0.0)
-        se = math.sqrt(var2 / n_tot) / _VAC
-        est = mean2 / _VAC
-        analytic = normalized_variance(e, in_model, axis)
+    for k, (a, b) in enumerate(moments):
+        mean, mean_sq = (math.fsum(s) / n_tot for s in sums[k])
+        se = math.sqrt(max(mean_sq - mean * mean, 0.0) / n_tot) / _VAC
+        est = mean / _VAC
+        (ea, axis), (eb, _) = named[a], named[b]
+        if k < len(named):
+            name, kind, analytic = a, "variance", normalized_variance(ea, in_model, axis)
+        else:
+            name, kind, analytic = f"{a}*{b}", "covariance", covariance(ea, eb, in_model, axis)
         ok = abs(est - analytic) <= max(5.0 * se, 1e-12)
-        rows.append(McCheckRow(name, "variance", analytic, est, se, ok))
-    for p in pairs:
-        (ea, axis), (eb, _) = named[p[0]], named[p[1]]
-        meanc = math.fsum(psums[p]) / n_tot
-        varc = max(math.fsum(psums2[p]) / n_tot - meanc * meanc, 0.0)
-        se = math.sqrt(varc / n_tot) / _VAC
-        est = meanc / _VAC
-        analytic = covariance(ea, eb, in_model, axis)
-        ok = abs(est - analytic) <= max(5.0 * se, 1e-12)
-        rows.append(McCheckRow(f"{p[0]}*{p[1]}", "covariance", analytic, est, se, ok))
+        rows.append(McCheckRow(name, kind, analytic, est, se, ok))
     return McReport(cfg.sample_count, cfg.seed, tuple(rows))

@@ -360,6 +360,8 @@ def test_config_file_errors(capsys, tmp_path):
         ("swap-spectrum", "--epsilon", "0.5", "--eta2", "0.5", "--input", "squeezed:2"),
         ("swap-spectrum", "--epsilon", "0.5", "--input", "squeezed:2"),
         ("bandwidth", "--epsilon", "0.5", "--pipeline", "swap", "--eta2", "0.3"),
+        ("oracle-check", "--epsilon", "0.5", "--samples", "2000", "--seed", "-1"),
+        ("oracle-check", "--epsilon", "0.5", "--samples", "100000001"),
     ],
 )
 def test_configuration_errors_exit_1(capsys, args):
@@ -384,6 +386,20 @@ def test_non_finite_values_name_the_flag(capsys, args, flag):
     code, _, err = invoke(capsys, *args)
     assert code == 1
     assert err.startswith(f"error: {flag}: expected a finite number")
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("oracle-check", "--epsilon", "0.5", "--samples", "2000", "--seed", "-1"), "--seed"),
+        (("oracle-check", "--epsilon", "0.5", "--samples", "10"), "--samples"),
+        (("oracle-check", "--epsilon", "0.5", "--samples", "100000001"), "--samples"),
+    ],
+)
+def test_oracle_check_limits_name_the_flag(capsys, args, flag):
+    code, out, err = invoke(capsys, *args)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {flag}: ")
 
 
 @pytest.mark.parametrize(

@@ -326,6 +326,15 @@ def test_spectrum_table_path_with_a_comma(tmp_path):
     assert SpectrumTable.from_csv(str(path)).to_csv() == table.to_csv()
 
 
+def test_spectrum_table_rejects_a_nan_frequency():
+    # NaN compares false, so it would slip through the increasing check.
+    with pytest.raises(ValueError, match="finite"):
+        SpectrumTable.from_csv("omega,v_x,v_p,fidelity\n0,1,1,0.5\nnan,1,1,0.5\n")
+    # Threshold rows print infinite variances; those stay loadable.
+    table = SpectrumTable.from_csv("omega,v_x,v_p,fidelity\n0,inf,inf,0\n1,1,1,0.5\n")
+    assert table.v_x == (math.inf, 1.0)
+
+
 def test_spectrum_table_validation():
     with pytest.raises(ValueError):
         SpectrumTable((), (), (), ())

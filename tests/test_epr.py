@@ -357,6 +357,13 @@ def test_custom_spectrum_validation():
         CustomSpectrum.from_csv("frequency,gain\n0,1\n")  # wrong header
 
 
+def test_custom_spectrum_rejects_a_nan_frequency():
+    # NaN compares false, so it would slip through the increasing check.
+    header = ",".join(CustomSpectrum.CSV_HEADER)
+    with pytest.raises(ValueError, match="finite"):
+        CustomSpectrum.from_csv(f"{header}\n0,1,0,1,0\nnan,1,0,1,0\n")
+
+
 def test_custom_spectrum_csv_errors_name_the_problem():
     # The same reader as SpectrumTable.from_csv: one header message, one
     # malformed-row message.

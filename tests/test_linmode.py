@@ -53,6 +53,12 @@ def test_input_model_validation():
         InputModel.squeezed(0.0)
 
 
+@pytest.mark.parametrize("v_x, v_p", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+def test_input_model_rejects_non_finite_variances(v_x, v_p):
+    with pytest.raises(ValueError, match="finite"):
+        InputModel(v_x, v_p)
+
+
 def test_squeezed_input_is_pure():
     model = InputModel.squeezed(2.0)
     assert model.v_x == pytest.approx(0.25)

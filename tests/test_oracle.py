@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cvteleport.criteria import teleport_fidelity
-from cvteleport.epr import LosslessNopa, ZeroBandwidth, make_epr_pair
+from cvteleport.epr import LosslessNopa, LossyNopa, ZeroBandwidth, make_epr_pair
 from cvteleport.linmode import (
     Axis,
     InputModel,
@@ -27,7 +27,7 @@ from cvteleport.oracle import (
     two_mode_squeezed_cov,
 )
 from cvteleport.swap import SwapConfig, swap_once, swapped_epr_variances
-from cvteleport.teleport import teleport, teleport_single_mode
+from cvteleport.teleport import BellDetector, teleport, teleport_single_mode
 
 COHERENT = InputModel.coherent()
 
@@ -246,6 +246,38 @@ def test_mc_is_deterministic_for_a_seed():
     assert a == b
     c = mc_check(entries, COHERENT, McConfig(sample_count=70_000, seed=12)).to_json()
     assert c != a
+
+
+def test_mc_seeded_stream_is_pinned():
+    # Two batches, the last one partial; recorded before the reduction was
+    # rewritten, so any change to seeding, batching or draw order fails.
+    out = teleport(LossyNopa(0.6, 0.8), detector=BellDetector(0.9), omega=0.5)
+    report = mc_check(
+        [("x_out", out.x_tel, Axis.X), ("p_out", out.p_tel, Axis.P), ("x_in", unit_input(), Axis.X)],
+        COHERENT,
+        McConfig(sample_count=100_000, seed=17),
+        pairs=(("x_out", "x_in"),),
+    )
+    want = [
+        ("x_out", "variance", 2.1025877597645097, 2.1077753532809345, 0.006635481148955113),
+        ("p_out", "variance", 2.1025877597645097, 2.105905355346236, 0.006698767890641518),
+        ("x_in", "variance", 1.0, 0.9989345976020411, 0.0031442116435141825),
+        ("x_out*x_in", "covariance", 1.0, 0.9993316478416938, 0.0039213717298348105),
+    ]
+    assert len(report.rows) == len(want)
+    for row, (name, kind, analytic, estimate, se) in zip(report.rows, want):
+        assert (row.name, row.kind, row.analytic) == (name, kind, analytic)
+        assert row.estimate == pytest.approx(estimate, rel=1e-12)
+        assert row.se == pytest.approx(se, rel=1e-12)
+        assert row.ok
+
+
+def test_mc_config_limits():
+    with pytest.raises(ValueError, match="^seed must be nonnegative"):
+        McConfig(sample_count=10_000, seed=-1)
+    with pytest.raises(ValueError, match="^sample_count must lie in"):
+        McConfig(sample_count=10 ** 8 + 1)
+    assert McConfig(sample_count=10 ** 8).sample_count == 10 ** 8
 
 
 def test_mc_validation():
