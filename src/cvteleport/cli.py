@@ -241,7 +241,7 @@ def _resolve_input(v: dict) -> InputModel:
         try:
             return InputModel.squeezed(_float("--input", raw[len("squeezed:"):]))
         except ValueError as exc:
-            raise _ConfigError(str(exc)) from None
+            raise _ConfigError(f"--input: {exc}") from None
     raise _ConfigError(f"--input: expected coherent or squeezed:<s>, got {raw!r}")
 
 

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._text import read_csv, write_json
-from .epr import LosslessNopa, LossyNopa, SqueezerSpectrum
+from .epr import SqueezerSpectrum
 from .linmode import (
     Axis,
     InputModel,
@@ -356,25 +356,17 @@ def nopa_fidelity_spectrum(
 
 
 def _closed_form_fidelity(
-    src: SqueezerSpectrum,
-    omega: float,
-    gain: complex,
-    eta: float,
-    in_model: InputModel,
-    alpha: complex,
+    src: SqueezerSpectrum, out: TeleportOutcome, in_model: InputModel, alpha: complex
 ) -> float | None:
-    # Closed forms hold only for NOPA resources at unit gain on coherent
-    # inputs; they are then exact, so they take precedence over the float
-    # roundoff of the generic sigma path.
-    if gain != 1 or alpha != 0:
+    # At unit gain the noisy ports cancel exactly, so each axis carries twice
+    # the quiet spectrum V- plus twice the detector noise tau^2, and any
+    # source teleports a coherent state at alpha = 0 with
+    # F = 1/(1 + V- + tau^2).  That form is exact to a few ulps, so it takes
+    # precedence over the float roundoff of the generic sigma path.
+    if out.gain != 1 or alpha != 0 or in_model.v_x != 1.0 or in_model.v_p != 1.0:
         return None
-    if in_model.v_x != 1.0 or in_model.v_p != 1.0:
-        return None
-    if isinstance(src, LosslessNopa):
-        return nopa_fidelity_spectrum(src.epsilon, omega, 1.0, eta)
-    if isinstance(src, LossyNopa):
-        return nopa_fidelity_spectrum(src.epsilon, omega, src.beta, eta)
-    return None
+    tau2 = (1.0 - out.eta * out.eta) / (out.eta * out.eta)
+    return 1.0 / (1.0 + src.variances(out.omega)[1] + tau2)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +441,7 @@ def _teleport_row(
     v_x = difference_variance(out.x_tel, in_model, Axis.X)
     v_p = difference_variance(out.p_tel, in_model, Axis.P)
     f = teleport_fidelity(out, in_model, alpha).fidelity
-    closed = _closed_form_fidelity(src, out.omega, out.gain, detector.eta, in_model, alpha)
+    closed = _closed_form_fidelity(src, out, in_model, alpha)
     if closed is not None:
         if not abs(closed - f) <= 1e-9:
             raise AssertionError(
@@ -485,9 +477,10 @@ def fidelity_spectrum(
     """Sweep the teleporter over a frequency grid.
 
     Rows carry the per-axis added-noise variances and the coherent-state
-    fidelity.  For NOPA sources at unit gain the fidelity column is the
-    exact closed form, cross-checked against the generic Q-function path;
-    otherwise the generic path stands alone.
+    fidelity.  At unit gain on coherent inputs the fidelity column is the
+    closed form 1/(1 + V- + tau^2) of the source's quiet spectrum,
+    cross-checked against the generic Q-function path; otherwise the
+    generic path stands alone.
     """
     schedule = as_gain(gain)
     model = in_model if in_model is not None else InputModel.coherent()

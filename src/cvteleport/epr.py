@@ -9,9 +9,11 @@ just a frequency-indexed provider of complex transfer amplitudes:
 * ``S_plus(omega)``  scales the noisy (antisqueezed) quadratures,
 * ``S_minus(omega)`` scales the quiet (squeezed) quadratures,
 
-and, for a lossy cavity, two more amplitudes couple in the loss-port vacua.
+and, for a lossy cavity, ``L_plus``/``L_minus`` couple in the loss-port
+vacua on the same quadratures, giving the spectra V+- = |S+-|^2 + |L+-|^2.
 Superimposing the two decoupled squeezed modes on a balanced beamsplitter
-yields the broadband EPR pair used by the teleportation pipeline.
+yields the broadband EPR pair; every source shares that one rotated port
+layout (SqueezerSpectrum.epr_ports).
 
 Dimensionless parameterization: with pump ``kappa``, damping ``gamma`` and
 intracavity loss ``rho``, set
@@ -19,11 +21,12 @@ intracavity loss ``rho``, set
     epsilon = 2*kappa/(gamma+rho),  omega = 2*Omega/(gamma+rho),
     beta    = gamma/(gamma+rho),
 
-after which the lossless spectra read |S_minus|^2 = 1 - 4e/((1+e)^2 + w^2)
-and |S_plus|^2 = 1 + 4e/((1-e)^2 + w^2).  At exact threshold (epsilon = 1,
-omega = 0) the noisy amplitude diverges; sources report it as an IEEE
-infinity and downstream consumers keep unit-gain results finite by applying
-exactly-zero weights before multiplying (see EprPort).
+after which the spectra read V- = 1 - 4eb/((1+e)^2 + w^2) and
+V+ = 1 + 4eb/((1-e)^2 + w^2), b = 1 for a lossless cavity.  At exact
+threshold (epsilon = 1, omega = 0) the noisy amplitude diverges; sources
+report it as an IEEE infinity and downstream consumers keep unit-gain
+results finite by applying exactly-zero weights before multiplying (see
+EprPort).
 """
 
 from __future__ import annotations
@@ -95,17 +98,27 @@ class NopaParams:
 
 @dataclass(frozen=True)
 class TransferPair:
-    """Noisy/quiet transfer amplitudes of a squeezer at one frequency."""
+    """Noisy/quiet squeezed-port (s_*) and loss-port (l_*) amplitudes at one frequency."""
 
     s_plus: complex
     s_minus: complex
+    l_plus: complex = 0j
+    l_minus: complex = 0j
 
     def bogoliubov_defect(self) -> float:
-        """Re(S+ conj(S-)) - 1; zero for any loss-free squeezer."""
-        return (self.s_plus * self.s_minus.conjugate()).real - 1.0
+        """Re(S+ conj(S-)) + Re(L+ conj(L-)) - 1; zero for any physical squeezer."""
+        squeezed = (self.s_plus * self.s_minus.conjugate()).real
+        return squeezed + (self.l_plus * self.l_minus.conjugate()).real - 1.0
 
     def magnitudes_sq(self) -> tuple[float, float]:
         return abs(self.s_plus) ** 2, abs(self.s_minus) ** 2
+
+    def variances(self) -> tuple[float, float]:
+        """(V+, V-) = (|S+|^2 + |L+|^2, |S-|^2 + |L-|^2), vacuum = 1."""
+        return (
+            abs(self.s_plus) ** 2 + abs(self.l_plus) ** 2,
+            abs(self.s_minus) ** 2 + abs(self.l_minus) ** 2,
+        )
 
 
 @dataclass(frozen=True)
@@ -163,37 +176,50 @@ def _project(
     return x_terms, p_terms
 
 
+def _rotated_ports(l1: str, l2: str, plus: complex, minus: complex) -> tuple[EprPort, ...]:
+    # Two decoupled squeezed vacua superimposed with 1/sqrt(2) weights: the
+    # noisy amplitude on (l1, X) and (l2, P), the quiet one on the conjugate
+    # slots, and a sign flip on the second output.
+    h = _ROOT_HALF
+    return (
+        EprPort(l1, Axis.X, plus, h, h),
+        EprPort(l2, Axis.X, minus, h, -h),
+        EprPort(l1, Axis.P, minus, h, h),
+        EprPort(l2, Axis.P, plus, h, -h),
+    )
+
+
 class SqueezerSpectrum(abc.ABC):
     """A frequency-indexed squeezing source.
 
-    Concrete sources provide the transfer pair at a dimensionless frequency
-    and a port decomposition of the EPR pair built from them.  Instances are
-    immutable; concurrent frequency queries are safe.
+    Concrete sources provide the transfer pair at a dimensionless frequency;
+    the EPR ports and the spectra follow from it.  Instances are immutable;
+    concurrent frequency queries are safe.
     """
 
     @abc.abstractmethod
     def pair(self, omega: float) -> TransferPair:
         """Transfer amplitudes at dimensionless frequency omega."""
 
+    def variances(self, omega: float) -> tuple[float, float]:
+        """Noisy and quiet spectra (V+, V-) at omega, vacuum = 1."""
+        return self.pair(omega).variances()
+
     def epr_ports(
         self, omega: float, labels: tuple[str, str] = ("bar1", "bar2")
     ) -> tuple[EprPort, ...]:
-        """Port decomposition of the EPR pair at omega.
+        """Port decomposition of the EPR pair at omega, in the rotated layout.
 
-        The default covers pure two-port squeezers: two decoupled squeezed
-        modes superimposed with 1/sqrt(2) weights, the noisy amplitude on
-        (mode1, X) and (mode2, P), the quiet one on the conjugate slots,
-        and a sign flip on the second output.
+        Four squeezed ports under the two labels, and, when the pair
+        carries loss amplitudes, four more in the same layout under
+        '<label>_loss'.
         """
         s = self.pair(omega)
-        h = _ROOT_HALF
         l1, l2 = labels
-        return (
-            EprPort(l1, Axis.X, s.s_plus, h, h),
-            EprPort(l2, Axis.X, s.s_minus, h, -h),
-            EprPort(l1, Axis.P, s.s_minus, h, h),
-            EprPort(l2, Axis.P, s.s_plus, h, -h),
-        )
+        ports = _rotated_ports(l1, l2, s.s_plus, s.s_minus)
+        if s.l_plus or s.l_minus:
+            ports += _rotated_ports(l1 + "_loss", l2 + "_loss", s.l_plus, s.l_minus)
+        return ports
 
     def describe(self) -> str:
         return type(self).__name__
@@ -229,6 +255,9 @@ class LosslessNopa(SqueezerSpectrum):
             s_plus = complex(1 + e, omega) / den
         return TransferPair(s_plus, s_minus)
 
+    def variances(self, omega: float) -> tuple[float, float]:
+        return _nopa_variances(self.epsilon, 1.0, omega)
+
     def describe(self) -> str:
         return f"nopa(epsilon={self.epsilon:g})"
 
@@ -237,10 +266,9 @@ class LosslessNopa(SqueezerSpectrum):
 class LossyNopa(SqueezerSpectrum):
     """NOPA with intracavity loss, in dimensionless (epsilon, beta) form.
 
-    beta is the cavity escape efficiency gamma/(gamma+rho).  The EPR ports
-    are the coupled squeezer inputs themselves (labels b1, b2) plus the two
-    loss-port vacua (c1, c2); the loss weights vanish identically at
-    beta = 1.
+    beta is the cavity escape efficiency gamma/(gamma+rho).  The loss-port
+    amplitudes vanish identically at beta = 1, where the source matches
+    LosslessNopa bit for bit.
     """
 
     epsilon: float
@@ -257,33 +285,24 @@ class LossyNopa(SqueezerSpectrum):
         t = params.total_rate
         return cls(2 * params.kappa / t, params.gamma / t)
 
-    def transfer(self, omega: float) -> tuple[complex, complex, complex, complex]:
-        """Main and loss-port amplitudes (G, g, G_loss, g_loss) at omega."""
-        # Canonical scale gamma+rho = 2 makes the physical and dimensionless
-        # frequencies coincide.
-        params = NopaParams(self.epsilon, 2.0 * self.beta, 2.0 * (1.0 - self.beta))
-        return nopa_transfer(params, omega)
-
     def pair(self, omega: float) -> TransferPair:
-        big_g, small_g, _, _ = self.transfer(omega)
-        return TransferPair(big_g + small_g, big_g - small_g)
-
-    def epr_ports(
-        self, omega: float, labels: tuple[str, str] = ("b1", "b2")
-    ) -> tuple[EprPort, ...]:
-        big_g, small_g, gl, gl2 = self.transfer(omega)
-        l1, l2 = labels
-        c1, c2 = l1 + "_loss", l2 + "_loss"
-        return (
-            EprPort(l1, Axis.X, 1.0, big_g, small_g),
-            EprPort(l2, Axis.X, 1.0, small_g, big_g),
-            EprPort(c1, Axis.X, 1.0, gl, gl2),
-            EprPort(c2, Axis.X, 1.0, gl2, gl),
-            EprPort(l1, Axis.P, 1.0, big_g, -small_g),
-            EprPort(l2, Axis.P, 1.0, -small_g, big_g),
-            EprPort(c1, Axis.P, 1.0, gl, -gl2),
-            EprPort(c2, Axis.P, 1.0, -gl2, gl),
+        # G +- g and G_loss +- g_loss of nopa_transfer at the canonical scale
+        # gamma + rho = 2 (d = 1 - i*omega, gamma = 2*beta, kappa = epsilon):
+        # S+- = (gamma +- kappa - d)/(d -+ kappa), L+- = sqrt(gamma*rho)/(d -+ kappa).
+        # Unlike G - g, no term of order 1/(1 - epsilon) cancels.
+        e, b = self.epsilon, self.beta
+        noisy_den, quiet_den = complex(1 - e, -omega), complex(1 + e, -omega)
+        gamma_minus_1 = 2.0 * b - 1.0
+        loss = 2.0 * math.sqrt(b * (1.0 - b))
+        return TransferPair(
+            complex(gamma_minus_1 + e, omega) / noisy_den,
+            complex(gamma_minus_1 - e, omega) / quiet_den,
+            loss / noisy_den,
+            loss / quiet_den,
         )
+
+    def variances(self, omega: float) -> tuple[float, float]:
+        return _nopa_variances(self.epsilon, self.beta, omega)
 
     def describe(self) -> str:
         return f"nopa(epsilon={self.epsilon:g}, beta={self.beta:g})"
@@ -385,20 +404,22 @@ def nopa_transfer(
     return big_g, small_g, loss * d / den, kappa * loss / den
 
 
+def _nopa_variances(epsilon: float, beta: float, omega: float) -> tuple[float, float]:
+    # V-+ = 1 -+ 4*epsilon*beta/((1 +- epsilon)^2 + omega^2) in real form,
+    # which keeps V = 1 exact at epsilon = 0 and V- = 0 exact at threshold.
+    noisy_den = (epsilon - 1.0) ** 2 + omega * omega
+    quiet = 1.0 - 4.0 * epsilon * beta / ((epsilon + 1.0) ** 2 + omega * omega)
+    noisy = math.inf if noisy_den == 0 else 1.0 + 4.0 * epsilon * beta / noisy_den
+    return noisy, quiet
+
+
 def squeezing_spectrum(
     src_or_epsilon: "LosslessNopa | float", omega: float
 ) -> tuple[float, float]:
     """(|S_plus|^2, |S_minus|^2) closed forms for the lossless NOPA."""
-    if isinstance(src_or_epsilon, LosslessNopa):
-        epsilon = src_or_epsilon.epsilon
-    else:
-        epsilon = float(src_or_epsilon)
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
-    noisy_den = (epsilon - 1.0) ** 2 + omega * omega
-    quiet = 1.0 - 4.0 * epsilon / ((epsilon + 1.0) ** 2 + omega * omega)
-    noisy = math.inf if noisy_den == 0 else 1.0 + 4.0 * epsilon / noisy_den
-    return noisy, quiet
+    if not isinstance(src_or_epsilon, LosslessNopa):
+        src_or_epsilon = LosslessNopa(float(src_or_epsilon))
+    return src_or_epsilon.variances(omega)
 
 
 def make_epr_pair(src: SqueezerSpectrum, omega: float) -> EprQuadratures:

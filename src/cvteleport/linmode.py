@@ -129,7 +129,10 @@ class InputModel:
         """Pure squeezed input: v_x = 1/s_v**2, v_p = s_v**2."""
         if not s_v > 0:
             raise ValueError("squeezing parameter s_v must be positive")
-        return cls(s_v ** -2, s_v ** 2, family="squeezed")
+        try:
+            return cls(s_v ** -2, s_v ** 2, family="squeezed")
+        except OverflowError:
+            raise ValueError(f"s_v = {s_v:g} gives a non-finite input variance") from None
 
     @classmethod
     def with_variances(cls, v_x: float, v_p: float) -> "InputModel":

@@ -8,10 +8,10 @@ mode 4 with gain gs produces the swapped mode
 
 so modes 1 and 4', which never interacted, end up entangled.  The quality
 is scored by teleporting a coherent state over the (1, 4') pair at unit
-gain and evaluating its fidelity.  All outputs are built portwise: weights
-that cancel do so exactly before the (possibly infinite) squeezing
-amplitude is multiplied in, which keeps threshold results finite wherever
-they physically are.
+gain and evaluating its fidelity.  All outputs are built portwise from the
+sources' rotated EPR ports: weights that cancel do so exactly before the
+(possibly infinite) squeezing amplitude is multiplied in, which keeps
+threshold results finite wherever they physically are.
 """
 
 from __future__ import annotations
@@ -51,10 +51,12 @@ _CD_LABELS = ("bar3", "bar4")
 def optimal_gain(pair: TransferPair, second: TransferPair | None = None) -> float:
     """Swap gain minimizing the verification noise.
 
-    (A - B)/(A + B) with A, B the summed noisy/quiet spectral magnitudes of
+    (A - B)/(A + B) with A, B the summed noisy/quiet magnitudes |S+-|^2 of
     the two sources; for one source with |S+-|^2 = e^(+-2r) this is tanh 2r.
     At threshold (infinite A) the limit is 1, which is also the only gain
-    that keeps the verification output finite there.
+    that keeps the verification output finite there.  The loss amplitudes
+    are left out, so for a lossy source this is not yet the optimum (which
+    would take A, B from the spectra V+-).
     """
     sp1, sm1 = pair.magnitudes_sq()
     sp2, sm2 = (second if second is not None else pair).magnitudes_sq()
@@ -85,7 +87,10 @@ class SwapConfig:
         return self.source_cd if self.source_cd is not None else self.source_ab
 
     def gain_at(self, omega: float) -> complex:
-        return _swap_gain(self, omega)
+        if self.gain is not None:
+            return as_gain(self.gain).at(omega)
+        second = None if self.source_cd is None else self.source_cd.pair(omega)
+        return complex(optimal_gain(self.source_ab.pair(omega), second))
 
     def describe(self) -> str:
         ab = self.source_ab.describe()
@@ -107,27 +112,12 @@ class SwapOutcome:
     source: str
 
 
-_Pairs = tuple[TransferPair, TransferPair]
-
-
-def _transfer_pairs(cfg: SwapConfig, omega: float) -> _Pairs:
-    """Transfer pairs of both sources, evaluating a shared source once."""
-    ab = cfg.source_ab.pair(omega)
-    return ab, ab if cfg.source_cd is None else cfg.source_cd.pair(omega)
-
-
-def _swap_gain(cfg: SwapConfig, omega: float, pairs: _Pairs | None = None) -> complex:
-    if cfg.gain is not None:
-        return as_gain(cfg.gain).at(omega)
-    return complex(optimal_gain(*(pairs or _transfer_pairs(cfg, omega))))
-
-
 def _swap_ports(
-    cfg: SwapConfig, omega: float, pairs: _Pairs | None = None
+    cfg: SwapConfig, omega: float
 ) -> tuple[complex, tuple[EprPort, ...], tuple[EprPort, ...]]:
     """Swap gain and the EPR ports of both pairs at one frequency."""
     return (
-        _swap_gain(cfg, omega, pairs),
+        cfg.gain_at(omega),
         cfg.source_ab.epr_ports(omega, _AB_LABELS),
         cfg.second_source.epr_ports(omega, _CD_LABELS),
     )
@@ -181,11 +171,9 @@ def verification_teleport(cfg: SwapConfig, omega: float) -> TeleportOutcome:
     return _verification(cfg, omega)[1]
 
 
-def _verification(
-    cfg: SwapConfig, omega: float, pairs: _Pairs | None = None
-) -> tuple[complex, TeleportOutcome]:
+def _verification(cfg: SwapConfig, omega: float) -> tuple[complex, TeleportOutcome]:
     # The swap gain comes back with the outcome, so a row evaluates it once.
-    gs, ab, cd = _swap_ports(cfg, omega, pairs)
+    gs, ab, cd = _swap_ports(cfg, omega)
     x_terms, p_terms = _project(ab, (-1, gs), (1, gs))
     _project(cd, (-gs, 1), (gs, 1), x_terms, p_terms)
     return gs, TeleportOutcome(
@@ -198,18 +186,12 @@ def _verification(
     )
 
 
-def _uses_default_ports(src: SqueezerSpectrum) -> bool:
-    # The two-pair closed form only describes sources with the pure
-    # four-port decomposition; loss ports fall outside it.
-    return type(src).epr_ports is SqueezerSpectrum.epr_ports
-
-
-def _closed_form_swap_fidelity(pairs: _Pairs, gs: complex) -> float | None:
+def _closed_form_swap_fidelity(cfg: SwapConfig, omega: float, gs: complex) -> float | None:
     if gs.imag != 0:
         return None
-    sp1, sm1 = pairs[0].magnitudes_sq()
-    sp2, sm2 = pairs[1].magnitudes_sq()
-    a, b = sp1 + sp2, sm1 + sm2
+    vp1, vm1 = cfg.source_ab.variances(omega)
+    vp2, vm2 = (vp1, vm1) if cfg.source_cd is None else cfg.source_cd.variances(omega)
+    a, b = vp1 + vp2, vm1 + vm2
     g = gs.real
     if math.isinf(a):
         # Finite only in the g -> 1 limit; leave it to the symbolic path.
@@ -220,24 +202,21 @@ def _closed_form_swap_fidelity(pairs: _Pairs, gs: complex) -> float | None:
 def swap_fidelity(cfg: SwapConfig, omega: float) -> float:
     """Coherent-state fidelity of the verification teleportation.
 
-    For pure sources and real gain this equals the closed form
-    1/(1 + (gs-1)^2 A/4 + (gs+1)^2 B/4); the symbolic pipeline is always
-    evaluated and the two must agree to 1e-12.
+    For any real gain this equals the closed form
+    1/(1 + (gs-1)^2 A/4 + (gs+1)^2 B/4) over the summed spectra A = V+_1 + V+_2
+    and B = V-_1 + V-_2; the symbolic pipeline is always evaluated and the
+    two must agree to 1e-12.
     """
     return _swap_row(cfg, omega)[2]
 
 
 def _swap_row(cfg: SwapConfig, omega: float) -> tuple[float, float, float]:
-    # The transfer pairs feed both the optimal gain and the closed form, so
-    # a row evaluates them once, and only when one of the two needs them.
-    pure = _uses_default_ports(cfg.source_ab) and _uses_default_ports(cfg.second_source)
-    pairs = _transfer_pairs(cfg, omega) if pure or cfg.gain is None else None
-    gs, out = _verification(cfg, omega, pairs)
+    gs, out = _verification(cfg, omega)
     model = InputModel.coherent()
     v_x = difference_variance(out.x_tel, model, Axis.X)
     v_p = difference_variance(out.p_tel, model, Axis.P)
     f = teleport_fidelity(out).fidelity
-    closed = _closed_form_swap_fidelity(pairs, gs) if pure else None
+    closed = _closed_form_swap_fidelity(cfg, omega, gs)
     if closed is not None:
         if not abs(closed - f) <= 1e-12:
             raise AssertionError(

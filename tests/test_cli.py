@@ -362,6 +362,8 @@ def test_config_file_errors(capsys, tmp_path):
         ("bandwidth", "--epsilon", "0.5", "--pipeline", "swap", "--eta2", "0.3"),
         ("oracle-check", "--epsilon", "0.5", "--samples", "2000", "--seed", "-1"),
         ("oracle-check", "--epsilon", "0.5", "--samples", "100000001"),
+        ("point", "--epsilon", "0.5", "--input", "squeezed:1e200"),
+        ("point", "--epsilon", "0.5", "--input", "squeezed:1e-200"),
     ],
 )
 def test_configuration_errors_exit_1(capsys, args):
@@ -400,6 +402,24 @@ def test_oracle_check_limits_name_the_flag(capsys, args, flag):
     code, out, err = invoke(capsys, *args)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {flag}: ")
+
+
+@pytest.mark.parametrize("s_v", ["1e200", "1e-200", "0", "-2"])
+def test_squeezed_input_errors_name_the_flag(capsys, s_v):
+    # Variances of 1e400 used to escape as an OverflowError (exit 2).
+    code, out, err = invoke(capsys, "point", "--epsilon", "0.5", "--input", f"squeezed:{s_v}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --input: ")
+
+
+def test_lossy_spectrum_near_threshold_exits_0(capsys):
+    # The unit-gain weight once cancelled two amplitudes of order 1/(1 - epsilon)
+    # and tripped the closed-form cross-check here (exit 2).
+    code, out, _ = invoke(
+        capsys, "spectrum", "--epsilon", "0.9999999999", "--beta", "0.875", "--omega-stop", "0.1"
+    )
+    assert code == 0
+    assert out.splitlines()[1] == "0,0.25,0.25,0.888888888889"
 
 
 @pytest.mark.parametrize(

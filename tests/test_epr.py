@@ -118,6 +118,12 @@ def test_nopa_params_reject_non_finite_rates(rates):
         NopaParams(*rates)
 
 
+def b_basis_amplitudes(eps, beta, omega):
+    """(S+, S-, L+, L-) rebuilt from nopa_transfer at the scale gamma + rho = 2."""
+    big_g, small_g, gl, gl2 = nopa_transfer(NopaParams(eps, 2 * beta, 2 * (1 - beta)), omega)
+    return big_g + small_g, big_g - small_g, gl + gl2, gl - gl2
+
+
 def test_lossy_reduces_to_lossless_at_full_escape():
     rng = random.Random(109)
     for _ in range(100):
@@ -127,19 +133,33 @@ def test_lossy_reduces_to_lossless_at_full_escape():
         ideal = LosslessNopa(eps).pair(omega)
         assert abs(lossy.s_plus - ideal.s_plus) < 1e-12 * max(1.0, abs(ideal.s_plus))
         assert abs(lossy.s_minus - ideal.s_minus) < 1e-12
-        _, _, gl, gl2 = LossyNopa(eps, 1.0).transfer(omega)
-        assert gl == 0 and gl2 == 0
+        assert lossy.l_plus == 0 and lossy.l_minus == 0
+
+
+def test_lossy_pair_matches_nopa_transfer():
+    # The rotated amplitudes are G +- g and G_loss +- g_loss of the cavity's
+    # b-basis input-output map.
+    rng = random.Random(111)
+    for _ in range(200):
+        eps = rng.uniform(0, 0.95)
+        beta = rng.uniform(0.05, 1.0)
+        omega = rng.uniform(0, 6)
+        pair = LossyNopa(eps, beta).pair(omega)
+        got = (pair.s_plus, pair.s_minus, pair.l_plus, pair.l_minus)
+        for a, b in zip(got, b_basis_amplitudes(eps, beta, omega)):
+            assert abs(a - b) < 1e-12 * max(1.0, abs(b))
 
 
 def test_lossy_bogoliubov_identity():
-    # |G|^2 - |g|^2 + |G_loss|^2 - |g_loss|^2 = 1: the cavity input-output
-    # map is symplectic whatever the loss rate.
+    # Re(S+ conj(S-)) + Re(L+ conj(L-)) = |G|^2 - |g|^2 + |G_loss|^2 - |g_loss|^2
+    # = 1: the cavity input-output map is symplectic whatever the loss rate.
     rng = random.Random(113)
     for _ in range(200):
         eps = rng.uniform(0, 0.95)
         beta = rng.uniform(0.05, 1.0)
         omega = rng.uniform(0, 6)
-        big_g, small_g, gl, gl2 = LossyNopa(eps, beta).transfer(omega)
+        assert abs(LossyNopa(eps, beta).pair(omega).bogoliubov_defect()) < 1e-12
+        big_g, small_g, gl, gl2 = nopa_transfer(NopaParams(eps, 2 * beta, 2 * (1 - beta)), omega)
         total = abs(big_g) ** 2 - abs(small_g) ** 2 + abs(gl) ** 2 - abs(gl2) ** 2
         assert abs(total - 1.0) < 1e-12
 
@@ -150,10 +170,12 @@ def test_lossy_quiet_combination_closed_form():
         eps = rng.uniform(0, 0.95)
         beta = rng.uniform(0.05, 1.0)
         omega = rng.uniform(0, 6)
-        big_g, small_g, gl, gl2 = LossyNopa(eps, beta).transfer(omega)
-        quiet = abs(big_g - small_g) ** 2 + abs(gl - gl2) ** 2
         want = 1.0 - 4.0 * eps * beta / ((1.0 + eps) ** 2 + omega * omega)
-        assert abs(quiet - want) < 1e-12
+        _, s_minus, _, l_minus = b_basis_amplitudes(eps, beta, omega)
+        assert abs(abs(s_minus) ** 2 + abs(l_minus) ** 2 - want) < 1e-12
+        src = LossyNopa(eps, beta)
+        assert abs(src.pair(omega).variances()[1] - want) < 1e-12
+        assert src.variances(omega)[1] == want
 
 
 def test_lossy_validation():
@@ -246,6 +268,26 @@ def test_physical_rate_epr_pair_matches_dimensionless():
 def test_epr_port_labels_are_configurable():
     ports = LosslessNopa(0.4).epr_ports(0.0, labels=("u1", "u2"))
     assert {p.label for p in ports} == {"u1", "u2"}
+
+
+def test_lossy_ports_share_the_rotated_layout():
+    # Loss ports follow the squeezed ports' layout under '<label>_loss', and
+    # only when the pair carries loss amplitudes.
+    src = LossyNopa(0.4, 0.9)
+    pair = src.pair(0.3)
+    ports = src.epr_ports(0.3, labels=("u1", "u2"))
+    squeezed = LosslessNopa(0.4).epr_ports(0.3, labels=("u1", "u2"))
+    assert [(p.label, p.axis, p.first, p.second) for p in ports[:4]] == [
+        (p.label, p.axis, p.first, p.second) for p in squeezed
+    ]
+    assert [p.amplitude for p in ports] == [
+        pair.s_plus, pair.s_minus, pair.s_minus, pair.s_plus,
+        pair.l_plus, pair.l_minus, pair.l_minus, pair.l_plus,
+    ]
+    assert [(p.label, p.first, p.second) for p in ports[4:]] == [
+        (p.label + "_loss", p.first, p.second) for p in squeezed
+    ]
+    assert len(LossyNopa(0.4, 1.0).epr_ports(0.3)) == 4
 
 
 def test_zero_bandwidth_source():

@@ -269,16 +269,16 @@ def _count_calls(monkeypatch, cls, name):
     "source, method, gain, want",
     [
         (LosslessNopa(0.4), "pair", None, 30),
-        (LosslessNopa(0.4), "pair", 0.8, 30),
-        (LossyNopa(0.4, 0.9), "transfer", None, 30),
-        (LossyNopa(0.4, 0.9), "transfer", 0.8, 20),
+        (LosslessNopa(0.4), "pair", 0.8, 20),
+        (LossyNopa(0.4, 0.9), "pair", None, 30),
+        (LossyNopa(0.4, 0.9), "pair", 0.8, 20),
     ],
     ids=["lossless-optimal", "lossless-fixed", "lossy-optimal", "lossy-fixed"],
 )
 def test_swap_row_evaluates_each_source_once(monkeypatch, source, method, gain, want):
-    # Per row: one transfer pair, shared by the optimal gain and the closed
-    # form, plus one evaluation inside each pair's epr_ports.  A lossy source
-    # has no closed form, so at a fixed gain it needs no transfer pair.
+    # Per row: one transfer pair for the optimal gain, plus one evaluation
+    # inside each pair's epr_ports.  The closed form reads the real-form
+    # spectra, so a fixed gain needs no transfer pair.
     calls = _count_calls(monkeypatch, type(source), method)
     table = swap_spectrum(SwapConfig(source, gain=gain), [0.1 * k for k in range(10)])
     assert len(table) == 10
