@@ -225,8 +225,23 @@ class SqueezerSpectrum(abc.ABC):
         return type(self).__name__
 
 
+class _Nopa(SqueezerSpectrum):
+    """The spectra both NOPA sources share; a lossless cavity has beta = 1."""
+
+    beta = 1.0
+
+    def variances(self, omega: float) -> tuple[float, float]:
+        # V-+ = 1 -+ 4*epsilon*beta/((1 +- epsilon)^2 + omega^2) in real form,
+        # which keeps V = 1 exact at epsilon = 0 and V- = 0 exact at threshold.
+        e, b = self.epsilon, self.beta
+        noisy_den = (e - 1.0) ** 2 + omega * omega
+        quiet = 1.0 - 4.0 * e * b / ((e + 1.0) ** 2 + omega * omega)
+        noisy = math.inf if noisy_den == 0 else 1.0 + 4.0 * e * b / noisy_den
+        return noisy, quiet
+
+
 @dataclass(frozen=True)
-class LosslessNopa(SqueezerSpectrum):
+class LosslessNopa(_Nopa):
     """Ideal-cavity NOPA, parameterized by the dimensionless pump epsilon.
 
     epsilon = 1 is the threshold limit; it is representable and reports an
@@ -255,15 +270,12 @@ class LosslessNopa(SqueezerSpectrum):
             s_plus = complex(1 + e, omega) / den
         return TransferPair(s_plus, s_minus)
 
-    def variances(self, omega: float) -> tuple[float, float]:
-        return _nopa_variances(self.epsilon, 1.0, omega)
-
     def describe(self) -> str:
         return f"nopa(epsilon={self.epsilon:g})"
 
 
 @dataclass(frozen=True)
-class LossyNopa(SqueezerSpectrum):
+class LossyNopa(_Nopa):
     """NOPA with intracavity loss, in dimensionless (epsilon, beta) form.
 
     beta is the cavity escape efficiency gamma/(gamma+rho).  The loss-port
@@ -300,9 +312,6 @@ class LossyNopa(SqueezerSpectrum):
             loss / noisy_den,
             loss / quiet_den,
         )
-
-    def variances(self, omega: float) -> tuple[float, float]:
-        return _nopa_variances(self.epsilon, self.beta, omega)
 
     def describe(self) -> str:
         return f"nopa(epsilon={self.epsilon:g}, beta={self.beta:g})"
@@ -402,15 +411,6 @@ def nopa_transfer(
     small_g = kappa * gamma / den
     loss = math.sqrt(gamma * rho)
     return big_g, small_g, loss * d / den, kappa * loss / den
-
-
-def _nopa_variances(epsilon: float, beta: float, omega: float) -> tuple[float, float]:
-    # V-+ = 1 -+ 4*epsilon*beta/((1 +- epsilon)^2 + omega^2) in real form,
-    # which keeps V = 1 exact at epsilon = 0 and V- = 0 exact at threshold.
-    noisy_den = (epsilon - 1.0) ** 2 + omega * omega
-    quiet = 1.0 - 4.0 * epsilon * beta / ((epsilon + 1.0) ** 2 + omega * omega)
-    noisy = math.inf if noisy_den == 0 else 1.0 + 4.0 * epsilon * beta / noisy_den
-    return noisy, quiet
 
 
 def squeezing_spectrum(

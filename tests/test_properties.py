@@ -57,7 +57,7 @@ FIDELITY_ULPS = 3
 
 
 def exact_spectra(src, omega):
-    return exact.nopa_spectra(src.epsilon, getattr(src, "beta", 1.0), omega)
+    return exact.nopa_spectra(src.epsilon, src.beta, omega)
 
 
 @PROPERTY
