@@ -436,14 +436,14 @@ def _teleport_row(
     alpha: complex = 0j,
 ) -> tuple[TeleportOutcome, float, float, float]:
     # One teleportation, its error variances and its fidelity: the generic
-    # Q-function one, or the exact closed form, which must agree to 1e-9.
+    # Q-function one, or the exact closed form, which must agree to 1e-12.
     out = teleport(src, gain, detector, omega)
     v_x = difference_variance(out.x_tel, in_model, Axis.X)
     v_p = difference_variance(out.p_tel, in_model, Axis.P)
     f = teleport_fidelity(out, in_model, alpha).fidelity
     closed = _closed_form_fidelity(src, out, in_model, alpha)
     if closed is not None:
-        if not abs(closed - f) <= 1e-9:
+        if not abs(closed - f) <= 1e-12:
             raise AssertionError(
                 f"generic fidelity path disagrees with closed form at omega={out.omega}"
             )

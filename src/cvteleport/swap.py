@@ -1,4 +1,4 @@
-"""Broadband entanglement swapping and its verification teleportation.
+"""Broadband entanglement swapping as teleportation of half an EPR pair.
 
 Two EPR pairs (modes 1-2 and 3-4) are built from independent squeezing
 sources; a Bell detection on modes 2 and 3 followed by a displacement of
@@ -6,12 +6,12 @@ mode 4 with gain gs produces the swapped mode
 
     X_4' = gs*X_2 + X_4 - gs*X_3        P_4' = gs*P_2 + P_4 + gs*P_3
 
-so modes 1 and 4', which never interacted, end up entangled.  The quality
-is scored by teleporting a coherent state over the (1, 4') pair at unit
-gain and evaluating its fidelity.  All outputs are built portwise from the
-sources' rotated EPR ports: weights that cancel do so exactly before the
-(possibly infinite) squeezing amplitude is multiplied in, which keeps
-threshold results finite wherever they physically are.
+so modes 1 and 4', which never interacted, end up entangled.  The pair
+(1, 4') is then one more teleportation resource: a unit-gain teleport over
+it scores the swap with the same row, closed form and cross-check as any
+source.  Its weights are composed onto the sources' rotated EPR ports, so
+weights that cancel do so exactly before the (possibly infinite) squeezing
+amplitude is multiplied in, which keeps threshold results finite.
 """
 
 from __future__ import annotations
@@ -20,16 +20,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .criteria import SpectrumTable, _spectrum_table, teleport_fidelity
-from .epr import EprPort, SqueezerSpectrum, TransferPair, _project
-from .linmode import (
-    Axis,
-    InputModel,
-    QuadExpansion,
-    difference_variance,
-    normalized_variance,
-)
-from .teleport import GainSchedule, TeleportOutcome, as_gain
+from .criteria import SpectrumTable, _spectrum_table, _teleport_row
+from .epr import SqueezerSpectrum, TransferPair, _project, make_epr_pair
+from .linmode import Axis, InputModel, QuadExpansion, normalized_variance
+from .teleport import BellDetector, GainSchedule, TeleportOutcome, as_gain, teleport
 
 __all__ = [
     "SwapConfig",
@@ -72,10 +66,10 @@ def optimal_gain(pair: TransferPair, second: TransferPair | None = None) -> floa
 class SwapConfig:
     """Sources and gain policy of one swapping setup.
 
-    source_cd = None reuses source_ab for the second pair (the equal-spectra
-    case the closed forms assume).  gain = None selects the optimal gain
-    frequency by frequency; any fixed number or schedule forces it.
-    The verification teleportation is always run at unit gain.
+    source_cd = None reuses source_ab for the second pair.  gain = None
+    selects the optimal gain frequency by frequency; any fixed number or
+    schedule forces it.  The verification teleportation is always run at
+    unit gain.
     """
 
     source_ab: SqueezerSpectrum
@@ -112,15 +106,50 @@ class SwapOutcome:
     source: str
 
 
-def _swap_ports(
-    cfg: SwapConfig, omega: float
-) -> tuple[complex, tuple[EprPort, ...], tuple[EprPort, ...]]:
-    """Swap gain and the EPR ports of both pairs at one frequency."""
-    return (
-        cfg.gain_at(omega),
-        cfg.source_ab.epr_ports(omega, _AB_LABELS),
-        cfg.second_source.epr_ports(omega, _CD_LABELS),
-    )
+class _SwappedPair:
+    """The swapped pair (1, 4') at one frequency, as a teleportation resource.
+
+    It stands in for a source in teleport() and make_epr_pair() by composing
+    weights, not ports: (a, b) on modes (1, 4') is (a, gs*b) on pair ab and
+    (-gs*b, b) on X, (gs*b, b) on P of pair cd, so exact-zero weights still
+    skip infinite amplitudes.  Only the quiet spectrum of the pair is
+    defined (variances() reports V+ as nan): V-_eff = (|gs-1|^2 A +
+    |gs+1|^2 B)/4, A and B the summed V+ and V- of the two sources.
+    """
+
+    __slots__ = ("cfg", "gain", "ab", "cd", "quiet")
+
+    def __init__(self, cfg: SwapConfig, omega: float) -> None:
+        self.cfg = cfg
+        self.gain = gs = cfg.gain_at(omega)
+        self.ab = cfg.source_ab.epr_ports(omega, _AB_LABELS)
+        self.cd = cfg.second_source.epr_ports(omega, _CD_LABELS)
+        vp1, vm1 = cfg.source_ab.variances(omega)
+        vp2, vm2 = (vp1, vm1) if cfg.source_cd is None else cfg.source_cd.variances(omega)
+        # At gs == 1 the noisy term is dropped: 0*A is nan at threshold.
+        noisy = 0.0 if gs == 1 else abs(gs - 1) ** 2 * (vp1 + vp2) / 4.0
+        self.quiet = noisy + abs(gs + 1) ** 2 * (vm1 + vm2) / 4.0
+
+    def _project_modes(self, omega: float, x_weights: tuple, p_weights: tuple) -> tuple[dict, dict]:
+        (xa, xb), (pa, pb) = x_weights, p_weights
+        # A zero b stays a real zero, as a source's own weight is: a complex
+        # zero times an infinite real amplitude would give nan.
+        gx = self.gain * xb if xb else xb
+        gp = self.gain * pb if pb else pb
+        x_terms, p_terms = _project(self.ab, (xa, gx), (pa, gp))
+        return _project(self.cd, (-gx, xb), (gp, pb), x_terms, p_terms)
+
+    def variances(self, omega: float) -> tuple[float, float]:
+        return math.nan, self.quiet
+
+    def describe(self) -> str:
+        return self.cfg.describe()
+
+
+# The verification teleportation: unit gain, ideal detectors, coherent input.
+_UNIT_GAIN = GainSchedule.unit()
+_IDEAL_DETECTOR = BellDetector(1.0)
+_COHERENT = InputModel.coherent()
 
 
 def swap_once(cfg: SwapConfig, omega: float) -> SwapOutcome:
@@ -130,19 +159,9 @@ def swap_once(cfg: SwapConfig, omega: float) -> SwapOutcome:
     diverges at the squeezing threshold; only the EPR combinations with
     mode 1 stay finite there (see swapped_epr_variances).
     """
-    gs, ab, cd = _swap_ports(cfg, omega)
-    x1, p1 = _project(ab, (1, 0), (1, 0))
-    x4, p4 = _project(ab, (0, gs), (0, gs))
-    _project(cd, (-gs, 1), (gs, 1), x4, p4)
-    return SwapOutcome(
-        x1=QuadExpansion(0j, x1),
-        p1=QuadExpansion(0j, p1),
-        x4p=QuadExpansion(0j, x4),
-        p4p=QuadExpansion(0j, p4),
-        omega=omega,
-        swap_gain=gs,
-        source=cfg.describe(),
-    )
+    pair = _SwappedPair(cfg, omega)
+    m = make_epr_pair(pair, omega)
+    return SwapOutcome(m.x1, m.p1, m.x2, m.p2, omega, pair.gain, cfg.describe())
 
 
 def swapped_epr_variances(cfg: SwapConfig, omega: float) -> tuple[float, float]:
@@ -150,15 +169,16 @@ def swapped_epr_variances(cfg: SwapConfig, omega: float) -> tuple[float, float]:
 
     Normalized so two uncorrelated vacua give 2; anything below 2 certifies
     entanglement between the never-interacting modes 1 and 4'.  Built
-    portwise so the threshold cancellations happen at the weight level.
+    portwise with its own weights, not through the resource, so it is an
+    independent reference for the verification teleportation.
     """
-    gs, ab, cd = _swap_ports(cfg, omega)
-    x_terms, p_terms = _project(ab, (1, -gs), (1, gs))
-    _project(cd, (gs, -1), (gs, 1), x_terms, p_terms)
-    model = InputModel.coherent()
+    pair = _SwappedPair(cfg, omega)
+    gs = pair.gain
+    x_terms, p_terms = _project(pair.ab, (1, -gs), (1, gs))
+    _project(pair.cd, (gs, -1), (gs, 1), x_terms, p_terms)
     return (
-        normalized_variance(QuadExpansion(0j, x_terms), model, Axis.X),
-        normalized_variance(QuadExpansion(0j, p_terms), model, Axis.P),
+        normalized_variance(QuadExpansion(0j, x_terms), _COHERENT, Axis.X),
+        normalized_variance(QuadExpansion(0j, p_terms), _COHERENT, Axis.P),
     )
 
 
@@ -168,62 +188,24 @@ def verification_teleport(cfg: SwapConfig, omega: float) -> TeleportOutcome:
     The output is input plus the swapped-pair EPR noise:
     x_tel = x_in + (X_4' - X_1), p_tel = p_in + (P_4' + P_1).
     """
-    return _verification(cfg, omega)[1]
-
-
-def _verification(cfg: SwapConfig, omega: float) -> tuple[complex, TeleportOutcome]:
-    # The swap gain comes back with the outcome, so a row evaluates it once.
-    gs, ab, cd = _swap_ports(cfg, omega)
-    x_terms, p_terms = _project(ab, (-1, gs), (1, gs))
-    _project(cd, (-gs, 1), (gs, 1), x_terms, p_terms)
-    return gs, TeleportOutcome(
-        x_tel=QuadExpansion(1.0, x_terms),
-        p_tel=QuadExpansion(1.0, p_terms),
-        omega=omega,
-        gain=1.0,
-        eta=1.0,
-        source=cfg.describe(),
-    )
-
-
-def _closed_form_swap_fidelity(cfg: SwapConfig, omega: float, gs: complex) -> float | None:
-    if gs.imag != 0:
-        return None
-    vp1, vm1 = cfg.source_ab.variances(omega)
-    vp2, vm2 = (vp1, vm1) if cfg.source_cd is None else cfg.source_cd.variances(omega)
-    a, b = vp1 + vp2, vm1 + vm2
-    g = gs.real
-    if math.isinf(a):
-        # Finite only in the g -> 1 limit; leave it to the symbolic path.
-        return None
-    return 1.0 / (1.0 + (g - 1.0) ** 2 * a / 4.0 + (g + 1.0) ** 2 * b / 4.0)
+    return teleport(_SwappedPair(cfg, omega), _UNIT_GAIN, _IDEAL_DETECTOR, omega)
 
 
 def swap_fidelity(cfg: SwapConfig, omega: float) -> float:
     """Coherent-state fidelity of the verification teleportation.
 
-    For any real gain this equals the closed form
-    1/(1 + (gs-1)^2 A/4 + (gs+1)^2 B/4) over the summed spectra A = V+_1 + V+_2
-    and B = V-_1 + V-_2; the symbolic pipeline is always evaluated and the
-    two must agree to 1e-12.
+    The teleport closed form F = 1/(1 + V-) of the swapped pair, with
+    V-_eff = (|gs-1|^2 A + |gs+1|^2 B)/4 over the summed spectra
+    A = V+_1 + V+_2 and B = V-_1 + V-_2, at any gain, threshold included;
+    like every teleport row it is cross-checked against the symbolic
+    pipeline to 1e-12.
     """
     return _swap_row(cfg, omega)[2]
 
 
 def _swap_row(cfg: SwapConfig, omega: float) -> tuple[float, float, float]:
-    gs, out = _verification(cfg, omega)
-    model = InputModel.coherent()
-    v_x = difference_variance(out.x_tel, model, Axis.X)
-    v_p = difference_variance(out.p_tel, model, Axis.P)
-    f = teleport_fidelity(out).fidelity
-    closed = _closed_form_swap_fidelity(cfg, omega, gs)
-    if closed is not None:
-        if not abs(closed - f) <= 1e-12:
-            raise AssertionError(
-                f"symbolic swap fidelity disagrees with closed form at omega={omega}"
-            )
-        f = closed
-    return v_x, v_p, f
+    pair = _SwappedPair(cfg, omega)
+    return _teleport_row(pair, _UNIT_GAIN, _IDEAL_DETECTOR, _COHERENT, omega)[1:]
 
 
 def swap_spectrum(cfg: SwapConfig, omegas: Sequence[float]) -> SpectrumTable:

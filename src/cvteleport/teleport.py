@@ -16,12 +16,13 @@ the noisy EPR components cancel exactly and only the quiet ones remain.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from .epr import SqueezerSpectrum, _project
+from .epr import SqueezerSpectrum
 from .linmode import (
     Axis,
     InputModel,
@@ -53,11 +54,14 @@ class NonUnitGainWarning(UserWarning):
 
 @dataclass(frozen=True)
 class GainSchedule:
-    """Feedforward gain, constant or frequency dependent."""
+    """Feedforward gain, constant or frequency dependent; always finite."""
 
     kind: str = "unit"
     value: complex = 1.0
     fn: Callable[[float], complex] | None = None
+
+    def __post_init__(self) -> None:
+        _check_finite(self.value)
 
     @classmethod
     def unit(cls) -> "GainSchedule":
@@ -72,14 +76,21 @@ class GainSchedule:
         return cls("per-frequency", 1.0, fn)
 
     def at(self, omega: float) -> complex:
+        # A constant gain was checked when the schedule was built.
         if self.fn is not None:
-            return complex(self.fn(omega))
+            return _check_finite(complex(self.fn(omega)))
         return self.value
 
     def describe(self) -> str:
         if self.kind == "fixed":
             return f"fixed:{self.value.real:g}" if self.value.imag == 0 else f"fixed:{self.value}"
         return self.kind
+
+
+def _check_finite(gain: complex) -> complex:
+    if not cmath.isfinite(gain):
+        raise ValueError(f"gain must be finite, got {gain}")
+    return gain
 
 
 def as_gain(gain: "GainSchedule | complex | float") -> GainSchedule:
@@ -142,7 +153,7 @@ def teleport(
     with exact-zero weights suppressing the (possibly infinite) amplitude.
     """
     g = as_gain(gain).at(omega)
-    x_terms, p_terms = _project(src.epr_ports(omega), (-g, 1), (g, 1))
+    x_terms, p_terms = src._project_modes(omega, (-g, 1), (g, 1))
     if detector.eta < 1.0:
         c = g * detector.excess
         for label in _DET_X:

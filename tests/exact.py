@@ -90,10 +90,10 @@ def teleport_fidelity(quiet: Fraction, eta: float) -> Fraction:
     return 1 / (1 + quiet + tau2(eta))
 
 
-def swap_fidelity(noisy: Fraction, quiet: Fraction, gain: float) -> Fraction:
-    """Verification fidelity 1/(1 + (g-1)^2 A/4 + (g+1)^2 B/4) for summed spectra A, B."""
-    g = Fraction(gain)
-    return 1 / (1 + (g - 1) ** 2 * noisy / 4 + (g + 1) ** 2 * quiet / 4)
+def swap_fidelity(noisy: Fraction, quiet: Fraction, gain: complex) -> Fraction:
+    """Verification fidelity 1/(1 + |g-1|^2 A/4 + |g+1|^2 B/4) for summed spectra A, B."""
+    g, one = Cx.of(gain), Cx(Fraction(1))
+    return 1 / (1 + (g - one).abs2() * noisy / 4 + (g + one).abs2() * quiet / 4)
 
 
 def ulps(got: float, want: Fraction) -> float:

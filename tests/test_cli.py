@@ -534,6 +534,32 @@ STDOUT_SHA256 = [
         ("bandwidth", "--epsilon", "0.4", "--pipeline", "swap"),
         id="bandwidth-swap",
     ),
+    pytest.param(
+        "1f65f1ecf5b99ad6cc9287c447067635535b38730021dbb28652203ae5eda409",
+        (
+            "swap-spectrum", "--epsilon", "0.5", "--beta", "0.8", "--omega-stop", "2",
+            "--format", "json",
+        ),
+        id="swap-lossy-json",
+    ),
+    pytest.param(
+        "826d5111507121c2068d32b62c32d43ae18d92f8d51be2ef9b100c0cdf2fc9df",
+        ("swap-spectrum", "--epsilon", "1"),
+        id="swap-threshold",
+    ),
+    pytest.param(
+        "ac4a700d7da528654645913de374976437aa2700b42adb4810708bbe5e17fc12",
+        ("swap-spectrum", "--epsilon", "1", "--gain", "fixed:0.5"),
+        id="swap-threshold-fixed-gain",
+    ),
+    pytest.param(
+        "70ddc52a647fb947e9ceb5d670b3213f4cb6d9c1e52dd82ab0dcdf02e1790376",
+        (
+            "swap-spectrum", "--kappa", "1.54", "--gamma", "3.6", "--rho", "0.4",
+            "--omega-stop", "4", "--omega-step", "0.25",
+        ),
+        id="swap-physical",
+    ),
 ]
 
 

@@ -11,6 +11,7 @@ import warnings
 import pytest
 
 import cvteleport
+import cvteleport.criteria as criteria_module
 from cvteleport.criteria import (
     CONDITIONAL_SUM_LIMIT,
     FIDELITY_CLASSICAL_BOUND,
@@ -235,6 +236,17 @@ def test_closed_form_fidelity_matches_generic_path():
         assert abs(generic - closed) < 1e-12
 
 
+def test_closed_form_cross_check_is_1e_12(monkeypatch):
+    # One tolerance for teleport and swap rows: an error far below the old
+    # 1e-9 must still raise.
+    closed = criteria_module._closed_form_fidelity
+    monkeypatch.setattr(
+        criteria_module, "_closed_form_fidelity", lambda *args: closed(*args) + 1e-10
+    )
+    with pytest.raises(AssertionError, match="disagrees with closed form"):
+        fidelity_spectrum(LosslessNopa(0.5), [0.0, 1.0])
+
+
 _WRONG_CLOSED_FORMS = """
 import sys
 
@@ -243,8 +255,6 @@ from cvteleport.epr import LosslessNopa
 
 closed = criteria._closed_form_fidelity
 criteria._closed_form_fidelity = lambda *args: closed(*args) + 1e-6
-closed_swap = swap._closed_form_swap_fidelity
-swap._closed_form_swap_fidelity = lambda *args: closed_swap(*args) + 1e-6
 checks = {
     "fidelity_spectrum": lambda: criteria.fidelity_spectrum(LosslessNopa(0.5), [0.0, 1.0]),
     "evaluate_criteria": lambda: criteria.evaluate_criteria(LosslessNopa(0.5), 1.0),

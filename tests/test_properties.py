@@ -162,7 +162,12 @@ def test_unit_gain_teleport_is_within_ulps_of_exact(src, eta2, omega):
 @given(
     src_ab=NOPA,
     src_cd=st.one_of(st.none(), NOPA),
-    gain=st.one_of(st.none(), st.floats(-0.5, 2.0)),
+    gain=st.one_of(
+        st.none(),
+        st.just(1.0),
+        st.floats(-0.5, 2.0),
+        st.builds(complex, st.floats(-0.5, 2.0), st.floats(-1.0, 1.0)),
+    ),
     omega=FULL_OMEGA,
 )
 @example(src_ab=LossyNopa(0.0, 0.3), src_cd=None, gain=None, omega=0.0)
@@ -170,18 +175,24 @@ def test_unit_gain_teleport_is_within_ulps_of_exact(src, eta2, omega):
 @example(src_ab=LossyNopa(EDGE, 0.9), src_cd=LosslessNopa(EDGE), gain=None, omega=0.0)
 @example(src_ab=LossyNopa(0.5, 0.5), src_cd=None, gain=0.7, omega=1e4)
 @example(src_ab=LosslessNopa(0.5), src_cd=LossyNopa(0.0, 0.75), gain=None, omega=0.0)
+@example(src_ab=THRESHOLD, src_cd=LossyNopa(0.3, 0.6), gain=1.0, omega=0.0)
+@example(src_ab=LossyNopa(0.3, 0.6), src_cd=THRESHOLD, gain=complex(1.0, 0.0), omega=0.0)
+@example(src_ab=THRESHOLD, src_cd=None, gain=complex(1.0, 0.25), omega=0.0)
+@example(src_ab=LossyNopa(EDGE, 0.9), src_cd=None, gain=complex(0.8, -0.6), omega=0.0)
+@example(src_ab=LosslessNopa(0.5), src_cd=LossyNopa(0.2, 0.4), gain=complex(-0.5, 1.0), omega=3.0)
 def test_swap_closed_form_is_within_ulps_of_exact(src_ab, src_cd, gain, omega):
     cfg = SwapConfig(src_ab, src_cd, gain=gain)
-    g = cfg.gain_at(omega).real
+    g = cfg.gain_at(omega)
     noisy, quiet = exact_spectra(src_ab, omega)
     noisy_cd, quiet_cd = (noisy, quiet) if src_cd is None else exact_spectra(src_cd, omega)
     f = swap_fidelity(cfg, omega)
     if noisy is None or noisy_cd is None:
-        # Threshold: finite only at unit swap gain, the optimal gain's limit.
-        assert f == (1 / (1 + quiet + quiet_cd) if g == 1 else 0.0)
+        # Threshold: finite only at unit swap gain (the optimal gain's
+        # limit), where the infinite noisy term drops out.
+        want = exact.swap_fidelity(Fraction(0), quiet + quiet_cd, g) if g == 1 else Fraction(0)
     else:
         want = exact.swap_fidelity(noisy + noisy_cd, quiet + quiet_cd, g)
-        assert exact.ulps(f, want) <= FIDELITY_ULPS
+    assert exact.ulps(f, want) <= FIDELITY_ULPS
 
 
 @PROPERTY

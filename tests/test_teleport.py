@@ -6,8 +6,10 @@ import warnings
 
 import pytest
 
+from cvteleport.criteria import evaluate_criteria, fidelity_spectrum
 from cvteleport.epr import LosslessNopa, LossyNopa, ZeroBandwidth
 from cvteleport.linmode import Axis, InputModel, commutator_pairing, normalized_variance
+from cvteleport.swap import SwapConfig, swap_fidelity
 from cvteleport.teleport import (
     BellDetector,
     GainSchedule,
@@ -172,6 +174,24 @@ def test_gain_schedule_forms():
     assert GainSchedule.unit().describe() == "unit"
     out = teleport(LosslessNopa(0.2), gain=sched, omega=3.0)
     assert out.gain == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: swap_fidelity(SwapConfig(LosslessNopa(0.5), gain=math.nan), 0.3),
+        lambda: swap_fidelity(SwapConfig(LosslessNopa(0.5), gain=math.inf), 0.3),
+        lambda: fidelity_spectrum(LosslessNopa(0.5), [0.0, 1.0], gain=math.nan),
+        lambda: evaluate_criteria(LosslessNopa(0.5), 0.3, gain=complex(1, math.inf)),
+        lambda: fidelity_spectrum(
+            LosslessNopa(0.5), [0.0, 1.0], gain=GainSchedule.per_frequency(lambda w: math.nan)
+        ),
+    ],
+    ids=["swap-nan", "swap-inf", "spectrum-nan", "criteria-complex-inf", "per-frequency-nan"],
+)
+def test_non_finite_gain_is_rejected_by_name(call):
+    with pytest.raises(ValueError, match="gain must be finite"):
+        call()
 
 
 def test_single_mode_wrapper_matches_flat_source():
