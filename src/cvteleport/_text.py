@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from typing import Sequence
 
 
 def read_csv(path_or_text: str, header: tuple[str, ...]) -> tuple[tuple[float, ...], ...]:
@@ -48,3 +49,24 @@ def _strict(obj):
 def write_json(payload: dict) -> str:
     """RFC 8259 JSON text: sorted keys, indent 2, a trailing newline."""
     return json.dumps(_strict(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _rounded(column: Sequence[float]) -> list[str]:
+    # Each value rounded to 12 significant digits and written as the float
+    # repr json uses; inf and nan become the strings the CSV prints.
+    texts = map(float.__repr__, map(float, map("%.12g".__mod__, column)))
+    return [t if t[-1].isdigit() else f'"{t}"' for t in texts]
+
+
+def write_json_columns(columns: dict[str, Sequence[float]]) -> str:
+    """write_json of the columns with each value rounded to 12 significant digits.
+
+    The same bytes as write_json({name: [float(f"{v:.12g}") for v in col]}),
+    written straight from the rounded values: with an indent the generic
+    encoder runs in pure Python, which long spectrum columns cannot afford.
+    """
+    blocks = []
+    for name in sorted(columns):
+        values = ",\n    ".join(_rounded(columns[name]))
+        blocks.append(f"  {json.dumps(name)}: " + (f"[\n    {values}\n  ]" if values else "[]"))
+    return "{\n" + ",\n".join(blocks) + "\n}\n" if blocks else "{}\n"

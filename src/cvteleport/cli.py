@@ -22,6 +22,8 @@ import os
 import sys
 from typing import Callable, Sequence
 
+import numpy as np
+
 from ._text import write_json
 from .criteria import SpectrumTable, bandwidth, evaluate_criteria, fidelity_spectrum, teleport_fidelity
 from .epr import LosslessNopa, LossyNopa, NopaParams, SqueezerSpectrum
@@ -147,6 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first run(), not at import, then reused: each
+    # parse_args() call starts from a fresh namespace, so no flag carries
+    # over from one run() to the next.
+    return build_parser()
+
+
 def _merge_config(ns: argparse.Namespace) -> dict:
     """Flags first, then config file entries, then hard defaults."""
     values = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
@@ -248,7 +258,7 @@ def _resolve_input(v: dict) -> InputModel:
 _MAX_GRID_ROWS = 10 ** 6  # a tiny --omega-step must not ask for an unbounded list
 
 
-def _resolve_grid(v: dict) -> list[float]:
+def _resolve_grid(v: dict) -> np.ndarray:
     """The sweep grid in user units."""
     start = _float("--omega-start", v["omega_start"])
     stop = _float("--omega-stop", v["omega_stop"])
@@ -262,7 +272,7 @@ def _resolve_grid(v: dict) -> list[float]:
     span = (stop - start) / step + 1e-9
     if not span < _MAX_GRID_ROWS:
         raise _ConfigError(f"--omega-step: the grid would exceed {_MAX_GRID_ROWS} rows")
-    return [start + i * step for i in range(int(span) + 1)]
+    return start + np.arange(int(span) + 1) * step
 
 
 def _write(path: str, text: str) -> None:
@@ -295,21 +305,21 @@ def _emit_table(table: SpectrumTable, v: dict) -> None:
         )
 
 
-def _reindex(table: SpectrumTable, user_grid: list[float]) -> SpectrumTable:
+def _reindex(table: SpectrumTable, user_grid: np.ndarray, scale: float) -> SpectrumTable:
     # Report frequencies in the units the user supplied them in.
-    if tuple(user_grid) == table.omega:
+    if scale == 1.0:
         return table
-    return SpectrumTable(tuple(user_grid), table.v_x, table.v_p, table.fidelity)
+    return SpectrumTable(user_grid, table.v_x, table.v_p, table.fidelity)
 
 
-def _table(v: dict, pipeline: str, point: bool = False) -> tuple[SpectrumTable, list[float], float]:
+def _table(v: dict, pipeline: str, point: bool = False) -> tuple[SpectrumTable, np.ndarray, float]:
     """(table, user-unit grid, scale) on the sweep grid, or at --omega if point.
 
     The table has dimensionless frequencies and keeps its evaluator.
     """
     src, scale = _resolve_source(v)
-    user = [_float("--omega", v["omega"])] if point else _resolve_grid(v)
-    grid = [w * scale for w in user]
+    user = np.array([_float("--omega", v["omega"])]) if point else _resolve_grid(v)
+    grid = user * scale
     if pipeline == "teleport":
         table = fidelity_spectrum(
             src,
@@ -331,14 +341,14 @@ def _table(v: dict, pipeline: str, point: bool = False) -> tuple[SpectrumTable, 
 
 
 def _cmd_spectrum(v: dict, pipeline: str) -> int:
-    table, user, _ = _table(v, pipeline)
-    _emit_table(_reindex(table, user), v)
+    table, user, scale = _table(v, pipeline)
+    _emit_table(_reindex(table, user, scale), v)
     return 0
 
 
 def _cmd_point(v: dict) -> int:
-    table, user, _ = _table(v, "teleport", point=True)
-    sys.stdout.write(_reindex(table, user).to_csv())
+    table, user, scale = _table(v, "teleport", point=True)
+    sys.stdout.write(_reindex(table, user, scale).to_csv())
     return 0
 
 
@@ -429,7 +439,7 @@ _COMMANDS: dict[str, Callable[[dict], int]] = {
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         ns = parser.parse_args(argv)
         values = _merge_config(ns)

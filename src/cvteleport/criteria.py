@@ -8,7 +8,8 @@ Four families of criteria, all evaluated on quadrature expansions:
 * Gaussian fidelity against the input coherent state (classical ceiling 1/2),
 
 plus the least-noisy classical channel model that saturates the floors, the
-fidelity spectrum machinery, and the bandwidth extraction used for sweeps.
+fidelity spectrum machinery (one array kernel over the frequency grid), and
+the bandwidth extraction used for sweeps.
 
 Variances are normalized to vacuum = 1 throughout; Q-function widths (the
 sigma arguments of the fidelity) are in absolute units where vacuum
@@ -22,8 +23,10 @@ import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from ._text import read_csv, write_json
-from .epr import SqueezerSpectrum
+import numpy as np
+
+from ._text import read_csv, write_json, write_json_columns
+from .epr import SqueezerSpectrum, _abs2
 from .linmode import (
     Axis,
     InputModel,
@@ -286,8 +289,11 @@ def ralph_lam(
 
 
 def fidelity_point(
-    gain: complex, sigma_x: float, sigma_p: float, alpha: complex = 0j
-) -> float:
+    gain: complex | np.ndarray,
+    sigma_x: float | np.ndarray,
+    sigma_p: float | np.ndarray,
+    alpha: complex = 0j,
+) -> float | np.ndarray:
     """Coherent-state fidelity from the teleported Q function.
 
     F = 1/(2*sqrt(sigma_x*sigma_p)) * exp(-dx^2/(2*sigma_x) - dp^2/(2*sigma_p))
@@ -295,14 +301,14 @@ def fidelity_point(
     and the sigmas are Q-function variances in absolute units (vacuum 1/4,
     so a perfectly teleported coherent state has sigma = 1/2 and F = 1).
     Physical Q functions have sigma >= 1/2, which caps the formula at 1.
+    The gain and the sigmas may be arrays over a frequency grid; an
+    infinite sigma gives F = 0.
     """
-    if not sigma_x > 0 or not sigma_p > 0:
+    if not (np.all(sigma_x > 0) and np.all(sigma_p > 0)):
         raise ValueError("Q-function variances must be positive")
-    delta = (1.0 - complex(gain)) * complex(alpha)
-    amp = 0.5 / math.sqrt(sigma_x * sigma_p)
-    if amp == 0.0:
-        return 0.0
-    return amp * math.exp(-delta.real ** 2 / (2.0 * sigma_x) - delta.imag ** 2 / (2.0 * sigma_p))
+    delta = (1.0 - gain) * complex(alpha)
+    amp = 0.5 / np.sqrt(sigma_x * sigma_p)
+    return amp * np.exp(-delta.real ** 2 / (2.0 * sigma_x) - delta.imag ** 2 / (2.0 * sigma_p))
 
 
 @dataclass(frozen=True)
@@ -338,7 +344,7 @@ def teleport_fidelity(
     v_out_p = normalized_variance(outcome.p_tel, model, Axis.P)
     sigma_x = (v_out_x + 1.0) / 4.0
     sigma_p = (v_out_p + 1.0) / 4.0
-    f = fidelity_point(outcome.gain, sigma_x, sigma_p, alpha)
+    f = float(fidelity_point(outcome.gain, sigma_x, sigma_p, alpha))
     return FidelityPoint(f, sigma_x, sigma_p, outcome.gain, alpha)
 
 
@@ -356,17 +362,43 @@ def nopa_fidelity_spectrum(
 
 
 def _closed_form_fidelity(
-    src: SqueezerSpectrum, out: TeleportOutcome, in_model: InputModel, alpha: complex
-) -> float | None:
+    src: SqueezerSpectrum, omega: float | np.ndarray, detector: BellDetector
+) -> float | np.ndarray:
     # At unit gain the noisy ports cancel exactly, so each axis carries twice
     # the quiet spectrum V- plus twice the detector noise tau^2, and any
     # source teleports a coherent state at alpha = 0 with
-    # F = 1/(1 + V- + tau^2).  That form is exact to a few ulps, so it takes
-    # precedence over the float roundoff of the generic sigma path.
-    if out.gain != 1 or alpha != 0 or in_model.v_x != 1.0 or in_model.v_p != 1.0:
-        return None
-    tau2 = (1.0 - out.eta * out.eta) / (out.eta * out.eta)
-    return 1.0 / (1.0 + src.variances(out.omega)[1] + tau2)
+    # F = 1/(1 + V- + tau^2).
+    eta = detector.eta
+    tau2 = (1.0 - eta * eta) / (eta * eta)
+    return 1.0 / (1.0 + src.variances(omega)[1] + tau2)
+
+
+def _checked_fidelity(
+    src: SqueezerSpectrum,
+    omega: float | np.ndarray,
+    gain: complex | np.ndarray,
+    detector: BellDetector,
+    in_model: InputModel,
+    alpha: complex,
+    generic: float | np.ndarray,
+) -> float | np.ndarray:
+    # The closed form is exact to a few ulps, so on every unit-gain row of a
+    # coherent input at alpha = 0 it replaces the float roundoff of the
+    # generic Q-function fidelity, once the two agree to 1e-12.  A real
+    # exception, not an assert, so python -O keeps the check.
+    if alpha != 0 or in_model.v_x != 1.0 or in_model.v_p != 1.0:
+        return generic
+    unit = np.equal(gain, 1)
+    if not np.any(unit):
+        return generic
+    closed = _closed_form_fidelity(src, omega, detector)
+    off = unit & ~(np.abs(closed - generic) <= 1e-12)
+    if np.any(off):
+        raise AssertionError(
+            "generic fidelity path disagrees with closed form at "
+            f"omega={np.extract(off, omega)[0]}"
+        )
+    return np.where(unit, closed, generic)
 
 
 # ---------------------------------------------------------------------------
@@ -380,29 +412,36 @@ CSV_HEADER = ("omega", "v_x", "v_p", "fidelity")
 class SpectrumTable:
     """Frequency sweep of variances and fidelity, with stable serialization.
 
-    Rows are ascending in omega.  An optional evaluator (omega -> fidelity)
-    lets bandwidth() refine beyond the tabulated grid; it is attached by the
-    sweep constructors and absent on tables loaded from disk.
+    Rows are ascending in omega.  An optional evaluator (an array of
+    frequencies -> the array of their fidelities) lets bandwidth() refine
+    beyond the tabulated grid; it is attached by the sweep constructors and
+    absent on tables loaded from disk.
     """
 
     omega: tuple[float, ...]
     v_x: tuple[float, ...]
     v_p: tuple[float, ...]
     fidelity: tuple[float, ...]
-    evaluator: Callable[[float], float] | None = field(
+    evaluator: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, compare=False, repr=False
     )
 
     def __post_init__(self) -> None:
-        n = len(self.omega)
-        if not (len(self.v_x) == len(self.v_p) == len(self.fidelity) == n):
+        # Columns may arrive as arrays; they are checked whole and kept as
+        # tuples of Python floats.
+        columns = [
+            np.asarray(c, dtype=float) for c in (self.omega, self.v_x, self.v_p, self.fidelity)
+        ]
+        omega = columns[0]
+        if any(len(c) != len(omega) for c in columns):
             raise ValueError("all columns must have equal length")
-        if n == 0:
+        if len(omega) == 0:
             raise ValueError("empty spectrum table")
-        if not all(map(math.isfinite, self.omega)):
+        if not np.isfinite(omega).all():
             raise ValueError("omega column must be finite")
-        if any(b <= a for a, b in zip(self.omega, self.omega[1:])):
+        if not (omega[1:] > omega[:-1]).all():
             raise ValueError("omega column must be strictly increasing")
+        self.omega, self.v_x, self.v_p, self.fidelity = (tuple(c.tolist()) for c in columns)
 
     def __len__(self) -> int:
         return len(self.omega)
@@ -412,7 +451,7 @@ class SpectrumTable:
 
     def to_csv(self) -> str:
         lines = [",".join(CSV_HEADER)]
-        lines += [",".join(f"{v:.12g}" for v in row) for row in self.rows()]
+        lines += ["%.12g,%.12g,%.12g,%.12g" % row for row in self.rows()]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -422,54 +461,63 @@ class SpectrumTable:
 
     def to_json(self) -> str:
         columns = (self.omega, self.v_x, self.v_p, self.fidelity)
-        return write_json(
-            {name: [float(f"{v:.12g}") for v in col] for name, col in zip(CSV_HEADER, columns)}
-        )
+        return write_json_columns(dict(zip(CSV_HEADER, columns)))
 
 
-def _teleport_row(
+def _teleport_columns(
     src: SqueezerSpectrum,
-    gain: GainSchedule | complex,
+    omega: np.ndarray,
+    gain: complex | np.ndarray,
     detector: BellDetector,
     in_model: InputModel,
-    omega: float,
     alpha: complex = 0j,
-) -> tuple[TeleportOutcome, float, float, float]:
-    # One teleportation, its error variances and its fidelity: the generic
-    # Q-function one, or the exact closed form, which must agree to 1e-12.
-    out = teleport(src, gain, detector, omega)
-    v_x = difference_variance(out.x_tel, in_model, Axis.X)
-    v_p = difference_variance(out.p_tel, in_model, Axis.P)
-    f = teleport_fidelity(out, in_model, alpha).fidelity
-    closed = _closed_form_fidelity(src, out, in_model, alpha)
-    if closed is not None:
-        if not abs(closed - f) <= 1e-12:
-            raise AssertionError(
-                f"generic fidelity path disagrees with closed form at omega={out.omega}"
-            )
-        f = closed
-    return out, v_x, v_p, f
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The one kernel behind every spectrum row: the error variances v_x,
+    # v_p and the fidelity of a teleport over src, on a frequency grid, with
+    # gain one number or an array over the grid.  Every port the source
+    # projects adds |c|^2 to its axis's noise, one port at a time, so no
+    # (ports x omega) matrix is ever held.
+    noise_x, noise_p = np.zeros(len(omega)), np.zeros(len(omega))
+    # A |c|^2 past the float range is a diverging noise term: inf, silently.
+    with np.errstate(over="ignore"):
+        for (_, axis), c in src._project_modes(omega, (-gain, 1), (gain, 1)):
+            noise = noise_x if axis is Axis.X else noise_p
+            noise += _abs2(c)
+        if detector.eta < 1.0:
+            # Two detector vacua per photocurrent, each weighted gain*tau.
+            det = _abs2(gain * detector.excess)
+            for noise in (noise_x, noise_p):
+                noise += det
+                noise += det
+        mismatch, g2 = _abs2(gain - 1), _abs2(gain)
+        v_x = mismatch * in_model.v_x + noise_x
+        v_p = mismatch * in_model.v_p + noise_p
+        # Q-function widths (V_out + 1)/4 of the output variances V_out.
+        sigma_x = (g2 * in_model.v_x + noise_x + 1.0) / 4.0
+        sigma_p = (g2 * in_model.v_p + noise_p + 1.0) / 4.0
+    generic = fidelity_point(gain, sigma_x, sigma_p, alpha)
+    inside = (generic >= 0.0) & (generic <= 1.0 + 1e-9)
+    if not inside.all():
+        raise ValueError(f"fidelity {np.extract(~inside, generic)[0]} outside [0, 1]")
+    f = _checked_fidelity(src, omega, gain, detector, in_model, alpha, generic)
+    return v_x, v_p, f
 
 
 def _spectrum_table(
-    omegas: Sequence[float], row: Callable[[float], tuple[float, float, float]]
+    grid: np.ndarray,
+    values: tuple[np.ndarray, np.ndarray, np.ndarray],
+    columns: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
 ) -> SpectrumTable:
-    # Tabulate row(omega) -> (v_x, v_p, fidelity); the same row function is
-    # the evaluator bandwidth() bisects with.
-    grid = [float(w) for w in omegas]
-    results = [row(w) for w in grid]
+    # The sweep's values as a table; its evaluator, which bandwidth()
+    # refines with, is the same kernel (columns) on the frequencies asked for.
     return SpectrumTable(
-        omega=tuple(grid),
-        v_x=tuple(r[0] for r in results),
-        v_p=tuple(r[1] for r in results),
-        fidelity=tuple(r[2] for r in results),
-        evaluator=lambda w: row(float(w))[2],
+        grid, *values, evaluator=lambda w: columns(np.asarray(w, dtype=float).reshape(-1))[2]
     )
 
 
 def fidelity_spectrum(
     src: SqueezerSpectrum,
-    omegas: Sequence[float],
+    omegas: Sequence[float] | np.ndarray,
     gain: GainSchedule | complex = GainSchedule.unit(),
     detector: BellDetector = BellDetector(1.0),
     in_model: InputModel | None = None,
@@ -477,17 +525,24 @@ def fidelity_spectrum(
     """Sweep the teleporter over a frequency grid.
 
     Rows carry the per-axis added-noise variances and the coherent-state
-    fidelity.  At unit gain on coherent inputs the fidelity column is the
-    closed form 1/(1 + V- + tau^2) of the source's quiet spectrum,
-    cross-checked against the generic Q-function path; otherwise the
-    generic path stands alone.
+    fidelity, computed for the whole grid at once.  At unit gain on
+    coherent inputs the fidelity column is the closed form
+    1/(1 + V- + tau^2) of the source's quiet spectrum, cross-checked
+    against the generic Q-function path on every row; otherwise the generic
+    path stands alone.
     """
     schedule = as_gain(gain)
     model = in_model if in_model is not None else InputModel.coherent()
+    grid = np.asarray(omegas, dtype=float)
+    gains = schedule.at(grid)
+
+    def columns(w: np.ndarray, g: complex | np.ndarray) -> tuple:
+        return _teleport_columns(src, w, g, detector, model)
+
     table = _spectrum_table(
-        omegas, lambda w: _teleport_row(src, schedule, detector, model, w)[1:]
+        grid, columns(grid, gains), lambda w: columns(w, schedule.at(w))
     )
-    if any(schedule.at(w) != 1 for w in table.omega):
+    if np.any(gains != 1):
         warnings.warn(
             "nonunit gain: the v_x/v_p columns include the gain-mismatch "
             "input term and are not error spectra",
@@ -502,8 +557,9 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
 
     Assumes the spectrum decreases away from omega = 0 (true for every
     source here).  The crossing is bracketed on the grid, then refined by
-    bisection of the table's evaluator to 1e-6; tables without an evaluator
-    fall back to linear interpolation between the bracketing rows.  Returns
+    bisection of the table's evaluator to 1e-6, many steps per evaluator
+    call (see _bisect); tables without an evaluator fall back to linear
+    interpolation between the bracketing rows.  Returns
     0 when even the first row is below threshold, and math.inf when the
     evaluator never drops below it (a threshold at or below the large-omega
     limit of the fidelity: 1/2 at unit gain, 1/(1 + g^2) at fixed gain g).
@@ -523,7 +579,7 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
         lo = om[-1]
         hi = lo * 2.0 if lo > 0 else 1.0
         for _ in range(200):
-            if ev(hi) < threshold:
+            if ev(np.array([hi]))[0] < threshold:
                 break
             lo, hi = hi, hi * 2.0
         else:
@@ -535,13 +591,41 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
             if f_lo == f_hi:
                 return 2.0 * lo
             return 2.0 * (lo + (f_lo - threshold) * (hi - lo) / (f_lo - f_hi))
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if ev(mid) >= threshold:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(ev, lo, hi, threshold)
     return lo + hi  # 2 * midpoint
+
+
+def _bisect(
+    ev: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, threshold: float
+) -> tuple[float, float]:
+    # Bisect [lo, hi] to 1e-6 on ev >= threshold, _BISECT_LEVELS steps per
+    # evaluator call: every midpoint the next steps can reach goes into one
+    # array call, then the walk takes exactly the steps of one-point
+    # bisection, so the bracket is the same to the last bit.
+    while hi - lo > 1e-6:
+        mids = []
+        brackets = [(lo, hi)]
+        for _ in range(_BISECT_LEVELS):
+            reachable = []
+            for a, b in brackets:
+                if b - a > 1e-6:
+                    mid = 0.5 * (a + b)
+                    mids.append(mid)
+                    reachable += [(mid, b), (a, mid)]
+            brackets = reachable
+        fidelity = dict(zip(mids, ev(np.array(mids)).tolist()))
+        for _ in range(_BISECT_LEVELS):
+            if not hi - lo > 1e-6:
+                break
+            mid = 0.5 * (lo + hi)
+            if fidelity[mid] >= threshold:
+                lo = mid
+            else:
+                hi = mid
+    return lo, hi
+
+
+_BISECT_LEVELS = 6  # 63 midpoints per evaluator call
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +704,11 @@ def evaluate_criteria(
 ) -> CriteriaReport:
     """Run one teleportation and score it against every classical boundary."""
     model = in_model if in_model is not None else InputModel.coherent()
-    out, v_x, v_p, f = _teleport_row(src, gain, detector, model, omega, alpha)
+    out = teleport(src, gain, detector, omega)
+    v_x = difference_variance(out.x_tel, model, Axis.X)
+    v_p = difference_variance(out.p_tel, model, Axis.P)
+    generic = teleport_fidelity(out, model, alpha).fidelity
+    f = float(_checked_fidelity(src, omega, out.gain, detector, model, alpha, generic))
     v_out_x = normalized_variance(out.x_tel, model, Axis.X)
     v_out_p = normalized_variance(out.p_tel, model, Axis.P)
     rl = ralph_lam(out.x_tel, out.p_tel, model)

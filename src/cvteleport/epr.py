@@ -4,7 +4,8 @@ A below-threshold nondegenerate parametric amplifier (NOPA) in a two-sided
 cavity maps its input vacua onto a pair of output modes whose superpositions
 are quadrature squeezed.  In a rotating frame at modulation frequency
 ``Omega`` the input-output relation is algebraic, so each source here is
-just a frequency-indexed provider of complex transfer amplitudes:
+just a frequency-indexed provider of complex transfer amplitudes, at one
+frequency or as numpy arrays over a whole grid:
 
 * ``S_plus(omega)``  scales the noisy (antisqueezed) quadratures,
 * ``S_minus(omega)`` scales the quiet (squeezed) quadratures,
@@ -32,13 +33,14 @@ EprPort).
 from __future__ import annotations
 
 import abc
-import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from ._text import read_csv
-from .linmode import Axis, QuadExpansion, combine
+from .linmode import Axis, QuadExpansion, TermKey, combine
 
 __all__ = [
     "CustomSpectrum",
@@ -98,12 +100,19 @@ class NopaParams:
 
 @dataclass(frozen=True)
 class TransferPair:
-    """Noisy/quiet squeezed-port (s_*) and loss-port (l_*) amplitudes at one frequency."""
+    """Noisy/quiet squeezed-port (s_*) and loss-port (l_*) amplitudes.
 
-    s_plus: complex
-    s_minus: complex
-    l_plus: complex = 0j
-    l_minus: complex = 0j
+    Each field is one amplitude, or an array of them over a frequency grid.
+    """
+
+    s_plus: complex | np.ndarray
+    s_minus: complex | np.ndarray
+    l_plus: complex | np.ndarray = 0j
+    l_minus: complex | np.ndarray = 0j
+
+    def __post_init__(self) -> None:
+        for name in ("s_plus", "s_minus", "l_plus", "l_minus"):
+            object.__setattr__(self, name, _number(getattr(self, name)))
 
     def bogoliubov_defect(self) -> float:
         """Re(S+ conj(S-)) + Re(L+ conj(L-)) - 1; zero for any physical squeezer."""
@@ -111,14 +120,16 @@ class TransferPair:
         return squeezed + (self.l_plus * self.l_minus.conjugate()).real - 1.0
 
     def magnitudes_sq(self) -> tuple[float, float]:
-        return abs(self.s_plus) ** 2, abs(self.s_minus) ** 2
+        with np.errstate(over="ignore"):  # a diverging amplitude squares to inf
+            return _abs2(self.s_plus), _abs2(self.s_minus)
 
     def variances(self) -> tuple[float, float]:
         """(V+, V-) = (|S+|^2 + |L+|^2, |S-|^2 + |L-|^2), vacuum = 1."""
-        return (
-            abs(self.s_plus) ** 2 + abs(self.l_plus) ** 2,
-            abs(self.s_minus) ** 2 + abs(self.l_minus) ** 2,
-        )
+        with np.errstate(over="ignore"):
+            return (
+                _abs2(self.s_plus) + _abs2(self.l_plus),
+                _abs2(self.s_minus) + _abs2(self.l_minus),
+            )
 
 
 @dataclass(frozen=True)
@@ -130,11 +141,12 @@ class EprPort:
     Keeping the weights separate from the (possibly infinite) amplitude lets
     consumers cancel the weight exactly before any multiplication happens,
     which is what keeps unit-gain outputs finite at the squeezing threshold.
+    The amplitude is an array over a frequency grid when the port is.
     """
 
     label: str
     axis: Axis
-    amplitude: complex
+    amplitude: complex | np.ndarray
     first: complex
     second: complex
 
@@ -153,30 +165,31 @@ def _project(
     ports: Iterable[EprPort],
     x_weights: tuple[complex, complex],
     p_weights: tuple[complex, complex],
-    x_terms: dict | None = None,
-    p_terms: dict | None = None,
-) -> tuple[dict, dict]:
-    """Map EPR ports onto one output mode's X and P coefficient tables.
+) -> Iterator[tuple[TermKey, np.ndarray]]:
+    """Map EPR ports onto one output mode: yield each (label, axis) and its coefficient.
 
-    Each port adds (a*first + b*second)*amplitude to its axis's table, with
-    (a, b) the weights of that axis; an exactly-zero combined weight adds
-    nothing, whatever the amplitude.  Pass existing tables to accumulate a
-    second pair into the same output.
+    Each port's coefficient is (a*first + b*second)*amplitude, with (a, b)
+    the weights of its axis; wherever that combined weight is exactly zero
+    the coefficient is exactly zero, whatever the amplitude.  Weights and
+    amplitudes may be arrays over one frequency grid.
     """
-    x_terms = {} if x_terms is None else x_terms
-    p_terms = {} if p_terms is None else p_terms
     for port in ports:
-        if port.axis is Axis.X:
-            (a, b), terms = x_weights, x_terms
-        else:
-            (a, b), terms = p_weights, p_terms
-        key = (port.label, port.axis)
+        a, b = x_weights if port.axis is Axis.X else p_weights
         w = a * port.first + b * port.second
-        terms[key] = terms.get(key, 0j) + (0j if w == 0 else w * port.amplitude)
-    return x_terms, p_terms
+        with np.errstate(invalid="ignore", over="ignore"):  # 0*inf goes to the where
+            c = np.where(w == 0, 0, w * port.amplitude)
+        yield (port.label, port.axis), c
 
 
-def _rotated_ports(l1: str, l2: str, plus: complex, minus: complex) -> tuple[EprPort, ...]:
+def _tables(terms: Iterable[tuple[TermKey, np.ndarray]]) -> tuple[dict, dict]:
+    # Sort projected coefficients into X and P tables for QuadExpansion.
+    tables: dict[Axis, dict] = {Axis.X: {}, Axis.P: {}}
+    for key, c in terms:
+        tables[key[1]][key] = c
+    return tables[Axis.X], tables[Axis.P]
+
+
+def _rotated_ports(l1: str, l2: str, plus, minus) -> tuple[EprPort, ...]:
     # Two decoupled squeezed vacua superimposed with 1/sqrt(2) weights: the
     # noisy amplitude on (l1, X) and (l2, P), the quiet one on the conjugate
     # slots, and a sign flip on the second output.
@@ -189,24 +202,69 @@ def _rotated_ports(l1: str, l2: str, plus: complex, minus: complex) -> tuple[Epr
     )
 
 
+def _epr_ports(s: TransferPair, labels: tuple[str, str]) -> tuple[EprPort, ...]:
+    # The rotated layout of one transfer pair; see SqueezerSpectrum.epr_ports.
+    l1, l2 = labels
+    ports = _rotated_ports(l1, l2, s.s_plus, s.s_minus)
+    if np.count_nonzero(s.l_plus) or np.count_nonzero(s.l_minus):
+        ports += _rotated_ports(l1 + "_loss", l2 + "_loss", s.l_plus, s.l_minus)
+    return ports
+
+
+def _number(x):
+    # A 0-d numpy result as a plain Python number, so one-frequency calls
+    # return what they always did; arrays pass through.
+    return x.item() if isinstance(x, (np.ndarray, np.generic)) and x.ndim == 0 else x
+
+
+def _abs2(z):
+    # |z|^2 through hypot, as Python's abs() computes it: numpy's complex
+    # abs rounds differently in about a third of cases.  hypot(inf, nan)
+    # is inf, so an infinite part times a zero part still reads inf.
+    return _number(np.hypot(np.real(z), np.imag(z)) ** 2)
+
+
+def _complex(re, im) -> np.ndarray:
+    # re + i*im with both parts exact, unlike re + 1j*im, where an infinite
+    # im puts 0*inf = nan into the real part.
+    z = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _quot(num, den) -> np.ndarray:
+    # num/den by the scaled steps of Python's complex division; numpy's
+    # divide multiplies by a rounded reciprocal instead, which costs an ulp
+    # and overflows where 1/den does.  A zero den gives nan.
+    a, b, c, d = np.real(num), np.imag(num), np.real(den), np.imag(den)
+    by_re = np.abs(c) >= np.abs(d)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.where(by_re, d / c, c / d)
+        scale = np.where(by_re, c + d * ratio, c * ratio + d)
+        re = np.where(by_re, a + b * ratio, a * ratio + b) / scale
+        im = np.where(by_re, b - a * ratio, b * ratio - a) / scale
+    return _complex(re, im)
+
+
 class SqueezerSpectrum(abc.ABC):
     """A frequency-indexed squeezing source.
 
-    Concrete sources provide the transfer pair at a dimensionless frequency;
-    the EPR ports and the spectra follow from it.  Instances are immutable;
-    concurrent frequency queries are safe.
+    Concrete sources provide the transfer pair at a dimensionless frequency,
+    or at every frequency of an array at once; the EPR ports and the
+    spectra follow from it.  Instances are immutable; concurrent frequency
+    queries are safe.
     """
 
     @abc.abstractmethod
-    def pair(self, omega: float) -> TransferPair:
-        """Transfer amplitudes at dimensionless frequency omega."""
+    def pair(self, omega: float | np.ndarray) -> TransferPair:
+        """Transfer amplitudes at dimensionless frequency omega (or an array of them)."""
 
-    def variances(self, omega: float) -> tuple[float, float]:
+    def variances(self, omega: float | np.ndarray) -> tuple[float, float]:
         """Noisy and quiet spectra (V+, V-) at omega, vacuum = 1."""
         return self.pair(omega).variances()
 
     def epr_ports(
-        self, omega: float, labels: tuple[str, str] = ("bar1", "bar2")
+        self, omega: float | np.ndarray, labels: tuple[str, str] = ("bar1", "bar2")
     ) -> tuple[EprPort, ...]:
         """Port decomposition of the EPR pair at omega, in the rotated layout.
 
@@ -214,16 +272,14 @@ class SqueezerSpectrum(abc.ABC):
         carries loss amplitudes, four more in the same layout under
         '<label>_loss'.
         """
-        s = self.pair(omega)
-        l1, l2 = labels
-        ports = _rotated_ports(l1, l2, s.s_plus, s.s_minus)
-        if s.l_plus or s.l_minus:
-            ports += _rotated_ports(l1 + "_loss", l2 + "_loss", s.l_plus, s.l_minus)
-        return ports
+        return _epr_ports(self.pair(omega), labels)
 
-    def _project_modes(self, omega: float, x_weights: tuple, p_weights: tuple) -> tuple[dict, dict]:
-        # X and P tables of a*mode1 + b*mode2 (see _project); a composed
-        # resource stands in for a source by overriding this.
+    def _project_modes(
+        self, omega: float | np.ndarray, x_weights: tuple, p_weights: tuple
+    ) -> Iterator[tuple[TermKey, np.ndarray]]:
+        # The (key, coefficient) terms of a*mode1 + b*mode2 (see _project),
+        # each key once; a composed resource stands in for a source by
+        # overriding this.
         return _project(self.epr_ports(omega), x_weights, p_weights)
 
     def describe(self) -> str:
@@ -235,14 +291,16 @@ class _Nopa(SqueezerSpectrum):
 
     beta = 1.0
 
-    def variances(self, omega: float) -> tuple[float, float]:
+    def variances(self, omega: float | np.ndarray) -> tuple[float, float]:
         # V-+ = 1 -+ 4*epsilon*beta/((1 +- epsilon)^2 + omega^2) in real form,
-        # which keeps V = 1 exact at epsilon = 0 and V- = 0 exact at threshold.
+        # which keeps V = 1 exact at epsilon = 0 and V- = 0 exact at threshold,
+        # where the noisy denominator is zero and V+ is inf.
         e, b = self.epsilon, self.beta
-        noisy_den = (e - 1.0) ** 2 + omega * omega
-        quiet = 1.0 - 4.0 * e * b / ((e + 1.0) ** 2 + omega * omega)
-        noisy = math.inf if noisy_den == 0 else 1.0 + 4.0 * e * b / noisy_den
-        return noisy, quiet
+        w2 = np.square(omega, dtype=float)
+        quiet = 1.0 - 4.0 * e * b / ((e + 1.0) ** 2 + w2)
+        with np.errstate(divide="ignore", over="ignore"):
+            noisy = 1.0 + 4.0 * e * b / ((e - 1.0) ** 2 + w2)
+        return _number(noisy), _number(quiet)
 
 
 @dataclass(frozen=True)
@@ -265,15 +323,13 @@ class LosslessNopa(_Nopa):
             raise ValueError("lossless source requires rho = 0")
         return cls(2 * params.kappa / params.gamma)
 
-    def pair(self, omega: float) -> TransferPair:
+    def pair(self, omega: float | np.ndarray) -> TransferPair:
+        # S- = conj(d - e)/(d + e) and S+ = conj(d + e)/(d - e), d = 1 - i*omega.
         e = self.epsilon
-        s_minus = complex(1 - e, omega) / complex(1 + e, -omega)
-        den = complex(1 - e, -omega)
-        if den == 0:
-            s_plus = complex(math.inf, 0.0)
-        else:
-            s_plus = complex(1 + e, omega) / den
-        return TransferPair(s_plus, s_minus)
+        noisy_den = _complex(1 - e, np.negative(omega))
+        quiet_den = _complex(1 + e, np.negative(omega))
+        s_plus = np.where(noisy_den == 0, complex(math.inf, 0.0), _quot(quiet_den.conj(), noisy_den))
+        return TransferPair(s_plus, _quot(noisy_den.conj(), quiet_den))
 
     def describe(self) -> str:
         return f"nopa(epsilon={self.epsilon:g})"
@@ -302,20 +358,21 @@ class LossyNopa(_Nopa):
         t = params.total_rate
         return cls(2 * params.kappa / t, params.gamma / t)
 
-    def pair(self, omega: float) -> TransferPair:
+    def pair(self, omega: float | np.ndarray) -> TransferPair:
         # G +- g and G_loss +- g_loss of nopa_transfer at the canonical scale
         # gamma + rho = 2 (d = 1 - i*omega, gamma = 2*beta, kappa = epsilon):
         # S+- = (gamma +- kappa - d)/(d -+ kappa), L+- = sqrt(gamma*rho)/(d -+ kappa).
         # Unlike G - g, no term of order 1/(1 - epsilon) cancels.
         e, b = self.epsilon, self.beta
-        noisy_den, quiet_den = complex(1 - e, -omega), complex(1 + e, -omega)
+        noisy_den = _complex(1 - e, np.negative(omega))
+        quiet_den = _complex(1 + e, np.negative(omega))
         gamma_minus_1 = 2.0 * b - 1.0
         loss = 2.0 * math.sqrt(b * (1.0 - b))
         return TransferPair(
-            complex(gamma_minus_1 + e, omega) / noisy_den,
-            complex(gamma_minus_1 - e, omega) / quiet_den,
-            loss / noisy_den,
-            loss / quiet_den,
+            _quot(_complex(gamma_minus_1 + e, omega), noisy_den),
+            _quot(_complex(gamma_minus_1 - e, omega), quiet_den),
+            _quot(loss, noisy_den),
+            _quot(loss, quiet_den),
         )
 
     def describe(self) -> str:
@@ -335,8 +392,9 @@ class ZeroBandwidth(SqueezerSpectrum):
         if self.r < 0 or math.isnan(self.r):
             raise ValueError("squeezing parameter r must be nonnegative")
 
-    def pair(self, omega: float) -> TransferPair:
-        return TransferPair(math.exp(self.r), math.exp(-self.r))
+    def pair(self, omega: float | np.ndarray) -> TransferPair:
+        shape = np.shape(omega)
+        return TransferPair(np.full(shape, math.exp(self.r)), np.full(shape, math.exp(-self.r)))
 
     def describe(self) -> str:
         return f"zero-bandwidth(r={self.r:g})"
@@ -363,9 +421,9 @@ class CustomSpectrum(SqueezerSpectrum):
             raise ValueError("table frequencies must be finite")
         if any(b <= a for a, b in zip(omegas, omegas[1:])):
             raise ValueError("table frequencies must be strictly increasing")
-        self._omegas = tuple(float(w) for w in omegas)
-        self._s_plus = tuple(complex(v) for v in s_plus)
-        self._s_minus = tuple(complex(v) for v in s_minus)
+        self._omegas = np.array(omegas, dtype=float)
+        self._s_plus = np.array(s_plus, dtype=complex)
+        self._s_minus = np.array(s_minus, dtype=complex)
 
     CSV_HEADER = ("omega", "s_plus_re", "s_plus_im", "s_minus_re", "s_minus_im")
 
@@ -375,24 +433,25 @@ class CustomSpectrum(SqueezerSpectrum):
         omegas, pr, pi, mr, mi = read_csv(path_or_text, cls.CSV_HEADER)
         return cls(omegas, tuple(map(complex, pr, pi)), tuple(map(complex, mr, mi)))
 
-    def pair(self, omega: float) -> TransferPair:
+    def pair(self, omega: float | np.ndarray) -> TransferPair:
         grid = self._omegas
-        if omega < grid[0] or omega > grid[-1]:
+        w = np.asarray(omega, dtype=float)
+        outside = ~((w >= grid[0]) & (w <= grid[-1]))
+        if np.any(outside):
             raise ValueError(
-                f"frequency {omega:g} outside tabulated range "
+                f"frequency {np.extract(outside, w)[0]:g} outside tabulated range "
                 f"[{grid[0]:g}, {grid[-1]:g}]"
             )
-        hi = bisect.bisect_left(grid, omega)
-        if hi < len(grid) and grid[hi] == omega:
-            return TransferPair(self._s_plus[hi], self._s_minus[hi])
-        lo = hi - 1
-        t = (omega - grid[lo]) / (grid[hi] - grid[lo])
+        hi = np.searchsorted(grid, w)
+        node = grid[hi] == w
+        lo = np.maximum(hi - 1, 0)
+        with np.errstate(invalid="ignore"):  # 0/0 on the first node, which is exact
+            t = (w - grid[lo]) / (grid[hi] - grid[lo])
 
-        def lerp(values: tuple[complex, ...]) -> complex:
+        def lerp(values: np.ndarray) -> np.ndarray:
             a, b = values[lo], values[hi]
-            return complex(
-                a.real + t * (b.real - a.real), a.imag + t * (b.imag - a.imag)
-            )
+            mid = _complex(a.real + t * (b.real - a.real), a.imag + t * (b.imag - a.imag))
+            return np.where(node, b, mid)
 
         return TransferPair(lerp(self._s_plus), lerp(self._s_minus))
 
@@ -429,8 +488,8 @@ def squeezing_spectrum(
 
 def make_epr_pair(src: SqueezerSpectrum, omega: float) -> EprQuadratures:
     """EPR pair of a source at omega, materialized as expansions."""
-    x1, p1 = src._project_modes(omega, (1, 0), (1, 0))
-    x2, p2 = src._project_modes(omega, (0, 1), (0, 1))
+    x1, p1 = _tables(src._project_modes(omega, (1, 0), (1, 0)))
+    x2, p2 = _tables(src._project_modes(omega, (0, 1), (0, 1)))
     return EprQuadratures(
         QuadExpansion(0j, x1),
         QuadExpansion(0j, p1),

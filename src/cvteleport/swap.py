@@ -8,21 +8,33 @@ mode 4 with gain gs produces the swapped mode
 
 so modes 1 and 4', which never interacted, end up entangled.  The pair
 (1, 4') is then one more teleportation resource: a unit-gain teleport over
-it scores the swap with the same row, closed form and cross-check as any
-source.  Its weights are composed onto the sources' rotated EPR ports, so
+it scores the swap with the same array kernel, closed form and cross-check
+as any source.  Its weights are composed onto the sources' rotated EPR ports, so
 weights that cancel do so exactly before the (possibly infinite) squeezing
 amplitude is multiplied in, which keeps threshold results finite.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .criteria import SpectrumTable, _spectrum_table, _teleport_row
-from .epr import SqueezerSpectrum, TransferPair, _project, make_epr_pair
-from .linmode import Axis, InputModel, QuadExpansion, normalized_variance
+import numpy as np
+
+from .criteria import SpectrumTable, _spectrum_table, _teleport_columns
+from .epr import (
+    SqueezerSpectrum,
+    TransferPair,
+    _abs2,
+    _epr_ports,
+    _number,
+    _project,
+    _tables,
+    make_epr_pair,
+)
+from .linmode import Axis, InputModel, QuadExpansion, TermKey, normalized_variance
 from .teleport import BellDetector, GainSchedule, TeleportOutcome, as_gain, teleport
 
 __all__ = [
@@ -42,7 +54,7 @@ _AB_LABELS = ("bar1", "bar2")
 _CD_LABELS = ("bar3", "bar4")
 
 
-def optimal_gain(pair: TransferPair, second: TransferPair | None = None) -> float:
+def optimal_gain(pair: TransferPair, second: TransferPair | None = None) -> float | np.ndarray:
     """Swap gain minimizing the verification noise.
 
     (A - B)/(A + B) with A, B the summed noisy/quiet magnitudes |S+-|^2 of
@@ -50,16 +62,16 @@ def optimal_gain(pair: TransferPair, second: TransferPair | None = None) -> floa
     At threshold (infinite A) the limit is 1, which is also the only gain
     that keeps the verification output finite there.  The loss amplitudes
     are left out, so for a lossy source this is not yet the optimum (which
-    would take A, B from the spectra V+-).
+    would take A, B from the spectra V+-).  Pairs over a frequency grid
+    give the array of gains.
     """
     sp1, sm1 = pair.magnitudes_sq()
     sp2, sm2 = (second if second is not None else pair).magnitudes_sq()
     a, b = sp1 + sp2, sm1 + sm2
-    if math.isinf(a):
-        return 1.0
-    if a + b == 0:
+    if np.any(a + b == 0):
         raise ValueError("degenerate transfer pair: |S+|^2 + |S-|^2 must be positive")
-    return (a - b) / (a + b)
+    with np.errstate(invalid="ignore"):  # inf/inf, replaced by the limit
+        return _number(np.where(np.isinf(a), 1.0, (a - b) / (a + b)))
 
 
 @dataclass(frozen=True)
@@ -68,28 +80,37 @@ class SwapConfig:
 
     source_cd = None reuses source_ab for the second pair.  gain = None
     selects the optimal gain frequency by frequency; any fixed number or
-    schedule forces it.  The verification teleportation is always run at
-    unit gain.
+    schedule forces it, and a number becomes a GainSchedule once, here.
+    The verification teleportation is always run at unit gain.
     """
 
     source_ab: SqueezerSpectrum
     source_cd: SqueezerSpectrum | None = None
     gain: GainSchedule | complex | None = None
 
+    def __post_init__(self) -> None:
+        if self.gain is not None:
+            object.__setattr__(self, "gain", as_gain(self.gain))
+
     @property
     def second_source(self) -> SqueezerSpectrum:
         return self.source_cd if self.source_cd is not None else self.source_ab
 
-    def gain_at(self, omega: float) -> complex:
+    def gain_at(self, omega: float | np.ndarray) -> complex | np.ndarray:
+        """The swap gain at omega; over a frequency array, the array of gains."""
         if self.gain is not None:
-            return as_gain(self.gain).at(omega)
-        second = None if self.source_cd is None else self.source_cd.pair(omega)
-        return complex(optimal_gain(self.source_ab.pair(omega), second))
+            return self.gain.at(omega)
+        return optimal_gain(*self._pairs(omega))
+
+    def _pairs(self, omega: float | np.ndarray) -> tuple[TransferPair, TransferPair]:
+        # The ab and cd transfer pairs, one evaluation per source.
+        ab = self.source_ab.pair(omega)
+        return ab, (ab if self.source_cd is None else self.source_cd.pair(omega))
 
     def describe(self) -> str:
         ab = self.source_ab.describe()
         cd = self.second_source.describe()
-        g = "optimal" if self.gain is None else as_gain(self.gain).describe()
+        g = "optimal" if self.gain is None else self.gain.describe()
         return f"swap[{ab} & {cd}, gain={g}]"
 
 
@@ -107,39 +128,45 @@ class SwapOutcome:
 
 
 class _SwappedPair:
-    """The swapped pair (1, 4') at one frequency, as a teleportation resource.
+    """The swapped pair (1, 4') over a frequency grid, as a teleportation resource.
 
     It stands in for a source in teleport() and make_epr_pair() by composing
     weights, not ports: (a, b) on modes (1, 4') is (a, gs*b) on pair ab and
     (-gs*b, b) on X, (gs*b, b) on P of pair cd, so exact-zero weights still
     skip infinite amplitudes.  Only the quiet spectrum of the pair is
     defined (variances() reports V+ as nan): V-_eff = (|gs-1|^2 A +
-    |gs+1|^2 B)/4, A and B the summed V+ and V- of the two sources.
+    |gs+1|^2 B)/4, A and B the summed V+ and V- of the two sources.  omega
+    may be one frequency or an array; each source is evaluated once.
     """
 
     __slots__ = ("cfg", "gain", "ab", "cd", "quiet")
 
-    def __init__(self, cfg: SwapConfig, omega: float) -> None:
+    def __init__(self, cfg: SwapConfig, omega: float | np.ndarray) -> None:
         self.cfg = cfg
-        self.gain = gs = cfg.gain_at(omega)
-        self.ab = cfg.source_ab.epr_ports(omega, _AB_LABELS)
-        self.cd = cfg.second_source.epr_ports(omega, _CD_LABELS)
+        pair_ab, pair_cd = cfg._pairs(omega)
+        if cfg.gain is None:
+            self.gain = gs = optimal_gain(pair_ab, pair_cd)
+        else:
+            self.gain = gs = cfg.gain.at(omega)
+        self.ab = _epr_ports(pair_ab, _AB_LABELS)
+        self.cd = _epr_ports(pair_cd, _CD_LABELS)
         vp1, vm1 = cfg.source_ab.variances(omega)
         vp2, vm2 = (vp1, vm1) if cfg.source_cd is None else cfg.source_cd.variances(omega)
         # At gs == 1 the noisy term is dropped: 0*A is nan at threshold.
-        noisy = 0.0 if gs == 1 else abs(gs - 1) ** 2 * (vp1 + vp2) / 4.0
-        self.quiet = noisy + abs(gs + 1) ** 2 * (vm1 + vm2) / 4.0
+        with np.errstate(invalid="ignore", over="ignore"):
+            noisy = np.where(gs == 1, 0.0, _abs2(gs - 1) * (vp1 + vp2) / 4.0)
+        self.quiet = noisy + _abs2(gs + 1) * (vm1 + vm2) / 4.0
 
-    def _project_modes(self, omega: float, x_weights: tuple, p_weights: tuple) -> tuple[dict, dict]:
+    def _project_modes(
+        self, omega: float | np.ndarray, x_weights: tuple, p_weights: tuple
+    ) -> Iterator[tuple[TermKey, np.ndarray]]:
         (xa, xb), (pa, pb) = x_weights, p_weights
-        # A zero b stays a real zero, as a source's own weight is: a complex
-        # zero times an infinite real amplitude would give nan.
-        gx = self.gain * xb if xb else xb
-        gp = self.gain * pb if pb else pb
-        x_terms, p_terms = _project(self.ab, (xa, gx), (pa, gp))
-        return _project(self.cd, (-gx, xb), (gp, pb), x_terms, p_terms)
+        gx, gp = self.gain * xb, self.gain * pb
+        return itertools.chain(
+            _project(self.ab, (xa, gx), (pa, gp)), _project(self.cd, (-gx, xb), (gp, pb))
+        )
 
-    def variances(self, omega: float) -> tuple[float, float]:
+    def variances(self, omega: float | np.ndarray) -> tuple[float, np.ndarray]:
         return math.nan, self.quiet
 
     def describe(self) -> str:
@@ -174,8 +201,11 @@ def swapped_epr_variances(cfg: SwapConfig, omega: float) -> tuple[float, float]:
     """
     pair = _SwappedPair(cfg, omega)
     gs = pair.gain
-    x_terms, p_terms = _project(pair.ab, (1, -gs), (1, gs))
-    _project(pair.cd, (gs, -1), (gs, 1), x_terms, p_terms)
+    x_terms, p_terms = _tables(
+        itertools.chain(
+            _project(pair.ab, (1, -gs), (1, gs)), _project(pair.cd, (gs, -1), (gs, 1))
+        )
+    )
     return (
         normalized_variance(QuadExpansion(0j, x_terms), _COHERENT, Axis.X),
         normalized_variance(QuadExpansion(0j, p_terms), _COHERENT, Axis.P),
@@ -197,21 +227,25 @@ def swap_fidelity(cfg: SwapConfig, omega: float) -> float:
     The teleport closed form F = 1/(1 + V-) of the swapped pair, with
     V-_eff = (|gs-1|^2 A + |gs+1|^2 B)/4 over the summed spectra
     A = V+_1 + V+_2 and B = V-_1 + V-_2, at any gain, threshold included;
-    like every teleport row it is cross-checked against the symbolic
-    pipeline to 1e-12.
+    like every teleport row it is cross-checked against the generic
+    Q-function fidelity to 1e-12.
     """
-    return _swap_row(cfg, omega)[2]
+    return float(_swap_columns(cfg, np.array([float(omega)]))[2][0])
 
 
-def _swap_row(cfg: SwapConfig, omega: float) -> tuple[float, float, float]:
-    pair = _SwappedPair(cfg, omega)
-    return _teleport_row(pair, _UNIT_GAIN, _IDEAL_DETECTOR, _COHERENT, omega)[1:]
+def _swap_columns(cfg: SwapConfig, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # A swap sweep is the teleport kernel over the swapped pair on the grid.
+    return _teleport_columns(
+        _SwappedPair(cfg, omega), omega, _UNIT_GAIN.value, _IDEAL_DETECTOR, _COHERENT
+    )
 
 
-def swap_spectrum(cfg: SwapConfig, omegas: Sequence[float]) -> SpectrumTable:
+def swap_spectrum(cfg: SwapConfig, omegas: Sequence[float] | np.ndarray) -> SpectrumTable:
     """Sweep the swapping setup over a frequency grid.
 
-    Columns hold the verification error variances and fidelity; the
-    attached evaluator lets bandwidth() bisect between and beyond rows.
+    Columns hold the verification error variances and fidelity, computed
+    for the whole grid at once; the attached evaluator lets bandwidth()
+    bisect between and beyond rows.
     """
-    return _spectrum_table(omegas, lambda w: _swap_row(cfg, w))
+    grid = np.asarray(omegas, dtype=float)
+    return _spectrum_table(grid, _swap_columns(cfg, grid), lambda w: _swap_columns(cfg, w))

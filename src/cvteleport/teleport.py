@@ -22,7 +22,9 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from .epr import SqueezerSpectrum
+import numpy as np
+
+from .epr import SqueezerSpectrum, _tables
 from .linmode import (
     Axis,
     InputModel,
@@ -75,11 +77,17 @@ class GainSchedule:
     def per_frequency(cls, fn: Callable[[float], complex]) -> "GainSchedule":
         return cls("per-frequency", 1.0, fn)
 
-    def at(self, omega: float) -> complex:
-        # A constant gain was checked when the schedule was built.
-        if self.fn is not None:
+    def at(self, omega: float | np.ndarray) -> complex | np.ndarray:
+        """The gain at omega; over a frequency array, the array of gains.
+
+        A constant gain stays one number on any grid (it was checked when
+        the schedule was built); a per-frequency fn is called once per point.
+        """
+        if self.fn is None:
+            return self.value
+        if np.ndim(omega) == 0:
             return _check_finite(complex(self.fn(omega)))
-        return self.value
+        return np.array([self.at(w) for w in np.asarray(omega).tolist()], dtype=complex)
 
     def describe(self) -> str:
         if self.kind == "fixed":
@@ -153,7 +161,7 @@ def teleport(
     with exact-zero weights suppressing the (possibly infinite) amplitude.
     """
     g = as_gain(gain).at(omega)
-    x_terms, p_terms = src._project_modes(omega, (-g, 1), (g, 1))
+    x_terms, p_terms = _tables(src._project_modes(omega, (-g, 1), (g, 1)))
     if detector.eta < 1.0:
         c = g * detector.excess
         for label in _DET_X:

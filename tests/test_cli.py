@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -13,6 +14,7 @@ import cvteleport
 from cvteleport.cli import run
 from cvteleport.epr import LosslessNopa
 from cvteleport.swap import SwapConfig, swap_fidelity
+from cvteleport.teleport import NonUnitGainWarning
 
 HEADER = "omega,v_x,v_p,fidelity"
 
@@ -229,6 +231,20 @@ def test_threshold_row_prints_inf(capsys, command):
     )
     assert code == 0
     assert out == HEADER + "\n0,inf,inf,0\n"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "swap-spectrum"])
+@pytest.mark.parametrize("gain", ["unit", "fixed:0.5"])
+def test_threshold_grids_print_no_warnings(capsys, command, gain):
+    # A numpy RuntimeWarning would leak to stderr; as an error it fails the run.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", NonUnitGainWarning)
+        code, out, err = invoke(
+            capsys, command, "--epsilon", "1", "--gain", gain, "--omega-stop", "0.5",
+        )
+    assert (code, err) == (0, "")
+    assert "nan" not in out
 
 
 def _reject_constant(token):
@@ -609,6 +625,24 @@ def test_oracle_check_at_threshold_with_unit_gain_passes(capsys):
 
 # ---------------------------------------------------------------------------
 # python -m cvteleport
+
+
+def test_runs_in_one_process_share_no_flags(capsys):
+    # The parser is built once per process; a flag of one run must not
+    # reach the next.
+    argv = ["point", "--epsilon", "0.5"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cvteleport.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "cvteleport", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    code, _, _ = invoke(capsys, "spectrum", "--epsilon", "0.5", "--beta", "0.8", "--eta2", "0.9")
+    assert code == 0
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert out == fresh.stdout
 
 
 def test_module_entry_point_matches_run(capsys):

@@ -8,7 +8,10 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvteleport
 import cvteleport.criteria as criteria_module
@@ -36,8 +39,16 @@ from cvteleport.criteria import (
 )
 from cvteleport.criteria import FidelityPoint, OBJECTIVES
 from cvteleport.epr import LosslessNopa, LossyNopa, ZeroBandwidth
+from cvteleport.swap import SwapConfig, swap_spectrum
 from cvteleport.linmode import Axis, InputModel, commutator_pairing, zero_expansion
-from cvteleport.teleport import BellDetector, NonUnitGainWarning, teleport, teleport_single_mode
+from cvteleport._text import write_json
+from cvteleport.teleport import (
+    BellDetector,
+    GainSchedule,
+    NonUnitGainWarning,
+    teleport,
+    teleport_single_mode,
+)
 
 COHERENT = InputModel.coherent()
 
@@ -345,6 +356,47 @@ def test_spectrum_table_rejects_a_nan_frequency():
     assert table.v_x == (math.inf, 1.0)
 
 
+# The serializers before columns were written straight: each value through
+# an f-string, and JSON via the generic indented encoder.
+def _reference_csv(table):
+    lines = [",".join(criteria_module.CSV_HEADER)]
+    lines += [",".join(f"{v:.12g}" for v in row) for row in table.rows()]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(table):
+    columns = (table.omega, table.v_x, table.v_p, table.fidelity)
+    return write_json(
+        {
+            name: [float(f"{v:.12g}") for v in col]
+            for name, col in zip(criteria_module.CSV_HEADER, columns)
+        }
+    )
+
+
+# Non-finite values, signed zeros, integral values and 1e12-1e16, where the
+# 12-digit rounding and the float repr choose different notations.
+SERIALIZED = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, -3.0, 1e12, 123456789012.5, 1e15, 9.99999999999e15, 1e16]),
+    st.integers(-(10 ** 17), 10 ** 17).map(float),
+    st.floats(1e12, 1e16),
+    st.floats(-1e16, -1e12),
+)
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(rows=st.lists(st.tuples(SERIALIZED, SERIALIZED, SERIALIZED), min_size=1, max_size=12))
+def test_serializers_write_the_reference_bytes(rows):
+    table = SpectrumTable(
+        tuple(float(k) for k in range(len(rows))),
+        *(tuple(col) for col in zip(*rows)),
+    )
+    table.omega = tuple(r[0] for r in rows)  # any values, past the omega checks
+    assert table.to_csv() == _reference_csv(table)
+    assert table.to_json() == _reference_json(table)
+
+
 def test_spectrum_table_validation():
     with pytest.raises(ValueError):
         SpectrumTable((), (), (), ())
@@ -381,6 +433,39 @@ def test_bandwidth_matches_closed_form(eps):
     assert got == pytest.approx(closed_form_width(eps), abs=1e-4)
 
 
+def test_per_frequency_gain_is_evaluated_once_per_row():
+    calls = []
+
+    def gain(w):
+        calls.append(w)
+        return 1.0
+
+    table = fidelity_spectrum(
+        LosslessNopa(0.5), [0.1 * k for k in range(10)], gain=GainSchedule.per_frequency(gain)
+    )
+    assert len(table) == 10
+    assert len(calls) == 10
+
+
+@pytest.mark.parametrize("gain", [1.0, 0.5, 0.5 + 0.25j])
+def test_threshold_grids_raise_no_numpy_warnings(gain):
+    # Infinite amplitudes meet exactly-zero weights and complex gains; none
+    # of it may print a RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", NonUnitGainWarning)
+        table = fidelity_spectrum(LosslessNopa(1.0), [0.0, 0.5], gain=gain)
+        report = evaluate_criteria(LosslessNopa(1.0), 0.0, gain=gain)
+        # Just off threshold |S+|^2 passes the float range: inf, silently.
+        assert LosslessNopa(1.0).pair(1e-200).variances() == (math.inf, 0.0)
+    if gain == 1.0:
+        assert table.v_x[0] == table.v_p[0] == 0.0 and table.fidelity[0] == 1.0
+    else:
+        assert table.v_x[0] == table.v_p[0] == math.inf and table.fidelity[0] == 0.0
+        assert report.v_x == report.v_p == math.inf
+    assert all(math.isfinite(v) for v in table.v_x[1:] + table.fidelity)
+
+
 def test_bandwidth_zero_when_never_above():
     table = fidelity_spectrum(LosslessNopa(0.5), [0.0, 1.0, 2.0])
     assert bandwidth(table, threshold=0.95) == 0.0
@@ -407,6 +492,48 @@ def test_bandwidth_is_infinite_when_never_crossed(kwargs, threshold):
         warnings.simplefilter("ignore", NonUnitGainWarning)
         table = fidelity_spectrum(LosslessNopa(0.5), [0.0, 1.0], **kwargs)
     assert bandwidth(table, threshold) == math.inf
+
+
+def _one_point_bandwidth(table, threshold):
+    # bandwidth() with one evaluator call per bisection step.
+    ev = table.evaluator
+    cross = next(i for i, f in enumerate(table.fidelity) if f < threshold)
+    if cross == 0:
+        return 0.0
+    lo, hi = table.omega[cross - 1], table.omega[cross]
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        if ev(np.array([mid]))[0] >= threshold:
+            lo = mid
+        else:
+            hi = mid
+    return lo + hi
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda grid: fidelity_spectrum(LosslessNopa(0.6), grid),
+        lambda grid: fidelity_spectrum(LossyNopa(0.8, 0.7), grid, detector=BellDetector(0.95)),
+        lambda grid: swap_spectrum(SwapConfig(LosslessNopa(0.4)), grid),
+        lambda grid: swap_spectrum(SwapConfig(LossyNopa(0.7, 0.9), gain=0.8), grid),
+    ],
+    ids=["lossless", "lossy-detector", "swap", "swap-fixed-gain"],
+)
+@pytest.mark.parametrize("threshold", [0.51, 0.55, 0.6])
+def test_batched_bisection_takes_the_one_point_steps(make, threshold):
+    table = make([0.1 * k for k in range(201)])  # every crossing within the grid
+    calls = []
+    evaluator = table.evaluator
+
+    def counted(w):
+        calls.append(len(w))
+        return evaluator(w)
+
+    want = _one_point_bandwidth(table, threshold)
+    table.evaluator = counted
+    assert bandwidth(table, threshold) == want
+    assert len(calls) <= 4
 
 
 def test_bandwidth_interpolates_without_evaluator():

@@ -5,19 +5,21 @@ The settings are derandomized, so every run draws the same examples; the
 """
 
 import math
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exact
 from cvteleport.criteria import fidelity_spectrum
-from cvteleport.epr import LosslessNopa, LossyNopa, ZeroBandwidth
+from cvteleport.epr import CustomSpectrum, LosslessNopa, LossyNopa, ZeroBandwidth
 from cvteleport.linmode import Axis, InputModel, combine, commutator_pairing, unit_input
 from cvteleport.oracle import McConfig, mc_check
-from cvteleport.swap import SwapConfig, optimal_gain, swap_fidelity
-from cvteleport.teleport import BellDetector, teleport
+from cvteleport.swap import SwapConfig, optimal_gain, swap_fidelity, swap_spectrum
+from cvteleport.teleport import BellDetector, GainSchedule, NonUnitGainWarning, teleport
 
 EPSILON = st.floats(0.0, 0.95)
 BETA = st.floats(0.55, 1.0)
@@ -242,3 +244,100 @@ def test_optimal_swap_gain_is_never_beaten_for_lossy_sources(src_ab, src_cd, ome
     for k in range(101):
         g = -1.0 + 2.5 * k / 100
         assert swap_fidelity(SwapConfig(src_ab, src_cd, gain=g), omega) <= best + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# One kernel for every grid size
+
+
+def _custom(epsilon):
+    # A tabulated copy of a lossless source on [0, 4], 41 nodes.
+    src = LosslessNopa(epsilon)
+    nodes = [0.1 * k for k in range(41)]
+    pairs = [src.pair(w) for w in nodes]
+    return CustomSpectrum(nodes, [p.s_plus for p in pairs], [p.s_minus for p in pairs])
+
+
+ANY_SOURCE = st.one_of(
+    NOPA,
+    st.builds(ZeroBandwidth, st.floats(0.0, 3.0)),
+    st.builds(_custom, EPSILON),
+)
+GRID = st.lists(OMEGA, min_size=2, max_size=12, unique=True).map(sorted)
+# A gain that varies with frequency, with unit gain at omega = 0.
+WOBBLE = GainSchedule.per_frequency(lambda w: complex(1.0 - 0.05 * w, 0.02 * w))
+GAINS = st.one_of(
+    st.just(GainSchedule.unit()),
+    st.floats(-0.5, 2.0).map(GainSchedule.fixed),
+    st.just(WOBBLE),
+)
+INPUTS = st.one_of(
+    st.just(InputModel.coherent()), st.floats(0.5, 2.0).map(InputModel.squeezed)
+)
+
+
+def _rows(table):
+    return list(zip(table.v_x, table.v_p, table.fidelity))
+
+
+@PROPERTY
+@given(src=ANY_SOURCE, grid=GRID, gain=GAINS, eta2=st.one_of(st.just(1.0), ETA2), model=INPUTS)
+@example(src=THRESHOLD, grid=[0.0, 0.5], gain=GainSchedule.fixed(0.5), eta2=1.0, model=InputModel.coherent())
+def test_teleport_sweep_rows_are_one_point_calls(src, grid, gain, eta2, model):
+    detector = BellDetector.from_efficiency(eta2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonUnitGainWarning)
+        rows = _rows(fidelity_spectrum(src, grid, gain, detector, model))
+        for w, row in zip(grid, rows):
+            assert _rows(fidelity_spectrum(src, [w], gain, detector, model)) == [row]
+
+
+@PROPERTY
+@given(
+    src_ab=ANY_SOURCE,
+    src_cd=st.one_of(st.none(), NOPA),
+    gain=st.one_of(st.none(), GAINS),
+    grid=GRID,
+)
+@example(src_ab=THRESHOLD, src_cd=None, gain=GainSchedule.fixed(0.5), grid=[0.0, 0.5])
+@example(src_ab=THRESHOLD, src_cd=None, gain=None, grid=[0.0, 0.5])
+def test_swap_sweep_rows_are_one_point_calls(src_ab, src_cd, gain, grid):
+    cfg = SwapConfig(src_ab, src_cd, gain=gain)
+    rows = _rows(swap_spectrum(cfg, grid))
+    for w, row in zip(grid, rows):
+        assert _rows(swap_spectrum(cfg, [w])) == [row]
+        assert swap_fidelity(cfg, w) == row[2]
+
+
+@PROPERTY
+@given(src=NOPA, eta2=ETA2, grid=st.lists(FULL_OMEGA, min_size=2, max_size=12, unique=True).map(sorted))
+def test_multi_row_teleport_sweeps_are_within_ulps_of_exact(src, eta2, grid):
+    detector = BellDetector.from_efficiency(eta2)
+    table = fidelity_spectrum(src, grid, detector=detector)
+    for w, (v_x, v_p, f) in zip(grid, _rows(table)):
+        _, quiet = exact_spectra(src, w)
+        variance = exact.teleport_variance(quiet, detector.eta)
+        assert exact.ulps(v_x, variance) <= AMPLITUDE_ULPS
+        assert exact.ulps(v_p, variance) <= AMPLITUDE_ULPS
+        assert exact.ulps(f, exact.teleport_fidelity(quiet, detector.eta)) <= FIDELITY_ULPS
+
+
+@PROPERTY
+@given(
+    src_ab=NOPA,
+    src_cd=st.one_of(st.none(), NOPA),
+    gain=st.one_of(st.none(), st.floats(-0.5, 2.0)),
+    grid=st.lists(FULL_OMEGA, min_size=2, max_size=12, unique=True).map(sorted),
+)
+def test_multi_row_swap_sweeps_are_within_ulps_of_exact(src_ab, src_cd, gain, grid):
+    cfg = SwapConfig(src_ab, src_cd, gain=gain)
+    table = swap_spectrum(cfg, grid)
+    gains = cfg.gain_at(np.array(grid))
+    for w, g, f in zip(grid, np.broadcast_to(gains, len(grid)), table.fidelity):
+        noisy, quiet = exact_spectra(src_ab, w)
+        noisy_cd, quiet_cd = (noisy, quiet) if src_cd is None else exact_spectra(src_cd, w)
+        if noisy is None or noisy_cd is None:
+            want = exact.swap_fidelity(Fraction(0), quiet + quiet_cd, g) if g == 1 else Fraction(0)
+        else:
+            want = exact.swap_fidelity(noisy + noisy_cd, quiet + quiet_cd, g)
+        assert exact.ulps(f, want) <= FIDELITY_ULPS

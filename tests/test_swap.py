@@ -24,6 +24,7 @@ from cvteleport.swap import (
     swapped_epr_variances,
     verification_teleport,
 )
+from cvteleport.teleport import GainSchedule
 
 COHERENT = InputModel.coherent()
 EPS_3DB = 3.0 - 2.0 * math.sqrt(2.0)
@@ -240,7 +241,8 @@ def test_swap_spectrum_columns_match_point_evaluations():
         assert table.v_x[i] == pytest.approx(v_x, rel=1e-12)
 
 
-def test_swap_spectrum_evaluates_the_gain_once_per_row(monkeypatch):
+def test_swap_spectrum_evaluates_the_gain_once_per_sweep(monkeypatch):
+    # The optimal gain is one array call over the whole grid.
     calls = []
 
     def counted(*args):
@@ -250,7 +252,7 @@ def test_swap_spectrum_evaluates_the_gain_once_per_row(monkeypatch):
     monkeypatch.setattr(swap_module, "optimal_gain", counted)
     table = swap_spectrum(SwapConfig(LosslessNopa(0.4)), [0.1 * k for k in range(10)])
     assert len(table) == 10
-    assert len(calls) == 10
+    assert len(calls) == 1
 
 
 def _count_calls(monkeypatch, cls, name):
@@ -268,21 +270,47 @@ def _count_calls(monkeypatch, cls, name):
 @pytest.mark.parametrize(
     "source, method, gain, want",
     [
-        (LosslessNopa(0.4), "pair", None, 30),
-        (LosslessNopa(0.4), "pair", 0.8, 20),
-        (LossyNopa(0.4, 0.9), "pair", None, 30),
-        (LossyNopa(0.4, 0.9), "pair", 0.8, 20),
+        (LosslessNopa(0.4), "pair", None, 1),
+        (LosslessNopa(0.4), "pair", 0.8, 1),
+        (LossyNopa(0.4, 0.9), "pair", None, 1),
+        (LossyNopa(0.4, 0.9), "pair", 0.8, 1),
     ],
     ids=["lossless-optimal", "lossless-fixed", "lossy-optimal", "lossy-fixed"],
 )
 def test_swap_row_evaluates_each_source_once(monkeypatch, source, method, gain, want):
-    # Per row: one transfer pair for the optimal gain, plus one evaluation
-    # inside each pair's epr_ports.  The closed form reads the real-form
-    # spectra, so a fixed gain needs no transfer pair.
+    # Per sweep: one transfer pair over the whole grid, shared by the
+    # optimal gain and both EPR pairs.  The closed form reads the real-form
+    # spectra, so it needs no transfer pair.
     calls = _count_calls(monkeypatch, type(source), method)
     table = swap_spectrum(SwapConfig(source, gain=gain), [0.1 * k for k in range(10)])
     assert len(table) == 10
     assert len(calls) == want
+
+
+def test_swap_spectrum_evaluates_two_sources_once_each(monkeypatch):
+    lossless = _count_calls(monkeypatch, LosslessNopa, "pair")
+    lossy = _count_calls(monkeypatch, LossyNopa, "pair")
+    cfg = SwapConfig(LosslessNopa(0.4), LossyNopa(0.3, 0.8))
+    assert len(swap_spectrum(cfg, [0.1 * k for k in range(10)])) == 10
+    assert (len(lossless), len(lossy)) == (1, 1)
+
+
+def test_swap_config_builds_its_gain_schedule_once(monkeypatch):
+    # A plain-number gain becomes a GainSchedule at construction; rows and
+    # describe() reuse it.
+    built = []
+    original = GainSchedule.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(GainSchedule, "__post_init__", counted)
+    cfg = SwapConfig(LosslessNopa(0.4), gain=0.8)
+    assert len(built) == 1 and cfg.gain.kind == "fixed"
+    swap_spectrum(cfg, [0.1 * k for k in range(10)])
+    cfg.describe()
+    assert len(built) == 1
 
 
 def test_threshold_row_is_infinite_not_nan():
