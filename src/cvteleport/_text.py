@@ -51,19 +51,40 @@ def write_json(payload: dict) -> str:
     return json.dumps(_strict(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _json_number(text: str) -> str:
+    # A "%.12g" string as json writes the float it rounds to.  Twelve digits
+    # round-trip, so the float's repr has the same digits; only the notation
+    # differs: an integral value gains ".0", and %g turns scientific at 1e12
+    # where repr waits until 1e16.  Subnormals carry fewer digits, so they
+    # go through repr.  inf and nan become the CSV strings.
+    if text in ("inf", "-inf", "nan"):
+        return f'"{text}"'
+    mantissa, _, exponent = text.partition("e")
+    if not exponent:
+        return text if "." in text else text + ".0"
+    e = int(exponent)
+    if e <= -308:
+        return repr(float(text))
+    if not 12 <= e < 16:
+        return text
+    sign = "-" if mantissa.startswith("-") else ""
+    digits = mantissa.lstrip("-").replace(".", "")
+    return sign + digits + "0" * (e + 1 - len(digits)) + ".0"
+
+
 def _rounded(column: Sequence[float]) -> list[str]:
-    # Each value rounded to 12 significant digits and written as the float
-    # repr json uses; inf and nan become the strings the CSV prints.
-    texts = map(float.__repr__, map(float, map("%.12g".__mod__, column)))
-    return [t if t[-1].isdigit() else f'"{t}"' for t in texts]
+    # Each value rounded to 12 significant digits, as json writes it.
+    texts = map("%.12g".__mod__, column)
+    return [t if "." in t and "e" not in t else _json_number(t) for t in texts]
 
 
 def write_json_columns(columns: dict[str, Sequence[float]]) -> str:
     """write_json of the columns with each value rounded to 12 significant digits.
 
     The same bytes as write_json({name: [float(f"{v:.12g}") for v in col]}),
-    written straight from the rounded values: with an indent the generic
-    encoder runs in pure Python, which long spectrum columns cannot afford.
+    written straight from the "%.12g" strings, with no parse back to float:
+    with an indent the generic encoder runs in pure Python, which long
+    spectrum columns cannot afford.
     """
     blocks = []
     for name in sorted(columns):

@@ -374,11 +374,13 @@ def _reference_json(table):
     )
 
 
-# Non-finite values, signed zeros, integral values and 1e12-1e16, where the
-# 12-digit rounding and the float repr choose different notations.
+# Non-finite values, signed zeros, integral values, subnormals and 1e12-1e16,
+# where the 12-digit rounding and the float repr choose different notations.
 SERIALIZED = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([0.0, -0.0, 1.0, -3.0, 1e12, 123456789012.5, 1e15, 9.99999999999e15, 1e16]),
+    st.sampled_from(
+        [0.0, -0.0, 1.0, -3.0, 1e12, 123456789012.5, 1e15, 9.99999999999e15, 1e16, 2.2250738585e-313]
+    ),
     st.integers(-(10 ** 17), 10 ** 17).map(float),
     st.floats(1e12, 1e16),
     st.floats(-1e16, -1e12),
