@@ -9,156 +9,20 @@ Everything analytic is cross-checked by a Gaussian covariance simulator
 and a Monte-Carlo sampler.
 """
 
-from .criteria import (
-    ClassicalModelParams,
-    CriteriaReport,
-    FidelityPoint,
-    RalphLamResult,
-    SpectrumTable,
-    bandwidth,
-    classical_model,
-    classical_objective,
-    evaluate_criteria,
-    fidelity_point,
-    fidelity_spectrum,
-    grid_search_classical,
-    nopa_fidelity_spectrum,
-    optimize_classical,
-    output_product_limit,
-    ralph_lam,
-    teleport_fidelity,
-)
-from .epr import (
-    CustomSpectrum,
-    EprPort,
-    EprQuadratures,
-    LosslessNopa,
-    LossyNopa,
-    NopaParams,
-    SqueezerSpectrum,
-    TransferPair,
-    ZeroBandwidth,
-    couple_modes,
-    make_epr_pair,
-    nopa_transfer,
-    squeezing_spectrum,
-)
-from .linmode import (
-    Axis,
-    InputModel,
-    QuadExpansion,
-    combine,
-    commutator_pairing,
-    covariance,
-    difference_variance,
-    normalized_variance,
-    split_re_im,
-    unit_input,
-    vacuum_mode,
-    zero_expansion,
-)
-from .oracle import (
-    GaussianState,
-    McConfig,
-    McReport,
-    condition_on,
-    covariance_teleport,
-    fidelity_to_coherent,
-    mc_check,
-    sample_teleport_outcomes,
-    two_mode_squeezed_cov,
-)
-from .swap import (
-    SwapConfig,
-    SwapOutcome,
-    optimal_gain,
-    swap_fidelity,
-    swap_once,
-    swap_spectrum,
-    swapped_epr_variances,
-    verification_teleport,
-)
-from .teleport import (
-    BellDetector,
-    GainSchedule,
-    NonUnitGainWarning,
-    TeleportOutcome,
-    nopa_variance_spectrum,
-    re_im_variances,
-    spectral_variance_tel_in,
-    teleport,
-    teleport_single_mode,
-)
+from . import criteria, epr, linmode, oracle, swap, teleport
+
+# Each layer's __all__ is its public API, and the package root exports
+# them all.  The list is built before the star imports, because the one
+# from .teleport rebinds the name teleport from the module to the function.
+__all__ = [
+    name for layer in (epr, teleport, swap, criteria, linmode, oracle) for name in layer.__all__
+]
+
+from .criteria import *  # noqa: E402, F403
+from .epr import *  # noqa: E402, F403
+from .linmode import *  # noqa: E402, F403
+from .oracle import *  # noqa: E402, F403
+from .swap import *  # noqa: E402, F403
+from .teleport import *  # noqa: E402, F403
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Axis",
-    "BellDetector",
-    "ClassicalModelParams",
-    "CriteriaReport",
-    "CustomSpectrum",
-    "EprPort",
-    "EprQuadratures",
-    "FidelityPoint",
-    "GainSchedule",
-    "GaussianState",
-    "InputModel",
-    "LosslessNopa",
-    "LossyNopa",
-    "McConfig",
-    "McReport",
-    "NonUnitGainWarning",
-    "NopaParams",
-    "QuadExpansion",
-    "RalphLamResult",
-    "SpectrumTable",
-    "SqueezerSpectrum",
-    "SwapConfig",
-    "SwapOutcome",
-    "TeleportOutcome",
-    "TransferPair",
-    "ZeroBandwidth",
-    "bandwidth",
-    "classical_model",
-    "classical_objective",
-    "combine",
-    "commutator_pairing",
-    "condition_on",
-    "couple_modes",
-    "covariance",
-    "covariance_teleport",
-    "difference_variance",
-    "evaluate_criteria",
-    "fidelity_point",
-    "fidelity_spectrum",
-    "fidelity_to_coherent",
-    "grid_search_classical",
-    "make_epr_pair",
-    "mc_check",
-    "nopa_fidelity_spectrum",
-    "nopa_transfer",
-    "nopa_variance_spectrum",
-    "normalized_variance",
-    "optimal_gain",
-    "optimize_classical",
-    "output_product_limit",
-    "ralph_lam",
-    "re_im_variances",
-    "sample_teleport_outcomes",
-    "spectral_variance_tel_in",
-    "split_re_im",
-    "squeezing_spectrum",
-    "swap_fidelity",
-    "swap_once",
-    "swap_spectrum",
-    "swapped_epr_variances",
-    "teleport",
-    "teleport_fidelity",
-    "teleport_single_mode",
-    "two_mode_squeezed_cov",
-    "unit_input",
-    "vacuum_mode",
-    "verification_teleport",
-    "zero_expansion",
-]

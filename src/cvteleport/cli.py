@@ -65,7 +65,6 @@ def _int(name: str, raw: str) -> int:
 
 # Every option parses as text first so values from --config files and from
 # flags go through the identical conversion and validation path.
-_SOURCE_OPTS = ("epsilon", "kappa", "gamma", "rho", "beta", "eta2", "gain", "input")
 _DEFAULTS = {
     "rho": "0",
     "beta": "1",

@@ -164,7 +164,7 @@ def output_product_limit(in_model: InputModel) -> float:
 
 
 def optimize_classical(
-    in_model: InputModel, objective: str, refine: bool = True
+    in_model: InputModel, objective: str
 ) -> tuple[ClassicalModelParams, float]:
     """Closed-form optimum of a classical objective at unit gain.
 
@@ -172,8 +172,8 @@ def optimize_classical(
     out_product: (sqrt(v_x*v_p) + 2)^2 at s_a = s_b = (v_p/v_x)^(1/4).
     out_sum: v_x + v_p + 4 at s_a = s_b = 1.
 
-    With refine=True a local multiplicative grid around the optimum double
-    checks that no neighboring parameter choice does better.
+    A local multiplicative grid around the optimum double checks that no
+    neighboring parameter choice does better.
     """
     vx, vp = in_model.v_x, in_model.v_p
     if objective == "product":
@@ -192,21 +192,20 @@ def optimize_classical(
         raise AssertionError(
             f"closed-form optimum not attained: {attained} vs {value} for {objective}"
         )
-    if refine:
-        factors = [0.8, 0.9, 0.95, 1.0, 1.05, 1.1, 1.25]
-        best = min(
-            classical_objective(
-                ClassicalModelParams(params.s_a * fa, params.s_b * fb),
-                in_model,
-                objective,
-            )
-            for fa in factors
-            for fb in factors
+    factors = [0.8, 0.9, 0.95, 1.0, 1.05, 1.1, 1.25]
+    best = min(
+        classical_objective(
+            ClassicalModelParams(params.s_a * fa, params.s_b * fb),
+            in_model,
+            objective,
         )
-        if best < value - 1e-9:
-            raise AssertionError(
-                f"local refinement beat the closed form for {objective}: {best} < {value}"
-            )
+        for fa in factors
+        for fb in factors
+    )
+    if best < value - 1e-9:
+        raise AssertionError(
+            f"local refinement beat the closed form for {objective}: {best} < {value}"
+        )
     return params, value
 
 
@@ -470,13 +469,12 @@ def _teleport_columns(
     gain: complex | np.ndarray,
     detector: BellDetector,
     in_model: InputModel,
-    alpha: complex = 0j,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # The one kernel behind every spectrum row: the error variances v_x,
-    # v_p and the fidelity of a teleport over src, on a frequency grid, with
-    # gain one number or an array over the grid.  Every port the source
-    # projects adds |c|^2 to its axis's noise, one port at a time, so no
-    # (ports x omega) matrix is ever held.
+    # v_p and the fidelity of a teleport over src of an input at alpha = 0,
+    # on a frequency grid, with gain one number or an array over the grid.
+    # Every port the source projects adds |c|^2 to its axis's noise, one
+    # port at a time, so no (ports x omega) matrix is ever held.
     noise_x, noise_p = np.zeros(len(omega)), np.zeros(len(omega))
     # A |c|^2 past the float range is a diverging noise term: inf, silently.
     with np.errstate(over="ignore"):
@@ -495,11 +493,11 @@ def _teleport_columns(
         # Q-function widths (V_out + 1)/4 of the output variances V_out.
         sigma_x = (g2 * in_model.v_x + noise_x + 1.0) / 4.0
         sigma_p = (g2 * in_model.v_p + noise_p + 1.0) / 4.0
-    generic = fidelity_point(gain, sigma_x, sigma_p, alpha)
+    generic = fidelity_point(gain, sigma_x, sigma_p)
     inside = (generic >= 0.0) & (generic <= 1.0 + 1e-9)
     if not inside.all():
         raise ValueError(f"fidelity {np.extract(~inside, generic)[0]} outside [0, 1]")
-    f = _checked_fidelity(src, omega, gain, detector, in_model, alpha, generic)
+    f = _checked_fidelity(src, omega, gain, detector, in_model, 0j, generic)
     return v_x, v_p, f
 
 

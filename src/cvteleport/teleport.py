@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .epr import SqueezerSpectrum, _tables
+from .epr import SqueezerSpectrum, ZeroBandwidth, _tables
 from .linmode import (
     Axis,
     InputModel,
@@ -184,8 +184,6 @@ def teleport_single_mode(
     eta: float = 1.0,
 ) -> TeleportOutcome:
     """Zero-bandwidth specialization: flat squeezer evaluated at omega = 0."""
-    from .epr import ZeroBandwidth
-
     return teleport(ZeroBandwidth(r), gain, BellDetector(eta), 0.0)
 
 
