@@ -7,10 +7,11 @@ Two routes that share no code with the expansion algebra:
   conditioning on the homodyne outcomes, analytic outcome averaging;
 * a Monte-Carlo sampler that draws every vacuum component as an actual
   Gaussian variate and measures variances and covariances of the
-  resulting linear combinations: one seeded child stream per batch,
-  fixed-shape numpy sums per batch, batch totals combined with
-  ``math.fsum``, so a (seed, sample_count) gives the same report on a
-  fixed numpy build.
+  resulting linear combinations: one seeded child stream and one real
+  draw buffer per batch, every entry's Re and Im parts from one product
+  with a real weight matrix, numpy's pairwise sums per batch, batch
+  totals combined with ``math.fsum``, so a (seed, sample_count) gives the
+  same report on a fixed numpy build and BLAS.
 
 Both report against the analytic values; disagreement beyond tolerance
 means a bug on one side or the other.
@@ -56,6 +57,8 @@ class GaussianState:
             raise ValueError("mean must be a flat vector with an (x, p) pair per mode")
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape must match the mean vector")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean and covariance must be finite")
         if np.max(np.abs(cov - cov.T), initial=0.0) > 1e-12:
             raise ValueError("covariance must be symmetric")
         if np.linalg.eigvalsh(cov).min() < -1e-12:
@@ -76,8 +79,14 @@ class GaussianState:
 
 def two_mode_squeezed_cov(r: float) -> np.ndarray:
     """Covariance of a two-mode squeezed vacuum, ordering (x1, p1, x2, p2)."""
-    c = math.cosh(2.0 * r) * _VAC
-    s = math.sinh(2.0 * r) * _VAC
+    try:
+        c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    except OverflowError:
+        c = math.inf
+    if not math.isfinite(c):
+        raise ValueError(f"r must be finite with a finite cosh(2r), got {r}")
+    c *= _VAC
+    s *= _VAC
     return np.array(
         [
             [c, 0.0, s, 0.0],
@@ -220,6 +229,10 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("sample_count", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:  # bool is an int subclass, so excluded too
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         # Below 1000 no check is meaningful; 10^8 bounds the per-batch seed streams.
         if not 1_000 <= self.sample_count <= 10 ** 8:
             raise ValueError(f"sample_count must lie in [1000, 10^8], got {self.sample_count}")
@@ -256,15 +269,6 @@ class McReport:
 _BATCH = 1 << 16
 
 
-def _draw(rng: np.random.Generator, var_norm: float, n: int) -> np.ndarray:
-    # One complex frequency component: Re and Im independent, half the
-    # absolute variance each.  Draw order is fixed (Re then Im).
-    s = math.sqrt(var_norm * _VAC / 2.0)
-    re = rng.normal(0.0, s, n)
-    im = rng.normal(0.0, s, n)
-    return re + 1j * im
-
-
 def mc_check(
     entries: Sequence[tuple[str, QuadExpansion, Axis]],
     in_model: InputModel,
@@ -274,13 +278,24 @@ def mc_check(
     """Sample every vacuum component and compare moments to the algebra.
 
     All entries share one draw of the common basis per sample, so
-    covariances between entries are physical.  Every row is a moment
-    Re<a conj(b)>: variance rows (an entry with itself) first, then one row
-    per pair.  Each batch uses its own child stream of the seed and keeps
-    fixed-shape numpy sums of each moment and its square; the batch totals
-    are combined with ``math.fsum``, so the report is byte-identical for a
-    fixed (seed, sample_count) on a fixed numpy build.  A row passes when
-    the estimate is within five standard errors of the analytic value.
+    covariances between entries are physical.  Every complex component
+    (the signal's x and p, then each vacuum term in sorted basis order) is
+    a pair of real rows, Re then Im, each with half the component's
+    absolute variance.  Each batch uses its own child stream of the seed
+    and fills one real (rows, n) buffer with a single standard-normal draw,
+    then scales each row in place; this is the stream of one
+    ``rng.normal`` call per row in the same order.  One real weight matrix,
+    built once per call, holds an [Re c, -Im c] / [Im c, Re c] block per
+    entry and component, so the batch's entry values (Re and Im rows) are
+    one matrix product.
+
+    Every row is a moment Re<a conj(b)>: variance rows (an entry with
+    itself) first, then one row per pair.  Each batch keeps numpy's
+    pairwise sums of each moment and its square; the batch totals are
+    combined with ``math.fsum``, so the report is byte-identical for a
+    fixed (seed, sample_count) on a fixed numpy build and BLAS (checked
+    under one and two BLAS threads).  A row passes when the estimate is
+    within five standard errors of the analytic value.
     """
     named = {name: (e, axis) for name, e, axis in entries}
     if len(named) != len(entries):
@@ -292,30 +307,41 @@ def mc_check(
             raise ValueError("covariance pairs must share an axis")
     moments = [(n, n) for n in named] + list(pairs)
     # A fixed basis order fixes which draw feeds which term, and so the
-    # seeded results.
+    # seeded results.  Components: in_x, in_p, then the basis keys.
     basis = sorted(
         {k for _, e, _ in entries for k in e.terms}, key=lambda k: (k[0], k[1].value)
     )
+    component = {key: 2 + i for i, key in enumerate(basis)}
+    n_rows = 2 * (2 + len(basis))
+    var_norm = [in_model.v_x, in_model.v_p] + [1.0] * len(basis)
+    # Re and Im of a component each carry half its absolute variance.
+    scale = np.repeat([math.sqrt(v * _VAC / 2.0) for v in var_norm], 2)[:, None]
+    row = {name: 2 * k for k, name in enumerate(named)}
+    weights = np.zeros((2 * len(named), n_rows))
+    for name, (e, axis) in named.items():
+        terms = [(0 if axis is Axis.X else 1, e.input_coeff)]
+        terms += [(component[key], c) for key, c in e.terms.items()]
+        for i, c in terms:
+            # (Re, Im) of c * (zr + i zi) for component i's draws (zr, zi).
+            weights[row[name] : row[name] + 2, 2 * i : 2 * i + 2] = [
+                [c.real, -c.imag],
+                [c.imag, c.real],
+            ]
     n_batches = -(-cfg.sample_count // _BATCH)
     streams = np.random.SeedSequence(cfg.seed).spawn(n_batches)
     sums = np.empty((len(moments), 2, n_batches))  # sum of m and of m*m per batch
+    z_buf = np.empty(n_rows * _BATCH)
     left = cfg.sample_count
     for j, seq in enumerate(streams):
         n = min(left, _BATCH)
         left -= n
-        rng = np.random.default_rng(seq)
-        in_x = _draw(rng, in_model.v_x, n)
-        in_p = _draw(rng, in_model.v_p, n)
-        draws = {key: _draw(rng, 1.0, n) for key in basis}
-        values = {}
-        for name, (e, axis) in named.items():
-            v = e.input_coeff * (in_x if axis is Axis.X else in_p)
-            for key, c in e.terms.items():
-                v = v + c * draws[key]
-            values[name] = v
+        z = z_buf[: n_rows * n].reshape(n_rows, n)
+        np.random.default_rng(seq).standard_normal(out=z)
+        z *= scale
+        values = weights @ z
         for k, (a, b) in enumerate(moments):
-            va, vb = values[a], values[b]
-            m = va.real * vb.real + va.imag * vb.imag  # Re(va * conj(vb))
+            (a_re, a_im), (b_re, b_im) = values[row[a] : row[a] + 2], values[row[b] : row[b] + 2]
+            m = a_re * b_re + a_im * b_im  # Re(va * conj(vb))
             sums[k, :, j] = m.sum(), (m * m).sum()
     n_tot = cfg.sample_count
     rows: list[McCheckRow] = []

@@ -607,6 +607,16 @@ def test_oracle_check_passes_and_writes_report(capsys, tmp_path):
     assert report_path.read_text() == out
 
 
+def test_oracle_check_squeezed_input_passes(capsys):
+    code, out, _ = invoke(
+        capsys,
+        "oracle-check", "--epsilon", "0.5", "--omega", "1",
+        "--input", "squeezed:2", "--samples", "100000",
+    )
+    assert code == 0
+    assert json.loads(out)["all_ok"] is True
+
+
 def test_oracle_check_rejects_infinite_output_variance(capsys):
     # At threshold a nonunit gain leaves the output variance infinite, so
     # there is nothing to sample; the gain is the offending flag.

@@ -11,7 +11,9 @@ from cvteleport.epr import LosslessNopa, LossyNopa, ZeroBandwidth, make_epr_pair
 from cvteleport.linmode import (
     Axis,
     InputModel,
+    QuadExpansion,
     combine,
+    covariance,
     normalized_variance,
     unit_input,
     vacuum_mode,
@@ -47,6 +49,26 @@ def test_gaussian_state_validation():
     not_psd = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(ValueError):
         GaussianState(np.zeros(2), not_psd)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gaussian_state_must_be_finite(bad):
+    # An infinite covariance must fail before the symmetry check, whose
+    # inf - inf would warn.
+    cov = np.eye(2)
+    with pytest.raises(ValueError, match="must be finite"):
+        GaussianState(np.array([0.0, bad]), cov)
+    cov[0, 0] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        GaussianState(np.zeros(2), cov)
+
+
+@pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan, 400.0, -400.0])
+def test_squeeze_must_be_finite(r):
+    with pytest.raises(ValueError, match="^r must be finite"):
+        two_mode_squeezed_cov(r)
+    with pytest.raises(ValueError, match="^r must be finite"):
+        covariance_teleport(r, 1.0)
 
 
 def test_gaussian_state_is_immutable():
@@ -273,12 +295,102 @@ def test_mc_seeded_stream_is_pinned():
         assert row.ok
 
 
+def _reference_mc(entries, in_model, cfg, pairs=()):
+    # The per-component loop the batch kernel replaced: one rng.normal call
+    # for Re and one for Im of each complex component, complex weights, the
+    # same batching and math.fsum.  Returns (analytic, estimate, se) per
+    # moment row.
+    def draw(rng, var_norm, n):
+        s = math.sqrt(var_norm * 0.25 / 2.0)
+        re = rng.normal(0.0, s, n)
+        im = rng.normal(0.0, s, n)
+        return re + 1j * im
+
+    named = {name: (e, axis) for name, e, axis in entries}
+    moments = [(n, n) for n in named] + list(pairs)
+    basis = sorted({k for _, e, _ in entries for k in e.terms}, key=lambda k: (k[0], k[1].value))
+    n_batches = -(-cfg.sample_count // (1 << 16))
+    sums = [([], []) for _ in moments]
+    left = cfg.sample_count
+    for seq in np.random.SeedSequence(cfg.seed).spawn(n_batches):
+        n = min(left, 1 << 16)
+        left -= n
+        rng = np.random.default_rng(seq)
+        in_x = draw(rng, in_model.v_x, n)
+        in_p = draw(rng, in_model.v_p, n)
+        draws = {key: draw(rng, 1.0, n) for key in basis}
+        values = {}
+        for name, (e, axis) in named.items():
+            v = e.input_coeff * (in_x if axis is Axis.X else in_p)
+            for key, c in e.terms.items():
+                v = v + c * draws[key]
+            values[name] = v
+        for (s1, s2), (a, b) in zip(sums, moments):
+            va, vb = values[a], values[b]
+            m = va.real * vb.real + va.imag * vb.imag
+            s1.append(m.sum())
+            s2.append((m * m).sum())
+    out = []
+    for (s1, s2), (a, b) in zip(sums, moments):
+        (ea, axis), (eb, _) = named[a], named[b]
+        analytic = normalized_variance(ea, in_model, axis) if a == b else covariance(ea, eb, in_model, axis)
+        mean = math.fsum(s1) / cfg.sample_count
+        mean_sq = math.fsum(s2) / cfg.sample_count
+        se = math.sqrt(max(mean_sq - mean * mean, 0.0) / cfg.sample_count) / 0.25
+        out.append((analytic, mean / 0.25, se))
+    return out
+
+
+def test_mc_matches_the_per_component_reference():
+    # Pins the draw layout: a squeezed input (v_x != v_p, so swapping the
+    # in_x and in_p scales shows), a complex input coefficient, a zero one,
+    # a covariance pair and a partial last batch.
+    out = teleport(LossyNopa(0.6, 0.8), detector=BellDetector(0.9), omega=0.5)
+    tilted = QuadExpansion(0.6 - 0.3j, {("bar1", Axis.P): 0.2 + 0.7j, ("zz", Axis.P): -1.1j})
+    entries = [
+        ("x_out", out.x_tel, Axis.X),
+        ("p_out", out.p_tel, Axis.P),
+        ("tilted", tilted, Axis.P),
+        ("x_err", combine(out.x_tel, unit_input(), 1.0, -1.0), Axis.X),
+        ("vac", vacuum_mode("zz", Axis.X, 0.5 - 0.5j), Axis.X),
+        ("x_in", unit_input(), Axis.X),
+    ]
+    pairs = (("x_out", "x_in"), ("p_out", "tilted"))
+    model = InputModel.squeezed(2.0)
+    cfg = McConfig(sample_count=(1 << 16) + 12_345, seed=23)
+    report = mc_check(entries, model, cfg, pairs=pairs)
+    want = _reference_mc(entries, model, cfg, pairs=pairs)
+    assert len(report.rows) == len(want) == 8
+    for row, (analytic, estimate, se) in zip(report.rows, want):
+        assert row.analytic == analytic
+        assert row.estimate == pytest.approx(estimate, rel=1e-14, abs=0)
+        assert row.se == pytest.approx(se, rel=1e-14, abs=0)
+        assert row.ok is (abs(estimate - analytic) <= max(5.0 * se, 1e-12))
+    assert report.all_ok
+
+
 def test_mc_config_limits():
     with pytest.raises(ValueError, match="^seed must be nonnegative"):
         McConfig(sample_count=10_000, seed=-1)
     with pytest.raises(ValueError, match="^sample_count must lie in"):
         McConfig(sample_count=10 ** 8 + 1)
     assert McConfig(sample_count=10 ** 8).sample_count == 10 ** 8
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"sample_count": 2.5e5}, "sample_count"),
+        ({"sample_count": True}, "sample_count"),
+        ({"sample_count": "10000"}, "sample_count"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"seed": None}, "seed"),
+    ],
+)
+def test_mc_config_rejects_non_integers(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got"):
+        McConfig(**kwargs)
 
 
 def test_mc_validation():
