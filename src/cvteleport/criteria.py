@@ -1,6 +1,6 @@
 """Classical-vs-quantum boundary evaluations.
 
-Four families of criteria, all evaluated on quadrature expansions:
+Four families of criteria:
 
 * added-noise variance limits (product and sum, classical floor 4),
 * output-variance product limit (9 for coherent inputs),
@@ -10,6 +10,14 @@ Four families of criteria, all evaluated on quadrature expansions:
 plus the least-noisy classical channel model that saturates the floors, the
 fidelity spectrum machinery (one array kernel over the frequency grid), and
 the bandwidth extraction used for sweeps.
+
+The kernel (_teleport_columns) sums real port powers, never complex
+amplitudes, and it serves every spectrum row and the criteria report: the
+report's variances and fidelity are a one-point kernel call, bit for bit
+the values of a one-row spectrum, and its output and conditional variances
+and transfer coefficients follow from the linear-channel identities.  The
+functions that act on quadrature expansions (ralph_lam,
+teleport_fidelity, classical_objective) remain as their references.
 
 Variances are normalized to vacuum = 1 throughout; Q-function widths (the
 sigma arguments of the fidelity) are in absolute units where vacuum
@@ -42,7 +50,6 @@ from .teleport import (
     NonUnitGainWarning,
     TeleportOutcome,
     as_gain,
-    teleport,
 )
 
 __all__ = [
@@ -463,24 +470,36 @@ class SpectrumTable:
         return write_json_columns(dict(zip(CSV_HEADER, columns)))
 
 
+class _Columns(NamedTuple):
+    # The kernel's arrays over the grid: error variances, fidelity and the
+    # output variances V_out = |g|^2 V_in + noise.
+    v_x: np.ndarray
+    v_p: np.ndarray
+    fidelity: np.ndarray
+    v_out_x: np.ndarray
+    v_out_p: np.ndarray
+
+
 def _teleport_columns(
     src: SqueezerSpectrum,
     omega: np.ndarray,
     gain: complex | np.ndarray,
     detector: BellDetector,
     in_model: InputModel,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The one kernel behind every spectrum row: the error variances v_x,
-    # v_p and the fidelity of a teleport over src of an input at alpha = 0,
-    # on a frequency grid, with gain one number or an array over the grid.
-    # Every port the source projects adds |c|^2 to its axis's noise, one
-    # port at a time, so no (ports x omega) matrix is ever held.
+    alpha: complex = 0j,
+) -> _Columns:
+    # The one kernel behind every spectrum row and the criteria report: the
+    # variances and the fidelity of a teleport over src of a coherent
+    # amplitude alpha, on a frequency grid, with gain one number or an
+    # array over the grid.  Every port the source projects adds its real
+    # power |w|^2 |amplitude|^2 to its axis's noise, one port at a time, so
+    # no (ports x omega) matrix and no complex amplitude is ever held.
     noise_x, noise_p = np.zeros(len(omega)), np.zeros(len(omega))
-    # A |c|^2 past the float range is a diverging noise term: inf, silently.
+    # A power past the float range is a diverging noise term: inf, silently.
     with np.errstate(over="ignore"):
-        for (_, axis), c in src._project_modes(omega, (-gain, 1), (gain, 1)):
+        for axis, power in src._mode_powers(omega, (-gain, 1), (gain, 1)):
             noise = noise_x if axis is Axis.X else noise_p
-            noise += _abs2(c)
+            noise += power
         if detector.eta < 1.0:
             # Two detector vacua per photocurrent, each weighted gain*tau.
             det = _abs2(gain * detector.excess)
@@ -490,26 +509,28 @@ def _teleport_columns(
         mismatch, g2 = _abs2(gain - 1), _abs2(gain)
         v_x = mismatch * in_model.v_x + noise_x
         v_p = mismatch * in_model.v_p + noise_p
-        # Q-function widths (V_out + 1)/4 of the output variances V_out.
-        sigma_x = (g2 * in_model.v_x + noise_x + 1.0) / 4.0
-        sigma_p = (g2 * in_model.v_p + noise_p + 1.0) / 4.0
-    generic = fidelity_point(gain, sigma_x, sigma_p)
+        v_out_x = g2 * in_model.v_x + noise_x
+        v_out_p = g2 * in_model.v_p + noise_p
+    # Q-function widths (V_out + 1)/4.
+    generic = fidelity_point(gain, (v_out_x + 1.0) / 4.0, (v_out_p + 1.0) / 4.0, alpha)
     inside = (generic >= 0.0) & (generic <= 1.0 + 1e-9)
     if not inside.all():
         raise ValueError(f"fidelity {np.extract(~inside, generic)[0]} outside [0, 1]")
-    f = _checked_fidelity(src, omega, gain, detector, in_model, 0j, generic)
-    return v_x, v_p, f
+    f = _checked_fidelity(src, omega, gain, detector, in_model, alpha, generic)
+    return _Columns(v_x, v_p, f, v_out_x, v_out_p)
 
 
 def _spectrum_table(
-    grid: np.ndarray,
-    values: tuple[np.ndarray, np.ndarray, np.ndarray],
-    columns: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
+    grid: np.ndarray, values: _Columns, columns: Callable[[np.ndarray], _Columns]
 ) -> SpectrumTable:
     # The sweep's values as a table; its evaluator, which bandwidth()
     # refines with, is the same kernel (columns) on the frequencies asked for.
     return SpectrumTable(
-        grid, *values, evaluator=lambda w: columns(np.asarray(w, dtype=float).reshape(-1))[2]
+        grid,
+        values.v_x,
+        values.v_p,
+        values.fidelity,
+        evaluator=lambda w: columns(np.asarray(w, dtype=float).reshape(-1)).fidelity,
     )
 
 
@@ -534,7 +555,7 @@ def fidelity_spectrum(
     grid = np.asarray(omegas, dtype=float)
     gains = schedule.at(grid)
 
-    def columns(w: np.ndarray, g: complex | np.ndarray) -> tuple:
+    def columns(w: np.ndarray, g: complex | np.ndarray) -> _Columns:
         return _teleport_columns(src, w, g, detector, model)
 
     table = _spectrum_table(
@@ -700,29 +721,48 @@ def evaluate_criteria(
     in_model: InputModel | None = None,
     alpha: complex = 0j,
 ) -> CriteriaReport:
-    """Run one teleportation and score it against every classical boundary."""
+    """Run one teleportation and score it against every classical boundary.
+
+    One one-point call of the spectrum kernel gives the error variances,
+    the fidelity and the output variances; at alpha = 0 the first three
+    are the one-row fidelity_spectrum values bit for bit.  The conditional
+    variances and transfer coefficients follow from the output variances
+    (see _conditional).
+    """
     model = in_model if in_model is not None else InputModel.coherent()
-    out = teleport(src, gain, detector, omega)
-    v_x = difference_variance(out.x_tel, model, Axis.X)
-    v_p = difference_variance(out.p_tel, model, Axis.P)
-    generic = teleport_fidelity(out, model, alpha).fidelity
-    f = float(_checked_fidelity(src, omega, out.gain, detector, model, alpha, generic))
-    v_out_x = normalized_variance(out.x_tel, model, Axis.X)
-    v_out_p = normalized_variance(out.p_tel, model, Axis.P)
-    rl = ralph_lam(out.x_tel, out.p_tel, model)
+    g = as_gain(gain).at(omega)
+    cols = _teleport_columns(src, np.array([float(omega)]), g, detector, model, alpha)
+    v_out_x, v_out_p = float(cols.v_out_x[0]), float(cols.v_out_p[0])
+    v_c_x, t_x = _conditional(v_out_x, g, model.v_x)
+    v_c_p, t_p = _conditional(v_out_p, g, model.v_p)
     return CriteriaReport(
         omega=omega,
-        gain=out.gain,
+        gain=g,
         eta=detector.eta,
-        v_x=v_x,
-        v_p=v_p,
+        v_x=float(cols.v_x[0]),
+        v_p=float(cols.v_p[0]),
         v_out_x=v_out_x,
         v_out_p=v_out_p,
-        v_c_x=rl.v_c_x,
-        v_c_p=rl.v_c_p,
-        t_x=rl.t_x,
-        t_p=rl.t_p,
-        fidelity=f,
+        v_c_x=v_c_x,
+        v_c_p=v_c_p,
+        t_x=t_x,
+        t_p=t_p,
+        fidelity=float(cols.fidelity[0]),
         out_product_limit=output_product_limit(model),
-        avg_fidelity_zero=out.gain != 1,
+        avg_fidelity_zero=g != 1,
     )
+
+
+def _conditional(v_out: float, gain: complex, v_in: float) -> tuple[float, float]:
+    # (V_c, T) of one axis of a linear channel out = gain*in + noise, from
+    # its output variance: the in-out covariance is C = Re(gain)*V_in, so
+    # V_c = V_out - C^2/V_in and T = |gain|^2 V_in/V_out, as ralph_lam
+    # computes them on the expansions; a zero output has V_c = T = 0.  A
+    # gain whose signal term |gain|^2 V_in overflows leaves inf - inf.
+    if v_out == 0.0:
+        return 0.0, 0.0
+    c = gain.real * v_in
+    v_c, t = v_out - c * c / v_in, _abs2(gain) * v_in / v_out
+    if math.isnan(v_c) or math.isnan(t):
+        raise ValueError(f"gain {gain} takes the output variance past the float range")
+    return v_c, t

@@ -16,6 +16,14 @@ Superimposing the two decoupled squeezed modes on a balanced beamsplitter
 yields the broadband EPR pair; every source shares that one rotated port
 layout (SqueezerSpectrum.epr_ports).
 
+Powers serve spectra, amplitudes serve expansions.  A variance only ever
+adds |w*amplitude|^2 = |w|^2*|amplitude|^2 per port, so the spectrum
+kernel reads each source's real port powers (SqueezerSpectrum.powers) and
+never builds a complex amplitude; the NOPAs give them in cancellation-free
+real form.  The complex amplitudes (SqueezerSpectrum.pair) are built only
+for the quadrature expansions of teleport(), which the oracles and the
+commutator checks use.
+
 Dimensionless parameterization: with pump ``kappa``, damping ``gamma`` and
 intracavity loss ``rho``, set
 
@@ -25,9 +33,9 @@ intracavity loss ``rho``, set
 after which the spectra read V- = 1 - 4eb/((1+e)^2 + w^2) and
 V+ = 1 + 4eb/((1-e)^2 + w^2), b = 1 for a lossless cavity.  At exact
 threshold (epsilon = 1, omega = 0) the noisy amplitude diverges; sources
-report it as an IEEE infinity and downstream consumers keep unit-gain
-results finite by applying exactly-zero weights before multiplying (see
-EprPort).
+report it, and its power, as an IEEE infinity, and downstream consumers
+keep unit-gain results finite by applying exactly-zero weights before
+multiplying (see EprPort).
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -49,6 +57,7 @@ __all__ = [
     "LosslessNopa",
     "LossyNopa",
     "NopaParams",
+    "PortPowers",
     "SqueezerSpectrum",
     "TransferPair",
     "ZeroBandwidth",
@@ -119,17 +128,37 @@ class TransferPair:
         squeezed = (self.s_plus * self.s_minus.conjugate()).real
         return squeezed + (self.l_plus * self.l_minus.conjugate()).real - 1.0
 
-    def magnitudes_sq(self) -> tuple[float, float]:
+    def powers(self) -> "PortPowers":
+        """The squared magnitudes of the four amplitudes."""
         with np.errstate(over="ignore"):  # a diverging amplitude squares to inf
-            return _abs2(self.s_plus), _abs2(self.s_minus)
+            return PortPowers(*map(_abs2, (self.s_plus, self.s_minus, self.l_plus, self.l_minus)))
+
+    def magnitudes_sq(self) -> tuple[float, float]:
+        return self.powers()[:2]
 
     def variances(self) -> tuple[float, float]:
         """(V+, V-) = (|S+|^2 + |L+|^2, |S-|^2 + |L-|^2), vacuum = 1."""
-        with np.errstate(over="ignore"):
-            return (
-                _abs2(self.s_plus) + _abs2(self.l_plus),
-                _abs2(self.s_minus) + _abs2(self.l_minus),
-            )
+        return self.powers().variances()
+
+
+class PortPowers(NamedTuple):
+    """Squeezed-port (s_*) and loss-port (l_*) powers |S+-|^2, |L+-|^2.
+
+    Each field is one power, or an array of them over a frequency grid;
+    a diverging noisy amplitude has power inf.
+    """
+
+    s_plus: float | np.ndarray
+    s_minus: float | np.ndarray
+    l_plus: float | np.ndarray = 0.0
+    l_minus: float | np.ndarray = 0.0
+
+    def magnitudes_sq(self) -> tuple[float, float]:
+        return self.s_plus, self.s_minus
+
+    def variances(self) -> tuple[float, float]:
+        """(V+, V-) = (|S+|^2 + |L+|^2, |S-|^2 + |L-|^2), vacuum = 1."""
+        return self.s_plus + self.l_plus, self.s_minus + self.l_minus
 
 
 @dataclass(frozen=True)
@@ -141,7 +170,9 @@ class EprPort:
     Keeping the weights separate from the (possibly infinite) amplitude lets
     consumers cancel the weight exactly before any multiplication happens,
     which is what keeps unit-gain outputs finite at the squeezing threshold.
-    The amplitude is an array over a frequency grid when the port is.
+    The amplitude is an array over a frequency grid when the port is.  The
+    spectrum kernel reads the same layout with powers in place of the
+    amplitudes (see _project_powers).
     """
 
     label: str
@@ -181,6 +212,34 @@ def _project(
         yield (port.label, port.axis), c
 
 
+def _project_powers(
+    layout: Iterable[tuple],
+    x_weights: tuple[complex, complex],
+    p_weights: tuple[complex, complex],
+) -> list[tuple[Axis, float | np.ndarray]]:
+    """Map port powers onto one output mode: each port's axis and its term there.
+
+    A port's term is |a*first + b*second|^2 times its power, the
+    |coefficient|^2 of _project, port by port over a _layout of PortPowers;
+    wherever the combined weight is exactly zero the term is exactly zero,
+    whatever the power.  A constant weight that is zero skips its port.
+    """
+    terms = []
+    squares: dict[tuple, float | np.ndarray] = {}  # loss ports repeat the weights
+    with np.errstate(invalid="ignore"):  # 0*inf goes to the where
+        for _, axis, power, first, second in layout:
+            on_x = axis is Axis.X
+            w2 = squares.get((on_x, first, second))
+            if w2 is None:
+                a, b = x_weights if on_x else p_weights
+                w2 = squares[on_x, first, second] = _abs2(a * first + b * second)
+            if type(w2) is not float:
+                terms.append((axis, np.where(w2 == 0, 0.0, w2 * power)))
+            elif w2 != 0:
+                terms.append((axis, w2 * power))
+    return terms
+
+
 def _tables(terms: Iterable[tuple[TermKey, np.ndarray]]) -> tuple[dict, dict]:
     # Sort projected coefficients into X and P tables for QuadExpansion.
     tables: dict[Axis, dict] = {Axis.X: {}, Axis.P: {}}
@@ -189,26 +248,35 @@ def _tables(terms: Iterable[tuple[TermKey, np.ndarray]]) -> tuple[dict, dict]:
     return tables[Axis.X], tables[Axis.P]
 
 
-def _rotated_ports(l1: str, l2: str, plus, minus) -> tuple[EprPort, ...]:
+def _rotated(plus, minus, slot: int = 0) -> tuple[tuple, ...]:
     # Two decoupled squeezed vacua superimposed with 1/sqrt(2) weights: the
-    # noisy amplitude on (l1, X) and (l2, P), the quiet one on the conjugate
-    # slots, and a sign flip on the second output.
+    # noisy value on (label 1, X) and (label 2, P), the quiet one on the
+    # conjugate slots, and a sign flip on the second output.  Ports are
+    # (label slot, axis, value, first, second).
     h = _ROOT_HALF
     return (
-        EprPort(l1, Axis.X, plus, h, h),
-        EprPort(l2, Axis.X, minus, h, -h),
-        EprPort(l1, Axis.P, minus, h, h),
-        EprPort(l2, Axis.P, plus, h, -h),
+        (slot, Axis.X, plus, h, h),
+        (slot + 1, Axis.X, minus, h, -h),
+        (slot, Axis.P, minus, h, h),
+        (slot + 1, Axis.P, plus, h, -h),
     )
 
 
-def _epr_ports(s: TransferPair, labels: tuple[str, str]) -> tuple[EprPort, ...]:
-    # The rotated layout of one transfer pair; see SqueezerSpectrum.epr_ports.
-    l1, l2 = labels
-    ports = _rotated_ports(l1, l2, s.s_plus, s.s_minus)
+def _layout(s: TransferPair | PortPowers) -> tuple[tuple, ...]:
+    # The rotated layout of one source's amplitudes or powers, loss ports
+    # (label slots 2 and 3) only where the loss values are not all zero.
+    ports = _rotated(s.s_plus, s.s_minus)
     if np.count_nonzero(s.l_plus) or np.count_nonzero(s.l_minus):
-        ports += _rotated_ports(l1 + "_loss", l2 + "_loss", s.l_plus, s.l_minus)
+        ports += _rotated(s.l_plus, s.l_minus, 2)
     return ports
+
+
+def _epr_ports(s: TransferPair, labels: tuple[str, str]) -> tuple[EprPort, ...]:
+    # The layout of one transfer pair as labeled ports; see
+    # SqueezerSpectrum.epr_ports.
+    l1, l2 = labels
+    names = (l1, l2, l1 + "_loss", l2 + "_loss")
+    return tuple(EprPort(names[slot], *port) for slot, *port in _layout(s))
 
 
 def _number(x):
@@ -220,7 +288,11 @@ def _number(x):
 def _abs2(z):
     # |z|^2 through hypot, as Python's abs() computes it: numpy's complex
     # abs rounds differently in about a third of cases.  hypot(inf, nan)
-    # is inf, so an infinite part times a zero part still reads inf.
+    # is inf, so an infinite part times a zero part still reads inf.  A
+    # plain number stays in Python, where a*a overflows to inf silently.
+    if type(z) in (float, complex, int):
+        a = abs(z)
+        return float(a * a)
     return _number(np.hypot(np.real(z), np.imag(z)) ** 2)
 
 
@@ -259,9 +331,17 @@ class SqueezerSpectrum(abc.ABC):
     def pair(self, omega: float | np.ndarray) -> TransferPair:
         """Transfer amplitudes at dimensionless frequency omega (or an array of them)."""
 
+    def powers(self, omega: float | np.ndarray) -> PortPowers:
+        """Port powers |S+-|^2, |L+-|^2 at omega (or an array of them).
+
+        The squared magnitudes of pair(omega); sources with a real form
+        override this so that spectra never build complex amplitudes.
+        """
+        return self.pair(omega).powers()
+
     def variances(self, omega: float | np.ndarray) -> tuple[float, float]:
         """Noisy and quiet spectra (V+, V-) at omega, vacuum = 1."""
-        return self.pair(omega).variances()
+        return self.powers(omega).variances()
 
     def epr_ports(
         self, omega: float | np.ndarray, labels: tuple[str, str] = ("bar1", "bar2")
@@ -282,6 +362,13 @@ class SqueezerSpectrum(abc.ABC):
         # overriding this.
         return _project(self.epr_ports(omega), x_weights, p_weights)
 
+    def _mode_powers(
+        self, omega: float | np.ndarray, x_weights: tuple, p_weights: tuple
+    ) -> list[tuple[Axis, np.ndarray]]:
+        # The (axis, power) terms of the same projection, from the port
+        # powers (see _project_powers); the spectrum kernel sums these.
+        return _project_powers(_layout(self.powers(omega)), x_weights, p_weights)
+
     def describe(self) -> str:
         return type(self).__name__
 
@@ -290,6 +377,26 @@ class _Nopa(SqueezerSpectrum):
     """The spectra both NOPA sources share; a lossless cavity has beta = 1."""
 
     beta = 1.0
+
+    def powers(self, omega: float | np.ndarray) -> PortPowers:
+        # |S+-|^2 = ((2b - 1 +- e)^2 + w^2)/((1 -+ e)^2 + w^2) and
+        # |L+-|^2 = 4b(1 - b)/((1 -+ e)^2 + w^2), the squared magnitudes of
+        # pair() in real form.  A lossless cavity has exactly zero loss
+        # powers and |S+-|^2 = 1 exactly at epsilon = 0; at threshold
+        # |S-|^2 = 0 and |S+|^2 = inf exactly, and just off it |S+|^2
+        # passes the float range: inf, silently.
+        e, b = self.epsilon, self.beta
+        w2 = np.square(omega, dtype=float)
+        noisy_den = (1.0 - e) ** 2 + w2
+        quiet_den = (1.0 + e) ** 2 + w2
+        gamma_minus_1 = 2.0 * b - 1.0
+        with np.errstate(divide="ignore", over="ignore"):
+            s_plus = _number(((gamma_minus_1 + e) ** 2 + w2) / noisy_den)
+        s_minus = _number(((gamma_minus_1 - e) ** 2 + w2) / quiet_den)
+        if b == 1.0:
+            return PortPowers(s_plus, s_minus)
+        loss = 4.0 * b * (1.0 - b)
+        return PortPowers(s_plus, s_minus, _number(loss / noisy_den), _number(loss / quiet_den))
 
     def variances(self, omega: float | np.ndarray) -> tuple[float, float]:
         # V-+ = 1 -+ 4*epsilon*beta/((1 +- epsilon)^2 + omega^2) in real form,

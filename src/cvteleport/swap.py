@@ -9,9 +9,11 @@ mode 4 with gain gs produces the swapped mode
 so modes 1 and 4', which never interacted, end up entangled.  The pair
 (1, 4') is then one more teleportation resource: a unit-gain teleport over
 it scores the swap with the same array kernel, closed form and cross-check
-as any source.  Its weights are composed onto the sources' rotated EPR ports, so
-weights that cancel do so exactly before the (possibly infinite) squeezing
-amplitude is multiplied in, which keeps threshold results finite.
+as any source.  Its weights are composed onto the sources' rotated EPR ports,
+once for both the amplitudes of the expansions and the powers of the
+kernel, so weights that cancel do so exactly before the (possibly infinite)
+squeezing amplitude or power is multiplied in, which keeps threshold
+results finite.
 """
 
 from __future__ import annotations
@@ -23,14 +25,18 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .criteria import SpectrumTable, _spectrum_table, _teleport_columns
+from .criteria import SpectrumTable, _Columns, _spectrum_table, _teleport_columns
 from .epr import (
+    EprPort,
+    PortPowers,
     SqueezerSpectrum,
     TransferPair,
     _abs2,
     _epr_ports,
+    _layout,
     _number,
     _project,
+    _project_powers,
     _tables,
     make_epr_pair,
 )
@@ -54,16 +60,18 @@ _AB_LABELS = ("bar1", "bar2")
 _CD_LABELS = ("bar3", "bar4")
 
 
-def optimal_gain(pair: TransferPair, second: TransferPair | None = None) -> float | np.ndarray:
+def optimal_gain(
+    pair: TransferPair | PortPowers, second: TransferPair | PortPowers | None = None
+) -> float | np.ndarray:
     """Swap gain minimizing the verification noise.
 
     (A - B)/(A + B) with A, B the summed noisy/quiet magnitudes |S+-|^2 of
-    the two sources; for one source with |S+-|^2 = e^(+-2r) this is tanh 2r.
-    At threshold (infinite A) the limit is 1, which is also the only gain
-    that keeps the verification output finite there.  The loss amplitudes
-    are left out, so for a lossy source this is not yet the optimum (which
-    would take A, B from the spectra V+-).  Pairs over a frequency grid
-    give the array of gains.
+    the two sources, given as transfer pairs or as their port powers; for
+    one source with |S+-|^2 = e^(+-2r) this is tanh 2r.  At threshold
+    (infinite A) the limit is 1, which is also the only gain that keeps the
+    verification output finite there.  The loss ports are left out, so for
+    a lossy source this is not yet the optimum (which would take A, B from
+    the spectra V+-).  Values over a frequency grid give the array of gains.
     """
     sp1, sm1 = pair.magnitudes_sq()
     sp2, sm2 = (second if second is not None else pair).magnitudes_sq()
@@ -100,12 +108,12 @@ class SwapConfig:
         """The swap gain at omega; over a frequency array, the array of gains."""
         if self.gain is not None:
             return self.gain.at(omega)
-        return optimal_gain(*self._pairs(omega))
+        return optimal_gain(*self._powers(omega))
 
-    def _pairs(self, omega: float | np.ndarray) -> tuple[TransferPair, TransferPair]:
-        # The ab and cd transfer pairs, one evaluation per source.
-        ab = self.source_ab.pair(omega)
-        return ab, (ab if self.source_cd is None else self.source_cd.pair(omega))
+    def _powers(self, omega: float | np.ndarray) -> tuple[PortPowers, PortPowers]:
+        # The ab and cd port powers, one evaluation per source.
+        ab = self.source_ab.powers(omega)
+        return ab, (ab if self.source_cd is None else self.source_cd.powers(omega))
 
     def describe(self) -> str:
         ab = self.source_ab.describe()
@@ -130,26 +138,22 @@ class SwapOutcome:
 class _SwappedPair:
     """The swapped pair (1, 4') over a frequency grid, as a teleportation resource.
 
-    It stands in for a source in teleport() and make_epr_pair() by composing
-    weights, not ports: (a, b) on modes (1, 4') is (a, gs*b) on pair ab and
-    (-gs*b, b) on X, (gs*b, b) on P of pair cd, so exact-zero weights still
-    skip infinite amplitudes.  Only the quiet spectrum of the pair is
-    defined (variances() reports V+ as nan): V-_eff = (|gs-1|^2 A +
-    |gs+1|^2 B)/4, A and B the summed V+ and V- of the two sources.  omega
-    may be one frequency or an array; each source is evaluated once.
+    It stands in for a source in teleport(), make_epr_pair() and the
+    spectrum kernel by composing weights, not ports (see _compose), so
+    exact-zero weights still skip infinite amplitudes and powers.  Only the
+    quiet spectrum of the pair is defined (variances() reports V+ as nan):
+    V-_eff = (|gs-1|^2 A + |gs+1|^2 B)/4, A and B the summed V+ and V- of
+    the two sources.  omega may be one frequency or an array; each source's
+    powers are evaluated once, and its amplitudes only for expansions.
     """
 
-    __slots__ = ("cfg", "gain", "ab", "cd", "quiet")
+    __slots__ = ("cfg", "gain", "layouts", "quiet")
 
     def __init__(self, cfg: SwapConfig, omega: float | np.ndarray) -> None:
         self.cfg = cfg
-        pair_ab, pair_cd = cfg._pairs(omega)
-        if cfg.gain is None:
-            self.gain = gs = optimal_gain(pair_ab, pair_cd)
-        else:
-            self.gain = gs = cfg.gain.at(omega)
-        self.ab = _epr_ports(pair_ab, _AB_LABELS)
-        self.cd = _epr_ports(pair_cd, _CD_LABELS)
+        powers = cfg._powers(omega)
+        self.gain = gs = optimal_gain(*powers) if cfg.gain is None else cfg.gain.at(omega)
+        self.layouts = tuple(map(_layout, powers))
         vp1, vm1 = cfg.source_ab.variances(omega)
         vp2, vm2 = (vp1, vm1) if cfg.source_cd is None else cfg.source_cd.variances(omega)
         # At gs == 1 the noisy term is dropped: 0*A is nan at threshold.
@@ -157,14 +161,33 @@ class _SwappedPair:
             noisy = np.where(gs == 1, 0.0, _abs2(gs - 1) * (vp1 + vp2) / 4.0)
         self.quiet = noisy + _abs2(gs + 1) * (vm1 + vm2) / 4.0
 
+    def _compose(self, x_weights: tuple, p_weights: tuple) -> tuple[tuple, tuple]:
+        # (a, b) on modes (1, 4') is (a, gs*b) on pair ab and (-gs*b, b) on
+        # X, (gs*b, b) on P of pair cd: the (x, p) weights of each pair.
+        (xa, xb), (pa, pb) = x_weights, p_weights
+        gx, gp = self.gain * xb, self.gain * pb
+        return ((xa, gx), (pa, gp)), ((-gx, xb), (gp, pb))
+
+    def ports(self, omega: float | np.ndarray) -> tuple[tuple[EprPort, ...], tuple[EprPort, ...]]:
+        """The amplitude ports of pairs ab and cd, for expansions."""
+        cfg = self.cfg
+        ab = cfg.source_ab.pair(omega)
+        cd = ab if cfg.source_cd is None else cfg.source_cd.pair(omega)
+        return _epr_ports(ab, _AB_LABELS), _epr_ports(cd, _CD_LABELS)
+
     def _project_modes(
         self, omega: float | np.ndarray, x_weights: tuple, p_weights: tuple
     ) -> Iterator[tuple[TermKey, np.ndarray]]:
-        (xa, xb), (pa, pb) = x_weights, p_weights
-        gx, gp = self.gain * xb, self.gain * pb
-        return itertools.chain(
-            _project(self.ab, (xa, gx), (pa, gp)), _project(self.cd, (-gx, xb), (gp, pb))
-        )
+        w_ab, w_cd = self._compose(x_weights, p_weights)
+        ab, cd = self.ports(omega)
+        return itertools.chain(_project(ab, *w_ab), _project(cd, *w_cd))
+
+    def _mode_powers(
+        self, omega: float | np.ndarray, x_weights: tuple, p_weights: tuple
+    ) -> list[tuple[Axis, np.ndarray]]:
+        w_ab, w_cd = self._compose(x_weights, p_weights)
+        ab, cd = self.layouts
+        return _project_powers(ab, *w_ab) + _project_powers(cd, *w_cd)
 
     def variances(self, omega: float | np.ndarray) -> tuple[float, np.ndarray]:
         return math.nan, self.quiet
@@ -201,10 +224,9 @@ def swapped_epr_variances(cfg: SwapConfig, omega: float) -> tuple[float, float]:
     """
     pair = _SwappedPair(cfg, omega)
     gs = pair.gain
+    ab, cd = pair.ports(omega)
     x_terms, p_terms = _tables(
-        itertools.chain(
-            _project(pair.ab, (1, -gs), (1, gs)), _project(pair.cd, (gs, -1), (gs, 1))
-        )
+        itertools.chain(_project(ab, (1, -gs), (1, gs)), _project(cd, (gs, -1), (gs, 1)))
     )
     return (
         normalized_variance(QuadExpansion(0j, x_terms), _COHERENT, Axis.X),
@@ -230,10 +252,10 @@ def swap_fidelity(cfg: SwapConfig, omega: float) -> float:
     like every teleport row it is cross-checked against the generic
     Q-function fidelity to 1e-12.
     """
-    return float(_swap_columns(cfg, np.array([float(omega)]))[2][0])
+    return float(_swap_columns(cfg, np.array([float(omega)])).fidelity[0])
 
 
-def _swap_columns(cfg: SwapConfig, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _swap_columns(cfg: SwapConfig, omega: np.ndarray) -> _Columns:
     # A swap sweep is the teleport kernel over the swapped pair on the grid.
     return _teleport_columns(
         _SwappedPair(cfg, omega), omega, _UNIT_GAIN.value, _IDEAL_DETECTOR, _COHERENT

@@ -12,7 +12,7 @@ import pytest
 
 import cvteleport
 from cvteleport.cli import run
-from cvteleport.epr import LosslessNopa
+from cvteleport.epr import LosslessNopa, LossyNopa
 from cvteleport.swap import SwapConfig, swap_fidelity
 from cvteleport.teleport import NonUnitGainWarning
 
@@ -23,6 +23,34 @@ def invoke(capsys, *args):
     code = run(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# ---------------------------------------------------------------------------
+# Spectra read port powers
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("spectrum", "--omega-stop", "1"),
+        ("swap-spectrum", "--omega-stop", "1"),
+        ("point", "--omega", "0.7"),
+        ("bandwidth",),
+        ("bandwidth", "--pipeline", "swap"),
+        ("criteria", "--omega", "0.7"),
+    ],
+    ids=["spectrum", "swap-spectrum", "point", "bandwidth", "bandwidth-swap", "criteria"],
+)
+@pytest.mark.parametrize("beta", ["1", "0.9"], ids=["lossless", "lossy"])
+def test_spectrum_commands_build_no_complex_amplitudes(capsys, monkeypatch, args, beta):
+    # The kernel sums real port powers: no command but oracle-check asks a
+    # source for its complex transfer amplitudes.
+    calls = []
+    for cls in (LosslessNopa, LossyNopa):
+        monkeypatch.setattr(cls, "pair", lambda self, omega: calls.append(omega))
+    code, out, _ = invoke(capsys, args[0], "--epsilon", "0.5", "--beta", beta, *args[1:])
+    assert code == 0 and out
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +561,7 @@ STDOUT_SHA256 = [
         id="point-threshold",
     ),
     pytest.param(
-        "d4aae43634c13b608c29aed549c9d0597a7dfe7de9b5ed69308ff850e15e725e",
+        "8e7266e70a8a71b4a0acf8d457e05ca51151f9d269088f5523ff8e70334444bf",
         (
             "criteria", "--epsilon", "0.6", "--omega", "0.5",
             "--input", "squeezed:1.5", "--gain", "fixed:0.9",

@@ -38,9 +38,16 @@ from cvteleport.criteria import (
     teleport_fidelity,
 )
 from cvteleport.criteria import FidelityPoint, OBJECTIVES
-from cvteleport.epr import LosslessNopa, LossyNopa, ZeroBandwidth
-from cvteleport.swap import SwapConfig, swap_spectrum
-from cvteleport.linmode import Axis, InputModel, commutator_pairing, zero_expansion
+from cvteleport.epr import CustomSpectrum, LosslessNopa, LossyNopa, ZeroBandwidth
+from cvteleport.swap import SwapConfig, _swap_columns, swap_spectrum, verification_teleport
+from cvteleport.linmode import (
+    Axis,
+    InputModel,
+    commutator_pairing,
+    difference_variance,
+    normalized_variance,
+    zero_expansion,
+)
 from cvteleport._text import write_json
 from cvteleport.teleport import (
     BellDetector,
@@ -611,3 +618,153 @@ def test_report_with_detector_loss():
     want = 1.0 / (2.0 - 4 * 0.6 / 2.56 + (1 - eta2) / eta2)
     assert report.fidelity == pytest.approx(want, rel=1e-12)
     assert report.eta == pytest.approx(math.sqrt(eta2))
+
+
+# ---------------------------------------------------------------------------
+# The power kernel against the expansions
+
+# A gain that varies with frequency, unit at omega = 0.
+WOBBLE = GainSchedule.per_frequency(lambda w: complex(1.0 - 0.05 * w, 0.02 * w))
+
+
+def _custom_copy(epsilon):
+    src = LosslessNopa(epsilon)
+    nodes = [0.5 * k for k in range(9)]
+    pairs = [src.pair(w) for w in nodes]
+    return CustomSpectrum(nodes, [p.s_plus for p in pairs], [p.s_minus for p in pairs])
+
+
+def expansion_columns(out, model):
+    # (v_x, v_p, v_out_x, v_out_p) of one teleport() outcome.
+    return (
+        difference_variance(out.x_tel, model, Axis.X),
+        difference_variance(out.p_tel, model, Axis.P),
+        normalized_variance(out.x_tel, model, Axis.X),
+        normalized_variance(out.p_tel, model, Axis.P),
+    )
+
+
+def assert_close(got, want, rel=1e-12):
+    assert abs(got - want) <= rel * max(1.0, abs(want)), (got, want)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [LosslessNopa(0.6), LossyNopa(0.7, 0.8), ZeroBandwidth(0.6), _custom_copy(0.4)],
+    ids=["lossless", "lossy", "flat", "custom"],
+)
+@pytest.mark.parametrize(
+    "gain",
+    [GainSchedule.unit(), GainSchedule.fixed(0.8), GainSchedule.fixed(1.2 + 0.3j), WOBBLE],
+    ids=["unit", "real", "complex", "per-frequency"],
+)
+@pytest.mark.parametrize("eta2", [1.0, 0.8])
+@pytest.mark.parametrize("model", [COHERENT, InputModel.squeezed(1.5)], ids=["coherent", "squeezed"])
+def test_kernel_columns_match_the_expansions(src, gain, eta2, model):
+    grid = np.array([0.0, 0.4, 1.3, 3.0])
+    detector = BellDetector.from_efficiency(eta2)
+    cols = criteria_module._teleport_columns(src, grid, gain.at(grid), detector, model)
+    for i, w in enumerate(grid.tolist()):
+        want = expansion_columns(teleport(src, gain, detector, w), model)
+        got = (cols.v_x[i], cols.v_p[i], cols.v_out_x[i], cols.v_out_p[i])
+        for g, v in zip(got, want):
+            assert_close(g, v)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SwapConfig(LosslessNopa(0.5)),
+        SwapConfig(LossyNopa(0.6, 0.8), gain=0.7),
+        SwapConfig(LosslessNopa(0.4), LossyNopa(0.3, 0.9), gain=0.9 + 0.2j),
+        SwapConfig(LossyNopa(0.5, 0.7), LosslessNopa(0.8)),
+    ],
+    ids=["optimal", "lossy-fixed", "mixed-complex", "mixed-optimal"],
+)
+def test_swap_kernel_rows_match_the_expansions(cfg):
+    grid = np.array([0.0, 0.4, 1.3, 3.0])
+    cols = _swap_columns(cfg, grid)
+    for i, w in enumerate(grid.tolist()):
+        want = expansion_columns(verification_teleport(cfg, w), COHERENT)
+        got = (cols.v_x[i], cols.v_p[i], cols.v_out_x[i], cols.v_out_p[i])
+        for g, v in zip(got, want):
+            assert_close(g, v)
+
+
+def test_threshold_kernel_row_is_finite_at_unit_gain_and_inf_otherwise():
+    grid = np.array([0.0])
+    unit = criteria_module._teleport_columns(LosslessNopa(1.0), grid, 1.0, BellDetector(1.0), COHERENT)
+    assert (unit.v_x[0], unit.v_p[0], unit.fidelity[0]) == (0.0, 0.0, 1.0)
+    fixed = criteria_module._teleport_columns(LosslessNopa(1.0), grid, 0.5, BellDetector(1.0), COHERENT)
+    assert (fixed.v_x[0], fixed.v_p[0], fixed.v_out_x[0], fixed.fidelity[0]) == (
+        math.inf, math.inf, math.inf, 0.0,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The criteria report is the point row
+
+
+def _random_setting(rng):
+    e = rng.uniform(0.0, 0.95)
+    src = LosslessNopa(e) if rng.random() < 0.5 else LossyNopa(e, rng.uniform(0.55, 1.0))
+    eta2 = 1.0 if rng.random() < 0.3 else rng.uniform(0.6, 1.0)
+    gain = rng.choice(
+        [
+            GainSchedule.unit(),
+            GainSchedule.fixed(rng.uniform(-0.5, 2.0)),
+            GainSchedule.fixed(complex(rng.uniform(-0.5, 2.0), rng.uniform(-1.0, 1.0))),
+            WOBBLE,
+        ]
+    )
+    return src, rng.uniform(0.0, 4.0), gain, BellDetector.from_efficiency(eta2)
+
+
+@pytest.mark.filterwarnings("ignore::cvteleport.teleport.NonUnitGainWarning")
+def test_criteria_report_is_the_point_row_bit_for_bit():
+    rng = random.Random(1103)
+    for _ in range(2000):
+        src, omega, gain, detector = _random_setting(rng)
+        report = evaluate_criteria(src, omega, gain, detector)
+        table = fidelity_spectrum(src, [omega], gain, detector)
+        assert (report.v_x, report.v_p, report.fidelity) == (
+            table.v_x[0], table.v_p[0], table.fidelity[0],
+        )
+
+
+def test_criteria_report_matches_ralph_lam_on_the_expansions():
+    rng = random.Random(1104)
+    for k in range(400):
+        src, omega, gain, detector = _random_setting(rng)
+        model = COHERENT if k % 2 else InputModel.squeezed(rng.uniform(0.5, 2.0))
+        alpha = 0j if k % 3 == 0 else complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        report = evaluate_criteria(src, omega, gain, detector, model, alpha)
+        out = teleport(src, gain, detector, omega)
+        v_x, v_p, v_out_x, v_out_p = expansion_columns(out, model)
+        rl = ralph_lam(out.x_tel, out.p_tel, model)
+        pairs = [
+            (report.v_x, v_x),
+            (report.v_p, v_p),
+            (report.v_out_x, v_out_x),
+            (report.v_out_p, v_out_p),
+            (report.v_c_x, rl.v_c_x),
+            (report.v_c_p, rl.v_c_p),
+            (report.t_x, rl.t_x),
+            (report.t_p, rl.t_p),
+            (report.fidelity, teleport_fidelity(out, model, alpha).fidelity),
+        ]
+        for got, want in pairs:
+            assert_close(got, want)
+
+
+def test_criteria_rejects_a_gain_that_overflows_the_output():
+    # |g|^2 V_in past the float range would leave V_c and T as inf - inf.
+    with pytest.raises(ValueError, match="float range"):
+        evaluate_criteria(LosslessNopa(0.5), gain=1e200)
+
+
+def test_criteria_zero_output_convention_matches_ralph_lam():
+    # A zero output operator has V_c = T = 0 by convention, on either path.
+    rl = ralph_lam(zero_expansion(), zero_expansion(), COHERENT)
+    assert criteria_module._conditional(0.0, 0.0, 1.0) == (rl.v_c_x, rl.t_x) == (0.0, 0.0)
+    assert criteria_module._conditional(0.0, 0.8 + 0.1j, 2.0) == (0.0, 0.0)

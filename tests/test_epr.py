@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cvteleport.epr import (
@@ -10,8 +11,10 @@ from cvteleport.epr import (
     LosslessNopa,
     LossyNopa,
     NopaParams,
+    PortPowers,
     TransferPair,
     ZeroBandwidth,
+    _abs2,
     couple_modes,
     make_epr_pair,
     nopa_transfer,
@@ -423,3 +426,104 @@ def test_describe_strings():
     assert "beta" in LossyNopa(0.25, 0.8).describe() or "0.8" in LossyNopa(0.25, 0.8).describe()
     assert "rows" in CustomSpectrum((0.0, 1.0), (1.0, 1.0), (1.0, 1.0)).describe()
     assert TransferPair(2.0, 0.5).magnitudes_sq() == (4.0, 0.25)
+
+
+# ---------------------------------------------------------------------------
+# Port powers
+
+# powers() against |.|^2 of the pair() amplitudes, in units of 2^-52
+# relative (absolute below 1): both round a few times on their way from the
+# same inputs.  Worst seen over 20,000 random NOPA draws of the full domain
+# (epsilon up to 1 - 2^-52 and threshold, beta in (0, 1], omega up to 10^4):
+# 3.7.
+POWER_ULPS = 6
+POWER_GRID = np.array([0.0, 1e-160, 1e-8, 0.3, 1.0, 2.5, 10.0, 1e4])
+FIELDS = ("s_plus", "s_minus", "l_plus", "l_minus")
+
+
+def amplitude_powers(src, omega):
+    # _abs2 of each pair() amplitude; past the float range it is inf.
+    pair = src.pair(omega)
+    with np.errstate(over="ignore"):
+        return [np.broadcast_to(_abs2(getattr(pair, f)), np.shape(omega)) for f in FIELDS]
+
+
+def power_ulps(got, want):
+    if math.isinf(want):
+        return 0.0 if got == want else math.inf
+    return abs(got - want) / max(1.0, abs(want)) / 2.0 ** -52
+
+
+def _custom_copy():
+    src = LosslessNopa(0.5)
+    nodes = [0.0, 0.5, 1.0, 2.0, 4.0]
+    pairs = [src.pair(w) for w in nodes]
+    return CustomSpectrum(nodes, [p.s_plus for p in pairs], [p.s_minus for p in pairs])
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        LosslessNopa(0.0),
+        LosslessNopa(0.5),
+        LosslessNopa(1.0),
+        LossyNopa(0.0, 0.3),
+        LossyNopa(0.5, 0.8),
+        LossyNopa(1.0 - 2.0 ** -40, 0.9),
+        LossyNopa(0.6, 1.0),
+    ],
+    ids=["lossless-0", "lossless-0.5", "lossless-1", "lossy-0", "lossy-0.5", "lossy-edge", "lossy-beta-1"],
+)
+def test_nopa_powers_match_the_amplitudes(src):
+    got = src.powers(POWER_GRID)
+    for field, g, want in zip(FIELDS, got, amplitude_powers(src, POWER_GRID)):
+        g = np.broadcast_to(g, POWER_GRID.shape)
+        worst = max(power_ulps(a, b) for a, b in zip(g.tolist(), want.tolist()))
+        assert worst <= POWER_ULPS, field
+    # A one-point call is the array entry, as plain floats.
+    one = src.powers(0.3)
+    assert all(type(v) is float for v in one)
+    assert one == tuple(float(np.broadcast_to(v, POWER_GRID.shape)[3]) for v in got)
+
+
+def test_nopa_powers_match_the_amplitudes_over_the_full_domain():
+    rng = random.Random(1102)
+    worst = 0.0
+    for _ in range(2000):
+        e = rng.choice([rng.uniform(0.0, 1.0), 1.0 - 2.0 ** -rng.randint(1, 52)])
+        src = LosslessNopa(e) if rng.random() < 0.5 else LossyNopa(e, rng.uniform(1e-3, 1.0))
+        omega = rng.choice([rng.uniform(0.0, 4.0), 10.0 ** rng.uniform(-8.0, 4.0)])
+        for g, want in zip(src.powers(omega), amplitude_powers(src, omega)):
+            worst = max(worst, power_ulps(g, float(want)))
+    assert worst <= POWER_ULPS
+
+
+def test_power_limits_are_exact():
+    # No pump: |S+-|^2 = 1 and V = 1 exactly, lossy or not.
+    assert all((v == 1.0).all() for v in LosslessNopa(0.0).powers(POWER_GRID)[:2])
+    for src in (LosslessNopa(0.0), LossyNopa(0.0, 0.3)):
+        assert all((v == 1.0).all() for v in src.variances(POWER_GRID))
+    # Threshold: |S+|^2 = inf and |S-|^2 = 0 exactly; a lossless cavity has
+    # exactly zero loss powers.
+    assert LosslessNopa(1.0).powers(0.0) == (math.inf, 0.0, 0.0, 0.0)
+    assert LosslessNopa(1.0).pair(0.0).powers() == (math.inf, 0.0, 0.0, 0.0)
+    lossless = LosslessNopa(0.5).powers(POWER_GRID)
+    assert lossless.l_plus == lossless.l_minus == 0.0
+
+
+@pytest.mark.parametrize(
+    "src",
+    [ZeroBandwidth(0.0), ZeroBandwidth(0.7), ZeroBandwidth(math.inf), _custom_copy()],
+    ids=["flat-0", "flat-0.7", "flat-inf", "custom"],
+)
+def test_derived_powers_are_the_amplitude_powers(src):
+    grid = np.array([0.0, 0.25, 1.0, 3.5])
+    got = src.powers(grid)
+    assert isinstance(got, PortPowers)
+    for g, want in zip(got, amplitude_powers(src, grid)):
+        assert np.array_equal(np.broadcast_to(g, grid.shape), want)
+
+
+def test_flat_squeezer_power_limits_are_exact():
+    assert ZeroBandwidth(0.0).powers(1.0) == (1.0, 1.0, 0.0, 0.0)
+    assert ZeroBandwidth(math.inf).powers(1.0) == (math.inf, 0.0, 0.0, 0.0)

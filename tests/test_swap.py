@@ -242,7 +242,8 @@ def test_swap_spectrum_columns_match_point_evaluations():
 
 
 def test_swap_spectrum_evaluates_the_gain_once_per_sweep(monkeypatch):
-    # The optimal gain is one array call over the whole grid.
+    # The optimal gain is one array call over the whole grid, on the port
+    # powers the rows read too.
     calls = []
 
     def counted(*args):
@@ -250,9 +251,11 @@ def test_swap_spectrum_evaluates_the_gain_once_per_sweep(monkeypatch):
         return optimal_gain(*args)
 
     monkeypatch.setattr(swap_module, "optimal_gain", counted)
+    powers = _count_calls(monkeypatch, LosslessNopa, "powers")
     table = swap_spectrum(SwapConfig(LosslessNopa(0.4)), [0.1 * k for k in range(10)])
     assert len(table) == 10
     assert len(calls) == 1
+    assert len(powers) == 1
 
 
 def _count_calls(monkeypatch, cls, name):
@@ -268,31 +271,34 @@ def _count_calls(monkeypatch, cls, name):
 
 
 @pytest.mark.parametrize(
-    "source, method, gain, want",
+    "source, gain",
     [
-        (LosslessNopa(0.4), "pair", None, 1),
-        (LosslessNopa(0.4), "pair", 0.8, 1),
-        (LossyNopa(0.4, 0.9), "pair", None, 1),
-        (LossyNopa(0.4, 0.9), "pair", 0.8, 1),
+        (LosslessNopa(0.4), None),
+        (LosslessNopa(0.4), 0.8),
+        (LossyNopa(0.4, 0.9), None),
+        (LossyNopa(0.4, 0.9), 0.8),
     ],
     ids=["lossless-optimal", "lossless-fixed", "lossy-optimal", "lossy-fixed"],
 )
-def test_swap_row_evaluates_each_source_once(monkeypatch, source, method, gain, want):
-    # Per sweep: one transfer pair over the whole grid, shared by the
-    # optimal gain and both EPR pairs.  The closed form reads the real-form
-    # spectra, so it needs no transfer pair.
-    calls = _count_calls(monkeypatch, type(source), method)
+def test_swap_row_evaluates_each_source_once(monkeypatch, source, gain):
+    # Per sweep: one evaluation of the port powers over the whole grid,
+    # shared by the optimal gain and both EPR pairs, and no transfer pair.
+    # The closed form reads the real-form spectra.
+    powers = _count_calls(monkeypatch, type(source), "powers")
+    pairs = _count_calls(monkeypatch, type(source), "pair")
     table = swap_spectrum(SwapConfig(source, gain=gain), [0.1 * k for k in range(10)])
     assert len(table) == 10
-    assert len(calls) == want
+    assert (len(powers), len(pairs)) == (1, 0)
 
 
 def test_swap_spectrum_evaluates_two_sources_once_each(monkeypatch):
-    lossless = _count_calls(monkeypatch, LosslessNopa, "pair")
-    lossy = _count_calls(monkeypatch, LossyNopa, "pair")
+    lossless = _count_calls(monkeypatch, LosslessNopa, "powers")
+    lossy = _count_calls(monkeypatch, LossyNopa, "powers")
+    pairs = [_count_calls(monkeypatch, cls, "pair") for cls in (LosslessNopa, LossyNopa)]
     cfg = SwapConfig(LosslessNopa(0.4), LossyNopa(0.3, 0.8))
     assert len(swap_spectrum(cfg, [0.1 * k for k in range(10)])) == 10
     assert (len(lossless), len(lossy)) == (1, 1)
+    assert pairs == [[], []]
 
 
 def test_swap_config_builds_its_gain_schedule_once(monkeypatch):
