@@ -72,10 +72,22 @@ def _json_number(text: str) -> str:
     return sign + digits + "0" * (e + 1 - len(digits)) + ".0"
 
 
-def _rounded(column: Sequence[float]) -> list[str]:
-    # Each value rounded to 12 significant digits, as json writes it.
-    texts = map("%.12g".__mod__, column)
-    return [t if "." in t and "e" not in t else _json_number(t) for t in texts]
+def _rounded(column: Sequence[float]) -> str:
+    # The values rounded to 12 significant digits, as json writes them, one
+    # per array line, from one % over the column.  A "%.12g" string with a
+    # "." and no exponent is already json's text; when every one is (the
+    # block has no "e" and one "." per value), two scans of the block stand
+    # in for a test per value.
+    values = tuple(column)
+    block = _ITEM_SEP.join(["%.12g"] * len(values)) % values
+    if "e" in block or block.count(".") != len(values):
+        texts = block.split(_ITEM_SEP)
+        texts = [t if "." in t and "e" not in t else _json_number(t) for t in texts]
+        block = _ITEM_SEP.join(texts)
+    return block
+
+
+_ITEM_SEP = ",\n    "  # between the items of an array under a top-level key
 
 
 def write_json_columns(columns: dict[str, Sequence[float]]) -> str:
@@ -84,10 +96,17 @@ def write_json_columns(columns: dict[str, Sequence[float]]) -> str:
     The same bytes as write_json({name: [float(f"{v:.12g}") for v in col]}),
     written straight from the "%.12g" strings, with no parse back to float:
     with an indent the generic encoder runs in pure Python, which long
-    spectrum columns cannot afford.
+    spectrum columns cannot afford.  A column passed under two names as one
+    and the same object is rendered once: only identity, never ==, says two
+    columns print alike (0.0 == -0.0 prints as 0.0 and -0.0), so callers
+    that find two columns bitwise equal pass one of them twice.
     """
+    rendered: dict[int, str] = {}
     blocks = []
     for name in sorted(columns):
-        values = ",\n    ".join(_rounded(columns[name]))
+        column = columns[name]
+        if id(column) not in rendered:
+            rendered[id(column)] = _rounded(column)
+        values = rendered[id(column)]
         blocks.append(f"  {json.dumps(name)}: " + (f"[\n    {values}\n  ]" if values else "[]"))
     return "{\n" + ",\n".join(blocks) + "\n}\n" if blocks else "{}\n"

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -72,7 +72,6 @@ __all__ = [
     "fidelity_point",
     "fidelity_spectrum",
     "grid_search_classical",
-    "nopa_fidelity_spectrum",
     "optimize_classical",
     "output_product_limit",
     "ralph_lam",
@@ -354,19 +353,6 @@ def teleport_fidelity(
     return FidelityPoint(f, sigma_x, sigma_p, outcome.gain, alpha)
 
 
-def nopa_fidelity_spectrum(
-    epsilon: float, omega: float, beta: float = 1.0, eta: float = 1.0
-) -> float:
-    """Closed-form unit-gain coherent-state fidelity of a NOPA teleporter.
-
-    F = [2 - 4*eps*beta/((1+eps)^2 + omega^2) + (1-eta^2)/eta^2]^-1.
-    Exactly 1/2 at epsilon = 0 (the classical boundary) and exactly 1 at
-    epsilon = 1, omega = 0, beta = eta = 1.
-    """
-    a = (1.0 + epsilon) ** 2 + omega * omega
-    return 1.0 / (2.0 - 4.0 * epsilon * beta / a + (1.0 - eta * eta) / (eta * eta))
-
-
 def _closed_form_fidelity(
     src: SqueezerSpectrum, omega: float | np.ndarray, detector: BellDetector
 ) -> float | np.ndarray:
@@ -422,6 +408,12 @@ class SpectrumTable:
     frequencies -> the array of their fidelities) lets bandwidth() refine
     beyond the tabulated grid; it is attached by the sweep constructors and
     absent on tables loaded from disk.
+
+    to_csv and to_json write "%.12g" text, and when v_p matches v_x bit
+    for bit (as it does for every symmetric source at real gain on a
+    coherent input) they format v_x once and write it under both names.
+    The match must be bitwise, not ==, because 0.0 and -0.0 compare equal
+    but print differently.
     """
 
     omega: tuple[float, ...]
@@ -455,10 +447,38 @@ class SpectrumTable:
     def rows(self) -> Iterable[tuple[float, float, float, float]]:
         return zip(self.omega, self.v_x, self.v_p, self.fidelity)
 
+    def _written_columns(self) -> tuple[tuple[float, ...], ...]:
+        # The columns as both writers format them: v_p is v_x itself when the
+        # two match bit for bit (every symmetric source at real gain on a
+        # coherent input), so its text is made once and written twice.  ==
+        # alone would not do: 0.0 == -0.0, yet they print as 0 and -0, so
+        # equal columns holding a zero must also agree in its sign.  NaNs
+        # need no guard: every NaN prints as nan.
+        v_x, v_p = self.v_x, self.v_p
+        same = v_p == v_x and (
+            0.0 not in v_x
+            or all(
+                math.copysign(1.0, a) == math.copysign(1.0, b)
+                for a, b in zip(v_x, v_p)
+                if a == 0.0
+            )
+        )
+        return self.omega, v_x, v_x if same else v_p, self.fidelity
+
     def to_csv(self) -> str:
-        lines = [",".join(CSV_HEADER)]
-        lines += ["%.12g,%.12g,%.12g,%.12g" % row for row in self.rows()]
-        return "\n".join(lines) + "\n"
+        # One % over the interleaved cells of every row.  A column written
+        # twice is formatted once, by one % of its own, and its text goes in
+        # through %s.
+        columns = self._written_columns()
+        row = "%.12g,%.12g,%.12g,%.12g\n"
+        if columns[2] is columns[1]:
+            text = ("\n".join(["%.12g"] * len(self)) % columns[1]).split("\n")
+            columns = (columns[0], text, text, columns[3])
+            row = "%.12g,%s,%s,%.12g\n"
+        cells: list = [None] * (4 * len(self))
+        for k, column in enumerate(columns):
+            cells[k::4] = column
+        return ",".join(CSV_HEADER) + "\n" + (row * len(self)) % tuple(cells)
 
     @classmethod
     def from_csv(cls, path_or_text: str) -> "SpectrumTable":
@@ -466,8 +486,7 @@ class SpectrumTable:
         return cls(*read_csv(path_or_text, CSV_HEADER))
 
     def to_json(self) -> str:
-        columns = (self.omega, self.v_x, self.v_p, self.fidelity)
-        return write_json_columns(dict(zip(CSV_HEADER, columns)))
+        return write_json_columns(dict(zip(CSV_HEADER, self._written_columns())))
 
 
 class _Columns(NamedTuple):
@@ -701,16 +720,19 @@ class CriteriaReport:
         }
 
     def to_json(self) -> str:
+        # Every field holds a plain number or bool, so the instance's field
+        # dict serves as the payload as it stands.
         gain = self.gain
-        payload = asdict(self)
-        payload.update(
-            gain=gain.real if gain.imag == 0 else [gain.real, gain.imag],
-            v_product=self.v_product,
-            v_sum=self.v_sum,
-            v_out_product=self.v_out_product,
-            verdicts=self.verdicts,
+        return write_json(
+            dict(
+                vars(self),
+                gain=gain.real if gain.imag == 0 else [gain.real, gain.imag],
+                v_product=self.v_product,
+                v_sum=self.v_sum,
+                v_out_product=self.v_out_product,
+                verdicts=self.verdicts,
+            )
         )
-        return write_json(payload)
 
 
 def evaluate_criteria(

@@ -124,6 +124,28 @@ _MEASURED = (0, 3)  # x_u and p_v
 _KEPT = (1, 2, 4, 5)
 
 
+# Largest |r| either route takes.  Both carry roundoff of order
+# 1e-16 * e^(2|r|) into an output variance that stays near vacuum at unit
+# gain; scanned in steps of 0.01 over gains in [-1, 2], both stay within the
+# oracle-check's 1e-9 up to r = 7.5 and first leave it at r = 7.53.
+_MAX_SQUEEZE = 7.5
+
+
+def _initial_state(r: float, alpha: complex) -> tuple[np.ndarray, np.ndarray]:
+    # Coherent input at alpha (modes 0-1) beside a two-mode squeezed vacuum.
+    epr = two_mode_squeezed_cov(r)
+    if abs(r) > _MAX_SQUEEZE:
+        raise ValueError(
+            f"r must lie in [-{_MAX_SQUEEZE}, {_MAX_SQUEEZE}], past which the "
+            f"covariance routes lose the 1e-9 precision they are checked to; got {r}"
+        )
+    mean0 = np.array([alpha.real, alpha.imag, 0.0, 0.0, 0.0, 0.0])
+    cov0 = np.zeros((6, 6))
+    cov0[:2, :2] = np.eye(2) * _VAC
+    cov0[2:, 2:] = epr
+    return mean0, cov0
+
+
 def _bell_splitter() -> np.ndarray:
     h = 1.0 / math.sqrt(2.0)
     m = np.zeros((6, 6))
@@ -142,12 +164,9 @@ def covariance_teleport(r: float, gain: float, alpha: complex = 0j) -> GaussianS
     the Bell outcomes, displaces mode 2 by sqrt(2)*gain times the outcomes,
     and averages over the outcome distribution analytically (the feedback
     is linear, so the unconditional output is exactly Gaussian).  Returns
-    the output single-mode state.
+    the output single-mode state.  |r| above 7.5 raises ValueError.
     """
-    mean0 = np.array([alpha.real, alpha.imag, 0.0, 0.0, 0.0, 0.0])
-    cov0 = np.zeros((6, 6))
-    cov0[:2, :2] = np.eye(2) * _VAC
-    cov0[2:, 2:] = two_mode_squeezed_cov(r)
+    mean0, cov0 = _initial_state(r, alpha)
     m = _bell_splitter()
     mean1 = m @ mean0
     cov1 = m @ cov0 @ m.T
@@ -188,12 +207,10 @@ def sample_teleport_outcomes(
 
     Every run draws the full initial Gaussian, reads the two homodyne
     values off the transformed sample, and applies the displacement those
-    values dictate; no analytic averaging anywhere.
+    values dictate; no analytic averaging anywhere.  |r| above 7.5 raises
+    ValueError, as for covariance_teleport.
     """
-    mean0 = np.array([alpha.real, alpha.imag, 0.0, 0.0, 0.0, 0.0])
-    cov0 = np.zeros((6, 6))
-    cov0[:2, :2] = np.eye(2) * _VAC
-    cov0[2:, 2:] = two_mode_squeezed_cov(r)
+    mean0, cov0 = _initial_state(r, alpha)
     chol = np.linalg.cholesky(cov0 + np.eye(6) * 1e-30)
     m = _bell_splitter()
     rng = np.random.default_rng(cfg.seed)

@@ -31,13 +31,13 @@ from cvteleport.criteria import (
     fidelity_point,
     fidelity_spectrum,
     grid_search_classical,
-    nopa_fidelity_spectrum,
     optimize_classical,
     output_product_limit,
     ralph_lam,
     teleport_fidelity,
 )
 from cvteleport.criteria import FidelityPoint, OBJECTIVES
+from closed_form import nopa_fidelity_spectrum
 from cvteleport.epr import CustomSpectrum, LosslessNopa, LossyNopa, ZeroBandwidth
 from cvteleport.swap import SwapConfig, _swap_columns, swap_spectrum, verification_teleport
 from cvteleport.linmode import (
@@ -311,8 +311,12 @@ def test_fidelity_beats_half_iff_squeezed():
         eps = rng.uniform(0.001, 1.0)
         omega = rng.uniform(0, 6)
         assert nopa_fidelity_spectrum(eps, omega) > 0.5
+        assert fidelity_spectrum(LosslessNopa(eps), [omega]).fidelity[0] > 0.5
     assert nopa_fidelity_spectrum(0.0, 0.0) == 0.5
     assert nopa_fidelity_spectrum(1.0, 0.0) == 1.0
+    # The package's spectra keep both limits exact too.
+    assert fidelity_spectrum(LosslessNopa(0.0), [0.0]).fidelity == (0.5,)
+    assert fidelity_spectrum(LosslessNopa(1.0), [0.0]).fidelity == (1.0,)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +408,45 @@ def test_serializers_write_the_reference_bytes(rows):
     table.omega = tuple(r[0] for r in rows)  # any values, past the omega checks
     assert table.to_csv() == _reference_csv(table)
     assert table.to_json() == _reference_json(table)
+
+
+# The writers format v_p from v_x's text when the two match bit for bit;
+# these v_p columns match v_x, or fail to only by a zero's sign or a NaN,
+# which == alone does not see.
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(
+    rows=st.lists(st.tuples(SERIALIZED, SERIALIZED, SERIALIZED), min_size=1, max_size=12),
+    v_p_is=st.sampled_from(["v_x", "a copy", "a zero flipped", "a nan"]),
+    at=st.integers(0, 11),
+    zero=st.sampled_from([0.0, -0.0]),
+)
+def test_serializers_write_v_p_near_v_x_as_the_reference(rows, v_p_is, at, zero):
+    omega, v_x, fidelity = (tuple(col) for col in zip(*rows))
+    at %= len(v_x)
+    v_p = tuple(float(repr(v)) for v in v_x)  # equal values, new objects
+    if v_p_is == "a zero flipped":
+        v_x = v_x[:at] + (zero,) + v_x[at + 1 :]
+        v_p = v_p[:at] + (-zero,) + v_p[at + 1 :]
+    elif v_p_is == "a nan":
+        v_p = v_p[:at] + (math.nan,) + v_p[at + 1 :]
+    table = SpectrumTable(tuple(float(k) for k in range(len(rows))), v_x, v_p, fidelity)
+    table.omega = omega  # any values, past the omega checks
+    if v_p_is == "v_x":
+        table.v_p = table.v_x
+    assert table.to_csv() == _reference_csv(table)
+    assert table.to_json() == _reference_json(table)
+
+
+def test_large_tables_write_the_reference_bytes():
+    # A symmetric source's v_p matches v_x bit for bit and is written from
+    # v_x's text; a lossy swap table's does not, in a fraction of its rows.
+    teleport_table = fidelity_spectrum(LosslessNopa(0.5), np.linspace(0.0, 20.0, 10_000))
+    swap_table = swap_spectrum(SwapConfig(LossyNopa(0.6, 0.85)), np.linspace(0.0, 5.0, 1200))
+    assert teleport_table._written_columns()[2] is teleport_table.v_x
+    assert swap_table._written_columns()[2] is swap_table.v_p
+    for table in (teleport_table, swap_table):
+        assert table.to_csv() == _reference_csv(table)
+        assert table.to_json() == _reference_json(table)
 
 
 def test_spectrum_table_validation():

@@ -71,6 +71,38 @@ def test_squeeze_must_be_finite(r):
         covariance_teleport(r, 1.0)
 
 
+def _zero_bandwidth_output_variance(r, gain):
+    # x_out = g x_in + x_2 - g x_1 over an EPR pair of squeeze r, vacuum = 1:
+    # a sum of positive terms, so the float value is good to a few ulps.
+    return (
+        gain * gain
+        + (1.0 - gain) ** 2 * math.exp(2.0 * r) / 2.0
+        + (1.0 + gain) ** 2 * math.exp(-2.0 * r) / 2.0
+    )
+
+
+@pytest.mark.parametrize("r", [7.5, -7.5])
+@pytest.mark.parametrize("gain", [1.0, 0.999, 0.5, 0.0])
+def test_covariance_routes_hold_1e_9_up_to_the_squeeze_bound(r, gain):
+    want = _zero_bandwidth_output_variance(r, gain)
+    state = covariance_teleport(r, gain)
+    assert state.cov[0, 0] / 0.25 == pytest.approx(want, rel=1e-9, abs=0)
+    assert state.cov[1, 1] / 0.25 == pytest.approx(want, rel=1e-9, abs=0)
+    assert fidelity_to_coherent(state) == pytest.approx(2.0 / (want + 1.0), rel=0, abs=1e-9)
+    # The sampler draws through a Cholesky factor of the same state; 20000
+    # samples estimate a variance to about 1%.
+    _, cov = sample_teleport_outcomes(r, gain, 0j, McConfig(20_000, 3))
+    assert np.diag(cov) / 0.25 == pytest.approx([want, want], rel=0.05)
+
+
+@pytest.mark.parametrize("r", [math.nextafter(7.5, 8.0), -math.nextafter(7.5, 8.0), 9.0, 20.0, 354.0])
+def test_squeeze_past_the_bound_is_rejected(r):
+    with pytest.raises(ValueError, match=r"^r must lie in \[-7\.5, 7\.5\]"):
+        covariance_teleport(r, 1.0)
+    with pytest.raises(ValueError, match=r"^r must lie in \[-7\.5, 7\.5\]"):
+        sample_teleport_outcomes(r, 1.0, 0j, McConfig(1_000, 0))
+
+
 def test_gaussian_state_is_immutable():
     state = GaussianState.vacuum(2)
     assert not state.mean.flags.writeable

@@ -21,3 +21,9 @@ def test_root_exports_every_layer_all():
     assert isinstance(cvteleport.teleport, types.FunctionType)
     assert isinstance(cvteleport.criteria, types.ModuleType)
     assert cvteleport.criteria is modules[3]
+
+
+def test_test_references_stay_out_of_the_package():
+    # The float NOPA fidelity closed form is a test reference (closed_form.py).
+    assert not hasattr(cvteleport.criteria, "nopa_fidelity_spectrum")
+    assert "nopa_fidelity_spectrum" not in cvteleport.__all__

@@ -200,7 +200,7 @@ def test_forced_unit_gain_needs_3db():
 
 
 def test_swapping_degrades_single_hop_teleportation():
-    from cvteleport.criteria import nopa_fidelity_spectrum
+    from closed_form import nopa_fidelity_spectrum
 
     for eps in (0.1, 0.3, 0.6, 0.9):
         direct = nopa_fidelity_spectrum(eps, 0.0)
