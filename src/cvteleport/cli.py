@@ -285,15 +285,18 @@ def _emit_table(table: SpectrumTable, v: dict) -> None:
     if fmt not in ("csv", "json"):
         raise _ConfigError(f"--format: expected csv or json, got {fmt!r}")
     out = v.get("output")
-    if v.get("gnuplot"):
-        if out is None or fmt != "csv":
-            raise _ConfigError("--gnuplot needs --output and csv format")
+    # The flag stores "1"; a config file may also give 0 or nothing.
+    gnuplot = v.get("gnuplot") or "0"
+    if gnuplot not in ("0", "1"):
+        raise _ConfigError(f"--gnuplot: expected 1 or 0, got {gnuplot!r}")
+    if gnuplot == "1" and (out is None or fmt != "csv"):
+        raise _ConfigError("--gnuplot needs --output and csv format")
     text = table.to_csv() if fmt == "csv" else table.to_json()
     if out is None:
         sys.stdout.write(text)
         return
     _write(out, text)
-    if v.get("gnuplot"):
+    if gnuplot == "1":
         _write(
             os.path.splitext(out)[0] + ".gp",
             "set datafile separator ','\n"
@@ -362,13 +365,11 @@ def _cmd_bandwidth(v: dict) -> int:
 def _cmd_criteria(v: dict) -> int:
     src, scale = _resolve_source(v)
     omega = _float("--omega", v["omega"])
-    report = evaluate_criteria(
-        src,
-        omega * scale,
-        gain=_resolve_gain(v, for_swap=False),
-        detector=_resolve_detector(v),
-        in_model=_resolve_input(v),
-    )
+    setting = (_resolve_gain(v, for_swap=False), _resolve_detector(v), _resolve_input(v))
+    try:
+        report = evaluate_criteria(src, omega * scale, *setting)
+    except OverflowError as exc:  # the gain's signal term passes the float range
+        raise _ConfigError(f"--gain: {exc}") from None
     if scale != 1.0:
         report = dataclasses.replace(report, omega=omega)
     sys.stdout.write(report.to_json())
@@ -390,15 +391,16 @@ def _cmd_oracle_check(v: dict) -> int:
         flag = "--seed" if str(exc).startswith("seed") else "--samples"
         raise _ConfigError(f"{flag}: {exc}") from None
     out = teleport(src, schedule, detector, omega)
-    # At threshold only unit gain keeps the output finite; an infinite
-    # variance would turn every Monte-Carlo estimate into nan.
+    # At threshold only unit gain keeps the output finite, and a gain from
+    # about 1e154 on takes it past the float range; an infinite variance
+    # would turn every Monte-Carlo estimate into nan.
     if not all(
         math.isfinite(normalized_variance(e, model, axis))
         for e, axis in ((out.x_tel, Axis.X), (out.p_tel, Axis.P))
     ):
         raise _ConfigError(
             "--gain: the teleported output variance is infinite at this frequency; "
-            "a source at threshold needs unit gain"
+            "a source at threshold needs unit gain, and a very large gain overflows it"
         )
     entries = [
         ("x_out", out.x_tel, Axis.X),

@@ -15,9 +15,10 @@ The kernel (_teleport_columns) sums real port powers, never complex
 amplitudes, and it serves every spectrum row and the criteria report: the
 report's variances and fidelity are a one-point kernel call, bit for bit
 the values of a one-row spectrum, and its output and conditional variances
-and transfer coefficients follow from the linear-channel identities.  The
-functions that act on quadrature expansions (ralph_lam,
-teleport_fidelity, classical_objective) remain as their references.
+and transfer coefficients follow from the linear-channel identities.
+teleport_fidelity and classical_objective act on quadrature expansions;
+the expansion reference for the conditional variances and transfer
+coefficients (ralph_lam) is test code, in tests/references.py.
 
 Variances are normalized to vacuum = 1 throughout; Q-function widths (the
 sigma arguments of the fidelity) are in absolute units where vacuum
@@ -35,15 +36,7 @@ import numpy as np
 
 from ._text import read_csv, write_json, write_json_columns
 from .epr import SqueezerSpectrum, _abs2
-from .linmode import (
-    Axis,
-    InputModel,
-    QuadExpansion,
-    covariance,
-    difference_variance,
-    normalized_variance,
-    unit_input,
-)
+from .linmode import Axis, InputModel, QuadExpansion, difference_variance, normalized_variance
 from .teleport import (
     BellDetector,
     GainSchedule,
@@ -63,7 +56,6 @@ __all__ = [
     "CriteriaReport",
     "FidelityPoint",
     "OBJECTIVES",
-    "RalphLamResult",
     "SpectrumTable",
     "bandwidth",
     "classical_model",
@@ -74,7 +66,6 @@ __all__ = [
     "grid_search_classical",
     "optimize_classical",
     "output_product_limit",
-    "ralph_lam",
     "teleport_fidelity",
 ]
 
@@ -237,56 +228,6 @@ def grid_search_classical(
     if best_params is None:
         raise ValueError(f"{objective} objective is not finite anywhere on the grid")
     return best_params, best_value
-
-
-# ---------------------------------------------------------------------------
-# Conditional variance and transfer coefficient
-
-
-class RalphLamResult(NamedTuple):
-    """Conditional variances and transfer coefficients, per axis."""
-
-    v_c_x: float
-    v_c_p: float
-    t_x: float
-    t_p: float
-
-    @property
-    def conditional_sum(self) -> float:
-        return self.v_c_x + self.v_c_p
-
-    @property
-    def transfer_sum(self) -> float:
-        return self.t_x + self.t_p
-
-
-def ralph_lam(
-    out_x: QuadExpansion, out_p: QuadExpansion, in_model: InputModel
-) -> RalphLamResult:
-    """Conditional variance V_c and transfer coefficient T for both axes.
-
-    V_c = V_out * (1 - C^2/(V_out*V_in)) with C the in-out covariance;
-    T is the SNR ratio, which for a linear channel reduces to the
-    amplitude-independent |gain|^2 * V_in / V_out.  Classical channels obey
-    V_c_x + V_c_p >= 2 and T_x + T_p <= 1; beating either needs entanglement,
-    beating both needs more than 3 dB of squeezing.
-
-    Zero output variance only happens when the channel output is the
-    (unnormalizable) zero operator; V_c and T are then defined as 0.
-    """
-    values: list[float] = []
-    probe = unit_input()
-    for out, axis in ((out_x, Axis.X), (out_p, Axis.P)):
-        v_in = in_model.variance(axis)
-        v_out = normalized_variance(out, in_model, axis)
-        if v_out == 0.0:
-            values += [0.0, 0.0]
-            continue
-        c = covariance(out, probe, in_model, axis)
-        v_c = v_out - c * c / v_in
-        t = abs(out.input_coeff) ** 2 * v_in / v_out
-        values += [v_c, t]
-    return RalphLamResult(values[0], values[2], values[1], values[3])
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +471,9 @@ def _teleport_columns(
         v_p = mismatch * in_model.v_p + noise_p
         v_out_x = g2 * in_model.v_x + noise_x
         v_out_p = g2 * in_model.v_p + noise_p
-    # Q-function widths (V_out + 1)/4.
-    generic = fidelity_point(gain, (v_out_x + 1.0) / 4.0, (v_out_p + 1.0) / 4.0, alpha)
+        # Q-function widths (V_out + 1)/4; widths whose product passes the
+        # float range give F = 0, as infinite ones do (it is below 4e-155).
+        generic = fidelity_point(gain, (v_out_x + 1.0) / 4.0, (v_out_p + 1.0) / 4.0, alpha)
     inside = (generic >= 0.0) & (generic <= 1.0 + 1e-9)
     if not inside.all():
         raise ValueError(f"fidelity {np.extract(~inside, generic)[0]} outside [0, 1]")
@@ -780,11 +722,12 @@ def _conditional(v_out: float, gain: complex, v_in: float) -> tuple[float, float
     # its output variance: the in-out covariance is C = Re(gain)*V_in, so
     # V_c = V_out - C^2/V_in and T = |gain|^2 V_in/V_out, as ralph_lam
     # computes them on the expansions; a zero output has V_c = T = 0.  A
-    # gain whose signal term |gain|^2 V_in overflows leaves inf - inf.
+    # gain whose signal term |gain|^2 V_in overflows leaves inf - inf: an
+    # OverflowError, which the command line reports as a --gain error.
     if v_out == 0.0:
         return 0.0, 0.0
     c = gain.real * v_in
     v_c, t = v_out - c * c / v_in, _abs2(gain) * v_in / v_out
     if math.isnan(v_c) or math.isnan(t):
-        raise ValueError(f"gain {gain} takes the output variance past the float range")
+        raise OverflowError(f"gain {gain} takes the output variance past the float range")
     return v_c, t

@@ -48,7 +48,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from ._text import read_csv
-from .linmode import Axis, QuadExpansion, TermKey, combine
+from .linmode import Axis, QuadExpansion, TermKey
 
 __all__ = [
     "CustomSpectrum",
@@ -61,9 +61,7 @@ __all__ = [
     "SqueezerSpectrum",
     "TransferPair",
     "ZeroBandwidth",
-    "couple_modes",
     "make_epr_pair",
-    "nopa_transfer",
     "squeezing_spectrum",
 ]
 
@@ -122,11 +120,6 @@ class TransferPair:
     def __post_init__(self) -> None:
         for name in ("s_plus", "s_minus", "l_plus", "l_minus"):
             object.__setattr__(self, name, _number(getattr(self, name)))
-
-    def bogoliubov_defect(self) -> float:
-        """Re(S+ conj(S-)) + Re(L+ conj(L-)) - 1; zero for any physical squeezer."""
-        squeezed = (self.s_plus * self.s_minus.conjugate()).real
-        return squeezed + (self.l_plus * self.l_minus.conjugate()).real - 1.0
 
     def powers(self) -> "PortPowers":
         """The squared magnitudes of the four amplitudes."""
@@ -466,7 +459,8 @@ class LossyNopa(_Nopa):
         return cls(2 * params.kappa / t, params.gamma / t)
 
     def pair(self, omega: float | np.ndarray) -> TransferPair:
-        # G +- g and G_loss +- g_loss of nopa_transfer at the canonical scale
+        # G +- g and G_loss +- g_loss of the cavity's input-output map
+        # (nopa_transfer in tests/references.py) at the canonical scale
         # gamma + rho = 2 (d = 1 - i*omega, gamma = 2*beta, kappa = epsilon):
         # S+- = (gamma +- kappa - d)/(d -+ kappa), L+- = sqrt(gamma*rho)/(d -+ kappa).
         # Unlike G - g, no term of order 1/(1 - epsilon) cancels.
@@ -566,24 +560,6 @@ class CustomSpectrum(SqueezerSpectrum):
         return f"custom({len(self._omegas)} rows)"
 
 
-def nopa_transfer(
-    params: NopaParams, big_omega: float
-) -> tuple[complex, complex, complex, complex]:
-    """Input-output amplitudes of a parametric cavity at physical frequency.
-
-    Returns (G, g, G_loss, g_loss): the main-port direct and conjugate
-    amplitudes and their loss-port counterparts.  With rho = 0 the loss
-    amplitudes vanish and (G, g) reduce to the ideal-cavity forms.
-    """
-    kappa, gamma, rho = params.kappa, params.gamma, params.rho
-    d = complex((gamma + rho) / 2, -big_omega)
-    den = d * d - kappa * kappa
-    big_g = (kappa * kappa + (gamma - d) * d) / den
-    small_g = kappa * gamma / den
-    loss = math.sqrt(gamma * rho)
-    return big_g, small_g, loss * d / den, kappa * loss / den
-
-
 def squeezing_spectrum(
     src_or_epsilon: "LosslessNopa | float", omega: float
 ) -> tuple[float, float]:
@@ -603,15 +579,3 @@ def make_epr_pair(src: SqueezerSpectrum, omega: float) -> EprQuadratures:
         QuadExpansion(0j, x2),
         QuadExpansion(0j, p2),
     )
-
-
-def couple_modes(
-    a: QuadExpansion, b: QuadExpansion
-) -> tuple[QuadExpansion, QuadExpansion]:
-    """Balanced beamsplitter on two mode expansions: ((a+b), (a-b))/sqrt(2).
-
-    Self-inverse, which is what decouples an EPR pair back into its two
-    independent squeezers.
-    """
-    h = _ROOT_HALF
-    return combine(a, b, h, h), combine(a, b, h, -h)

@@ -38,10 +38,7 @@ __all__ = [
     "covariance",
     "difference_variance",
     "normalized_variance",
-    "split_re_im",
     "unit_input",
-    "vacuum_mode",
-    "zero_expansion",
 ]
 
 # One independent vacuum mode is identified by an opaque string label.
@@ -86,35 +83,18 @@ class QuadExpansion:
     def labels(self) -> set[BasisLabel]:
         return {label for (label, _axis) in self.terms}
 
-    def is_zero(self) -> bool:
-        return self.input_coeff == 0 and not self.terms
-
-
-def zero_expansion() -> QuadExpansion:
-    return QuadExpansion(0j, {})
-
 
 def unit_input() -> QuadExpansion:
     """The bare signal quadrature (coefficient 1, no vacuum terms)."""
     return QuadExpansion(1.0, {})
 
 
-def vacuum_mode(label: BasisLabel, axis: Axis, coeff: complex = 1.0) -> QuadExpansion:
-    """A single vacuum quadrature term."""
-    return QuadExpansion(0j, {(label, axis): coeff})
-
-
 @dataclass(frozen=True)
 class InputModel:
-    """Second moments of the signal mode, normalized to vacuum = 1.
-
-    The family tag records how the variances were chosen; all evaluators
-    only ever read the (v_x, v_p) pair.
-    """
+    """Second moments of the signal mode, normalized to vacuum = 1."""
 
     v_x: float
     v_p: float
-    family: str = "symbolic"
 
     def __post_init__(self) -> None:
         if not (0 < self.v_x < math.inf and 0 < self.v_p < math.inf):
@@ -122,7 +102,7 @@ class InputModel:
 
     @classmethod
     def coherent(cls) -> "InputModel":
-        return cls(1.0, 1.0, family="coherent")
+        return cls(1.0, 1.0)
 
     @classmethod
     def squeezed(cls, s_v: float) -> "InputModel":
@@ -130,13 +110,9 @@ class InputModel:
         if not s_v > 0:
             raise ValueError("squeezing parameter s_v must be positive")
         try:
-            return cls(s_v ** -2, s_v ** 2, family="squeezed")
+            return cls(s_v ** -2, s_v ** 2)
         except OverflowError:
             raise ValueError(f"s_v = {s_v:g} gives a non-finite input variance") from None
-
-    @classmethod
-    def with_variances(cls, v_x: float, v_p: float) -> "InputModel":
-        return cls(v_x, v_p, family="symbolic")
 
     def variance(self, axis: Axis) -> float:
         return self.v_x if axis is Axis.X else self.v_p
@@ -162,10 +138,16 @@ def normalized_variance(e: QuadExpansion, in_model: InputModel, axis: Axis) -> f
 
     Each independent vacuum quadrature contributes |c|^2 and the signal
     contributes |input_coeff|^2 times the model variance on the given axis.
+    Every part is nonnegative, so a square or a sum past the float range
+    (a coefficient from about 1.34e154 on) reads inf, as an infinite
+    coefficient does.
     """
-    parts = [abs(e.input_coeff) ** 2 * in_model.variance(axis)]
-    parts.extend(abs(c) ** 2 for c in e.terms.values())
-    return math.fsum(parts)
+    try:
+        parts = [abs(e.input_coeff) ** 2 * in_model.variance(axis)]
+        parts.extend(abs(c) ** 2 for c in e.terms.values())
+        return math.fsum(parts)
+    except OverflowError:
+        return math.inf
 
 
 def difference_variance(out: QuadExpansion, in_model: InputModel, axis: Axis) -> float:
@@ -219,28 +201,3 @@ def commutator_pairing(x: QuadExpansion, p: QuadExpansion) -> complex:
         re.append(contrib.real)
         im.append(contrib.imag)
     return complex(math.fsum(re), math.fsum(im))
-
-
-def split_re_im(e: QuadExpansion) -> tuple[QuadExpansion, QuadExpansion]:
-    """Decompose a complex-coefficient expansion into Re and Im parts.
-
-    A frequency component with complex coefficient c acting on mode m
-    splits over the independent real components of m (each with half the
-    vacuum variance, so the normalization per term is unchanged):
-
-        Re(c z) = Re(c) Re(z) - Im(c) Im(z)
-        Im(c z) = Im(c) Re(z) + Re(c) Im(z)
-
-    The returned expansions use labels '<m>&re' / '<m>&im' and real
-    coefficients; the input term splits the same way.
-    """
-    if e.input_coeff != 0:
-        raise ValueError("split_re_im expects a signal-free expansion")
-    re_terms: dict[TermKey, complex] = {}
-    im_terms: dict[TermKey, complex] = {}
-    for (label, axis), c in e.terms.items():
-        re_terms[(label + "&re", axis)] = c.real
-        re_terms[(label + "&im", axis)] = -c.imag
-        im_terms[(label + "&re", axis)] = c.imag
-        im_terms[(label + "&im", axis)] = c.real
-    return QuadExpansion(0j, re_terms), QuadExpansion(0j, im_terms)

@@ -32,11 +32,9 @@ __all__ = [
     "GaussianState",
     "McConfig",
     "McReport",
-    "condition_on",
     "covariance_teleport",
     "fidelity_to_coherent",
     "mc_check",
-    "sample_teleport_outcomes",
     "two_mode_squeezed_cov",
 ]
 
@@ -72,10 +70,6 @@ class GaussianState:
     def n_modes(self) -> int:
         return self.mean.size // 2
 
-    @classmethod
-    def vacuum(cls, n_modes: int) -> "GaussianState":
-        return cls(np.zeros(2 * n_modes), np.eye(2 * n_modes) * _VAC)
-
 
 def two_mode_squeezed_cov(r: float) -> np.ndarray:
     """Covariance of a two-mode squeezed vacuum, ordering (x1, p1, x2, p2)."""
@@ -97,34 +91,14 @@ def two_mode_squeezed_cov(r: float) -> np.ndarray:
     )
 
 
-def condition_on(state: GaussianState, index: int, value: float) -> GaussianState:
-    """Gaussian update after a precise homodyne outcome on one quadrature.
-
-    Schur-complement conditioning: the measured quadrature collapses to
-    variance 0 at the observed value, correlated quadratures shift, and
-    positive semidefiniteness is preserved.
-    """
-    sigma = state.cov[index, index]
-    if sigma <= 0:
-        raise ValueError("measured quadrature must have positive variance")
-    g = state.cov[:, index] / sigma
-    cov = state.cov - np.outer(g, state.cov[index, :])
-    cov = 0.5 * (cov + cov.T)
-    cov[index, :] = 0.0
-    cov[:, index] = 0.0
-    mean = state.mean + g * (value - state.mean[index])
-    mean = mean.copy()
-    mean[index] = value
-    return GaussianState(mean, cov)
-
-
 # Quadrature layout before the beamsplitter: input (0, 1), EPR mode 1
 # (2, 3), EPR mode 2 (4, 5).  After it: x_u, p_u, x_v, p_v, x_2, p_2.
 _MEASURED = (0, 3)  # x_u and p_v
 _KEPT = (1, 2, 4, 5)
 
 
-# Largest |r| either route takes.  Both carry roundoff of order
+# Largest |r| _initial_state takes, for covariance_teleport and for the
+# shot-by-shot sampler of tests/references.py.  Both carry roundoff of order
 # 1e-16 * e^(2|r|) into an output variance that stays near vacuum at unit
 # gain; scanned in steps of 0.01 over gains in [-1, 2], both stay within the
 # oracle-check's 1e-9 up to r = 7.5 and first leave it at r = 7.53.
@@ -198,40 +172,6 @@ def fidelity_to_coherent(state: GaussianState, alpha: complex = 0j) -> float:
     det = float(np.linalg.det(sigma_q))
     quad = float(delta @ np.linalg.solve(sigma_q, delta))
     return 0.5 / math.sqrt(det) * math.exp(-0.5 * quad)
-
-
-def sample_teleport_outcomes(
-    r: float, gain: float, alpha: complex, cfg: "McConfig"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shot-by-shot zero-bandwidth protocol; returns sample mean and cov.
-
-    Every run draws the full initial Gaussian, reads the two homodyne
-    values off the transformed sample, and applies the displacement those
-    values dictate; no analytic averaging anywhere.  |r| above 7.5 raises
-    ValueError, as for covariance_teleport.
-    """
-    mean0, cov0 = _initial_state(r, alpha)
-    chol = np.linalg.cholesky(cov0 + np.eye(6) * 1e-30)
-    m = _bell_splitter()
-    rng = np.random.default_rng(cfg.seed)
-    n_left = cfg.sample_count
-    s1 = np.zeros(2)
-    s2 = np.zeros((2, 2))
-    scale = math.sqrt(2.0) * gain
-    while n_left > 0:
-        n = min(n_left, 1 << 16)
-        z = rng.standard_normal((n, 6))
-        v = (z @ chol.T + mean0) @ m.T
-        x_out = v[:, 4] + scale * v[:, 0]
-        p_out = v[:, 5] + scale * v[:, 3]
-        out = np.stack([x_out, p_out], axis=1)
-        s1 += out.sum(axis=0)
-        s2 += out.T @ out
-        n_left -= n
-    n_tot = cfg.sample_count
-    mean = s1 / n_tot
-    cov = (s2 - n_tot * np.outer(mean, mean)) / (n_tot - 1)
-    return mean, cov
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,9 @@ from .epr import (
     _number,
     _project,
     _project_powers,
-    _tables,
     make_epr_pair,
 )
-from .linmode import Axis, InputModel, QuadExpansion, TermKey, normalized_variance
+from .linmode import Axis, InputModel, QuadExpansion, TermKey
 from .teleport import BellDetector, GainSchedule, TeleportOutcome, as_gain, teleport
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "swap_fidelity",
     "swap_once",
     "swap_spectrum",
-    "swapped_epr_variances",
     "verification_teleport",
 ]
 
@@ -206,32 +204,12 @@ def swap_once(cfg: SwapConfig, omega: float) -> SwapOutcome:
     """Materialize modes 1 and 4' after the swap at one frequency.
 
     Mode 4' contains the teleported mode 2 outright, so its raw variance
-    diverges at the squeezing threshold; only the EPR combinations with
-    mode 1 stay finite there (see swapped_epr_variances).
+    diverges at the squeezing threshold; only the EPR combinations
+    X_1 - X_4' and P_1 + P_4' stay finite there.
     """
     pair = _SwappedPair(cfg, omega)
     m = make_epr_pair(pair, omega)
     return SwapOutcome(m.x1, m.p1, m.x2, m.p2, omega, pair.gain, cfg.describe())
-
-
-def swapped_epr_variances(cfg: SwapConfig, omega: float) -> tuple[float, float]:
-    """Variances of the swapped-pair EPR operators X_1 - X_4' and P_1 + P_4'.
-
-    Normalized so two uncorrelated vacua give 2; anything below 2 certifies
-    entanglement between the never-interacting modes 1 and 4'.  Built
-    portwise with its own weights, not through the resource, so it is an
-    independent reference for the verification teleportation.
-    """
-    pair = _SwappedPair(cfg, omega)
-    gs = pair.gain
-    ab, cd = pair.ports(omega)
-    x_terms, p_terms = _tables(
-        itertools.chain(_project(ab, (1, -gs), (1, gs)), _project(cd, (gs, -1), (gs, 1)))
-    )
-    return (
-        normalized_variance(QuadExpansion(0j, x_terms), _COHERENT, Axis.X),
-        normalized_variance(QuadExpansion(0j, p_terms), _COHERENT, Axis.P),
-    )
 
 
 def verification_teleport(cfg: SwapConfig, omega: float) -> TeleportOutcome:

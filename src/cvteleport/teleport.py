@@ -25,16 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .epr import SqueezerSpectrum, ZeroBandwidth, _tables
-from .linmode import (
-    Axis,
-    InputModel,
-    QuadExpansion,
-    combine,
-    difference_variance,
-    normalized_variance,
-    split_re_im,
-    unit_input,
-)
+from .linmode import Axis, InputModel, QuadExpansion, difference_variance
 
 __all__ = [
     "BellDetector",
@@ -43,7 +34,6 @@ __all__ = [
     "TeleportOutcome",
     "as_gain",
     "nopa_variance_spectrum",
-    "re_im_variances",
     "spectral_variance_tel_in",
     "teleport",
     "teleport_single_mode",
@@ -207,32 +197,6 @@ def spectral_variance_tel_in(
         difference_variance(outcome.x_tel, in_model, Axis.X),
         difference_variance(outcome.p_tel, in_model, Axis.P),
     )
-
-
-def re_im_variances(
-    outcome: TeleportOutcome, in_model: InputModel
-) -> tuple[float, float, float, float]:
-    """Error variances via the real/imaginary component decomposition.
-
-    Each frequency component splits into independent Re and Im vacuum parts
-    (half the variance each, so per-term normalization is unchanged).  The
-    four results are checked against the direct complex-path values; the
-    decomposition only exists for unit gain, where the signal drops out of
-    the difference.
-    """
-    if outcome.gain != 1:
-        raise ValueError("re/im decomposition requires unit gain")
-    results: list[float] = []
-    for expansion, axis in ((outcome.x_tel, Axis.X), (outcome.p_tel, Axis.P)):
-        diff = combine(expansion, unit_input(), 1.0, -1.0)
-        direct = normalized_variance(diff, in_model, axis)
-        for part in split_re_im(diff):
-            v = normalized_variance(part, in_model, axis)
-            if not abs(v - direct) <= 1e-12 * max(1.0, abs(direct)):
-                raise AssertionError("re/im path disagrees with complex path")
-            results.append(v)
-    vrx, vix, vrp, vip = results
-    return vrx, vix, vrp, vip
 
 
 def nopa_variance_spectrum(

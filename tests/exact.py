@@ -7,7 +7,7 @@ Fraction exactly, so these values carry no rounding at all, and a float
 result can be compared with them in units of its own precision.
 
 The source amplitudes are rebuilt from the cavity's b-basis input-output
-map (the same formulas as cvteleport.epr.nopa_transfer), not from the
+map (the same formulas as nopa_transfer in references.py), not from the
 noisy/quiet closed forms the package uses, so the two share no algebra.
 """
 

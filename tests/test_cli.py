@@ -328,6 +328,24 @@ def test_criteria_physical_rates_report_user_frequency(capsys):
     assert payload["fidelity"] == pytest.approx(0.7222222222222222, rel=1e-12)
 
 
+def test_criteria_rejects_a_gain_that_overflows_the_output(capsys):
+    code, out, err = invoke(capsys, "criteria", "--epsilon", "0.5", "--gain", "fixed:1e200")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --gain: gain (1e+200+0j) takes the output variance past")
+
+
+def test_criteria_report_at_a_large_finite_gain(capsys):
+    # |gain|^2 = 1e300 stays in range: the report prints, with F = 0 where
+    # the Q-function widths' product passes the float range.
+    code, out, err = invoke(capsys, "criteria", "--epsilon", "0.5", "--gain", "fixed:1e150")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    for key in ("v_x", "v_p", "v_out_x", "v_out_p", "v_c_x", "v_c_p", "t_x", "t_p"):
+        assert math.isfinite(payload[key]), key
+    assert payload["fidelity"] == 0.0
+    assert not any(payload["verdicts"].values())
+
+
 # ---------------------------------------------------------------------------
 # config files
 
@@ -354,6 +372,32 @@ def test_config_file_dashed_keys(capsys, tmp_path):
     code, out, _ = invoke(capsys, "spectrum", "--config", str(cfg))
     assert code == 0
     assert len(out.strip().splitlines()) == 3  # header + 2 rows
+
+
+@pytest.mark.parametrize("value, script", [("1", True), ("0", False), ("", False)])
+def test_config_file_gnuplot_values(capsys, tmp_path, value, script):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"epsilon=0.5\nomega-stop=0.2\ngnuplot={value}\n")
+    out_csv = tmp_path / "t.csv"
+    code, out, err = invoke(capsys, "spectrum", "--config", str(cfg), "--output", str(out_csv))
+    assert (code, out, err) == (0, "", "")
+    assert out_csv.read_text().startswith(HEADER)
+    assert (tmp_path / "t.gp").exists() is script
+    # Off needs no --output.
+    code, out, _ = invoke(capsys, "spectrum", "--config", str(cfg))
+    assert code == (1 if script else 0)
+
+
+@pytest.mark.parametrize("value", ["no", "yes", "true", "2"])
+def test_config_file_gnuplot_rejects_other_values(capsys, tmp_path, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"epsilon=0.5\ngnuplot={value}\n")
+    code, out, err = invoke(
+        capsys, "spectrum", "--config", str(cfg), "--output", str(tmp_path / "t.csv")
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: --gnuplot: expected 1 or 0, got {value!r}")
+    assert not (tmp_path / "t.csv").exists() and not (tmp_path / "t.gp").exists()
 
 
 def test_config_file_errors(capsys, tmp_path):
@@ -653,6 +697,18 @@ def test_oracle_check_rejects_infinite_output_variance(capsys):
     )
     assert (code, out) == (1, "")
     assert err.startswith("error: --gain:")
+
+
+@pytest.mark.parametrize("gain", ["fixed:1e154", "fixed:1e200"])
+def test_oracle_check_rejects_a_gain_that_overflows_the_output(capsys, gain):
+    # |gain * amplitude|^2 passes the float range: an infinite variance, not
+    # an OverflowError from the square.
+    code, out, err = invoke(
+        capsys, "oracle-check", "--epsilon", "0.5", "--gain", gain, "--samples", "1000",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --gain: the teleported output variance is infinite")
+    assert "very large gain" in err
 
 
 def test_oracle_check_at_threshold_with_unit_gain_passes(capsys):

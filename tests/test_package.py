@@ -1,11 +1,15 @@
 """Package surface: the root exports exactly the layers' public names."""
 
+import ast
 import importlib
+import pathlib
 import types
 
 import cvteleport
 
 LAYERS = ("epr", "teleport", "swap", "criteria", "linmode", "oracle")
+SRC = pathlib.Path(cvteleport.__file__).parent
+ACCEPTANCE = pathlib.Path(__file__).with_name("test_acceptance.py")
 
 
 def test_root_exports_every_layer_all():
@@ -23,7 +27,66 @@ def test_root_exports_every_layer_all():
     assert cvteleport.criteria is modules[3]
 
 
+# Names that only tests used: each was deleted, or moved into the test tree
+# as a reference (closed_form.py, references.py).
+TEST_ONLY = {
+    "criteria": ("nopa_fidelity_spectrum", "ralph_lam", "RalphLamResult"),
+    "epr": ("couple_modes", "nopa_transfer"),
+    "linmode": ("split_re_im", "vacuum_mode", "zero_expansion"),
+    "oracle": ("condition_on", "sample_teleport_outcomes"),
+    "swap": ("swapped_epr_variances",),
+    "teleport": ("re_im_variances",),
+}
+TEST_ONLY_MEMBERS = (
+    ("linmode", "QuadExpansion", "is_zero"),
+    ("linmode", "InputModel", "with_variances"),
+    ("linmode", "InputModel", "family"),
+    ("epr", "TransferPair", "bogoliubov_defect"),
+    ("oracle", "GaussianState", "vacuum"),
+)
+
+
 def test_test_references_stay_out_of_the_package():
-    # The float NOPA fidelity closed form is a test reference (closed_form.py).
-    assert not hasattr(cvteleport.criteria, "nopa_fidelity_spectrum")
-    assert "nopa_fidelity_spectrum" not in cvteleport.__all__
+    for layer, names in TEST_ONLY.items():
+        module = importlib.import_module(f"cvteleport.{layer}")
+        for name in names:
+            assert not hasattr(module, name), f"{layer}.{name}"
+            assert name not in cvteleport.__all__, name
+    for layer, cls, member in TEST_ONLY_MEMBERS:
+        owner = getattr(importlib.import_module(f"cvteleport.{layer}"), cls)
+        assert not hasattr(owner, member), f"{cls}.{member}"
+    assert "family" not in cvteleport.InputModel.__dataclass_fields__
+
+
+# A source type the README documents for library use; no command builds it.
+DOCUMENTED_ONLY = {"CustomSpectrum"}
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    # Names read as variables or attributes: a def, a class statement and
+    # an __all__ string are not uses.
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    # A public name is used by the package itself or imported by the
+    # acceptance gate; anything else is API that only tests exercise.
+    used = set().union(*(_used_names(ast.parse(p.read_text())) for p in SRC.glob("*.py")))
+    gate = ast.parse(ACCEPTANCE.read_text())
+    used |= {
+        alias.asname or alias.name
+        for node in ast.walk(gate)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    unused = [
+        f"{layer}.{name}"
+        for layer in LAYERS
+        for name in importlib.import_module(f"cvteleport.{layer}").__all__
+        if name not in used and not name.isupper() and name not in DOCUMENTED_ONLY
+    ]
+    assert unused == [], f"public names only tests use: {unused}"

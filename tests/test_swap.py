@@ -21,10 +21,10 @@ from cvteleport.swap import (
     swap_fidelity,
     swap_once,
     swap_spectrum,
-    swapped_epr_variances,
     verification_teleport,
 )
 from cvteleport.teleport import GainSchedule
+from references import swapped_epr_variances
 
 COHERENT = InputModel.coherent()
 EPS_3DB = 3.0 - 2.0 * math.sqrt(2.0)

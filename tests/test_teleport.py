@@ -16,7 +16,6 @@ from cvteleport.teleport import (
     NonUnitGainWarning,
     as_gain,
     nopa_variance_spectrum,
-    re_im_variances,
     spectral_variance_tel_in,
     teleport,
     teleport_single_mode,
@@ -121,26 +120,6 @@ def test_nonunit_gain_warns_and_unit_gain_does_not():
         spectral_variance_tel_in(teleport(LosslessNopa(0.3)), COHERENT)
 
 
-def test_re_im_decomposition_agrees_with_complex_path():
-    rng = random.Random(229)
-    for _ in range(40):
-        eps = rng.uniform(0, 0.95)
-        omega = rng.uniform(0.1, 5)  # complex coefficients on purpose
-        out = teleport(LosslessNopa(eps), omega=omega)
-        direct_x, direct_p = spectral_variance_tel_in(out, COHERENT)
-        vrx, vix, vrp, vip = re_im_variances(out, COHERENT)
-        for v in (vrx, vix):
-            assert v == pytest.approx(direct_x, rel=1e-12)
-        for v in (vrp, vip):
-            assert v == pytest.approx(direct_p, rel=1e-12)
-
-
-def test_re_im_decomposition_needs_unit_gain():
-    out = teleport(LosslessNopa(0.3), gain=0.8)
-    with pytest.raises(ValueError):
-        re_im_variances(out, COHERENT)
-
-
 def test_detector_vacua_enter_only_below_unit_efficiency():
     clean = teleport(LosslessNopa(0.4))
     assert not any(label.startswith("det_") for label in clean.x_tel.labels())
@@ -227,7 +206,7 @@ def test_output_commutator_is_canonical():
 
 def test_output_variance_splits_into_input_plus_noise():
     # At unit gain V_out = V_in + V_added on each axis.
-    model = InputModel.with_variances(0.6, 2.1)
+    model = InputModel(0.6, 2.1)
     out = teleport(LosslessNopa(0.5), omega=0.8)
     v_added_x, v_added_p = spectral_variance_tel_in(out, model)
     assert normalized_variance(out.x_tel, model, Axis.X) == pytest.approx(
