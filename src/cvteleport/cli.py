@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._text import write_json
+from ._text import format_number, write_json
 from .criteria import SpectrumTable, bandwidth, evaluate_criteria, fidelity_spectrum, teleport_fidelity
 from .epr import LosslessNopa, LossyNopa, NopaParams, SqueezerSpectrum
 from .linmode import Axis, InputModel, combine, normalized_variance, unit_input
@@ -280,7 +280,8 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _emit_table(table: SpectrumTable, v: dict) -> None:
+def _output_options(v: dict) -> tuple[str, str | None, bool]:
+    """--format, --output and --gnuplot, checked: (format, path, gnuplot)."""
     fmt = v["format"]
     if fmt not in ("csv", "json"):
         raise _ConfigError(f"--format: expected csv or json, got {fmt!r}")
@@ -291,12 +292,17 @@ def _emit_table(table: SpectrumTable, v: dict) -> None:
         raise _ConfigError(f"--gnuplot: expected 1 or 0, got {gnuplot!r}")
     if gnuplot == "1" and (out is None or fmt != "csv"):
         raise _ConfigError("--gnuplot needs --output and csv format")
+    return fmt, out, gnuplot == "1"
+
+
+def _emit_table(table: SpectrumTable, v: dict) -> None:
+    fmt, out, gnuplot = _output_options(v)
     text = table.to_csv() if fmt == "csv" else table.to_json()
     if out is None:
         sys.stdout.write(text)
         return
     _write(out, text)
-    if gnuplot == "1":
+    if gnuplot:
         _write(
             os.path.splitext(out)[0] + ".gp",
             "set datafile separator ','\n"
@@ -355,10 +361,12 @@ def _cmd_point(v: dict) -> int:
 
 
 def _cmd_bandwidth(v: dict) -> int:
+    # The sweep's output flags do not apply, but a bad one is still an error.
+    _output_options(v)
     threshold = _float("--threshold", v["threshold"])
     table, _, scale = _table(v, v["pipeline"])
     # A fidelity that never drops below the threshold prints inf.
-    sys.stdout.write(f"{bandwidth(table, threshold) / scale:.12g}\n")
+    sys.stdout.write(format_number(bandwidth(table, threshold) / scale) + "\n")
     return 0
 
 
@@ -375,6 +383,12 @@ def _cmd_criteria(v: dict) -> int:
     sys.stdout.write(report.to_json())
     return 0
 
+
+# mc_check sums m^2 for each sampled moment m = a^2, a ~ N(0, V/4): at up
+# to 1e8 samples (the --samples limit) the sum is about 3e8 (V/4)^2, and
+# it must stay below the float range (1.8e308) with room for the tail of
+# the draws: V <= 1e148 leaves a factor of more than 1e4.
+_MC_VARIANCE_LIMIT = 1e148
 
 _GAUSS_POINTS = ((0.0, 1.0, 0j), (1.0, 1.0, 3 + 4j), (0.7, 1.6, 1 - 2j), (2.0, 0.5, -1 + 1j))
 
@@ -393,14 +407,20 @@ def _cmd_oracle_check(v: dict) -> int:
     out = teleport(src, schedule, detector, omega)
     # At threshold only unit gain keeps the output finite, and a gain from
     # about 1e154 on takes it past the float range; an infinite variance
-    # would turn every Monte-Carlo estimate into nan.
-    if not all(
-        math.isfinite(normalized_variance(e, model, axis))
-        for e, axis in ((out.x_tel, Axis.X), (out.p_tel, Axis.P))
-    ):
+    # would turn every Monte-Carlo estimate into nan.  A finite one past
+    # _MC_VARIANCE_LIMIT would overflow the sums of squared moments.
+    variance = max(
+        normalized_variance(e, model, axis) for e, axis in ((out.x_tel, Axis.X), (out.p_tel, Axis.P))
+    )
+    if not math.isfinite(variance):
         raise _ConfigError(
             "--gain: the teleported output variance is infinite at this frequency; "
             "a source at threshold needs unit gain, and a very large gain overflows it"
+        )
+    if variance > _MC_VARIANCE_LIMIT:
+        raise _ConfigError(
+            f"--gain: the teleported output variance {format_number(variance)} is past "
+            f"{_MC_VARIANCE_LIMIT:g}, where the Monte-Carlo sums of squared moments overflow"
         )
     entries = [
         ("x_out", out.x_tel, Axis.X),

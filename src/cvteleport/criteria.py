@@ -34,7 +34,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._text import read_csv, write_json, write_json_columns
+from ._text import read_csv, write_csv, write_json, write_json_columns
 from .epr import SqueezerSpectrum, _abs2
 from .linmode import Axis, InputModel, QuadExpansion, difference_variance, normalized_variance
 from .teleport import (
@@ -350,11 +350,12 @@ class SpectrumTable:
     beyond the tabulated grid; it is attached by the sweep constructors and
     absent on tables loaded from disk.
 
-    to_csv and to_json write "%.12g" text, and when v_p matches v_x bit
-    for bit (as it does for every symmetric source at real gain on a
-    coherent input) they format v_x once and write it under both names.
-    The match must be bitwise, not ==, because 0.0 and -0.0 compare equal
-    but print differently.
+    to_csv and to_json write each value to 12 significant digits through
+    the _text writers, and when v_p matches v_x bit for bit (as it does
+    for every symmetric source at real gain on a coherent input) they
+    format v_x once and write it under both names.  The match must be
+    bitwise, not ==, because 0.0 and -0.0 compare equal but print
+    differently.
     """
 
     omega: tuple[float, ...]
@@ -407,19 +408,7 @@ class SpectrumTable:
         return self.omega, v_x, v_x if same else v_p, self.fidelity
 
     def to_csv(self) -> str:
-        # One % over the interleaved cells of every row.  A column written
-        # twice is formatted once, by one % of its own, and its text goes in
-        # through %s.
-        columns = self._written_columns()
-        row = "%.12g,%.12g,%.12g,%.12g\n"
-        if columns[2] is columns[1]:
-            text = ("\n".join(["%.12g"] * len(self)) % columns[1]).split("\n")
-            columns = (columns[0], text, text, columns[3])
-            row = "%.12g,%s,%s,%.12g\n"
-        cells: list = [None] * (4 * len(self))
-        for k, column in enumerate(columns):
-            cells[k::4] = column
-        return ",".join(CSV_HEADER) + "\n" + (row * len(self)) % tuple(cells)
+        return write_csv(CSV_HEADER, self._written_columns())
 
     @classmethod
     def from_csv(cls, path_or_text: str) -> "SpectrumTable":

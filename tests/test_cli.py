@@ -452,6 +452,7 @@ def test_config_file_errors(capsys, tmp_path):
         ("oracle-check", "--epsilon", "0.5", "--samples", "100000001"),
         ("point", "--epsilon", "0.5", "--input", "squeezed:1e200"),
         ("point", "--epsilon", "0.5", "--input", "squeezed:1e-200"),
+        ("bandwidth", "--epsilon", "0.5", "--format", "xml", "--gnuplot"),
     ],
 )
 def test_configuration_errors_exit_1(capsys, args):
@@ -709,6 +710,41 @@ def test_oracle_check_rejects_a_gain_that_overflows_the_output(capsys, gain):
     assert (code, out) == (1, "")
     assert err.startswith("error: --gain: the teleported output variance is infinite")
     assert "very large gain" in err
+
+
+def test_oracle_check_rejects_a_gain_that_overflows_the_moment_sums(capsys):
+    # The output variance (5.56e300) is finite, but the squares of its
+    # samples are not: the Monte-Carlo rows would read nan and fail (exit 2).
+    code, out, err = invoke(
+        capsys, "oracle-check", "--epsilon", "0.5", "--gain", "fixed:1e150", "--samples", "1000",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --gain: the teleported output variance 5.55555555556e+300")
+
+
+def test_oracle_check_just_under_the_variance_limit_passes(capsys):
+    # fixed:4e73 gives an output variance of 8.9e147, under the 1e148 limit.
+    code, out, _ = invoke(
+        capsys, "oracle-check", "--epsilon", "0.5", "--gain", "fixed:4e73", "--samples", "1000",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["all_ok"] is True
+    assert 8e147 < report["mc"]["rows"][0]["analytic"] < 1e148
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--format", "xml", "--gnuplot"), "error: --format: expected csv or json, got 'xml'"),
+        (("--gnuplot",), "error: --gnuplot needs --output and csv format"),
+    ],
+)
+def test_bandwidth_checks_the_sweep_output_flags(capsys, flags, message):
+    # bandwidth takes the sweep's output flags; a bad one is an error there too.
+    code, out, err = invoke(capsys, "bandwidth", "--epsilon", "0.5", *flags)
+    assert (code, out) == (1, "")
+    assert err.startswith(message)
 
 
 def test_oracle_check_at_threshold_with_unit_gain_passes(capsys):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 import warnings
@@ -48,7 +49,8 @@ from cvteleport.linmode import (
     difference_variance,
     normalized_variance,
 )
-from cvteleport._text import write_json
+from cvteleport import _text
+from cvteleport._text import _json_number, write_json
 from cvteleport.teleport import (
     BellDetector,
     GainSchedule,
@@ -447,6 +449,75 @@ def test_large_tables_write_the_reference_bytes():
     for table in (teleport_table, swap_table):
         assert table.to_csv() == _reference_csv(table)
         assert table.to_json() == _reference_json(table)
+    # Either side of the row count where the writers leave % for numpy.
+    for rows in (_text._VECTOR_ROWS - 1, _text._VECTOR_ROWS, _text._VECTOR_ROWS + 1):
+        teleport_table = fidelity_spectrum(LossyNopa(0.5, 0.9), np.linspace(0.0, 20.0, rows))
+        swap_table = swap_spectrum(SwapConfig(LossyNopa(0.6, 0.85)), np.linspace(0.0, 5.0, rows))
+        assert teleport_table._written_columns()[2] is teleport_table.v_x
+        assert swap_table._written_columns()[2] is swap_table.v_p
+        for table in (teleport_table, swap_table):
+            assert table.to_csv() == _reference_csv(table)
+            assert table.to_json() == _reference_json(table)
+
+
+def _column_texts(values, as_json):
+    # Each value's text from the numpy column formatter, whatever the row
+    # count: one block of cells, read back line by line.
+    texts = []
+    for fields in _text._blocks([tuple(values)], as_json):
+        newline = np.full((1, fields.shape[2]), ord("\n"), np.uint8)
+        texts += _text._joined([fields[:, 0], newline]).split("\n")[:-1]
+    return texts
+
+
+def _nudged(value, ulps):
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+def _tie(digits, k):
+    # An odd multiple of 2^-k with 13 significant digits: its 13th digit is
+    # a 5 with nothing after it, the tie the 12-digit rounding sees.
+    low, high = 10 ** (12 - k) * 2**k, 10 ** (13 - k) * 2**k
+    return (low + (digits % ((high - low) // 2)) * 2 + 1) / 2**k
+
+
+# Where the notation or the digit count changes, and next to them.
+BOUNDARIES = [1e-5, 1e-4, 1e11, 1e12, 1e16] + [10.0**e for e in range(-6, 18)]
+EDGES = [
+    _nudged(b * f, ulps)
+    for b in BOUNDARIES
+    for f in (1.0, 1 - 6e-12, 1 - 1e-12, 1 - 5e-13, 1 + 5e-13)
+    for ulps in range(-2, 3)
+]
+# Twelve digits with zeros between the first and the last, whose last digit
+# is the only one after the point.
+EDGES += [float(f"{d}.0000000000{d}e{e}") for d in (1, 9) for e in range(-5, 13)]
+EDGES += [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585e-313]
+FORMATTED = st.one_of(
+    SERIALIZED,
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.builds(_nudged, st.builds(_tie, st.integers(0, 10**13), st.integers(1, 12)), st.integers(-2, 2)),
+    st.sampled_from(EDGES),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.floats(1e-4, 1e12),
+)
+
+
+def test_column_formatter_writes_the_edges():
+    values = EDGES + [-v for v in EDGES]
+    assert _column_texts(values, as_json=False) == ["%.12g" % v for v in values]
+    assert _column_texts(values, as_json=True) == [_json_number("%.12g" % v) for v in values]
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(values=st.lists(FORMATTED, min_size=1, max_size=60), negate=st.booleans())
+def test_column_formatter_writes_the_reference_text(values, negate):
+    if negate:
+        values = [-v for v in values]
+    assert _column_texts(values, as_json=False) == ["%.12g" % v for v in values]
+    assert _column_texts(values, as_json=True) == [_json_number("%.12g" % v) for v in values]
 
 
 def test_spectrum_table_validation():

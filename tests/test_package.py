@@ -90,3 +90,15 @@ def test_every_public_name_has_a_user_outside_the_tests():
         if name not in used and not name.isupper() and name not in DOCUMENTED_ONLY
     ]
     assert unused == [], f"public names only tests use: {unused}"
+
+
+def test_only_the_text_module_spells_the_number_format():
+    # Every float the package prints is 12-significant-digit text from
+    # _text; a second spelling of the format (a % literal, an f-string or
+    # format spec, a docstring example) would be a second formatting path.
+    for path in SRC.glob("*.py"):
+        if path.name == "_text.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                assert ".12g" not in node.value.lower(), f"{path.name}:{node.lineno}"
