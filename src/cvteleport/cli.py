@@ -25,7 +25,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._text import format_number, write_json
-from .criteria import SpectrumTable, bandwidth, evaluate_criteria, fidelity_spectrum, teleport_fidelity
+from .criteria import (
+    OMEGA_LIMIT,
+    SpectrumTable,
+    bandwidth,
+    evaluate_criteria,
+    fidelity_spectrum,
+    teleport_fidelity,
+)
 from .epr import LosslessNopa, LossyNopa, NopaParams, SqueezerSpectrum
 from .linmode import Axis, InputModel, combine, normalized_variance, unit_input
 from .oracle import McConfig, covariance_teleport, fidelity_to_coherent, mc_check
@@ -112,7 +119,8 @@ def _add_output_opts(p: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's own parser by name."""
     parser = _Parser(prog="cvteleport", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -145,11 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", help="Monte-Carlo seed (default 0)")
     p.add_argument("--output", help="write the JSON report to this path")
 
-    return parser
+    return parser, dict(sub.choices)
 
 
 @functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     # Built on the first run(), not at import, then reused: each
     # parse_args() call starts from a fresh namespace, so no flag carries
     # over from one run() to the next.
@@ -217,6 +225,16 @@ def _resolve_source(v: dict) -> tuple[SqueezerSpectrum, float]:
         return LossyNopa(epsilon, beta), 1.0
     except ValueError as exc:
         raise _ConfigError(str(exc)) from None
+
+
+def _check_frequency(flag: str, omega: float) -> None:
+    """Reject a dimensionless frequency above OMEGA_LIMIT."""
+    # The sources square every frequency; past the limit the square nears
+    # the float range and the spectra turn to nan.
+    if omega > OMEGA_LIMIT:
+        raise _ConfigError(
+            f"{flag}: frequencies above {OMEGA_LIMIT:g} (dimensionless) are out of range"
+        )
 
 
 def _resolve_detector(v: dict) -> BellDetector:
@@ -328,6 +346,8 @@ def _table(v: dict, pipeline: str, point: bool = False) -> tuple[SpectrumTable, 
     src, scale = _resolve_source(v)
     user = np.array([_float("--omega", v["omega"])]) if point else _resolve_grid(v)
     grid = user * scale
+    _check_frequency("--omega" if point else "--omega-start", grid[0])
+    _check_frequency("--omega-stop", grid[-1])
     if pipeline == "teleport":
         table = fidelity_spectrum(
             src,
@@ -373,6 +393,7 @@ def _cmd_bandwidth(v: dict) -> int:
 def _cmd_criteria(v: dict) -> int:
     src, scale = _resolve_source(v)
     omega = _float("--omega", v["omega"])
+    _check_frequency("--omega", omega * scale)
     setting = (_resolve_gain(v, for_swap=False), _resolve_detector(v), _resolve_input(v))
     try:
         report = evaluate_criteria(src, omega * scale, *setting)
@@ -460,9 +481,17 @@ _COMMANDS: dict[str, Callable[[dict], int]] = {
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = _parser()
+    args = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
     try:
-        ns = parser.parse_args(argv)
+        if args and args[0] in commands:
+            # A command's flags go straight to its own parser, which is
+            # what the top-level parser would hand them to, so argparse
+            # reads them once.
+            ns = commands[args[0]].parse_args(args[1:])
+            ns.command = args[0]
+        else:  # -h, an unknown command or none: the top-level parser says so
+            ns = parser.parse_args(args)
         values = _merge_config(ns)
     except _ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,6 +27,7 @@ variance is 1/4, so a coherent state has sigma = 1/2 per axis.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -48,6 +49,7 @@ from .teleport import (
 __all__ = [
     "CONDITIONAL_SUM_LIMIT",
     "FIDELITY_CLASSICAL_BOUND",
+    "OMEGA_LIMIT",
     "OUTPUT_PRODUCT_LIMIT",
     "TRANSFER_SUM_LIMIT",
     "VARIANCE_PRODUCT_LIMIT",
@@ -525,76 +527,137 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
     """Full width 2*omega_max of the region where fidelity >= threshold.
 
     Assumes the spectrum decreases away from omega = 0 (true for every
-    source here).  The crossing is bracketed on the grid, then refined by
-    bisection of the table's evaluator to 1e-6, many steps per evaluator
-    call (see _bisect); tables without an evaluator fall back to linear
-    interpolation between the bracketing rows.  Returns
-    0 when even the first row is below threshold, and math.inf when the
-    evaluator never drops below it (a threshold at or below the large-omega
-    limit of the fidelity: 1/2 at unit gain, 1/(1 + g^2) at fixed gain g).
+    source here).  The crossing is bracketed on the grid, or beyond it by
+    doubling the last frequency (every candidate up to OMEGA_LIMIT in one
+    evaluator call), then refined by bisection of the table's evaluator to
+    1e-6, many steps per evaluator call (see _bisect).  Tables without an
+    evaluator fall back to linear interpolation between the bracketing
+    rows.  Returns 0 when even the first row is below threshold, and
+    math.inf when the evaluator never drops below it up to OMEGA_LIMIT (a
+    threshold at or below the large-omega limit of the fidelity: 1/2 at
+    unit gain, 1/(1 + g^2) at fixed gain g).
     """
     om, fs = spectrum.omega, spectrum.fidelity
     if fs[0] < threshold:
         return 0.0
     cross = next((i for i, v in enumerate(fs) if v < threshold), None)
     ev = spectrum.evaluator
-    if cross is None:
-        # Threshold never reached on the grid; extend by doubling if we can.
-        if ev is None:
+    if ev is None:
+        if cross is None:
             raise ValueError(
                 "fidelity stays above threshold across the table and no "
                 "evaluator is attached to extend it"
             )
-        lo = om[-1]
-        hi = lo * 2.0 if lo > 0 else 1.0
-        for _ in range(200):
-            if ev(np.array([hi]))[0] < threshold:
-                break
-            lo, hi = hi, hi * 2.0
-        else:
-            return math.inf
-    else:
         lo, hi = om[cross - 1], om[cross]
-        if ev is None:
-            f_lo, f_hi = fs[cross - 1], fs[cross]
-            if f_lo == f_hi:
-                return 2.0 * lo
-            return 2.0 * (lo + (f_lo - threshold) * (hi - lo) / (f_lo - f_hi))
-    lo, hi = _bisect(ev, lo, hi, threshold)
+        f_lo, f_hi = fs[cross - 1], fs[cross]
+        if f_lo == f_hi:
+            return 2.0 * lo
+        return 2.0 * _secant(lo, f_lo, hi, f_hi, threshold)
+    if cross is None:
+        # Threshold never reached on the grid: the doubling candidates past
+        # its last row join it, and the first below threshold brackets.
+        first = om[-1] * 2.0 if om[-1] > 0 else 1.0
+        candidates = np.ldexp(first, np.arange(_DOUBLINGS))
+        candidates = candidates[candidates <= OMEGA_LIMIT]
+        values = ev(candidates).tolist()
+        below = next((j for j, v in enumerate(values) if v < threshold), None)
+        if below is None:
+            return math.inf
+        om, fs, cross = (om[-1], *candidates.tolist()), (fs[-1], *values), below + 1
+    lo, hi = om[cross - 1], om[cross]
+    f_lo, f_hi = fs[cross - 1], fs[cross]
+    rows = slice(max(cross - 2, 0), cross + 2)
+    guess = _inverse_guess(om[rows], fs[rows], threshold)
+    if not lo <= guess <= hi:  # a nan, or rows that do not decrease
+        guess = _secant(lo, f_lo, hi, f_hi, threshold)
+    lo, hi = _bisect(ev, lo, f_lo, hi, f_hi, threshold, guess)
     return lo + hi  # 2 * midpoint
 
 
+# The frequency past which bandwidth() stops doubling, and above which the
+# command line rejects a frequency: the sources square it, and from about
+# 1.3e154 on the square passes the float range.
+OMEGA_LIMIT = 1e154
+_DOUBLINGS = 200  # doubling candidates at most
+
+
+def _secant(lo: float, f_lo: float, hi: float, f_hi: float, threshold: float) -> float:
+    # Where the chord through (lo, f_lo) and (hi, f_hi) meets threshold.
+    return lo + (f_lo - threshold) * (hi - lo) / (f_lo - f_hi)
+
+
+def _inverse_guess(xs: Sequence[float], fs: Sequence[float], threshold: float) -> float:
+    # The crossing by inverse interpolation: the polynomial x(f) through the
+    # rows around the bracket (a cubic on four rows), evaluated at the
+    # threshold; nan when two rows share a fidelity and x(f) does not exist.
+    if len(set(fs)) < len(fs):
+        return math.nan
+    guess = 0.0
+    for i, (x, f) in enumerate(zip(xs, fs)):
+        for j, g in enumerate(fs):
+            if j != i:
+                x *= (threshold - g) / (f - g)
+        guess += x
+    return guess
+
+
 def _bisect(
-    ev: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, threshold: float
+    ev: Callable[[np.ndarray], np.ndarray],
+    lo: float,
+    f_lo: float,
+    hi: float,
+    f_hi: float,
+    threshold: float,
+    guess: float,
 ) -> tuple[float, float]:
-    # Bisect [lo, hi] to 1e-6 on ev >= threshold, _BISECT_LEVELS steps per
-    # evaluator call: every midpoint the next steps can reach goes into one
-    # array call, then the walk takes exactly the steps of one-point
-    # bisection, so the bracket is the same to the last bit.
+    # Bisect [lo, hi] to 1e-6 on ev >= threshold by speculation: each
+    # evaluator call takes the midpoints of the steps a crossing at guess
+    # would lead to (see _speculation), then the walk takes exactly the
+    # steps of one-point bisection for as long as their midpoints are among
+    # them, so the bracket is the same to the last bit.  The next round
+    # guesses by the secant through the bracket.
     while hi - lo > 1e-6:
-        mids = []
-        brackets = [(lo, hi)]
-        for _ in range(_BISECT_LEVELS):
-            reachable = []
-            for a, b in brackets:
-                if b - a > 1e-6:
-                    mid = 0.5 * (a + b)
-                    mids.append(mid)
-                    reachable += [(mid, b), (a, mid)]
-            brackets = reachable
+        mids = _speculation(lo, hi, guess)
         fidelity = dict(zip(mids, ev(np.array(mids)).tolist()))
-        for _ in range(_BISECT_LEVELS):
-            if not hi - lo > 1e-6:
-                break
+        while hi - lo > 1e-6:
             mid = 0.5 * (lo + hi)
-            if fidelity[mid] >= threshold:
-                lo = mid
+            f = fidelity.get(mid)
+            if f is None:
+                break
+            if f >= threshold:
+                lo, f_lo = mid, f
             else:
-                hi = mid
+                hi, f_hi = mid, f
+        guess = _secant(lo, f_lo, hi, f_hi, threshold)
     return lo, hi
 
 
-_BISECT_LEVELS = 6  # 63 midpoints per evaluator call
+_TREE_LEVELS = 4  # steps every evaluator call takes, whatever the guess
+
+
+def _speculation(lo: float, hi: float, guess: float) -> list[float]:
+    # The midpoints one call evaluates: every one of the first _TREE_LEVELS
+    # bisection steps can reach (15), so a wrong guess still advances that
+    # far, then one per step down the path to guess, on which a midpoint
+    # at or below guess is predicted to keep fidelity >= threshold.
+    ends, mids = [lo, hi], []
+    for _ in range(_TREE_LEVELS):
+        split = [lo]
+        for a, b in zip(ends, ends[1:]):
+            mid = 0.5 * (a + b)
+            mids.append(mid)
+            split += (mid, b)
+        ends = split
+    i = min(max(bisect.bisect_right(ends, guess) - 1, 0), len(ends) - 2)
+    a, b = ends[i], ends[i + 1]
+    while b - a > 1e-6:
+        mid = 0.5 * (a + b)
+        mids.append(mid)
+        if mid <= guess:
+            a = mid
+        else:
+            b = mid
+    return mids
 
 
 # ---------------------------------------------------------------------------

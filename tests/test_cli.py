@@ -11,6 +11,7 @@ import warnings
 import pytest
 
 import cvteleport
+from cvteleport import cli
 from cvteleport.cli import run
 from cvteleport.epr import LosslessNopa, LossyNopa
 from cvteleport.swap import SwapConfig, swap_fidelity
@@ -542,6 +543,51 @@ def test_grid_size_is_capped(capsys, stop, step):
     assert err.startswith("error: --omega-step: the grid would exceed 1000000 rows")
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("point", "--epsilon", "0.5", "--omega", "1e160"), "--omega"),
+        (("criteria", "--epsilon", "0.5", "--omega", "1e200"), "--omega"),
+        (("swap-spectrum", "--epsilon", "0.5", "--omega-start", "1e200", "--omega-stop", "1e200"),
+         "--omega-start"),
+        (("spectrum", "--epsilon", "0.5", "--omega-stop", "1e200", "--omega-step", "1e196"),
+         "--omega-stop"),
+        (("bandwidth", "--epsilon", "0.5", "--omega-stop", "1e200", "--omega-step", "1e196"),
+         "--omega-stop"),
+        # Physical rates: 1e5 in units of gamma = 1e-150 is 2e155 dimensionless.
+        (("point", "--kappa", "1e-151", "--gamma", "1e-150", "--omega", "1e5"), "--omega"),
+    ],
+)
+def test_frequencies_past_the_limit_name_the_flag(capsys, args, flag):
+    # Their squares pass the float range; they used to leak a RuntimeWarning
+    # and exit 2 with "Q-function variances must be positive".
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = invoke(capsys, *args)
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag}: frequencies above 1e+154 (dimensionless) are out of range\n"
+
+
+def test_frequency_at_the_limit_is_accepted(capsys):
+    code, out, _ = invoke(capsys, "point", "--epsilon", "0.5", "--omega", "1e154")
+    assert code == 0
+    assert out.splitlines()[1] == "1e+154,2,2,0.5"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--pipeline", "swap"),  # never crossed: the swapped fidelity tends to 1/2 from above
+        ("--omega-start", "1e100", "--omega-stop", "1e100"),  # doubles up to the limit
+    ],
+)
+def test_bandwidth_at_threshold_one_half_prints_inf(capsys, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = invoke(capsys, "bandwidth", "--epsilon", "0.5", "--threshold", "0.5", *args)
+    assert (code, out, err) == (0, "inf\n", "")
+
+
 def test_unwritable_output_exits_2(capsys):
     code, _, err = invoke(
         capsys,
@@ -751,6 +797,50 @@ def test_oracle_check_at_threshold_with_unit_gain_passes(capsys):
     code, out, _ = invoke(capsys, "oracle-check", "--epsilon", "1", "--samples", "2000")
     assert code == 0
     assert json.loads(out)["all_ok"] is True
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("spectrum", "--epsilon", "0.5", "--omega-stop", "0.2"),
+        ("point", "--eps", "0.5", "--omega=1"),  # abbreviated and joined flags
+        ("spectrum", "--bogus"),
+        ("spectrum", "--epsilon", "0.5", "stray"),
+        ("spectrum", "--epsilon"),
+        ("spectrum", "--epsilon", "0.5", "--", "--omega-stop", "1"),
+        ("point", "--epsilon", "0.5", "--gnuplot"),  # a sweep flag on point
+        ("bandwidth", "--epsilon", "0.5", "--pipeline"),
+        ("spectrum", "-h"),
+        ("oracle-check", "--help"),
+    ],
+)
+def test_commands_parse_alike_on_both_routes(capsys, monkeypatch, args):
+    # run() hands a command's flags straight to its own parser; the
+    # top-level parser would hand them to the same one.  Output, error
+    # text and exit code must not tell the routes apart.
+    def outcome():
+        try:
+            code = run(list(args))
+        except SystemExit as exc:  # -h prints the help and exits
+            code = ("exit", exc.code)
+        return (code, *capsys.readouterr())
+
+    direct = outcome()
+    # No command parser to go straight to: everything takes the top level.
+    parser, _ = cli._parsers()
+    monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))
+    assert outcome() == direct
+
+
+def test_help_lists_the_commands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["-h"])
+    assert exc.value.code == 0
+    assert "swap-spectrum" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import cvteleport.criteria as criteria_module
 from cvteleport.criteria import (
     CONDITIONAL_SUM_LIMIT,
     FIDELITY_CLASSICAL_BOUND,
+    OMEGA_LIMIT,
     OUTPUT_PRODUCT_LIMIT,
     TRANSFER_SUM_LIMIT,
     VARIANCE_PRODUCT_LIMIT,
@@ -618,34 +619,35 @@ def test_bandwidth_is_infinite_when_never_crossed(kwargs, threshold):
 
 
 def _one_point_bandwidth(table, threshold):
-    # bandwidth() with one evaluator call per bisection step.
-    ev = table.evaluator
-    cross = next(i for i, f in enumerate(table.fidelity) if f < threshold)
+    # bandwidth() with one evaluator call per doubling or bisection step.
+    def ev(w):
+        return table.evaluator(np.array([w]))[0]
+
+    cross = next((i for i, f in enumerate(table.fidelity) if f < threshold), None)
     if cross == 0:
         return 0.0
-    lo, hi = table.omega[cross - 1], table.omega[cross]
+    if cross is None:
+        lo = table.omega[-1]
+        hi = lo * 2.0 if lo > 0 else 1.0
+        for _ in range(200):
+            if ev(hi) < threshold:
+                break
+            lo, hi = hi, hi * 2.0
+        else:
+            return math.inf
+    else:
+        lo, hi = table.omega[cross - 1], table.omega[cross]
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        if ev(np.array([mid]))[0] >= threshold:
+        if ev(mid) >= threshold:
             lo = mid
         else:
             hi = mid
     return lo + hi
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda grid: fidelity_spectrum(LosslessNopa(0.6), grid),
-        lambda grid: fidelity_spectrum(LossyNopa(0.8, 0.7), grid, detector=BellDetector(0.95)),
-        lambda grid: swap_spectrum(SwapConfig(LosslessNopa(0.4)), grid),
-        lambda grid: swap_spectrum(SwapConfig(LossyNopa(0.7, 0.9), gain=0.8), grid),
-    ],
-    ids=["lossless", "lossy-detector", "swap", "swap-fixed-gain"],
-)
-@pytest.mark.parametrize("threshold", [0.51, 0.55, 0.6])
-def test_batched_bisection_takes_the_one_point_steps(make, threshold):
-    table = make([0.1 * k for k in range(201)])  # every crossing within the grid
+def _counted(table):
+    # Count the table's evaluator calls from here on.
     calls = []
     evaluator = table.evaluator
 
@@ -653,10 +655,116 @@ def test_batched_bisection_takes_the_one_point_steps(make, threshold):
         calls.append(len(w))
         return evaluator(w)
 
-    want = _one_point_bandwidth(table, threshold)
     table.evaluator = counted
+    return calls
+
+
+SOURCES = [
+    lambda grid: fidelity_spectrum(LosslessNopa(0.6), grid),
+    lambda grid: fidelity_spectrum(LossyNopa(0.8, 0.7), grid, detector=BellDetector(0.95)),
+    lambda grid: swap_spectrum(SwapConfig(LosslessNopa(0.4)), grid),
+    lambda grid: swap_spectrum(SwapConfig(LossyNopa(0.7, 0.9), gain=0.8), grid),
+]
+SOURCE_IDS = ["lossless", "lossy-detector", "swap", "swap-fixed-gain"]
+
+
+@pytest.mark.parametrize("make", SOURCES, ids=SOURCE_IDS)
+@pytest.mark.parametrize("threshold", [0.51, 0.55, 0.6])
+def test_batched_bisection_takes_the_one_point_steps(make, threshold):
+    table = make([0.1 * k for k in range(201)])  # every crossing within the grid
+    want = _one_point_bandwidth(table, threshold)
+    calls = _counted(table)
     assert bandwidth(table, threshold) == want
-    assert len(calls) <= 4
+    # The inverse cubic through the grid rows guesses the crossing closely
+    # enough that the secant through the bracket it leaves finishes.
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("make", SOURCES, ids=SOURCE_IDS)
+@pytest.mark.parametrize("grid", [[0.0], [0.0, 0.1], [0.0, 0.5, 1.0]])
+def test_doubling_takes_the_one_point_steps(make, grid):
+    table = make(grid)  # every crossing beyond the grid
+    want = _one_point_bandwidth(table, 0.51)
+    calls = _counted(table)
+    assert bandwidth(table, 0.51) == want
+    # One call for every doubling candidate, then the refinement, whose
+    # first guess is far coarser across an octave than on the grid.
+    assert calls[0] == 200 and len(calls) <= 5
+
+
+@pytest.mark.parametrize(
+    "wobble",
+    [
+        lambda w: 0.05 * ((w * 7.3) % 1.0 - 0.5),  # a sawtooth: several crossings
+        lambda w: 1e-5 * ((w * 1e6) % 1.0 - 0.5),  # noise at the last steps' scale
+    ],
+    ids=["non-monotone", "noisy"],
+)
+@pytest.mark.parametrize("threshold", [0.51, 0.55, 0.6])
+def test_bisection_of_any_evaluator_takes_the_one_point_steps(wobble, threshold):
+    # Guesses from a fidelity that is not smooth near the crossing miss;
+    # the walk still takes exactly the one-point steps.  The wobble is
+    # elementwise arithmetic, so it is the same at a row of any call.
+    base = fidelity_spectrum(LosslessNopa(0.6), [0.1 * k for k in range(201)])
+
+    def evaluator(w):
+        return base.evaluator(w) + wobble(np.asarray(w, dtype=float))
+
+    grid = np.array(base.omega)
+    table = SpectrumTable(grid, base.v_x, base.v_p, evaluator(grid), evaluator=evaluator)
+    want = _one_point_bandwidth(table, threshold)
+    calls = _counted(table)
+    assert bandwidth(table, threshold) == want
+    assert len(calls) <= 5
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda secant, lo, hi: lo,
+        lambda secant, lo, hi: hi,
+        lambda secant, lo, hi: lo + hi - secant,  # the guess mirrored
+    ],
+    ids=["low", "high", "mirrored"],
+)
+@pytest.mark.parametrize("make", SOURCES, ids=SOURCE_IDS)
+def test_a_wrong_guess_still_takes_several_steps_per_call(monkeypatch, wrong, make):
+    # Every call evaluates the top four tree levels, so even a guess that
+    # is always wrong takes four steps per call: the 17 steps of a 0.1 grid
+    # bracket in at most 5 calls, where trees of six levels (63 midpoints
+    # per call) take 3.
+    table = make([0.1 * k for k in range(201)])
+    want = _one_point_bandwidth(table, 0.51)
+    secant = criteria_module._secant
+    monkeypatch.setattr(criteria_module, "_inverse_guess", lambda xs, fs, t: math.nan)
+    monkeypatch.setattr(
+        criteria_module,
+        "_secant",
+        lambda lo, f_lo, hi, f_hi, t: wrong(secant(lo, f_lo, hi, f_hi, t), lo, hi),
+    )
+    calls = _counted(table)
+    assert bandwidth(table, 0.51) == want
+    assert len(calls) <= 3 + 2
+
+
+def test_never_crossing_bandwidth_takes_one_call():
+    # The swapped fidelity tends to 1/2 from above: no doubling candidate up
+    # to OMEGA_LIMIT drops below a threshold of 1/2, and one call shows it.
+    table = swap_spectrum(SwapConfig(LosslessNopa(0.5)), [0.1 * k for k in range(51)])
+    calls = _counted(table)
+    assert bandwidth(table, 0.5) == math.inf
+    assert calls == [200]
+
+
+def test_doubling_stops_at_the_frequency_limit():
+    # From 1e100 only the doublings up to OMEGA_LIMIT are evaluated; their
+    # squares stay in the float range, so no warning and no nan.
+    table = fidelity_spectrum(LosslessNopa(0.5), [1e100])
+    calls = _counted(table)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bandwidth(table, 0.5) == math.inf
+    assert calls == [len([k for k in range(200) if 2e100 * 2.0 ** k <= OMEGA_LIMIT])]
 
 
 def test_bandwidth_interpolates_without_evaluator():

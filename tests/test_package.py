@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import cvteleport
@@ -102,3 +105,16 @@ def test_only_the_text_module_spells_the_number_format():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 assert ".12g" not in node.value.lower(), f"{path.name}:{node.lineno}"
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is installed but unused: importing it would add 0.2 s (scipy
+    # alone) to 0.8 s (scipy.interpolate) to the start of every command.
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    code = "import sys, cvteleport.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
