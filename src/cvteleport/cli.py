@@ -228,12 +228,13 @@ def _resolve_source(v: dict) -> tuple[SqueezerSpectrum, float]:
 
 
 def _check_frequency(flag: str, omega: float) -> None:
-    """Reject a dimensionless frequency above OMEGA_LIMIT."""
+    """Reject a dimensionless frequency of magnitude above OMEGA_LIMIT."""
     # The sources square every frequency; past the limit the square nears
     # the float range and the spectra turn to nan.
-    if omega > OMEGA_LIMIT:
+    if abs(omega) > OMEGA_LIMIT:
         raise _ConfigError(
-            f"{flag}: frequencies above {OMEGA_LIMIT:g} (dimensionless) are out of range"
+            f"{flag}: frequencies of magnitude above {OMEGA_LIMIT:g} (dimensionless) "
+            "are out of range"
         )
 
 

@@ -528,14 +528,15 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
 
     Assumes the spectrum decreases away from omega = 0 (true for every
     source here).  The crossing is bracketed on the grid, or beyond it by
-    doubling the last frequency (every candidate up to OMEGA_LIMIT in one
-    evaluator call), then refined by bisection of the table's evaluator to
-    1e-6, many steps per evaluator call (see _bisect).  Tables without an
-    evaluator fall back to linear interpolation between the bracketing
-    rows.  Returns 0 when even the first row is below threshold, and
-    math.inf when the evaluator never drops below it up to OMEGA_LIMIT (a
-    threshold at or below the large-omega limit of the fidelity: 1/2 at
-    unit gain, 1/(1 + g^2) at fixed gain g).
+    doubling the last frequency (the first candidate, then every other one
+    up to OMEGA_LIMIT, in two evaluator calls; see _doubling), then refined
+    by bisection of the table's evaluator to 1e-6, many steps per evaluator
+    call (see _bisect).  Tables without an evaluator fall back to linear
+    interpolation between the bracketing rows.  Returns 0 when even the
+    first row is below threshold, and math.inf when the evaluator never
+    drops below it up to OMEGA_LIMIT (a threshold at or below the
+    large-omega limit of the fidelity: 1/2 at unit gain, 1/(1 + g^2) at
+    fixed gain g).
     """
     om, fs = spectrum.omega, spectrum.fidelity
     if fs[0] < threshold:
@@ -556,14 +557,11 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
     if cross is None:
         # Threshold never reached on the grid: the doubling candidates past
         # its last row join it, and the first below threshold brackets.
-        first = om[-1] * 2.0 if om[-1] > 0 else 1.0
-        candidates = np.ldexp(first, np.arange(_DOUBLINGS))
-        candidates = candidates[candidates <= OMEGA_LIMIT]
-        values = ev(candidates).tolist()
+        candidates, values = _doubling(ev, om[-1], threshold)
         below = next((j for j, v in enumerate(values) if v < threshold), None)
         if below is None:
             return math.inf
-        om, fs, cross = (om[-1], *candidates.tolist()), (fs[-1], *values), below + 1
+        om, fs, cross = (om[-1], *candidates), (fs[-1], *values), below + 1
     lo, hi = om[cross - 1], om[cross]
     f_lo, f_hi = fs[cross - 1], fs[cross]
     rows = slice(max(cross - 2, 0), cross + 2)
@@ -579,6 +577,34 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
 # 1.3e154 on the square passes the float range.
 OMEGA_LIMIT = 1e154
 _DOUBLINGS = 200  # doubling candidates at most
+
+
+def _doubling(
+    ev: Callable[[np.ndarray], np.ndarray], last: float, threshold: float
+) -> tuple[list[float], list[float]]:
+    # The doubling candidates past the grid's last row, up to OMEGA_LIMIT,
+    # and the fidelity at each: the first alone, since most crossings past
+    # a grid lie within an octave of it, then the rest in one call.  An
+    # evaluator with a finite range (a CustomSpectrum table) may reject
+    # that call for candidates past the crossing; then the rest go one at
+    # a time, stopping at the first below threshold as one-point doubling
+    # does, so nothing past it is asked for and a frequency the one-point
+    # search would reach still raises.
+    first = last * 2.0 if last > 0 else 1.0
+    candidates = np.ldexp(first, np.arange(_DOUBLINGS))
+    candidates = candidates[candidates <= OMEGA_LIMIT]
+    if not len(candidates):
+        return [], []
+    values = ev(candidates[:1]).tolist()
+    if values[0] >= threshold and len(candidates) > 1:
+        try:
+            values += ev(candidates[1:]).tolist()
+        except Exception:
+            for k in range(1, len(candidates)):
+                values += ev(candidates[k : k + 1]).tolist()
+                if values[-1] < threshold:
+                    break
+    return candidates[: len(values)].tolist(), values
 
 
 def _secant(lo: float, f_lo: float, hi: float, f_hi: float, threshold: float) -> float:

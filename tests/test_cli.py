@@ -548,6 +548,8 @@ def test_grid_size_is_capped(capsys, stop, step):
     [
         (("point", "--epsilon", "0.5", "--omega", "1e160"), "--omega"),
         (("criteria", "--epsilon", "0.5", "--omega", "1e200"), "--omega"),
+        (("point", "--epsilon", "0.5", "--omega=-1e160"), "--omega"),
+        (("criteria", "--epsilon", "0.5", "--omega=-1e200"), "--omega"),
         (("swap-spectrum", "--epsilon", "0.5", "--omega-start", "1e200", "--omega-stop", "1e200"),
          "--omega-start"),
         (("spectrum", "--epsilon", "0.5", "--omega-stop", "1e200", "--omega-step", "1e196"),
@@ -565,13 +567,17 @@ def test_frequencies_past_the_limit_name_the_flag(capsys, args, flag):
         warnings.simplefilter("error")
         code, out, err = invoke(capsys, *args)
     assert (code, out) == (1, "")
-    assert err == f"error: {flag}: frequencies above 1e+154 (dimensionless) are out of range\n"
+    assert err == (
+        f"error: {flag}: frequencies of magnitude above 1e+154 (dimensionless) "
+        "are out of range\n"
+    )
 
 
-def test_frequency_at_the_limit_is_accepted(capsys):
-    code, out, _ = invoke(capsys, "point", "--epsilon", "0.5", "--omega", "1e154")
+@pytest.mark.parametrize("omega", ["1e154", "-1e154"])
+def test_frequency_at_the_limit_is_accepted(capsys, omega):
+    code, out, _ = invoke(capsys, "point", "--epsilon", "0.5", f"--omega={omega}")
     assert code == 0
-    assert out.splitlines()[1] == "1e+154,2,2,0.5"
+    assert out.splitlines()[1] == f"{float(omega):g},2,2,0.5"
 
 
 @pytest.mark.parametrize(

@@ -687,9 +687,10 @@ def test_doubling_takes_the_one_point_steps(make, grid):
     want = _one_point_bandwidth(table, 0.51)
     calls = _counted(table)
     assert bandwidth(table, 0.51) == want
-    # One call for every doubling candidate, then the refinement, whose
-    # first guess is far coarser across an octave than on the grid.
-    assert calls[0] == 200 and len(calls) <= 5
+    # One call for the first doubling candidate, one for every other unless
+    # the first is already below threshold, then the refinement, whose first
+    # guess is far coarser across an octave than on the grid.
+    assert calls[0] == 1 and len(calls) <= 6
 
 
 @pytest.mark.parametrize(
@@ -747,13 +748,13 @@ def test_a_wrong_guess_still_takes_several_steps_per_call(monkeypatch, wrong, ma
     assert len(calls) <= 3 + 2
 
 
-def test_never_crossing_bandwidth_takes_one_call():
+def test_never_crossing_bandwidth_takes_two_calls():
     # The swapped fidelity tends to 1/2 from above: no doubling candidate up
-    # to OMEGA_LIMIT drops below a threshold of 1/2, and one call shows it.
+    # to OMEGA_LIMIT drops below a threshold of 1/2, and two calls show it.
     table = swap_spectrum(SwapConfig(LosslessNopa(0.5)), [0.1 * k for k in range(51)])
     calls = _counted(table)
     assert bandwidth(table, 0.5) == math.inf
-    assert calls == [200]
+    assert calls == [1, 199]
 
 
 def test_doubling_stops_at_the_frequency_limit():
@@ -764,7 +765,43 @@ def test_doubling_stops_at_the_frequency_limit():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert bandwidth(table, 0.5) == math.inf
-    assert calls == [len([k for k in range(200) if 2e100 * 2.0 ** k <= OMEGA_LIMIT])]
+    assert calls == [1, len([k for k in range(1, 200) if 2e100 * 2.0 ** k <= OMEGA_LIMIT])]
+
+
+def _tabulated(top):
+    # LosslessNopa(0.5) as a CustomSpectrum on [0, top]: it rejects any
+    # frequency past top.  At threshold 0.51 the fidelity crosses near 7.
+    src = LosslessNopa(0.5)
+    nodes = [0.25 * k for k in range(int(4 * top) + 1)]
+    pairs = [src.pair(w) for w in nodes]
+    return CustomSpectrum(nodes, [p.s_plus for p in pairs], [p.s_minus for p in pairs])
+
+
+@pytest.mark.parametrize(
+    "top, stop, doubling_calls",
+    [
+        (20.0, 5.0, [1]),  # the first candidate, 10, is below threshold
+        (40.0, 2.5, [1, 199, 1]),  # 5 is above, the rest reach past 40: 10 alone
+    ],
+    ids=["first-candidate", "one-at-a-time"],
+)
+def test_doubling_asks_a_finite_table_for_nothing_past_the_crossing(top, stop, doubling_calls):
+    table = fidelity_spectrum(_tabulated(top), [0.5 * k for k in range(int(2 * stop) + 1)])
+    want = _one_point_bandwidth(table, 0.51)
+    calls = _counted(table)
+    assert bandwidth(table, 0.51) == want
+    assert calls[: len(doubling_calls)] == doubling_calls
+
+
+def test_doubling_past_a_finite_table_raises_as_one_point_doubling_does():
+    # Above threshold up to the table's end at 6: the one-point search
+    # asks for 12 and is rejected, and so is bandwidth().
+    table = fidelity_spectrum(_tabulated(6.0), [0.5 * k for k in range(7)])
+    with pytest.raises(ValueError) as one_point:
+        _one_point_bandwidth(table, 0.51)
+    with pytest.raises(ValueError, match="frequency 12 outside") as batched:
+        bandwidth(table, 0.51)
+    assert str(batched.value) == str(one_point.value)
 
 
 def test_bandwidth_interpolates_without_evaluator():
