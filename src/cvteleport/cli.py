@@ -415,6 +415,14 @@ _MC_VARIANCE_LIMIT = 1e148
 _GAUSS_POINTS = ((0.0, 1.0, 0j), (1.0, 1.0, 3 + 4j), (0.7, 1.6, 1 - 2j), (2.0, 0.5, -1 + 1j))
 
 
+def _check_moments(flag: str, what: str, variance: float) -> None:
+    if variance > _MC_VARIANCE_LIMIT:
+        raise _ConfigError(
+            f"{flag}: the {what} variance {format_number(variance)} is past "
+            f"{_MC_VARIANCE_LIMIT:g}, where the Monte-Carlo sums of squared moments overflow"
+        )
+
+
 def _cmd_oracle_check(v: dict) -> int:
     src, scale = _resolve_source(v)
     omega = _float("--omega", v["omega"]) * scale
@@ -427,23 +435,6 @@ def _cmd_oracle_check(v: dict) -> int:
         flag = "--seed" if str(exc).startswith("seed") else "--samples"
         raise _ConfigError(f"{flag}: {exc}") from None
     out = teleport(src, schedule, detector, omega)
-    # At threshold only unit gain keeps the output finite, and a gain from
-    # about 1e154 on takes it past the float range; an infinite variance
-    # would turn every Monte-Carlo estimate into nan.  A finite one past
-    # _MC_VARIANCE_LIMIT would overflow the sums of squared moments.
-    variance = max(
-        normalized_variance(e, model, axis) for e, axis in ((out.x_tel, Axis.X), (out.p_tel, Axis.P))
-    )
-    if not math.isfinite(variance):
-        raise _ConfigError(
-            "--gain: the teleported output variance is infinite at this frequency; "
-            "a source at threshold needs unit gain, and a very large gain overflows it"
-        )
-    if variance > _MC_VARIANCE_LIMIT:
-        raise _ConfigError(
-            f"--gain: the teleported output variance {format_number(variance)} is past "
-            f"{_MC_VARIANCE_LIMIT:g}, where the Monte-Carlo sums of squared moments overflow"
-        )
     entries = [
         ("x_out", out.x_tel, Axis.X),
         ("p_out", out.p_tel, Axis.P),
@@ -451,6 +442,19 @@ def _cmd_oracle_check(v: dict) -> int:
         ("p_err", combine(out.p_tel, unit_input(), 1.0, -1.0), Axis.P),
         ("x_in", unit_input(), Axis.X),
     ]
+    # Every entry is sampled: an infinite variance would turn its estimates
+    # into nan, and a finite one past _MC_VARIANCE_LIMIT would overflow the
+    # sums of squared moments.  The input's own variance is --input's to
+    # answer for; past it, at threshold only unit gain keeps the output
+    # finite, and a gain from about 1e154 on takes it past the float range.
+    _check_moments("--input", "input", max(model.v_x, model.v_p))
+    variance = max(normalized_variance(e, model, axis) for _, e, axis in entries)
+    if not math.isfinite(variance):
+        raise _ConfigError(
+            "--gain: the teleported output variance is infinite at this frequency; "
+            "a source at threshold needs unit gain, and a very large gain overflows it"
+        )
+    _check_moments("--gain", "teleported output", variance)
     report = mc_check(entries, model, cfg, pairs=(("x_out", "x_in"),))
     gauss_rows = []
     gauss_ok = True

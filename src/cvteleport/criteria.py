@@ -36,7 +36,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from ._text import read_csv, write_csv, write_json, write_json_columns
-from .epr import SqueezerSpectrum, _abs2
+from .epr import SqueezerSpectrum, _abs2, _ports
 from .linmode import Axis, InputModel, QuadExpansion, difference_variance, normalized_variance
 from .teleport import (
     BellDetector,
@@ -442,15 +442,15 @@ def _teleport_columns(
     # The one kernel behind every spectrum row and the criteria report: the
     # variances and the fidelity of a teleport over src of a coherent
     # amplitude alpha, on a frequency grid, with gain one number or an
-    # array over the grid.  Every port the source projects adds its real
-    # power |w|^2 |amplitude|^2 to its axis's noise, one port at a time, so
-    # no (ports x omega) matrix and no complex amplitude is ever held.
-    noise_x, noise_p = np.zeros(len(omega)), np.zeros(len(omega))
-    # A power past the float range is a diverging noise term: inf, silently.
+    # array over the grid.  The noise is the sum over the ports of the
+    # source's EPR pairs (see _port_noise), so no (ports x omega) matrix
+    # and no complex amplitude is ever held.
+    pairs = src._pairs(omega, (-gain, 1), (gain, 1))
+    # A power past the float range is a diverging noise term: inf, silently;
+    # a 0*inf term is added again as its exact zero.
+    with np.errstate(over="ignore", invalid="ignore"):
+        noise_x, noise_p = _port_noise(pairs, len(omega))
     with np.errstate(over="ignore"):
-        for axis, power in src._mode_powers(omega, (-gain, 1), (gain, 1)):
-            noise = noise_x if axis is Axis.X else noise_p
-            noise += power
         if detector.eta < 1.0:
             # Two detector vacua per photocurrent, each weighted gain*tau.
             det = _abs2(gain * detector.excess)
@@ -470,6 +470,37 @@ def _teleport_columns(
         raise ValueError(f"fidelity {np.extract(~inside, generic)[0]} outside [0, 1]")
     f = _checked_fidelity(src, omega, gain, detector, in_model, alpha, generic)
     return _Columns(v_x, v_p, f, v_out_x, v_out_p)
+
+
+def _port_noise(pairs: tuple, n: int, exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    # Each port adds |w|^2 times its real power |amplitude|^2 to its axis,
+    # one port at a time in the walker's order; a constant zero weight
+    # skips its port.  A term is exactly zero wherever its weight or its
+    # power is, even where a finite weight's square passed the float range.
+    # The plain product is that term unless it reads nan (0*inf), which
+    # only an array or an infinite weight square can give: those go in
+    # plainly, and only when a nan shows are the ports added again with
+    # the rule applied (exact).
+    noise_x, noise_p = np.zeros(n), np.zeros(n)
+    unchecked = False
+    for _, _, powers, x_weights, p_weights in pairs:
+        squares = {}  # loss ports repeat the weight objects (see _ports)
+        for _, axis, w, power in _ports(powers, x_weights, p_weights):
+            w2 = squares.get(id(w))
+            if w2 is None:
+                w2 = squares[id(w)] = _abs2(w)
+            noise = noise_x if axis is Axis.X else noise_p
+            if type(w2) is float and w2 < math.inf:
+                if w2 != 0:
+                    noise += w2 * power
+            elif exact:
+                noise += np.where((w2 == 0) | (power == 0), 0.0, w2 * power)
+            else:
+                noise += w2 * power
+                unchecked = True
+    if unchecked and (np.isnan(noise_x).any() or np.isnan(noise_p).any()):
+        return _port_noise(pairs, n, exact=True)
+    return noise_x, noise_p
 
 
 def _spectrum_table(

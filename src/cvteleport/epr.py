@@ -14,13 +14,13 @@ and, for a lossy cavity, ``L_plus``/``L_minus`` couple in the loss-port
 vacua on the same quadratures, giving the spectra V+- = |S+-|^2 + |L+-|^2.
 Superimposing the two decoupled squeezed modes on a balanced beamsplitter
 yields the broadband EPR pair; every source shares that one rotated port
-layout (SqueezerSpectrum.epr_ports).
+layout, and one walker (_ports) maps it onto a protocol's weights.
 
 Powers serve spectra, amplitudes serve expansions.  A variance only ever
 adds |w*amplitude|^2 = |w|^2*|amplitude|^2 per port, so the spectrum
-kernel reads each source's real port powers (SqueezerSpectrum.powers) and
+kernel walks each source's real port powers (SqueezerSpectrum.powers) and
 never builds a complex amplitude; the NOPAs give them in cancellation-free
-real form.  The complex amplitudes (SqueezerSpectrum.pair) are built only
+real form.  The complex amplitudes (SqueezerSpectrum.pair) are walked only
 for the quadrature expansions of teleport(), which the oracles and the
 commutator checks use.
 
@@ -35,7 +35,7 @@ V+ = 1 + 4eb/((1-e)^2 + w^2), b = 1 for a lossless cavity.  At exact
 threshold (epsilon = 1, omega = 0) the noisy amplitude diverges; sources
 report it, and its power, as an IEEE infinity, and downstream consumers
 keep unit-gain results finite by applying exactly-zero weights before
-multiplying (see EprPort).
+multiplying (see _ports).
 """
 
 from __future__ import annotations
@@ -43,16 +43,15 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from ._text import read_csv
-from .linmode import Axis, QuadExpansion, TermKey
+from .linmode import Axis, QuadExpansion
 
 __all__ = [
     "CustomSpectrum",
-    "EprPort",
     "EprQuadratures",
     "LosslessNopa",
     "LossyNopa",
@@ -155,27 +154,6 @@ class PortPowers(NamedTuple):
 
 
 @dataclass(frozen=True)
-class EprPort:
-    """One vacuum port of an EPR pair, in factored (weight, amplitude) form.
-
-    The port contributes ``first*amplitude`` to the first pair mode and
-    ``second*amplitude`` to the second, on the given quadrature axis.
-    Keeping the weights separate from the (possibly infinite) amplitude lets
-    consumers cancel the weight exactly before any multiplication happens,
-    which is what keeps unit-gain outputs finite at the squeezing threshold.
-    The amplitude is an array over a frequency grid when the port is.  The
-    spectrum kernel reads the same layout with powers in place of the
-    amplitudes (see _project_powers).
-    """
-
-    label: str
-    axis: Axis
-    amplitude: complex | np.ndarray
-    first: complex
-    second: complex
-
-
-@dataclass(frozen=True)
 class EprQuadratures:
     """The four quadrature expansions of one EPR pair."""
 
@@ -183,62 +161,6 @@ class EprQuadratures:
     p1: QuadExpansion
     x2: QuadExpansion
     p2: QuadExpansion
-
-
-def _project(
-    ports: Iterable[EprPort],
-    x_weights: tuple[complex, complex],
-    p_weights: tuple[complex, complex],
-) -> Iterator[tuple[TermKey, np.ndarray]]:
-    """Map EPR ports onto one output mode: yield each (label, axis) and its coefficient.
-
-    Each port's coefficient is (a*first + b*second)*amplitude, with (a, b)
-    the weights of its axis; wherever that combined weight is exactly zero
-    the coefficient is exactly zero, whatever the amplitude.  Weights and
-    amplitudes may be arrays over one frequency grid.
-    """
-    for port in ports:
-        a, b = x_weights if port.axis is Axis.X else p_weights
-        w = a * port.first + b * port.second
-        with np.errstate(invalid="ignore", over="ignore"):  # 0*inf goes to the where
-            c = np.where(w == 0, 0, w * port.amplitude)
-        yield (port.label, port.axis), c
-
-
-def _project_powers(
-    layout: Iterable[tuple],
-    x_weights: tuple[complex, complex],
-    p_weights: tuple[complex, complex],
-) -> list[tuple[Axis, float | np.ndarray]]:
-    """Map port powers onto one output mode: each port's axis and its term there.
-
-    A port's term is |a*first + b*second|^2 times its power, the
-    |coefficient|^2 of _project, port by port over a _layout of PortPowers;
-    wherever the combined weight is exactly zero the term is exactly zero,
-    whatever the power.  A constant weight that is zero skips its port.
-    """
-    terms = []
-    squares: dict[tuple, float | np.ndarray] = {}  # loss ports repeat the weights
-    with np.errstate(invalid="ignore"):  # 0*inf goes to the where
-        for _, axis, power, first, second in layout:
-            on_x = axis is Axis.X
-            w2 = squares.get((on_x, first, second))
-            if w2 is None:
-                a, b = x_weights if on_x else p_weights
-                w2 = squares[on_x, first, second] = _abs2(a * first + b * second)
-            if type(w2) is not float:
-                terms.append((axis, np.where(w2 == 0, 0.0, w2 * power)))
-            elif w2 != 0:
-                terms.append((axis, w2 * power))
-    return terms
-
-
-def _tables(terms: Iterable[tuple[TermKey, np.ndarray]]) -> tuple[dict, dict]:
-    # Sort projected coefficients into X and P tables for QuadExpansion.
-    tables: dict[Axis, dict] = {Axis.X: {}, Axis.P: {}}
-    for key, c in terms:
-        tables[key[1]][key] = c
-    return tables[Axis.X], tables[Axis.P]
 
 
 def _rotated(plus, minus, slot: int = 0) -> tuple[tuple, ...]:
@@ -264,12 +186,47 @@ def _layout(s: TransferPair | PortPowers) -> tuple[tuple, ...]:
     return ports
 
 
-def _epr_ports(s: TransferPair, labels: tuple[str, str]) -> tuple[EprPort, ...]:
-    # The layout of one transfer pair as labeled ports; see
-    # SqueezerSpectrum.epr_ports.
-    l1, l2 = labels
-    names = (l1, l2, l1 + "_loss", l2 + "_loss")
-    return tuple(EprPort(names[slot], *port) for slot, *port in _layout(s))
+def _ports(
+    values: TransferPair | PortPowers,
+    x_weights: tuple[complex, complex],
+    p_weights: tuple[complex, complex],
+) -> Iterator[tuple[int, Axis, complex | np.ndarray, complex | np.ndarray]]:
+    """Walk one EPR pair's ports for the output mode a*mode1 + b*mode2.
+
+    Yields each port's label slot (see _rotated), its axis, its combined
+    weight a*first + b*second, with (a, b) the weights of its axis, and its
+    value: an amplitude or a power, one number or an array over a frequency
+    grid, as are the weights.  The weight stays apart from the (possibly
+    infinite) value so that a consumer applies an exactly-zero weight
+    before multiplying, which keeps unit-gain outputs finite at threshold.
+    A loss port gets the very weight object of its squeezed twin, so a
+    consumer may cache what it derives from a weight by its id.
+    """
+    combined: dict[tuple, complex | np.ndarray] = {}
+    for slot, axis, value, first, second in _layout(values):
+        on_x = axis is Axis.X
+        w = combined.get((on_x, first, second))
+        if w is None:
+            a, b = x_weights if on_x else p_weights
+            w = combined[on_x, first, second] = a * first + b * second
+        yield slot, axis, w, value
+
+
+def _terms(
+    resource, omega: float | np.ndarray, x_weights: tuple, p_weights: tuple
+) -> tuple[dict, dict]:
+    # The X and P coefficient tables of a*mode1 + b*mode2 for QuadExpansion:
+    # over each EPR pair of the resource (see SqueezerSpectrum._pairs), each
+    # port's combined weight times its amplitude, under '<label>' or
+    # '<label>_loss', and exactly zero wherever the weight is.
+    tables: dict[Axis, dict] = {Axis.X: {}, Axis.P: {}}
+    for (l1, l2), source, _, x_w, p_w in resource._pairs(omega, x_weights, p_weights):
+        names = (l1, l2, l1 + "_loss", l2 + "_loss")
+        amplitudes = source.pair(omega)
+        with np.errstate(invalid="ignore", over="ignore"):  # 0*inf goes to the where
+            for slot, axis, w, amplitude in _ports(amplitudes, x_w, p_w):
+                tables[axis][names[slot], axis] = np.where(w == 0, 0, w * amplitude)
+    return tables[Axis.X], tables[Axis.P]
 
 
 def _number(x):
@@ -315,7 +272,7 @@ class SqueezerSpectrum(abc.ABC):
     """A frequency-indexed squeezing source.
 
     Concrete sources provide the transfer pair at a dimensionless frequency,
-    or at every frequency of an array at once; the EPR ports and the
+    or at every frequency of an array at once; the port powers and the
     spectra follow from it.  Instances are immutable; concurrent frequency
     queries are safe.
     """
@@ -336,31 +293,15 @@ class SqueezerSpectrum(abc.ABC):
         """Noisy and quiet spectra (V+, V-) at omega, vacuum = 1."""
         return self.powers(omega).variances()
 
-    def epr_ports(
-        self, omega: float | np.ndarray, labels: tuple[str, str] = ("bar1", "bar2")
-    ) -> tuple[EprPort, ...]:
-        """Port decomposition of the EPR pair at omega, in the rotated layout.
-
-        Four squeezed ports under the two labels, and, when the pair
-        carries loss amplitudes, four more in the same layout under
-        '<label>_loss'.
-        """
-        return _epr_ports(self.pair(omega), labels)
-
-    def _project_modes(
+    def _pairs(
         self, omega: float | np.ndarray, x_weights: tuple, p_weights: tuple
-    ) -> Iterator[tuple[TermKey, np.ndarray]]:
-        # The (key, coefficient) terms of a*mode1 + b*mode2 (see _project),
-        # each key once; a composed resource stands in for a source by
-        # overriding this.
-        return _project(self.epr_ports(omega), x_weights, p_weights)
-
-    def _mode_powers(
-        self, omega: float | np.ndarray, x_weights: tuple, p_weights: tuple
-    ) -> list[tuple[Axis, np.ndarray]]:
-        # The (axis, power) terms of the same projection, from the port
-        # powers (see _project_powers); the spectrum kernel sums these.
-        return _project_powers(_layout(self.powers(omega)), x_weights, p_weights)
+    ) -> tuple[tuple, ...]:
+        # The EPR pairs behind the output mode a*mode1 + b*mode2, one
+        # (labels, source, port powers, x weights, p weights) entry each, for
+        # _ports to walk: a source is its own one pair, and a composed
+        # resource stands in for a source by overriding this.
+        pair = ("bar1", "bar2"), self, self.powers(omega), x_weights, p_weights
+        return (pair,)
 
     def describe(self) -> str:
         return type(self).__name__
@@ -571,8 +512,8 @@ def squeezing_spectrum(
 
 def make_epr_pair(src: SqueezerSpectrum, omega: float) -> EprQuadratures:
     """EPR pair of a source at omega, materialized as expansions."""
-    x1, p1 = _tables(src._project_modes(omega, (1, 0), (1, 0)))
-    x2, p2 = _tables(src._project_modes(omega, (0, 1), (0, 1)))
+    x1, p1 = _terms(src, omega, (1, 0), (1, 0))
+    x2, p2 = _terms(src, omega, (0, 1), (0, 1))
     return EprQuadratures(
         QuadExpansion(0j, x1),
         QuadExpansion(0j, p1),

@@ -9,37 +9,24 @@ mode 4 with gain gs produces the swapped mode
 so modes 1 and 4', which never interacted, end up entangled.  The pair
 (1, 4') is then one more teleportation resource: a unit-gain teleport over
 it scores the swap with the same array kernel, closed form and cross-check
-as any source.  Its weights are composed onto the sources' rotated EPR ports,
-once for both the amplitudes of the expansions and the powers of the
-kernel, so weights that cancel do so exactly before the (possibly infinite)
-squeezing amplitude or power is multiplied in, which keeps threshold
-results finite.
+as any source.  It hands the two sources' EPR pairs to the one port walker
+with the swap gain composed into their weights, for both the amplitudes of
+the expansions and the powers of the kernel, so weights that cancel do so
+exactly before the (possibly infinite) squeezing amplitude or power is
+multiplied in, which keeps threshold results finite.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .criteria import SpectrumTable, _Columns, _spectrum_table, _teleport_columns
-from .epr import (
-    EprPort,
-    PortPowers,
-    SqueezerSpectrum,
-    TransferPair,
-    _abs2,
-    _epr_ports,
-    _layout,
-    _number,
-    _project,
-    _project_powers,
-    make_epr_pair,
-)
-from .linmode import Axis, InputModel, QuadExpansion, TermKey
+from .epr import PortPowers, SqueezerSpectrum, TransferPair, _abs2, _number, make_epr_pair
+from .linmode import InputModel, QuadExpansion
 from .teleport import BellDetector, GainSchedule, TeleportOutcome, as_gain, teleport
 
 __all__ = [
@@ -137,55 +124,44 @@ class _SwappedPair:
     """The swapped pair (1, 4') over a frequency grid, as a teleportation resource.
 
     It stands in for a source in teleport(), make_epr_pair() and the
-    spectrum kernel by composing weights, not ports (see _compose), so
-    exact-zero weights still skip infinite amplitudes and powers.  Only the
-    quiet spectrum of the pair is defined (variances() reports V+ as nan):
+    spectrum kernel by composing the gain into the weights of the sources'
+    pairs, not into their ports (see _pairs), so exact-zero weights still
+    skip infinite amplitudes and powers.  Only the quiet spectrum of the
+    pair is defined (variances() reports V+ as nan):
     V-_eff = (|gs-1|^2 A + |gs+1|^2 B)/4, A and B the summed V+ and V- of
     the two sources.  omega may be one frequency or an array; each source's
     powers are evaluated once, and its amplitudes only for expansions.
     """
 
-    __slots__ = ("cfg", "gain", "layouts", "quiet")
+    __slots__ = ("cfg", "gain", "powers", "quiet")
 
     def __init__(self, cfg: SwapConfig, omega: float | np.ndarray) -> None:
         self.cfg = cfg
-        powers = cfg._powers(omega)
-        self.gain = gs = optimal_gain(*powers) if cfg.gain is None else cfg.gain.at(omega)
-        self.layouts = tuple(map(_layout, powers))
+        self.powers = cfg._powers(omega)
+        self.gain = gs = optimal_gain(*self.powers) if cfg.gain is None else cfg.gain.at(omega)
         vp1, vm1 = cfg.source_ab.variances(omega)
         vp2, vm2 = (vp1, vm1) if cfg.source_cd is None else cfg.source_cd.variances(omega)
-        # At gs == 1 the noisy term is dropped: 0*A is nan at threshold.
+        # A term whose factor is exactly zero is dropped: the noisy one at
+        # gs == 1, where 0*A is nan at threshold, and the quiet one where
+        # B = 0, which is nan for a gain so large that |gs+1|^2 is inf.
+        b = vm1 + vm2
         with np.errstate(invalid="ignore", over="ignore"):
             noisy = np.where(gs == 1, 0.0, _abs2(gs - 1) * (vp1 + vp2) / 4.0)
-        self.quiet = noisy + _abs2(gs + 1) * (vm1 + vm2) / 4.0
+            self.quiet = noisy + np.where(b == 0, 0.0, _abs2(gs + 1) * b / 4.0)
 
-    def _compose(self, x_weights: tuple, p_weights: tuple) -> tuple[tuple, tuple]:
+    def _pairs(
+        self, omega: float | np.ndarray, x_weights: tuple, p_weights: tuple
+    ) -> tuple[tuple, tuple]:
         # (a, b) on modes (1, 4') is (a, gs*b) on pair ab and (-gs*b, b) on
-        # X, (gs*b, b) on P of pair cd: the (x, p) weights of each pair.
+        # X, (gs*b, b) on P of pair cd, over the powers the gain was taken
+        # from (see SqueezerSpectrum._pairs).
         (xa, xb), (pa, pb) = x_weights, p_weights
         gx, gp = self.gain * xb, self.gain * pb
-        return ((xa, gx), (pa, gp)), ((-gx, xb), (gp, pb))
-
-    def ports(self, omega: float | np.ndarray) -> tuple[tuple[EprPort, ...], tuple[EprPort, ...]]:
-        """The amplitude ports of pairs ab and cd, for expansions."""
-        cfg = self.cfg
-        ab = cfg.source_ab.pair(omega)
-        cd = ab if cfg.source_cd is None else cfg.source_cd.pair(omega)
-        return _epr_ports(ab, _AB_LABELS), _epr_ports(cd, _CD_LABELS)
-
-    def _project_modes(
-        self, omega: float | np.ndarray, x_weights: tuple, p_weights: tuple
-    ) -> Iterator[tuple[TermKey, np.ndarray]]:
-        w_ab, w_cd = self._compose(x_weights, p_weights)
-        ab, cd = self.ports(omega)
-        return itertools.chain(_project(ab, *w_ab), _project(cd, *w_cd))
-
-    def _mode_powers(
-        self, omega: float | np.ndarray, x_weights: tuple, p_weights: tuple
-    ) -> list[tuple[Axis, np.ndarray]]:
-        w_ab, w_cd = self._compose(x_weights, p_weights)
-        ab, cd = self.layouts
-        return _project_powers(ab, *w_ab) + _project_powers(cd, *w_cd)
+        ab, cd = self.powers
+        return (
+            (_AB_LABELS, self.cfg.source_ab, ab, (xa, gx), (pa, gp)),
+            (_CD_LABELS, self.cfg.second_source, cd, (-gx, xb), (gp, pb)),
+        )
 
     def variances(self, omega: float | np.ndarray) -> tuple[float, np.ndarray]:
         return math.nan, self.quiet

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .epr import SqueezerSpectrum, ZeroBandwidth, _tables
+from .epr import SqueezerSpectrum, ZeroBandwidth, _terms
 from .linmode import Axis, InputModel, QuadExpansion, difference_variance
 
 __all__ = [
@@ -151,7 +151,7 @@ def teleport(
     with exact-zero weights suppressing the (possibly infinite) amplitude.
     """
     g = as_gain(gain).at(omega)
-    x_terms, p_terms = _tables(src._project_modes(omega, (-g, 1), (g, 1)))
+    x_terms, p_terms = _terms(src, omega, (-g, 1), (g, 1))
     if detector.eta < 1.0:
         c = g * detector.excess
         for label in _DET_X:

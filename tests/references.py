@@ -11,13 +11,12 @@ sampler of the zero-bandwidth protocol (for the covariance route).
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from cvteleport.epr import NopaParams, TransferPair, _project, _tables
+from cvteleport.epr import NopaParams, TransferPair, _ports
 from cvteleport.linmode import (
     Axis,
     InputModel,
@@ -28,7 +27,7 @@ from cvteleport.linmode import (
     unit_input,
 )
 from cvteleport.oracle import McConfig, _bell_splitter, _initial_state
-from cvteleport.swap import SwapConfig, _SwappedPair
+from cvteleport.swap import SwapConfig
 
 COHERENT = InputModel.coherent()
 
@@ -75,15 +74,18 @@ def swapped_epr_variances(cfg: SwapConfig, omega: float) -> tuple[float, float]:
     portwise with its own weights, not through the resource, so it is an
     independent reference for the verification teleportation.
     """
-    pair = _SwappedPair(cfg, omega)
-    gs = pair.gain
-    ab, cd = pair.ports(omega)
-    x_terms, p_terms = _tables(
-        itertools.chain(_project(ab, (1, -gs), (1, gs)), _project(cd, (gs, -1), (gs, 1)))
-    )
+    gs = cfg.gain_at(omega)
+    terms: dict[Axis, dict] = {Axis.X: {}, Axis.P: {}}
+    for tag, source, x_weights, p_weights in (
+        ("ab", cfg.source_ab, (1, -gs), (1, gs)),
+        ("cd", cfg.second_source, (gs, -1), (gs, 1)),
+    ):
+        for slot, axis, w, amplitude in _ports(source.pair(omega), x_weights, p_weights):
+            with np.errstate(invalid="ignore", over="ignore"):  # 0*inf goes to the where
+                terms[axis][f"{tag}{slot}", axis] = np.where(w == 0, 0, w * amplitude)
     return (
-        normalized_variance(QuadExpansion(0j, x_terms), COHERENT, Axis.X),
-        normalized_variance(QuadExpansion(0j, p_terms), COHERENT, Axis.P),
+        normalized_variance(QuadExpansion(0j, terms[Axis.X]), COHERENT, Axis.X),
+        normalized_variance(QuadExpansion(0j, terms[Axis.P]), COHERENT, Axis.P),
     )
 
 

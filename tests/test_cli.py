@@ -786,6 +786,41 @@ def test_oracle_check_just_under_the_variance_limit_passes(capsys):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ("spectrum", "--epsilon", "1", "--gain", "fixed:1e300"),
+        ("spectrum", "--epsilon", "1", "--eta2", "0.5", "--gain", "fixed:1e160"),
+        ("swap-spectrum", "--epsilon", "1", "--gain", "fixed:1e300"),
+        (
+            "swap-spectrum", "--epsilon", "1", "--gain", "fixed:1e300",
+            "--omega-start", "1e-8", "--omega-step", "1",
+        ),
+        (
+            "oracle-check", "--epsilon", "0.5", "--gain", "fixed:0",
+            "--input", "squeezed:1e80", "--samples", "1000",
+        ),
+        ("oracle-check", "--epsilon", "0.5", "--input", "squeezed:1e153", "--samples", "1000"),
+    ],
+)
+def test_edge_inputs_give_a_table_or_name_a_flag(capsys, args):
+    # Inputs that once failed deep in the numerics (exit 2): each either
+    # prints a valid table or is a configuration error naming one of its
+    # flags.  A leaked RuntimeWarning fails the test through pytest's filter.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonUnitGainWarning)
+        code, out, err = invoke(capsys, *args)
+    assert code in (0, 1), err
+    if code == 1:
+        assert out == ""
+        assert err.split(":")[1].strip() in args, err
+        return
+    header, *rows = out.splitlines()
+    assert header == HEADER and rows
+    for row in rows:
+        assert 0.0 <= float(row.split(",")[3]) <= 1.0, row
+
+
+@pytest.mark.parametrize(
     "flags, message",
     [
         (("--format", "xml", "--gnuplot"), "error: --format: expected csv or json, got 'xml'"),

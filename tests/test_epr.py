@@ -15,6 +15,7 @@ from cvteleport.epr import (
     TransferPair,
     ZeroBandwidth,
     _abs2,
+    _ports,
     make_epr_pair,
     squeezing_spectrum,
 )
@@ -268,28 +269,48 @@ def test_physical_rate_epr_pair_matches_dimensionless():
 
 
 def test_epr_port_labels_are_configurable():
-    ports = LosslessNopa(0.4).epr_ports(0.0, labels=("u1", "u2"))
-    assert {p.label for p in ports} == {"u1", "u2"}
+    # The walker yields label slots; the labels are those a resource's
+    # _pairs entry names, as the swapped pair names its two pairs.
+    ports = _ports(LosslessNopa(0.4).pair(0.0), (1, 0), (1, 0))
+    assert [(slot, axis) for slot, axis, _, _ in ports] == [
+        (0, Axis.X), (1, Axis.X), (0, Axis.P), (1, Axis.P),
+    ]
+
+    class Relabeled(LosslessNopa):
+        def _pairs(self, omega, x_weights, p_weights):
+            ((_, *entry),) = super()._pairs(omega, x_weights, p_weights)
+            return (("u1", "u2"), *entry),
+
+    pair = make_epr_pair(Relabeled(0.4), 0.0)
+    assert {label for label, _ in pair.x1.terms} == {"u1", "u2"}
 
 
 def test_lossy_ports_share_the_rotated_layout():
-    # Loss ports follow the squeezed ports' layout under '<label>_loss', and
-    # only when the pair carries loss amplitudes.
-    src = LossyNopa(0.4, 0.9)
-    pair = src.pair(0.3)
-    ports = src.epr_ports(0.3, labels=("u1", "u2"))
-    squeezed = LosslessNopa(0.4).epr_ports(0.3, labels=("u1", "u2"))
-    assert [(p.label, p.axis, p.first, p.second) for p in ports[:4]] == [
-        (p.label, p.axis, p.first, p.second) for p in squeezed
+    # Loss ports follow the squeezed ports' layout in label slots 2 and 3,
+    # with the very weight objects of their squeezed twins (the kernel
+    # caches weight squares by id), and only when the pair carries loss
+    # amplitudes.
+    weights = ((0.3, -1.7), (1.1, 0.6))
+    pair = LossyNopa(0.4, 0.9).pair(0.3)
+    ports = list(_ports(pair, *weights))
+    squeezed = list(_ports(LosslessNopa(0.4).pair(0.3), *weights))
+    h = math.sqrt(0.5)
+    assert [(slot, axis, w) for slot, axis, w, _ in squeezed] == [
+        (0, Axis.X, 0.3 * h - 1.7 * h),
+        (1, Axis.X, 0.3 * h + 1.7 * h),
+        (0, Axis.P, 1.1 * h + 0.6 * h),
+        (1, Axis.P, 1.1 * h - 0.6 * h),
     ]
-    assert [p.amplitude for p in ports] == [
+    assert [port[:3] for port in ports[:4]] == [port[:3] for port in squeezed]
+    assert [(slot - 2, axis) for slot, axis, _, _ in ports[4:]] == [
+        (slot, axis) for slot, axis, _, _ in squeezed
+    ]
+    assert all(loss[2] is twin[2] for loss, twin in zip(ports[4:], ports[:4]))
+    assert [value for *_, value in ports] == [
         pair.s_plus, pair.s_minus, pair.s_minus, pair.s_plus,
         pair.l_plus, pair.l_minus, pair.l_minus, pair.l_plus,
     ]
-    assert [(p.label, p.first, p.second) for p in ports[4:]] == [
-        (p.label + "_loss", p.first, p.second) for p in squeezed
-    ]
-    assert len(LossyNopa(0.4, 1.0).epr_ports(0.3)) == 4
+    assert len(list(_ports(LossyNopa(0.4, 1.0).pair(0.3), *weights))) == 4
 
 
 def test_zero_bandwidth_source():

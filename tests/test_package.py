@@ -107,6 +107,32 @@ def test_only_the_text_module_spells_the_number_format():
                 assert ".12g" not in node.value.lower(), f"{path.name}:{node.lineno}"
 
 
+def _readers(tree: ast.AST, name: str, scope: str = "") -> list[str]:
+    # The enclosing function of every mention of name that is not its
+    # definition: a variable, an attribute or an imported alias.
+    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = tree.name
+    found = [scope] if (
+        (isinstance(tree, ast.Name) and tree.id == name)
+        or (isinstance(tree, ast.Attribute) and tree.attr == name)
+        or (isinstance(tree, ast.alias) and tree.name == name)
+    ) else []
+    for child in ast.iter_child_nodes(tree):
+        found += _readers(child, name, scope)
+    return found
+
+
+def test_one_walker_reads_the_port_layout():
+    # Every protocol map, amplitudes and powers alike, walks the EPR ports
+    # through epr._ports: a second reader of _layout is a second port loop.
+    readers = [
+        (path.name, scope)
+        for path in SRC.glob("*.py")
+        for scope in _readers(ast.parse(path.read_text()), "_layout")
+    ]
+    assert readers == [("epr.py", "_ports")]
+
+
 def test_cli_import_leaves_scipy_out():
     # scipy is installed but unused: importing it would add 0.2 s (scipy
     # alone) to 0.8 s (scipy.interpolate) to the start of every command.
