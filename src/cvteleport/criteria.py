@@ -447,9 +447,9 @@ def _teleport_columns(
     # and no complex amplitude is ever held.
     pairs = src._pairs(omega, (-gain, 1), (gain, 1))
     # A power past the float range is a diverging noise term: inf, silently;
-    # a 0*inf term is added again as its exact zero.
+    # a 0*inf term is its exact zero (see _port_noise).
     with np.errstate(over="ignore", invalid="ignore"):
-        noise_x, noise_p = _port_noise(pairs, len(omega))
+        noise_x, noise_p = _port_noise(pairs, omega)
     with np.errstate(over="ignore"):
         if detector.eta < 1.0:
             # Two detector vacua per photocurrent, each weighted gain*tau.
@@ -472,18 +472,15 @@ def _teleport_columns(
     return _Columns(v_x, v_p, f, v_out_x, v_out_p)
 
 
-def _port_noise(pairs: tuple, n: int, exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _port_noise(pairs: tuple, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Each port adds |w|^2 times its real power |amplitude|^2 to its axis,
     # one port at a time in the walker's order; a constant zero weight
     # skips its port.  A term is exactly zero wherever its weight or its
     # power is, even where a finite weight's square passed the float range.
-    # The plain product is that term unless it reads nan (0*inf), which
-    # only an array or an infinite weight square can give: those go in
-    # plainly, and only when a nan shows are the ports added again with
-    # the rule applied (exact).
-    noise_x, noise_p = np.zeros(n), np.zeros(n)
-    unchecked = False
-    for _, _, powers, x_weights, p_weights in pairs:
+    noise_x, noise_p = np.zeros(len(omega)), np.zeros(len(omega))
+    for _, source, powers, x_weights, p_weights in pairs:
+        if powers is None:
+            powers = source.powers(omega)
         squares = {}  # loss ports repeat the weight objects (see _ports)
         for _, axis, w, power in _ports(powers, x_weights, p_weights):
             w2 = squares.get(id(w))
@@ -493,13 +490,8 @@ def _port_noise(pairs: tuple, n: int, exact: bool = False) -> tuple[np.ndarray, 
             if type(w2) is float and w2 < math.inf:
                 if w2 != 0:
                     noise += w2 * power
-            elif exact:
-                noise += np.where((w2 == 0) | (power == 0), 0.0, w2 * power)
             else:
-                noise += w2 * power
-                unchecked = True
-    if unchecked and (np.isnan(noise_x).any() or np.isnan(noise_p).any()):
-        return _port_noise(pairs, n, exact=True)
+                noise += np.where((w2 == 0) | (power == 0), 0.0, w2 * power)
     return noise_x, noise_p
 
 

@@ -220,9 +220,12 @@ def _terms(
     # port's combined weight times its amplitude, under '<label>' or
     # '<label>_loss', and exactly zero wherever the weight is.
     tables: dict[Axis, dict] = {Axis.X: {}, Axis.P: {}}
+    pairs: dict[int, TransferPair] = {}  # two pairs may share one source
     for (l1, l2), source, _, x_w, p_w in resource._pairs(omega, x_weights, p_weights):
         names = (l1, l2, l1 + "_loss", l2 + "_loss")
-        amplitudes = source.pair(omega)
+        amplitudes = pairs.get(id(source))
+        if amplitudes is None:
+            amplitudes = pairs[id(source)] = source.pair(omega)
         with np.errstate(invalid="ignore", over="ignore"):  # 0*inf goes to the where
             for slot, axis, w, amplitude in _ports(amplitudes, x_w, p_w):
                 tables[axis][names[slot], axis] = np.where(w == 0, 0, w * amplitude)
@@ -299,9 +302,10 @@ class SqueezerSpectrum(abc.ABC):
         # The EPR pairs behind the output mode a*mode1 + b*mode2, one
         # (labels, source, port powers, x weights, p weights) entry each, for
         # _ports to walk: a source is its own one pair, and a composed
-        # resource stands in for a source by overriding this.
-        pair = ("bar1", "bar2"), self, self.powers(omega), x_weights, p_weights
-        return (pair,)
+        # resource stands in for a source by overriding this.  The powers
+        # are None where they are the source's own powers(omega), which
+        # only the spectrum kernel reads.
+        return ((("bar1", "bar2"), self, None, x_weights, p_weights),)
 
     def describe(self) -> str:
         return type(self).__name__

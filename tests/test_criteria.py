@@ -44,7 +44,6 @@ from cvteleport.epr import CustomSpectrum, LosslessNopa, LossyNopa, ZeroBandwidt
 from cvteleport.swap import (
     SwapConfig,
     _swap_columns,
-    _SwappedPair,
     swap_spectrum,
     verification_teleport,
 )
@@ -983,36 +982,6 @@ def test_a_zero_power_adds_zero_under_an_overflowed_weight(gain):
         )
         assert cols.v_x.tolist() == cols.v_p.tolist() == [math.inf, math.inf]
         assert cols.fidelity.tolist() == [0.0, 0.0]
-
-
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda w: LossyNopa(0.7, 0.8),
-        lambda w: LosslessNopa(1.0),
-        lambda w: _SwappedPair(SwapConfig(LossyNopa(0.6, 0.8)), w),
-        lambda w: _SwappedPair(SwapConfig(LosslessNopa(1.0)), w),
-        lambda w: _SwappedPair(SwapConfig(LosslessNopa(0.4), LossyNopa(0.3, 0.9), gain=1e200), w),
-    ],
-    ids=["lossy", "threshold", "swap", "swap-threshold", "swap-overflow"],
-)
-@pytest.mark.parametrize(
-    "gain",
-    [GainSchedule.fixed(0.8), GainSchedule.fixed(1e160), WOBBLE],
-    ids=["real", "overflow", "per-frequency"],
-)
-def test_plain_port_sums_match_the_exact_zero_rule_bit_for_bit(make, gain):
-    # The kernel adds plain products and applies the exact-zero rule only
-    # once a nan shows; a sum with no nan is the ruled sum to the bit.
-    grid = np.array([0.0, 0.4, 1.3, 3.0])
-    g = gain.at(grid)
-    pairs = make(grid)._pairs(grid, (-g, 1), (g, 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = criteria_module._port_noise(pairs, len(grid))
-        want = criteria_module._port_noise(pairs, len(grid), exact=True)
-    for a, b in zip(got, want):
-        assert a.tobytes() == b.tobytes()
-        assert not np.isnan(a).any()
 
 
 # ---------------------------------------------------------------------------

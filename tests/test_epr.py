@@ -27,6 +27,8 @@ from cvteleport.linmode import (
     covariance,
     normalized_variance,
 )
+from cvteleport.swap import SwapConfig, verification_teleport
+from cvteleport.teleport import BellDetector, teleport
 from references import bogoliubov_defect, couple_modes, nopa_transfer
 
 COHERENT = InputModel.coherent()
@@ -311,6 +313,22 @@ def test_lossy_ports_share_the_rotated_layout():
         pair.l_plus, pair.l_minus, pair.l_minus, pair.l_plus,
     ]
     assert len(list(_ports(LossyNopa(0.4, 1.0).pair(0.3), *weights))) == 4
+
+
+def test_expansions_evaluate_each_source_pair_once(monkeypatch):
+    # teleport() multiplies amplitudes only: a source's pair() runs once
+    # per teleport, also where its powers() would go through pair()
+    # (CustomSpectrum) and where a swap's two pairs share its one source.
+    calls = []
+    for cls in (CustomSpectrum, LossyNopa):
+        monkeypatch.setattr(
+            cls, "pair", lambda self, omega, f=cls.pair: calls.append(self) or f(self, omega)
+        )
+    teleport(CustomSpectrum((0.0, 1.0), (2.0, 2.5), (0.5, 0.4)), 1.0, BellDetector(1.0), 0.3)
+    assert len(calls) == 1
+    calls.clear()
+    verification_teleport(SwapConfig(LossyNopa(0.6, 0.8)), 0.3)
+    assert len(calls) == 1
 
 
 def test_zero_bandwidth_source():
