@@ -701,6 +701,58 @@ STDOUT_SHA256 = [
         ),
         id="swap-physical",
     ),
+    # Tables of _text._VECTOR_ROWS (200) rows or more, which the numpy
+    # writer formats; the physical-rate ones report frequencies in user
+    # units, rebuilt by cli._reindex.
+    pytest.param(
+        "b3fce8c8b6ba882b8003c16cb5ace5dd6f893b73fccb7469bc549dfa7bbda078",
+        ("spectrum", "--epsilon", "0.6", "--omega-stop", "30"),
+        id="spectrum-lossless-301-rows",
+    ),
+    pytest.param(
+        "373d691bfc38b894144385101628de34248dbf646459f36c52fa727b02381e44",
+        (
+            "spectrum", "--epsilon", "0.6", "--beta", "0.9", "--eta2", "0.97",
+            "--omega-stop", "25", "--format", "json",
+        ),
+        id="spectrum-lossy-eta2-json-251-rows",
+    ),
+    pytest.param(
+        "f3458dc6913338191d0b14f9d6b0bc18f6a83349fda24b307486dd95faa0c60c",
+        (
+            "spectrum", "--kappa", "1.54", "--gamma", "3.6", "--rho", "0.4",
+            "--omega-stop", "60", "--omega-step", "0.25", "--format", "json",
+        ),
+        id="spectrum-physical-json-241-rows",
+    ),
+    pytest.param(
+        "9a3e23c908bfd64f1fd023bdc0a6839089be369bb0098515f8b00c7b44466f88",
+        ("spectrum", "--epsilon", "1", "--gain", "fixed:0.8", "--omega-stop", "20"),
+        id="spectrum-threshold-fixed-gain-201-rows",
+    ),
+    pytest.param(
+        "bb83489c56247496e313cdb10cd971b7d1fd3bbb0782d4021c90af8b4e854546",
+        ("swap-spectrum", "--epsilon", "0.4", "--omega-stop", "30", "--format", "json"),
+        id="swap-optimal-json-301-rows",
+    ),
+    pytest.param(
+        "9de4ac4ebf1ded274b14614ec3850bcc64e4298dfe818ffddaf4166862b2f550",
+        ("swap-spectrum", "--epsilon", "0.5", "--beta", "0.8", "--omega-stop", "20"),
+        id="swap-lossy-201-rows",
+    ),
+    pytest.param(
+        "cd8a515f8ed232df3607cd7b407aad6efbabd80115791b8eb758871047322d22",
+        (
+            "swap-spectrum", "--kappa", "1.54", "--gamma", "3.6", "--rho", "0.4",
+            "--omega-stop", "60", "--omega-step", "0.25",
+        ),
+        id="swap-physical-241-rows",
+    ),
+    pytest.param(
+        "6df8a3fda4b9fd0612ab4adef79d7134518bdec5e9531b3601b37b35f916fdd5",
+        ("swap-spectrum", "--epsilon", "1", "--omega-stop", "20", "--format", "json"),
+        id="swap-threshold-json-201-rows",
+    ),
 ]
 
 
