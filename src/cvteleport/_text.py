@@ -74,13 +74,13 @@ def _json_number(text: str) -> str:
     return sign + digits + "0" * (e + 1 - len(digits)) + ".0"
 
 
-def _rounded(column: Sequence[float]) -> str:
+def _rounded(column: np.ndarray) -> str:
     # The values rounded to 12 significant digits, as json writes them, one
     # per array line, from one % over the column.  A "%.12g" string with a
     # "." and no exponent is already json's text; when every one is (the
     # block has no "e" and one "." per value), two scans of the block stand
     # in for a test per value.
-    values = tuple(column)
+    values = tuple(column.tolist())
     block = _ITEM_SEP.join(["%.12g"] * len(values)) % values
     if "e" in block or block.count(".") != len(values):
         texts = block.split(_ITEM_SEP)
@@ -92,17 +92,17 @@ def _rounded(column: Sequence[float]) -> str:
 _ITEM_SEP = ",\n    "  # between the items of an array under a top-level key
 
 
-def write_json_columns(columns: dict[str, Sequence[float]]) -> str:
+def write_json_columns(columns: dict[str, np.ndarray]) -> str:
     """write_json of the columns with each value rounded to 12 significant digits.
 
     The same bytes as write_json({name: [float(f"{v:.12g}") for v in col]}),
     written straight from the "%.12g" strings, with no parse back to float:
     with an indent the generic encoder runs in pure Python, which long
-    spectrum columns cannot afford.  The columns are a table's, of equal
-    length.  A column passed under two names as one and the same object is
-    rendered once: only identity, never ==, says two columns print alike
-    (0.0 == -0.0 prints as 0.0 and -0.0), so callers that find two columns
-    bitwise equal pass one of them twice.
+    spectrum columns cannot afford.  The columns are a table's: float64
+    arrays of equal length.  A column passed under two names as one and the
+    same object is rendered once: only identity, never ==, says two columns
+    print alike (0.0 == -0.0 prints as 0.0 and -0.0), so callers that find
+    two columns bitwise equal pass one of them twice.
     """
     distinct = list({id(c): c for c in columns.values()}.values())
     if distinct and len(distinct[0]) >= _VECTOR_ROWS:
@@ -123,8 +123,8 @@ def write_json_columns(columns: dict[str, Sequence[float]]) -> str:
     return "{\n" + ",\n".join(blocks) + "\n}\n" if blocks else "{}\n"
 
 
-def write_csv(header: tuple[str, ...], columns: Sequence[Sequence[float]]) -> str:
-    """CSV text: the header line, then each row's values as "%.12g" cells.
+def write_csv(header: tuple[str, ...], columns: Sequence[np.ndarray]) -> str:
+    """CSV text: the header line, then each row's float64 values as "%.12g" cells.
 
     A column passed twice as one and the same object is formatted once, as
     in write_json_columns.
@@ -150,12 +150,13 @@ def write_csv(header: tuple[str, ...], columns: Sequence[Sequence[float]]) -> st
     for k, column in enumerate(columns):
         if sum(c is column for c in columns) > 1:
             if id(column) not in shared:
-                shared[id(column)] = ("\n".join(["%.12g"] * n) % tuple(column)).split("\n")
-            column = shared[id(column)]
+                shared[id(column)] = ("\n".join(["%.12g"] * n) % tuple(column.tolist())).split("\n")
+            values = shared[id(column)]
             row.append("%s")
         else:
+            values = column.tolist()
             row.append("%.12g")
-        cells[k :: len(columns)] = column
+        cells[k :: len(columns)] = values
     return head + (",".join(row) + "\n") * n % tuple(cells)
 
 
@@ -189,17 +190,14 @@ _BLOCK_VALUES = 1 << 13
 _POW10 = np.array([float(10**k) for k in range(16)])
 
 
-def _blocks(columns: Sequence[Sequence[float]], as_json: bool):
+def _blocks(columns: Sequence[np.ndarray], as_json: bool):
     # Per block of rows, the columns' text as an array indexed [byte,
     # column, row]: each value's text runs down one array column, padded
     # with NULs.  The text is built transposed so that each numpy pass runs
     # along the rows, and all columns go through one _fields call a block.
-    n = len(columns[0])
-    stacked = np.empty((len(columns), n))
-    for k, column in enumerate(columns):
-        stacked[k] = np.fromiter(column, float, n)
+    stacked = np.stack(columns)
     step = max(_BLOCK_VALUES // len(columns), 1)
-    for start in range(0, n, step):
+    for start in range(0, stacked.shape[1], step):
         block = stacked[:, start : start + step]
         yield _fields(block.ravel(), as_json).reshape(-1, *block.shape)
 

@@ -252,7 +252,7 @@ def fidelity_point(
     The gain and the sigmas may be arrays over a frequency grid; an
     infinite sigma gives F = 0.
     """
-    if not (np.all(sigma_x > 0) and np.all(sigma_p > 0)):
+    if not (np.greater(sigma_x, 0).all() and np.greater(sigma_p, 0).all()):
         raise ValueError("Q-function variances must be positive")
     delta = (1.0 - gain) * complex(alpha)
     amp = 0.5 / np.sqrt(sigma_x * sigma_p)
@@ -324,11 +324,11 @@ def _checked_fidelity(
     if alpha != 0 or in_model.v_x != 1.0 or in_model.v_p != 1.0:
         return generic
     unit = np.equal(gain, 1)
-    if not np.any(unit):
+    if not unit.any():
         return generic
     closed = _closed_form_fidelity(src, omega, detector)
     off = unit & ~(np.abs(closed - generic) <= 1e-12)
-    if np.any(off):
+    if off.any():
         raise AssertionError(
             "generic fidelity path disagrees with closed form at "
             f"omega={np.extract(off, omega)[0]}"
@@ -343,14 +343,19 @@ def _checked_fidelity(
 CSV_HEADER = ("omega", "v_x", "v_p", "fidelity")
 
 
-@dataclass
+@dataclass(eq=False)
 class SpectrumTable:
     """Frequency sweep of variances and fidelity, with stable serialization.
 
-    Rows are ascending in omega.  An optional evaluator (an array of
-    frequencies -> the array of their fidelities) lets bandwidth() refine
-    beyond the tabulated grid; it is attached by the sweep constructors and
-    absent on tables loaded from disk.
+    Each column is a read-only float64 numpy array (earlier releases held
+    tuples of floats), the table's own copy of any sequence of floats it
+    was given.  Rows are ascending in omega; rows() yields them as Python
+    floats.  Two tables are equal when their columns are, value
+    by value (so 0.0 equals -0.0 and a nan equals nothing); the evaluator
+    is not compared.  An optional evaluator (an array of frequencies -> the
+    array of their fidelities) lets bandwidth() refine beyond the tabulated
+    grid; it is attached by the sweep constructors and absent on tables
+    loaded from disk.
 
     to_csv and to_json write each value to 12 significant digits through
     the _text writers, and when v_p matches v_x bit for bit (as it does
@@ -360,21 +365,19 @@ class SpectrumTable:
     differently.
     """
 
-    omega: tuple[float, ...]
-    v_x: tuple[float, ...]
-    v_p: tuple[float, ...]
-    fidelity: tuple[float, ...]
-    evaluator: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, compare=False, repr=False
-    )
+    omega: np.ndarray
+    v_x: np.ndarray
+    v_p: np.ndarray
+    fidelity: np.ndarray
+    evaluator: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        # Columns may arrive as arrays; they are checked whole and kept as
-        # tuples of Python floats.
-        columns = [
-            np.asarray(c, dtype=float) for c in (self.omega, self.v_x, self.v_p, self.fidelity)
+        self.omega, self.v_x, self.v_p, self.fidelity = columns = [
+            np.array(c, dtype=float) for c in (self.omega, self.v_x, self.v_p, self.fidelity)
         ]
-        omega = columns[0]
+        for column in columns:
+            column.flags.writeable = False
+        omega = self.omega
         if any(len(c) != len(omega) for c in columns):
             raise ValueError("all columns must have equal length")
         if len(omega) == 0:
@@ -383,30 +386,28 @@ class SpectrumTable:
             raise ValueError("omega column must be finite")
         if not (omega[1:] > omega[:-1]).all():
             raise ValueError("omega column must be strictly increasing")
-        self.omega, self.v_x, self.v_p, self.fidelity = (tuple(c.tolist()) for c in columns)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SpectrumTable):
+            return NotImplemented
+        mine = (self.omega, self.v_x, self.v_p, self.fidelity)
+        return all(map(np.array_equal, mine, (other.omega, other.v_x, other.v_p, other.fidelity)))
 
     def __len__(self) -> int:
         return len(self.omega)
 
     def rows(self) -> Iterable[tuple[float, float, float, float]]:
-        return zip(self.omega, self.v_x, self.v_p, self.fidelity)
+        columns = (self.omega, self.v_x, self.v_p, self.fidelity)
+        return zip(*(c.tolist() for c in columns))
 
-    def _written_columns(self) -> tuple[tuple[float, ...], ...]:
+    def _written_columns(self) -> tuple[np.ndarray, ...]:
         # The columns as both writers format them: v_p is v_x itself when the
         # two match bit for bit (every symmetric source at real gain on a
-        # coherent input), so its text is made once and written twice.  ==
-        # alone would not do: 0.0 == -0.0, yet they print as 0 and -0, so
-        # equal columns holding a zero must also agree in its sign.  NaNs
-        # need no guard: every NaN prints as nan.
+        # coherent input), so its text is made once and written twice.  The
+        # int64 views compare bits, not values: 0.0 == -0.0, yet they print
+        # as 0 and -0.
         v_x, v_p = self.v_x, self.v_p
-        same = v_p == v_x and (
-            0.0 not in v_x
-            or all(
-                math.copysign(1.0, a) == math.copysign(1.0, b)
-                for a, b in zip(v_x, v_p)
-                if a == 0.0
-            )
-        )
+        same = np.array_equal(v_x.view(np.int64), v_p.view(np.int64))
         return self.omega, v_x, v_x if same else v_p, self.fidelity
 
     def to_csv(self) -> str:
@@ -536,7 +537,7 @@ def fidelity_spectrum(
     table = _spectrum_table(
         grid, columns(grid, gains), lambda w: columns(w, schedule.at(w))
     )
-    if np.any(gains != 1):
+    if np.not_equal(gains, 1).any():
         warnings.warn(
             "nonunit gain: the v_x/v_p columns include the gain-mismatch "
             "input term and are not error spectra",
@@ -561,10 +562,11 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
     large-omega limit of the fidelity: 1/2 at unit gain, 1/(1 + g^2) at
     fixed gain g).
     """
-    om, fs = spectrum.omega, spectrum.fidelity
+    fs = spectrum.fidelity.tolist()
     if fs[0] < threshold:
         return 0.0
     cross = next((i for i, v in enumerate(fs) if v < threshold), None)
+    om = spectrum.omega.tolist()
     ev = spectrum.evaluator
     if ev is None:
         if cross is None:

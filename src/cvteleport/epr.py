@@ -213,14 +213,21 @@ def _ports(
 
 
 def _terms(
-    resource, omega: float | np.ndarray, x_weights: tuple, p_weights: tuple
+    resource,
+    omega: float | np.ndarray,
+    x_weights: tuple,
+    p_weights: tuple,
+    pairs: dict[int, TransferPair] | None = None,
 ) -> tuple[dict, dict]:
     # The X and P coefficient tables of a*mode1 + b*mode2 for QuadExpansion:
     # over each EPR pair of the resource (see SqueezerSpectrum._pairs), each
     # port's combined weight times its amplitude, under '<label>' or
-    # '<label>_loss', and exactly zero wherever the weight is.
+    # '<label>_loss', and exactly zero wherever the weight is.  Each source's
+    # pair(omega) is evaluated once and kept in pairs, by the source's id:
+    # two EPR pairs may share one source, and callers that build several
+    # modes at one omega pass one dict to every call.
     tables: dict[Axis, dict] = {Axis.X: {}, Axis.P: {}}
-    pairs: dict[int, TransferPair] = {}  # two pairs may share one source
+    pairs = {} if pairs is None else pairs
     for (l1, l2), source, _, x_w, p_w in resource._pairs(omega, x_weights, p_weights):
         names = (l1, l2, l1 + "_loss", l2 + "_loss")
         amplitudes = pairs.get(id(source))
@@ -243,9 +250,13 @@ def _abs2(z):
     # abs rounds differently in about a third of cases.  hypot(inf, nan)
     # is inf, so an infinite part times a zero part still reads inf.  A
     # plain number stays in Python, where a*a overflows to inf silently.
+    # A real float array squares as z*z: hypot(x, 0) is exactly |x|, so
+    # the bits are the same, signed zeros, inf and nan included.
     if type(z) in (float, complex, int):
         a = abs(z)
         return float(a * a)
+    if getattr(z, "dtype", None) == np.float64:
+        return _number(z * z)
     return _number(np.hypot(np.real(z), np.imag(z)) ** 2)
 
 
@@ -483,7 +494,7 @@ class CustomSpectrum(SqueezerSpectrum):
         grid = self._omegas
         w = np.asarray(omega, dtype=float)
         outside = ~((w >= grid[0]) & (w <= grid[-1]))
-        if np.any(outside):
+        if outside.any():
             raise ValueError(
                 f"frequency {np.extract(outside, w)[0]:g} outside tabulated range "
                 f"[{grid[0]:g}, {grid[-1]:g}]"
@@ -516,8 +527,9 @@ def squeezing_spectrum(
 
 def make_epr_pair(src: SqueezerSpectrum, omega: float) -> EprQuadratures:
     """EPR pair of a source at omega, materialized as expansions."""
-    x1, p1 = _terms(src, omega, (1, 0), (1, 0))
-    x2, p2 = _terms(src, omega, (0, 1), (0, 1))
+    pairs: dict[int, TransferPair] = {}  # both modes share each source's pair()
+    x1, p1 = _terms(src, omega, (1, 0), (1, 0), pairs)
+    x2, p2 = _terms(src, omega, (0, 1), (0, 1), pairs)
     return EprQuadratures(
         QuadExpansion(0j, x1),
         QuadExpansion(0j, p1),

@@ -61,7 +61,7 @@ def optimal_gain(
     sp1, sm1 = pair.magnitudes_sq()
     sp2, sm2 = (second if second is not None else pair).magnitudes_sq()
     a, b = sp1 + sp2, sm1 + sm2
-    if np.any(a + b == 0):
+    if np.equal(a + b, 0).any():
         raise ValueError("degenerate transfer pair: |S+|^2 + |S-|^2 must be positive")
     with np.errstate(invalid="ignore"):  # inf/inf, replaced by the limit
         return _number(np.where(np.isinf(a), 1.0, (a - b) / (a + b)))

@@ -353,7 +353,7 @@ def test_spectrum_table_file_io(tmp_path):
     path = tmp_path / "sweep.csv"
     path.write_text(table.to_csv())
     again = SpectrumTable.from_csv(str(path))
-    assert again.omega == table.omega
+    assert np.array_equal(again.omega, table.omega)
     jpath = tmp_path / "sweep.json"
     jpath.write_text(table.to_json())
     assert json.loads(jpath.read_text())["omega"] == [0.0, 1.0, 2.0]
@@ -372,7 +372,7 @@ def test_spectrum_table_rejects_a_nan_frequency():
         SpectrumTable.from_csv("omega,v_x,v_p,fidelity\n0,1,1,0.5\nnan,1,1,0.5\n")
     # Threshold rows print infinite variances; those stay loadable.
     table = SpectrumTable.from_csv("omega,v_x,v_p,fidelity\n0,inf,inf,0\n1,1,1,0.5\n")
-    assert table.v_x == (math.inf, 1.0)
+    assert table.v_x.tolist() == [math.inf, 1.0]
 
 
 # The serializers before columns were written straight: each value through
@@ -409,11 +409,8 @@ SERIALIZED = st.one_of(
 @settings(deadline=None, max_examples=300, derandomize=True)
 @given(rows=st.lists(st.tuples(SERIALIZED, SERIALIZED, SERIALIZED), min_size=1, max_size=12))
 def test_serializers_write_the_reference_bytes(rows):
-    table = SpectrumTable(
-        tuple(float(k) for k in range(len(rows))),
-        *(tuple(col) for col in zip(*rows)),
-    )
-    table.omega = tuple(r[0] for r in rows)  # any values, past the omega checks
+    table = SpectrumTable(np.arange(len(rows), dtype=float), *(np.array(col) for col in zip(*rows)))
+    table.omega = np.array([r[0] for r in rows])  # any values, past the omega checks
     assert table.to_csv() == _reference_csv(table)
     assert table.to_json() == _reference_json(table)
 
@@ -429,15 +426,14 @@ def test_serializers_write_the_reference_bytes(rows):
     zero=st.sampled_from([0.0, -0.0]),
 )
 def test_serializers_write_v_p_near_v_x_as_the_reference(rows, v_p_is, at, zero):
-    omega, v_x, fidelity = (tuple(col) for col in zip(*rows))
+    omega, v_x, fidelity = (np.array(col) for col in zip(*rows))
     at %= len(v_x)
-    v_p = tuple(float(repr(v)) for v in v_x)  # equal values, new objects
+    v_p = v_x.copy()  # equal values, a new array
     if v_p_is == "a zero flipped":
-        v_x = v_x[:at] + (zero,) + v_x[at + 1 :]
-        v_p = v_p[:at] + (-zero,) + v_p[at + 1 :]
+        v_x[at], v_p[at] = zero, -zero
     elif v_p_is == "a nan":
-        v_p = v_p[:at] + (math.nan,) + v_p[at + 1 :]
-    table = SpectrumTable(tuple(float(k) for k in range(len(rows))), v_x, v_p, fidelity)
+        v_p[at] = math.nan
+    table = SpectrumTable(np.arange(len(rows), dtype=float), v_x, v_p, fidelity)
     table.omega = omega  # any values, past the omega checks
     if v_p_is == "v_x":
         table.v_p = table.v_x
@@ -542,6 +538,38 @@ def test_spectrum_table_validation():
 def test_rows_iterates_in_order():
     table = SpectrumTable((0.0, 1.0), (2.0, 2.1), (2.0, 2.2), (0.5, 0.4))
     assert list(table.rows()) == [(0.0, 2.0, 2.0, 0.5), (1.0, 2.1, 2.2, 0.4)]
+    # Rows hold Python floats, as they did when the columns were tuples.
+    assert all(type(v) is float for row in table.rows() for v in row)
+
+
+def test_spectrum_table_columns_are_read_only_float64_arrays():
+    grid = np.linspace(0.0, 2.0, 5)
+    sweep = fidelity_spectrum(LosslessNopa(0.5), grid)
+    loaded = SpectrumTable.from_csv(sweep.to_csv())
+    given = SpectrumTable([0, 1], (2, 3), np.array([2.0, 3.0]), [0.5, 0.25])
+    for table in (sweep, loaded, given):
+        for column in (table.omega, table.v_x, table.v_p, table.fidelity):
+            assert type(column) is np.ndarray and column.dtype == np.float64
+            assert column.ndim == 1 and not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+    # The table keeps its own copy: writing the array passed in leaves it be.
+    grid[0] = -1.0
+    assert sweep.omega[0] == 0.0
+
+
+def test_spectrum_table_equality_compares_columns_by_value():
+    table = SpectrumTable((0.0, 1.0), (2.0, -0.0), (2.0, 2.2), (0.5, 0.4))
+    same = SpectrumTable([0, 1], np.array([2.0, 0.0]), (2.0, 2.2), (0.5, 0.4), evaluator=len)
+    assert table == same and not table != same  # -0.0 == 0.0; the evaluator is not compared
+    assert table == SpectrumTable.from_csv(table.to_csv())
+    assert table != SpectrumTable((0.0, 1.0), (2.0, 0.0), (2.0, 2.2), (0.5, 0.41))
+    assert table != SpectrumTable((0.0,), (2.0,), (2.0,), (0.5,))
+    assert table != tuple(table.rows()) and table != "table"
+    with_nan = SpectrumTable((0.0,), (math.nan,), (1.0,), (0.5,))
+    assert with_nan != SpectrumTable((0.0,), (math.nan,), (1.0,), (0.5,))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(table)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +620,7 @@ def test_threshold_grids_raise_no_numpy_warnings(gain):
     else:
         assert table.v_x[0] == table.v_p[0] == math.inf and table.fidelity[0] == 0.0
         assert report.v_x == report.v_p == math.inf
-    assert all(math.isfinite(v) for v in table.v_x[1:] + table.fidelity)
+    assert all(math.isfinite(v) for v in [*table.v_x[1:], *table.fidelity])
 
 
 def test_bandwidth_zero_when_never_above():

@@ -27,7 +27,7 @@ from cvteleport.linmode import (
     covariance,
     normalized_variance,
 )
-from cvteleport.swap import SwapConfig, verification_teleport
+from cvteleport.swap import SwapConfig, swap_once, verification_teleport
 from cvteleport.teleport import BellDetector, teleport
 from references import bogoliubov_defect, couple_modes, nopa_transfer
 
@@ -329,6 +329,35 @@ def test_expansions_evaluate_each_source_pair_once(monkeypatch):
     calls.clear()
     verification_teleport(SwapConfig(LossyNopa(0.6, 0.8)), 0.3)
     assert len(calls) == 1
+    # Both modes of an EPR pair, over a source and over a swapped pair
+    # (swap_once), take their amplitudes from one pair() per source.
+    calls.clear()
+    make_epr_pair(CustomSpectrum((0.0, 1.0), (2.0, 2.5), (0.5, 0.4)), 0.3)
+    assert len(calls) == 1
+    calls.clear()
+    swap_once(SwapConfig(LossyNopa(0.6, 0.8)), 0.3)
+    assert len(calls) == 1
+
+
+# Signed zeros, subnormals, squares either side of the float range's edge
+# (1e154 squares to 1e308, 1.4e154 past it to inf), inf and nan.
+ABS2_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, 1.0, -2.5,
+              1e154, -1e154, 1.3e154, 1.4e154, -1.4e154, 1e300, math.inf, -math.inf, math.nan]
+
+
+def test_abs2_squares_a_real_array_as_hypot_does_bit_for_bit():
+    z = np.array(ABS2_EDGES + [-math.nan])
+    with np.errstate(over="ignore"):
+        got = _abs2(z)
+        want = np.hypot(np.real(z), np.imag(z)) ** 2
+        one_by_one = [_abs2(np.float64(v)) for v in z]
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(np.array(one_by_one).view(np.int64), want.view(np.int64))
+    assert all(type(v) is float for v in one_by_one)
+    # The plain-number route, Python's abs(), agrees too (nan aside).
+    plain = [_abs2(v) for v in ABS2_EDGES[:-1]]
+    assert plain == want[: len(plain)].tolist()
 
 
 def test_zero_bandwidth_source():

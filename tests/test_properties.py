@@ -220,7 +220,7 @@ def test_unpumped_sources_sit_exactly_on_the_classical_bound(src, omega):
 def test_threshold_limits_are_exact():
     table = fidelity_spectrum(THRESHOLD, [0.0])
     assert (table.v_x[0], table.v_p[0], table.fidelity[0]) == (0.0, 0.0, 1.0)
-    assert fidelity_spectrum(ZeroBandwidth(math.inf), [0.0, 1e4]).fidelity == (1.0, 1.0)
+    assert fidelity_spectrum(ZeroBandwidth(math.inf), [0.0, 1e4]).fidelity.tolist() == [1.0, 1.0]
     assert swap_fidelity(SwapConfig(THRESHOLD), 0.0) == 1.0
 
 
