@@ -729,6 +729,7 @@ STDOUT_SHA256 = [
         "9a3e23c908bfd64f1fd023bdc0a6839089be369bb0098515f8b00c7b44466f88",
         ("spectrum", "--epsilon", "1", "--gain", "fixed:0.8", "--omega-stop", "20"),
         id="spectrum-threshold-fixed-gain-201-rows",
+        marks=pytest.mark.filterwarnings("ignore::cvteleport.teleport.NonUnitGainWarning"),
     ),
     pytest.param(
         "bb83489c56247496e313cdb10cd971b7d1fd3bbb0782d4021c90af8b4e854546",
