@@ -27,7 +27,6 @@ variance is 1/4, so a coherent state has sigma = 1/2 per axis.
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -36,7 +35,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from ._text import read_csv, write_csv, write_json, write_json_columns
-from .epr import SqueezerSpectrum, _abs2, _ports
+from .epr import PortPowers, SqueezerSpectrum, _abs2, _ports
 from .linmode import Axis, InputModel, QuadExpansion, difference_variance, normalized_variance
 from .teleport import (
     BellDetector,
@@ -297,15 +296,19 @@ def teleport_fidelity(
 
 
 def _closed_form_fidelity(
-    src: SqueezerSpectrum, omega: float | np.ndarray, detector: BellDetector
+    src: SqueezerSpectrum,
+    omega: float | np.ndarray,
+    detector: BellDetector,
+    powers: PortPowers | None,
 ) -> float | np.ndarray:
     # At unit gain the noisy ports cancel exactly, so each axis carries twice
     # the quiet spectrum V- plus twice the detector noise tau^2, and any
     # source teleports a coherent state at alpha = 0 with
-    # F = 1/(1 + V- + tau^2).
+    # F = 1/(1 + V- + tau^2).  powers are src's own, where the kernel holds
+    # them (see SqueezerSpectrum.variances).
     eta = detector.eta
     tau2 = (1.0 - eta * eta) / (eta * eta)
-    return 1.0 / (1.0 + src.variances(omega)[1] + tau2)
+    return 1.0 / (1.0 + src.variances(omega, powers)[1] + tau2)
 
 
 def _checked_fidelity(
@@ -316,6 +319,7 @@ def _checked_fidelity(
     in_model: InputModel,
     alpha: complex,
     generic: float | np.ndarray,
+    powers: PortPowers | None,
 ) -> float | np.ndarray:
     # The closed form is exact to a few ulps, so on every unit-gain row of a
     # coherent input at alpha = 0 it replaces the float roundoff of the
@@ -326,7 +330,7 @@ def _checked_fidelity(
     unit = np.equal(gain, 1)
     if not unit.any():
         return generic
-    closed = _closed_form_fidelity(src, omega, detector)
+    closed = _closed_form_fidelity(src, omega, detector, powers)
     off = unit & ~(np.abs(closed - generic) <= 1e-12)
     if off.any():
         raise AssertionError(
@@ -447,6 +451,13 @@ def _teleport_columns(
     # source's EPR pairs (see _port_noise), so no (ports x omega) matrix
     # and no complex amplitude is ever held.
     pairs = src._pairs(omega, (-gain, 1), (gain, 1))
+    own = None
+    if pairs[0][2] is None:
+        # src is a source, its own one pair (see SqueezerSpectrum._pairs):
+        # its powers, evaluated once for the port noise and the closed form.
+        ((labels, _, _, x_w, p_w),) = pairs
+        own = src.powers(omega)
+        pairs = ((labels, src, own, x_w, p_w),)
     # A power past the float range is a diverging noise term: inf, silently;
     # a 0*inf term is its exact zero (see _port_noise).
     with np.errstate(over="ignore", invalid="ignore"):
@@ -469,7 +480,7 @@ def _teleport_columns(
     inside = (generic >= 0.0) & (generic <= 1.0 + 1e-9)
     if not inside.all():
         raise ValueError(f"fidelity {np.extract(~inside, generic)[0]} outside [0, 1]")
-    f = _checked_fidelity(src, omega, gain, detector, in_model, alpha, generic)
+    f = _checked_fidelity(src, omega, gain, detector, in_model, alpha, generic, own)
     return _Columns(v_x, v_p, f, v_out_x, v_out_p)
 
 
@@ -479,9 +490,7 @@ def _port_noise(pairs: tuple, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray
     # skips its port.  A term is exactly zero wherever its weight or its
     # power is, even where a finite weight's square passed the float range.
     noise_x, noise_p = np.zeros(len(omega)), np.zeros(len(omega))
-    for _, source, powers, x_weights, p_weights in pairs:
-        if powers is None:
-            powers = source.powers(omega)
+    for _, _, powers, x_weights, p_weights in pairs:
         squares = {}  # loss ports repeat the weight objects (see _ports)
         for _, axis, w, power in _ports(powers, x_weights, p_weights):
             w2 = squares.get(id(w))
@@ -552,10 +561,13 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
 
     Assumes the spectrum decreases away from omega = 0 (true for every
     source here).  The crossing is bracketed on the grid, or beyond it by
-    doubling the last frequency (the first candidate, then every other one
-    up to OMEGA_LIMIT, in two evaluator calls; see _doubling), then refined
-    by bisection of the table's evaluator to 1e-6, many steps per evaluator
-    call (see _bisect).  Tables without an evaluator fall back to linear
+    doubling the last frequency (the first candidate with the first
+    octave's top bisection levels, then every other candidate up to
+    OMEGA_LIMIT, in two evaluator calls; see _doubling), then refined by
+    bisection of the table's evaluator to 1e-6, taken speculatively from a
+    guess at the crossing: nearly every crossing on the grid takes one
+    evaluator call in all, and nearly every one in the first octave past
+    it two (see _bisect).  Tables without an evaluator fall back to linear
     interpolation between the bracketing rows.  Returns 0 when even the
     first row is below threshold, and math.inf when the evaluator never
     drops below it up to OMEGA_LIMIT (a threshold at or below the
@@ -579,21 +591,24 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
         if f_lo == f_hi:
             return 2.0 * lo
         return 2.0 * _secant(lo, f_lo, hi, f_hi, threshold)
+    known: dict[float, float] = {}
     if cross is None:
         # Threshold never reached on the grid: the doubling candidates past
         # its last row join it, and the first below threshold brackets.
-        candidates, values = _doubling(ev, om[-1], threshold)
+        candidates, values, known = _doubling(ev, om[-1], threshold)
         below = next((j for j, v in enumerate(values) if v < threshold), None)
         if below is None:
             return math.inf
         om, fs, cross = (om[-1], *candidates), (fs[-1], *values), below + 1
     lo, hi = om[cross - 1], om[cross]
     f_lo, f_hi = fs[cross - 1], fs[cross]
-    rows = slice(max(cross - 2, 0), cross + 2)
+    if known:
+        # The first octave's midpoints are a finer grid of rows to guess from.
+        om, fs = zip(*sorted([*zip(om, fs), *known.items()]))
+        cross = next(i for i, v in enumerate(fs) if v < threshold)
+    rows = slice(max(cross - _GUESS_ROWS // 2, 0), cross + _GUESS_ROWS // 2)
     guess = _inverse_guess(om[rows], fs[rows], threshold)
-    if not lo <= guess <= hi:  # a nan, or rows that do not decrease
-        guess = _secant(lo, f_lo, hi, f_hi, threshold)
-    lo, hi = _bisect(ev, lo, f_lo, hi, f_hi, threshold, guess)
+    lo, hi = _bisect(ev, lo, f_lo, hi, f_hi, threshold, guess, known)
     return lo + hi  # 2 * midpoint
 
 
@@ -602,25 +617,48 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
 # 1.3e154 on the square passes the float range.
 OMEGA_LIMIT = 1e154
 _DOUBLINGS = 200  # doubling candidates at most
+_STOP = 1e-6  # bisection stops at a bracket this wide
+_TREE_LEVELS = 4  # bisection levels every evaluator call takes, whatever the guess
+# The first doubling call's bisection levels of the first octave, two more
+# than the tree: 64 cells, a grid of rows about as fine across an octave of
+# a few units as the command line's default step, for the cost of one row.
+_OCTAVE_LEVELS = _TREE_LEVELS + 2
+# Rows around the bracket that guess the crossing: the degree-7 inverse
+# polynomial through 8 rows of a smooth grid misses by under _STOP on most
+# crossings, where the cubic through 4 missed by several.
+_GUESS_ROWS = 8
+# Half the width of the window around the guess whose midpoints every call
+# takes, level by level down to _STOP: a guess that misses the crossing by
+# up to 4 stop widths still finishes in one call.
+_WINDOW = 4 * _STOP
 
 
 def _doubling(
     ev: Callable[[np.ndarray], np.ndarray], last: float, threshold: float
-) -> tuple[list[float], list[float]]:
+) -> tuple[list[float], list[float], dict[float, float]]:
     # The doubling candidates past the grid's last row, up to OMEGA_LIMIT,
-    # and the fidelity at each: the first alone, since most crossings past
-    # a grid lie within an octave of it, then the rest in one call.  An
+    # the fidelity at each, and the fidelity at the midpoints of the top
+    # _OCTAVE_LEVELS bisection levels of the first octave [last, first
+    # candidate].  The first call takes the first candidate with those
+    # midpoints, since most crossings past a grid lie within an octave of
+    # it: bisection then starts that many steps in, with a fine grid of
+    # rows to guess from.  A second call takes every other candidate.  An
     # evaluator with a finite range (a CustomSpectrum table) may reject
     # that call for candidates past the crossing; then the rest go one at
     # a time, stopping at the first below threshold as one-point doubling
     # does, so nothing past it is asked for and a frequency the one-point
-    # search would reach still raises.
+    # search would reach still raises.  The first call asks for nothing
+    # past the first candidate, which comes first so that an evaluator
+    # rejecting it names it, as the one-point search does.
     first = last * 2.0 if last > 0 else 1.0
     candidates = np.ldexp(first, np.arange(_DOUBLINGS))
     candidates = candidates[candidates <= OMEGA_LIMIT]
     if not len(candidates):
-        return [], []
-    values = ev(candidates[:1]).tolist()
+        return [], [], {}
+    mids = _speculation(last, first, math.nan, _OCTAVE_LEVELS)
+    values = ev(np.array([first, *mids])).tolist()
+    known = dict(zip(mids, values[1:]))
+    values = values[:1]
     if values[0] >= threshold and len(candidates) > 1:
         try:
             values += ev(candidates[1:]).tolist()
@@ -629,7 +667,7 @@ def _doubling(
                 values += ev(candidates[k : k + 1]).tolist()
                 if values[-1] < threshold:
                     break
-    return candidates[: len(values)].tolist(), values
+    return candidates[: len(values)].tolist(), values, known
 
 
 def _secant(lo: float, f_lo: float, hi: float, f_hi: float, threshold: float) -> float:
@@ -639,8 +677,8 @@ def _secant(lo: float, f_lo: float, hi: float, f_hi: float, threshold: float) ->
 
 def _inverse_guess(xs: Sequence[float], fs: Sequence[float], threshold: float) -> float:
     # The crossing by inverse interpolation: the polynomial x(f) through the
-    # rows around the bracket (a cubic on four rows), evaluated at the
-    # threshold; nan when two rows share a fidelity and x(f) does not exist.
+    # rows around the bracket, evaluated at the threshold; nan when two rows
+    # share a fidelity and x(f) does not exist.
     if len(set(fs)) < len(fs):
         return math.nan
     guess = 0.0
@@ -660,54 +698,46 @@ def _bisect(
     f_hi: float,
     threshold: float,
     guess: float,
+    fidelity: dict[float, float],
 ) -> tuple[float, float]:
-    # Bisect [lo, hi] to 1e-6 on ev >= threshold by speculation: each
-    # evaluator call takes the midpoints of the steps a crossing at guess
-    # would lead to (see _speculation), then the walk takes exactly the
-    # steps of one-point bisection for as long as their midpoints are among
-    # them, so the bracket is the same to the last bit.  The next round
-    # guesses by the secant through the bracket.
-    while hi - lo > 1e-6:
-        mids = _speculation(lo, hi, guess)
-        fidelity = dict(zip(mids, ev(np.array(mids)).tolist()))
-        while hi - lo > 1e-6:
-            mid = 0.5 * (lo + hi)
-            f = fidelity.get(mid)
-            if f is None:
-                break
-            if f >= threshold:
-                lo, f_lo = mid, f
-            else:
-                hi, f_hi = mid, f
-        guess = _secant(lo, f_lo, hi, f_hi, threshold)
+    # Bisect [lo, hi] to _STOP on ev >= threshold, taking exactly the steps
+    # of one-point bisection, so the bracket is the same to the last bit.
+    # The walk reads each step's midpoint from fidelity, the values known
+    # so far; where one is missing, an evaluator call takes the midpoints a
+    # crossing at guess would lead to (see _speculation).  A guess outside
+    # the bracket (a nan, or one the walk has left) gives way to the secant
+    # through the bracket.
+    while hi - lo > _STOP:
+        mid = 0.5 * (lo + hi)
+        f = fidelity.get(mid)
+        if f is None:
+            if not lo <= guess <= hi:
+                guess = _secant(lo, f_lo, hi, f_hi, threshold)
+            mids = _speculation(lo, hi, guess)
+            fidelity = dict(zip(mids, ev(np.array(mids)).tolist()))
+            f = fidelity[mid]
+        if f >= threshold:
+            lo, f_lo = mid, f
+        else:
+            hi, f_hi = mid, f
     return lo, hi
 
 
-_TREE_LEVELS = 4  # steps every evaluator call takes, whatever the guess
-
-
-def _speculation(lo: float, hi: float, guess: float) -> list[float]:
-    # The midpoints one call evaluates: every one of the first _TREE_LEVELS
-    # bisection steps can reach (15), so a wrong guess still advances that
-    # far, then one per step down the path to guess, on which a midpoint
-    # at or below guess is predicted to keep fidelity >= threshold.
-    ends, mids = [lo, hi], []
-    for _ in range(_TREE_LEVELS):
-        split = [lo]
-        for a, b in zip(ends, ends[1:]):
-            mid = 0.5 * (a + b)
-            mids.append(mid)
-            split += (mid, b)
-        ends = split
-    i = min(max(bisect.bisect_right(ends, guess) - 1, 0), len(ends) - 2)
-    a, b = ends[i], ends[i + 1]
-    while b - a > 1e-6:
-        mid = 0.5 * (a + b)
-        mids.append(mid)
-        if mid <= guess:
-            a = mid
-        else:
-            b = mid
+def _speculation(lo: float, hi: float, guess: float, levels: int = _TREE_LEVELS) -> list[float]:
+    # Bisection midpoints of [lo, hi] for one call, level by level down to
+    # _STOP: every one of the first `levels` levels (15 for the tree's
+    # four), so a wrong guess still advances that far, then every one whose
+    # cell meets the window of +-_WINDOW around guess (none for a nan),
+    # which holds the path to guess and its neighbours on either side.
+    cells, mids = [(lo, hi)], []
+    while cells:
+        split = []
+        for a, b in cells:
+            if b - a > _STOP and (levels > 0 or (guess - _WINDOW <= b and a <= guess + _WINDOW)):
+                mid = 0.5 * (a + b)
+                mids.append(mid)
+                split += ((a, mid), (mid, b))
+        cells, levels = split, levels - 1
     return mids
 
 

@@ -303,9 +303,17 @@ class SqueezerSpectrum(abc.ABC):
         """
         return self.pair(omega).powers()
 
-    def variances(self, omega: float | np.ndarray) -> tuple[float, float]:
-        """Noisy and quiet spectra (V+, V-) at omega, vacuum = 1."""
-        return self.powers(omega).variances()
+    def variances(
+        self, omega: float | np.ndarray, powers: PortPowers | None = None
+    ) -> tuple[float, float]:
+        """Noisy and quiet spectra (V+, V-) at omega, vacuum = 1.
+
+        The sums of the port powers; powers, if given, must be this
+        source's powers(omega), which then are not evaluated again.
+        Sources with a real form of the spectra override this and ignore
+        them.
+        """
+        return (self.powers(omega) if powers is None else powers).variances()
 
     def _pairs(
         self, omega: float | np.ndarray, x_weights: tuple, p_weights: tuple
@@ -347,10 +355,14 @@ class _Nopa(SqueezerSpectrum):
         loss = 4.0 * b * (1.0 - b)
         return PortPowers(s_plus, s_minus, _number(loss / noisy_den), _number(loss / quiet_den))
 
-    def variances(self, omega: float | np.ndarray) -> tuple[float, float]:
+    def variances(
+        self, omega: float | np.ndarray, powers: PortPowers | None = None
+    ) -> tuple[float, float]:
         # V-+ = 1 -+ 4*epsilon*beta/((1 +- epsilon)^2 + omega^2) in real form,
         # which keeps V = 1 exact at epsilon = 0 and V- = 0 exact at threshold,
-        # where the noisy denominator is zero and V+ is inf.
+        # where the noisy denominator is zero and V+ is inf.  The powers are
+        # ignored: this form is the closed form, independent of them, that
+        # the spectrum kernel checks its port sums against.
         e, b = self.epsilon, self.beta
         w2 = np.square(omega, dtype=float)
         quiet = 1.0 - 4.0 * e * b / ((e + 1.0) ** 2 + w2)

@@ -130,17 +130,18 @@ class _SwappedPair:
     pair is defined (variances() reports V+ as nan):
     V-_eff = (|gs-1|^2 A + |gs+1|^2 B)/4, A and B the summed V+ and V- of
     the two sources.  omega may be one frequency or an array; each source's
-    powers are evaluated once, and its amplitudes only for expansions.
+    powers are evaluated once, for the gain, the port noise and V-_eff
+    alike, and its amplitudes only for expansions.
     """
 
     __slots__ = ("cfg", "gain", "powers", "quiet")
 
     def __init__(self, cfg: SwapConfig, omega: float | np.ndarray) -> None:
         self.cfg = cfg
-        self.powers = cfg._powers(omega)
-        self.gain = gs = optimal_gain(*self.powers) if cfg.gain is None else cfg.gain.at(omega)
-        vp1, vm1 = cfg.source_ab.variances(omega)
-        vp2, vm2 = (vp1, vm1) if cfg.source_cd is None else cfg.source_cd.variances(omega)
+        self.powers = ab, cd = cfg._powers(omega)
+        self.gain = gs = optimal_gain(ab, cd) if cfg.gain is None else cfg.gain.at(omega)
+        vp1, vm1 = cfg.source_ab.variances(omega, ab)
+        vp2, vm2 = (vp1, vm1) if cfg.source_cd is None else cfg.source_cd.variances(omega, cd)
         # A term whose factor is exactly zero is dropped: the noisy one at
         # gs == 1, where 0*A is nan at threshold, and the quiet one where
         # B = 0, which is nan for a gain so large that |gs+1|^2 is inf.
@@ -163,7 +164,9 @@ class _SwappedPair:
             (_CD_LABELS, self.cfg.second_source, cd, (-gx, xb), (gp, pb)),
         )
 
-    def variances(self, omega: float | np.ndarray) -> tuple[float, np.ndarray]:
+    def variances(
+        self, omega: float | np.ndarray, powers: PortPowers | None = None
+    ) -> tuple[float, np.ndarray]:
         return math.nan, self.quiet
 
     def describe(self) -> str:

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cvteleport
@@ -692,6 +692,10 @@ def _counted(table):
     return calls
 
 
+# The first doubling call: the first candidate and the 2**6 - 1 midpoints
+# of the top six bisection levels of the octave below it.
+FIRST_DOUBLING_CALL = 64
+
 SOURCES = [
     lambda grid: fidelity_spectrum(LosslessNopa(0.6), grid),
     lambda grid: fidelity_spectrum(LossyNopa(0.8, 0.7), grid, detector=BellDetector(0.95)),
@@ -708,9 +712,43 @@ def test_batched_bisection_takes_the_one_point_steps(make, threshold):
     want = _one_point_bandwidth(table, threshold)
     calls = _counted(table)
     assert bandwidth(table, threshold) == want
-    # The inverse cubic through the grid rows guesses the crossing closely
-    # enough that the secant through the bracket it leaves finishes.
-    assert len(calls) <= 2
+    # The inverse polynomial through the 8 grid rows around the bracket
+    # guesses the crossing within the window one call takes around it.  A
+    # first row already below threshold (the fixed-gain swap's fidelity
+    # rises before it falls) leaves nothing to refine.
+    assert len(calls) == (0 if want == 0 else 1)
+
+
+@st.composite
+def _bandwidth_cases(draw):
+    # A table of one of the four sources on a drawn grid, which may end
+    # before the crossing, and a threshold in (1/2, F(0)].
+    eps, beta = draw(st.floats(0.1, 0.95)), draw(st.floats(0.6, 1.0))
+    step, rows = draw(st.floats(0.01, 0.5)), draw(st.integers(1, 60))
+    grid = [step * k for k in range(rows)]
+    kind = draw(st.sampled_from(SOURCE_IDS))
+    if kind == "lossless":
+        table = fidelity_spectrum(LosslessNopa(eps), grid)
+    elif kind == "lossy-detector":
+        detector = BellDetector(draw(st.floats(0.9, 0.999)))
+        table = fidelity_spectrum(LossyNopa(eps, beta), grid, detector=detector)
+    elif kind == "swap":
+        table = swap_spectrum(SwapConfig(LossyNopa(eps, beta)), grid)
+    else:
+        gain = draw(st.floats(0.5, 1.0))
+        table = swap_spectrum(SwapConfig(LossyNopa(eps, beta), gain=gain), grid)
+    f0 = float(table.fidelity[0])
+    assume(f0 > 0.5)
+    return table, 0.5 + (f0 - 0.5) * draw(st.floats(1e-3, 1.0))
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(case=_bandwidth_cases())
+@example(case=(fidelity_spectrum(LosslessNopa(0.5), [0.0]), 0.51))  # crossing past the grid
+@example(case=(fidelity_spectrum(LosslessNopa(0.5), [0.0, 0.25]), 0.501))  # past its first octave
+def test_bandwidth_takes_the_one_point_steps(case):
+    table, threshold = case
+    assert bandwidth(table, threshold) == _one_point_bandwidth(table, threshold)
 
 
 @pytest.mark.parametrize("make", SOURCES, ids=SOURCE_IDS)
@@ -720,10 +758,10 @@ def test_doubling_takes_the_one_point_steps(make, grid):
     want = _one_point_bandwidth(table, 0.51)
     calls = _counted(table)
     assert bandwidth(table, 0.51) == want
-    # One call for the first doubling candidate, one for every other unless
-    # the first is already below threshold, then the refinement, whose first
-    # guess is far coarser across an octave than on the grid.
-    assert calls[0] == 1 and len(calls) <= 6
+    # One call for the first doubling candidate and the 63 midpoints of six
+    # bisection levels of the first octave, one for every other candidate
+    # unless the first is already below threshold, then the refinement.
+    assert calls[0] == FIRST_DOUBLING_CALL and len(calls) <= 6
 
 
 @pytest.mark.parametrize(
@@ -787,7 +825,7 @@ def test_never_crossing_bandwidth_takes_two_calls():
     table = swap_spectrum(SwapConfig(LosslessNopa(0.5)), [0.1 * k for k in range(51)])
     calls = _counted(table)
     assert bandwidth(table, 0.5) == math.inf
-    assert calls == [1, 199]
+    assert calls == [FIRST_DOUBLING_CALL, 199]
 
 
 def test_doubling_stops_at_the_frequency_limit():
@@ -798,7 +836,8 @@ def test_doubling_stops_at_the_frequency_limit():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert bandwidth(table, 0.5) == math.inf
-    assert calls == [1, len([k for k in range(1, 200) if 2e100 * 2.0 ** k <= OMEGA_LIMIT])]
+    doublings = len([k for k in range(1, 200) if 2e100 * 2.0 ** k <= OMEGA_LIMIT])
+    assert calls == [FIRST_DOUBLING_CALL, doublings]
 
 
 def _tabulated(top):
@@ -813,8 +852,11 @@ def _tabulated(top):
 @pytest.mark.parametrize(
     "top, stop, doubling_calls",
     [
-        (20.0, 5.0, [1]),  # the first candidate, 10, is below threshold
-        (40.0, 2.5, [1, 199, 1]),  # 5 is above, the rest reach past 40: 10 alone
+        # The first call takes the first candidate and the midpoints of the
+        # octave below it, so it asks for nothing past the candidate.
+        (20.0, 5.0, [FIRST_DOUBLING_CALL]),  # the first candidate, 10, is below threshold
+        # 5 is above, the rest reach past 40: 10 alone
+        (40.0, 2.5, [FIRST_DOUBLING_CALL, 199, 1]),
     ],
     ids=["first-candidate", "one-at-a-time"],
 )

@@ -107,6 +107,16 @@ def test_only_the_text_module_spells_the_number_format():
                 assert ".12g" not in node.value.lower(), f"{path.name}:{node.lineno}"
 
 
+def test_no_module_reads_the_environment():
+    # Every setting is an argument, a flag or a constant in the code: a
+    # module that read an environment variable would be a hidden option.
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imported = {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+        assert not (_used_names(tree) | imported) & readers, path.name
+
+
 def _readers(tree: ast.AST, name: str, scope: str = "") -> list[str]:
     # The enclosing function of every mention of name that is not its
     # definition: a variable, an attribute or an imported alias.

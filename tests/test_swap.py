@@ -3,11 +3,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import cvteleport.swap as swap_module
-from cvteleport.criteria import bandwidth, teleport_fidelity
-from cvteleport.epr import LosslessNopa, LossyNopa, TransferPair, ZeroBandwidth
+from cvteleport.criteria import bandwidth, fidelity_spectrum, teleport_fidelity
+from cvteleport.epr import CustomSpectrum, LosslessNopa, LossyNopa, TransferPair, ZeroBandwidth
 from cvteleport.linmode import (
     Axis,
     InputModel,
@@ -299,6 +300,33 @@ def test_swap_spectrum_evaluates_two_sources_once_each(monkeypatch):
     assert len(swap_spectrum(cfg, [0.1 * k for k in range(10)])) == 10
     assert (len(lossless), len(lossy)) == (1, 1)
     assert pairs == [[], []]
+
+
+def test_a_tabulated_source_is_evaluated_once_per_kernel_call(monkeypatch):
+    # A CustomSpectrum has no real form: its powers and its spectra both go
+    # through pair().  The kernel sums the powers it took for the port noise
+    # again for the closed form, and the swapped pair for V-_eff, so a
+    # table and each evaluator call (as bandwidth() makes) take one pair(),
+    # teleport and swap alike; swap_once takes one more, for the amplitudes
+    # of its expansions.
+    src = LossyNopa(0.6, 0.8)
+    nodes = [0.25 * k for k in range(41)]
+    pairs = [src.pair(w) for w in nodes]
+    custom = CustomSpectrum(nodes, [p.s_plus for p in pairs], [p.s_minus for p in pairs])
+    calls = _count_calls(monkeypatch, CustomSpectrum, "pair")
+    grid = [0.1 * k for k in range(51)]
+    for sweep in (
+        lambda: fidelity_spectrum(custom, grid),
+        lambda: swap_spectrum(SwapConfig(custom), grid),
+        lambda: swap_spectrum(SwapConfig(src, custom, gain=0.8), grid),
+    ):
+        table = sweep()
+        assert (len(table), len(calls)) == (51, 1)
+        table.evaluator(np.array([2.5, 7.5]))
+        assert len(calls) == 2
+        calls.clear()
+    swap_once(SwapConfig(src, custom), 0.3)
+    assert len(calls) == 2
 
 
 def test_swap_config_builds_its_gain_schedule_once(monkeypatch):
