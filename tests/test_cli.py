@@ -701,6 +701,17 @@ STDOUT_SHA256 = [
         ),
         id="swap-physical",
     ),
+    # Physical rates with rho = 0: a source without loss ports.
+    pytest.param(
+        "1752415722d8e8ecc2941cb6900caebc62b55d76d15cb09b2a7cd09a258d744d",
+        ("spectrum", "--kappa", "1.54", "--gamma", "3.6"),
+        id="spectrum-physical-lossless",
+    ),
+    pytest.param(
+        "76b7308dcc98c130839e34d2398f19ec7bd95e78be337f5ab2b87bd36e14e510",
+        ("bandwidth", "--kappa", "1.54", "--gamma", "3.6"),
+        id="bandwidth-physical-lossless",
+    ),
     # Tables of _text._VECTOR_ROWS (200) rows or more, which the numpy
     # writer formats; the physical-rate ones report frequencies in user
     # units, rebuilt by cli._reindex.
@@ -783,6 +794,76 @@ def test_oracle_check_passes_and_writes_report(capsys, tmp_path):
     names = [row["name"] for row in payload["mc"]["rows"]]
     assert "x_err" in names and "x_out*x_in" in names
     assert report_path.read_text() == out
+
+
+# oracle-check is the one command that walks the sources' complex
+# amplitudes (pair()), through teleport()'s expansions.  Its seeded report
+# is pinned: each analytic value exactly, each Monte-Carlo estimate and its
+# standard error to rel 1e-12, as in test_mc_seeded_stream_is_pinned.
+ORACLE_GAUSSIAN_ROWS = [
+    ("fidelity(r=0,gain=1)", 0.5, 0.5),
+    ("fidelity(r=1,gain=1)", 0.8807970779778823, 0.8807970779778826),
+    ("fidelity(r=0.7,gain=1.6)", 0.19333488288882322, 0.1933348828888232),
+    ("fidelity(r=2,gain=0.5)", 0.21834630351841536, 0.21834630351841536),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, want",
+    [
+        pytest.param(
+            ("--epsilon", "0.5", "--omega", "1"),
+            [
+                ("x_out", "variance", 1.7692307692307694, 1.795823497622276, 0.04068239936390442),
+                ("p_out", "variance", 1.7692307692307694, 1.7832466218061214, 0.039798680759733786),
+                ("x_err", "variance", 0.7692307692307694, 0.7663137720658721, 0.01665326971374695),
+                ("p_err", "variance", 0.7692307692307694, 0.7950855782813266, 0.01783783158204621),
+                ("x_in", "variance", 1.0, 0.987788200746933, 0.022757835530708932),
+                ("x_out*x_in", "covariance", 1.0, 1.0086489631516684, 0.027697732891682543),
+            ],
+            id="lossless",
+        ),
+        pytest.param(
+            ("--epsilon", "0.6", "--beta", "0.9", "--eta2", "0.97", "--omega", "0.5"),
+            [
+                ("x_out", "variance", 1.5244891220603882, 1.4633284560741322, 0.034587673937221126),
+                ("p_out", "variance", 1.5244891220603882, 1.5475669173731246, 0.035244071959726925),
+                ("x_err", "variance", 0.5244891220603882, 0.5053519336639698, 0.01173259874293178),
+                ("p_err", "variance", 0.5244891220603882, 0.5253061628347228, 0.011679787320962703),
+                ("x_in", "variance", 1.0, 0.987788200746933, 0.022757835530708932),
+                ("x_out*x_in", "covariance", 1.0, 0.9728823615785476, 0.025675919954520253),
+            ],
+            id="lossy",
+        ),
+        pytest.param(
+            ("--kappa", "1.54", "--gamma", "3.6", "--omega", "0.8"),
+            [
+                ("x_out", "variance", 1.119976940554105, 1.1242972391603385, 0.02626272575122589),
+                ("p_out", "variance", 1.119976940554105, 1.1073095726826794, 0.02534402282640771),
+                ("x_err", "variance", 0.11997694055410493, 0.11952197644002079, 0.0025974108556210008),
+                ("p_err", "variance", 0.11997694055410493, 0.12400951570915032, 0.0027821669971332804),
+                ("x_in", "variance", 1.0, 0.987788200746933, 0.022757835530708932),
+                ("x_out*x_in", "covariance", 1.0, 0.9962817317336253, 0.02389790435868419),
+            ],
+            id="physical-lossless",
+        ),
+    ],
+)
+def test_oracle_check_report_is_pinned(capsys, flags, want):
+    code, out, _ = invoke(capsys, "oracle-check", *flags, "--samples", "2000", "--seed", "3")
+    assert code == 0
+    report = json.loads(out)
+    assert report["all_ok"] is True
+    rows = report["mc"]["rows"]
+    assert len(rows) == len(want)
+    for row, (name, kind, analytic, estimate, se) in zip(rows, want):
+        assert (row["name"], row["kind"], row["analytic"]) == (name, kind, analytic)
+        assert row["estimate"] == pytest.approx(estimate, rel=1e-12)
+        assert row["se"] == pytest.approx(se, rel=1e-12)
+        assert row["ok"] is True
+    gaussian = [(g["name"], g["analytic"], g["estimate"]) for g in report["gaussian"]]
+    assert gaussian == ORACLE_GAUSSIAN_ROWS
+    assert all(g["ok"] for g in report["gaussian"])
 
 
 def test_oracle_check_squeezed_input_passes(capsys):
