@@ -33,7 +33,7 @@ from .criteria import (
     fidelity_spectrum,
     teleport_fidelity,
 )
-from .epr import LosslessNopa, LossyNopa, NopaParams, SqueezerSpectrum
+from .epr import Nopa, NopaParams, SqueezerSpectrum
 from .linmode import Axis, InputModel, combine, normalized_variance, unit_input
 from .oracle import McConfig, covariance_teleport, fidelity_to_coherent, mc_check
 from .swap import SwapConfig, swap_spectrum
@@ -212,17 +212,10 @@ def _resolve_source(v: dict) -> tuple[SqueezerSpectrum, float]:
                 _float("--gamma", v["gamma"]),
                 _float("--rho", v["rho"]),
             )
-            scale = 2.0 / params.total_rate
-            if params.rho == 0:
-                return LosslessNopa.from_rates(params), scale
-            return LossyNopa.from_rates(params), scale
+            return Nopa.from_rates(params), 2.0 / params.total_rate
         if v.get("epsilon") is None:
             raise _ConfigError("a source is required: --epsilon or --kappa/--gamma")
-        epsilon = _float("--epsilon", v["epsilon"])
-        beta = _float("--beta", v["beta"])
-        if beta == 1.0:
-            return LosslessNopa(epsilon), 1.0
-        return LossyNopa(epsilon, beta), 1.0
+        return Nopa(_float("--epsilon", v["epsilon"]), _float("--beta", v["beta"])), 1.0
     except ValueError as exc:
         raise _ConfigError(str(exc)) from None
 

@@ -53,15 +53,13 @@ from .linmode import Axis, QuadExpansion
 __all__ = [
     "CustomSpectrum",
     "EprQuadratures",
-    "LosslessNopa",
-    "LossyNopa",
+    "Nopa",
     "NopaParams",
     "PortPowers",
     "SqueezerSpectrum",
     "TransferPair",
     "ZeroBandwidth",
     "make_epr_pair",
-    "squeezing_spectrum",
 ]
 
 _ROOT_HALF = math.sqrt(0.5)
@@ -125,13 +123,6 @@ class TransferPair:
         with np.errstate(over="ignore"):  # a diverging amplitude squares to inf
             return PortPowers(*map(_abs2, (self.s_plus, self.s_minus, self.l_plus, self.l_minus)))
 
-    def magnitudes_sq(self) -> tuple[float, float]:
-        return self.powers()[:2]
-
-    def variances(self) -> tuple[float, float]:
-        """(V+, V-) = (|S+|^2 + |L+|^2, |S-|^2 + |L-|^2), vacuum = 1."""
-        return self.powers().variances()
-
 
 class PortPowers(NamedTuple):
     """Squeezed-port (s_*) and loss-port (l_*) powers |S+-|^2, |L+-|^2.
@@ -144,9 +135,6 @@ class PortPowers(NamedTuple):
     s_minus: float | np.ndarray
     l_plus: float | np.ndarray = 0.0
     l_minus: float | np.ndarray = 0.0
-
-    def magnitudes_sq(self) -> tuple[float, float]:
-        return self.s_plus, self.s_minus
 
     def variances(self) -> tuple[float, float]:
         """(V+, V-) = (|S+|^2 + |L+|^2, |S-|^2 + |L-|^2), vacuum = 1."""
@@ -330,10 +318,53 @@ class SqueezerSpectrum(abc.ABC):
         return type(self).__name__
 
 
-class _Nopa(SqueezerSpectrum):
-    """The spectra both NOPA sources share; a lossless cavity has beta = 1."""
+@dataclass(frozen=True)
+class Nopa(SqueezerSpectrum):
+    """NOPA in dimensionless (epsilon, beta) form.
 
-    beta = 1.0
+    epsilon is the pump and beta the cavity escape efficiency
+    gamma/(gamma+rho).  beta = 1 is the lossless cavity: its loss ports
+    vanish, and it alone may sit at threshold, epsilon = 1, where it
+    reports an infinite noisy amplitude at omega = 0.
+    """
+
+    epsilon: float
+    beta: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.beta == 1.0:
+            if not 0.0 <= self.epsilon <= 1.0:
+                raise ValueError("epsilon must lie in [0, 1]")
+        elif not 0.0 <= self.epsilon < 1.0:
+            raise ValueError("epsilon must lie in [0, 1) below threshold")
+        if not 0.0 < self.beta <= 1.0:
+            raise ValueError("beta must lie in (0, 1]")
+
+    @classmethod
+    def from_rates(cls, params: NopaParams) -> "Nopa":
+        # At rho = 0 the total rate is gamma, so beta is exactly 1.
+        t = params.total_rate
+        return cls(2 * params.kappa / t, params.gamma / t)
+
+    def pair(self, omega: float | np.ndarray) -> TransferPair:
+        # G +- g and G_loss +- g_loss of the cavity's input-output map
+        # (nopa_transfer in tests/references.py) at the canonical scale
+        # gamma + rho = 2 (d = 1 - i*omega, gamma = 2*beta, kappa = epsilon):
+        # S+- = (gamma +- kappa - d)/(d -+ kappa), L+- = sqrt(gamma*rho)/(d -+ kappa).
+        # Unlike G - g, no term of order 1/(1 - epsilon) cancels.  At
+        # threshold the noisy denominator is zero and S+ is inf.
+        e, b = self.epsilon, self.beta
+        noisy_den = _complex(1 - e, np.negative(omega))
+        quiet_den = _complex(1 + e, np.negative(omega))
+        gamma_minus_1 = 2.0 * b - 1.0
+        s_plus = np.where(
+            noisy_den == 0, complex(math.inf, 0.0), _quot(_complex(gamma_minus_1 + e, omega), noisy_den)
+        )
+        s_minus = _quot(_complex(gamma_minus_1 - e, omega), quiet_den)
+        if b == 1.0:
+            return TransferPair(s_plus, s_minus)
+        loss = 2.0 * math.sqrt(b * (1.0 - b))
+        return TransferPair(s_plus, s_minus, _quot(loss, noisy_den), _quot(loss, quiet_den))
 
     def powers(self, omega: float | np.ndarray) -> PortPowers:
         # |S+-|^2 = ((2b - 1 +- e)^2 + w^2)/((1 -+ e)^2 + w^2) and
@@ -370,81 +401,9 @@ class _Nopa(SqueezerSpectrum):
             noisy = 1.0 + 4.0 * e * b / ((e - 1.0) ** 2 + w2)
         return _number(noisy), _number(quiet)
 
-
-@dataclass(frozen=True)
-class LosslessNopa(_Nopa):
-    """Ideal-cavity NOPA, parameterized by the dimensionless pump epsilon.
-
-    epsilon = 1 is the threshold limit; it is representable and reports an
-    infinite noisy amplitude at omega = 0.
-    """
-
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
-
-    @classmethod
-    def from_rates(cls, params: NopaParams) -> "LosslessNopa":
-        if params.rho != 0:
-            raise ValueError("lossless source requires rho = 0")
-        return cls(2 * params.kappa / params.gamma)
-
-    def pair(self, omega: float | np.ndarray) -> TransferPair:
-        # S- = conj(d - e)/(d + e) and S+ = conj(d + e)/(d - e), d = 1 - i*omega.
-        e = self.epsilon
-        noisy_den = _complex(1 - e, np.negative(omega))
-        quiet_den = _complex(1 + e, np.negative(omega))
-        s_plus = np.where(noisy_den == 0, complex(math.inf, 0.0), _quot(quiet_den.conj(), noisy_den))
-        return TransferPair(s_plus, _quot(noisy_den.conj(), quiet_den))
-
     def describe(self) -> str:
-        return f"nopa(epsilon={self.epsilon:g})"
-
-
-@dataclass(frozen=True)
-class LossyNopa(_Nopa):
-    """NOPA with intracavity loss, in dimensionless (epsilon, beta) form.
-
-    beta is the cavity escape efficiency gamma/(gamma+rho).  The loss-port
-    amplitudes vanish identically at beta = 1, where the source matches
-    LosslessNopa bit for bit.
-    """
-
-    epsilon: float
-    beta: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in [0, 1) below threshold")
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError("beta must lie in (0, 1]")
-
-    @classmethod
-    def from_rates(cls, params: NopaParams) -> "LossyNopa":
-        t = params.total_rate
-        return cls(2 * params.kappa / t, params.gamma / t)
-
-    def pair(self, omega: float | np.ndarray) -> TransferPair:
-        # G +- g and G_loss +- g_loss of the cavity's input-output map
-        # (nopa_transfer in tests/references.py) at the canonical scale
-        # gamma + rho = 2 (d = 1 - i*omega, gamma = 2*beta, kappa = epsilon):
-        # S+- = (gamma +- kappa - d)/(d -+ kappa), L+- = sqrt(gamma*rho)/(d -+ kappa).
-        # Unlike G - g, no term of order 1/(1 - epsilon) cancels.
-        e, b = self.epsilon, self.beta
-        noisy_den = _complex(1 - e, np.negative(omega))
-        quiet_den = _complex(1 + e, np.negative(omega))
-        gamma_minus_1 = 2.0 * b - 1.0
-        loss = 2.0 * math.sqrt(b * (1.0 - b))
-        return TransferPair(
-            _quot(_complex(gamma_minus_1 + e, omega), noisy_den),
-            _quot(_complex(gamma_minus_1 - e, omega), quiet_den),
-            _quot(loss, noisy_den),
-            _quot(loss, quiet_den),
-        )
-
-    def describe(self) -> str:
+        if self.beta == 1.0:
+            return f"nopa(epsilon={self.epsilon:g})"
         return f"nopa(epsilon={self.epsilon:g}, beta={self.beta:g})"
 
 
@@ -526,15 +485,6 @@ class CustomSpectrum(SqueezerSpectrum):
 
     def describe(self) -> str:
         return f"custom({len(self._omegas)} rows)"
-
-
-def squeezing_spectrum(
-    src_or_epsilon: "LosslessNopa | float", omega: float
-) -> tuple[float, float]:
-    """(|S_plus|^2, |S_minus|^2) closed forms for the lossless NOPA."""
-    if not isinstance(src_or_epsilon, LosslessNopa):
-        src_or_epsilon = LosslessNopa(float(src_or_epsilon))
-    return src_or_epsilon.variances(omega)
 
 
 def make_epr_pair(src: SqueezerSpectrum, omega: float) -> EprQuadratures:

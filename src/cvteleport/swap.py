@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .criteria import SpectrumTable, _Columns, _spectrum_table, _teleport_columns
-from .epr import PortPowers, SqueezerSpectrum, TransferPair, _abs2, _number, make_epr_pair
+from .epr import PortPowers, SqueezerSpectrum, _abs2, _number, make_epr_pair
 from .linmode import InputModel, QuadExpansion
 from .teleport import BellDetector, GainSchedule, TeleportOutcome, as_gain, teleport
 
@@ -45,22 +45,19 @@ _AB_LABELS = ("bar1", "bar2")
 _CD_LABELS = ("bar3", "bar4")
 
 
-def optimal_gain(
-    pair: TransferPair | PortPowers, second: TransferPair | PortPowers | None = None
-) -> float | np.ndarray:
+def optimal_gain(powers: PortPowers, second: PortPowers | None = None) -> float | np.ndarray:
     """Swap gain minimizing the verification noise.
 
-    (A - B)/(A + B) with A, B the summed noisy/quiet magnitudes |S+-|^2 of
-    the two sources, given as transfer pairs or as their port powers; for
-    one source with |S+-|^2 = e^(+-2r) this is tanh 2r.  At threshold
-    (infinite A) the limit is 1, which is also the only gain that keeps the
+    (A - B)/(A + B) with A, B the summed squeezed-port powers |S+-|^2 of
+    the two sources (second = None takes the first twice); for one source
+    with |S+-|^2 = e^(+-2r) this is tanh 2r.  At threshold (infinite A)
+    the limit is 1, which is also the only gain that keeps the
     verification output finite there.  The loss ports are left out, so for
     a lossy source this is not yet the optimum (which would take A, B from
-    the spectra V+-).  Values over a frequency grid give the array of gains.
+    the spectra V+-).  Powers over a frequency grid give the array of gains.
     """
-    sp1, sm1 = pair.magnitudes_sq()
-    sp2, sm2 = (second if second is not None else pair).magnitudes_sq()
-    a, b = sp1 + sp2, sm1 + sm2
+    second = powers if second is None else second
+    a, b = powers.s_plus + second.s_plus, powers.s_minus + second.s_minus
     if np.equal(a + b, 0).any():
         raise ValueError("degenerate transfer pair: |S+|^2 + |S-|^2 must be positive")
     with np.errstate(invalid="ignore"):  # inf/inf, replaced by the limit

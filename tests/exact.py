@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 ULP = 2.0 ** -52  # spacing of floats in [1, 2)
+# The least magnitude that rounds to inf: the largest float plus half its spacing.
+OVERFLOW = Fraction(2**1024 - 2**970)
 
 
 @dataclass(frozen=True)
@@ -100,8 +102,10 @@ def ulps(got: float, want: Fraction) -> float:
     """|got - want| in units of ULP*max(1, |want|).
 
     Quantities of the form 1 +- x carry absolute roundoff of order ULP even
-    where they are small, so the unit never drops below ULP.
+    where they are small, so the unit never drops below ULP.  An exact value
+    past the float range correctly rounds to an infinity of its sign, which
+    is then 0 ulps off.
     """
     if not math.isfinite(got):
-        return math.inf
+        return 0.0 if abs(want) >= OVERFLOW and got == (math.inf if want > 0 else -math.inf) else math.inf
     return float(abs(Fraction(got) - want) / max(Fraction(1), abs(want))) / ULP

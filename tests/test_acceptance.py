@@ -16,7 +16,7 @@ from cvteleport.criteria import (
     optimize_classical,
     teleport_fidelity,
 )
-from cvteleport.epr import LosslessNopa, LossyNopa, squeezing_spectrum
+from cvteleport.epr import Nopa
 from cvteleport.linmode import Axis, InputModel, combine, commutator_pairing, unit_input
 from cvteleport.oracle import (
     McConfig,
@@ -52,7 +52,7 @@ def _report(capsys, num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_lossy_operating_point(capsys):
     out = teleport(
-        LossyNopa(0.77, 0.9),
+        Nopa(0.77, 0.9),
         detector=BellDetector.from_efficiency(0.97),
         omega=0.56,
     )
@@ -74,7 +74,7 @@ def test_criterion_01_lossy_operating_point(capsys):
 
 def test_criterion_02_zero_frequency_fidelity_maxima(capsys):
     targets = (0.60, 0.69, 0.84, 0.94, 1.00)
-    got = tuple(teleport_fidelity(teleport(LosslessNopa(e))).fidelity for e in EPS_GRID)
+    got = tuple(teleport_fidelity(teleport(Nopa(e))).fidelity for e in EPS_GRID)
     ok = all(abs(g - t) <= 0.005 for g, t in zip(got, targets))
     pairs = ", ".join(f"{g:.4f}/{t:.2f}" for g, t in zip(got, targets))
     _report(capsys, 2, ok, f"F(omega=0) got/target: {pairs} (+-0.005)")
@@ -85,7 +85,7 @@ def test_criterion_03_teleportation_bandwidths(capsys):
     targets = (5.8, 8.6, 12.4, 15.2, 19.6)
     grid = [0.25 * i for i in range(45)]  # 0 .. 11 brackets every crossing
     got = tuple(
-        bandwidth(fidelity_spectrum(LosslessNopa(e), grid), 0.51) for e in EPS_GRID
+        bandwidth(fidelity_spectrum(Nopa(e), grid), 0.51) for e in EPS_GRID
     )
     ok = all(abs(g - t) <= 0.3 for g, t in zip(got, targets))
     pairs = ", ".join(f"{g:.3f}/{t}" for g, t in zip(got, targets))
@@ -99,7 +99,7 @@ def test_criterion_04_swap_maxima_and_bandwidths(capsys):
     grid = [0.1 * i for i in range(41)]  # 0 .. 4
     f_got, w_got = [], []
     for e in EPS_GRID:
-        cfg = SwapConfig(LosslessNopa(e))
+        cfg = SwapConfig(Nopa(e))
         f_got.append(swap_fidelity(cfg, 0.0))
         w_got.append(bandwidth(swap_spectrum(cfg, grid), 0.51))
     ok_f = all(abs(g - t) <= 0.005 for g, t in zip(f_got, f_targets))
@@ -137,9 +137,9 @@ def test_criterion_06_lossless_closed_forms(capsys):
     for _ in range(200):
         e = rng.uniform(0.0, 0.98)
         w = rng.uniform(0.0, 5.0)
-        out = teleport(LosslessNopa(e), omega=w)
+        out = teleport(Nopa(e), omega=w)
         v_x, v_p = spectral_variance_tel_in(out, COHERENT)
-        _, quiet = squeezing_spectrum(e, w)
+        _, quiet = Nopa(e).variances(w)
         f = teleport_fidelity(out).fidelity
         worst_v = max(worst_v, abs(v_x - 2.0 * quiet), abs(v_p - 2.0 * quiet))
         worst_f = max(worst_f, abs(f - 1.0 / (1.0 + quiet)))
@@ -163,9 +163,9 @@ def test_criterion_07_swap_gain_optimality(capsys):
     for _ in range(50):
         e = rng.uniform(0.05, 0.95)
         w = rng.uniform(0.0, 4.0)
-        src = LosslessNopa(e)
-        gs = optimal_gain(src.pair(w))
-        noisy, quiet = squeezing_spectrum(e, w)
+        src = Nopa(e)
+        gs = optimal_gain(src.pair(w).powers())
+        noisy, quiet = Nopa(e).variances(w)
         a2, b2 = 2.0 * noisy, 2.0 * quiet
 
         def closed(g):
@@ -191,18 +191,18 @@ def test_criterion_08_canonical_commutators(capsys):
     worst = 0.0
     for _ in range(300):
         if rng.random() < 0.5:
-            src = LosslessNopa(rng.uniform(0.0, 0.95))
+            src = Nopa(rng.uniform(0.0, 0.95))
         else:
-            src = LossyNopa(rng.uniform(0.0, 0.95), rng.uniform(0.55, 1.0))
+            src = Nopa(rng.uniform(0.0, 0.95), rng.uniform(0.55, 1.0))
         eta = 1.0 if rng.random() < 0.5 else rng.uniform(0.6, 1.0)
         gain = complex(rng.uniform(-0.5, 2.0))
         out = teleport(src, gain, BellDetector(eta), rng.uniform(0.0, 4.0))
         worst = max(worst, abs(commutator_pairing(out.x_tel, out.p_tel) - 1.0))
     for _ in range(100):
         if rng.random() < 0.5:
-            src = LosslessNopa(rng.uniform(0.0, 0.95))
+            src = Nopa(rng.uniform(0.0, 0.95))
         else:
-            src = LossyNopa(rng.uniform(0.0, 0.95), rng.uniform(0.55, 1.0))
+            src = Nopa(rng.uniform(0.0, 0.95), rng.uniform(0.55, 1.0))
         gain = None if rng.random() < 0.5 else rng.uniform(-0.5, 1.5)
         cfg = SwapConfig(src, gain=gain)
         out = swap_once(cfg, rng.uniform(0.0, 4.0))
@@ -229,7 +229,7 @@ def test_criterion_09_independent_oracles(capsys):
         worst_gauss = max(worst_gauss, abs(oracle_f - sym_f))
     gauss_ok = worst_gauss <= 1e-9
 
-    out = teleport(LosslessNopa(0.5), omega=1.0)
+    out = teleport(Nopa(0.5), omega=1.0)
     report = mc_check(
         [
             ("x_err", combine(out.x_tel, unit_input(), 1.0, -1.0), Axis.X),
@@ -258,8 +258,8 @@ def test_criterion_10_quantum_boundary(capsys):
     above = True
     for e in (1e-4, 0.01, 0.1, 0.3, 0.5, 0.77, 0.95, 1.0):
         for w in (0.0, 0.5, 2.0, 10.0):
-            above = above and teleport_fidelity(teleport(LosslessNopa(e), omega=w)).fidelity > 0.5
-    f0 = teleport_fidelity(teleport(LosslessNopa(0.0), omega=0.7)).fidelity
+            above = above and teleport_fidelity(teleport(Nopa(e), omega=w)).fidelity > 0.5
+    f0 = teleport_fidelity(teleport(Nopa(0.0), omega=0.7)).fidelity
     at_half = f0 == 0.5
 
     rng = random.Random(110)
@@ -267,13 +267,13 @@ def test_criterion_10_quantum_boundary(capsys):
     for _ in range(100):
         e = rng.uniform(0.0, 1.0)
         w = rng.uniform(0.0, 3.0)
-        _, quiet = squeezing_spectrum(e, w)
+        _, quiet = Nopa(e).variances(w)
         if abs(quiet - 0.5) < 1e-6:
             continue
-        f = swap_fidelity(SwapConfig(LosslessNopa(e), gain=1.0), w)
+        f = swap_fidelity(SwapConfig(Nopa(e), gain=1.0), w)
         iff_ok = iff_ok and ((f > 0.5) == (quiet < 0.5))
     eps_3db = 3.0 - 2.0 * math.sqrt(2.0)
-    f_boundary = swap_fidelity(SwapConfig(LosslessNopa(eps_3db), gain=1.0), 0.0)
+    f_boundary = swap_fidelity(SwapConfig(Nopa(eps_3db), gain=1.0), 0.0)
     boundary_ok = abs(f_boundary - 0.5) <= 1e-12
 
     ok = above and at_half and iff_ok and boundary_ok

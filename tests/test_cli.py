@@ -13,7 +13,7 @@ import pytest
 import cvteleport
 from cvteleport import cli
 from cvteleport.cli import run
-from cvteleport.epr import LosslessNopa, LossyNopa
+from cvteleport.epr import Nopa
 from cvteleport.swap import SwapConfig, swap_fidelity
 from cvteleport.teleport import NonUnitGainWarning
 
@@ -47,8 +47,7 @@ def test_spectrum_commands_build_no_complex_amplitudes(capsys, monkeypatch, args
     # The kernel sums real port powers: no command but oracle-check asks a
     # source for its complex transfer amplitudes.
     calls = []
-    for cls in (LosslessNopa, LossyNopa):
-        monkeypatch.setattr(cls, "pair", lambda self, omega: calls.append(omega))
+    monkeypatch.setattr(Nopa, "pair", lambda self, omega: calls.append(omega))
     code, out, _ = invoke(capsys, args[0], "--epsilon", "0.5", "--beta", beta, *args[1:])
     assert code == 0 and out
     assert calls == []
@@ -173,7 +172,7 @@ def test_swap_spectrum_matches_library(capsys):
         "swap-spectrum", "--epsilon", "0.4", "--omega-stop", "1", "--omega-step", "0.5",
     )
     assert code == 0
-    cfg = SwapConfig(LosslessNopa(0.4))
+    cfg = SwapConfig(Nopa(0.4))
     for line in out.strip().splitlines()[1:]:
         omega, _, _, fid = (float(s) for s in line.split(","))
         assert fid == pytest.approx(swap_fidelity(cfg, omega), rel=1e-9)
@@ -187,7 +186,7 @@ def test_swap_spectrum_fixed_gain(capsys):
     )
     assert code == 0
     fid = float(out.strip().splitlines()[1].split(",")[3])
-    cfg = SwapConfig(LosslessNopa(0.4), gain=1.0)
+    cfg = SwapConfig(Nopa(0.4), gain=1.0)
     assert fid == pytest.approx(swap_fidelity(cfg, 0.0), rel=1e-9)
 
 

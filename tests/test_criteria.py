@@ -40,7 +40,7 @@ from cvteleport.criteria import (
 from cvteleport.criteria import FidelityPoint, OBJECTIVES
 from closed_form import nopa_fidelity_spectrum
 from references import ralph_lam
-from cvteleport.epr import CustomSpectrum, LosslessNopa, LossyNopa, ZeroBandwidth
+from cvteleport.epr import CustomSpectrum, Nopa, ZeroBandwidth
 from cvteleport.swap import (
     SwapConfig,
     _swap_columns,
@@ -157,7 +157,7 @@ def test_output_product_limit_values():
 
 
 def test_quantum_teleporter_beats_the_product_floor():
-    report = evaluate_criteria(LosslessNopa(0.5))
+    report = evaluate_criteria(Nopa(0.5))
     assert report.v_x == pytest.approx(2 * (1 - 4 * 0.5 / 2.25), rel=1e-12)
     assert report.v_product < VARIANCE_PRODUCT_LIMIT
     assert report.v_sum < VARIANCE_SUM_LIMIT
@@ -186,14 +186,14 @@ def test_ralph_lam_classical_channel():
 
 
 def test_ralph_lam_3db_point_sits_on_both_boundaries():
-    out = teleport(LosslessNopa(EPS_3DB))
+    out = teleport(Nopa(EPS_3DB))
     res = ralph_lam(out.x_tel, out.p_tel, COHERENT)
     assert res.conditional_sum == pytest.approx(CONDITIONAL_SUM_LIMIT, abs=1e-12)
     assert res.transfer_sum == pytest.approx(TRANSFER_SUM_LIMIT, abs=1e-12)
 
 
 def test_ralph_lam_beyond_3db_beats_both():
-    out = teleport(LosslessNopa(0.5), omega=0.3)
+    out = teleport(Nopa(0.5), omega=0.3)
     res = ralph_lam(out.x_tel, out.p_tel, COHERENT)
     assert res.conditional_sum < CONDITIONAL_SUM_LIMIT
     assert res.transfer_sum > TRANSFER_SUM_LIMIT
@@ -209,7 +209,7 @@ def test_ralph_lam_zero_output_convention():
 
 
 def test_fidelity_classical_floor_is_exact():
-    report = evaluate_criteria(LosslessNopa(0.0))
+    report = evaluate_criteria(Nopa(0.0))
     assert report.fidelity == 0.5
     assert report.verdicts["fidelity"] is False
 
@@ -255,7 +255,7 @@ def test_closed_form_fidelity_matches_generic_path():
         omega = rng.uniform(0, 5)
         beta = rng.choice([1.0, rng.uniform(0.2, 1.0)])
         eta = rng.choice([1.0, rng.uniform(0.6, 1.0)])
-        src = LosslessNopa(eps) if beta == 1.0 else LossyNopa(eps, beta)
+        src = Nopa(eps, beta)
         out = teleport(src, detector=BellDetector(eta), omega=omega)
         generic = teleport_fidelity(out).fidelity
         closed = nopa_fidelity_spectrum(eps, omega, beta, eta)
@@ -270,21 +270,21 @@ def test_closed_form_cross_check_is_1e_12(monkeypatch):
         criteria_module, "_closed_form_fidelity", lambda *args: closed(*args) + 1e-10
     )
     with pytest.raises(AssertionError, match="disagrees with closed form"):
-        fidelity_spectrum(LosslessNopa(0.5), [0.0, 1.0])
+        fidelity_spectrum(Nopa(0.5), [0.0, 1.0])
 
 
 _WRONG_CLOSED_FORMS = """
 import sys
 
 from cvteleport import cli, criteria, swap
-from cvteleport.epr import LosslessNopa
+from cvteleport.epr import Nopa
 
 closed = criteria._closed_form_fidelity
 criteria._closed_form_fidelity = lambda *args: closed(*args) + 1e-6
 checks = {
-    "fidelity_spectrum": lambda: criteria.fidelity_spectrum(LosslessNopa(0.5), [0.0, 1.0]),
-    "evaluate_criteria": lambda: criteria.evaluate_criteria(LosslessNopa(0.5), 1.0),
-    "swap_spectrum": lambda: swap.swap_spectrum(swap.SwapConfig(LosslessNopa(0.5)), [0.0]),
+    "fidelity_spectrum": lambda: criteria.fidelity_spectrum(Nopa(0.5), [0.0, 1.0]),
+    "evaluate_criteria": lambda: criteria.evaluate_criteria(Nopa(0.5), 1.0),
+    "swap_spectrum": lambda: swap.swap_spectrum(swap.SwapConfig(Nopa(0.5)), [0.0]),
 }
 for name, check in checks.items():
     try:
@@ -319,12 +319,12 @@ def test_fidelity_beats_half_iff_squeezed():
         eps = rng.uniform(0.001, 1.0)
         omega = rng.uniform(0, 6)
         assert nopa_fidelity_spectrum(eps, omega) > 0.5
-        assert fidelity_spectrum(LosslessNopa(eps), [omega]).fidelity[0] > 0.5
+        assert fidelity_spectrum(Nopa(eps), [omega]).fidelity[0] > 0.5
     assert nopa_fidelity_spectrum(0.0, 0.0) == 0.5
     assert nopa_fidelity_spectrum(1.0, 0.0) == 1.0
     # The package's spectra keep both limits exact too.
-    assert fidelity_spectrum(LosslessNopa(0.0), [0.0]).fidelity == (0.5,)
-    assert fidelity_spectrum(LosslessNopa(1.0), [0.0]).fidelity == (1.0,)
+    assert fidelity_spectrum(Nopa(0.0), [0.0]).fidelity == (0.5,)
+    assert fidelity_spectrum(Nopa(1.0), [0.0]).fidelity == (1.0,)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +332,7 @@ def test_fidelity_beats_half_iff_squeezed():
 
 
 def test_spectrum_table_csv_roundtrip_is_stable():
-    table = fidelity_spectrum(LosslessNopa(0.5), [0.0, 0.5, 1.0, 1.5])
+    table = fidelity_spectrum(Nopa(0.5), [0.0, 0.5, 1.0, 1.5])
     text = table.to_csv()
     again = SpectrumTable.from_csv(text)
     assert again.to_csv() == text
@@ -341,7 +341,7 @@ def test_spectrum_table_csv_roundtrip_is_stable():
 
 
 def test_spectrum_table_json_payload():
-    table = fidelity_spectrum(LosslessNopa(0.5), [0.0, 1.0])
+    table = fidelity_spectrum(Nopa(0.5), [0.0, 1.0])
     payload = json.loads(table.to_json())
     assert sorted(payload) == ["fidelity", "omega", "v_p", "v_x"]
     assert len(payload["fidelity"]) == 2
@@ -349,7 +349,7 @@ def test_spectrum_table_json_payload():
 
 
 def test_spectrum_table_file_io(tmp_path):
-    table = fidelity_spectrum(LosslessNopa(0.3), [0.0, 1.0, 2.0])
+    table = fidelity_spectrum(Nopa(0.3), [0.0, 1.0, 2.0])
     path = tmp_path / "sweep.csv"
     path.write_text(table.to_csv())
     again = SpectrumTable.from_csv(str(path))
@@ -360,7 +360,7 @@ def test_spectrum_table_file_io(tmp_path):
 
 
 def test_spectrum_table_path_with_a_comma(tmp_path):
-    table = fidelity_spectrum(LosslessNopa(0.3), [0.0, 1.0, 2.0])
+    table = fidelity_spectrum(Nopa(0.3), [0.0, 1.0, 2.0])
     path = tmp_path / "tab,le.csv"
     path.write_text(table.to_csv())
     assert SpectrumTable.from_csv(str(path)).to_csv() == table.to_csv()
@@ -444,8 +444,8 @@ def test_serializers_write_v_p_near_v_x_as_the_reference(rows, v_p_is, at, zero)
 def test_large_tables_write_the_reference_bytes():
     # A symmetric source's v_p matches v_x bit for bit and is written from
     # v_x's text; a lossy swap table's does not, in a fraction of its rows.
-    teleport_table = fidelity_spectrum(LosslessNopa(0.5), np.linspace(0.0, 20.0, 10_000))
-    swap_table = swap_spectrum(SwapConfig(LossyNopa(0.6, 0.85)), np.linspace(0.0, 5.0, 1200))
+    teleport_table = fidelity_spectrum(Nopa(0.5), np.linspace(0.0, 20.0, 10_000))
+    swap_table = swap_spectrum(SwapConfig(Nopa(0.6, 0.85)), np.linspace(0.0, 5.0, 1200))
     assert teleport_table._written_columns()[2] is teleport_table.v_x
     assert swap_table._written_columns()[2] is swap_table.v_p
     for table in (teleport_table, swap_table):
@@ -453,8 +453,8 @@ def test_large_tables_write_the_reference_bytes():
         assert table.to_json() == _reference_json(table)
     # Either side of the row count where the writers leave % for numpy.
     for rows in (_text._VECTOR_ROWS - 1, _text._VECTOR_ROWS, _text._VECTOR_ROWS + 1):
-        teleport_table = fidelity_spectrum(LossyNopa(0.5, 0.9), np.linspace(0.0, 20.0, rows))
-        swap_table = swap_spectrum(SwapConfig(LossyNopa(0.6, 0.85)), np.linspace(0.0, 5.0, rows))
+        teleport_table = fidelity_spectrum(Nopa(0.5, 0.9), np.linspace(0.0, 20.0, rows))
+        swap_table = swap_spectrum(SwapConfig(Nopa(0.6, 0.85)), np.linspace(0.0, 5.0, rows))
         assert teleport_table._written_columns()[2] is teleport_table.v_x
         assert swap_table._written_columns()[2] is swap_table.v_p
         for table in (teleport_table, swap_table):
@@ -544,7 +544,7 @@ def test_rows_iterates_in_order():
 
 def test_spectrum_table_columns_are_read_only_float64_arrays():
     grid = np.linspace(0.0, 2.0, 5)
-    sweep = fidelity_spectrum(LosslessNopa(0.5), grid)
+    sweep = fidelity_spectrum(Nopa(0.5), grid)
     loaded = SpectrumTable.from_csv(sweep.to_csv())
     given = SpectrumTable([0, 1], (2, 3), np.array([2.0, 3.0]), [0.5, 0.25])
     for table in (sweep, loaded, given):
@@ -585,7 +585,7 @@ def closed_form_width(eps, threshold=0.51):
 @pytest.mark.parametrize("eps", [0.3, 0.7])
 def test_bandwidth_matches_closed_form(eps):
     grid = [0.1 * k for k in range(0, 120)]
-    table = fidelity_spectrum(LosslessNopa(eps), grid)
+    table = fidelity_spectrum(Nopa(eps), grid)
     got = bandwidth(table)
     assert got == pytest.approx(closed_form_width(eps), abs=1e-4)
 
@@ -598,7 +598,7 @@ def test_per_frequency_gain_is_evaluated_once_per_row():
         return 1.0
 
     table = fidelity_spectrum(
-        LosslessNopa(0.5), [0.1 * k for k in range(10)], gain=GainSchedule.per_frequency(gain)
+        Nopa(0.5), [0.1 * k for k in range(10)], gain=GainSchedule.per_frequency(gain)
     )
     assert len(table) == 10
     assert len(calls) == 10
@@ -611,10 +611,10 @@ def test_threshold_grids_raise_no_numpy_warnings(gain):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         warnings.simplefilter("ignore", NonUnitGainWarning)
-        table = fidelity_spectrum(LosslessNopa(1.0), [0.0, 0.5], gain=gain)
-        report = evaluate_criteria(LosslessNopa(1.0), 0.0, gain=gain)
+        table = fidelity_spectrum(Nopa(1.0), [0.0, 0.5], gain=gain)
+        report = evaluate_criteria(Nopa(1.0), 0.0, gain=gain)
         # Just off threshold |S+|^2 passes the float range: inf, silently.
-        assert LosslessNopa(1.0).pair(1e-200).variances() == (math.inf, 0.0)
+        assert Nopa(1.0).pair(1e-200).powers().variances() == (math.inf, 0.0)
     if gain == 1.0:
         assert table.v_x[0] == table.v_p[0] == 0.0 and table.fidelity[0] == 1.0
     else:
@@ -624,16 +624,16 @@ def test_threshold_grids_raise_no_numpy_warnings(gain):
 
 
 def test_bandwidth_zero_when_never_above():
-    table = fidelity_spectrum(LosslessNopa(0.5), [0.0, 1.0, 2.0])
+    table = fidelity_spectrum(Nopa(0.5), [0.0, 1.0, 2.0])
     assert bandwidth(table, threshold=0.95) == 0.0
-    classical = fidelity_spectrum(LosslessNopa(0.0), [0.0, 1.0])
+    classical = fidelity_spectrum(Nopa(0.0), [0.0, 1.0])
     assert bandwidth(classical, threshold=0.51) == 0.0
 
 
 def test_bandwidth_extends_beyond_the_grid():
     # Short grid that never crosses; the attached evaluator lets the search
     # double out until it brackets the crossing.
-    table = fidelity_spectrum(LosslessNopa(0.6), [0.0, 0.5, 1.0])
+    table = fidelity_spectrum(Nopa(0.6), [0.0, 0.5, 1.0])
     assert bandwidth(table) == pytest.approx(closed_form_width(0.6), abs=1e-4)
 
 
@@ -647,7 +647,7 @@ def test_bandwidth_extends_beyond_the_grid():
 def test_bandwidth_is_infinite_when_never_crossed(kwargs, threshold):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonUnitGainWarning)
-        table = fidelity_spectrum(LosslessNopa(0.5), [0.0, 1.0], **kwargs)
+        table = fidelity_spectrum(Nopa(0.5), [0.0, 1.0], **kwargs)
     assert bandwidth(table, threshold) == math.inf
 
 
@@ -697,10 +697,10 @@ def _counted(table):
 FIRST_DOUBLING_CALL = 64
 
 SOURCES = [
-    lambda grid: fidelity_spectrum(LosslessNopa(0.6), grid),
-    lambda grid: fidelity_spectrum(LossyNopa(0.8, 0.7), grid, detector=BellDetector(0.95)),
-    lambda grid: swap_spectrum(SwapConfig(LosslessNopa(0.4)), grid),
-    lambda grid: swap_spectrum(SwapConfig(LossyNopa(0.7, 0.9), gain=0.8), grid),
+    lambda grid: fidelity_spectrum(Nopa(0.6), grid),
+    lambda grid: fidelity_spectrum(Nopa(0.8, 0.7), grid, detector=BellDetector(0.95)),
+    lambda grid: swap_spectrum(SwapConfig(Nopa(0.4)), grid),
+    lambda grid: swap_spectrum(SwapConfig(Nopa(0.7, 0.9), gain=0.8), grid),
 ]
 SOURCE_IDS = ["lossless", "lossy-detector", "swap", "swap-fixed-gain"]
 
@@ -728,15 +728,15 @@ def _bandwidth_cases(draw):
     grid = [step * k for k in range(rows)]
     kind = draw(st.sampled_from(SOURCE_IDS))
     if kind == "lossless":
-        table = fidelity_spectrum(LosslessNopa(eps), grid)
+        table = fidelity_spectrum(Nopa(eps), grid)
     elif kind == "lossy-detector":
         detector = BellDetector(draw(st.floats(0.9, 0.999)))
-        table = fidelity_spectrum(LossyNopa(eps, beta), grid, detector=detector)
+        table = fidelity_spectrum(Nopa(eps, beta), grid, detector=detector)
     elif kind == "swap":
-        table = swap_spectrum(SwapConfig(LossyNopa(eps, beta)), grid)
+        table = swap_spectrum(SwapConfig(Nopa(eps, beta)), grid)
     else:
         gain = draw(st.floats(0.5, 1.0))
-        table = swap_spectrum(SwapConfig(LossyNopa(eps, beta), gain=gain), grid)
+        table = swap_spectrum(SwapConfig(Nopa(eps, beta), gain=gain), grid)
     f0 = float(table.fidelity[0])
     assume(f0 > 0.5)
     return table, 0.5 + (f0 - 0.5) * draw(st.floats(1e-3, 1.0))
@@ -744,8 +744,8 @@ def _bandwidth_cases(draw):
 
 @settings(deadline=None, max_examples=100, derandomize=True)
 @given(case=_bandwidth_cases())
-@example(case=(fidelity_spectrum(LosslessNopa(0.5), [0.0]), 0.51))  # crossing past the grid
-@example(case=(fidelity_spectrum(LosslessNopa(0.5), [0.0, 0.25]), 0.501))  # past its first octave
+@example(case=(fidelity_spectrum(Nopa(0.5), [0.0]), 0.51))  # crossing past the grid
+@example(case=(fidelity_spectrum(Nopa(0.5), [0.0, 0.25]), 0.501))  # past its first octave
 def test_bandwidth_takes_the_one_point_steps(case):
     table, threshold = case
     assert bandwidth(table, threshold) == _one_point_bandwidth(table, threshold)
@@ -777,7 +777,7 @@ def test_bisection_of_any_evaluator_takes_the_one_point_steps(wobble, threshold)
     # Guesses from a fidelity that is not smooth near the crossing miss;
     # the walk still takes exactly the one-point steps.  The wobble is
     # elementwise arithmetic, so it is the same at a row of any call.
-    base = fidelity_spectrum(LosslessNopa(0.6), [0.1 * k for k in range(201)])
+    base = fidelity_spectrum(Nopa(0.6), [0.1 * k for k in range(201)])
 
     def evaluator(w):
         return base.evaluator(w) + wobble(np.asarray(w, dtype=float))
@@ -822,7 +822,7 @@ def test_a_wrong_guess_still_takes_several_steps_per_call(monkeypatch, wrong, ma
 def test_never_crossing_bandwidth_takes_two_calls():
     # The swapped fidelity tends to 1/2 from above: no doubling candidate up
     # to OMEGA_LIMIT drops below a threshold of 1/2, and two calls show it.
-    table = swap_spectrum(SwapConfig(LosslessNopa(0.5)), [0.1 * k for k in range(51)])
+    table = swap_spectrum(SwapConfig(Nopa(0.5)), [0.1 * k for k in range(51)])
     calls = _counted(table)
     assert bandwidth(table, 0.5) == math.inf
     assert calls == [FIRST_DOUBLING_CALL, 199]
@@ -831,7 +831,7 @@ def test_never_crossing_bandwidth_takes_two_calls():
 def test_doubling_stops_at_the_frequency_limit():
     # From 1e100 only the doublings up to OMEGA_LIMIT are evaluated; their
     # squares stay in the float range, so no warning and no nan.
-    table = fidelity_spectrum(LosslessNopa(0.5), [1e100])
+    table = fidelity_spectrum(Nopa(0.5), [1e100])
     calls = _counted(table)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -841,9 +841,9 @@ def test_doubling_stops_at_the_frequency_limit():
 
 
 def _tabulated(top):
-    # LosslessNopa(0.5) as a CustomSpectrum on [0, top]: it rejects any
+    # Nopa(0.5) as a CustomSpectrum on [0, top]: it rejects any
     # frequency past top.  At threshold 0.51 the fidelity crosses near 7.
-    src = LosslessNopa(0.5)
+    src = Nopa(0.5)
     nodes = [0.25 * k for k in range(int(4 * top) + 1)]
     pairs = [src.pair(w) for w in nodes]
     return CustomSpectrum(nodes, [p.s_plus for p in pairs], [p.s_minus for p in pairs])
@@ -881,7 +881,7 @@ def test_doubling_past_a_finite_table_raises_as_one_point_doubling_does():
 
 def test_bandwidth_interpolates_without_evaluator():
     grid = [0.05 * k for k in range(0, 240)]
-    table = fidelity_spectrum(LosslessNopa(0.4), grid)
+    table = fidelity_spectrum(Nopa(0.4), grid)
     loaded = SpectrumTable.from_csv(table.to_csv())
     assert loaded.evaluator is None
     got = bandwidth(loaded)
@@ -890,7 +890,7 @@ def test_bandwidth_interpolates_without_evaluator():
 
 def test_bandwidth_without_evaluator_needs_a_crossing():
     loaded = SpectrumTable.from_csv(
-        fidelity_spectrum(LosslessNopa(0.6), [0.0, 0.5, 1.0]).to_csv()
+        fidelity_spectrum(Nopa(0.6), [0.0, 0.5, 1.0]).to_csv()
     )
     with pytest.raises(ValueError):
         bandwidth(loaded)
@@ -898,7 +898,7 @@ def test_bandwidth_without_evaluator_needs_a_crossing():
 
 def test_nonunit_gain_spectrum_warns():
     with pytest.warns(NonUnitGainWarning):
-        fidelity_spectrum(LosslessNopa(0.5), [0.0, 1.0], gain=0.9)
+        fidelity_spectrum(Nopa(0.5), [0.0, 1.0], gain=0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -906,7 +906,7 @@ def test_nonunit_gain_spectrum_warns():
 
 
 def test_report_all_verdicts_true_for_strong_squeezing():
-    report = evaluate_criteria(LosslessNopa(0.5))
+    report = evaluate_criteria(Nopa(0.5))
     assert report.fidelity == pytest.approx(0.9, rel=1e-12)
     assert all(report.verdicts.values())
     assert report.avg_fidelity_zero is False
@@ -914,20 +914,20 @@ def test_report_all_verdicts_true_for_strong_squeezing():
 
 
 def test_report_all_verdicts_false_at_the_boundary():
-    report = evaluate_criteria(LosslessNopa(0.0))
+    report = evaluate_criteria(Nopa(0.0))
     assert not any(report.verdicts.values())
     assert report.v_product == pytest.approx(4.0, rel=1e-12)
     assert report.fidelity == 0.5
 
 
 def test_report_flags_nonunit_gain_average_rule():
-    report = evaluate_criteria(LosslessNopa(0.5), gain=0.95)
+    report = evaluate_criteria(Nopa(0.5), gain=0.95)
     assert report.avg_fidelity_zero is True
     assert report.gain == 0.95
 
 
 def test_report_json_is_complete():
-    report = evaluate_criteria(LosslessNopa(0.4), omega=0.5)
+    report = evaluate_criteria(Nopa(0.4), omega=0.5)
     payload = json.loads(report.to_json())
     for key in ("v_x", "v_p", "v_product", "v_sum", "v_out_x", "v_out_p",
                 "v_c_x", "v_c_p", "t_x", "t_p", "fidelity", "verdicts"):
@@ -939,7 +939,7 @@ def test_report_json_is_complete():
 
 
 def test_report_json_complex_gain_encoding():
-    report = evaluate_criteria(LosslessNopa(0.4), gain=0.9 + 0.1j)
+    report = evaluate_criteria(Nopa(0.4), gain=0.9 + 0.1j)
     payload = json.loads(report.to_json())
     assert payload["gain"] == [0.9, 0.1]
 
@@ -947,7 +947,7 @@ def test_report_json_complex_gain_encoding():
 def test_report_with_detector_loss():
     eta2 = 0.9
     report = evaluate_criteria(
-        LosslessNopa(0.6), detector=BellDetector.from_efficiency(eta2)
+        Nopa(0.6), detector=BellDetector.from_efficiency(eta2)
     )
     want = 1.0 / (2.0 - 4 * 0.6 / 2.56 + (1 - eta2) / eta2)
     assert report.fidelity == pytest.approx(want, rel=1e-12)
@@ -962,7 +962,7 @@ WOBBLE = GainSchedule.per_frequency(lambda w: complex(1.0 - 0.05 * w, 0.02 * w))
 
 
 def _custom_copy(epsilon):
-    src = LosslessNopa(epsilon)
+    src = Nopa(epsilon)
     nodes = [0.5 * k for k in range(9)]
     pairs = [src.pair(w) for w in nodes]
     return CustomSpectrum(nodes, [p.s_plus for p in pairs], [p.s_minus for p in pairs])
@@ -984,7 +984,7 @@ def assert_close(got, want, rel=1e-12):
 
 @pytest.mark.parametrize(
     "src",
-    [LosslessNopa(0.6), LossyNopa(0.7, 0.8), ZeroBandwidth(0.6), _custom_copy(0.4)],
+    [Nopa(0.6), Nopa(0.7, 0.8), ZeroBandwidth(0.6), _custom_copy(0.4)],
     ids=["lossless", "lossy", "flat", "custom"],
 )
 @pytest.mark.parametrize(
@@ -1008,10 +1008,10 @@ def test_kernel_columns_match_the_expansions(src, gain, eta2, model):
 @pytest.mark.parametrize(
     "cfg",
     [
-        SwapConfig(LosslessNopa(0.5)),
-        SwapConfig(LossyNopa(0.6, 0.8), gain=0.7),
-        SwapConfig(LosslessNopa(0.4), LossyNopa(0.3, 0.9), gain=0.9 + 0.2j),
-        SwapConfig(LossyNopa(0.5, 0.7), LosslessNopa(0.8)),
+        SwapConfig(Nopa(0.5)),
+        SwapConfig(Nopa(0.6, 0.8), gain=0.7),
+        SwapConfig(Nopa(0.4), Nopa(0.3, 0.9), gain=0.9 + 0.2j),
+        SwapConfig(Nopa(0.5, 0.7), Nopa(0.8)),
     ],
     ids=["optimal", "lossy-fixed", "mixed-complex", "mixed-optimal"],
 )
@@ -1027,9 +1027,9 @@ def test_swap_kernel_rows_match_the_expansions(cfg):
 
 def test_threshold_kernel_row_is_finite_at_unit_gain_and_inf_otherwise():
     grid = np.array([0.0])
-    unit = criteria_module._teleport_columns(LosslessNopa(1.0), grid, 1.0, BellDetector(1.0), COHERENT)
+    unit = criteria_module._teleport_columns(Nopa(1.0), grid, 1.0, BellDetector(1.0), COHERENT)
     assert (unit.v_x[0], unit.v_p[0], unit.fidelity[0]) == (0.0, 0.0, 1.0)
-    fixed = criteria_module._teleport_columns(LosslessNopa(1.0), grid, 0.5, BellDetector(1.0), COHERENT)
+    fixed = criteria_module._teleport_columns(Nopa(1.0), grid, 0.5, BellDetector(1.0), COHERENT)
     assert (fixed.v_x[0], fixed.v_p[0], fixed.v_out_x[0], fixed.fidelity[0]) == (
         math.inf, math.inf, math.inf, 0.0,
     )
@@ -1048,7 +1048,7 @@ def test_a_zero_power_adds_zero_under_an_overflowed_weight(gain):
     grid = np.array([0.0, 0.5])
     for eta2 in (1.0, 0.5):
         cols = criteria_module._teleport_columns(
-            LosslessNopa(1.0), grid, gain.at(grid), BellDetector.from_efficiency(eta2), COHERENT
+            Nopa(1.0), grid, gain.at(grid), BellDetector.from_efficiency(eta2), COHERENT
         )
         assert cols.v_x.tolist() == cols.v_p.tolist() == [math.inf, math.inf]
         assert cols.fidelity.tolist() == [0.0, 0.0]
@@ -1060,7 +1060,7 @@ def test_a_zero_power_adds_zero_under_an_overflowed_weight(gain):
 
 def _random_setting(rng):
     e = rng.uniform(0.0, 0.95)
-    src = LosslessNopa(e) if rng.random() < 0.5 else LossyNopa(e, rng.uniform(0.55, 1.0))
+    src = Nopa(e) if rng.random() < 0.5 else Nopa(e, rng.uniform(0.55, 1.0))
     eta2 = 1.0 if rng.random() < 0.3 else rng.uniform(0.6, 1.0)
     gain = rng.choice(
         [
@@ -1113,7 +1113,7 @@ def test_criteria_report_matches_ralph_lam_on_the_expansions():
 def test_criteria_rejects_a_gain_that_overflows_the_output():
     # |g|^2 V_in past the float range would leave V_c and T as inf - inf.
     with pytest.raises(OverflowError, match="float range"):
-        evaluate_criteria(LosslessNopa(0.5), gain=1e200)
+        evaluate_criteria(Nopa(0.5), gain=1e200)
 
 
 def test_criteria_zero_output_convention_matches_ralph_lam():

@@ -8,8 +8,7 @@ import pytest
 
 from cvteleport.epr import (
     CustomSpectrum,
-    LosslessNopa,
-    LossyNopa,
+    Nopa,
     NopaParams,
     PortPowers,
     TransferPair,
@@ -17,7 +16,6 @@ from cvteleport.epr import (
     _abs2,
     _ports,
     make_epr_pair,
-    squeezing_spectrum,
 )
 from cvteleport.linmode import (
     Axis,
@@ -47,8 +45,8 @@ def test_lossless_magnitudes_match_closed_form():
     for _ in range(300):
         eps = rng.uniform(0.0, 0.999)
         omega = rng.uniform(0.0, 8.0)
-        noisy, quiet = LosslessNopa(eps).pair(omega).magnitudes_sq()
-        noisy_ref, quiet_ref = squeezing_spectrum(eps, omega)
+        noisy, quiet = Nopa(eps).pair(omega).powers()[:2]
+        noisy_ref, quiet_ref = Nopa(eps).variances(omega)
         assert abs(noisy - noisy_ref) < 1e-12 * max(1.0, noisy_ref)
         assert abs(quiet - quiet_ref) < 1e-12
 
@@ -57,24 +55,29 @@ def test_lossless_bogoliubov_product_is_one():
     # S+ * conj(S-) = 1 identically for the ideal cavity, at any frequency.
     rng = random.Random(103)
     for _ in range(200):
-        pair = LosslessNopa(rng.uniform(0, 0.999)).pair(rng.uniform(0, 10))
+        pair = Nopa(rng.uniform(0, 0.999)).pair(rng.uniform(0, 10))
         prod = pair.s_plus * pair.s_minus.conjugate()
         assert abs(prod - 1.0) < 1e-12
         assert abs(bogoliubov_defect(pair)) < 1e-12
 
 
 def test_threshold_point_is_representable():
-    pair = LosslessNopa(1.0).pair(0.0)
+    pair = Nopa(1.0).pair(0.0)
     assert math.isinf(abs(pair.s_plus))
     assert pair.s_minus == 0
-    noisy, quiet = squeezing_spectrum(1.0, 0.0)
+    noisy, quiet = Nopa(1.0).variances(0.0)
     assert math.isinf(noisy)
     assert quiet == 0.0
+    # Over a grid only the threshold point diverges, with no loss ports.
+    grid = Nopa(1.0).pair(np.array([0.0, 1e-8, 1.0]))
+    assert grid.s_plus[0] == complex(math.inf, 0.0)
+    assert np.isfinite(grid.s_plus[1:]).all()
+    assert (grid.l_plus, grid.l_minus) == (0j, 0j)
 
 
 def test_no_pump_means_flat_unit_spectra():
     for omega in (0.0, 0.3, 2.7):
-        noisy, quiet = LosslessNopa(0.0).pair(omega).magnitudes_sq()
+        noisy, quiet = Nopa(0.0).pair(omega).powers()[:2]
         assert noisy == pytest.approx(1.0, abs=1e-14)
         assert quiet == pytest.approx(1.0, abs=1e-14)
 
@@ -82,14 +85,7 @@ def test_no_pump_means_flat_unit_spectra():
 @pytest.mark.parametrize("bad", [-0.1, 1.2, math.nan])
 def test_epsilon_validation(bad):
     with pytest.raises(ValueError):
-        LosslessNopa(bad)
-
-
-def test_squeezing_spectrum_input_forms():
-    src = LosslessNopa(0.3)
-    assert squeezing_spectrum(src, 1.5) == squeezing_spectrum(0.3, 1.5)
-    with pytest.raises(ValueError):
-        squeezing_spectrum(1.5, 0.0)
+        Nopa(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +126,19 @@ def b_basis_amplitudes(eps, beta, omega):
 
 
 def test_lossy_reduces_to_lossless_at_full_escape():
+    # At beta = 1 the amplitudes are the ideal cavity's S+ = conj(d + e)/(d - e)
+    # and S- = conj(d - e)/(d + e), d = 1 - i*omega, with no loss ports.
     rng = random.Random(109)
     for _ in range(100):
         eps = rng.uniform(0, 0.95)
         omega = rng.uniform(0, 6)
-        lossy = LossyNopa(eps, 1.0).pair(omega)
-        ideal = LosslessNopa(eps).pair(omega)
-        assert abs(lossy.s_plus - ideal.s_plus) < 1e-12 * max(1.0, abs(ideal.s_plus))
-        assert abs(lossy.s_minus - ideal.s_minus) < 1e-12
-        assert lossy.l_plus == 0 and lossy.l_minus == 0
+        pair = Nopa(eps, 1.0).pair(omega)
+        d = complex(1.0, -omega)
+        ideal_plus = (d + eps).conjugate() / (d - eps)
+        assert abs(pair.s_plus - ideal_plus) < 1e-12 * max(1.0, abs(ideal_plus))
+        assert abs(pair.s_minus - (d - eps).conjugate() / (d + eps)) < 1e-12
+        assert (pair.l_plus, pair.l_minus) == (0j, 0j)
+        assert Nopa(eps) == Nopa(eps, 1.0)
 
 
 def test_lossy_pair_matches_nopa_transfer():
@@ -149,7 +149,7 @@ def test_lossy_pair_matches_nopa_transfer():
         eps = rng.uniform(0, 0.95)
         beta = rng.uniform(0.05, 1.0)
         omega = rng.uniform(0, 6)
-        pair = LossyNopa(eps, beta).pair(omega)
+        pair = Nopa(eps, beta).pair(omega)
         got = (pair.s_plus, pair.s_minus, pair.l_plus, pair.l_minus)
         for a, b in zip(got, b_basis_amplitudes(eps, beta, omega)):
             assert abs(a - b) < 1e-12 * max(1.0, abs(b))
@@ -163,7 +163,7 @@ def test_lossy_bogoliubov_identity():
         eps = rng.uniform(0, 0.95)
         beta = rng.uniform(0.05, 1.0)
         omega = rng.uniform(0, 6)
-        assert abs(bogoliubov_defect(LossyNopa(eps, beta).pair(omega))) < 1e-12
+        assert abs(bogoliubov_defect(Nopa(eps, beta).pair(omega))) < 1e-12
         big_g, small_g, gl, gl2 = nopa_transfer(NopaParams(eps, 2 * beta, 2 * (1 - beta)), omega)
         total = abs(big_g) ** 2 - abs(small_g) ** 2 + abs(gl) ** 2 - abs(gl2) ** 2
         assert abs(total - 1.0) < 1e-12
@@ -178,18 +178,22 @@ def test_lossy_quiet_combination_closed_form():
         want = 1.0 - 4.0 * eps * beta / ((1.0 + eps) ** 2 + omega * omega)
         _, s_minus, _, l_minus = b_basis_amplitudes(eps, beta, omega)
         assert abs(abs(s_minus) ** 2 + abs(l_minus) ** 2 - want) < 1e-12
-        src = LossyNopa(eps, beta)
-        assert abs(src.pair(omega).variances()[1] - want) < 1e-12
+        src = Nopa(eps, beta)
+        assert abs(src.pair(omega).powers().variances()[1] - want) < 1e-12
         assert src.variances(omega)[1] == want
 
 
 def test_lossy_validation():
-    with pytest.raises(ValueError):
-        LossyNopa(1.0, 0.9)  # threshold excluded when loss ports are explicit
-    with pytest.raises(ValueError):
-        LossyNopa(0.5, 0.0)
-    with pytest.raises(ValueError):
-        LossyNopa(0.5, 1.2)
+    Nopa(1.0)  # threshold is representable for a lossless cavity only
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, 1\) below threshold$"):
+        Nopa(1.0, 0.9)
+    with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1\]$"):
+        Nopa(0.5, 0.0)
+    with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1\]$"):
+        Nopa(0.5, 1.2)
+    # epsilon is checked before beta.
+    with pytest.raises(ValueError, match="^epsilon"):
+        Nopa(2.0, 0.0)
 
 
 def test_nopa_transfer_matches_lossless_pair():
@@ -200,7 +204,7 @@ def test_nopa_transfer_matches_lossless_pair():
         eps = rng.uniform(0, 0.95)
         omega = rng.uniform(0, 5)
         big_g, small_g, _, _ = nopa_transfer(NopaParams(eps, 2.0), omega)
-        ideal = LosslessNopa(eps).pair(omega)
+        ideal = Nopa(eps).pair(omega)
         assert abs((big_g + small_g) - ideal.s_plus) < 1e-12 * max(1.0, abs(ideal.s_plus))
         assert abs((big_g - small_g) - ideal.s_minus) < 1e-12
 
@@ -212,9 +216,9 @@ def test_nopa_transfer_matches_lossless_pair():
 def test_epr_pair_second_moments():
     rng = random.Random(137)
     for _ in range(60):
-        src = LosslessNopa(rng.uniform(0, 0.95))
+        src = Nopa(rng.uniform(0, 0.95))
         omega = rng.uniform(0, 5)
-        noisy, quiet = src.pair(omega).magnitudes_sq()
+        noisy, quiet = src.pair(omega).powers()[:2]
         pair = make_epr_pair(src, omega)
         sym = (noisy + quiet) / 2
         assert quick_var(pair.x1, Axis.X) == pytest.approx(sym, rel=1e-12)
@@ -233,9 +237,9 @@ def test_epr_pair_preserves_commutators():
     rng = random.Random(139)
     for _ in range(60):
         if rng.random() < 0.5:
-            src = LosslessNopa(rng.uniform(0, 1.0))
+            src = Nopa(rng.uniform(0, 1.0))
         else:
-            src = LossyNopa(rng.uniform(0, 0.95), rng.uniform(0.1, 1.0))
+            src = Nopa(rng.uniform(0, 0.95), rng.uniform(0.1, 1.0))
         pair = make_epr_pair(src, rng.uniform(0, 5))
         assert abs(commutator_pairing(pair.x1, pair.p1) - 1.0) < 1e-12
         assert abs(commutator_pairing(pair.x2, pair.p2) - 1.0) < 1e-12
@@ -249,7 +253,7 @@ def test_lossy_epr_difference_tracks_escape_efficiency():
         eps = rng.uniform(0, 0.95)
         beta = rng.uniform(0.1, 1.0)
         omega = rng.uniform(0, 5)
-        pair = make_epr_pair(LossyNopa(eps, beta), omega)
+        pair = make_epr_pair(Nopa(eps, beta), omega)
         x_diff = combine(pair.x1, pair.x2, 1.0, -1.0)
         want = 2.0 * (1.0 - 4.0 * eps * beta / ((1.0 + eps) ** 2 + omega * omega))
         assert quick_var(x_diff, Axis.X) == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -259,8 +263,8 @@ def test_physical_rate_epr_pair_matches_dimensionless():
     # gamma + rho = 4 halves every physical frequency on the way in.
     params = NopaParams(kappa=1.0, gamma=3.2, rho=0.8)
     big_omega = 2.0
-    phys = make_epr_pair(LossyNopa.from_rates(params), 2 * big_omega / params.total_rate)
-    dimless = make_epr_pair(LossyNopa(0.5, 0.8), 1.0)
+    phys = make_epr_pair(Nopa.from_rates(params), 2 * big_omega / params.total_rate)
+    dimless = make_epr_pair(Nopa(0.5, 0.8), 1.0)
     for a, b, axis in (
         (phys.x1, dimless.x1, Axis.X),
         (phys.p1, dimless.p1, Axis.P),
@@ -273,12 +277,12 @@ def test_physical_rate_epr_pair_matches_dimensionless():
 def test_epr_port_labels_are_configurable():
     # The walker yields label slots; the labels are those a resource's
     # _pairs entry names, as the swapped pair names its two pairs.
-    ports = _ports(LosslessNopa(0.4).pair(0.0), (1, 0), (1, 0))
+    ports = _ports(Nopa(0.4).pair(0.0), (1, 0), (1, 0))
     assert [(slot, axis) for slot, axis, _, _ in ports] == [
         (0, Axis.X), (1, Axis.X), (0, Axis.P), (1, Axis.P),
     ]
 
-    class Relabeled(LosslessNopa):
+    class Relabeled(Nopa):
         def _pairs(self, omega, x_weights, p_weights):
             ((_, *entry),) = super()._pairs(omega, x_weights, p_weights)
             return (("u1", "u2"), *entry),
@@ -293,9 +297,9 @@ def test_lossy_ports_share_the_rotated_layout():
     # caches weight squares by id), and only when the pair carries loss
     # amplitudes.
     weights = ((0.3, -1.7), (1.1, 0.6))
-    pair = LossyNopa(0.4, 0.9).pair(0.3)
+    pair = Nopa(0.4, 0.9).pair(0.3)
     ports = list(_ports(pair, *weights))
-    squeezed = list(_ports(LosslessNopa(0.4).pair(0.3), *weights))
+    squeezed = list(_ports(Nopa(0.4).pair(0.3), *weights))
     h = math.sqrt(0.5)
     assert [(slot, axis, w) for slot, axis, w, _ in squeezed] == [
         (0, Axis.X, 0.3 * h - 1.7 * h),
@@ -312,7 +316,7 @@ def test_lossy_ports_share_the_rotated_layout():
         pair.s_plus, pair.s_minus, pair.s_minus, pair.s_plus,
         pair.l_plus, pair.l_minus, pair.l_minus, pair.l_plus,
     ]
-    assert len(list(_ports(LossyNopa(0.4, 1.0).pair(0.3), *weights))) == 4
+    assert len(list(_ports(Nopa(0.4, 1.0).pair(0.3), *weights))) == 4
 
 
 def test_expansions_evaluate_each_source_pair_once(monkeypatch):
@@ -320,14 +324,14 @@ def test_expansions_evaluate_each_source_pair_once(monkeypatch):
     # per teleport, also where its powers() would go through pair()
     # (CustomSpectrum) and where a swap's two pairs share its one source.
     calls = []
-    for cls in (CustomSpectrum, LossyNopa):
+    for cls in (CustomSpectrum, Nopa):
         monkeypatch.setattr(
             cls, "pair", lambda self, omega, f=cls.pair: calls.append(self) or f(self, omega)
         )
     teleport(CustomSpectrum((0.0, 1.0), (2.0, 2.5), (0.5, 0.4)), 1.0, BellDetector(1.0), 0.3)
     assert len(calls) == 1
     calls.clear()
-    verification_teleport(SwapConfig(LossyNopa(0.6, 0.8)), 0.3)
+    verification_teleport(SwapConfig(Nopa(0.6, 0.8)), 0.3)
     assert len(calls) == 1
     # Both modes of an EPR pair, over a source and over a swapped pair
     # (swap_once), take their amplitudes from one pair() per source.
@@ -335,7 +339,7 @@ def test_expansions_evaluate_each_source_pair_once(monkeypatch):
     make_epr_pair(CustomSpectrum((0.0, 1.0), (2.0, 2.5), (0.5, 0.4)), 0.3)
     assert len(calls) == 1
     calls.clear()
-    swap_once(SwapConfig(LossyNopa(0.6, 0.8)), 0.3)
+    swap_once(SwapConfig(Nopa(0.6, 0.8)), 0.3)
     assert len(calls) == 1
 
 
@@ -376,7 +380,7 @@ def test_zero_bandwidth_source():
 def test_couple_modes_is_self_inverse():
     rng = random.Random(151)
     for _ in range(30):
-        pair = make_epr_pair(LosslessNopa(rng.uniform(0, 0.9)), rng.uniform(0, 3))
+        pair = make_epr_pair(Nopa(rng.uniform(0, 0.9)), rng.uniform(0, 3))
         u, v = couple_modes(pair.x1, pair.x2)
         back1, back2 = couple_modes(u, v)
         for got, want in ((back1, pair.x1), (back2, pair.x2)):
@@ -387,7 +391,7 @@ def test_couple_modes_is_self_inverse():
 def test_couple_modes_decouples_the_pair():
     # The EPR pair comes from superposing two independent squeezers, so the
     # inverse beamsplitter must hand back single-label modes.
-    pair = make_epr_pair(LosslessNopa(0.6), 0.7)
+    pair = make_epr_pair(Nopa(0.6), 0.7)
     u, v = couple_modes(pair.x1, pair.x2)
     assert u.labels() == {"bar1"}
     assert v.labels() == {"bar2"}
@@ -400,7 +404,7 @@ def test_couple_modes_decouples_the_pair():
 def lossless_table(eps, omegas):
     rows = ["omega,s_plus_re,s_plus_im,s_minus_re,s_minus_im"]
     for w in omegas:
-        pair = LosslessNopa(eps).pair(w)
+        pair = Nopa(eps).pair(w)
         rows.append(
             f"{w},{pair.s_plus.real!r},{pair.s_plus.imag!r},"
             f"{pair.s_minus.real!r},{pair.s_minus.imag!r}"
@@ -413,7 +417,7 @@ def test_custom_spectrum_hits_nodes_exactly():
     src = CustomSpectrum.from_csv(lossless_table(0.5, omegas))
     for w in omegas:
         got = src.pair(w)
-        want = LosslessNopa(0.5).pair(w)
+        want = Nopa(0.5).pair(w)
         assert abs(got.s_plus - want.s_plus) < 1e-12
         assert abs(got.s_minus - want.s_minus) < 1e-12
 
@@ -425,7 +429,7 @@ def test_custom_spectrum_interpolates_between_nodes():
     for _ in range(50):
         w = rng.uniform(0.0, 3.0)
         got = src.pair(w)
-        want = LosslessNopa(0.5).pair(w)
+        want = Nopa(0.5).pair(w)
         assert abs(got.s_plus - want.s_plus) < 1e-3
         assert abs(got.s_minus - want.s_minus) < 1e-3
 
@@ -442,7 +446,7 @@ def test_custom_spectrum_file_roundtrip(tmp_path):
     path = tmp_path / "table.csv"
     path.write_text(lossless_table(0.3, [0.0, 1.0, 2.0]), encoding="utf-8")
     src = CustomSpectrum.from_csv(str(path))
-    want = LosslessNopa(0.3).pair(1.0)
+    want = Nopa(0.3).pair(1.0)
     got = src.pair(1.0)
     assert abs(got.s_plus - want.s_plus) < 1e-12
 
@@ -455,7 +459,7 @@ def test_custom_spectrum_path_with_a_comma(tmp_path):
     from_text = CustomSpectrum.from_csv(path.read_text(encoding="utf-8"))
     for w in (0.0, 0.5, 1.0, 2.0):
         assert src.pair(w) == from_text.pair(w)
-    assert abs(src.pair(1.0).s_plus - LosslessNopa(0.3).pair(1.0).s_plus) < 1e-12
+    assert abs(src.pair(1.0).s_plus - Nopa(0.3).pair(1.0).s_plus) < 1e-12
 
 
 def test_custom_spectrum_validation():
@@ -489,10 +493,10 @@ def test_custom_spectrum_csv_errors_name_the_problem():
 
 
 def test_describe_strings():
-    assert "0.25" in LosslessNopa(0.25).describe()
-    assert "beta" in LossyNopa(0.25, 0.8).describe() or "0.8" in LossyNopa(0.25, 0.8).describe()
+    assert Nopa(0.25).describe() == Nopa(0.25, 1.0).describe() == "nopa(epsilon=0.25)"
+    assert Nopa(0.25, 0.8).describe() == "nopa(epsilon=0.25, beta=0.8)"
     assert "rows" in CustomSpectrum((0.0, 1.0), (1.0, 1.0), (1.0, 1.0)).describe()
-    assert TransferPair(2.0, 0.5).magnitudes_sq() == (4.0, 0.25)
+    assert TransferPair(2.0, 0.5).powers()[:2] == (4.0, 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +526,7 @@ def power_ulps(got, want):
 
 
 def _custom_copy():
-    src = LosslessNopa(0.5)
+    src = Nopa(0.5)
     nodes = [0.0, 0.5, 1.0, 2.0, 4.0]
     pairs = [src.pair(w) for w in nodes]
     return CustomSpectrum(nodes, [p.s_plus for p in pairs], [p.s_minus for p in pairs])
@@ -531,13 +535,13 @@ def _custom_copy():
 @pytest.mark.parametrize(
     "src",
     [
-        LosslessNopa(0.0),
-        LosslessNopa(0.5),
-        LosslessNopa(1.0),
-        LossyNopa(0.0, 0.3),
-        LossyNopa(0.5, 0.8),
-        LossyNopa(1.0 - 2.0 ** -40, 0.9),
-        LossyNopa(0.6, 1.0),
+        Nopa(0.0),
+        Nopa(0.5),
+        Nopa(1.0),
+        Nopa(0.0, 0.3),
+        Nopa(0.5, 0.8),
+        Nopa(1.0 - 2.0 ** -40, 0.9),
+        Nopa(0.6, 1.0),
     ],
     ids=["lossless-0", "lossless-0.5", "lossless-1", "lossy-0", "lossy-0.5", "lossy-edge", "lossy-beta-1"],
 )
@@ -558,7 +562,7 @@ def test_nopa_powers_match_the_amplitudes_over_the_full_domain():
     worst = 0.0
     for _ in range(2000):
         e = rng.choice([rng.uniform(0.0, 1.0), 1.0 - 2.0 ** -rng.randint(1, 52)])
-        src = LosslessNopa(e) if rng.random() < 0.5 else LossyNopa(e, rng.uniform(1e-3, 1.0))
+        src = Nopa(e) if rng.random() < 0.5 else Nopa(e, rng.uniform(1e-3, 1.0))
         omega = rng.choice([rng.uniform(0.0, 4.0), 10.0 ** rng.uniform(-8.0, 4.0)])
         for g, want in zip(src.powers(omega), amplitude_powers(src, omega)):
             worst = max(worst, power_ulps(g, float(want)))
@@ -567,14 +571,14 @@ def test_nopa_powers_match_the_amplitudes_over_the_full_domain():
 
 def test_power_limits_are_exact():
     # No pump: |S+-|^2 = 1 and V = 1 exactly, lossy or not.
-    assert all((v == 1.0).all() for v in LosslessNopa(0.0).powers(POWER_GRID)[:2])
-    for src in (LosslessNopa(0.0), LossyNopa(0.0, 0.3)):
+    assert all((v == 1.0).all() for v in Nopa(0.0).powers(POWER_GRID)[:2])
+    for src in (Nopa(0.0), Nopa(0.0, 0.3)):
         assert all((v == 1.0).all() for v in src.variances(POWER_GRID))
     # Threshold: |S+|^2 = inf and |S-|^2 = 0 exactly; a lossless cavity has
     # exactly zero loss powers.
-    assert LosslessNopa(1.0).powers(0.0) == (math.inf, 0.0, 0.0, 0.0)
-    assert LosslessNopa(1.0).pair(0.0).powers() == (math.inf, 0.0, 0.0, 0.0)
-    lossless = LosslessNopa(0.5).powers(POWER_GRID)
+    assert Nopa(1.0).powers(0.0) == (math.inf, 0.0, 0.0, 0.0)
+    assert Nopa(1.0).pair(0.0).powers() == (math.inf, 0.0, 0.0, 0.0)
+    lossless = Nopa(0.5).powers(POWER_GRID)
     assert lossless.l_plus == lossless.l_minus == 0.0
 
 

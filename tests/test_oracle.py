@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cvteleport.criteria import teleport_fidelity
-from cvteleport.epr import LosslessNopa, LossyNopa, ZeroBandwidth, make_epr_pair
+from cvteleport.epr import Nopa, ZeroBandwidth, make_epr_pair
 from cvteleport.linmode import (
     Axis,
     InputModel,
@@ -200,7 +200,7 @@ def test_mc_vacuum_is_one():
 
 
 def test_mc_teleport_point():
-    out = teleport(LosslessNopa(0.5), omega=1.0)
+    out = teleport(Nopa(0.5), omega=1.0)
     err_x = combine(out.x_tel, unit_input(), 1.0, -1.0)
     err_p = combine(out.p_tel, unit_input(), 1.0, -1.0)
     report = mc_check(
@@ -216,7 +216,7 @@ def test_mc_teleport_point():
 
 
 def test_mc_covariance_row():
-    out = teleport(LosslessNopa(0.4), omega=0.5)
+    out = teleport(Nopa(0.4), omega=0.5)
     report = mc_check(
         [("x_out", out.x_tel, Axis.X), ("x_in", unit_input(), Axis.X)],
         COHERENT,
@@ -231,7 +231,7 @@ def test_mc_covariance_row():
 
 
 def test_mc_swapped_pair_variance():
-    cfg = SwapConfig(LosslessNopa(0.4))
+    cfg = SwapConfig(Nopa(0.4))
     out = swap_once(cfg, 0.7)
     epr_x = combine(out.x1, out.x4p, 1.0, -1.0)
     want_x, _ = swapped_epr_variances(cfg, 0.7)
@@ -244,7 +244,7 @@ def test_mc_swapped_pair_variance():
 
 
 def test_mc_is_deterministic_for_a_seed():
-    out = teleport(LosslessNopa(0.3), omega=0.4)
+    out = teleport(Nopa(0.3), omega=0.4)
     cfg = McConfig(sample_count=70_000, seed=11)
     entries = [("x_out", out.x_tel, Axis.X)]
     a = mc_check(entries, COHERENT, cfg).to_json()
@@ -258,7 +258,7 @@ def test_mc_seeded_stream_is_pinned():
     # Two batches, the last one partial, so any change to seeding, batching
     # or draw order fails.  Recorded on the rotated lossy port layout (labels
     # bar1/bar2 and their _loss ports).
-    out = teleport(LossyNopa(0.6, 0.8), detector=BellDetector(0.9), omega=0.5)
+    out = teleport(Nopa(0.6, 0.8), detector=BellDetector(0.9), omega=0.5)
     report = mc_check(
         [("x_out", out.x_tel, Axis.X), ("p_out", out.p_tel, Axis.P), ("x_in", unit_input(), Axis.X)],
         COHERENT,
@@ -329,7 +329,7 @@ def test_mc_matches_the_per_component_reference():
     # Pins the draw layout: a squeezed input (v_x != v_p, so swapping the
     # in_x and in_p scales shows), a complex input coefficient, a zero one,
     # a covariance pair and a partial last batch.
-    out = teleport(LossyNopa(0.6, 0.8), detector=BellDetector(0.9), omega=0.5)
+    out = teleport(Nopa(0.6, 0.8), detector=BellDetector(0.9), omega=0.5)
     tilted = QuadExpansion(0.6 - 0.3j, {("bar1", Axis.P): 0.2 + 0.7j, ("zz", Axis.P): -1.1j})
     entries = [
         ("x_out", out.x_tel, Axis.X),

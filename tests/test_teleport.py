@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 from cvteleport.criteria import evaluate_criteria, fidelity_spectrum
-from cvteleport.epr import LosslessNopa, LossyNopa, ZeroBandwidth
+from cvteleport.epr import Nopa, ZeroBandwidth
 from cvteleport.linmode import Axis, InputModel, commutator_pairing, normalized_variance
 from cvteleport.swap import SwapConfig, swap_fidelity
 from cvteleport.teleport import (
@@ -44,7 +44,7 @@ def test_no_squeezing_costs_two_units_per_quadrature():
     assert v_p == pytest.approx(2.0, rel=1e-12)
     # Same floor without any source at all (epsilon = 0), at any frequency.
     for omega in (0.0, 1.3, 4.0):
-        v_x, v_p = spectral_variance_tel_in(teleport(LosslessNopa(0.0), omega=omega), COHERENT)
+        v_x, v_p = spectral_variance_tel_in(teleport(Nopa(0.0), omega=omega), COHERENT)
         assert v_x == pytest.approx(2.0, rel=1e-12)
         assert v_p == pytest.approx(2.0, rel=1e-12)
 
@@ -54,8 +54,8 @@ def test_excess_noise_is_twice_the_squeezing_spectrum():
     for _ in range(50):
         eps = rng.uniform(0, 0.999)
         omega = rng.uniform(0, 6)
-        out = teleport(LosslessNopa(eps), omega=omega)
-        _, quiet = LosslessNopa(eps).pair(omega).magnitudes_sq()
+        out = teleport(Nopa(eps), omega=omega)
+        _, quiet = Nopa(eps).pair(omega).powers()[:2]
         v_x, v_p = spectral_variance_tel_in(out, COHERENT)
         assert abs(v_x - 2 * quiet) < 1e-12
         assert abs(v_p - 2 * quiet) < 1e-12
@@ -66,10 +66,10 @@ def test_excess_noise_is_twice_the_squeezing_spectrum():
 
 
 def test_threshold_stays_finite_at_unit_gain():
-    out = teleport(LosslessNopa(1.0), omega=0.0)
+    out = teleport(Nopa(1.0), omega=0.0)
     assert error_variances(out) == (0.0, 0.0)
     # Away from zero frequency the closed form 2*w^2/(4+w^2) applies.
-    out2 = teleport(LosslessNopa(1.0), omega=2.0)
+    out2 = teleport(Nopa(1.0), omega=2.0)
     v_x, v_p = spectral_variance_tel_in(out2, COHERENT)
     assert v_x == pytest.approx(1.0, rel=1e-12)
     assert v_p == pytest.approx(1.0, rel=1e-12)
@@ -82,7 +82,7 @@ def test_closed_form_with_loss_and_detector():
         beta = rng.uniform(0.1, 1.0)
         omega = rng.uniform(0, 5)
         eta = rng.uniform(0.5, 1.0)
-        out = teleport(LossyNopa(eps, beta), detector=BellDetector(eta), omega=omega)
+        out = teleport(Nopa(eps, beta), detector=BellDetector(eta), omega=omega)
         want = nopa_variance_spectrum(eps, omega, beta, eta)
         v_x, v_p = spectral_variance_tel_in(out, COHERENT)
         assert abs(v_x - want) < 1e-12
@@ -92,7 +92,7 @@ def test_closed_form_with_loss_and_detector():
 def test_variance_grows_as_detectors_degrade():
     values = []
     for eta in (1.0, 0.95, 0.9, 0.8, 0.6):
-        out = teleport(LosslessNopa(0.5), detector=BellDetector(eta), omega=0.5)
+        out = teleport(Nopa(0.5), detector=BellDetector(eta), omega=0.5)
         values.append(spectral_variance_tel_in(out, COHERENT)[0])
     assert all(b > a for a, b in zip(values, values[1:]))
 
@@ -112,18 +112,18 @@ def test_gain_mismatch_formula_zero_bandwidth():
 
 
 def test_nonunit_gain_warns_and_unit_gain_does_not():
-    out = teleport(LosslessNopa(0.3), gain=0.9)
+    out = teleport(Nopa(0.3), gain=0.9)
     with pytest.warns(NonUnitGainWarning):
         spectral_variance_tel_in(out, COHERENT)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        spectral_variance_tel_in(teleport(LosslessNopa(0.3)), COHERENT)
+        spectral_variance_tel_in(teleport(Nopa(0.3)), COHERENT)
 
 
 def test_detector_vacua_enter_only_below_unit_efficiency():
-    clean = teleport(LosslessNopa(0.4))
+    clean = teleport(Nopa(0.4))
     assert not any(label.startswith("det_") for label in clean.x_tel.labels())
-    lossy = teleport(LosslessNopa(0.4), detector=BellDetector(0.9))
+    lossy = teleport(Nopa(0.4), detector=BellDetector(0.9))
     assert {"det_d", "det_e"} <= lossy.x_tel.labels()
     assert {"det_f", "det_g"} <= lossy.p_tel.labels()
     # Detector noise weight: gain * sqrt(1-eta^2)/eta on each of two vacua.
@@ -151,19 +151,19 @@ def test_gain_schedule_forms():
     assert sched.at(2.0) == pytest.approx(0.2)
     assert GainSchedule.fixed(0.7).describe() == "fixed:0.7"
     assert GainSchedule.unit().describe() == "unit"
-    out = teleport(LosslessNopa(0.2), gain=sched, omega=3.0)
+    out = teleport(Nopa(0.2), gain=sched, omega=3.0)
     assert out.gain == pytest.approx(0.1)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: swap_fidelity(SwapConfig(LosslessNopa(0.5), gain=math.nan), 0.3),
-        lambda: swap_fidelity(SwapConfig(LosslessNopa(0.5), gain=math.inf), 0.3),
-        lambda: fidelity_spectrum(LosslessNopa(0.5), [0.0, 1.0], gain=math.nan),
-        lambda: evaluate_criteria(LosslessNopa(0.5), 0.3, gain=complex(1, math.inf)),
+        lambda: swap_fidelity(SwapConfig(Nopa(0.5), gain=math.nan), 0.3),
+        lambda: swap_fidelity(SwapConfig(Nopa(0.5), gain=math.inf), 0.3),
+        lambda: fidelity_spectrum(Nopa(0.5), [0.0, 1.0], gain=math.nan),
+        lambda: evaluate_criteria(Nopa(0.5), 0.3, gain=complex(1, math.inf)),
         lambda: fidelity_spectrum(
-            LosslessNopa(0.5), [0.0, 1.0], gain=GainSchedule.per_frequency(lambda w: math.nan)
+            Nopa(0.5), [0.0, 1.0], gain=GainSchedule.per_frequency(lambda w: math.nan)
         ),
     ],
     ids=["swap-nan", "swap-inf", "spectrum-nan", "criteria-complex-inf", "per-frequency-nan"],
@@ -180,7 +180,7 @@ def test_single_mode_wrapper_matches_flat_source():
 
 
 def test_outcome_records_its_setting():
-    out = teleport(LosslessNopa(0.25), gain=0.8, detector=BellDetector(0.9), omega=1.5)
+    out = teleport(Nopa(0.25), gain=0.8, detector=BellDetector(0.9), omega=1.5)
     assert out.omega == 1.5
     assert out.gain == 0.8
     assert out.eta == 0.9
@@ -191,9 +191,9 @@ def test_output_commutator_is_canonical():
     rng = random.Random(233)
     for _ in range(60):
         if rng.random() < 0.5:
-            src = LosslessNopa(rng.uniform(0, 0.999))
+            src = Nopa(rng.uniform(0, 0.999))
         else:
-            src = LossyNopa(rng.uniform(0, 0.95), rng.uniform(0.1, 1.0))
+            src = Nopa(rng.uniform(0, 0.95), rng.uniform(0.1, 1.0))
         out = teleport(
             src,
             gain=rng.uniform(-0.5, 2.0),
@@ -207,7 +207,7 @@ def test_output_commutator_is_canonical():
 def test_output_variance_splits_into_input_plus_noise():
     # At unit gain V_out = V_in + V_added on each axis.
     model = InputModel(0.6, 2.1)
-    out = teleport(LosslessNopa(0.5), omega=0.8)
+    out = teleport(Nopa(0.5), omega=0.8)
     v_added_x, v_added_p = spectral_variance_tel_in(out, model)
     assert normalized_variance(out.x_tel, model, Axis.X) == pytest.approx(
         model.v_x + v_added_x, rel=1e-12
