@@ -205,7 +205,7 @@ def _resolve_source(v: dict) -> tuple[SqueezerSpectrum, float]:
         if physical:
             if v.get("kappa") is None or v.get("gamma") is None:
                 raise _ConfigError("physical rates need both --kappa and --gamma")
-            if v.get("beta") not in (None, "1"):
+            if _float("--beta", v["beta"]) != 1.0:
                 raise _ConfigError("--beta is implied by --gamma and --rho")
             params = NopaParams(
                 _float("--kappa", v["kappa"]),

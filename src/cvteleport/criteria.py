@@ -427,13 +427,15 @@ class SpectrumTable:
 
 
 class _Columns(NamedTuple):
-    # The kernel's arrays over the grid: error variances, fidelity and the
-    # output variances V_out = |g|^2 V_in + noise.
+    # The kernel's arrays over the grid: error variances, fidelity, the
+    # output variances V_out = |g|^2 V_in + noise and the noise itself.
     v_x: np.ndarray
     v_p: np.ndarray
     fidelity: np.ndarray
     v_out_x: np.ndarray
     v_out_p: np.ndarray
+    noise_x: np.ndarray
+    noise_p: np.ndarray
 
 
 def _teleport_columns(
@@ -481,7 +483,7 @@ def _teleport_columns(
     if not inside.all():
         raise ValueError(f"fidelity {np.extract(~inside, generic)[0]} outside [0, 1]")
     f = _checked_fidelity(src, omega, gain, detector, in_model, alpha, generic, own)
-    return _Columns(v_x, v_p, f, v_out_x, v_out_p)
+    return _Columns(v_x, v_p, f, v_out_x, v_out_p, noise_x, noise_p)
 
 
 def _port_noise(pairs: tuple, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -830,8 +832,8 @@ def evaluate_criteria(
     g = as_gain(gain).at(omega)
     cols = _teleport_columns(src, np.array([float(omega)]), g, detector, model, alpha)
     v_out_x, v_out_p = float(cols.v_out_x[0]), float(cols.v_out_p[0])
-    v_c_x, t_x = _conditional(v_out_x, g, model.v_x)
-    v_c_p, t_p = _conditional(v_out_p, g, model.v_p)
+    v_c_x, t_x = _conditional(v_out_x, float(cols.noise_x[0]), g, model.v_x)
+    v_c_p, t_p = _conditional(v_out_p, float(cols.noise_p[0]), g, model.v_p)
     return CriteriaReport(
         omega=omega,
         gain=g,
@@ -850,17 +852,21 @@ def evaluate_criteria(
     )
 
 
-def _conditional(v_out: float, gain: complex, v_in: float) -> tuple[float, float]:
+def _conditional(
+    v_out: float, noise: float, gain: complex, v_in: float
+) -> tuple[float, float]:
     # (V_c, T) of one axis of a linear channel out = gain*in + noise, from
-    # its output variance: the in-out covariance is C = Re(gain)*V_in, so
-    # V_c = V_out - C^2/V_in and T = |gain|^2 V_in/V_out, as ralph_lam
-    # computes them on the expansions; a zero output has V_c = T = 0.  A
-    # gain whose signal term |gain|^2 V_in overflows leaves inf - inf: an
-    # OverflowError, which the command line reports as a --gain error.
+    # its output variance and its noise: the in-out covariance is
+    # C = Re(gain)*V_in, so V_c = V_out - C^2/V_in = Im(gain)^2 V_in + noise
+    # and T = |gain|^2 V_in/V_out, as ralph_lam computes them on the
+    # expansions; a zero output has V_c = T = 0.  The difference form
+    # cancels once V_in dwarfs the noise (it read -inf at unit gain and
+    # V_in = 1e308), the sum does not.  A gain whose signal term
+    # |gain|^2 V_in overflows leaves T = inf/inf: an OverflowError, which
+    # the command line reports as a --gain error.
     if v_out == 0.0:
         return 0.0, 0.0
-    c = gain.real * v_in
-    v_c, t = v_out - c * c / v_in, _abs2(gain) * v_in / v_out
+    v_c, t = gain.imag * gain.imag * v_in + noise, _abs2(gain) * v_in / v_out
     if math.isnan(v_c) or math.isnan(t):
         raise OverflowError(f"gain {gain} takes the output variance past the float range")
     return v_c, t

@@ -58,10 +58,12 @@ def optimal_gain(powers: PortPowers, second: PortPowers | None = None) -> float 
     """
     second = powers if second is None else second
     a, b = powers.s_plus + second.s_plus, powers.s_minus + second.s_minus
-    if np.equal(a + b, 0).any():
-        raise ValueError("degenerate transfer pair: |S+|^2 + |S-|^2 must be positive")
-    with np.errstate(invalid="ignore"):  # inf/inf, replaced by the limit
-        return _number(np.where(np.isinf(a), 1.0, (a - b) / (a + b)))
+    # Where both squeezed ports carry no power (epsilon = 0 at beta = 1/2,
+    # omega = 0), all the noise is the loss ports', |gs-1|^2 + |gs+1|^2
+    # times one spectrum, which is least at 0.
+    with np.errstate(invalid="ignore"):  # inf/inf and 0/0, replaced below
+        gain = np.divide(a - b, a + b)
+    return _number(np.where(np.isinf(a), 1.0, np.where(a + b == 0, 0.0, gain)))
 
 
 @dataclass(frozen=True)
@@ -93,9 +95,9 @@ class SwapConfig:
         return optimal_gain(*self._powers(omega))
 
     def _powers(self, omega: float | np.ndarray) -> tuple[PortPowers, PortPowers]:
-        # The ab and cd port powers, one evaluation per source.
+        # The ab and cd port powers, one evaluation per source object.
         ab = self.source_ab.powers(omega)
-        return ab, (ab if self.source_cd is None else self.source_cd.powers(omega))
+        return ab, (ab if self.second_source is self.source_ab else self.source_cd.powers(omega))
 
     def describe(self) -> str:
         ab = self.source_ab.describe()
@@ -138,7 +140,8 @@ class _SwappedPair:
         self.powers = ab, cd = cfg._powers(omega)
         self.gain = gs = optimal_gain(ab, cd) if cfg.gain is None else cfg.gain.at(omega)
         vp1, vm1 = cfg.source_ab.variances(omega, ab)
-        vp2, vm2 = (vp1, vm1) if cfg.source_cd is None else cfg.source_cd.variances(omega, cd)
+        same = cfg.second_source is cfg.source_ab
+        vp2, vm2 = (vp1, vm1) if same else cfg.source_cd.variances(omega, cd)
         # A term whose factor is exactly zero is dropped: the noisy one at
         # gs == 1, where 0*A is nan at threshold, and the quiet one where
         # B = 0, which is nan for a gain so large that |gs+1|^2 is inf.

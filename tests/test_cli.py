@@ -91,6 +91,21 @@ def test_point_physical_rates_report_user_frequency(capsys):
     assert out.strip().splitlines()[1] == "2,0.769230769231,0.769230769231,0.722222222222"
 
 
+@pytest.mark.parametrize("beta", ["1", "1.0", "1e0"])
+def test_physical_rates_take_any_spelling_of_beta_one(capsys, tmp_path, beta):
+    # The rates imply beta; a value of 1, however it is spelled, on the
+    # command line or in a config file, restates it.
+    want = invoke(capsys, "point", "--kappa", "0.5", "--gamma", "2")
+    assert want[0] == 0
+    assert invoke(capsys, "point", "--kappa", "0.5", "--gamma", "2", "--beta", beta) == want
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"kappa=0.5\ngamma=2\nbeta={beta}\n")
+    assert invoke(capsys, "point", "--config", str(cfg)) == want
+    assert invoke(capsys, "point", "--kappa", "0.5", "--gamma", "2", "--beta", "0.99") == (
+        1, "", "error: --beta is implied by --gamma and --rho\n",
+    )
+
+
 def test_point_squeezed_input_changes_fidelity(capsys):
     _, out_coh, _ = invoke(capsys, "point", "--epsilon", "0.3")
     _, out_sq, _ = invoke(capsys, "point", "--epsilon", "0.3", "--input", "squeezed:2")
@@ -656,8 +671,11 @@ STDOUT_SHA256 = [
         ("point", "--epsilon", "1"),
         id="point-threshold",
     ),
+    # v_c_x and v_c_p are Im(g)^2 V_in + noise: 0.2976312820067702 for
+    # both, where V_out - C^2/V_in gave 0.29763128200677025 and
+    # 0.2976312820067706 (0.8 and 5.9 units of 2^-52 relative away).
     pytest.param(
-        "8e7266e70a8a71b4a0acf8d457e05ca51151f9d269088f5523ff8e70334444bf",
+        "cbbd34e6af4bafd84e03ec342da7b6da2f57693ed495eece389a89b62fa8d436",
         (
             "criteria", "--epsilon", "0.6", "--omega", "0.5",
             "--input", "squeezed:1.5", "--gain", "fixed:0.9",
@@ -933,6 +951,11 @@ def test_oracle_check_just_under_the_variance_limit_passes(capsys):
             "--input", "squeezed:1e80", "--samples", "1000",
         ),
         ("oracle-check", "--epsilon", "0.5", "--input", "squeezed:1e153", "--samples", "1000"),
+        # No squeezed-port power at omega = 0: the optimal swap gain's
+        # (A - B)/(A + B) is 0/0 there.
+        ("swap-spectrum", "--epsilon", "0", "--beta", "0.5"),
+        ("bandwidth", "--epsilon", "0", "--beta", "0.5", "--pipeline", "swap"),
+        ("swap-spectrum", "--kappa", "0", "--gamma", "1", "--rho", "1"),
     ],
 )
 def test_edge_inputs_give_a_table_or_name_a_flag(capsys, args):
@@ -946,6 +969,9 @@ def test_edge_inputs_give_a_table_or_name_a_flag(capsys, args):
     if code == 1:
         assert out == ""
         assert err.split(":")[1].strip() in args, err
+        return
+    if args[0] == "bandwidth":
+        assert float(out) >= 0.0
         return
     header, *rows = out.splitlines()
     assert header == HEADER and rows

@@ -1119,5 +1119,18 @@ def test_criteria_rejects_a_gain_that_overflows_the_output():
 def test_criteria_zero_output_convention_matches_ralph_lam():
     # A zero output operator has V_c = T = 0 by convention, on either path.
     rl = ralph_lam(QuadExpansion(), QuadExpansion(), COHERENT)
-    assert criteria_module._conditional(0.0, 0.0, 1.0) == (rl.v_c_x, rl.t_x) == (0.0, 0.0)
-    assert criteria_module._conditional(0.0, 0.8 + 0.1j, 2.0) == (0.0, 0.0)
+    assert criteria_module._conditional(0.0, 0.0, 0.0, 1.0) == (rl.v_c_x, rl.t_x) == (0.0, 0.0)
+    assert criteria_module._conditional(0.0, 0.0, 0.8 + 0.1j, 2.0) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("s", [0.5, 2.0, 1e4, 1e6, 1e77, 1e154])
+def test_unit_gain_conditional_variance_is_the_error_variance(s):
+    # At unit gain V_c = V_out - V_in = the noise = the error variance, bit
+    # for bit, however large the input: V_out - C^2/V_in lost the noise to
+    # cancellation from V_in ~ 1e8 on and read -inf at V_in = 1e308.
+    model = InputModel.squeezed(s)
+    for src in (Nopa(0.5), Nopa(0.6, 0.8)):
+        for detector in (BellDetector(1.0), BellDetector.from_efficiency(0.9)):
+            report = evaluate_criteria(src, 0.3, 1.0, detector, model)
+            assert (report.v_c_x, report.v_c_p) == (report.v_x, report.v_p)
+            assert math.isfinite(report.v_c_p) and report.v_c_p > 0

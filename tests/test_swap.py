@@ -52,9 +52,19 @@ def test_optimal_gain_is_tanh_for_flat_squeezers():
     assert optimal_gain(ZeroBandwidth(math.inf).powers(0.0)) == 1.0
 
 
-def test_optimal_gain_degenerate_pair_rejected():
-    with pytest.raises(ValueError):
-        optimal_gain(PortPowers(0.0, 0.0))
+def test_optimal_gain_without_squeezed_power_is_zero():
+    # With no squeezed-port power all the noise is the loss ports',
+    # |gs-1|^2 + |gs+1|^2 times one spectrum, which is least at gs = 0; the
+    # gain is the limit 0 of the neighbouring inputs, not 0/0.
+    assert optimal_gain(PortPowers(0.0, 0.0)) == 0.0
+    gains = optimal_gain(PortPowers(np.array([0.0, 2.0]), np.array([0.0, 1.0])))
+    assert gains.tolist() == [0.0, 1.0 / 3.0]
+    src = Nopa(0.0, 0.5)
+    assert optimal_gain(src.powers(0.0)) == 0.0
+    assert optimal_gain(Nopa(1e-9, 0.5).powers(0.0)) == pytest.approx(0.0, abs=1e-8)
+    table = swap_spectrum(SwapConfig(src), [0.0, 0.5])
+    assert table.v_x[0] == table.v_p[0] == pytest.approx(2.0, rel=1e-15)
+    assert table.fidelity[0] == pytest.approx(0.5, rel=1e-15)
 
 
 def test_optimal_gain_beats_a_dense_scan():
@@ -318,6 +328,7 @@ def test_a_tabulated_source_is_evaluated_once_per_kernel_call(monkeypatch):
     for sweep in (
         lambda: fidelity_spectrum(custom, grid),
         lambda: swap_spectrum(SwapConfig(custom), grid),
+        lambda: swap_spectrum(SwapConfig(custom, custom), grid),
         lambda: swap_spectrum(SwapConfig(src, custom, gain=0.8), grid),
     ):
         table = sweep()
