@@ -859,11 +859,10 @@ def _conditional(
     # its output variance and its noise: the in-out covariance is
     # C = Re(gain)*V_in, so V_c = V_out - C^2/V_in = Im(gain)^2 V_in + noise
     # and T = |gain|^2 V_in/V_out, as ralph_lam computes them on the
-    # expansions; a zero output has V_c = T = 0.  The difference form
-    # cancels once V_in dwarfs the noise (it read -inf at unit gain and
-    # V_in = 1e308), the sum does not.  A gain whose signal term
-    # |gain|^2 V_in overflows leaves T = inf/inf: an OverflowError, which
-    # the command line reports as a --gain error.
+    # expansions; a zero output has V_c = T = 0.  V_c is taken as the sum:
+    # the difference cancels once V_in dwarfs the noise.  A gain whose
+    # signal term |gain|^2 V_in overflows leaves T = inf/inf: an
+    # OverflowError, which the command line reports as a --gain error.
     if v_out == 0.0:
         return 0.0, 0.0
     v_c, t = gain.imag * gain.imag * v_in + noise, _abs2(gain) * v_in / v_out

@@ -357,9 +357,8 @@ class Nopa(SqueezerSpectrum):
         noisy_den = _complex(1 - e, np.negative(omega))
         quiet_den = _complex(1 + e, np.negative(omega))
         gamma_minus_1 = 2.0 * b - 1.0
-        s_plus = np.where(
-            noisy_den == 0, complex(math.inf, 0.0), _quot(_complex(gamma_minus_1 + e, omega), noisy_den)
-        )
+        s_plus = _quot(_complex(gamma_minus_1 + e, omega), noisy_den)
+        s_plus = np.where(noisy_den == 0, complex(math.inf, 0.0), s_plus)
         s_minus = _quot(_complex(gamma_minus_1 - e, omega), quiet_den)
         if b == 1.0:
             return TransferPair(s_plus, s_minus)

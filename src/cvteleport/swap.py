@@ -140,8 +140,7 @@ class _SwappedPair:
         self.powers = ab, cd = cfg._powers(omega)
         self.gain = gs = optimal_gain(ab, cd) if cfg.gain is None else cfg.gain.at(omega)
         vp1, vm1 = cfg.source_ab.variances(omega, ab)
-        same = cfg.second_source is cfg.source_ab
-        vp2, vm2 = (vp1, vm1) if same else cfg.source_cd.variances(omega, cd)
+        vp2, vm2 = (vp1, vm1) if cd is ab else cfg.source_cd.variances(omega, cd)
         # A term whose factor is exactly zero is dropped: the noisy one at
         # gs == 1, where 0*A is nan at threshold, and the quiet one where
         # B = 0, which is nan for a gain so large that |gs+1|^2 is inf.
