@@ -19,7 +19,7 @@ layout, and one walker (_ports) maps it onto a protocol's weights.
 Powers serve spectra, amplitudes serve expansions.  A variance only ever
 adds |w*amplitude|^2 = |w|^2*|amplitude|^2 per port, so the spectrum
 kernel walks each source's real port powers (SqueezerSpectrum.powers) and
-never builds a complex amplitude; the NOPAs give them in cancellation-free
+never builds a complex amplitude; the NOPA gives them in cancellation-free
 real form.  The complex amplitudes (SqueezerSpectrum.pair) are walked only
 for the quadrature expansions of teleport(), which the oracles and the
 commutator checks use.
