@@ -33,11 +33,11 @@ from .criteria import (
     fidelity_spectrum,
     teleport_fidelity,
 )
-from .epr import Nopa, NopaParams, SqueezerSpectrum
+from .epr import Nopa, NopaParams, SqueezerSpectrum, ZeroBandwidth
 from .linmode import Axis, InputModel, combine, normalized_variance, unit_input
 from .oracle import McConfig, covariance_teleport, fidelity_to_coherent, mc_check
 from .swap import SwapConfig, swap_spectrum
-from .teleport import BellDetector, GainSchedule, teleport, teleport_single_mode
+from .teleport import BellDetector, GainSchedule, TeleportOutcome, teleport
 
 __all__ = ["main", "run"]
 
@@ -101,11 +101,10 @@ def _add_source_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value file; flags override it")
 
 
-def _add_sweep_opts(p: argparse.ArgumentParser) -> None:
+def _add_grid_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--omega-start", dest="omega_start", help="sweep start (default 0)")
     p.add_argument("--omega-stop", dest="omega_stop", help="sweep stop (default 5)")
     p.add_argument("--omega-step", dest="omega_step", help="sweep step (default 0.1)")
-    _add_output_opts(p)
 
 
 def _add_output_opts(p: argparse.ArgumentParser) -> None:
@@ -126,11 +125,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("spectrum", help="teleportation variance and fidelity sweep")
     _add_source_opts(p)
-    _add_sweep_opts(p)
+    _add_grid_opts(p)
+    _add_output_opts(p)
 
     p = sub.add_parser("swap-spectrum", help="entanglement-swapping fidelity sweep")
     _add_source_opts(p)
-    _add_sweep_opts(p)
+    _add_grid_opts(p)
+    _add_output_opts(p)
 
     p = sub.add_parser("point", help="variances and fidelity at one frequency")
     _add_source_opts(p)
@@ -138,7 +139,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("bandwidth", help="width of the above-threshold fidelity region")
     _add_source_opts(p)
-    _add_sweep_opts(p)
+    _add_grid_opts(p)
     p.add_argument("--threshold", help="fidelity threshold (default 0.51)")
     p.add_argument("--pipeline", help="teleport | swap (default teleport)")
 
@@ -220,14 +221,19 @@ def _resolve_source(v: dict) -> tuple[SqueezerSpectrum, float]:
         raise _ConfigError(str(exc)) from None
 
 
-def _check_frequency(flag: str, omega: float) -> None:
-    """Reject a dimensionless frequency of magnitude above OMEGA_LIMIT."""
+def _check_frequency(flag: str, omega: float, scale: float) -> None:
+    """Reject a dimensionless frequency of magnitude above OMEGA_LIMIT.
+
+    omega is the user's frequency times scale; a scale other than 1 comes
+    from physical rates, which may take a small frequency past the limit.
+    """
     # The sources square every frequency; past the limit the square nears
     # the float range and the spectra turn to nan.
     if abs(omega) > OMEGA_LIMIT:
+        scaled = "" if scale == 1.0 else f"; --gamma and --rho scale it by {format_number(scale)}"
         raise _ConfigError(
             f"{flag}: frequencies of magnitude above {OMEGA_LIMIT:g} (dimensionless) "
-            "are out of range"
+            f"are out of range{scaled}"
         )
 
 
@@ -282,7 +288,10 @@ def _resolve_grid(v: dict) -> np.ndarray:
         raise _ConfigError("--omega-stop must not be below --omega-start")
     span = (stop - start) / step + 1e-9
     if not span < _MAX_GRID_ROWS:
-        raise _ConfigError(f"--omega-step: the grid would exceed {_MAX_GRID_ROWS} rows")
+        raise _ConfigError(
+            f"--omega-step: the grid would exceed {_MAX_GRID_ROWS} rows "
+            "from --omega-start to --omega-stop"
+        )
     return start + np.arange(int(span) + 1) * step
 
 
@@ -292,8 +301,8 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _output_options(v: dict) -> tuple[str, str | None, bool]:
-    """--format, --output and --gnuplot, checked: (format, path, gnuplot)."""
+def _emit_table(table: SpectrumTable, v: dict) -> None:
+    """Write the table as --format says, to --output or stdout."""
     fmt = v["format"]
     if fmt not in ("csv", "json"):
         raise _ConfigError(f"--format: expected csv or json, got {fmt!r}")
@@ -304,17 +313,12 @@ def _output_options(v: dict) -> tuple[str, str | None, bool]:
         raise _ConfigError(f"--gnuplot: expected 1 or 0, got {gnuplot!r}")
     if gnuplot == "1" and (out is None or fmt != "csv"):
         raise _ConfigError("--gnuplot needs --output and csv format")
-    return fmt, out, gnuplot == "1"
-
-
-def _emit_table(table: SpectrumTable, v: dict) -> None:
-    fmt, out, gnuplot = _output_options(v)
     text = table.to_csv() if fmt == "csv" else table.to_json()
     if out is None:
         sys.stdout.write(text)
         return
     _write(out, text)
-    if gnuplot:
+    if gnuplot == "1":
         _write(
             os.path.splitext(out)[0] + ".gp",
             "set datafile separator ','\n"
@@ -340,8 +344,8 @@ def _table(v: dict, pipeline: str, point: bool = False) -> tuple[SpectrumTable, 
     src, scale = _resolve_source(v)
     user = np.array([_float("--omega", v["omega"])]) if point else _resolve_grid(v)
     grid = user * scale
-    _check_frequency("--omega" if point else "--omega-start", grid[0])
-    _check_frequency("--omega-stop", grid[-1])
+    _check_frequency("--omega" if point else "--omega-start", grid[0], scale)
+    _check_frequency("--omega-stop", grid[-1], scale)
     if pipeline == "teleport":
         table = fidelity_spectrum(
             src,
@@ -375,8 +379,6 @@ def _cmd_point(v: dict) -> int:
 
 
 def _cmd_bandwidth(v: dict) -> int:
-    # The sweep's output flags do not apply, but a bad one is still an error.
-    _output_options(v)
     threshold = _float("--threshold", v["threshold"])
     table, _, scale = _table(v, v["pipeline"])
     # A fidelity that never drops below the threshold prints inf.
@@ -387,7 +389,7 @@ def _cmd_bandwidth(v: dict) -> int:
 def _cmd_criteria(v: dict) -> int:
     src, scale = _resolve_source(v)
     omega = _float("--omega", v["omega"])
-    _check_frequency("--omega", omega * scale)
+    _check_frequency("--omega", omega * scale, scale)
     setting = (_resolve_gain(v, for_swap=False), _resolve_detector(v), _resolve_input(v))
     try:
         report = evaluate_criteria(src, omega * scale, *setting)
@@ -416,6 +418,21 @@ def _check_moments(flag: str, what: str, variance: float) -> None:
         )
 
 
+def _mc_entries(out: TeleportOutcome) -> list:
+    # The teleported quadratures, their errors and the input: all sampled.
+    return [
+        ("x_out", out.x_tel, Axis.X),
+        ("p_out", out.p_tel, Axis.P),
+        ("x_err", combine(out.x_tel, unit_input(), 1.0, -1.0), Axis.X),
+        ("p_err", combine(out.p_tel, unit_input(), 1.0, -1.0), Axis.P),
+        ("x_in", unit_input(), Axis.X),
+    ]
+
+
+def _largest_variance(entries: list, model: InputModel) -> float:
+    return max(normalized_variance(e, model, axis) for _, e, axis in entries)
+
+
 def _cmd_oracle_check(v: dict) -> int:
     src, scale = _resolve_source(v)
     omega = _float("--omega", v["omega"]) * scale
@@ -427,34 +444,35 @@ def _cmd_oracle_check(v: dict) -> int:
     except ValueError as exc:
         flag = "--seed" if str(exc).startswith("seed") else "--samples"
         raise _ConfigError(f"{flag}: {exc}") from None
-    out = teleport(src, schedule, detector, omega)
-    entries = [
-        ("x_out", out.x_tel, Axis.X),
-        ("p_out", out.p_tel, Axis.P),
-        ("x_err", combine(out.x_tel, unit_input(), 1.0, -1.0), Axis.X),
-        ("p_err", combine(out.p_tel, unit_input(), 1.0, -1.0), Axis.P),
-        ("x_in", unit_input(), Axis.X),
-    ]
+    entries = _mc_entries(teleport(src, schedule, detector, omega))
     # Every entry is sampled: an infinite variance would turn its estimates
     # into nan, and a finite one past _MC_VARIANCE_LIMIT would overflow the
     # sums of squared moments.  The input's own variance is --input's to
-    # answer for; past it, at threshold only unit gain keeps the output
-    # finite, and a gain from about 1e154 on takes it past the float range.
+    # answer for.  Past it, the detector noise is --eta2's when the same
+    # teleport on ideal detectors stays within the limit; anything else is
+    # the gain's: at threshold only unit gain keeps the output finite, and
+    # a gain from about 1e154 on takes it past the float range.
     _check_moments("--input", "input", max(model.v_x, model.v_p))
-    variance = max(normalized_variance(e, model, axis) for _, e, axis in entries)
-    if not math.isfinite(variance):
-        raise _ConfigError(
-            "--gain: the teleported output variance is infinite at this frequency; "
-            "a source at threshold needs unit gain, and a very large gain overflows it"
-        )
-    _check_moments("--gain", "teleported output", variance)
+    variance = _largest_variance(entries, model)
+    if not variance <= _MC_VARIANCE_LIMIT:
+        flag = "--gain"
+        cause = "a source at threshold needs unit gain, and a very large gain overflows it"
+        if detector.eta < 1.0:
+            ideal = _mc_entries(teleport(src, schedule, BellDetector(1.0), omega))
+            if _largest_variance(ideal, model) <= _MC_VARIANCE_LIMIT:
+                flag, cause = "--eta2", "the detector noise (1 - eta^2)/eta^2 overflows it"
+        if not math.isfinite(variance):
+            raise _ConfigError(
+                f"{flag}: the teleported output variance is infinite at this frequency; {cause}"
+            )
+        _check_moments(flag, "teleported output", variance)
     report = mc_check(entries, model, cfg, pairs=(("x_out", "x_in"),))
     gauss_rows = []
     gauss_ok = True
     for r, g, alpha in _GAUSS_POINTS:
         state = covariance_teleport(r, g, alpha)
         est = fidelity_to_coherent(state, alpha)
-        ana = teleport_fidelity(teleport_single_mode(r, g), alpha=alpha).fidelity
+        ana = teleport_fidelity(teleport(ZeroBandwidth(r), g), alpha=alpha).fidelity
         ok = abs(est - ana) <= 1e-9
         gauss_ok = gauss_ok and ok
         gauss_rows.append(

@@ -175,12 +175,12 @@ def optimize_classical(
     """
     vx, vp = in_model.v_x, in_model.v_p
     if objective == "product":
-        params, value = ClassicalModelParams(1.0, 1.0), 4.0
+        params, value = ClassicalModelParams(1.0, 1.0), VARIANCE_PRODUCT_LIMIT
     elif objective == "sum":
-        params, value = ClassicalModelParams(1.0, 1.0), 4.0
+        params, value = ClassicalModelParams(1.0, 1.0), VARIANCE_SUM_LIMIT
     elif objective == "out_product":
         s = (vp / vx) ** 0.25
-        params, value = ClassicalModelParams(s, s), (math.sqrt(vx * vp) + 2.0) ** 2
+        params, value = ClassicalModelParams(s, s), output_product_limit(in_model)
     elif objective == "out_sum":
         params, value = ClassicalModelParams(1.0, 1.0), vx + vp + 4.0
     else:
@@ -295,22 +295,6 @@ def teleport_fidelity(
     return FidelityPoint(f, sigma_x, sigma_p, outcome.gain, alpha)
 
 
-def _closed_form_fidelity(
-    src: SqueezerSpectrum,
-    omega: float | np.ndarray,
-    detector: BellDetector,
-    powers: PortPowers | None,
-) -> float | np.ndarray:
-    # At unit gain the noisy ports cancel exactly, so each axis carries twice
-    # the quiet spectrum V- plus twice the detector noise tau^2, and any
-    # source teleports a coherent state at alpha = 0 with
-    # F = 1/(1 + V- + tau^2).  powers are src's own, where the kernel holds
-    # them (see SqueezerSpectrum.variances).
-    eta = detector.eta
-    tau2 = (1.0 - eta * eta) / (eta * eta)
-    return 1.0 / (1.0 + src.variances(omega, powers)[1] + tau2)
-
-
 def _checked_fidelity(
     src: SqueezerSpectrum,
     omega: float | np.ndarray,
@@ -321,8 +305,12 @@ def _checked_fidelity(
     generic: float | np.ndarray,
     powers: PortPowers | None,
 ) -> float | np.ndarray:
-    # The closed form is exact to a few ulps, so on every unit-gain row of a
-    # coherent input at alpha = 0 it replaces the float roundoff of the
+    # At unit gain the noisy ports cancel exactly, so each axis carries twice
+    # the quiet spectrum V- plus twice the detector noise tau^2, and any
+    # source teleports a coherent state at alpha = 0 with
+    # F = 1/(1 + V- + tau^2).  powers are src's own, where the kernel holds
+    # them (see SqueezerSpectrum.variances).  The closed form is exact to a
+    # few ulps, so on every such row it replaces the float roundoff of the
     # generic Q-function fidelity, once the two agree to 1e-12.  A real
     # exception, not an assert, so python -O keeps the check.
     if alpha != 0 or in_model.v_x != 1.0 or in_model.v_p != 1.0:
@@ -330,7 +318,9 @@ def _checked_fidelity(
     unit = np.equal(gain, 1)
     if not unit.any():
         return generic
-    closed = _closed_form_fidelity(src, omega, detector, powers)
+    eta = detector.eta
+    tau2 = (1.0 - eta * eta) / (eta * eta)
+    closed = 1.0 / (1.0 + src.variances(omega, powers)[1] + tau2)
     off = unit & ~(np.abs(closed - generic) <= 1e-12)
     if off.any():
         raise AssertionError(

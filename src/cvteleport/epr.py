@@ -96,6 +96,8 @@ class NopaParams:
             raise ValueError(
                 "kappa must stay below the oscillation threshold (gamma+rho)/2"
             )
+        if self.gamma / (self.gamma + self.rho) == 0:
+            raise ValueError("the escape efficiency gamma/(gamma+rho) rounds to 0")
 
     @property
     def total_rate(self) -> float:

@@ -70,10 +70,11 @@ def optimal_gain(powers: PortPowers, second: PortPowers | None = None) -> float 
 class SwapConfig:
     """Sources and gain policy of one swapping setup.
 
-    source_cd = None reuses source_ab for the second pair.  gain = None
-    selects the optimal gain frequency by frequency; any fixed number or
-    schedule forces it, and a number becomes a GainSchedule once, here.
-    The verification teleportation is always run at unit gain.
+    source_cd = None reuses source_ab for the second pair, so SwapConfig(a)
+    equals SwapConfig(a, a).  gain = None selects the optimal gain
+    frequency by frequency; any fixed number or schedule forces it, and a
+    number becomes a GainSchedule once, here.  The verification
+    teleportation is always run at unit gain.
     """
 
     source_ab: SqueezerSpectrum
@@ -81,27 +82,18 @@ class SwapConfig:
     gain: GainSchedule | complex | None = None
 
     def __post_init__(self) -> None:
+        if self.source_cd is None:
+            object.__setattr__(self, "source_cd", self.source_ab)
         if self.gain is not None:
             object.__setattr__(self, "gain", as_gain(self.gain))
 
-    @property
-    def second_source(self) -> SqueezerSpectrum:
-        return self.source_cd if self.source_cd is not None else self.source_ab
-
     def gain_at(self, omega: float | np.ndarray) -> complex | np.ndarray:
         """The swap gain at omega; over a frequency array, the array of gains."""
-        if self.gain is not None:
-            return self.gain.at(omega)
-        return optimal_gain(*self._powers(omega))
-
-    def _powers(self, omega: float | np.ndarray) -> tuple[PortPowers, PortPowers]:
-        # The ab and cd port powers, one evaluation per source object.
-        ab = self.source_ab.powers(omega)
-        return ab, (ab if self.second_source is self.source_ab else self.source_cd.powers(omega))
+        return _SwappedPair(self, omega).gain
 
     def describe(self) -> str:
         ab = self.source_ab.describe()
-        cd = self.second_source.describe()
+        cd = self.source_cd.describe()
         g = "optimal" if self.gain is None else self.gain.describe()
         return f"swap[{ab} & {cd}, gain={g}]"
 
@@ -128,16 +120,20 @@ class _SwappedPair:
     skip infinite amplitudes and powers.  Only the quiet spectrum of the
     pair is defined (variances() reports V+ as nan):
     V-_eff = (|gs-1|^2 A + |gs+1|^2 B)/4, A and B the summed V+ and V- of
-    the two sources.  omega may be one frequency or an array; each source's
-    powers are evaluated once, for the gain, the port noise and V-_eff
-    alike, and its amplitudes only for expansions.
+    the two sources.  omega may be one frequency or an array.  This is the
+    one place that evaluates the sources' powers and picks the swap gain,
+    optimal or scheduled: each source object's powers are evaluated once,
+    for the gain, the port noise and V-_eff alike, and its amplitudes only
+    for expansions.
     """
 
     __slots__ = ("cfg", "gain", "powers", "quiet")
 
     def __init__(self, cfg: SwapConfig, omega: float | np.ndarray) -> None:
         self.cfg = cfg
-        self.powers = ab, cd = cfg._powers(omega)
+        ab = cfg.source_ab.powers(omega)
+        cd = ab if cfg.source_cd is cfg.source_ab else cfg.source_cd.powers(omega)
+        self.powers = ab, cd
         self.gain = gs = optimal_gain(ab, cd) if cfg.gain is None else cfg.gain.at(omega)
         vp1, vm1 = cfg.source_ab.variances(omega, ab)
         vp2, vm2 = (vp1, vm1) if cd is ab else cfg.source_cd.variances(omega, cd)
@@ -160,7 +156,7 @@ class _SwappedPair:
         ab, cd = self.powers
         return (
             (_AB_LABELS, self.cfg.source_ab, ab, (xa, gx), (pa, gp)),
-            (_CD_LABELS, self.cfg.second_source, cd, (-gx, xb), (gp, pb)),
+            (_CD_LABELS, self.cfg.source_cd, cd, (-gx, xb), (gp, pb)),
         )
 
     def variances(

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .epr import SqueezerSpectrum, ZeroBandwidth, _terms
+from .epr import SqueezerSpectrum, _terms
 from .linmode import Axis, InputModel, QuadExpansion, difference_variance
 
 __all__ = [
@@ -33,10 +33,8 @@ __all__ = [
     "NonUnitGainWarning",
     "TeleportOutcome",
     "as_gain",
-    "nopa_variance_spectrum",
     "spectral_variance_tel_in",
     "teleport",
-    "teleport_single_mode",
 ]
 
 
@@ -46,9 +44,12 @@ class NonUnitGainWarning(UserWarning):
 
 @dataclass(frozen=True)
 class GainSchedule:
-    """Feedforward gain, constant or frequency dependent; always finite."""
+    """Feedforward gain, constant or frequency dependent; always finite.
 
-    kind: str = "unit"
+    Its kind follows from what it holds: a per-frequency fn, else the
+    constant value, which is unit gain exactly when it equals 1.
+    """
+
     value: complex = 1.0
     fn: Callable[[float], complex] | None = None
 
@@ -57,15 +58,15 @@ class GainSchedule:
 
     @classmethod
     def unit(cls) -> "GainSchedule":
-        return cls("unit", 1.0, None)
+        return cls(1.0)
 
     @classmethod
     def fixed(cls, value: complex) -> "GainSchedule":
-        return cls("fixed", complex(value), None)
+        return cls(complex(value))
 
     @classmethod
     def per_frequency(cls, fn: Callable[[float], complex]) -> "GainSchedule":
-        return cls("per-frequency", 1.0, fn)
+        return cls(1.0, fn)
 
     def at(self, omega: float | np.ndarray) -> complex | np.ndarray:
         """The gain at omega; over a frequency array, the array of gains.
@@ -80,9 +81,11 @@ class GainSchedule:
         return np.array([self.at(w) for w in np.asarray(omega).tolist()], dtype=complex)
 
     def describe(self) -> str:
-        if self.kind == "fixed":
-            return f"fixed:{self.value.real:g}" if self.value.imag == 0 else f"fixed:{self.value}"
-        return self.kind
+        if self.fn is not None:
+            return "per-frequency"
+        if self.value == 1:
+            return "unit"
+        return f"fixed:{self.value.real:g}" if self.value.imag == 0 else f"fixed:{self.value}"
 
 
 def _check_finite(gain: complex) -> complex:
@@ -168,15 +171,6 @@ def teleport(
     )
 
 
-def teleport_single_mode(
-    r: float,
-    gain: GainSchedule | complex = 1.0,
-    eta: float = 1.0,
-) -> TeleportOutcome:
-    """Zero-bandwidth specialization: flat squeezer evaluated at omega = 0."""
-    return teleport(ZeroBandwidth(r), gain, BellDetector(eta), 0.0)
-
-
 def spectral_variance_tel_in(
     outcome: TeleportOutcome, in_model: InputModel
 ) -> tuple[float, float]:
@@ -197,16 +191,3 @@ def spectral_variance_tel_in(
         difference_variance(outcome.x_tel, in_model, Axis.X),
         difference_variance(outcome.p_tel, in_model, Axis.P),
     )
-
-
-def nopa_variance_spectrum(
-    epsilon: float, omega: float, beta: float = 1.0, eta: float = 1.0
-) -> float:
-    """Closed-form unit-gain error variance of a NOPA-fed teleporter.
-
-    2*(1 - 4*epsilon*beta/((1+epsilon)^2 + omega^2)) + 2*(1-eta^2)/eta^2,
-    per quadrature, for coherent or any other input (the input cancels at
-    unit gain).
-    """
-    quiet = 1.0 - 4.0 * epsilon * beta / ((1.0 + epsilon) ** 2 + omega * omega)
-    return 2.0 * quiet + 2.0 * (1.0 - eta * eta) / (eta * eta)

@@ -78,7 +78,7 @@ def swapped_epr_variances(cfg: SwapConfig, omega: float) -> tuple[float, float]:
     terms: dict[Axis, dict] = {Axis.X: {}, Axis.P: {}}
     for tag, source, x_weights, p_weights in (
         ("ab", cfg.source_ab, (1, -gs), (1, gs)),
-        ("cd", cfg.second_source, (gs, -1), (gs, 1)),
+        ("cd", cfg.source_cd, (gs, -1), (gs, 1)),
     ):
         for slot, axis, w, amplitude in _ports(source.pair(omega), x_weights, p_weights):
             with np.errstate(invalid="ignore", over="ignore"):  # 0*inf goes to the where

@@ -16,7 +16,7 @@ from cvteleport.criteria import (
     optimize_classical,
     teleport_fidelity,
 )
-from cvteleport.epr import Nopa
+from cvteleport.epr import Nopa, ZeroBandwidth
 from cvteleport.linmode import Axis, InputModel, combine, commutator_pairing, unit_input
 from cvteleport.oracle import (
     McConfig,
@@ -34,10 +34,8 @@ from cvteleport.swap import (
 )
 from cvteleport.teleport import (
     BellDetector,
-    nopa_variance_spectrum,
     spectral_variance_tel_in,
     teleport,
-    teleport_single_mode,
 )
 
 COHERENT = InputModel.coherent()
@@ -225,7 +223,7 @@ def test_criterion_09_independent_oracles(capsys):
         mag, phase = rng.uniform(0.0, 5.0), rng.uniform(0.0, 2.0 * math.pi)
         alpha = mag * complex(math.cos(phase), math.sin(phase))
         oracle_f = fidelity_to_coherent(covariance_teleport(r, g, alpha), alpha)
-        sym_f = teleport_fidelity(teleport_single_mode(r, g), alpha=alpha).fidelity
+        sym_f = teleport_fidelity(teleport(ZeroBandwidth(r), g), alpha=alpha).fidelity
         worst_gauss = max(worst_gauss, abs(oracle_f - sym_f))
     gauss_ok = worst_gauss <= 1e-9
 
@@ -238,7 +236,7 @@ def test_criterion_09_independent_oracles(capsys):
         COHERENT,
         McConfig(sample_count=1_000_000, seed=0),
     )
-    want = nopa_variance_spectrum(0.5, 1.0)
+    want = 2.0 * Nopa(0.5).variances(1.0)[1]
     mc_ok = report.all_ok and all(abs(r.analytic - want) <= 1e-12 for r in report.rows)
     pulls = ", ".join(
         f"{r.name}={(r.estimate - r.analytic) / r.se:+.2f}se" for r in report.rows

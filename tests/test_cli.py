@@ -1,14 +1,19 @@
 """End-to-end checks of the command-line front end via run()."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cvteleport
 from cvteleport import cli
@@ -581,9 +586,11 @@ def test_frequencies_past_the_limit_name_the_flag(capsys, args, flag):
         warnings.simplefilter("error")
         code, out, err = invoke(capsys, *args)
     assert (code, out) == (1, "")
+    # Physical rates name the flags that set the scale 2/(gamma+rho) too.
+    scaled = "; --gamma and --rho scale it by 2e+150" if "--gamma" in args else ""
     assert err == (
         f"error: {flag}: frequencies of magnitude above 1e+154 (dimensionless) "
-        "are out of range\n"
+        f"are out of range{scaled}\n"
     )
 
 
@@ -925,6 +932,35 @@ def test_oracle_check_rejects_a_gain_that_overflows_the_moment_sums(capsys):
     assert err.startswith("error: --gain: the teleported output variance 5.55555555556e+300")
 
 
+@pytest.mark.parametrize(
+    "eta2, message",
+    [
+        ("1e-160", "error: --eta2: the teleported output variance 2e+160 is past 1e+148"),
+        ("1e-300", "error: --eta2: the teleported output variance 2e+300 is past 1e+148"),
+        ("5e-324", "error: --eta2: the teleported output variance is infinite at this frequency"),
+    ],
+)
+def test_oracle_check_blames_the_detector_for_its_noise(capsys, eta2, message):
+    # The detector noise 2(1 - eta^2)/eta^2 alone passes the limit: on ideal
+    # detectors the same teleport is well within it, so --eta2 is named.
+    code, out, err = invoke(
+        capsys, "oracle-check", "--epsilon", "0.5", "--eta2", eta2, "--samples", "1000",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(message)
+
+
+def test_oracle_check_blames_the_gain_past_the_limit_on_ideal_detectors(capsys):
+    # fixed:1e150 passes the limit on ideal detectors too, so a lossy
+    # detector does not take the blame for it.
+    code, out, err = invoke(
+        capsys, "oracle-check", "--epsilon", "0.5", "--eta2", "0.5", "--gain", "fixed:1e150",
+        "--samples", "1000",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --gain: the teleported output variance 7.55555555556e+300")
+
+
 def test_oracle_check_just_under_the_variance_limit_passes(capsys):
     # fixed:4e73 gives an output variance of 8.9e147, under the 1e148 limit.
     code, out, _ = invoke(
@@ -979,18 +1015,149 @@ def test_edge_inputs_give_a_table_or_name_a_flag(capsys, args):
         assert 0.0 <= float(row.split(",")[3]) <= 1.0, row
 
 
-@pytest.mark.parametrize(
-    "flags, message",
-    [
-        (("--format", "xml", "--gnuplot"), "error: --format: expected csv or json, got 'xml'"),
-        (("--gnuplot",), "error: --gnuplot needs --output and csv format"),
-    ],
+_SOURCE_FLAGS = ("--epsilon", "--kappa", "--gamma", "--rho", "--beta", "--eta2", "--gain", "--input")
+_GRID_FLAGS = ("--omega-start", "--omega-stop", "--omega-step")
+_FLAGS = {
+    "spectrum": _SOURCE_FLAGS + _GRID_FLAGS + ("--format", "--gnuplot"),
+    "swap-spectrum": _SOURCE_FLAGS + _GRID_FLAGS + ("--format", "--gnuplot"),
+    "point": _SOURCE_FLAGS + ("--omega",),
+    "bandwidth": _SOURCE_FLAGS + _GRID_FLAGS + ("--threshold", "--pipeline"),
+    "criteria": _SOURCE_FLAGS + ("--omega",),
+    "oracle-check": _SOURCE_FLAGS + ("--omega", "--seed"),
+}
+# Numbers at the edges of each range and of the float range, non-finite
+# and malformed text.
+_EDGE_NUMBERS = (
+    "0", "-0", "5e-324", "1e-300", "1e-160", "1e-8", "0.5", repr(1 - 2 ** -53), "1", "2",
+    "1e153", "1e154", "1.3e154", "1e300", "-5e-324", "-1", "-1e154", "-1e300",
+    "nan", "inf", "-inf", "", "x", "1e", "0x10",
 )
-def test_bandwidth_checks_the_sweep_output_flags(capsys, flags, message):
-    # bandwidth takes the sweep's output flags; a bad one is an error there too.
+# Half the draws are ordinary values, so that most flags pass and the
+# edge values reach the numerics.
+_number = st.one_of(st.sampled_from(_EDGE_NUMBERS), st.sampled_from(("0.1", "0.5", "0.9", "1")))
+_VALUES = {
+    "--gain": st.one_of(
+        st.sampled_from(("unit", "optimal-swap", "fixed", "bogus")),
+        _number.map("fixed:{}".format),
+    ),
+    "--input": st.one_of(
+        st.sampled_from(("coherent", "thermal", "squeezed")),
+        _number.map("squeezed:{}".format),
+    ),
+    "--pipeline": st.sampled_from(("teleport", "swap", "carrier")),
+    "--format": st.sampled_from(("csv", "json", "xml")),
+}
+
+
+@st.composite
+def _argvs(draw):
+    # A command and some of its flags, each --flag=value so that a value
+    # such as -1e300 is not read as an option.  A source flag is always
+    # among them: with none, the error names the flags there are to give.
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = draw(st.sets(st.sampled_from(_FLAGS[command]), max_size=4))
+    flags |= set(draw(st.sampled_from((("--epsilon",), ("--kappa", "--gamma")))))
+    argv = [command]
+    for flag in sorted(flags):
+        if flag == "--gnuplot":
+            argv.append(flag)
+        else:
+            argv.append(f"{flag}={draw(_VALUES.get(flag, _number))}")
+    if command == "oracle-check":
+        argv.append("--samples=1000")
+    return tuple(argv)
+
+
+def _names_a_passed_flag(message, argv):
+    # A flag is named by its option string or by the field it sets, as in
+    # "epsilon must lie in [0, 1]" or "eta^2 must lie in (0, 1]".
+    for flag in {arg.partition("=")[0] for arg in argv[1:] if arg.startswith("--")}:
+        for spelling in (flag, flag[2:], flag[2:].replace("2", "^2")):
+            if re.search(rf"(?<![\w-]){re.escape(spelling)}(?![\w-])", message):
+                return True
+    return False
+
+
+def _fidelities(command, text):
+    if command in ("criteria", "oracle-check"):
+        report = json.loads(text)
+        if command == "criteria":
+            return [report["fidelity"]]
+        assert report["all_ok"] is True
+        return [row["analytic"] for row in report["gaussian"]]
+    if text.startswith("{"):
+        return [float(f) for f in json.loads(text)["fidelity"]]
+    header, *rows = text.splitlines()
+    assert header == HEADER and rows
+    return [float(row.split(",")[3]) for row in rows]
+
+
+@settings(deadline=None, max_examples=250, derandomize=True)
+@given(argv=_argvs())
+# ROADMAP item 1's inputs that once exited 2.
+@example(argv=(
+    "oracle-check", "--epsilon", "0.5", "--gain", "fixed:0", "--input", "squeezed:1e80",
+    "--samples", "1000",
+))
+@example(argv=("oracle-check", "--epsilon", "0.5", "--input", "squeezed:1e153", "--samples", "1000"))
+@example(argv=("spectrum", "--epsilon", "1", "--gain", "fixed:1e300"))
+@example(argv=("spectrum", "--epsilon", "1", "--eta2", "0.5", "--gain", "fixed:1e160"))
+@example(argv=("swap-spectrum", "--epsilon", "1", "--gain", "fixed:1e300"))
+@example(argv=(
+    "swap-spectrum", "--epsilon", "1", "--gain", "fixed:1e300",
+    "--omega-start", "1e-8", "--omega-step", "1",
+))
+@example(argv=("swap-spectrum", "--epsilon", "0", "--beta", "0.5"))
+@example(argv=("bandwidth", "--epsilon", "0", "--beta", "0.5", "--pipeline", "swap"))
+@example(argv=("swap-spectrum", "--kappa", "0", "--gamma", "1", "--rho", "1"))
+# Detector noise past the Monte-Carlo limit, and a gain past it.
+@example(argv=("oracle-check", "--epsilon", "0.5", "--eta2", "1e-160", "--samples", "1000"))
+@example(argv=("oracle-check", "--epsilon", "0.5", "--eta2", "1e-300", "--samples", "1000"))
+@example(argv=("oracle-check", "--epsilon", "0.5", "--eta2", "5e-324", "--samples", "1000"))
+@example(argv=("oracle-check", "--epsilon", "0.5", "--gain", "fixed:1e150", "--samples", "1000"))
+def test_every_input_gives_a_table_or_names_a_flag(argv):
+    # Exit 0 prints a document that parses with every fidelity in [0, 1];
+    # exit 1 prints nothing and names a flag it was given; nothing exits 2
+    # (an IO failure or a failed oracle, both outside this domain) and no
+    # RuntimeWarning leaks.  NonUnitGainWarning is the package's own note.
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(list(argv))
+    leaked = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not leaked, leaked
+    assert code in (0, 1), err.getvalue()
+    if code == 1:
+        assert out.getvalue() == ""
+        assert _names_a_passed_flag(err.getvalue(), argv), err.getvalue()
+        return
+    if argv[0] == "bandwidth":
+        assert float(out.getvalue()) >= 0.0
+        return
+    for f in _fidelities(argv[0], out.getvalue()):
+        assert 0.0 <= f <= 1.0, f
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--output", "width.csv"), ("--format", "csv"), ("--format", "xml", "--gnuplot"), ("--gnuplot",)],
+    ids=["output", "format", "format-gnuplot", "gnuplot"],
+)
+def test_bandwidth_takes_no_output_flags(capsys, flags):
+    # bandwidth prints one number: the sweep's output flags are not its own.
     code, out, err = invoke(capsys, "bandwidth", "--epsilon", "0.5", *flags)
     assert (code, out) == (1, "")
-    assert err.startswith(message)
+    assert err == f"error: unrecognized arguments: {' '.join(flags)}\n"
+
+
+@pytest.mark.parametrize("key", ["output", "format", "gnuplot"])
+def test_bandwidth_config_file_takes_no_output_keys(capsys, tmp_path, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"epsilon=0.5\n{key}=1\n")
+    code, out, err = invoke(capsys, "bandwidth", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == f"error: {cfg}:2: unknown option {key!r}\n"
 
 
 def test_oracle_check_at_threshold_with_unit_gain_passes(capsys):

@@ -26,7 +26,7 @@ from cvteleport.oracle import (
     two_mode_squeezed_cov,
 )
 from cvteleport.swap import SwapConfig, swap_once
-from cvteleport.teleport import BellDetector, teleport, teleport_single_mode
+from cvteleport.teleport import BellDetector, teleport
 from references import sample_teleport_outcomes, swapped_epr_variances
 
 COHERENT = InputModel.coherent()
@@ -150,7 +150,7 @@ def test_covariance_route_matches_symbolic_variances():
         r = rng.uniform(0, 3)
         gain = rng.uniform(0, 2)
         state = covariance_teleport(r, gain)
-        out = teleport_single_mode(r, gain=gain)
+        out = teleport(ZeroBandwidth(r), gain=gain)
         v_x = normalized_variance(out.x_tel, COHERENT, Axis.X)
         v_p = normalized_variance(out.p_tel, COHERENT, Axis.P)
         assert state.cov[0, 0] / 0.25 == pytest.approx(v_x, rel=1e-9)
@@ -165,7 +165,7 @@ def test_covariance_route_matches_symbolic_fidelity():
         gain = rng.uniform(0, 2)
         alpha = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         oracle = fidelity_to_coherent(covariance_teleport(r, gain, alpha), alpha)
-        symbolic = teleport_fidelity(teleport_single_mode(r, gain), alpha=alpha).fidelity
+        symbolic = teleport_fidelity(teleport(ZeroBandwidth(r), gain), alpha=alpha).fidelity
         assert abs(oracle - symbolic) < 1e-9
 
 

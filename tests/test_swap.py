@@ -33,7 +33,7 @@ EPS_3DB = 3.0 - 2.0 * math.sqrt(2.0)
 
 def closed_form_fidelity(cfg, omega, gain):
     sp1, sm1 = cfg.source_ab.pair(omega).powers()[:2]
-    sp2, sm2 = cfg.second_source.pair(omega).powers()[:2]
+    sp2, sm2 = cfg.source_cd.pair(omega).powers()[:2]
     a, b = sp1 + sp2, sm1 + sm2
     return 1.0 / (1.0 + (gain - 1.0) ** 2 * a / 4.0 + (gain + 1.0) ** 2 * b / 4.0)
 
@@ -172,6 +172,14 @@ def test_symbolic_fidelity_matches_closed_form():
         assert abs(symbolic - closed_form_fidelity(cfg, omega, gain)) < 1e-12
 
 
+def test_one_source_is_the_same_source_twice():
+    # source_cd = None is source_ab itself, so the two spellings are one config.
+    src = Nopa(0.4)
+    assert SwapConfig(src).source_cd is src
+    assert SwapConfig(src) == SwapConfig(src, src)
+    assert SwapConfig(src).describe() == "swap[nopa(epsilon=0.4) & nopa(epsilon=0.4), gain=optimal]"
+
+
 def test_unequal_sources_fidelity():
     cfg = SwapConfig(Nopa(0.2), Nopa(0.5))
     omega = 0.3
@@ -179,7 +187,7 @@ def test_unequal_sources_fidelity():
     assert swap_fidelity(cfg, omega) == pytest.approx(
         closed_form_fidelity(cfg, omega, gain), rel=1e-12
     )
-    assert cfg.second_source is not cfg.source_ab
+    assert cfg.source_cd is not cfg.source_ab
 
 
 def test_swap_maximum_at_zero_frequency():
@@ -352,7 +360,7 @@ def test_swap_config_builds_its_gain_schedule_once(monkeypatch):
 
     monkeypatch.setattr(GainSchedule, "__post_init__", counted)
     cfg = SwapConfig(Nopa(0.4), gain=0.8)
-    assert len(built) == 1 and cfg.gain.kind == "fixed"
+    assert len(built) == 1 and cfg.gain.describe() == "fixed:0.8"
     swap_spectrum(cfg, [0.1 * k for k in range(10)])
     cfg.describe()
     assert len(built) == 1

@@ -9,16 +9,15 @@ import pytest
 from cvteleport.criteria import evaluate_criteria, fidelity_spectrum
 from cvteleport.epr import Nopa, ZeroBandwidth
 from cvteleport.linmode import Axis, InputModel, commutator_pairing, normalized_variance
+from closed_form import nopa_error_variance
 from cvteleport.swap import SwapConfig, swap_fidelity
 from cvteleport.teleport import (
     BellDetector,
     GainSchedule,
     NonUnitGainWarning,
     as_gain,
-    nopa_variance_spectrum,
     spectral_variance_tel_in,
     teleport,
-    teleport_single_mode,
 )
 
 COHERENT = InputModel.coherent()
@@ -83,7 +82,7 @@ def test_closed_form_with_loss_and_detector():
         omega = rng.uniform(0, 5)
         eta = rng.uniform(0.5, 1.0)
         out = teleport(Nopa(eps, beta), detector=BellDetector(eta), omega=omega)
-        want = nopa_variance_spectrum(eps, omega, beta, eta)
+        want = nopa_error_variance(eps, omega, beta, eta)
         v_x, v_p = spectral_variance_tel_in(out, COHERENT)
         assert abs(v_x - want) < 1e-12
         assert abs(v_p - want) < 1e-12
@@ -104,7 +103,7 @@ def test_gain_mismatch_formula_zero_bandwidth():
     for _ in range(60):
         r = rng.uniform(0, 2.5)
         g = rng.uniform(-0.5, 2.0)
-        out = teleport_single_mode(r, gain=g)
+        out = teleport(ZeroBandwidth(r), gain=g)
         want = (g - 1) ** 2 + ((g - 1) ** 2 * math.exp(2 * r) + (g + 1) ** 2 * math.exp(-2 * r)) / 2
         v_x, v_p = error_variances(out)
         assert v_x == pytest.approx(want, rel=1e-11, abs=1e-12)
@@ -144,13 +143,21 @@ def test_detector_validation():
 
 
 def test_gain_schedule_forms():
-    assert as_gain(1.0).kind == "unit"
-    assert as_gain(0.5).kind == "fixed"
+    assert as_gain(1.0).describe() == "unit"
+    assert as_gain(0.5).describe() == "fixed:0.5"
     assert as_gain(GainSchedule.unit()) is not None
     sched = GainSchedule.per_frequency(lambda w: 1.0 / (1.0 + w * w))
     assert sched.at(2.0) == pytest.approx(0.2)
+    assert sched.describe() == "per-frequency"
     assert GainSchedule.fixed(0.7).describe() == "fixed:0.7"
+    assert GainSchedule.fixed(0.5j).describe() == "fixed:0.5j"
     assert GainSchedule.unit().describe() == "unit"
+    # The kind is read from the value, so it cannot contradict the gain
+    # that teleport() runs at.
+    assert GainSchedule.fixed(1).describe() == "unit"
+    assert GainSchedule(0.5).describe() == "fixed:0.5"
+    assert teleport(Nopa(0.2), gain=GainSchedule(0.5)).gain == 0.5
+    assert SwapConfig(Nopa(0.2), gain=GainSchedule(0.5)).describe().endswith("gain=fixed:0.5]")
     out = teleport(Nopa(0.2), gain=sched, omega=3.0)
     assert out.gain == pytest.approx(0.1)
 
@@ -171,12 +178,6 @@ def test_gain_schedule_forms():
 def test_non_finite_gain_is_rejected_by_name(call):
     with pytest.raises(ValueError, match="gain must be finite"):
         call()
-
-
-def test_single_mode_wrapper_matches_flat_source():
-    a = teleport_single_mode(0.7, gain=0.9, eta=0.95)
-    b = teleport(ZeroBandwidth(0.7), gain=0.9, detector=BellDetector(0.95), omega=0.0)
-    assert a == b
 
 
 def test_outcome_records_its_setting():
