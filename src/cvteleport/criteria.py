@@ -11,11 +11,15 @@ plus the least-noisy classical channel model that saturates the floors, the
 fidelity spectrum machinery (one array kernel over the frequency grid), and
 the bandwidth extraction used for sweeps.
 
-The kernel (_teleport_columns) sums real port powers, never complex
-amplitudes, and it serves every spectrum row and the criteria report: the
-report's variances and fidelity are a one-point kernel call, bit for bit
-the values of a one-row spectrum, and its output and conditional variances
-and transfer coefficients follow from the linear-channel identities.
+The kernel (_teleport_columns) weighs each EPR pair's two real spectra,
+never complex amplitudes, and it serves every spectrum row, the criteria
+report and the bandwidth: the report's variances and fidelity are a
+one-point kernel call, bit for bit the values of a one-row spectrum, and
+its output and conditional variances and transfer coefficients follow
+from the linear-channel identities.  bandwidth() asks the kernel for many
+frequencies per call to narrow a bracket around the threshold crossing,
+then interpolates inside it, so a width is exact to a few ulps on a
+smooth source.
 teleport_fidelity and classical_objective act on quadrature expansions;
 the expansion reference for the conditional variances and transfer
 coefficients (ralph_lam) is test code, in tests/references.py.
@@ -35,7 +39,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from ._text import read_csv, write_csv, write_json, write_json_columns
-from .epr import PortPowers, SqueezerSpectrum, _abs2, _ports
+from .epr import PortPowers, SqueezerSpectrum, _abs2
 from .linmode import Axis, InputModel, QuadExpansion, difference_variance, normalized_variance
 from .teleport import (
     BellDetector,
@@ -439,8 +443,8 @@ def _teleport_columns(
     # The one kernel behind every spectrum row and the criteria report: the
     # variances and the fidelity of a teleport over src of a coherent
     # amplitude alpha, on a frequency grid, with gain one number or an
-    # array over the grid.  The noise is the sum over the ports of the
-    # source's EPR pairs (see _port_noise), so no (ports x omega) matrix
+    # array over the grid.  The noise is summed over the source's EPR pairs
+    # from their spectra (see _port_noise), so no (ports x omega) matrix
     # and no complex amplitude is ever held.
     pairs = src._pairs(omega, (-gain, 1), (gain, 1))
     own = None
@@ -477,24 +481,31 @@ def _teleport_columns(
 
 
 def _port_noise(pairs: tuple, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Each port adds |w|^2 times its real power |amplitude|^2 to its axis,
-    # one port at a time in the walker's order; a constant zero weight
-    # skips its port.  A term is exactly zero wherever its weight or its
-    # power is, even where a finite weight's square passed the float range.
+    # Each EPR pair, weighted (a, b) on X and (c, d) on P, adds
+    # (|a+b|^2 V+ + |a-b|^2 V-)/2 to X and (|c+d|^2 V- + |c-d|^2 V+)/2 to P,
+    # its rotated ports' weights a*first + b*second squared (see epr._rotated)
+    # over its two spectra V+-, each a squeezed plus a loss port's power.
+    # A pair's two terms meet before they join the axis, so X and P get the
+    # same bits wherever their weights mirror each other (a real gain), as
+    # on every symmetric swap.  A constant zero weight skips its term; a
+    # term is exactly zero wherever its weight or its spectrum is, even
+    # where a finite weight's square passed the float range.
     noise_x, noise_p = np.zeros(len(omega)), np.zeros(len(omega))
-    for _, _, powers, x_weights, p_weights in pairs:
-        squares = {}  # loss ports repeat the weight objects (see _ports)
-        for _, axis, w, power in _ports(powers, x_weights, p_weights):
-            w2 = squares.get(id(w))
-            if w2 is None:
-                w2 = squares[id(w)] = _abs2(w)
-            noise = noise_x if axis is Axis.X else noise_p
-            if type(w2) is float and w2 < math.inf:
-                if w2 != 0:
-                    noise += w2 * power
-            else:
-                noise += np.where((w2 == 0) | (power == 0), 0.0, w2 * power)
+    for _, _, powers, (a, b), (c, d) in pairs:
+        plus, minus = powers.variances()
+        noise_x += _weighted(a + b, plus) + _weighted(a - b, minus)
+        noise_p += _weighted(c + d, minus) + _weighted(c - d, plus)
+    noise_x *= 0.5
+    noise_p *= 0.5
     return noise_x, noise_p
+
+
+def _weighted(w: complex | np.ndarray, spectrum: float | np.ndarray) -> float | np.ndarray:
+    # |w|^2 times the spectrum, with the exact zeros of _port_noise.
+    w2 = _abs2(w)
+    if type(w2) is float and w2 < math.inf:
+        return w2 * spectrum if w2 != 0 else 0.0
+    return np.where((w2 == 0) | (spectrum == 0), 0.0, w2 * spectrum)
 
 
 def _spectrum_table(
@@ -553,55 +564,55 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
 
     Assumes the spectrum decreases away from omega = 0 (true for every
     source here).  The crossing is bracketed on the grid, or beyond it by
-    doubling the last frequency (the first candidate with the first
-    octave's top bisection levels, then every other candidate up to
-    OMEGA_LIMIT, in two evaluator calls; see _doubling), then refined by
-    bisection of the table's evaluator to 1e-6, taken speculatively from a
-    guess at the crossing: nearly every crossing on the grid takes one
-    evaluator call in all, and nearly every one in the first octave past
-    it two (see _bisect).  Tables without an evaluator fall back to linear
-    interpolation between the bracketing rows.  Returns 0 when even the
-    first row is below threshold, and math.inf when the evaluator never
+    doubling the last frequency up to OMEGA_LIMIT (see _doubling), and the
+    bracket is narrowed with the table's evaluator until it is at most
+    1e-6 wide: each call takes an even grid across the bracket and a
+    stencil of points 5e-7 apart around the crossing that the rows next to
+    it predict, and the bracket becomes the pair of neighbouring rows that
+    straddles the threshold.  A smooth crossing on the grid takes one call,
+    one in the first octave past the grid two.  The width is twice the
+    crossing that the rows next to the final bracket predict, which is
+    exact to a few ulps on a smooth source; it lies inside that bracket
+    whatever the evaluator.  Tables without an evaluator fall back to
+    linear interpolation between the bracketing rows.  Returns 0 when even
+    the first row is below threshold, and math.inf when the evaluator never
     drops below it up to OMEGA_LIMIT (a threshold at or below the
     large-omega limit of the fidelity: 1/2 at unit gain, 1/(1 + g^2) at
     fixed gain g).
     """
-    fs = spectrum.fidelity.tolist()
+    om, fs = spectrum.omega, spectrum.fidelity
     if fs[0] < threshold:
         return 0.0
-    cross = next((i for i, v in enumerate(fs) if v < threshold), None)
-    om = spectrum.omega.tolist()
     ev = spectrum.evaluator
-    if ev is None:
-        if cross is None:
+    if not (fs < threshold).any():
+        if ev is None:
             raise ValueError(
                 "fidelity stays above threshold across the table and no "
                 "evaluator is attached to extend it"
             )
-        lo, hi = om[cross - 1], om[cross]
-        f_lo, f_hi = fs[cross - 1], fs[cross]
-        if f_lo == f_hi:
-            return 2.0 * lo
-        return 2.0 * _secant(lo, f_lo, hi, f_hi, threshold)
-    known: dict[float, float] = {}
-    if cross is None:
-        # Threshold never reached on the grid: the doubling candidates past
-        # its last row join it, and the first below threshold brackets.
-        candidates, values, known = _doubling(ev, om[-1], threshold)
-        below = next((j for j, v in enumerate(values) if v < threshold), None)
-        if below is None:
+        om, fs = _doubling(ev, om, fs, threshold)
+        if not (fs < threshold).any():
             return math.inf
-        om, fs, cross = (om[-1], *candidates), (fs[-1], *values), below + 1
-    lo, hi = om[cross - 1], om[cross]
-    f_lo, f_hi = fs[cross - 1], fs[cross]
-    if known:
-        # The first octave's midpoints are a finer grid of rows to guess from.
-        om, fs = zip(*sorted([*zip(om, fs), *known.items()]))
-        cross = next(i for i, v in enumerate(fs) if v < threshold)
-    rows = slice(max(cross - _GUESS_ROWS // 2, 0), cross + _GUESS_ROWS // 2)
-    guess = _inverse_guess(om[rows], fs[rows], threshold)
-    lo, hi = _bisect(ev, lo, f_lo, hi, f_hi, threshold, guess, known)
-    return lo + hi  # 2 * midpoint
+    # The rows are sorted by frequency, and the bracket is rows c - 1 and c,
+    # the first row below threshold and its neighbour: no row lies inside.
+    c = int(np.argmax(fs < threshold))
+    if ev is None:
+        (lo, hi), (f_lo, f_hi) = om[c - 1 : c + 1].tolist(), fs[c - 1 : c + 1].tolist()
+        return 2.0 * _secant(lo, f_lo, hi, f_hi, threshold)
+    while om[c] - om[c - 1] > _STOP:
+        lo, hi = om[c - 1], om[c]
+        guess = _crossing(om, fs, c, threshold)
+        stencil = guess + 0.5 * _STOP * np.arange(-_STENCIL, _STENCIL + 1)
+        grid = np.linspace(lo, hi, _GRID + 2)[1:-1]
+        points = np.concatenate((grid[grid < stencil[0]], stencil, grid[grid > stencil[-1]]))
+        points = points[(points > lo) & (points < hi)]  # sorted, as the rows are
+        if not len(points):
+            break  # lo and hi are neighbouring floats, more than _STOP apart
+        values = ev(points)
+        om = np.concatenate((om[:c], points, om[c:]))
+        fs = np.concatenate((fs[:c], values, fs[c:]))
+        c += int(np.argmax(np.append(values < threshold, True)))  # hi if none is below
+    return 2.0 * _crossing(om, fs, c, threshold)
 
 
 # The frequency past which bandwidth() stops doubling, and above which the
@@ -609,62 +620,77 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
 # 1.3e154 on the square passes the float range.
 OMEGA_LIMIT = 1e154
 _DOUBLINGS = 200  # doubling candidates at most
-_STOP = 1e-6  # bisection stops at a bracket this wide
-_TREE_LEVELS = 4  # bisection levels every evaluator call takes, whatever the guess
-# The first doubling call's bisection levels of the first octave, two more
-# than the tree: 64 cells, a grid of rows about as fine across an octave of
-# a few units as the command line's default step, for the cost of one row.
-_OCTAVE_LEVELS = _TREE_LEVELS + 2
-# Rows around the bracket that guess the crossing: the degree-7 inverse
+_STOP = 1e-6  # bandwidth() narrows its bracket to this width
+# Points of the even grid that every evaluator call takes across the
+# bracket (and the first doubling call across the octave below its
+# candidate): a guess that misses still shrinks the bracket 64-fold.
+_GRID = 63
+# Stencil points on either side of the guess, _STOP/2 apart: a guess that
+# misses the crossing by up to 16 stop widths still finishes in one call.
+_STENCIL = 32
+# Rows around the bracket that predict the crossing: the degree-7 inverse
 # polynomial through 8 rows of a smooth grid misses by under _STOP on most
 # crossings, where the cubic through 4 missed by several.
 _GUESS_ROWS = 8
-# Half the width of the window around the guess whose midpoints every call
-# takes, level by level down to _STOP: a guess that misses the crossing by
-# up to 4 stop widths still finishes in one call.
-_WINDOW = 4 * _STOP
 
 
 def _doubling(
-    ev: Callable[[np.ndarray], np.ndarray], last: float, threshold: float
-) -> tuple[list[float], list[float], dict[float, float]]:
-    # The doubling candidates past the grid's last row, up to OMEGA_LIMIT,
-    # the fidelity at each, and the fidelity at the midpoints of the top
-    # _OCTAVE_LEVELS bisection levels of the first octave [last, first
-    # candidate].  The first call takes the first candidate with those
-    # midpoints, since most crossings past a grid lie within an octave of
-    # it: bisection then starts that many steps in, with a fine grid of
-    # rows to guess from.  A second call takes every other candidate.  An
-    # evaluator with a finite range (a CustomSpectrum table) may reject
-    # that call for candidates past the crossing; then the rest go one at
-    # a time, stopping at the first below threshold as one-point doubling
-    # does, so nothing past it is asked for and a frequency the one-point
-    # search would reach still raises.  The first call asks for nothing
-    # past the first candidate, which comes first so that an evaluator
-    # rejecting it names it, as the one-point search does.
+    ev: Callable[[np.ndarray], np.ndarray], om: np.ndarray, fs: np.ndarray, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    # The rows (om, fs) of a grid that never drops below threshold, extended
+    # by the doubling candidates past its last row up to OMEGA_LIMIT and by
+    # an even grid of _GRID rows across the first octave [last row, first
+    # candidate].  The first call takes the first candidate with that
+    # octave, since most crossings past a grid lie within an octave of it:
+    # its rows then bracket the crossing as finely as a grid does.  A second
+    # call takes every other candidate.  An evaluator with a finite range
+    # (a CustomSpectrum table) may reject that call for candidates past the
+    # crossing; then the rest go one at a time, stopping at the first below
+    # threshold as one-point doubling does, so nothing past it is asked for
+    # and a frequency the one-point search would reach still raises.  The
+    # first call asks for nothing past the first candidate, which comes
+    # first so that an evaluator rejecting it names it, as the one-point
+    # search does.
+    last = float(om[-1])
     first = last * 2.0 if last > 0 else 1.0
     candidates = np.ldexp(first, np.arange(_DOUBLINGS))
     candidates = candidates[candidates <= OMEGA_LIMIT]
     if not len(candidates):
-        return [], [], {}
-    mids = _speculation(last, first, math.nan, _OCTAVE_LEVELS)
-    values = ev(np.array([first, *mids])).tolist()
-    known = dict(zip(mids, values[1:]))
-    values = values[:1]
+        return om, fs
+    octave = np.linspace(last, first, _GRID + 2)[1:-1]
+    values = ev(np.concatenate(([first], octave)))
+    found = [values[:1]]
     if values[0] >= threshold and len(candidates) > 1:
         try:
-            values += ev(candidates[1:]).tolist()
+            found.append(ev(candidates[1:]))
         except Exception:
             for k in range(1, len(candidates)):
-                values += ev(candidates[k : k + 1]).tolist()
-                if values[-1] < threshold:
+                found.append(ev(candidates[k : k + 1]))
+                if found[-1][0] < threshold:
                     break
-    return candidates[: len(values)].tolist(), values, known
+    found = np.concatenate(found)
+    return (
+        np.concatenate((om, octave, candidates[: len(found)])),
+        np.concatenate((fs, values[1:], found)),
+    )
 
 
 def _secant(lo: float, f_lo: float, hi: float, f_hi: float, threshold: float) -> float:
     # Where the chord through (lo, f_lo) and (hi, f_hi) meets threshold.
     return lo + (f_lo - threshold) * (hi - lo) / (f_lo - f_hi)
+
+
+def _crossing(om: np.ndarray, fs: np.ndarray, c: int, threshold: float) -> float:
+    # The crossing inside the bracket of rows c - 1 and c: the inverse
+    # polynomial through the _GUESS_ROWS rows around it, or, where that
+    # falls outside the bracket (or does not exist), the secant through the
+    # bracket, clamped inside it.
+    rows = slice(max(c - _GUESS_ROWS // 2, 0), c + _GUESS_ROWS // 2)
+    x = _inverse_guess(om[rows].tolist(), fs[rows].tolist(), threshold)
+    (lo, hi), (f_lo, f_hi) = om[c - 1 : c + 1].tolist(), fs[c - 1 : c + 1].tolist()
+    if lo <= x <= hi:
+        return x
+    return min(max(_secant(lo, f_lo, hi, f_hi, threshold), lo), hi)
 
 
 def _inverse_guess(xs: Sequence[float], fs: Sequence[float], threshold: float) -> float:
@@ -680,57 +706,6 @@ def _inverse_guess(xs: Sequence[float], fs: Sequence[float], threshold: float) -
                 x *= (threshold - g) / (f - g)
         guess += x
     return guess
-
-
-def _bisect(
-    ev: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    f_lo: float,
-    hi: float,
-    f_hi: float,
-    threshold: float,
-    guess: float,
-    fidelity: dict[float, float],
-) -> tuple[float, float]:
-    # Bisect [lo, hi] to _STOP on ev >= threshold, taking exactly the steps
-    # of one-point bisection, so the bracket is the same to the last bit.
-    # The walk reads each step's midpoint from fidelity, the values known
-    # so far; where one is missing, an evaluator call takes the midpoints a
-    # crossing at guess would lead to (see _speculation).  A guess outside
-    # the bracket (a nan, or one the walk has left) gives way to the secant
-    # through the bracket.
-    while hi - lo > _STOP:
-        mid = 0.5 * (lo + hi)
-        f = fidelity.get(mid)
-        if f is None:
-            if not lo <= guess <= hi:
-                guess = _secant(lo, f_lo, hi, f_hi, threshold)
-            mids = _speculation(lo, hi, guess)
-            fidelity = dict(zip(mids, ev(np.array(mids)).tolist()))
-            f = fidelity[mid]
-        if f >= threshold:
-            lo, f_lo = mid, f
-        else:
-            hi, f_hi = mid, f
-    return lo, hi
-
-
-def _speculation(lo: float, hi: float, guess: float, levels: int = _TREE_LEVELS) -> list[float]:
-    # Bisection midpoints of [lo, hi] for one call, level by level down to
-    # _STOP: every one of the first `levels` levels (15 for the tree's
-    # four), so a wrong guess still advances that far, then every one whose
-    # cell meets the window of +-_WINDOW around guess (none for a nan),
-    # which holds the path to guess and its neighbours on either side.
-    cells, mids = [(lo, hi)], []
-    while cells:
-        split = []
-        for a, b in cells:
-            if b - a > _STOP and (levels > 0 or (guess - _WINDOW <= b and a <= guess + _WINDOW)):
-                mid = 0.5 * (a + b)
-                mids.append(mid)
-                split += ((a, mid), (mid, b))
-        cells, levels = split, levels - 1
-    return mids
 
 
 # ---------------------------------------------------------------------------

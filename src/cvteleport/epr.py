@@ -14,15 +14,18 @@ and, for a lossy cavity, ``L_plus``/``L_minus`` couple in the loss-port
 vacua on the same quadratures, giving the spectra V+- = |S+-|^2 + |L+-|^2.
 Superimposing the two decoupled squeezed modes on a balanced beamsplitter
 yields the broadband EPR pair; every source shares that one rotated port
-layout, and one walker (_ports) maps it onto a protocol's weights.
+layout, and one walker (_ports) maps its amplitudes onto a protocol's
+weights.
 
 Powers serve spectra, amplitudes serve expansions.  A variance only ever
-adds |w*amplitude|^2 = |w|^2*|amplitude|^2 per port, so the spectrum
-kernel walks each source's real port powers (SqueezerSpectrum.powers) and
-never builds a complex amplitude; the NOPA gives them in cancellation-free
-real form.  The complex amplitudes (SqueezerSpectrum.pair) are walked only
-for the quadrature expansions of teleport(), which the oracles and the
-commutator checks use.
+adds |w*amplitude|^2 = |w|^2*|amplitude|^2 per port, and the rotated
+layout gives the noisy and the quiet spectrum one weight each per axis,
+so the spectrum kernel weighs each source's two spectra, summed from its
+real port powers (SqueezerSpectrum.powers), and never builds a complex
+amplitude; the NOPA gives the powers in cancellation-free real form.  The
+complex amplitudes (SqueezerSpectrum.pair) are walked only for the
+quadrature expansions of teleport(), which the oracles and the commutator
+checks use.
 
 Dimensionless parameterization: with pump ``kappa``, damping ``gamma`` and
 intracavity loss ``rho``, set
@@ -167,9 +170,9 @@ def _rotated(plus, minus, slot: int = 0) -> tuple[tuple, ...]:
     )
 
 
-def _layout(s: TransferPair | PortPowers) -> tuple[tuple, ...]:
-    # The rotated layout of one source's amplitudes or powers, loss ports
-    # (label slots 2 and 3) only where the loss values are not all zero.
+def _layout(s: TransferPair) -> tuple[tuple, ...]:
+    # The rotated layout of one source's amplitudes, loss ports (label
+    # slots 2 and 3) only where the loss amplitudes are not all zero.
     ports = _rotated(s.s_plus, s.s_minus)
     if np.count_nonzero(s.l_plus) or np.count_nonzero(s.l_minus):
         ports += _rotated(s.l_plus, s.l_minus, 2)
@@ -177,7 +180,7 @@ def _layout(s: TransferPair | PortPowers) -> tuple[tuple, ...]:
 
 
 def _ports(
-    values: TransferPair | PortPowers,
+    amplitudes: TransferPair,
     x_weights: tuple[complex, complex],
     p_weights: tuple[complex, complex],
 ) -> Iterator[tuple[int, Axis, complex | np.ndarray, complex | np.ndarray]]:
@@ -185,21 +188,14 @@ def _ports(
 
     Yields each port's label slot (see _rotated), its axis, its combined
     weight a*first + b*second, with (a, b) the weights of its axis, and its
-    value: an amplitude or a power, one number or an array over a frequency
-    grid, as are the weights.  The weight stays apart from the (possibly
-    infinite) value so that a consumer applies an exactly-zero weight
-    before multiplying, which keeps unit-gain outputs finite at threshold.
-    A loss port gets the very weight object of its squeezed twin, so a
-    consumer may cache what it derives from a weight by its id.
+    amplitude, one number or an array over a frequency grid, as are the
+    weights.  The weight stays apart from the (possibly infinite) amplitude
+    so that a consumer applies an exactly-zero weight before multiplying,
+    which keeps unit-gain outputs finite at threshold.
     """
-    combined: dict[tuple, complex | np.ndarray] = {}
-    for slot, axis, value, first, second in _layout(values):
-        on_x = axis is Axis.X
-        w = combined.get((on_x, first, second))
-        if w is None:
-            a, b = x_weights if on_x else p_weights
-            w = combined[on_x, first, second] = a * first + b * second
-        yield slot, axis, w, value
+    for slot, axis, amplitude, first, second in _layout(amplitudes):
+        a, b = x_weights if axis is Axis.X else p_weights
+        yield slot, axis, a * first + b * second, amplitude
 
 
 def _terms(
@@ -309,11 +305,12 @@ class SqueezerSpectrum(abc.ABC):
         self, omega: float | np.ndarray, x_weights: tuple, p_weights: tuple
     ) -> tuple[tuple, ...]:
         # The EPR pairs behind the output mode a*mode1 + b*mode2, one
-        # (labels, source, port powers, x weights, p weights) entry each, for
-        # _ports to walk: a source is its own one pair, and a composed
-        # resource stands in for a source by overriding this.  The powers
-        # are None where they are the source's own powers(omega), which
-        # only the spectrum kernel reads.
+        # (labels, source, port powers, x weights, p weights) entry each:
+        # the expansions walk each source's ports (see _ports), the
+        # spectrum kernel weighs its powers.  A source is its own one pair,
+        # and a composed resource stands in for a source by overriding
+        # this.  The powers are None where they are the source's own
+        # powers(omega), which only the spectrum kernel reads.
         return ((("bar1", "bar2"), self, None, x_weights, p_weights),)
 
     def describe(self) -> str:

@@ -87,10 +87,6 @@ class SwapConfig:
         if self.gain is not None:
             object.__setattr__(self, "gain", as_gain(self.gain))
 
-    def gain_at(self, omega: float | np.ndarray) -> complex | np.ndarray:
-        """The swap gain at omega; over a frequency array, the array of gains."""
-        return _SwappedPair(self, omega).gain
-
     def describe(self) -> str:
         ab = self.source_ab.describe()
         cd = self.source_cd.describe()

@@ -9,9 +9,14 @@ line, which move with any edit).  Two trees whose digests match printed
 and wrote the same bytes for every op.
 
     python tests/output_digest.py sweep:1-5 scan:1-10 validate:1-2
+    python tests/output_digest.py --against ../other sweep:1-5 scan:1-10 validate:1-2
 
 Each argument is ``workload:seed`` or ``workload:first-last``.  The package
-is imported from ``src/`` of the checkout this script sits in.
+is imported from ``src/`` of the checkout this script sits in.  With
+``--against <checkout>`` the same ops also run, in a child process,
+against the package in that checkout's ``src/``; both digests are printed,
+then, per command, the ops whose outputs differ, the numbers in them that
+differ, and the largest relative change of a number.
 """
 
 from __future__ import annotations
@@ -19,17 +24,24 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
+import math
 import os
+import re
+import subprocess
 import sys
 import tempfile
 import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.dont_write_bytecode = True  # leave no bytecode cache under bench/
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 import workloads  # noqa: E402
-from cvteleport import cli  # noqa: E402
+
+# A number as the commands print it, JSON's spellings of the non-finite
+# values included.
+_NUMBER = re.compile(r"-?(?:Infinity|NaN|inf|nan|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
 def _seeds(spec: str) -> tuple[str, range]:
@@ -38,7 +50,16 @@ def _seeds(spec: str) -> tuple[str, range]:
     return workload, range(int(first), int(last or first) + 1)
 
 
-def _op_bytes(op: workloads.Op) -> bytes:
+def _ops(specs: list[str], workdir: str):
+    for spec in specs:
+        workload, seeds = _seeds(spec)
+        for seed in seeds:
+            yield from workloads.generate(workload, seed, workdir)
+
+
+def _op_parts(cli, op: workloads.Op) -> list[str]:
+    # The exit code, stdout, stderr, the warnings raised and the --output
+    # file's bytes (as latin-1 text, which maps each byte to one character).
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -50,24 +71,82 @@ def _op_bytes(op: workloads.Op) -> bytes:
             written = fh.read()
         os.remove(op.output)
     raised = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
-    parts = (str(rc), out.getvalue(), err.getvalue(), raised)
-    return b"\0".join(p.encode() for p in parts) + b"\0" + written
+    return [str(rc), out.getvalue(), err.getvalue(), raised, written.decode("latin-1")]
+
+
+def _digest(outputs: list[list[str]]) -> str:
+    digest = hashlib.sha256()
+    for parts in outputs:
+        body = b"\0".join(p.encode() for p in parts[:4]) + b"\0" + parts[4].encode("latin-1")
+        digest.update(len(body).to_bytes(8, "little") + body)
+    return digest.hexdigest()
+
+
+def _run(src: str, ops: list) -> list[list[str]]:
+    sys.path.insert(0, src)
+    from cvteleport import cli
+
+    return [_op_parts(cli, op) for op in ops]
+
+
+def _relative(a: str, b: str) -> float:
+    x, y = (float(v.replace("Infinity", "inf").replace("NaN", "nan")) for v in (a, b))
+    if x == y:
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def _compare(ops: list, mine: list[list[str]], theirs: list[list[str]]) -> None:
+    # Per command: ops, ops changed, numbers changed and the largest
+    # relative change of a number.  An op whose text differs outside its
+    # numbers, or in how many it has, counts as changed with every number.
+    rows: dict[str, list] = {}
+    for op, a, b in zip(ops, mine, theirs):
+        row = rows.setdefault(op.argv[0], [0, 0, 0, 0.0])
+        row[0] += 1
+        if a == b:
+            continue
+        row[1] += 1
+        text_a, text_b = "\0".join(a), "\0".join(b)
+        nums_a, nums_b = _NUMBER.findall(text_a), _NUMBER.findall(text_b)
+        if _NUMBER.split(text_a) != _NUMBER.split(text_b) or len(nums_a) != len(nums_b):
+            row[2] += max(len(nums_a), len(nums_b))
+            row[3] = math.inf
+            continue
+        changed = [_relative(x, y) for x, y in zip(nums_a, nums_b) if x != y]
+        row[2] += len(changed)
+        row[3] = max([row[3], *changed])
+    print(f"{'command':<14} {'ops':>6} {'changed':>8} {'numbers':>8}  largest relative change")
+    for command, (count, changed, numbers, largest) in sorted(rows.items()):
+        print(f"{command:<14} {count:>6} {changed:>8} {numbers:>8}  {largest:.3g}")
 
 
 def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__.strip(), file=sys.stderr)
         return 1
-    digest, count = hashlib.sha256(), 0
+    if argv[0] == "--parts":  # the child: one checkout's outputs as JSON
+        src, workdir, *specs = argv[1:]
+        json.dump(_run(src, list(_ops(specs, workdir))), sys.stdout)
+        return 0
+    other = None
+    if argv[0] == "--against":
+        other, argv = os.path.abspath(argv[1]), argv[2:]
     with tempfile.TemporaryDirectory(prefix="cvteleport-digest-") as workdir:
-        for spec in argv:
-            workload, seeds = _seeds(spec)
-            for seed in seeds:
-                for op in workloads.generate(workload, seed, workdir):
-                    body = _op_bytes(op)
-                    digest.update(len(body).to_bytes(8, "little") + body)
-                    count += 1
-    print(f"{count} ops {digest.hexdigest()}")
+        ops = list(_ops(argv, workdir))
+        theirs = None
+        if other is not None:
+            child = [sys.executable, os.path.abspath(__file__), "--parts"]
+            child += [os.path.join(other, "src"), workdir, *argv]
+            theirs = subprocess.run(child, stdout=subprocess.PIPE, text=True, check=True)
+            theirs = json.loads(theirs.stdout)
+        mine = _run(os.path.join(ROOT, "src"), ops)
+    print(f"{len(mine)} ops {_digest(mine)}")
+    if theirs is not None:
+        print(f"{len(theirs)} ops {_digest(theirs)} ({other})")
+        _compare(ops, mine, theirs)
     return 0
 
 

@@ -27,7 +27,7 @@ from cvteleport.linmode import (
     unit_input,
 )
 from cvteleport.oracle import McConfig, _bell_splitter, _initial_state
-from cvteleport.swap import SwapConfig
+from cvteleport.swap import SwapConfig, _SwappedPair
 
 COHERENT = InputModel.coherent()
 
@@ -74,7 +74,7 @@ def swapped_epr_variances(cfg: SwapConfig, omega: float) -> tuple[float, float]:
     portwise with its own weights, not through the resource, so it is an
     independent reference for the verification teleportation.
     """
-    gs = cfg.gain_at(omega)
+    gs = _SwappedPair(cfg, omega).gain
     terms: dict[Axis, dict] = {Axis.X: {}, Axis.P: {}}
     for tag, source, x_weights, p_weights in (
         ("ab", cfg.source_ab, (1, -gs), (1, gs)),

@@ -222,7 +222,7 @@ def test_bandwidth_extends_beyond_grid(capsys):
     code, out, _ = invoke(capsys, "bandwidth", "--epsilon", "0.6")
     assert code == 0
     assert float(out) == pytest.approx(closed_width(0.6), abs=1e-5)
-    assert out.strip() == "15.3153520823"
+    assert out.strip() == "15.3153517753"  # closed_width(0.6) to 12 digits
 
 
 def test_bandwidth_physical_rates_rescale(capsys):
@@ -267,7 +267,7 @@ def test_bandwidth_threshold_below_one_half_can_be_finite(capsys):
         capsys, "bandwidth", "--epsilon", "0.5", "--eta2", "0.8", "--threshold", "0.45",
     )
     assert code == 0
-    assert out == "16.7032927275\n"
+    assert out == "16.7032930885\n"
 
 
 @pytest.mark.filterwarnings("ignore::cvteleport.teleport.NonUnitGainWarning")
@@ -690,12 +690,12 @@ STDOUT_SHA256 = [
         id="criteria-squeezed-fixed-gain",
     ),
     pytest.param(
-        "f256302db6b902a6e2635ed0f7ddd4965337f21a606bdabeb9bd61bc467c6dfd",
+        "2676b80c29579a7424ab3db4887e98695d6b9e4fe891134ad9dfa013ec8c9a76",
         ("bandwidth", "--epsilon", "0.6"),
         id="bandwidth-teleport",
     ),
     pytest.param(
-        "79719ae0910e54f27c30bd0415b9c4375db1066ed7757a512c167f64daf1abdc",
+        "50ccc318cb99116c449fd3c58a0c20fba8b9a3b571ee0315fad291b4a475ae28",
         ("bandwidth", "--epsilon", "0.4", "--pipeline", "swap"),
         id="bandwidth-swap",
     ),
@@ -732,7 +732,7 @@ STDOUT_SHA256 = [
         id="spectrum-physical-lossless",
     ),
     pytest.param(
-        "76b7308dcc98c130839e34d2398f19ec7bd95e78be337f5ab2b87bd36e14e510",
+        "3bdeae27f6638775a0cb15fba72adadd34484b0ee3c8dcd07c0131e60ddaae08",
         ("bandwidth", "--kappa", "1.54", "--gamma", "3.6"),
         id="bandwidth-physical-lossless",
     ),

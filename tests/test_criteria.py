@@ -1,5 +1,6 @@
 """Classical boundaries, fidelity, spectrum tables and bandwidth extraction."""
 
+import bisect
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import cvteleport
 import cvteleport.criteria as criteria_module
+import exact
 from cvteleport.criteria import (
     CONDITIONAL_SUM_LIMIT,
     FIDELITY_CLASSICAL_BOUND,
@@ -453,23 +455,36 @@ def test_serializers_write_v_p_near_v_x_as_the_reference(rows, v_p_is, at, zero)
     assert table.to_json() == _reference_json(table)
 
 
+def _squeezed_fixed_gain(grid):
+    # Asymmetric by physics: at gain 0.8 the mismatch term weighs the
+    # squeezed input's unequal variances, so v_p is not v_x.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonUnitGainWarning)
+        return fidelity_spectrum(Nopa(0.5, 0.9), grid, gain=0.8, in_model=InputModel.squeezed(1.5))
+
+
 def test_large_tables_write_the_reference_bytes():
     # A symmetric source's v_p matches v_x bit for bit and is written from
-    # v_x's text; a lossy swap table's does not, in a fraction of its rows.
+    # v_x's text, a swap table's included (each EPR pair adds its X and P
+    # noise in mirrored order); a squeezed input's v_p is written apart.
     teleport_table = fidelity_spectrum(Nopa(0.5), np.linspace(0.0, 20.0, 10_000))
     swap_table = swap_spectrum(SwapConfig(Nopa(0.6, 0.85)), np.linspace(0.0, 5.0, 1200))
-    assert teleport_table._written_columns()[2] is teleport_table.v_x
-    assert swap_table._written_columns()[2] is swap_table.v_p
+    squeezed_table = _squeezed_fixed_gain(np.linspace(0.0, 20.0, 1200))
     for table in (teleport_table, swap_table):
+        assert table._written_columns()[2] is table.v_x
+    assert squeezed_table._written_columns()[2] is squeezed_table.v_p
+    for table in (teleport_table, swap_table, squeezed_table):
         assert table.to_csv() == _reference_csv(table)
         assert table.to_json() == _reference_json(table)
     # Either side of the row count where the writers leave % for numpy.
     for rows in (_text._VECTOR_ROWS - 1, _text._VECTOR_ROWS, _text._VECTOR_ROWS + 1):
         teleport_table = fidelity_spectrum(Nopa(0.5, 0.9), np.linspace(0.0, 20.0, rows))
         swap_table = swap_spectrum(SwapConfig(Nopa(0.6, 0.85)), np.linspace(0.0, 5.0, rows))
-        assert teleport_table._written_columns()[2] is teleport_table.v_x
-        assert swap_table._written_columns()[2] is swap_table.v_p
+        squeezed_table = _squeezed_fixed_gain(np.linspace(0.0, 20.0, rows))
         for table in (teleport_table, swap_table):
+            assert table._written_columns()[2] is table.v_x
+        assert squeezed_table._written_columns()[2] is squeezed_table.v_p
+        for table in (teleport_table, swap_table, squeezed_table):
             assert table.to_csv() == _reference_csv(table)
             assert table.to_json() == _reference_json(table)
 
@@ -663,87 +678,98 @@ def test_bandwidth_is_infinite_when_never_crossed(kwargs, threshold):
     assert bandwidth(table, threshold) == math.inf
 
 
-def _one_point_bandwidth(table, threshold):
-    # bandwidth() with one evaluator call per doubling or bisection step.
-    def ev(w):
-        return table.evaluator(np.array([w]))[0]
-
-    cross = next((i for i, f in enumerate(table.fidelity) if f < threshold), None)
-    if cross == 0:
-        return 0.0
-    if cross is None:
-        lo = table.omega[-1]
-        hi = lo * 2.0 if lo > 0 else 1.0
-        for _ in range(200):
-            if ev(hi) < threshold:
-                break
-            lo, hi = hi, hi * 2.0
-        else:
-            return math.inf
-    else:
-        lo, hi = table.omega[cross - 1], table.omega[cross]
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if ev(mid) >= threshold:
-            lo = mid
-        else:
-            hi = mid
-    return lo + hi
-
-
-def _counted(table):
-    # Count the table's evaluator calls from here on.
+def _checked_bandwidth(table, threshold):
+    # bandwidth(), holding it to its promise for any evaluator: the width
+    # lies in a bracket at most 1e-6 wide whose ends are neighbouring rows,
+    # of the table or evaluated, the lower at or above the threshold and
+    # the upper below it.  Returns the width and the evaluator's calls.
+    rows = dict(zip(table.omega.tolist(), table.fidelity.tolist()))
     calls = []
     evaluator = table.evaluator
 
-    def counted(w):
+    def recorded(w):
         calls.append(len(w))
-        return evaluator(w)
+        values = evaluator(w)
+        rows.update(zip(np.asarray(w).tolist(), np.asarray(values).tolist()))
+        return values
 
-    table.evaluator = counted
-    return calls
+    table.evaluator = recorded
+    width = bandwidth(table, threshold)
+    if 0 < width < math.inf:
+        omegas = sorted(rows)
+        k = bisect.bisect_right(omegas, width / 2)  # the first row past the half width
+        if omegas[k - 1] == width / 2 and rows[omegas[k - 1]] < threshold:
+            k -= 1  # the half width is the upper end
+        lo, hi = omegas[k - 1], omegas[k]
+        assert lo <= width / 2 <= hi and hi - lo <= 1e-6
+        assert rows[lo] >= threshold > rows[hi]
+    return width, calls
 
 
-# The first doubling call: the first candidate and the 2**6 - 1 midpoints
-# of the top six bisection levels of the octave below it.
-FIRST_DOUBLING_CALL = 64
+def _exact_fidelity(kind, epsilon, beta, eta, gain, omega):
+    # The exact fidelity of one of the SOURCES kinds at a float frequency.
+    noisy, quiet = exact.nopa_spectra(epsilon, beta, omega)
+    if kind.startswith("swap"):
+        g = exact.optimal_gain(epsilon, beta, omega) if gain is None else gain
+        return exact.swap_fidelity(2 * noisy, 2 * quiet, g)
+    return exact.teleport_fidelity(quiet, eta)
 
+
+# Each source with its exact bracket of the width at a threshold.
 SOURCES = [
-    lambda grid: fidelity_spectrum(Nopa(0.6), grid),
-    lambda grid: fidelity_spectrum(Nopa(0.8, 0.7), grid, detector=BellDetector(0.95)),
-    lambda grid: swap_spectrum(SwapConfig(Nopa(0.4)), grid),
-    lambda grid: swap_spectrum(SwapConfig(Nopa(0.7, 0.9), gain=0.8), grid),
+    (lambda grid: fidelity_spectrum(Nopa(0.6), grid), lambda t: exact.teleport_width(0.6, 1.0, 1.0, t)),
+    (
+        lambda grid: fidelity_spectrum(Nopa(0.8, 0.7), grid, detector=BellDetector(0.95)),
+        lambda t: exact.teleport_width(0.8, 0.7, 0.95, t),
+    ),
+    (lambda grid: swap_spectrum(SwapConfig(Nopa(0.4)), grid), lambda t: exact.swap_width(0.4, 1.0, t)),
+    (lambda grid: swap_spectrum(SwapConfig(Nopa(0.6, 0.9)), grid), lambda t: exact.swap_width(0.6, 0.9, t)),
+    (
+        lambda grid: swap_spectrum(SwapConfig(Nopa(0.7, 0.9), gain=0.8), grid),
+        lambda t: exact.swap_width(0.7, 0.9, t, 0.8),
+    ),
 ]
-SOURCE_IDS = ["lossless", "lossy-detector", "swap", "swap-fixed-gain"]
+SOURCE_IDS = ["lossless", "lossy-detector", "swap", "swap-lossy", "swap-fixed-gain"]
+# How far a width may lie from its exact bracket, in exact.ulps units.
+WIDTH_ULPS = 16
 
 
-@pytest.mark.parametrize("make", SOURCES, ids=SOURCE_IDS)
+# This test and the four below it keep the names of the one-point
+# bisection replays they replaced; each now checks the width against its
+# exact value, or the bracket around it.
+@pytest.mark.parametrize("make, width", SOURCES, ids=SOURCE_IDS)
 @pytest.mark.parametrize("threshold", [0.51, 0.55, 0.6])
-def test_batched_bisection_takes_the_one_point_steps(make, threshold):
-    table = make([0.1 * k for k in range(201)])  # every crossing within the grid
-    want = _one_point_bandwidth(table, threshold)
-    calls = _counted(table)
-    assert bandwidth(table, threshold) == want
-    # The inverse polynomial through the 8 grid rows around the bracket
-    # guesses the crossing within the window one call takes around it.  A
-    # first row already below threshold (the fixed-gain swap's fidelity
+def test_batched_bisection_takes_the_one_point_steps(make, width, threshold):
+    # A crossing on a grid of a smooth source: the inverse polynomial
+    # through the 8 rows around it guesses it within the stencil of the one
+    # evaluator call, and the rows of that stencil give the exact width.
+    # A first row already below threshold (the fixed-gain swap's fidelity
     # rises before it falls) leaves nothing to refine.
-    assert len(calls) == (0 if want == 0 else 1)
+    table = make([0.1 * k for k in range(201)])  # every crossing within the grid
+    got, calls = _checked_bandwidth(table, threshold)
+    if table.fidelity[0] < threshold:
+        assert got == 0.0 and calls == []
+    else:
+        assert exact.bracket_ulps(got, width(threshold)) <= WIDTH_ULPS
+        assert len(calls) == 1
 
 
 @st.composite
 def _bandwidth_cases(draw):
-    # A table of one of the four sources on a drawn grid, which may end
-    # before the crossing, and a threshold in (1/2, F(0)].
+    # A table of one of four kinds of source on a drawn grid, which may end
+    # before the crossing, and a threshold in (1/2, F(0)], with what the
+    # exact fidelity needs: (kind, epsilon, beta, eta, gain).
     eps, beta = draw(st.floats(0.1, 0.95)), draw(st.floats(0.6, 1.0))
     step, rows = draw(st.floats(0.01, 0.5)), draw(st.integers(1, 60))
     grid = [step * k for k in range(rows)]
-    kind = draw(st.sampled_from(SOURCE_IDS))
+    kind = draw(st.sampled_from(["lossless", "lossy-detector", "swap", "swap-fixed-gain"]))
+    eta, gain = 1.0, None
     if kind == "lossless":
+        beta = 1.0
         table = fidelity_spectrum(Nopa(eps), grid)
     elif kind == "lossy-detector":
-        detector = BellDetector(draw(st.floats(0.9, 0.999)))
-        table = fidelity_spectrum(Nopa(eps, beta), grid, detector=detector)
+        eta = draw(st.floats(0.9, 0.999))
+        table = fidelity_spectrum(Nopa(eps, beta), grid, detector=BellDetector(eta))
     elif kind == "swap":
         table = swap_spectrum(SwapConfig(Nopa(eps, beta)), grid)
     else:
@@ -751,29 +777,38 @@ def _bandwidth_cases(draw):
         table = swap_spectrum(SwapConfig(Nopa(eps, beta), gain=gain), grid)
     f0 = float(table.fidelity[0])
     assume(f0 > 0.5)
-    return table, 0.5 + (f0 - 0.5) * draw(st.floats(1e-3, 1.0))
+    threshold = 0.5 + (f0 - 0.5) * draw(st.floats(1e-3, 1.0))
+    return table, threshold, (kind, eps, beta, eta, gain)
 
 
 @settings(deadline=None, max_examples=100, derandomize=True)
 @given(case=_bandwidth_cases())
-@example(case=(fidelity_spectrum(Nopa(0.5), [0.0]), 0.51))  # crossing past the grid
-@example(case=(fidelity_spectrum(Nopa(0.5), [0.0, 0.25]), 0.501))  # past its first octave
+@example(case=(fidelity_spectrum(Nopa(0.5), [0.0]), 0.51, ("lossless", 0.5, 1.0, 1.0, None)))
+@example(  # a crossing past the grid's first octave
+    case=(fidelity_spectrum(Nopa(0.5), [0.0, 0.25]), 0.501, ("lossless", 0.5, 1.0, 1.0, None))
+)
 def test_bandwidth_takes_the_one_point_steps(case):
-    table, threshold = case
-    assert bandwidth(table, threshold) == _one_point_bandwidth(table, threshold)
+    # Where the fidelity is nearly flat a width is ill-conditioned, many
+    # ulps from the exact one for any method, but its half still crosses:
+    # the exact fidelity there is the threshold to a few ulps.
+    table, threshold, source = case
+    got, calls = _checked_bandwidth(table, threshold)
+    assert exact.ulps(threshold, _exact_fidelity(*source, got / 2)) <= 4
+    assert len(calls) <= 6
 
 
-@pytest.mark.parametrize("make", SOURCES, ids=SOURCE_IDS)
+@pytest.mark.parametrize("make, width", SOURCES, ids=SOURCE_IDS)
 @pytest.mark.parametrize("grid", [[0.0], [0.0, 0.1], [0.0, 0.5, 1.0]])
-def test_doubling_takes_the_one_point_steps(make, grid):
+def test_doubling_takes_the_one_point_steps(make, width, grid):
     table = make(grid)  # every crossing beyond the grid
-    want = _one_point_bandwidth(table, 0.51)
-    calls = _counted(table)
-    assert bandwidth(table, 0.51) == want
-    # One call for the first doubling candidate and the 63 midpoints of six
-    # bisection levels of the first octave, one for every other candidate
-    # unless the first is already below threshold, then the refinement.
-    assert calls[0] == FIRST_DOUBLING_CALL and len(calls) <= 6
+    got, calls = _checked_bandwidth(table, 0.51)
+    assert exact.bracket_ulps(got, width(0.51)) <= WIDTH_ULPS
+    # One call for the first doubling candidate and the 63 rows of the
+    # octave below it, one for every other candidate unless the first is
+    # already below threshold, then the refinement: one call for a
+    # crossing in that octave, two past it (the first shrinks the octave
+    # 64-fold, the second then finds the crossing in its stencil).
+    assert calls[0] == FIRST_DOUBLING_CALL and len(calls) <= 4
 
 
 @pytest.mark.parametrize(
@@ -787,8 +822,8 @@ def test_doubling_takes_the_one_point_steps(make, grid):
 @pytest.mark.parametrize("threshold", [0.51, 0.55, 0.6])
 def test_bisection_of_any_evaluator_takes_the_one_point_steps(wobble, threshold):
     # Guesses from a fidelity that is not smooth near the crossing miss;
-    # the walk still takes exactly the one-point steps.  The wobble is
-    # elementwise arithmetic, so it is the same at a row of any call.
+    # the even grid of every call still shrinks the bracket 64-fold, and
+    # the width lies in a bracket that the evaluator put on either side.
     base = fidelity_spectrum(Nopa(0.6), [0.1 * k for k in range(201)])
 
     def evaluator(w):
@@ -796,10 +831,8 @@ def test_bisection_of_any_evaluator_takes_the_one_point_steps(wobble, threshold)
 
     grid = np.array(base.omega)
     table = SpectrumTable(grid, base.v_x, base.v_p, evaluator(grid), evaluator=evaluator)
-    want = _one_point_bandwidth(table, threshold)
-    calls = _counted(table)
-    assert bandwidth(table, threshold) == want
-    assert len(calls) <= 5
+    _, calls = _checked_bandwidth(table, threshold)
+    assert 1 <= len(calls) <= 3
 
 
 @pytest.mark.parametrize(
@@ -811,14 +844,13 @@ def test_bisection_of_any_evaluator_takes_the_one_point_steps(wobble, threshold)
     ],
     ids=["low", "high", "mirrored"],
 )
-@pytest.mark.parametrize("make", SOURCES, ids=SOURCE_IDS)
-def test_a_wrong_guess_still_takes_several_steps_per_call(monkeypatch, wrong, make):
-    # Every call evaluates the top four tree levels, so even a guess that
-    # is always wrong takes four steps per call: the 17 steps of a 0.1 grid
-    # bracket in at most 5 calls, where trees of six levels (63 midpoints
-    # per call) take 3.
+@pytest.mark.parametrize("make, width", SOURCES, ids=SOURCE_IDS)
+def test_a_wrong_guess_still_takes_several_steps_per_call(monkeypatch, wrong, make, width):
+    # Every call takes an even grid of 63 rows across the bracket, so even
+    # a guess that is always wrong shrinks it 64-fold per call: a 0.1 grid
+    # bracket is down to 1e-6 in at most 3 calls, and the width, wrong
+    # guess and all, stays inside it.
     table = make([0.1 * k for k in range(201)])
-    want = _one_point_bandwidth(table, 0.51)
     secant = criteria_module._secant
     monkeypatch.setattr(criteria_module, "_inverse_guess", lambda xs, fs, t: math.nan)
     monkeypatch.setattr(
@@ -826,30 +858,45 @@ def test_a_wrong_guess_still_takes_several_steps_per_call(monkeypatch, wrong, ma
         "_secant",
         lambda lo, f_lo, hi, f_hi, t: wrong(secant(lo, f_lo, hi, f_hi, t), lo, hi),
     )
-    calls = _counted(table)
-    assert bandwidth(table, 0.51) == want
-    assert len(calls) <= 3 + 2
+    got, calls = _checked_bandwidth(table, 0.51)
+    assert abs(got - float(width(0.51)[0])) <= 2e-6
+    assert 1 <= len(calls) <= 3
+
+
+# The first doubling call: the first candidate and the even grid of 63
+# rows across the octave below it.
+FIRST_DOUBLING_CALL = 64
 
 
 def test_never_crossing_bandwidth_takes_two_calls():
     # The swapped fidelity tends to 1/2 from above: no doubling candidate up
     # to OMEGA_LIMIT drops below a threshold of 1/2, and two calls show it.
     table = swap_spectrum(SwapConfig(Nopa(0.5)), [0.1 * k for k in range(51)])
-    calls = _counted(table)
-    assert bandwidth(table, 0.5) == math.inf
-    assert calls == [FIRST_DOUBLING_CALL, 199]
+    assert _checked_bandwidth(table, 0.5) == (math.inf, [FIRST_DOUBLING_CALL, 199])
 
 
 def test_doubling_stops_at_the_frequency_limit():
     # From 1e100 only the doublings up to OMEGA_LIMIT are evaluated; their
     # squares stay in the float range, so no warning and no nan.
     table = fidelity_spectrum(Nopa(0.5), [1e100])
-    calls = _counted(table)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert bandwidth(table, 0.5) == math.inf
+        width, calls = _checked_bandwidth(table, 0.5)
+    assert width == math.inf
     doublings = len([k for k in range(1, 200) if 2e100 * 2.0 ** k <= OMEGA_LIMIT])
     assert calls == [FIRST_DOUBLING_CALL, doublings]
+
+
+def test_a_crossing_where_floats_are_coarser_than_the_stop_ends():
+    # Past about 1e10 neighbouring floats are more than 1e-6 apart, so the
+    # bracket stops at two of them instead of at 1e-6.
+    def evaluator(w):
+        return 1.0 - np.asarray(w, dtype=float) / 4e12
+
+    grid = np.array([0.0, 1e12, 3e12])
+    table = SpectrumTable(grid, grid, grid, evaluator(grid), evaluator=evaluator)
+    got = bandwidth(table, 0.51)
+    assert got == pytest.approx(2 * 0.49 * 4e12, rel=1e-15)
 
 
 def _tabulated(top):
@@ -864,7 +911,7 @@ def _tabulated(top):
 @pytest.mark.parametrize(
     "top, stop, doubling_calls",
     [
-        # The first call takes the first candidate and the midpoints of the
+        # The first call takes the first candidate and the rows of the
         # octave below it, so it asks for nothing past the candidate.
         (20.0, 5.0, [FIRST_DOUBLING_CALL]),  # the first candidate, 10, is below threshold
         # 5 is above, the rest reach past 40: 10 alone
@@ -874,18 +921,18 @@ def _tabulated(top):
 )
 def test_doubling_asks_a_finite_table_for_nothing_past_the_crossing(top, stop, doubling_calls):
     table = fidelity_spectrum(_tabulated(top), [0.5 * k for k in range(int(2 * stop) + 1)])
-    want = _one_point_bandwidth(table, 0.51)
-    calls = _counted(table)
-    assert bandwidth(table, 0.51) == want
+    got, calls = _checked_bandwidth(table, 0.51)
+    assert 0 < got < 2 * top
     assert calls[: len(doubling_calls)] == doubling_calls
 
 
 def test_doubling_past_a_finite_table_raises_as_one_point_doubling_does():
-    # Above threshold up to the table's end at 6: the one-point search
-    # asks for 12 and is rejected, and so is bandwidth().
+    # Above threshold up to the table's end at 6: doubling from the last
+    # row, 3, asks for 12 first, and the table's rejection of it is
+    # bandwidth()'s.
     table = fidelity_spectrum(_tabulated(6.0), [0.5 * k for k in range(7)])
     with pytest.raises(ValueError) as one_point:
-        _one_point_bandwidth(table, 0.51)
+        table.evaluator(np.array([12.0]))
     with pytest.raises(ValueError, match="frequency 12 outside") as batched:
         bandwidth(table, 0.51)
     assert str(batched.value) == str(one_point.value)

@@ -293,9 +293,8 @@ def test_epr_port_labels_are_configurable():
 
 def test_lossy_ports_share_the_rotated_layout():
     # Loss ports follow the squeezed ports' layout in label slots 2 and 3,
-    # with the very weight objects of their squeezed twins (the kernel
-    # caches weight squares by id), and only when the pair carries loss
-    # amplitudes.
+    # with the weights of their squeezed twins, and only when the pair
+    # carries loss amplitudes.
     weights = ((0.3, -1.7), (1.1, 0.6))
     pair = Nopa(0.4, 0.9).pair(0.3)
     ports = list(_ports(pair, *weights))
@@ -311,7 +310,7 @@ def test_lossy_ports_share_the_rotated_layout():
     assert [(slot - 2, axis) for slot, axis, _, _ in ports[4:]] == [
         (slot, axis) for slot, axis, _, _ in squeezed
     ]
-    assert all(loss[2] is twin[2] for loss, twin in zip(ports[4:], ports[:4]))
+    assert all(loss[2] == twin[2] for loss, twin in zip(ports[4:], ports[:4]))
     assert [value for *_, value in ports] == [
         pair.s_plus, pair.s_minus, pair.s_minus, pair.s_plus,
         pair.l_plus, pair.l_minus, pair.l_minus, pair.l_plus,

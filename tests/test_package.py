@@ -133,8 +133,9 @@ def _readers(tree: ast.AST, name: str, scope: str = "") -> list[str]:
 
 
 def test_one_walker_reads_the_port_layout():
-    # Every protocol map, amplitudes and powers alike, walks the EPR ports
-    # through epr._ports: a second reader of _layout is a second port loop.
+    # Every protocol map of amplitudes walks the EPR ports through
+    # epr._ports (the spectrum kernel weighs each pair's two spectra): a
+    # second reader of _layout is a second port loop.
     readers = [
         (path.name, scope)
         for path in SRC.glob("*.py")

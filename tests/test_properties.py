@@ -18,7 +18,7 @@ from cvteleport.criteria import fidelity_spectrum
 from cvteleport.epr import CustomSpectrum, Nopa, ZeroBandwidth
 from cvteleport.linmode import Axis, InputModel, combine, commutator_pairing, unit_input
 from cvteleport.oracle import McConfig, mc_check
-from cvteleport.swap import SwapConfig, optimal_gain, swap_fidelity, swap_spectrum
+from cvteleport.swap import SwapConfig, _SwappedPair, optimal_gain, swap_fidelity, swap_spectrum
 from cvteleport.teleport import BellDetector, GainSchedule, NonUnitGainWarning, teleport
 
 EPSILON = st.floats(0.0, 0.95)
@@ -96,7 +96,7 @@ def test_optimal_swap_gain_is_never_beaten(src_ab, src_cd, omega):
     # The optimum (A - B)/(A + B) is derived for pure sources.  Rows take
     # it from the port powers; from the amplitudes it agrees to roundoff.
     cfg = SwapConfig(src_ab, src_cd)
-    gain = cfg.gain_at(omega)
+    gain = _SwappedPair(cfg, omega).gain
     assert gain == optimal_gain(src_ab.powers(omega), src_cd.powers(omega))
     assert abs(gain - optimal_gain(src_ab.pair(omega).powers(), src_cd.pair(omega).powers())) <= 1e-14
     best = swap_fidelity(cfg, omega)
@@ -187,7 +187,7 @@ def test_unit_gain_teleport_is_within_ulps_of_exact(src, eta2, omega):
 @example(src_ab=Nopa(0.5), src_cd=Nopa(0.2, 0.4), gain=complex(-0.5, 1.0), omega=3.0)
 def test_swap_closed_form_is_within_ulps_of_exact(src_ab, src_cd, gain, omega):
     cfg = SwapConfig(src_ab, src_cd, gain=gain)
-    g = cfg.gain_at(omega)
+    g = _SwappedPair(cfg, omega).gain
     noisy, quiet = exact_spectra(src_ab, omega)
     noisy_cd, quiet_cd = (noisy, quiet) if src_cd is None else exact_spectra(src_cd, omega)
     f = swap_fidelity(cfg, omega)
@@ -335,7 +335,7 @@ def test_multi_row_teleport_sweeps_are_within_ulps_of_exact(src, eta2, grid):
 def test_multi_row_swap_sweeps_are_within_ulps_of_exact(src_ab, src_cd, gain, grid):
     cfg = SwapConfig(src_ab, src_cd, gain=gain)
     table = swap_spectrum(cfg, grid)
-    gains = cfg.gain_at(np.array(grid))
+    gains = _SwappedPair(cfg, np.array(grid)).gain
     for w, g, f in zip(grid, np.broadcast_to(gains, len(grid)), table.fidelity):
         noisy, quiet = exact_spectra(src_ab, w)
         noisy_cd, quiet_cd = (noisy, quiet) if src_cd is None else exact_spectra(src_cd, w)

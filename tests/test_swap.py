@@ -183,7 +183,7 @@ def test_one_source_is_the_same_source_twice():
 def test_unequal_sources_fidelity():
     cfg = SwapConfig(Nopa(0.2), Nopa(0.5))
     omega = 0.3
-    gain = cfg.gain_at(omega).real
+    gain = swap_module._SwappedPair(cfg, omega).gain
     assert swap_fidelity(cfg, omega) == pytest.approx(
         closed_form_fidelity(cfg, omega, gain), rel=1e-12
     )
