@@ -89,92 +89,121 @@ _DEFAULTS = {
 }
 
 
-def _add_source_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", help="dimensionless pump parameter in [0, 1]")
-    p.add_argument("--kappa", help="parametric gain rate (physical units)")
-    p.add_argument("--gamma", help="output coupling rate (physical units)")
-    p.add_argument("--rho", help="intracavity loss rate (default 0)")
-    p.add_argument("--beta", help="cavity escape efficiency in (0, 1] (default 1)")
-    p.add_argument("--eta2", help="detector intensity efficiency in (0, 1] (default 1)")
-    p.add_argument("--gain", help="unit | fixed:<value> | optimal-swap")
-    p.add_argument("--input", help="coherent | squeezed:<s>")
-    p.add_argument("--config", help="key=value file; flags override it")
+# Each command's help line and options, declared once: build_parser() and
+# the plain route in run() both read this table.  An option stores its text
+# under its flag's name (--omega-start: omega_start); a switch takes no
+# value and stores "1".
+_SOURCE_OPTS = (
+    ("--epsilon", "dimensionless pump parameter in [0, 1]"),
+    ("--kappa", "parametric gain rate (physical units)"),
+    ("--gamma", "output coupling rate (physical units)"),
+    ("--rho", "intracavity loss rate (default 0)"),
+    ("--beta", "cavity escape efficiency in (0, 1] (default 1)"),
+    ("--eta2", "detector intensity efficiency in (0, 1] (default 1)"),
+    ("--gain", "unit | fixed:<value> | optimal-swap"),
+    ("--input", "coherent | squeezed:<s>"),
+    ("--config", "key=value file; flags override it"),
+)
+_GRID_OPTS = (
+    ("--omega-start", "sweep start (default 0)"),
+    ("--omega-stop", "sweep stop (default 5)"),
+    ("--omega-step", "sweep step (default 0.1)"),
+)
+_OUTPUT_OPTS = (
+    ("--output", "write to this path instead of stdout"),
+    ("--format", "csv | json (default csv)"),
+    ("--gnuplot", "also write a plotting script next to the CSV (needs --output)"),
+)
+_SWITCHES = frozenset({"--gnuplot"})
+_SWEEP_OPTS = _SOURCE_OPTS + _GRID_OPTS + _OUTPUT_OPTS
+_POINT_OPTS = _SOURCE_OPTS + (("--omega", "evaluation frequency (default 0)"),)
+
+_OPTIONS = {
+    "spectrum": ("teleportation variance and fidelity sweep", _SWEEP_OPTS),
+    "swap-spectrum": ("entanglement-swapping fidelity sweep", _SWEEP_OPTS),
+    "point": ("variances and fidelity at one frequency", _POINT_OPTS),
+    "bandwidth": ("width of the above-threshold fidelity region", _SOURCE_OPTS + _GRID_OPTS + (
+        ("--threshold", "fidelity threshold (default 0.51)"),
+        ("--pipeline", "teleport | swap (default teleport)"),
+    )),
+    "criteria": ("full classical-vs-quantum report", _POINT_OPTS),
+    "oracle-check": ("run the validation suites", _POINT_OPTS + (
+        ("--samples", "Monte-Carlo sample count (default 1000000)"),
+        ("--seed", "Monte-Carlo seed (default 0)"),
+        ("--output", "write the JSON report to this path"),
+    )),
+}
 
 
-def _add_grid_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--omega-start", dest="omega_start", help="sweep start (default 0)")
-    p.add_argument("--omega-stop", dest="omega_stop", help="sweep stop (default 5)")
-    p.add_argument("--omega-step", dest="omega_step", help="sweep step (default 0.1)")
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
-def _add_output_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output", help="write to this path instead of stdout")
-    p.add_argument("--format", help="csv | json (default csv)")
-    p.add_argument(
-        "--gnuplot",
-        action="store_const",
-        const="1",
-        help="also write a plotting script next to the CSV (needs --output)",
-    )
-
-
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, and each command's own parser by name."""
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, with one subparser per command."""
     parser = _Parser(prog="cvteleport", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="teleportation variance and fidelity sweep")
-    _add_source_opts(p)
-    _add_grid_opts(p)
-    _add_output_opts(p)
-
-    p = sub.add_parser("swap-spectrum", help="entanglement-swapping fidelity sweep")
-    _add_source_opts(p)
-    _add_grid_opts(p)
-    _add_output_opts(p)
-
-    p = sub.add_parser("point", help="variances and fidelity at one frequency")
-    _add_source_opts(p)
-    p.add_argument("--omega", help="evaluation frequency (default 0)")
-
-    p = sub.add_parser("bandwidth", help="width of the above-threshold fidelity region")
-    _add_source_opts(p)
-    _add_grid_opts(p)
-    p.add_argument("--threshold", help="fidelity threshold (default 0.51)")
-    p.add_argument("--pipeline", help="teleport | swap (default teleport)")
-
-    p = sub.add_parser("criteria", help="full classical-vs-quantum report")
-    _add_source_opts(p)
-    p.add_argument("--omega", help="evaluation frequency (default 0)")
-
-    p = sub.add_parser("oracle-check", help="run the validation suites")
-    _add_source_opts(p)
-    p.add_argument("--omega", help="evaluation frequency (default 0)")
-    p.add_argument("--samples", help="Monte-Carlo sample count (default 1000000)")
-    p.add_argument("--seed", help="Monte-Carlo seed (default 0)")
-    p.add_argument("--output", help="write the JSON report to this path")
-
-    return parser, dict(sub.choices)
+    for name, (summary, options) in _OPTIONS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, text in options:
+            if flag in _SWITCHES:
+                p.add_argument(flag, dest=_dest(flag), action="store_const", const="1", help=text)
+            else:
+                p.add_argument(flag, dest=_dest(flag), help=text)
+    return parser
 
 
 @functools.lru_cache(maxsize=None)
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _parser() -> argparse.ArgumentParser:
     # Built on the first run(), not at import, then reused: each
     # parse_args() call starts from a fresh namespace, so no flag carries
     # over from one run() to the next.
     return build_parser()
 
 
-def _merge_config(ns: argparse.Namespace) -> dict:
+@functools.lru_cache(maxsize=None)
+def _plain_options() -> dict[str, tuple[dict, dict[str, str]]]:
+    """Per command: its unset values, and the dest of each flag taking a value."""
+    return {
+        name: (
+            {"command": name, **{_dest(flag): None for flag, _ in options}},
+            {flag: _dest(flag) for flag, _ in options if flag not in _SWITCHES},
+        )
+        for name, (_, options) in _OPTIONS.items()
+    }
+
+
+def _plain(args: list[str]) -> dict | None:
+    """What argparse reads from a command and exact --flag value pairs, or None.
+
+    argparse takes an exact option string followed by a token that does not
+    start with "-" as that option and its value, and a repeated option keeps
+    its last value.  Any other argv (help, abbreviated or joined flags, "--",
+    a switch, a missing value, a value starting with "-", an unknown flag or
+    command) returns None and is left to argparse and its messages.
+    """
+    if len(args) % 2 == 0 or args[0] not in _OPTIONS:
+        return None
+    unset, dests = _plain_options()[args[0]]
+    values = dict(unset)
+    for flag, value in zip(args[1::2], args[2::2]):
+        dest = dests.get(flag)
+        if dest is None or value.startswith("-"):
+            return None
+        values[dest] = value
+    return values
+
+
+def _merge_config(parsed: dict) -> dict:
     """Flags first, then config file entries, then hard defaults."""
-    values = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
-    path = getattr(ns, "config", None)
+    values = {k: v for k, v in parsed.items() if k not in ("command", "config")}
+    path = parsed.get("config")
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 lines = fh.readlines()
-        except OSError as exc:
-            raise _ConfigError(f"cannot read config file: {exc}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise _ConfigError(f"--config: cannot read config file: {exc}") from None
         for i, raw in enumerate(lines, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -498,22 +527,16 @@ _COMMANDS: dict[str, Callable[[dict], int]] = {
 
 def run(argv: Sequence[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _parsers()
     try:
-        if args and args[0] in commands:
-            # A command's flags go straight to its own parser, which is
-            # what the top-level parser would hand them to, so argparse
-            # reads them once.
-            ns = commands[args[0]].parse_args(args[1:])
-            ns.command = args[0]
-        else:  # -h, an unknown command or none: the top-level parser says so
-            ns = parser.parse_args(args)
-        values = _merge_config(ns)
+        parsed = _plain(args)
+        if parsed is None:
+            parsed = vars(_parser().parse_args(args))
+        values = _merge_config(parsed)
     except _ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[ns.command](values)
+        return _COMMANDS[parsed["command"]](values)
     except _ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end via run()."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -431,8 +432,19 @@ def test_config_file_errors(capsys, tmp_path):
     code, _, err = invoke(capsys, "point", "--config", str(bad_line))
     assert code == 1 and "key=value" in err
 
-    code, _, err = invoke(capsys, "point", "--config", str(tmp_path / "missing.cfg"))
-    assert code == 1 and "config" in err
+    # A missing file and one that does not decode as UTF-8 both name
+    # --config, whether run() or argparse reads the flags.
+    not_utf_8 = tmp_path / "latin.cfg"
+    not_utf_8.write_bytes(b"epsilon=0.5\n\xff\n")
+    for path, reason in [
+        (tmp_path / "missing.cfg", "No such file"),
+        (not_utf_8, "codec can't decode byte 0xff in position 12"),
+    ]:
+        for flags in (["--config", str(path)], [f"--config={path}"]):
+            code, out, err = invoke(capsys, "point", *flags)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: --config: cannot read config file: ")
+            assert reason in err and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1183,12 +1195,19 @@ def test_oracle_check_at_threshold_with_unit_gain_passes(capsys):
         ("bandwidth", "--epsilon", "0.5", "--pipeline"),
         ("spectrum", "-h"),
         ("oracle-check", "--help"),
+        ("point", "--epsilon", "0.4", "--omega", "1", "--epsilon", "0.5"),  # the last one counts
+        ("point", "--epsilon", "0.5", "--omega", "-1"),  # argparse takes -1 as a value
+        ("criteria", "--config", "run.cfg", "--omega", "0.5"),
+        ("point", "--config", "run.cfg", "--epsilon", "0.4"),  # a flag overrides the file
     ],
 )
-def test_commands_parse_alike_on_both_routes(capsys, monkeypatch, args):
-    # run() hands a command's flags straight to its own parser; the
-    # top-level parser would hand them to the same one.  Output, error
-    # text and exit code must not tell the routes apart.
+def test_commands_parse_alike_on_both_routes(capsys, monkeypatch, tmp_path, args):
+    # run() reads a command and exact --flag value pairs itself and hands
+    # any other argv to argparse.  Output, error text and exit code must
+    # not tell the two routes apart.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("epsilon=0.5\nbeta=0.9\n")
+
     def outcome():
         try:
             code = run(list(args))
@@ -1196,11 +1215,89 @@ def test_commands_parse_alike_on_both_routes(capsys, monkeypatch, args):
             code = ("exit", exc.code)
         return (code, *capsys.readouterr())
 
-    direct = outcome()
-    # No command parser to go straight to: everything takes the top level.
-    parser, _ = cli._parsers()
-    monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))
-    assert outcome() == direct
+    want = outcome()
+    # argparse reads every argv.
+    monkeypatch.setattr(cli, "_plain", lambda args: None)
+    assert outcome() == want
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("spectrum", "--epsilon", "0.5", "--omega-stop", "0.2", "--format", "json"),
+        ("swap-spectrum", "--epsilon", "0.6", "--beta", "0.9", "--omega-stop", "0.2"),
+        ("point", "--epsilon", "0.5", "--omega", "0.3", "--eta2", "0.9"),
+        ("bandwidth", "--epsilon", "0.5", "--pipeline", "swap"),
+        ("criteria", "--kappa", "0.5", "--gamma", "2", "--omega", "0.1"),
+        ("oracle-check", "--epsilon", "1", "--samples", "2000", "--seed", "7"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_canonical_argv_needs_no_argparse(capsys, monkeypatch, args):
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_plain", lambda args: None)
+        want = invoke(capsys, *args)
+    assert want[0] == 0
+
+    def refuse(*_):
+        raise AssertionError("argparse read a command and --flag value pairs")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    assert invoke(capsys, *args) == want
+
+
+_COMMAND_FLAGS = {name: [flag for flag, _ in options] for name, (_, options) in cli._OPTIONS.items()}
+_ANY_FLAG = sorted({flag for flags in _COMMAND_FLAGS.values() for flag in flags})
+_PLAIN_VALUE = st.one_of(
+    st.sampled_from(["", "a b", "x=y", "inf"]),
+    st.floats(min_value=0).map(repr),
+    st.integers(min_value=0).map(str),
+)
+_ANY_VALUE = st.one_of(
+    _PLAIN_VALUE,
+    st.sampled_from(["-", "-1", "-inf", "--epsilon"]),
+    st.floats().map(repr),
+    st.integers().map(str),
+)
+
+
+@st.composite
+def _route_argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    flags = st.sampled_from(_COMMAND_FLAGS[command])
+    if draw(st.booleans()):
+        # A command and exact --flag value pairs, flags repeated at will.
+        pairs = draw(st.lists(st.tuples(flags, _PLAIN_VALUE), max_size=6))
+        return [command, *(token for pair in pairs for token in pair)]
+    token = st.one_of(
+        flags,
+        st.sampled_from(_ANY_FLAG),  # other commands' flags and the switch
+        flags.flatmap(lambda f: st.integers(3, len(f) - 1).map(lambda k: f[:k])),
+        st.tuples(flags, _ANY_VALUE).map("=".join),
+        st.sampled_from(["--", "-h", "--help"]),
+        _ANY_VALUE,
+    )
+    head = draw(st.sampled_from([[command], [command], [], ["bogus"]]))
+    return [*head, *draw(st.lists(token, max_size=9))]
+
+
+def test_plain_route_reads_what_argparse_reads():
+    parser = cli._parser()
+    accepted = []
+
+    @settings(deadline=None, max_examples=600, derandomize=True)
+    @given(argv=_route_argvs())
+    def check(argv):
+        plain = cli._plain(argv)
+        accepted.append(plain is not None)
+        if plain is None:
+            return
+        assert plain == vars(parser.parse_args(argv))
+
+    check()
+    # The route must answer often enough for the comparison to mean something.
+    assert len(accepted) >= 500
+    assert 3 * sum(accepted) >= len(accepted)
 
 
 def test_help_lists_the_commands(capsys):
