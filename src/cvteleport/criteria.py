@@ -253,12 +253,17 @@ def fidelity_point(
     so a perfectly teleported coherent state has sigma = 1/2 and F = 1).
     Physical Q functions have sigma >= 1/2, which caps the formula at 1.
     The gain and the sigmas may be arrays over a frequency grid; an
-    infinite sigma gives F = 0.
+    infinite sigma gives F = 0.  At alpha = 0 the result is the amplitude
+    factor 1/(2*sqrt(sigma_x*sigma_p)) itself: a finite gain (every
+    GainSchedule is finite) leaves a zero amplitude error, so the Gaussian
+    factor is exp(-0) = 1 exactly and the product would be the same bits.
     """
     if not (np.greater(sigma_x, 0).all() and np.greater(sigma_p, 0).all()):
         raise ValueError("Q-function variances must be positive")
-    delta = (1.0 - gain) * complex(alpha)
     amp = 0.5 / np.sqrt(sigma_x * sigma_p)
+    if alpha == 0:
+        return amp
+    delta = (1.0 - gain) * complex(alpha)
     return amp * np.exp(-delta.real ** 2 / (2.0 * sigma_x) - delta.imag ** 2 / (2.0 * sigma_p))
 
 
@@ -357,10 +362,10 @@ class SpectrumTable:
 
     to_csv and to_json write each value to 12 significant digits through
     the _text writers, and when v_p matches v_x bit for bit (as it does
-    for every symmetric source at real gain on a coherent input) they
-    format v_x once and write it under both names.  The match must be
-    bitwise, not ==, because 0.0 and -0.0 compare equal but print
-    differently.
+    for every kernel table on an input with v_x == v_p, coherent inputs
+    and swaps included) they format v_x once and write it under both
+    names.  The match must be bitwise, not ==, because 0.0 and -0.0
+    compare equal but print differently.
     """
 
     omega: np.ndarray
@@ -400,8 +405,8 @@ class SpectrumTable:
 
     def _written_columns(self) -> tuple[np.ndarray, ...]:
         # The columns as both writers format them: v_p is v_x itself when the
-        # two match bit for bit (every symmetric source at real gain on a
-        # coherent input), so its text is made once and written twice.  The
+        # two match bit for bit (every kernel table on an input with
+        # v_x == v_p), so its text is made once and written twice.  The
         # int64 views compare bits, not values: 0.0 == -0.0, yet they print
         # as 0 and -0.
         v_x, v_p = self.v_x, self.v_p
@@ -422,14 +427,14 @@ class SpectrumTable:
 
 class _Columns(NamedTuple):
     # The kernel's arrays over the grid: error variances, fidelity, the
-    # output variances V_out = |g|^2 V_in + noise and the noise itself.
+    # output variances V_out = |g|^2 V_in + noise and the noise itself,
+    # which is the same on both axes (see _port_noise).
     v_x: np.ndarray
     v_p: np.ndarray
     fidelity: np.ndarray
     v_out_x: np.ndarray
     v_out_p: np.ndarray
-    noise_x: np.ndarray
-    noise_p: np.ndarray
+    noise: np.ndarray
 
 
 def _teleport_columns(
@@ -443,9 +448,10 @@ def _teleport_columns(
     # The one kernel behind every spectrum row and the criteria report: the
     # variances and the fidelity of a teleport over src of a coherent
     # amplitude alpha, on a frequency grid, with gain one number or an
-    # array over the grid.  The noise is summed over the source's EPR pairs
-    # from their spectra (see _port_noise), so no (ports x omega) matrix
-    # and no complex amplitude is ever held.
+    # array over the grid.  One noise array, summed over the source's EPR
+    # pairs from their spectra (see _port_noise), serves both axes, so no
+    # (ports x omega) matrix and no complex amplitude is ever held; on a
+    # symmetric input (v_x == v_p) the P columns are the X arrays themselves.
     pairs = src._pairs(omega, (-gain, 1), (gain, 1))
     own = None
     if pairs[0][2] is None:
@@ -454,50 +460,55 @@ def _teleport_columns(
         ((labels, _, _, x_w, p_w),) = pairs
         own = src.powers(omega)
         pairs = ((labels, src, own, x_w, p_w),)
-    # A power past the float range is a diverging noise term: inf, silently;
-    # a 0*inf term is its exact zero (see _port_noise).
+    # A power or a weight square past the float range is a diverging noise
+    # term: inf, silently; a 0*inf term is its exact zero (see _port_noise).
+    # Past the port sums no term is 0*inf or inf - inf (V_in is finite and
+    # positive); only fidelity_point's exponent at alpha != 0 can be inf/inf,
+    # and the [0, 1] check below rejects the nan it gives.
     with np.errstate(over="ignore", invalid="ignore"):
-        noise_x, noise_p = _port_noise(pairs, omega)
-    with np.errstate(over="ignore"):
+        noise = _port_noise(pairs, omega)
         if detector.eta < 1.0:
             # Two detector vacua per photocurrent, each weighted gain*tau.
             det = _abs2(gain * detector.excess)
-            for noise in (noise_x, noise_p):
-                noise += det
-                noise += det
+            noise += det
+            noise += det
         mismatch, g2 = _abs2(gain - 1), _abs2(gain)
-        v_x = mismatch * in_model.v_x + noise_x
-        v_p = mismatch * in_model.v_p + noise_p
-        v_out_x = g2 * in_model.v_x + noise_x
-        v_out_p = g2 * in_model.v_p + noise_p
+        v_x = mismatch * in_model.v_x + noise
+        v_out_x = g2 * in_model.v_x + noise
         # Q-function widths (V_out + 1)/4; widths whose product passes the
         # float range give F = 0, as infinite ones do (it is below 4e-155).
-        generic = fidelity_point(gain, (v_out_x + 1.0) / 4.0, (v_out_p + 1.0) / 4.0, alpha)
+        sigma_x = (v_out_x + 1.0) / 4.0
+        if in_model.v_p == in_model.v_x:
+            v_p, v_out_p, sigma_p = v_x, v_out_x, sigma_x
+        else:
+            v_p = mismatch * in_model.v_p + noise
+            v_out_p = g2 * in_model.v_p + noise
+            sigma_p = (v_out_p + 1.0) / 4.0
+        generic = fidelity_point(gain, sigma_x, sigma_p, alpha)
     inside = (generic >= 0.0) & (generic <= 1.0 + 1e-9)
     if not inside.all():
         raise ValueError(f"fidelity {np.extract(~inside, generic)[0]} outside [0, 1]")
     f = _checked_fidelity(src, omega, gain, detector, in_model, alpha, generic, own)
-    return _Columns(v_x, v_p, f, v_out_x, v_out_p, noise_x, noise_p)
+    return _Columns(v_x, v_p, f, v_out_x, v_out_p, noise)
 
 
-def _port_noise(pairs: tuple, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Each EPR pair, weighted (a, b) on X and (c, d) on P, adds
-    # (|a+b|^2 V+ + |a-b|^2 V-)/2 to X and (|c+d|^2 V- + |c-d|^2 V+)/2 to P,
+def _port_noise(pairs: tuple, omega: np.ndarray) -> np.ndarray:
+    # Each EPR pair, weighted (a, b) on X, adds (|a+b|^2 V+ + |a-b|^2 V-)/2,
     # its rotated ports' weights a*first + b*second squared (see epr._rotated)
     # over its two spectra V+-, each a squeezed plus a loss port's power.
-    # A pair's two terms meet before they join the axis, so X and P get the
-    # same bits wherever their weights mirror each other (a real gain), as
-    # on every symmetric swap.  A constant zero weight skips its term; a
+    # That is the noise of P too: the kernel weighs every pair (-a, b) on P,
+    # the swapped pair's included (see swap._SwappedPair._pairs), and
+    # (|-a+b|^2 V- + |-a-b|^2 V+)/2 has the same terms bit for bit, since
+    # negation is exact, at any gain, complex or per frequency; so the P
+    # weights are never read.  A constant zero weight skips its term; a
     # term is exactly zero wherever its weight or its spectrum is, even
     # where a finite weight's square passed the float range.
-    noise_x, noise_p = np.zeros(len(omega)), np.zeros(len(omega))
-    for _, _, powers, (a, b), (c, d) in pairs:
+    noise = np.zeros(len(omega))
+    for _, _, powers, (a, b), _ in pairs:
         plus, minus = powers.variances()
-        noise_x += _weighted(a + b, plus) + _weighted(a - b, minus)
-        noise_p += _weighted(c + d, minus) + _weighted(c - d, plus)
-    noise_x *= 0.5
-    noise_p *= 0.5
-    return noise_x, noise_p
+        noise += _weighted(a + b, plus) + _weighted(a - b, minus)
+    noise *= 0.5
+    return noise
 
 
 def _weighted(w: complex | np.ndarray, spectrum: float | np.ndarray) -> float | np.ndarray:
@@ -797,8 +808,9 @@ def evaluate_criteria(
     g = as_gain(gain).at(omega)
     cols = _teleport_columns(src, np.array([float(omega)]), g, detector, model, alpha)
     v_out_x, v_out_p = float(cols.v_out_x[0]), float(cols.v_out_p[0])
-    v_c_x, t_x = _conditional(v_out_x, float(cols.noise_x[0]), g, model.v_x)
-    v_c_p, t_p = _conditional(v_out_p, float(cols.noise_p[0]), g, model.v_p)
+    noise = float(cols.noise[0])
+    v_c_x, t_x = _conditional(v_out_x, noise, g, model.v_x)
+    v_c_p, t_p = _conditional(v_out_p, noise, g, model.v_p)
     return CriteriaReport(
         omega=omega,
         gain=g,

@@ -317,6 +317,17 @@ class SqueezerSpectrum(abc.ABC):
         return type(self).__name__
 
 
+def _noisy_numerator(e: float, b: float) -> float:
+    # gamma - 1 + kappa = 2b - 1 + e, the real part of S+'s numerator, to
+    # about one rounding where it cancels (e near 1 - 2b, a small escape
+    # efficiency).  2b - 1 is exact from b = 1/4 on, and below that its
+    # rounding error, 2b - (2b - 1 + 1) exactly, is added back after the
+    # cancelling sum; from b = 1/4 on that error is 0 and the bits are
+    # those of (2b - 1) + e.
+    gamma_minus_1 = 2.0 * b - 1.0
+    return (gamma_minus_1 + e) + (2.0 * b - (gamma_minus_1 + 1.0))
+
+
 @dataclass(frozen=True)
 class Nopa(SqueezerSpectrum):
     """NOPA in dimensionless (epsilon, beta) form.
@@ -355,10 +366,9 @@ class Nopa(SqueezerSpectrum):
         e, b = self.epsilon, self.beta
         noisy_den = _complex(1 - e, np.negative(omega))
         quiet_den = _complex(1 + e, np.negative(omega))
-        gamma_minus_1 = 2.0 * b - 1.0
-        s_plus = _quot(_complex(gamma_minus_1 + e, omega), noisy_den)
+        s_plus = _quot(_complex(_noisy_numerator(e, b), omega), noisy_den)
         s_plus = np.where(noisy_den == 0, complex(math.inf, 0.0), s_plus)
-        s_minus = _quot(_complex(gamma_minus_1 - e, omega), quiet_den)
+        s_minus = _quot(_complex(2.0 * b - 1.0 - e, omega), quiet_den)
         if b == 1.0:
             return TransferPair(s_plus, s_minus)
         loss = 2.0 * math.sqrt(b * (1.0 - b))
@@ -375,10 +385,9 @@ class Nopa(SqueezerSpectrum):
         w2 = np.square(omega, dtype=float)
         noisy_den = (1.0 - e) ** 2 + w2
         quiet_den = (1.0 + e) ** 2 + w2
-        gamma_minus_1 = 2.0 * b - 1.0
         with np.errstate(divide="ignore", over="ignore"):
-            s_plus = _number(((gamma_minus_1 + e) ** 2 + w2) / noisy_den)
-        s_minus = _number(((gamma_minus_1 - e) ** 2 + w2) / quiet_den)
+            s_plus = _number((_noisy_numerator(e, b) ** 2 + w2) / noisy_den)
+        s_minus = _number(((2.0 * b - 1.0 - e) ** 2 + w2) / quiet_den)
         if b == 1.0:
             return PortPowers(s_plus, s_minus)
         loss = 4.0 * b * (1.0 - b)

@@ -118,6 +118,40 @@ def teleport_variance(quiet: Fraction, eta: float) -> Fraction:
     return 2 * quiet + 2 * tau2(eta)
 
 
+def teleport_noise(
+    noisy: Fraction | None, quiet: Fraction, eta: float, gain: complex
+) -> Fraction | None:
+    """Noise N per quadrature of a teleport at gain g, the same on both axes.
+
+    N = (|1-g|^2 V+ + |1+g|^2 V-)/2 + 2|g|^2 tau^2; None where it diverges,
+    at threshold (noisy None) under any gain but 1.
+    """
+    g, one = Cx.of(gain), Cx(Fraction(1))
+    weight = (one - g).abs2()
+    if noisy is None and weight != 0:
+        return None
+    noisy_term = 0 if weight == 0 else weight * noisy
+    return (noisy_term + (one + g).abs2() * quiet) / 2 + 2 * g.abs2() * tau2(eta)
+
+
+def channel(
+    gain: complex, v_in: float, noise: Fraction
+) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(V_err, V_out, V_c, T) of one axis of the linear channel out = gain*in + noise.
+
+    V_err = |1-g|^2 V_in + N, V_out = |g|^2 V_in + N, V_c = Im(g)^2 V_in + N
+    and T = |g|^2 V_in/V_out (0 for a zero output).
+    """
+    g, v = Cx.of(gain), Fraction(v_in)
+    out = g.abs2() * v + noise
+    return (
+        (Cx(Fraction(1)) - g).abs2() * v + noise,
+        out,
+        g.im * g.im * v + noise,
+        g.abs2() * v / out if out else Fraction(0),
+    )
+
+
 def teleport_fidelity(quiet: Fraction, eta: float) -> Fraction:
     """Unit-gain coherent-state fidelity 1/(1 + V- + tau^2)."""
     return 1 / (1 + quiet + tau2(eta))

@@ -14,11 +14,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exact
-from cvteleport.criteria import fidelity_spectrum
-from cvteleport.epr import CustomSpectrum, Nopa, ZeroBandwidth
+from cvteleport import criteria as criteria_module
+from cvteleport.criteria import _weighted, evaluate_criteria, fidelity_point, fidelity_spectrum
+from cvteleport.epr import CustomSpectrum, Nopa, ZeroBandwidth, _abs2
 from cvteleport.linmode import Axis, InputModel, combine, commutator_pairing, unit_input
 from cvteleport.oracle import McConfig, mc_check
-from cvteleport.swap import SwapConfig, _SwappedPair, optimal_gain, swap_fidelity, swap_spectrum
+from cvteleport.swap import (
+    SwapConfig,
+    _swap_columns,
+    _SwappedPair,
+    optimal_gain,
+    swap_fidelity,
+    swap_spectrum,
+)
 from cvteleport.teleport import BellDetector, GainSchedule, NonUnitGainWarning, teleport
 
 EPSILON = st.floats(0.0, 0.95)
@@ -52,7 +60,8 @@ NEAR_THRESHOLD = Nopa(0.9999999999, 0.875)
 # (2^-52 relative, absolute below 1).  Worst seen over 13,000 random rows
 # of the full domain: 1.5 for the real-form spectra, 3.3 for the spectra of
 # the port amplitudes, 4.1 for the unit-gain error variances, 2.4 for the
-# two closed-form fidelities.
+# two closed-form fidelities; and over 60,000 rows, half of them at beta
+# from 1e-12 to 1, 3.0 for the sums of the real-form port powers.
 SPECTRUM_ULPS = 2
 AMPLITUDE_ULPS = 6
 FIDELITY_ULPS = 3
@@ -135,9 +144,19 @@ def test_mc_self_pair_is_the_variance_row(src, omega, seed):
 @example(src=Nopa(EDGE, 1.0), omega=0.0)
 @example(src=Nopa(EDGE, 0.5), omega=1e4)
 @example(src=NEAR_THRESHOLD, omega=0.0)
+# A small escape efficiency with epsilon near 1 - 2*beta, where the noisy
+# port power once cancelled to hundreds of ulps.
+@example(src=Nopa(0.9375, 1e-9), omega=0.0)
+@example(src=Nopa(0.99985998, 1e-8), omega=0.0)
+@example(src=Nopa(1.0 - 2.0 ** -17, 1e-12), omega=0.0)
 def test_spectra_are_within_ulps_of_exact(src, omega):
     noisy, quiet = exact_spectra(src, omega)
-    for got, bound in ((src.variances(omega), SPECTRUM_ULPS), (src.pair(omega).powers().variances(), AMPLITUDE_ULPS)):
+    spectra = (
+        (src.variances(omega), SPECTRUM_ULPS),
+        (src.pair(omega).powers().variances(), AMPLITUDE_ULPS),
+        (src.powers(omega).variances(), AMPLITUDE_ULPS),
+    )
+    for got, bound in spectra:
         if noisy is None:
             assert got[0] == math.inf
         else:
@@ -185,6 +204,7 @@ def test_unit_gain_teleport_is_within_ulps_of_exact(src, eta2, omega):
 @example(src_ab=THRESHOLD, src_cd=None, gain=complex(1.0, 0.25), omega=0.0)
 @example(src_ab=Nopa(EDGE, 0.9), src_cd=None, gain=complex(0.8, -0.6), omega=0.0)
 @example(src_ab=Nopa(0.5), src_cd=Nopa(0.2, 0.4), gain=complex(-0.5, 1.0), omega=3.0)
+@example(src_ab=Nopa(1.0 - 2.0 ** -17, 1e-12), src_cd=None, gain=None, omega=0.0)
 def test_swap_closed_form_is_within_ulps_of_exact(src_ab, src_cd, gain, omega):
     cfg = SwapConfig(src_ab, src_cd, gain=gain)
     g = _SwappedPair(cfg, omega).gain
@@ -344,3 +364,153 @@ def test_multi_row_swap_sweeps_are_within_ulps_of_exact(src_ab, src_cd, gain, gr
         else:
             want = exact.swap_fidelity(noisy + noisy_cd, quiet + quiet_cd, g)
         assert exact.ulps(f, want) <= FIDELITY_ULPS
+
+
+# ---------------------------------------------------------------------------
+# The criteria report against the exact linear channel
+
+# Stated accuracy of the report's derived fields against exact.channel, in
+# exact.ulps units.  Worst seen over 40,000 random reports (NOPA over the
+# full domain, beta down to 1e-12 with epsilon near 1 - 2*beta among them,
+# eta^2 in [0.5, 1], unit, real and complex gains, coherent and squeezed
+# inputs of variance 1/4 to 4): 3.9 for V_err, V_out, V_c and v_x + v_p,
+# 1.3 for T, 6.8 for v_x*v_p and 7.6 for V_out,x*V_out,p.  A product is
+# held to the bounds of its two factors together.
+CHANNEL_ULPS = 5
+TRANSFER_ULPS = 2
+PRODUCT_ULPS = 2 * CHANNEL_ULPS
+COHERENT = InputModel.coherent()
+CHANNEL_GAINS = st.one_of(
+    st.just(1.0),
+    st.floats(-0.5, 2.0),
+    st.builds(complex, st.floats(-0.5, 2.0), st.floats(-1.0, 1.0)),
+)
+
+
+@PROPERTY
+@given(
+    src=NOPA,
+    eta2=st.one_of(st.just(1.0), ETA2),
+    gain=CHANNEL_GAINS,
+    model=INPUTS,
+    omega=FULL_OMEGA,
+)
+@example(src=THRESHOLD, eta2=1.0, gain=1.0, model=COHERENT, omega=0.0)
+@example(src=THRESHOLD, eta2=0.8, gain=0.7, model=InputModel.squeezed(1.5), omega=0.0)
+@example(src=Nopa(0.5, 0.9), eta2=0.9, gain=0.8, model=InputModel.squeezed(0.6), omega=0.3)
+@example(src=Nopa(0.5), eta2=1.0, gain=complex(1.2, -0.3), model=InputModel.squeezed(2.0), omega=1.0)
+@example(src=Nopa(EDGE, 0.5), eta2=0.6, gain=complex(0.9, 0.2), model=COHERENT, omega=1e4)
+@example(src=Nopa(0.99985998, 1e-8), eta2=1.0, gain=0.0, model=COHERENT, omega=0.0)
+def test_criteria_fields_are_within_ulps_of_exact(src, eta2, gain, model, omega):
+    detector = BellDetector.from_efficiency(eta2)
+    report = evaluate_criteria(src, omega, gain, detector, model)
+    noisy, quiet = exact_spectra(src, omega)
+    noise = exact.teleport_noise(noisy, quiet, detector.eta, report.gain)
+    if noise is None:
+        # Threshold at a gain other than 1: the noise and every variance
+        # diverge, and T = |g|^2 V_in/inf is 0.
+        variances = (report.v_x, report.v_p, report.v_out_x, report.v_out_p, report.v_c_x, report.v_c_p)
+        assert variances == (math.inf,) * 6
+        assert report.t_x == report.t_p == 0.0
+        return
+    err_x, out_x, c_x, t_x = exact.channel(report.gain, model.v_x, noise)
+    err_p, out_p, c_p, t_p = exact.channel(report.gain, model.v_p, noise)
+    fields = {
+        "v_x": (report.v_x, err_x, CHANNEL_ULPS),
+        "v_p": (report.v_p, err_p, CHANNEL_ULPS),
+        "v_out_x": (report.v_out_x, out_x, CHANNEL_ULPS),
+        "v_out_p": (report.v_out_p, out_p, CHANNEL_ULPS),
+        "v_c_x": (report.v_c_x, c_x, CHANNEL_ULPS),
+        "v_c_p": (report.v_c_p, c_p, CHANNEL_ULPS),
+        "t_x": (report.t_x, t_x, TRANSFER_ULPS),
+        "t_p": (report.t_p, t_p, TRANSFER_ULPS),
+        "v_sum": (report.v_sum, err_x + err_p, CHANNEL_ULPS),
+        "v_product": (report.v_product, err_x * err_p, PRODUCT_ULPS),
+        "v_out_product": (report.v_out_product, out_x * out_p, PRODUCT_ULPS),
+    }
+    for name, (got, want, bound) in fields.items():
+        assert exact.ulps(got, want) <= bound, name
+
+
+# ---------------------------------------------------------------------------
+# One noise array for both axes
+
+
+def _two_axis_noise(resource, grid, gain, detector):
+    # The X and P noise sums as a kernel that keeps one array per axis would
+    # take them: each pair weighted (-g, 1) on X and (g, 1) on P, its two
+    # terms summed before they join the axis, then two detector vacua per
+    # photocurrent on each axis.
+    pairs = resource._pairs(grid, (-gain, 1), (gain, 1))
+    noise_x, noise_p = np.zeros(len(grid)), np.zeros(len(grid))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, source, powers, (a, b), (c, d) in pairs:
+            plus, minus = (source.powers(grid) if powers is None else powers).variances()
+            noise_x += _weighted(a + b, plus) + _weighted(a - b, minus)
+            noise_p += _weighted(c + d, minus) + _weighted(c - d, plus)
+        noise_x *= 0.5
+        noise_p *= 0.5
+        if detector.eta < 1.0:
+            det = _abs2(gain * detector.excess)
+            for noise in (noise_x, noise_p):
+                noise += det
+                noise += det
+    return noise_x, noise_p
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _assert_one_noise_is_both_axes(cols, resource, grid, gain, detector):
+    noise_x, noise_p = _two_axis_noise(resource, grid, gain, detector)
+    assert _bits(cols.noise) == _bits(noise_x) == _bits(noise_p)
+    # At alpha = 0 the fidelity is the amplitude factor, the bits of the
+    # amplitude times exp(-dx^2/(2 sigma_x) - dp^2/(2 sigma_p)) with d = 0.
+    with np.errstate(over="ignore"):
+        sigma_x, sigma_p = (cols.v_out_x + 1.0) / 4.0, (cols.v_out_p + 1.0) / 4.0
+        delta = (1.0 - gain) * 0j
+        amp = 0.5 / np.sqrt(sigma_x * sigma_p)
+        gaussian = np.exp(-delta.real ** 2 / (2.0 * sigma_x) - delta.imag ** 2 / (2.0 * sigma_p))
+        assert _bits(fidelity_point(gain, sigma_x, sigma_p)) == _bits(amp * gaussian)
+
+
+KERNEL_GAINS = st.one_of(GAINS, st.just(GainSchedule.fixed(1e300)))
+ONE_OR_MORE_ROWS = st.lists(OMEGA, min_size=1, max_size=12, unique=True).map(sorted)
+
+
+@PROPERTY
+@given(
+    src=ANY_SOURCE,
+    grid=ONE_OR_MORE_ROWS,
+    gain=KERNEL_GAINS,
+    eta2=st.one_of(st.just(1.0), ETA2),
+    model=INPUTS,
+)
+@example(src=THRESHOLD, grid=[0.0], gain=GainSchedule.unit(), eta2=1.0, model=COHERENT)
+@example(src=THRESHOLD, grid=[0.0], gain=GainSchedule.fixed(0.5), eta2=0.8, model=COHERENT)
+@example(src=Nopa(0.5, 0.9), grid=[0.3], gain=GainSchedule.fixed(1.2 + 0.3j), eta2=0.8, model=COHERENT)
+@example(src=Nopa(0.5), grid=[0.0, 1.0], gain=WOBBLE, eta2=0.7, model=InputModel.squeezed(1.5))
+@example(src=ZeroBandwidth(1.0), grid=[0.0], gain=GainSchedule.fixed(1e300), eta2=0.6, model=COHERENT)
+def test_one_noise_array_is_both_axes_bit_for_bit(src, grid, gain, eta2, model):
+    grid = np.array(grid)
+    g, detector = gain.at(grid), BellDetector.from_efficiency(eta2)
+    cols = criteria_module._teleport_columns(src, grid, g, detector, model)
+    _assert_one_noise_is_both_axes(cols, src, grid, g, detector)
+
+
+@PROPERTY
+@given(
+    src_ab=ANY_SOURCE,
+    src_cd=st.one_of(st.none(), NOPA),
+    gain=st.one_of(st.none(), CHANNEL_GAINS),
+    grid=ONE_OR_MORE_ROWS,
+)
+@example(src_ab=THRESHOLD, src_cd=None, gain=None, grid=[0.0])
+@example(src_ab=THRESHOLD, src_cd=Nopa(0.3, 0.6), gain=0.7, grid=[0.0])
+@example(src_ab=Nopa(0.5, 0.9), src_cd=Nopa(0.4), gain=complex(0.9, 0.2), grid=[0.3])
+def test_one_swap_noise_array_is_both_axes_bit_for_bit(src_ab, src_cd, gain, grid):
+    grid = np.array(grid)
+    cfg = SwapConfig(src_ab, src_cd, gain=gain)
+    cols = _swap_columns(cfg, grid)
+    _assert_one_noise_is_both_axes(cols, _SwappedPair(cfg, grid), grid, 1.0, BellDetector(1.0))
