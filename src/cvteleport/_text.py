@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quoted
 from typing import Sequence
 
 import numpy as np
@@ -37,20 +37,48 @@ def read_csv(path_or_text: str, header: tuple[str, ...]) -> tuple[tuple[float, .
     return tuple(tuple(col) for col in cols)
 
 
-def _strict(obj):
-    # JSON has no token for inf or nan: write the strings the CSV prints.
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return f"{obj:g}"
-    if isinstance(obj, dict):
-        return {k: _strict(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_strict(v) for v in obj]
-    return obj
-
-
 def write_json(payload: dict) -> str:
-    """RFC 8259 JSON text: sorted keys, indent 2, a trailing newline."""
-    return json.dumps(_strict(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """RFC 8259 JSON text: sorted keys, indent 2, a trailing newline.
+
+    The bytes of json.dumps(payload, sort_keys=True, indent=2) + "\\n",
+    except that JSON has no token for inf or nan, so a non-finite float is
+    written as the string the CSV prints ("inf", "-inf", "nan").  Keys
+    must be strings; a value json cannot write raises TypeError, as there.
+    With an indent json's encoder runs in pure Python, so this one pass
+    writes the text directly instead.
+    """
+    return _encoded(payload, "\n") + "\n"
+
+
+def _encoded(value, newline: str) -> str:
+    # value as json writes it on a line that newline (a line break and the
+    # line's indent) begins: numbers by the float and int reprs, keys and
+    # strings by json's own escaper, which raises TypeError for a key that
+    # is not a string.
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else f'"{value:g}"'
+    if isinstance(value, str):
+        return _quoted(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_quoted(key) + ": " + _encoded(value[key], inner) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_encoded(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _json_number(text: str) -> str:
@@ -119,7 +147,7 @@ def write_json_columns(columns: dict[str, np.ndarray]) -> str:
     blocks = []
     for name in sorted(columns):
         values = rendered[id(columns[name])]
-        blocks.append(f"  {json.dumps(name)}: " + (f"[\n    {values}\n  ]" if values else "[]"))
+        blocks.append(f"  {_quoted(name)}: " + (f"[\n    {values}\n  ]" if values else "[]"))
     return "{\n" + ",\n".join(blocks) + "\n}\n" if blocks else "{}\n"
 
 

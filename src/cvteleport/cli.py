@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import os
 import sys
@@ -508,7 +507,7 @@ def _cmd_oracle_check(v: dict) -> int:
             {"name": f"fidelity(r={r:g},gain={g:g})", "analytic": ana, "estimate": est, "ok": ok}
         )
     all_ok = report.all_ok and gauss_ok
-    text = write_json({"mc": json.loads(report.to_json()), "gaussian": gauss_rows, "all_ok": all_ok})
+    text = write_json({"mc": report.payload(), "gaussian": gauss_rows, "all_ok": all_ok})
     if v.get("output") is not None:
         _write(v["output"], text)
     sys.stdout.write(text)

@@ -258,7 +258,12 @@ def fidelity_point(
     GainSchedule is finite) leaves a zero amplitude error, so the Gaussian
     factor is exp(-0) = 1 exactly and the product would be the same bits.
     """
-    if not (np.greater(sigma_x, 0).all() and np.greater(sigma_p, 0).all()):
+    # One minimum per width (one for both when they are one array): a nan
+    # minimum fails > 0 as a nan width does, and an empty grid passes.
+    positive = np.minimum.reduce(sigma_x, axis=None, initial=math.inf) > 0
+    if positive and sigma_p is not sigma_x:
+        positive = np.minimum.reduce(sigma_p, axis=None, initial=math.inf) > 0
+    if not positive:
         raise ValueError("Q-function variances must be positive")
     amp = 0.5 / np.sqrt(sigma_x * sigma_p)
     if alpha == 0:
@@ -325,18 +330,22 @@ def _checked_fidelity(
     if alpha != 0 or in_model.v_x != 1.0 or in_model.v_p != 1.0:
         return generic
     unit = np.equal(gain, 1)
-    if not unit.any():
+    units = np.count_nonzero(unit)
+    if not units:
         return generic
     eta = detector.eta
     tau2 = (1.0 - eta * eta) / (eta * eta)
     closed = 1.0 / (1.0 + src.variances(omega, powers)[1] + tau2)
-    off = unit & ~(np.abs(closed - generic) <= 1e-12)
-    if off.any():
+    # The largest gap on a unit row decides the check (a nan gap fails
+    # it); the mask that names the first row off is built only then.
+    gap = np.abs(closed - generic)
+    if not gap.max(where=unit, initial=0.0) <= 1e-12:
+        off = unit & ~(gap <= 1e-12)
         raise AssertionError(
             "generic fidelity path disagrees with closed form at "
             f"omega={np.extract(off, omega)[0]}"
         )
-    return np.where(unit, closed, generic)
+    return closed if units == unit.size else np.where(unit, closed, generic)
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +494,10 @@ def _teleport_columns(
             v_out_p = g2 * in_model.v_p + noise
             sigma_p = (v_out_p + 1.0) / 4.0
         generic = fidelity_point(gain, sigma_x, sigma_p, alpha)
-    inside = (generic >= 0.0) & (generic <= 1.0 + 1e-9)
-    if not inside.all():
+    # The extremes decide the check (a nan one fails it); the mask that
+    # names the first value outside is built only then.
+    if not (generic.min(initial=0.0) >= 0.0 and generic.max(initial=1.0) <= 1.0 + 1e-9):
+        inside = (generic >= 0.0) & (generic <= 1.0 + 1e-9)
         raise ValueError(f"fidelity {np.extract(~inside, generic)[0]} outside [0, 1]")
     f = _checked_fidelity(src, omega, gain, detector, in_model, alpha, generic, own)
     return _Columns(v_x, v_p, f, v_out_x, v_out_p, noise)
@@ -512,11 +523,16 @@ def _port_noise(pairs: tuple, omega: np.ndarray) -> np.ndarray:
 
 
 def _weighted(w: complex | np.ndarray, spectrum: float | np.ndarray) -> float | np.ndarray:
-    # |w|^2 times the spectrum, with the exact zeros of _port_noise.
+    # |w|^2 times the spectrum, with the exact zeros of _port_noise.  They
+    # differ from the plain product only at 0*inf and 0*nan, where it is
+    # nan, so only a nan in it asks for the mask.
     w2 = _abs2(w)
     if type(w2) is float and w2 < math.inf:
         return w2 * spectrum if w2 != 0 else 0.0
-    return np.where((w2 == 0) | (spectrum == 0), 0.0, w2 * spectrum)
+    product = w2 * spectrum
+    if np.isnan(product).any():
+        product = np.where((w2 == 0) | (spectrum == 0), 0.0, product)
+    return product
 
 
 def _spectrum_table(

@@ -219,8 +219,12 @@ class McReport:
     def all_ok(self) -> bool:
         return all(r.ok for r in self.rows)
 
+    def payload(self) -> dict:
+        """The report as the dict to_json writes."""
+        return dict(asdict(self), all_ok=self.all_ok)
+
     def to_json(self) -> str:
-        return write_json(dict(asdict(self), all_ok=self.all_ok))
+        return write_json(self.payload())
 
 
 _BATCH = 1 << 16

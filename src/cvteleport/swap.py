@@ -60,10 +60,15 @@ def optimal_gain(powers: PortPowers, second: PortPowers | None = None) -> float 
     a, b = powers.s_plus + second.s_plus, powers.s_minus + second.s_minus
     # Where both squeezed ports carry no power (epsilon = 0 at beta = 1/2,
     # omega = 0), all the noise is the loss ports', |gs-1|^2 + |gs+1|^2
-    # times one spectrum, which is least at 0.
-    with np.errstate(invalid="ignore"):  # inf/inf and 0/0, replaced below
-        gain = np.divide(a - b, a + b)
-    return _number(np.where(np.isinf(a), 1.0, np.where(a + b == 0, 0.0, gain)))
+    # times one spectrum, which is least at 0.  Only these limits, inf/inf
+    # and 0/0, differ from the plain quotient, which is nan there, so only
+    # a nan in it asks for the masks.
+    total = a + b
+    with np.errstate(invalid="ignore"):
+        gain = np.divide(a - b, total)
+    if np.isnan(gain).any():
+        gain = np.where(np.isinf(a), 1.0, np.where(total == 0, 0.0, gain))
+    return _number(gain)
 
 
 @dataclass(frozen=True)
@@ -136,10 +141,15 @@ class _SwappedPair:
         # A term whose factor is exactly zero is dropped: the noisy one at
         # gs == 1, where 0*A is nan at threshold, and the quiet one where
         # B = 0, which is nan for a gain so large that |gs+1|^2 is inf.
+        # Elsewhere the plain terms are the same bits, so only a nan in
+        # their sum asks for the masks.
         b = vm1 + vm2
         with np.errstate(invalid="ignore", over="ignore"):
-            noisy = np.where(gs == 1, 0.0, _abs2(gs - 1) * (vp1 + vp2) / 4.0)
-            self.quiet = noisy + np.where(b == 0, 0.0, _abs2(gs + 1) * b / 4.0)
+            noisy = _abs2(gs - 1) * (vp1 + vp2) / 4.0
+            quiet = _abs2(gs + 1) * b / 4.0
+            self.quiet = noisy + quiet
+            if np.isnan(self.quiet).any():
+                self.quiet = np.where(gs == 1, 0.0, noisy) + np.where(b == 0, 0.0, quiet)
 
     def _pairs(
         self, omega: float | np.ndarray, x_weights: tuple, p_weights: tuple

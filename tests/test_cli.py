@@ -1341,3 +1341,20 @@ def test_module_entry_point_matches_run(capsys):
     code, out, _ = invoke(capsys, *argv)
     assert code == 0
     assert proc.stdout == out
+
+
+# Every byte the benchmark's sweep (seeds 1-2) and scan (seeds 1-3) ops
+# print, write and warn, as tests/output_digest.py hashes them.  A change
+# that alters output bytes on purpose pins the new digest here and lists
+# the change in CHANGES.md.
+BENCHMARK_DIGEST = "686 ops f967871b262b5c9c10bf335222b0ec4ebd989c1cc2d528c4585df73f90b84eec\n"
+
+
+def test_benchmark_outputs_keep_their_digest():
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "output_digest.py")
+    proc = subprocess.run(
+        [sys.executable, script, "sweep:1-2", "scan:1-3"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == BENCHMARK_DIGEST

@@ -407,6 +407,72 @@ def _reference_json(table):
     )
 
 
+def _strict(obj):
+    # The payload json.dumps can write: JSON has no token for inf or nan,
+    # so write_json writes the strings the CSV prints.
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return f"{obj:g}"
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
+def _stdlib_json(payload):
+    # write_json's reference, and through it _reference_json's.
+    return json.dumps(_strict(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+JSON_SCALARS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16, 1e-7, np.float64(0.1)]),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.none(),
+    st.text(),
+    st.sampled_from(['"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "\u00e9\u2603\U0001f600", "\ud800"]),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(payload=st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=6))
+@example(payload={})
+@example(payload={"a": [], "b": {}, "c": (), "d": [[], {}, ()], "e": {"f": {}}})
+@example(payload={"flags": [True, 1, False, 0, None], "zero": -0.0, "tiny": 5e-324, "big": 1e16})
+@example(payload={"x": [math.inf, -math.inf, math.nan, np.float64(math.nan), np.float64(-0.0)]})
+@example(payload={'"\\\n': "\x00\u2603\U0001f600", "\ud800": "\t"})
+def test_json_writer_writes_the_stdlib_bytes(payload):
+    assert write_json(payload) == _stdlib_json(payload)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [np.int64(1), np.bool_(True), object(), {1, 2}, b"bytes", 1j],
+    ids=["int64", "bool_", "object", "set", "bytes", "complex"],
+)
+def test_json_writer_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value)
+    with pytest.raises(TypeError):
+        write_json({"a": [value]})
+
+
+def test_json_writer_takes_string_keys_only():
+    with pytest.raises(TypeError):
+        write_json({1: 2})
+
+
 # Non-finite values, signed zeros, integral values, subnormals and 1e12-1e16,
 # where the 12-digit rounding and the float repr choose different notations.
 SERIALIZED = st.one_of(
@@ -1111,6 +1177,96 @@ def test_a_zero_power_adds_zero_under_an_overflowed_weight(gain):
         )
         assert cols.v_x.tolist() == cols.v_p.tolist() == [math.inf, math.inf]
         assert cols.fidelity.tolist() == [0.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# The kernel's guards: each failure path keeps its exception and message,
+# and an empty grid passes them all.
+
+
+@pytest.mark.parametrize(
+    "bad", [math.nan, 0.0, -1.0, np.array([0.5, math.nan]), np.array([0.5, 0.0])],
+    ids=["nan", "zero", "negative", "array-nan", "array-zero"],
+)
+def test_fidelity_point_rejects_a_width_that_is_not_positive(bad):
+    for sigma_x, sigma_p in ((bad, 0.5), (0.5, bad), (bad, bad)):
+        with pytest.raises(ValueError, match="^Q-function variances must be positive$"):
+            fidelity_point(1.0, sigma_x, sigma_p)
+
+
+def test_fidelity_point_of_empty_widths_is_empty():
+    empty = np.array([])
+    for sigma_x, sigma_p in ((empty, empty), (empty, np.array([]))):
+        f = fidelity_point(1.0, sigma_x, sigma_p)
+        assert isinstance(f, np.ndarray) and f.shape == (0,)
+
+
+def test_a_fidelity_outside_0_1_is_named_by_its_first_value():
+    # Tabulated spectra below vacuum (V+ = V- = 1, 1/4, 1/16) teleport at
+    # gain 0 with F = 1/(2 sigma), sigma = (1 + V)/4: 1, 1.6 and 32/17, so
+    # the second row is the first outside.  A gain that overflows the
+    # output at alpha != 0 leaves F = 0*exp(nan) = nan.
+    src = CustomSpectrum((0.0, 1.0, 2.0), (1.0, 0.5, 0.25), (1.0, 0.5, 0.25))
+    grid = np.array([0.0, 1.0, 2.0])
+    for gain in (0.0, np.zeros(3)):
+        with pytest.raises(ValueError, match=r"^fidelity 1\.6 outside \[0, 1\]$"):
+            criteria_module._teleport_columns(src, grid, gain, BellDetector(1.0), COHERENT)
+    with pytest.raises(ValueError, match=r"^fidelity nan outside \[0, 1\]$"):
+        criteria_module._teleport_columns(
+            Nopa(0.5), grid[:2], np.array([1.0, 1e300]), BellDetector(1.0), COHERENT, alpha=1.0
+        )
+
+
+@pytest.mark.parametrize("shift", [1e-10, math.nan], ids=["off", "nan"])
+def test_closed_form_cross_check_names_the_first_unit_row_off(monkeypatch, shift):
+    # The gain is unit from omega = 1 on; the closed form is off (or nan)
+    # on every row, but only unit rows are checked, so omega=1.0 is named.
+    variances = Nopa.variances
+
+    def shifted(self, omega, powers=None):
+        v_plus, v_minus = variances(self, omega, powers)
+        return v_plus, v_minus + shift
+
+    monkeypatch.setattr(Nopa, "variances", shifted)
+    gain = GainSchedule.per_frequency(lambda w: 1.0 if w >= 1.0 else 0.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonUnitGainWarning)
+        with pytest.raises(
+            AssertionError, match="^generic fidelity path disagrees with closed form at omega=1.0$"
+        ):
+            fidelity_spectrum(Nopa(0.5), [0.0, 0.5, 1.0, 1.5], gain)
+    # Unshifted, the unit rows are the closed form and the others the
+    # generic fidelity, bit for bit.
+    monkeypatch.undo()
+    grid = np.array([0.0, 0.5, 1.0, 1.5])
+    cols = criteria_module._teleport_columns(Nopa(0.5), grid, gain.at(grid), BellDetector(1.0), COHERENT)
+    generic = criteria_module._teleport_columns(Nopa(0.5), grid, 0.8, BellDetector(1.0), COHERENT)
+    closed = 1.0 / (1.0 + Nopa(0.5).variances(grid)[1] + 0.0)
+    assert _bits(cols.fidelity) == _bits([*generic.fidelity[:2], *closed[2:]])
+
+
+def test_an_empty_grid_is_an_empty_table():
+    with pytest.raises(ValueError, match="^empty spectrum table$"):
+        fidelity_spectrum(Nopa(0.5), [])
+    with pytest.raises(ValueError, match="^empty spectrum table$"):
+        swap_spectrum(SwapConfig(Nopa(0.5)), [])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def test_weighted_keeps_the_exact_zeros():
+    # 0*inf, a zero weight on a nan spectrum, and an overflowed weight on a
+    # zero spectrum are exact zeros; every other row is the plain product.
+    weighted = criteria_module._weighted
+    with np.errstate(over="ignore", invalid="ignore"):
+        at_inf = weighted(np.array([0.0, 2.0]), np.array([math.inf, 3.0]))
+        at_nan = weighted(np.array([0.0, 1.5]), np.array([math.nan, 2.0]))
+        overflowed = weighted(1e200, np.array([0.0, 2.0]))
+    assert _bits(at_inf) == _bits([0.0, 12.0])
+    assert _bits(at_nan) == _bits([0.0, 4.5])
+    assert _bits(overflowed) == _bits([0.0, math.inf])
 
 
 # ---------------------------------------------------------------------------

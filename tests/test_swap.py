@@ -109,6 +109,34 @@ def test_optimal_gain_with_unequal_sources():
         assert optimal_gain(p1, p2) == pytest.approx(want, rel=1e-12)
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def test_optimal_gain_keeps_its_limits_beside_ordinary_rows():
+    # inf/inf is the threshold limit 1 and 0/0 the lossy limit 0; the
+    # ordinary rows in the same array are the plain quotient.
+    s_plus, s_minus = np.array([math.inf, 0.0, 2.0, 3.0]), np.array([0.0, 0.0, 1.0, 0.5])
+    gains = optimal_gain(PortPowers(s_plus, s_minus))
+    assert _bits(gains) == _bits([1.0, 0.0, 2.0 / 6.0, 5.0 / 7.0])
+    second = PortPowers(np.array([1.0, 0.0, 2.0, math.inf]), np.array([1.0, 0.0, 1.0, 0.0]))
+    gains = optimal_gain(PortPowers(s_plus, s_minus), second)
+    assert _bits(gains) == _bits([1.0, 0.0, 2.0 / 6.0, 1.0])
+
+
+@pytest.mark.parametrize("gain", [None, 1.0], ids=["optimal", "unit"])
+def test_swapped_quiet_spectrum_is_finite_at_threshold(gain):
+    # At threshold and omega = 0, V+ = inf and the gain is 1, so the noisy
+    # term is the exact zero of its rule, not 0*inf; the rows past it are
+    # the one-frequency values.
+    cfg = SwapConfig(Nopa(1.0), gain=gain)
+    grid = np.array([0.0, 0.25, 1.0])
+    quiet = swap_module._SwappedPair(cfg, grid).quiet
+    rows = [swap_module._SwappedPair(cfg, w).quiet for w in grid[1:].tolist()]
+    assert _bits(quiet) == _bits([0.0, *rows])
+    assert all(0.0 < q < math.inf for q in rows)
+
+
 # ---------------------------------------------------------------------------
 # Swapped pair structure
 
