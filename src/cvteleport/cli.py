@@ -27,6 +27,8 @@ from ._text import format_number, write_json
 from .criteria import (
     OMEGA_LIMIT,
     SpectrumTable,
+    _bandwidth_grid,
+    _closed_fidelity,
     bandwidth,
     evaluate_criteria,
     fidelity_spectrum,
@@ -35,7 +37,7 @@ from .criteria import (
 from .epr import Nopa, NopaParams, SqueezerSpectrum, ZeroBandwidth
 from .linmode import Axis, InputModel, combine, normalized_variance, unit_input
 from .oracle import McConfig, covariance_teleport, fidelity_to_coherent, mc_check
-from .swap import SwapConfig, swap_spectrum
+from .swap import SwapConfig, _SwappedPair, swap_spectrum
 from .teleport import BellDetector, GainSchedule, TeleportOutcome, teleport
 
 __all__ = ["main", "run"]
@@ -364,10 +366,15 @@ def _reindex(table: SpectrumTable, user_grid: np.ndarray, scale: float) -> Spect
     return SpectrumTable(user_grid, table.v_x, table.v_p, table.fidelity)
 
 
-def _table(v: dict, pipeline: str, point: bool = False) -> tuple[SpectrumTable, np.ndarray, float]:
+def _table(
+    v: dict, pipeline: str, point: bool = False, threshold: float | None = None
+) -> tuple[SpectrumTable, np.ndarray, float]:
     """(table, user-unit grid, scale) on the sweep grid, or at --omega if point.
 
-    The table has dimensionless frequencies and keeps its evaluator.
+    The table has dimensionless frequencies and keeps its evaluator.  Given
+    a threshold, it also holds the rows of bandwidth()'s first refinement
+    where the closed form places them (see criteria._bandwidth_grid): on
+    unit-gain teleports of a coherent input and on every swap.
     """
     src, scale = _resolve_source(v)
     user = np.array([_float("--omega", v["omega"])]) if point else _resolve_grid(v)
@@ -375,20 +382,23 @@ def _table(v: dict, pipeline: str, point: bool = False) -> tuple[SpectrumTable, 
     _check_frequency("--omega" if point else "--omega-start", grid[0], scale)
     _check_frequency("--omega-stop", grid[-1], scale)
     if pipeline == "teleport":
-        table = fidelity_spectrum(
-            src,
-            grid,
-            gain=_resolve_gain(v, for_swap=False),
-            detector=_resolve_detector(v),
-            in_model=_resolve_input(v),
-        )
+        gain = _resolve_gain(v, for_swap=False)
+        detector, model = _resolve_detector(v), _resolve_input(v)
+        if threshold is not None and gain == GainSchedule.unit() and model.v_x == model.v_p == 1.0:
+            grid = _bandwidth_grid(grid, _closed_fidelity(src, grid, detector), threshold)
+        table = fidelity_spectrum(src, grid, gain=gain, detector=detector, in_model=model)
     elif pipeline == "swap":
-        # Swapping verifies with a coherent input on ideal detectors.
+        # Swapping verifies with a coherent input on ideal detectors, at
+        # unit gain over the swapped pair whatever the swap gain.
         if _float("--eta2", v["eta2"]) != 1.0:
             raise _ConfigError("--eta2 does not apply to the swap pipeline")
         if v["input"] != "coherent":
             raise _ConfigError("--input does not apply to the swap pipeline")
-        table = swap_spectrum(SwapConfig(src, gain=_resolve_gain(v, for_swap=True)), grid)
+        cfg = SwapConfig(src, gain=_resolve_gain(v, for_swap=True))
+        if threshold is not None:
+            closed = _closed_fidelity(_SwappedPair(cfg, grid), grid, BellDetector(1.0))
+            grid = _bandwidth_grid(grid, closed, threshold)
+        table = swap_spectrum(cfg, grid)
     else:
         raise _ConfigError(f"--pipeline: expected teleport or swap, got {pipeline!r}")
     return table, user, scale
@@ -408,7 +418,7 @@ def _cmd_point(v: dict) -> int:
 
 def _cmd_bandwidth(v: dict) -> int:
     threshold = _float("--threshold", v["threshold"])
-    table, _, scale = _table(v, v["pipeline"])
+    table, _, scale = _table(v, v["pipeline"], threshold=threshold)
     # A fidelity that never drops below the threshold prints inf.
     sys.stdout.write(format_number(bandwidth(table, threshold) / scale) + "\n")
     return 0

@@ -19,7 +19,9 @@ its output and conditional variances and transfer coefficients follow
 from the linear-channel identities.  bandwidth() asks the kernel for many
 frequencies per call to narrow a bracket around the threshold crossing,
 then interpolates inside it, so a width is exact to a few ulps on a
-smooth source.
+smooth source.  Where the unit-gain closed form gives the fidelity column
+before the kernel runs, _bandwidth_grid places the first of those calls'
+frequencies in the table's own grid, so that one kernel call serves both.
 teleport_fidelity and classical_objective act on quadrature expansions;
 the expansion reference for the conditional variances and transfer
 coefficients (ralph_lam) is test code, in tests/references.py.
@@ -268,8 +270,13 @@ def fidelity_point(
     amp = 0.5 / np.sqrt(sigma_x * sigma_p)
     if alpha == 0:
         return amp
+    # Squared by multiplying, as numpy squares an array: past the float
+    # range a Python float's ** raises OverflowError, where the product is
+    # inf for a scalar gain as for an array of them.  Over an infinite
+    # width that is inf/inf, a nan the kernel's [0, 1] check rejects.
     delta = (1.0 - gain) * complex(alpha)
-    return amp * np.exp(-delta.real ** 2 / (2.0 * sigma_x) - delta.imag ** 2 / (2.0 * sigma_p))
+    dx, dp = delta.real, delta.imag
+    return amp * np.exp(-(dx * dx) / (2.0 * sigma_x) - (dp * dp) / (2.0 * sigma_p))
 
 
 @dataclass(frozen=True)
@@ -309,6 +316,22 @@ def teleport_fidelity(
     return FidelityPoint(f, sigma_x, sigma_p, outcome.gain, alpha)
 
 
+def _closed_fidelity(
+    src: SqueezerSpectrum,
+    omega: float | np.ndarray,
+    detector: BellDetector,
+    powers: PortPowers | None = None,
+) -> float | np.ndarray:
+    # At unit gain the noisy ports cancel exactly, so each axis carries twice
+    # the quiet spectrum V- plus twice the detector noise tau^2, and any
+    # source teleports a coherent state at alpha = 0 with
+    # F = 1/(1 + V- + tau^2).  powers are src's own, where the kernel holds
+    # them (see SqueezerSpectrum.variances).
+    eta = detector.eta
+    tau2 = (1.0 - eta * eta) / (eta * eta)
+    return 1.0 / (1.0 + src.variances(omega, powers)[1] + tau2)
+
+
 def _checked_fidelity(
     src: SqueezerSpectrum,
     omega: float | np.ndarray,
@@ -319,23 +342,18 @@ def _checked_fidelity(
     generic: float | np.ndarray,
     powers: PortPowers | None,
 ) -> float | np.ndarray:
-    # At unit gain the noisy ports cancel exactly, so each axis carries twice
-    # the quiet spectrum V- plus twice the detector noise tau^2, and any
-    # source teleports a coherent state at alpha = 0 with
-    # F = 1/(1 + V- + tau^2).  powers are src's own, where the kernel holds
-    # them (see SqueezerSpectrum.variances).  The closed form is exact to a
-    # few ulps, so on every such row it replaces the float roundoff of the
-    # generic Q-function fidelity, once the two agree to 1e-12.  A real
-    # exception, not an assert, so python -O keeps the check.
+    # The closed form (see _closed_fidelity) is exact to a few ulps, so on
+    # every unit-gain row of a coherent input at alpha = 0 it replaces the
+    # float roundoff of the generic Q-function fidelity, once the two agree
+    # to 1e-12.  A real exception, not an assert, so python -O keeps the
+    # check.
     if alpha != 0 or in_model.v_x != 1.0 or in_model.v_p != 1.0:
         return generic
     unit = np.equal(gain, 1)
     units = np.count_nonzero(unit)
     if not units:
         return generic
-    eta = detector.eta
-    tau2 = (1.0 - eta * eta) / (eta * eta)
-    closed = 1.0 / (1.0 + src.variances(omega, powers)[1] + tau2)
+    closed = _closed_fidelity(src, omega, detector, powers)
     # The largest gap on a unit row decides the check (a nan gap fails
     # it); the mask that names the first row off is built only then.
     gap = np.abs(closed - generic)
@@ -595,17 +613,20 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
     bracket is narrowed with the table's evaluator until it is at most
     1e-6 wide: each call takes an even grid across the bracket and a
     stencil of points 5e-7 apart around the crossing that the rows next to
-    it predict, and the bracket becomes the pair of neighbouring rows that
-    straddles the threshold.  A smooth crossing on the grid takes one call,
-    one in the first octave past the grid two.  The width is twice the
-    crossing that the rows next to the final bracket predict, which is
-    exact to a few ulps on a smooth source; it lies inside that bracket
-    whatever the evaluator.  Tables without an evaluator fall back to
-    linear interpolation between the bracketing rows.  Returns 0 when even
-    the first row is below threshold, and math.inf when the evaluator never
-    drops below it up to OMEGA_LIMIT (a threshold at or below the
-    large-omega limit of the fidelity: 1/2 at unit gain, 1/(1 + g^2) at
-    fixed gain g).
+    it predict (see _refinement_points), and the bracket becomes the pair
+    of neighbouring rows that straddles the threshold.  A smooth crossing
+    on the grid takes one call, one in the first octave past the grid two.
+    A table that already holds the rows of the first call takes one call
+    less: the command line builds its unit-gain tables so (see
+    _bandwidth_grid), and reads a smooth crossing on the grid from one
+    kernel call.  The width is twice the crossing that the rows next to
+    the final bracket predict, which is exact to a few ulps on a smooth
+    source; it lies inside that bracket whatever the evaluator.  Tables
+    without an evaluator fall back to linear interpolation between the
+    bracketing rows.  Returns 0 when even the first row is below
+    threshold, and math.inf when the evaluator never drops below it up to
+    OMEGA_LIMIT (a threshold at or below the large-omega limit of the
+    fidelity: 1/2 at unit gain, 1/(1 + g^2) at fixed gain g).
     """
     om, fs = spectrum.omega, spectrum.fidelity
     if fs[0] < threshold:
@@ -626,20 +647,37 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
     if ev is None:
         (lo, hi), (f_lo, f_hi) = om[c - 1 : c + 1].tolist(), fs[c - 1 : c + 1].tolist()
         return 2.0 * _secant(lo, f_lo, hi, f_hi, threshold)
+    om, fs = om.tolist(), fs.tolist()
     while om[c] - om[c - 1] > _STOP:
-        lo, hi = om[c - 1], om[c]
-        guess = _crossing(om, fs, c, threshold)
-        stencil = guess + 0.5 * _STOP * np.arange(-_STENCIL, _STENCIL + 1)
-        grid = np.linspace(lo, hi, _GRID + 2)[1:-1]
-        points = np.concatenate((grid[grid < stencil[0]], stencil, grid[grid > stencil[-1]]))
-        points = points[(points > lo) & (points < hi)]  # sorted, as the rows are
+        points = _refinement_points(om, fs, c, threshold)
         if not len(points):
             break  # lo and hi are neighbouring floats, more than _STOP apart
-        values = ev(points)
-        om = np.concatenate((om[:c], points, om[c:]))
-        fs = np.concatenate((fs[:c], values, fs[c:]))
-        c += int(np.argmax(np.append(values < threshold, True)))  # hi if none is below
+        values = ev(points).tolist()
+        om[c:c], fs[c:c] = points.tolist(), values
+        # The first new row below threshold, or hi if none is.
+        c += next((k for k, f in enumerate(values) if f < threshold), len(values))
     return 2.0 * _crossing(om, fs, c, threshold)
+
+
+def _bandwidth_grid(grid: np.ndarray, fidelity: np.ndarray, threshold: float) -> np.ndarray:
+    # The grid with the rows of bandwidth()'s first refinement merged in.
+    # fidelity must be the kernel's fidelity column on grid bit for bit, as
+    # the closed form is on every unit-gain row of a coherent input (see
+    # _checked_fidelity).  The kernel works row by row, so its table on the
+    # frequencies returned holds exactly the rows that bandwidth() holds
+    # after its first evaluator call on the table of grid, and bandwidth()
+    # reads them without that call.  The grid itself where bandwidth()
+    # would make no such call (the first row below threshold, a crossing
+    # past the grid, a bracket at most _STOP wide), or where the points are
+    # no table's: they are not strictly increasing where the floats are
+    # coarser than the stencil, past about 4e9.
+    c = int(np.argmax(fidelity < threshold))  # 0 if no row is below
+    if c == 0 or not grid[c] - grid[c - 1] > _STOP:
+        return grid
+    points = _refinement_points(grid.tolist(), fidelity.tolist(), c, threshold)
+    if not (points[1:] > points[:-1]).all():
+        return grid
+    return np.concatenate((grid[:c], points, grid[c:]))
 
 
 # The frequency past which bandwidth() stops doubling, and above which the
@@ -659,6 +697,8 @@ _STENCIL = 32
 # polynomial through 8 rows of a smooth grid misses by under _STOP on most
 # crossings, where the cubic through 4 missed by several.
 _GUESS_ROWS = 8
+# The stencil's offsets from the guess.
+_OFFSETS = 0.5 * _STOP * np.arange(-_STENCIL, _STENCIL + 1)
 
 
 def _doubling(
@@ -707,17 +747,35 @@ def _secant(lo: float, f_lo: float, hi: float, f_hi: float, threshold: float) ->
     return lo + (f_lo - threshold) * (hi - lo) / (f_lo - f_hi)
 
 
-def _crossing(om: np.ndarray, fs: np.ndarray, c: int, threshold: float) -> float:
+def _refinement_points(om: list, fs: list, c: int, threshold: float) -> np.ndarray:
+    # The frequencies of one evaluator call on the bracket of rows c - 1 and
+    # c: the stencil around the crossing that the rows next to it predict,
+    # and the even grid of _GRID points across the bracket outside the
+    # stencil; those strictly inside the bracket, sorted as the rows are.
+    # None where lo and hi are neighbouring floats, more than _STOP apart,
+    # nor where the guess is nan (a nan row next to the bracket).
+    lo, hi = om[c - 1], om[c]
+    guess = _crossing(om, fs, c, threshold)
+    if math.isnan(guess):
+        return _OFFSETS[:0]
+    stencil = guess + _OFFSETS
+    grid = np.linspace(lo, hi, _GRID + 2)[1:-1]
+    first, last = grid.searchsorted(stencil[0]), grid.searchsorted(stencil[-1], "right")
+    points = np.concatenate((grid[:first], stencil, grid[last:]))
+    return points[points.searchsorted(lo, "right") : points.searchsorted(hi)]
+
+
+def _crossing(om: list, fs: list, c: int, threshold: float) -> float:
     # The crossing inside the bracket of rows c - 1 and c: the inverse
     # polynomial through the _GUESS_ROWS rows around it, or, where that
     # falls outside the bracket (or does not exist), the secant through the
     # bracket, clamped inside it.
     rows = slice(max(c - _GUESS_ROWS // 2, 0), c + _GUESS_ROWS // 2)
-    x = _inverse_guess(om[rows].tolist(), fs[rows].tolist(), threshold)
-    (lo, hi), (f_lo, f_hi) = om[c - 1 : c + 1].tolist(), fs[c - 1 : c + 1].tolist()
+    x = _inverse_guess(om[rows], fs[rows], threshold)
+    lo, hi = om[c - 1], om[c]
     if lo <= x <= hi:
         return x
-    return min(max(_secant(lo, f_lo, hi, f_hi, threshold), lo), hi)
+    return min(max(_secant(lo, fs[c - 1], hi, fs[c], threshold), lo), hi)
 
 
 def _inverse_guess(xs: Sequence[float], fs: Sequence[float], threshold: float) -> float:
@@ -726,11 +784,12 @@ def _inverse_guess(xs: Sequence[float], fs: Sequence[float], threshold: float) -
     # share a fidelity and x(f) does not exist.
     if len(set(fs)) < len(fs):
         return math.nan
+    gaps = [threshold - g for g in fs]
     guess = 0.0
     for i, (x, f) in enumerate(zip(xs, fs)):
         for j, g in enumerate(fs):
             if j != i:
-                x *= (threshold - g) / (f - g)
+                x *= gaps[j] / (f - g)
         guess += x
     return guess
 

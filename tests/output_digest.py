@@ -16,7 +16,10 @@ is imported from ``src/`` of the checkout this script sits in.  With
 ``--against <checkout>`` the same ops also run, in a child process,
 against the package in that checkout's ``src/``; both digests are printed,
 then, per command, the ops whose outputs differ, the numbers in them that
-differ, and the largest relative change of a number.
+differ, the largest relative change of a number, and the kernel calls per
+op on either side: the calls of ``criteria._teleport_columns``, which every
+spectrum row, criteria report and bandwidth refinement goes through,
+counted in process by a wrapper that changes no output.
 """
 
 from __future__ import annotations
@@ -82,11 +85,29 @@ def _digest(outputs: list[list[str]]) -> str:
     return digest.hexdigest()
 
 
-def _run(src: str, ops: list) -> list[list[str]]:
+def _run(src: str, ops: list, count: bool = False) -> tuple[list[list[str]], list[int]]:
+    # Each op's parts and, if count, its kernel calls (else 0 each).
     sys.path.insert(0, src)
-    from cvteleport import cli
+    from cvteleport import cli, criteria
 
-    return [_op_parts(cli, op) for op in ops]
+    calls = [0]
+    if count:
+        kernel = criteria._teleport_columns
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return kernel(*args, **kwargs)
+
+        # Every module that imported the kernel by name calls its own binding.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cvteleport") and getattr(module, "_teleport_columns", None) is kernel:
+                module._teleport_columns = counted
+    outputs, counts = [], []
+    for op in ops:
+        calls[0] = 0
+        outputs.append(_op_parts(cli, op))
+        counts.append(calls[0])
+    return outputs, counts
 
 
 def _relative(a: str, b: str) -> float:
@@ -98,14 +119,18 @@ def _relative(a: str, b: str) -> float:
     return abs(x - y) / max(abs(x), abs(y))
 
 
-def _compare(ops: list, mine: list[list[str]], theirs: list[list[str]]) -> None:
-    # Per command: ops, ops changed, numbers changed and the largest
-    # relative change of a number.  An op whose text differs outside its
-    # numbers, or in how many it has, counts as changed with every number.
+def _compare(ops: list, mine: list[list[str]], theirs: list[list[str]], calls: list) -> None:
+    # Per command: ops, ops changed, numbers changed, the largest relative
+    # change of a number and the kernel calls per op on either side (calls
+    # holds both sides' per-op counts).  An op whose text differs outside
+    # its numbers, or in how many it has, counts as changed with every
+    # number.
     rows: dict[str, list] = {}
-    for op, a, b in zip(ops, mine, theirs):
-        row = rows.setdefault(op.argv[0], [0, 0, 0, 0.0])
+    for op, a, b, (k_a, k_b) in zip(ops, mine, theirs, zip(*calls)):
+        row = rows.setdefault(op.argv[0], [0, 0, 0, 0.0, 0, 0])
         row[0] += 1
+        row[4] += k_a
+        row[5] += k_b
         if a == b:
             continue
         row[1] += 1
@@ -118,18 +143,26 @@ def _compare(ops: list, mine: list[list[str]], theirs: list[list[str]]) -> None:
         changed = [_relative(x, y) for x, y in zip(nums_a, nums_b) if x != y]
         row[2] += len(changed)
         row[3] = max([row[3], *changed])
-    print(f"{'command':<14} {'ops':>6} {'changed':>8} {'numbers':>8}  largest relative change")
-    for command, (count, changed, numbers, largest) in sorted(rows.items()):
-        print(f"{command:<14} {count:>6} {changed:>8} {numbers:>8}  {largest:.3g}")
+    print(
+        f"{'command':<14} {'ops':>6} {'changed':>8} {'numbers':>8}  {'largest':>7}"
+        f"  {'calls/op':>8} {'other':>8}"
+    )
+    for command, (count, changed, numbers, largest, k_a, k_b) in sorted(rows.items()):
+        print(
+            f"{command:<14} {count:>6} {changed:>8} {numbers:>8}  {largest:>7.3g}"
+            f"  {k_a / count:>8.3f} {k_b / count:>8.3f}"
+        )
+    total_a, total_b = (sum(row[k] for row in rows.values()) for k in (4, 5))
+    print(f"kernel calls: {total_a} here, {total_b} in the other checkout")
 
 
 def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__.strip(), file=sys.stderr)
         return 1
-    if argv[0] == "--parts":  # the child: one checkout's outputs as JSON
+    if argv[0] == "--parts":  # the child: one checkout's outputs and calls as JSON
         src, workdir, *specs = argv[1:]
-        json.dump(_run(src, list(_ops(specs, workdir))), sys.stdout)
+        json.dump(_run(src, list(_ops(specs, workdir)), count=True), sys.stdout)
         return 0
     other = None
     if argv[0] == "--against":
@@ -141,12 +174,12 @@ def main(argv: list[str]) -> int:
             child = [sys.executable, os.path.abspath(__file__), "--parts"]
             child += [os.path.join(other, "src"), workdir, *argv]
             theirs = subprocess.run(child, stdout=subprocess.PIPE, text=True, check=True)
-            theirs = json.loads(theirs.stdout)
-        mine = _run(os.path.join(ROOT, "src"), ops)
+            theirs, their_calls = json.loads(theirs.stdout)
+        mine, my_calls = _run(os.path.join(ROOT, "src"), ops, count=other is not None)
     print(f"{len(mine)} ops {_digest(mine)}")
     if theirs is not None:
         print(f"{len(theirs)} ops {_digest(theirs)} ({other})")
-        _compare(ops, mine, theirs)
+        _compare(ops, mine, theirs, [my_calls, their_calls])
     return 0
 
 

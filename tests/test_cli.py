@@ -17,11 +17,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cvteleport
-from cvteleport import cli
+from cvteleport import cli, criteria, swap
+from cvteleport._text import format_number
 from cvteleport.cli import run
-from cvteleport.epr import Nopa
-from cvteleport.swap import SwapConfig, swap_fidelity
-from cvteleport.teleport import NonUnitGainWarning
+from cvteleport.criteria import bandwidth, fidelity_spectrum
+from cvteleport.epr import Nopa, NopaParams
+from cvteleport.linmode import InputModel
+from cvteleport.swap import SwapConfig, swap_fidelity, swap_spectrum
+from cvteleport.teleport import BellDetector, GainSchedule, NonUnitGainWarning
 
 HEADER = "omega,v_x,v_p,fidelity"
 
@@ -269,6 +272,133 @@ def test_bandwidth_threshold_below_one_half_can_be_finite(capsys):
     )
     assert code == 0
     assert out == "16.7032930885\n"
+
+
+@st.composite
+def _bandwidth_flags(draw):
+    # The flags of a bandwidth command: a lossless, lossy, threshold or
+    # physical-rate source; a coarse grid (past 4e9 the stencil's floats
+    # coincide), a fine one or one that starts off zero; thresholds where
+    # the width is ill-conditioned (near the large-omega limit) among them.
+    pipeline = draw(st.sampled_from(("teleport", "swap")))
+    kind = draw(st.sampled_from(("lossless", "lossy", "threshold", "physical")))
+    eps = format(draw(st.floats(0.05, 0.99)), ".6g")
+    if kind == "lossless":
+        flags = {"--epsilon": eps}
+    elif kind == "lossy":
+        flags = {"--epsilon": eps, "--beta": format(draw(st.floats(0.5, 0.99)), ".6g")}
+    elif kind == "threshold":
+        flags = {"--epsilon": "1"}
+    else:
+        gamma, rho = draw(st.sampled_from((1.0, 3.0, 0.25))), draw(st.sampled_from((0.0, 0.5)))
+        kappa = float(eps) * (gamma + rho) / 2.0
+        flags = {"--kappa": repr(kappa), "--gamma": repr(gamma), "--rho": repr(rho)}
+    start = draw(st.sampled_from((0.0, 0.0, 0.35, 2.0)))
+    step = draw(st.sampled_from((0.1, 0.5, 2.5, 30.0, 100.0, 1e10, 0.01, 0.0037)))
+    stop = start + step * draw(st.integers(1, 3000 if step < 0.1 else 200))
+    flags.update({"--omega-start": repr(start), "--omega-step": repr(step), "--omega-stop": repr(stop)})
+    thresholds = ("0.51", "0.51", "0.5", "0.500001", "0.50001", "0.55", "0.6", "0.75")
+    flags.update({"--threshold": draw(st.sampled_from(thresholds)), "--pipeline": pipeline})
+    if pipeline == "teleport":
+        gains = ("unit", "unit", "unit", "fixed:0.9", "fixed:0.9999999", "fixed:1.0000001", "fixed:1.2")
+        flags["--gain"] = draw(st.sampled_from(gains))
+        flags["--eta2"] = draw(st.sampled_from(("1", "1", "0.9", "0.6")))
+        flags["--input"] = "squeezed:" + draw(st.sampled_from(("1", "1", "1", "0.5", "2")))
+    else:
+        flags["--gain"] = draw(st.sampled_from(("optimal-swap", "fixed:0.8", "fixed:1", "fixed:0.999")))
+    return flags
+
+
+def _plain_grid_output(flags):
+    # What bandwidth must print for flags: the width that bandwidth() reads
+    # from the library's table on the plain --omega-* grid, in user units,
+    # or the error it raises.
+    if "--epsilon" in flags:
+        src, scale = Nopa(float(flags["--epsilon"]), float(flags.get("--beta", "1"))), 1.0
+    else:
+        params = NopaParams(*(float(flags[k]) for k in ("--kappa", "--gamma", "--rho")))
+        src, scale = Nopa.from_rates(params), 2.0 / (params.gamma + params.rho)
+    omega = cli._resolve_grid({k[2:].replace("-", "_"): v for k, v in flags.items()}) * scale
+    gain = flags["--gain"]
+    fixed = float(gain[len("fixed:"):]) if gain.startswith("fixed:") else None
+    try:
+        if flags["--pipeline"] == "teleport":
+            table = fidelity_spectrum(
+                src,
+                omega,
+                GainSchedule.unit() if fixed is None else GainSchedule.fixed(fixed),
+                BellDetector.from_efficiency(float(flags["--eta2"])),
+                InputModel.squeezed(float(flags["--input"][len("squeezed:"):])),
+            )
+        else:
+            table = swap_spectrum(SwapConfig(src, gain=fixed), omega)
+        width = bandwidth(table, float(flags["--threshold"]))
+    except Exception as exc:
+        return 2, "", f"error: {exc}\n"
+    return 0, format_number(width / scale) + "\n", ""
+
+
+@pytest.mark.filterwarnings("ignore::cvteleport.teleport.NonUnitGainWarning")
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(flags=_bandwidth_flags())
+# Floats coarser than the stencil: a 0 to 1e10 bracket guessed near 1e10.
+@example(flags={
+    "--epsilon": "0.6", "--omega-start": "0", "--omega-step": "1e10", "--omega-stop": "1e10",
+    "--threshold": "0.51", "--pipeline": "teleport", "--gain": "unit", "--eta2": "1",
+    "--input": "squeezed:1",
+})
+# No closed form: an ill-conditioned width at a gain just off unit, whose
+# printed digits move with the rows it is read from.
+@example(flags={
+    "--epsilon": "0.6", "--omega-start": "0", "--omega-step": "100", "--omega-stop": "1000",
+    "--threshold": "0.500001", "--pipeline": "teleport", "--gain": "fixed:0.9999999",
+    "--eta2": "1", "--input": "squeezed:1",
+})
+def test_bandwidth_prints_the_width_of_the_plain_grid(flags):
+    # The command line builds its table on the grid and the first
+    # refinement together where the closed form places them; what it
+    # prints is still, digit for digit, the width bandwidth() reads from
+    # the table of the plain grid, or the error that raises.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["bandwidth", *(part for item in flags.items() for part in item)])
+    assert (code, out.getvalue(), err.getvalue()) == _plain_grid_output(flags)
+
+
+@pytest.mark.filterwarnings("ignore::cvteleport.teleport.NonUnitGainWarning")
+@pytest.mark.parametrize(
+    "args, calls",
+    [
+        # A unit-gain crossing on the grid: the grid and its refinement in
+        # one call, on either pipeline and at any swap gain.
+        (("--epsilon", "0.6", "--omega-stop", "10"), [229]),
+        (("--kappa", "0.3", "--gamma", "1", "--omega-stop", "10"), [229]),
+        (("--epsilon", "0.6", "--omega-stop", "10", "--pipeline", "swap"), [229]),
+        (("--epsilon", "0.6", "--omega-stop", "10", "--pipeline", "swap", "--gain", "fixed:0.8"), [229]),
+        # No closed form: the grid, then the refinement.
+        (("--epsilon", "0.6", "--omega-stop", "10", "--gain", "fixed:0.9", "--threshold", "0.6"), [101, 128]),
+        (("--epsilon", "0.6", "--omega-stop", "10", "--input", "squeezed:0.5"), [101, 128]),
+        # A crossing past the grid doubles as it did: the grid, the first
+        # doubling candidate with the octave below it, the refinement.
+        (("--epsilon", "0.6"), [51, 64, 128]),
+        (("--epsilon", "0.6", "--pipeline", "swap", "--omega-stop", "1"), [11, 64, 199, 128, 128]),
+        # A bracket from 0 to 1e10: the stencil's floats coincide, so the
+        # grid stands alone and each refinement is a call of its own.
+        (("--epsilon", "0.6", "--omega-step", "1e10", "--omega-stop", "1e10"), [2] + [128] * 7),
+    ],
+)
+def test_bandwidth_kernel_calls(monkeypatch, capsys, args, calls):
+    # The rows of each kernel call one bandwidth command makes.
+    rows, kernel = [], criteria._teleport_columns
+
+    def counted(src, omega, *rest):
+        rows.append(len(omega))
+        return kernel(src, omega, *rest)
+
+    monkeypatch.setattr(criteria, "_teleport_columns", counted)
+    monkeypatch.setattr(swap, "_teleport_columns", counted)
+    code, _, err = invoke(capsys, "bandwidth", *args)
+    assert (code, err, rows) == (0, "", calls)
 
 
 @pytest.mark.filterwarnings("ignore::cvteleport.teleport.NonUnitGainWarning")

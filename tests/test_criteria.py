@@ -45,6 +45,7 @@ from references import ralph_lam
 from cvteleport.epr import CustomSpectrum, Nopa, ZeroBandwidth
 from cvteleport.swap import (
     SwapConfig,
+    _SwappedPair,
     _swap_columns,
     swap_spectrum,
     verification_teleport,
@@ -965,6 +966,68 @@ def test_a_crossing_where_floats_are_coarser_than_the_stop_ends():
     assert got == pytest.approx(2 * 0.49 * 4e12, rel=1e-15)
 
 
+def test_the_plan_keeps_a_grid_where_floats_are_coarser_than_the_stencil():
+    # The table above: the stencil around the guess near 2e12 holds equal
+    # floats, which no table can, so the plan is the grid itself.
+    grid = np.array([0.0, 1e12, 3e12])
+    assert criteria_module._bandwidth_grid(grid, 1.0 - grid / 4e12, 0.51) is grid
+
+
+@pytest.mark.parametrize(
+    "src, detector",
+    [
+        (Nopa(0.6), BellDetector(1.0)),
+        (Nopa(0.8, 0.7), BellDetector(0.95)),
+        (Nopa(1.0), BellDetector(0.9)),
+    ],
+)
+@pytest.mark.parametrize("swap_gain", ["teleport", None, 0.8])
+def test_the_closed_form_is_the_kernel_fidelity_bit_for_bit(src, detector, swap_gain):
+    # What the command line plans with: a unit-gain teleport's closed form,
+    # and a swap's at any gain (ideal detectors), is the kernel's column.
+    grid = np.array([0.0, 0.3, 1.7, 5.0, 40.0])
+    if swap_gain == "teleport":
+        table = fidelity_spectrum(src, grid, detector=detector)
+        closed = criteria_module._closed_fidelity(src, grid, detector)
+    else:
+        cfg = SwapConfig(src, gain=swap_gain)
+        table = swap_spectrum(cfg, grid)
+        closed = criteria_module._closed_fidelity(_SwappedPair(cfg, grid), grid, BellDetector(1.0))
+    assert _bits(closed) == _bits(table.fidelity)
+
+
+@pytest.mark.parametrize("make, width", SOURCES, ids=SOURCE_IDS)
+@pytest.mark.parametrize("threshold", [0.51, 0.55, 0.6])
+@pytest.mark.parametrize("step", [0.1, 0.5, 2.0])
+def test_the_planned_table_holds_the_rows_of_the_first_refinement(make, width, threshold, step):
+    # The table on the planned grid is, row for row and bit for bit, the
+    # table of the grid merged with the rows of bandwidth()'s first
+    # evaluator call, so bandwidth() reads the same width from it with one
+    # call less.
+    grid = step * np.arange(int(20 / step) + 1)
+    table = make(grid)
+    planned = criteria_module._bandwidth_grid(grid, table.fidelity, threshold)
+    got, calls = _checked_bandwidth(make(planned), threshold)
+    rows = dict(zip(table.omega.tolist(), table.fidelity.tolist()))
+    evaluator, first = table.evaluator, []
+
+    def recorded(w):
+        values = evaluator(w)
+        first.append(dict(zip(w.tolist(), values.tolist())))
+        return values
+
+    table.evaluator = recorded
+    assert _bits([bandwidth(table, threshold)]) == _bits([got])
+    if planned is grid:  # the fixed-gain swap's first row: nothing to refine
+        assert table.fidelity[0] < threshold and not first
+        return
+    rows.update(first[0])
+    union = make(planned)
+    assert _bits(union.omega) == _bits(sorted(rows))
+    assert _bits(union.fidelity) == _bits([rows[w] for w in sorted(rows)])
+    assert len(calls) == len(first) - 1
+
+
 def _tabulated(top):
     # Nopa(0.5) as a CustomSpectrum on [0, top]: it rejects any
     # frequency past top.  At threshold 0.51 the fidelity crosses near 7.
@@ -1019,6 +1082,140 @@ def test_bandwidth_without_evaluator_needs_a_crossing():
     )
     with pytest.raises(ValueError):
         bandwidth(loaded)
+
+
+# bandwidth() as it was on numpy arrays, before it kept its rows in lists:
+# the reference that the list version must match bit for bit, evaluator
+# calls included.  It shares the unchanged _doubling and _secant.
+
+
+def _array_bandwidth(spectrum, threshold=0.51):
+    om, fs = spectrum.omega, spectrum.fidelity
+    if fs[0] < threshold:
+        return 0.0
+    ev = spectrum.evaluator
+    if not (fs < threshold).any():
+        if ev is None:
+            raise ValueError(
+                "fidelity stays above threshold across the table and no "
+                "evaluator is attached to extend it"
+            )
+        om, fs = criteria_module._doubling(ev, om, fs, threshold)
+        if not (fs < threshold).any():
+            return math.inf
+    c = int(np.argmax(fs < threshold))
+    if ev is None:
+        (lo, hi), (f_lo, f_hi) = om[c - 1 : c + 1].tolist(), fs[c - 1 : c + 1].tolist()
+        return 2.0 * criteria_module._secant(lo, f_lo, hi, f_hi, threshold)
+    stop, stencil_points = criteria_module._STOP, criteria_module._STENCIL
+    while om[c] - om[c - 1] > stop:
+        lo, hi = om[c - 1], om[c]
+        guess = _array_crossing(om, fs, c, threshold)
+        stencil = guess + 0.5 * stop * np.arange(-stencil_points, stencil_points + 1)
+        grid = np.linspace(lo, hi, criteria_module._GRID + 2)[1:-1]
+        points = np.concatenate((grid[grid < stencil[0]], stencil, grid[grid > stencil[-1]]))
+        points = points[(points > lo) & (points < hi)]
+        if not len(points):
+            break
+        values = ev(points)
+        om = np.concatenate((om[:c], points, om[c:]))
+        fs = np.concatenate((fs[:c], values, fs[c:]))
+        c += int(np.argmax(np.append(values < threshold, True)))
+    return 2.0 * _array_crossing(om, fs, c, threshold)
+
+
+def _array_crossing(om, fs, c, threshold):
+    half = criteria_module._GUESS_ROWS // 2
+    rows = slice(max(c - half, 0), c + half)
+    x = _array_inverse_guess(om[rows].tolist(), fs[rows].tolist(), threshold)
+    (lo, hi), (f_lo, f_hi) = om[c - 1 : c + 1].tolist(), fs[c - 1 : c + 1].tolist()
+    if lo <= x <= hi:
+        return x
+    return min(max(criteria_module._secant(lo, f_lo, hi, f_hi, threshold), lo), hi)
+
+
+def _array_inverse_guess(xs, fs, threshold):
+    if len(set(fs)) < len(fs):
+        return math.nan
+    guess = 0.0
+    for i, (x, f) in enumerate(zip(xs, fs)):
+        for j, g in enumerate(fs):
+            if j != i:
+                x *= (threshold - g) / (f - g)
+        guess += x
+    return guess
+
+
+@st.composite
+def _synthetic_tables(draw):
+    # A table and a threshold: a grid from 0 at one of several scales,
+    # fidelities from a smooth evaluator, a wobbling one, one with nan
+    # patches or one of flat steps (rows that share a fidelity), or, with
+    # no evaluator, drawn fidelities among which 0 and inf.
+    rows, scale = draw(st.integers(1, 40)), draw(st.sampled_from((1.0, 1e-3, 1e6, 1e12)))
+    steps = draw(st.lists(st.floats(0.01, 1.0), min_size=rows, max_size=rows))
+    grid = scale * np.cumsum([0.0, *steps[1:]])
+    width = scale * draw(st.floats(0.1, 10.0))
+    kind = draw(st.sampled_from(("smooth", "wobble", "nan", "flat", "none", "none")))
+
+    def evaluator(w):
+        r = np.asarray(w, dtype=float) / width
+        with np.errstate(over="ignore"):
+            f = 0.5 + 0.45 / (1.0 + r * r)
+        if kind == "wobble":
+            f = f + 0.02 * ((r * 7.3) % 1.0 - 0.5)
+        elif kind == "nan":
+            f = np.where((r * 3.1) % 1.0 < 0.2, math.nan, f)
+        elif kind == "flat":
+            f = np.where(r < 1.0, 0.9, np.where(r < 2.0, 0.6, 0.2))
+        return f
+
+    if kind == "none":
+        values = st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, math.inf)))
+        fidelity = draw(st.lists(values, min_size=rows, max_size=rows))
+        table = SpectrumTable(grid, grid, grid, fidelity)
+    else:
+        table = SpectrumTable(grid, grid, grid, evaluator(grid), evaluator=evaluator)
+    return table, draw(st.one_of(st.sampled_from((0.51, 0.3, 0.75)), st.floats(0.3, 0.99)))
+
+
+def _width_and_calls(find, table, threshold):
+    # find's width (its bits) or its error, and the bits of the frequencies
+    # of each evaluator call.
+    calls, evaluator = [], table.evaluator
+    if evaluator is not None:
+        def recorded(w):
+            calls.append(_bits(w))
+            return evaluator(w)
+
+        table.evaluator = recorded
+    try:
+        return _bits([find(table, threshold)]), calls
+    except ValueError as exc:
+        return str(exc), calls
+    finally:
+        table.evaluator = evaluator
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(case=st.one_of(_synthetic_tables(), _bandwidth_cases().map(lambda case: case[:2])))
+@example(  # the table of test_a_crossing_where_floats_are_coarser_than_the_stop_ends
+    case=(
+        SpectrumTable(
+            [0.0, 1e12, 3e12], [0.0] * 3, [0.0] * 3, [1.0, 0.75, 0.25],
+            evaluator=lambda w: 1.0 - np.asarray(w, dtype=float) / 4e12,
+        ),
+        0.51,
+    )
+)
+# No evaluator: an inf row next to the crossing, and no crossing at all.
+@example(case=(SpectrumTable([0.0, 1.0, 2.0], [0.0] * 3, [0.0] * 3, [1.0, math.inf, 0.0]), 0.51))
+@example(case=(SpectrumTable([0.0, 1.0], [0.0] * 2, [0.0] * 2, [1.0, math.inf]), 0.51))
+def test_bandwidth_on_lists_is_the_array_version_bit_for_bit(case):
+    table, threshold = case
+    assert _width_and_calls(bandwidth, table, threshold) == _width_and_calls(
+        _array_bandwidth, table, threshold
+    )
 
 
 def test_nonunit_gain_spectrum_warns():
@@ -1215,6 +1412,24 @@ def test_a_fidelity_outside_0_1_is_named_by_its_first_value():
         criteria_module._teleport_columns(
             Nopa(0.5), grid[:2], np.array([1.0, 1e300]), BellDetector(1.0), COHERENT, alpha=1.0
         )
+
+
+def test_a_scalar_gain_past_the_float_range_fails_as_an_array_of_gains_does():
+    # (1 - g)*alpha squares past the float range: inf over an infinite
+    # width is F = 0*exp(nan) = nan, which the [0, 1] check names, for a
+    # scalar gain as for an array of gains (a Python float's ** raised a
+    # bare OverflowError here).  Over a finite width F is 0.
+    message = r"^fidelity nan outside \[0, 1\]$"
+    with pytest.raises(ValueError, match=message):
+        evaluate_criteria(Nopa(0.5), 0.0, 1e200, alpha=1.0)
+    for gain in (1e300, np.array([1e300])):
+        with pytest.raises(ValueError, match=message):
+            criteria_module._teleport_columns(
+                Nopa(0.5), np.array([0.0]), gain, BellDetector(1.0), COHERENT, alpha=1.0
+            )
+    assert fidelity_point(0.5, 0.5, 0.5, 1e200) == 0.0
+    with np.errstate(over="ignore"):  # numpy's overflow note, which the kernel silences
+        assert _bits(fidelity_point(np.array([0.5]), 0.5, 0.5, 1e200)) == _bits([0.0])
 
 
 @pytest.mark.parametrize("shift", [1e-10, math.nan], ids=["off", "nan"])
