@@ -25,19 +25,12 @@ import numpy as np
 
 from ._text import format_number, write_json
 from .criteria import (
-    OMEGA_LIMIT,
-    SpectrumTable,
-    _bandwidth_grid,
-    _closed_fidelity,
-    bandwidth,
-    evaluate_criteria,
-    fidelity_spectrum,
-    teleport_fidelity,
+    OMEGA_LIMIT, SpectrumTable, _sweep, bandwidth, evaluate_criteria, teleport_fidelity
 )
 from .epr import Nopa, NopaParams, SqueezerSpectrum, ZeroBandwidth
 from .linmode import Axis, InputModel, combine, normalized_variance, unit_input
 from .oracle import McConfig, covariance_teleport, fidelity_to_coherent, mc_check
-from .swap import SwapConfig, _SwappedPair, swap_spectrum
+from .swap import SwapConfig, _swept
 from .teleport import BellDetector, GainSchedule, TeleportOutcome, teleport
 
 __all__ = ["main", "run"]
@@ -371,10 +364,8 @@ def _table(
 ) -> tuple[SpectrumTable, np.ndarray, float]:
     """(table, user-unit grid, scale) on the sweep grid, or at --omega if point.
 
-    The table has dimensionless frequencies and keeps its evaluator.  Given
-    a threshold, it also holds the rows of bandwidth()'s first refinement
-    where the closed form places them (see criteria._bandwidth_grid): on
-    unit-gain teleports of a coherent input and on every swap.
+    The table has dimensionless frequencies and keeps its evaluator; a
+    threshold goes to the sweep, for a bandwidth() on the table.
     """
     src, scale = _resolve_source(v)
     user = np.array([_float("--omega", v["omega"])]) if point else _resolve_grid(v)
@@ -382,11 +373,8 @@ def _table(
     _check_frequency("--omega" if point else "--omega-start", grid[0], scale)
     _check_frequency("--omega-stop", grid[-1], scale)
     if pipeline == "teleport":
-        gain = _resolve_gain(v, for_swap=False)
-        detector, model = _resolve_detector(v), _resolve_input(v)
-        if threshold is not None and gain == GainSchedule.unit() and model.v_x == model.v_p == 1.0:
-            grid = _bandwidth_grid(grid, _closed_fidelity(src, grid, detector), threshold)
-        table = fidelity_spectrum(src, grid, gain=gain, detector=detector, in_model=model)
+        setting = (_resolve_gain(v, for_swap=False), _resolve_detector(v), _resolve_input(v))
+        table = _sweep(lambda w: src, grid, *setting, threshold)
     elif pipeline == "swap":
         # Swapping verifies with a coherent input on ideal detectors, at
         # unit gain over the swapped pair whatever the swap gain.
@@ -394,11 +382,7 @@ def _table(
             raise _ConfigError("--eta2 does not apply to the swap pipeline")
         if v["input"] != "coherent":
             raise _ConfigError("--input does not apply to the swap pipeline")
-        cfg = SwapConfig(src, gain=_resolve_gain(v, for_swap=True))
-        if threshold is not None:
-            closed = _closed_fidelity(_SwappedPair(cfg, grid), grid, BellDetector(1.0))
-            grid = _bandwidth_grid(grid, closed, threshold)
-        table = swap_spectrum(cfg, grid)
+        table = _swept(SwapConfig(src, gain=_resolve_gain(v, for_swap=True)), grid, threshold)
     else:
         raise _ConfigError(f"--pipeline: expected teleport or swap, got {pipeline!r}")
     return table, user, scale

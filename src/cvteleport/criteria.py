@@ -19,12 +19,11 @@ its output and conditional variances and transfer coefficients follow
 from the linear-channel identities.  bandwidth() asks the kernel for many
 frequencies per call to narrow a bracket around the threshold crossing,
 then interpolates inside it, so a width is exact to a few ulps on a
-smooth source.  Where the unit-gain closed form gives the fidelity column
-before the kernel runs, _bandwidth_grid places the first of those calls'
-frequencies in the table's own grid, so that one kernel call serves both.
-teleport_fidelity and classical_objective act on quadrature expansions;
-the expansion reference for the conditional variances and transfer
-coefficients (ralph_lam) is test code, in tests/references.py.
+smooth source.  One sweep (_sweep) builds every kernel table, a swap's
+and the command line's included.  teleport_fidelity and
+classical_objective act on quadrature expansions; the expansion reference
+for the conditional variances and transfer coefficients (ralph_lam) is
+test code, in tests/references.py.
 
 Variances are normalized to vacuum = 1 throughout; Q-function widths (the
 sigma arguments of the fidelity) are in absolute units where vacuum
@@ -332,6 +331,14 @@ def _closed_fidelity(
     return 1.0 / (1.0 + src.variances(omega, powers)[1] + tau2)
 
 
+def _closed_rows(
+    gain: complex | np.ndarray, in_model: InputModel, alpha: complex
+) -> bool | np.ndarray:
+    # The rows where the closed form is the fidelity: every unit-gain row of
+    # a coherent input at alpha = 0.  The kernel and the plan read this one rule.
+    return alpha == 0 and in_model.v_x == in_model.v_p == 1.0 and np.equal(gain, 1)
+
+
 def _checked_fidelity(
     src: SqueezerSpectrum,
     omega: float | np.ndarray,
@@ -343,13 +350,10 @@ def _checked_fidelity(
     powers: PortPowers | None,
 ) -> float | np.ndarray:
     # The closed form (see _closed_fidelity) is exact to a few ulps, so on
-    # every unit-gain row of a coherent input at alpha = 0 it replaces the
-    # float roundoff of the generic Q-function fidelity, once the two agree
-    # to 1e-12.  A real exception, not an assert, so python -O keeps the
-    # check.
-    if alpha != 0 or in_model.v_x != 1.0 or in_model.v_p != 1.0:
-        return generic
-    unit = np.equal(gain, 1)
+    # its rows (see _closed_rows) it replaces the float roundoff of the
+    # generic Q-function fidelity, once the two agree to 1e-12.  A real
+    # exception, not an assert, so python -O keeps the check.
+    unit = _closed_rows(gain, in_model, alpha)
     units = np.count_nonzero(unit)
     if not units:
         return generic
@@ -553,18 +557,43 @@ def _weighted(w: complex | np.ndarray, spectrum: float | np.ndarray) -> float | 
     return product
 
 
-def _spectrum_table(
-    grid: np.ndarray, values: _Columns, columns: Callable[[np.ndarray], _Columns]
+def _sweep(
+    resource: Callable[[np.ndarray], SqueezerSpectrum],
+    grid: Sequence[float] | np.ndarray,
+    gain: GainSchedule | complex,
+    detector: BellDetector,
+    model: InputModel,
+    threshold: float | None = None,
 ) -> SpectrumTable:
-    # The sweep's values as a table; its evaluator, which bandwidth()
-    # refines with, is the same kernel (columns) on the frequencies asked for.
-    return SpectrumTable(
-        grid,
-        values.v_x,
-        values.v_p,
-        values.fidelity,
-        evaluator=lambda w: columns(np.asarray(w, dtype=float).reshape(-1)).fidelity,
-    )
+    # The kernel's table of a teleport over resource(omega) on grid, with
+    # the kernel on the frequencies asked for as its evaluator.  Given a
+    # threshold, where the closed form is the fidelity on every row of grid
+    # (see _closed_rows), it gives that column before the kernel runs, and
+    # the table is built on grid merged with the frequencies of bandwidth()'s
+    # first evaluator call (see _bandwidth_grid): the kernel works row by
+    # row, so these are bit for bit the rows that call would merge, and
+    # bandwidth() reads the same width without it.
+    schedule = as_gain(gain)
+    grid = np.asarray(grid, dtype=float)
+    gains, src = schedule.at(grid), resource(grid)
+    if threshold is not None and np.all(_closed_rows(gains, model, 0j)):
+        planned = _bandwidth_grid(grid, _closed_fidelity(src, grid, detector), threshold)
+        if planned is not grid:
+            grid, gains, src = planned, schedule.at(planned), resource(planned)
+
+    def fidelity(w: np.ndarray) -> np.ndarray:
+        w = np.asarray(w, dtype=float).reshape(-1)
+        return _teleport_columns(resource(w), w, schedule.at(w), detector, model).fidelity
+
+    values = _teleport_columns(src, grid, gains, detector, model)
+    if np.not_equal(gains, 1).any():
+        warnings.warn(
+            "nonunit gain: the v_x/v_p columns include the gain-mismatch "
+            "input term and are not error spectra",
+            NonUnitGainWarning,
+            stacklevel=3,
+        )
+    return SpectrumTable(grid, values.v_x, values.v_p, values.fidelity, evaluator=fidelity)
 
 
 def fidelity_spectrum(
@@ -583,25 +612,8 @@ def fidelity_spectrum(
     against the generic Q-function path on every row; otherwise the generic
     path stands alone.
     """
-    schedule = as_gain(gain)
     model = in_model if in_model is not None else InputModel.coherent()
-    grid = np.asarray(omegas, dtype=float)
-    gains = schedule.at(grid)
-
-    def columns(w: np.ndarray, g: complex | np.ndarray) -> _Columns:
-        return _teleport_columns(src, w, g, detector, model)
-
-    table = _spectrum_table(
-        grid, columns(grid, gains), lambda w: columns(w, schedule.at(w))
-    )
-    if np.not_equal(gains, 1).any():
-        warnings.warn(
-            "nonunit gain: the v_x/v_p columns include the gain-mismatch "
-            "input term and are not error spectra",
-            NonUnitGainWarning,
-            stacklevel=2,
-        )
-    return table
+    return _sweep(lambda w: src, omegas, gain, detector, model)
 
 
 def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
@@ -616,17 +628,15 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
     it predict (see _refinement_points), and the bracket becomes the pair
     of neighbouring rows that straddles the threshold.  A smooth crossing
     on the grid takes one call, one in the first octave past the grid two.
-    A table that already holds the rows of the first call takes one call
-    less: the command line builds its unit-gain tables so (see
-    _bandwidth_grid), and reads a smooth crossing on the grid from one
-    kernel call.  The width is twice the crossing that the rows next to
-    the final bracket predict, which is exact to a few ulps on a smooth
-    source; it lies inside that bracket whatever the evaluator.  Tables
-    without an evaluator fall back to linear interpolation between the
-    bracketing rows.  Returns 0 when even the first row is below
-    threshold, and math.inf when the evaluator never drops below it up to
-    OMEGA_LIMIT (a threshold at or below the large-omega limit of the
-    fidelity: 1/2 at unit gain, 1/(1 + g^2) at fixed gain g).
+    The width is twice the crossing that the rows next to the final
+    bracket predict, which is exact to a few ulps on a smooth source; it
+    lies inside that bracket whatever the evaluator.  Tables without an
+    evaluator fall back to linear interpolation between the bracketing
+    rows.  Returns 0 when even the first row is below threshold, and
+    math.inf when the evaluator never drops below it up to OMEGA_LIMIT (a
+    threshold at or below the large-omega limit of the fidelity: 1/2 at
+    unit gain, 1/(1 + g^2) at fixed gain g).  A nan (or inf) row next to
+    the final bracket raises ValueError, naming its frequency.
     """
     om, fs = spectrum.omega, spectrum.fidelity
     if fs[0] < threshold:
@@ -646,31 +656,32 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
     c = int(np.argmax(fs < threshold))
     if ev is None:
         (lo, hi), (f_lo, f_hi) = om[c - 1 : c + 1].tolist(), fs[c - 1 : c + 1].tolist()
-        return 2.0 * _secant(lo, f_lo, hi, f_hi, threshold)
-    om, fs = om.tolist(), fs.tolist()
-    while om[c] - om[c - 1] > _STOP:
-        points = _refinement_points(om, fs, c, threshold)
-        if not len(points):
-            break  # lo and hi are neighbouring floats, more than _STOP apart
-        values = ev(points).tolist()
-        om[c:c], fs[c:c] = points.tolist(), values
-        # The first new row below threshold, or hi if none is.
-        c += next((k for k, f in enumerate(values) if f < threshold), len(values))
-    return 2.0 * _crossing(om, fs, c, threshold)
+        crossing = _secant(lo, f_lo, hi, f_hi, threshold)
+    else:
+        om, fs = om.tolist(), fs.tolist()
+        while om[c] - om[c - 1] > _STOP:
+            points = _refinement_points(om, fs, c, threshold)
+            if not len(points):
+                break  # lo and hi are neighbouring floats, more than _STOP apart
+            values = ev(points).tolist()
+            om[c:c], fs[c:c] = points.tolist(), values
+            # The first new row below threshold, or hi if none is.
+            c += next((k for k, f in enumerate(values) if f < threshold), len(values))
+        crossing = _crossing(om, fs, c, threshold)
+    # Row c is below threshold, so only a nan or inf row c - 1 gives a nan.
+    if math.isnan(crossing):
+        raise ValueError(f"fidelity {fs[c - 1]} at omega={om[c - 1]} next to the crossing")
+    return 2.0 * crossing
 
 
 def _bandwidth_grid(grid: np.ndarray, fidelity: np.ndarray, threshold: float) -> np.ndarray:
-    # The grid with the rows of bandwidth()'s first refinement merged in.
-    # fidelity must be the kernel's fidelity column on grid bit for bit, as
-    # the closed form is on every unit-gain row of a coherent input (see
-    # _checked_fidelity).  The kernel works row by row, so its table on the
-    # frequencies returned holds exactly the rows that bandwidth() holds
-    # after its first evaluator call on the table of grid, and bandwidth()
-    # reads them without that call.  The grid itself where bandwidth()
-    # would make no such call (the first row below threshold, a crossing
-    # past the grid, a bracket at most _STOP wide), or where the points are
-    # no table's: they are not strictly increasing where the floats are
-    # coarser than the stencil, past about 4e9.
+    # The grid with the frequencies of bandwidth()'s first evaluator call on
+    # the table of grid merged in, fidelity being that table's column (see
+    # _sweep).  The grid itself where bandwidth() would make no such call
+    # (the first row below threshold, a crossing past the grid, a bracket at
+    # most _STOP wide), or where the points are no table's: they are not
+    # strictly increasing where the floats are coarser than the stencil,
+    # past about 4e9.
     c = int(np.argmax(fidelity < threshold))  # 0 if no row is below
     if c == 0 or not grid[c] - grid[c - 1] > _STOP:
         return grid
@@ -684,7 +695,6 @@ def _bandwidth_grid(grid: np.ndarray, fidelity: np.ndarray, threshold: float) ->
 # command line rejects a frequency: the sources square it, and from about
 # 1.3e154 on the square passes the float range.
 OMEGA_LIMIT = 1e154
-_DOUBLINGS = 200  # doubling candidates at most
 _STOP = 1e-6  # bandwidth() narrows its bracket to this width
 # Points of the even grid that every evaluator call takes across the
 # bracket (and the first doubling call across the octave below its
@@ -720,7 +730,10 @@ def _doubling(
     # search does.
     last = float(om[-1])
     first = last * 2.0 if last > 0 else 1.0
-    candidates = np.ldexp(first, np.arange(_DOUBLINGS))
+    # Counted from the binary exponents: OMEGA_LIMIT / first passes the
+    # float range once first is below about 1e-154.
+    count = math.frexp(OMEGA_LIMIT)[1] - math.frexp(first)[1] + 1
+    candidates = np.ldexp(first, np.arange(count))
     candidates = candidates[candidates <= OMEGA_LIMIT]
     if not len(candidates):
         return om, fs

@@ -18,13 +18,14 @@ multiplied in, which keeps threshold results finite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .criteria import SpectrumTable, _Columns, _spectrum_table, _teleport_columns
+from .criteria import SpectrumTable, _Columns, _sweep, _teleport_columns
 from .epr import PortPowers, SqueezerSpectrum, _abs2, _number, make_epr_pair
 from .linmode import InputModel, QuadExpansion
 from .teleport import BellDetector, GainSchedule, TeleportOutcome, as_gain, teleport
@@ -214,7 +215,7 @@ def swap_fidelity(cfg: SwapConfig, omega: float) -> float:
 
 
 def _swap_columns(cfg: SwapConfig, omega: np.ndarray) -> _Columns:
-    # A swap sweep is the teleport kernel over the swapped pair on the grid.
+    # The teleport kernel over the swapped pair on the grid.
     return _teleport_columns(
         _SwappedPair(cfg, omega), omega, _UNIT_GAIN.value, _IDEAL_DETECTOR, _COHERENT
     )
@@ -227,5 +228,12 @@ def swap_spectrum(cfg: SwapConfig, omegas: Sequence[float] | np.ndarray) -> Spec
     for the whole grid at once; the attached evaluator lets bandwidth()
     bisect between and beyond rows.
     """
-    grid = np.asarray(omegas, dtype=float)
-    return _spectrum_table(grid, _swap_columns(cfg, grid), lambda w: _swap_columns(cfg, w))
+    return _swept(cfg, omegas)
+
+
+def _swept(
+    cfg: SwapConfig, grid: Sequence[float] | np.ndarray, threshold: float | None = None
+) -> SpectrumTable:
+    # The sweep of the verification teleport over the swapped pair.
+    pair = functools.partial(_SwappedPair, cfg)
+    return _sweep(pair, grid, _UNIT_GAIN, _IDEAL_DETECTOR, _COHERENT, threshold)

@@ -16,10 +16,11 @@ is imported from ``src/`` of the checkout this script sits in.  With
 ``--against <checkout>`` the same ops also run, in a child process,
 against the package in that checkout's ``src/``; both digests are printed,
 then, per command, the ops whose outputs differ, the numbers in them that
-differ, the largest relative change of a number, and the kernel calls per
-op on either side: the calls of ``criteria._teleport_columns``, which every
-spectrum row, criteria report and bandwidth refinement goes through,
-counted in process by a wrapper that changes no output.
+differ, the largest relative change of a number, and the kernel calls and
+the rows they asked for per op on either side: the calls of
+``criteria._teleport_columns``, which every spectrum row, criteria report
+and bandwidth refinement goes through, counted in process by a wrapper
+that changes no output.
 """
 
 from __future__ import annotations
@@ -85,18 +86,19 @@ def _digest(outputs: list[list[str]]) -> str:
     return digest.hexdigest()
 
 
-def _run(src: str, ops: list, count: bool = False) -> tuple[list[list[str]], list[int]]:
-    # Each op's parts and, if count, its kernel calls (else 0 each).
+def _run(src: str, ops: list, count: bool = False) -> tuple[list[list[str]], list[list[int]]]:
+    # Each op's parts and, if count, its kernel calls and rows (else 0 each).
     sys.path.insert(0, src)
     from cvteleport import cli, criteria
 
-    calls = [0]
+    calls = [0, 0]
     if count:
         kernel = criteria._teleport_columns
 
-        def counted(*args, **kwargs):
+        def counted(resource, omega, *args, **kwargs):
             calls[0] += 1
-            return kernel(*args, **kwargs)
+            calls[1] += len(omega)
+            return kernel(resource, omega, *args, **kwargs)
 
         # Every module that imported the kernel by name calls its own binding.
         for name, module in list(sys.modules.items()):
@@ -104,9 +106,9 @@ def _run(src: str, ops: list, count: bool = False) -> tuple[list[list[str]], lis
                 module._teleport_columns = counted
     outputs, counts = [], []
     for op in ops:
-        calls[0] = 0
+        calls[:] = 0, 0
         outputs.append(_op_parts(cli, op))
-        counts.append(calls[0])
+        counts.append(list(calls))
     return outputs, counts
 
 
@@ -121,16 +123,18 @@ def _relative(a: str, b: str) -> float:
 
 def _compare(ops: list, mine: list[list[str]], theirs: list[list[str]], calls: list) -> None:
     # Per command: ops, ops changed, numbers changed, the largest relative
-    # change of a number and the kernel calls per op on either side (calls
-    # holds both sides' per-op counts).  An op whose text differs outside
-    # its numbers, or in how many it has, counts as changed with every
-    # number.
+    # change of a number and the kernel calls and rows per op on either side
+    # (calls holds both sides' per-op [calls, rows]).  An op whose text
+    # differs outside its numbers, or in how many it has, counts as changed
+    # with every number.
     rows: dict[str, list] = {}
     for op, a, b, (k_a, k_b) in zip(ops, mine, theirs, zip(*calls)):
-        row = rows.setdefault(op.argv[0], [0, 0, 0, 0.0, 0, 0])
+        row = rows.setdefault(op.argv[0], [0, 0, 0, 0.0, 0, 0, 0, 0])
         row[0] += 1
-        row[4] += k_a
-        row[5] += k_b
+        row[4] += k_a[0]
+        row[5] += k_b[0]
+        row[6] += k_a[1]
+        row[7] += k_b[1]
         if a == b:
             continue
         row[1] += 1
@@ -145,15 +149,17 @@ def _compare(ops: list, mine: list[list[str]], theirs: list[list[str]], calls: l
         row[3] = max([row[3], *changed])
     print(
         f"{'command':<14} {'ops':>6} {'changed':>8} {'numbers':>8}  {'largest':>7}"
-        f"  {'calls/op':>8} {'other':>8}"
+        f"  {'calls/op':>8} {'other':>8}  {'rows/op':>8} {'other':>8}"
     )
-    for command, (count, changed, numbers, largest, k_a, k_b) in sorted(rows.items()):
+    for command, (count, changed, numbers, largest, *kernel) in sorted(rows.items()):
+        k_a, k_b, r_a, r_b = (k / count for k in kernel)
         print(
             f"{command:<14} {count:>6} {changed:>8} {numbers:>8}  {largest:>7.3g}"
-            f"  {k_a / count:>8.3f} {k_b / count:>8.3f}"
+            f"  {k_a:>8.3f} {k_b:>8.3f}  {r_a:>8.1f} {r_b:>8.1f}"
         )
-    total_a, total_b = (sum(row[k] for row in rows.values()) for k in (4, 5))
+    total_a, total_b, rows_a, rows_b = (sum(row[k] for row in rows.values()) for k in (4, 5, 6, 7))
     print(f"kernel calls: {total_a} here, {total_b} in the other checkout")
+    print(f"kernel rows: {rows_a} here, {rows_b} in the other checkout")
 
 
 def main(argv: list[str]) -> int:

@@ -381,7 +381,7 @@ def test_bandwidth_prints_the_width_of_the_plain_grid(flags):
         # A crossing past the grid doubles as it did: the grid, the first
         # doubling candidate with the octave below it, the refinement.
         (("--epsilon", "0.6"), [51, 64, 128]),
-        (("--epsilon", "0.6", "--pipeline", "swap", "--omega-stop", "1"), [11, 64, 199, 128, 128]),
+        (("--epsilon", "0.6", "--pipeline", "swap", "--omega-stop", "1"), [11, 64, 510, 128, 128]),
         # A bracket from 0 to 1e10: the stencil's floats coincide, so the
         # grid stands alone and each refinement is a call of its own.
         (("--epsilon", "0.6", "--omega-step", "1e10", "--omega-stop", "1e10"), [2] + [128] * 7),
@@ -399,6 +399,17 @@ def test_bandwidth_kernel_calls(monkeypatch, capsys, args, calls):
     monkeypatch.setattr(swap, "_teleport_columns", counted)
     code, _, err = invoke(capsys, "bandwidth", *args)
     assert (code, err, rows) == (0, "", calls)
+
+
+@pytest.mark.parametrize("pipeline, width", [("teleport", "13.9642400438"), ("swap", "4.82537783468")])
+def test_bandwidth_doubles_from_a_tiny_grid(capsys, pipeline, width):
+    # The crossing lies some 235 octaves past the grid's last row, 1e-70:
+    # doubling goes on up to OMEGA_LIMIT, however far that is.
+    code, out, err = invoke(
+        capsys, "bandwidth", "--epsilon", "0.5", "--omega-step", "1e-72",
+        "--omega-stop", "1e-70", "--pipeline", pipeline,
+    )
+    assert (code, out, err) == (0, width + "\n", "")
 
 
 @pytest.mark.filterwarnings("ignore::cvteleport.teleport.NonUnitGainWarning")

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -939,7 +940,7 @@ def test_never_crossing_bandwidth_takes_two_calls():
     # The swapped fidelity tends to 1/2 from above: no doubling candidate up
     # to OMEGA_LIMIT drops below a threshold of 1/2, and two calls show it.
     table = swap_spectrum(SwapConfig(Nopa(0.5)), [0.1 * k for k in range(51)])
-    assert _checked_bandwidth(table, 0.5) == (math.inf, [FIRST_DOUBLING_CALL, 199])
+    assert _checked_bandwidth(table, 0.5) == (math.inf, [FIRST_DOUBLING_CALL, 508])
 
 
 def test_doubling_stops_at_the_frequency_limit():
@@ -952,6 +953,38 @@ def test_doubling_stops_at_the_frequency_limit():
     assert width == math.inf
     doublings = len([k for k in range(1, 200) if 2e100 * 2.0 ** k <= OMEGA_LIMIT])
     assert calls == [FIRST_DOUBLING_CALL, doublings]
+
+
+@pytest.mark.parametrize("last", [1e-61, 5e-324])
+def test_doubling_from_a_tiny_grid_reaches_the_crossing(last):
+    # Some 200 to 1,080 octaves lie between the last row and the crossing
+    # near 7: the second call takes every candidate up to OMEGA_LIMIT,
+    # counted from the binary exponents (OMEGA_LIMIT / 2e-323 is inf).
+    first, candidates = 2.0 * last, 0
+    while math.ldexp(first, candidates) <= OMEGA_LIMIT:
+        candidates += 1
+    width, calls = _checked_bandwidth(fidelity_spectrum(Nopa(0.5), [0.0, last]), 0.51)
+    assert width == pytest.approx(closed_form_width(0.5), rel=1e-12)
+    assert calls[:2] == [FIRST_DOUBLING_CALL, candidates - 1]
+
+
+def test_bandwidth_names_a_nan_row_next_to_the_crossing():
+    # A nan row beside the bracket leaves the crossing undefined: an error
+    # naming its frequency, not a nan width.
+    loaded = SpectrumTable.from_csv("omega,v_x,v_p,fidelity\n0,1,1,0.9\n1,1,1,nan\n2,1,1,0.3\n")
+    with pytest.raises(ValueError, match=r"^fidelity nan at omega=1\.0 next to the crossing$"):
+        bandwidth(loaded)
+
+    def patched(w):
+        # 1 - w/4, crossing 0.51 at 1.96, with a nan patch over the stencil
+        # around it: the bracket's lower row is the stencil's last, nan.
+        w = np.asarray(w, dtype=float)
+        return np.where((w > 1.5) & (w < 1.97), math.nan, 1.0 - w / 4.0)
+
+    grid = np.array([0.0, 1.0, 2.0, 3.0])
+    table = SpectrumTable(grid, grid, grid, patched(grid), evaluator=patched)
+    with pytest.raises(ValueError, match=r"^fidelity nan at omega=1\.96\d* next to the crossing$"):
+        bandwidth(table, 0.51)
 
 
 def test_a_crossing_where_floats_are_coarser_than_the_stop_ends():
@@ -983,8 +1016,8 @@ def test_the_plan_keeps_a_grid_where_floats_are_coarser_than_the_stencil():
 )
 @pytest.mark.parametrize("swap_gain", ["teleport", None, 0.8])
 def test_the_closed_form_is_the_kernel_fidelity_bit_for_bit(src, detector, swap_gain):
-    # What the command line plans with: a unit-gain teleport's closed form,
-    # and a swap's at any gain (ideal detectors), is the kernel's column.
+    # What the sweep plans with: a unit-gain teleport's closed form, and a
+    # swap's at any gain (ideal detectors), is the kernel's column.
     grid = np.array([0.0, 0.3, 1.7, 5.0, 40.0])
     if swap_gain == "teleport":
         table = fidelity_spectrum(src, grid, detector=detector)
@@ -1028,6 +1061,53 @@ def test_the_planned_table_holds_the_rows_of_the_first_refinement(make, width, t
     assert len(calls) == len(first) - 1
 
 
+def _kernel_rows(monkeypatch):
+    # The rows of each kernel call from here on.
+    rows, kernel = [], criteria_module._teleport_columns
+
+    def counted(src, omega, *rest):
+        rows.append(len(omega))
+        return kernel(src, omega, *rest)
+
+    monkeypatch.setattr(criteria_module, "_teleport_columns", counted)
+    return rows
+
+
+def test_a_unit_schedule_on_every_row_plans_the_sweep(monkeypatch):
+    # The closed form is the fidelity wherever the gain is 1 on a coherent
+    # input at alpha = 0, so a per-frequency schedule that is 1 on every row
+    # plans as unit gain does: the grid and the first refinement come from
+    # one kernel call, and bandwidth() reads from that table, with no call
+    # more, the width it reads from the plain grid's.
+    src, grid, detector = Nopa(0.6, 0.9), 0.1 * np.arange(51), BellDetector(0.95)
+    unit = GainSchedule.per_frequency(lambda w: 1.0)
+    want = bandwidth(fidelity_spectrum(src, grid, unit, detector), 0.6)
+    rows = _kernel_rows(monkeypatch)
+    table = criteria_module._sweep(lambda w: src, grid, unit, detector, COHERENT, 0.6)
+    assert rows == [179]
+    assert _bits([bandwidth(table, 0.6)]) == _bits([want])
+    assert rows == [179]
+
+
+@pytest.mark.filterwarnings("ignore::cvteleport.teleport.NonUnitGainWarning")
+@pytest.mark.parametrize(
+    "gain, model",
+    [
+        (GainSchedule.per_frequency(lambda w: 1.0 if w < 2.0 else 0.99), COHERENT),
+        (GainSchedule.unit(), InputModel.squeezed(0.5)),
+        (GainSchedule.fixed(0.9), COHERENT),
+    ],
+    ids=["unit-on-some-rows", "squeezed-input", "fixed-gain"],
+)
+def test_the_sweep_plans_only_where_the_closed_form_holds_on_every_row(monkeypatch, gain, model):
+    # Off the closed form on any row, the table is the plain grid's.
+    src, grid, detector = Nopa(0.6, 0.9), 0.1 * np.arange(51), BellDetector(0.95)
+    rows = _kernel_rows(monkeypatch)
+    table = criteria_module._sweep(lambda w: src, grid, gain, detector, model, 0.6)
+    assert rows == [51]
+    assert table == fidelity_spectrum(src, grid, gain, detector, model)
+
+
 def _tabulated(top):
     # Nopa(0.5) as a CustomSpectrum on [0, top]: it rejects any
     # frequency past top.  At threshold 0.51 the fidelity crosses near 7.
@@ -1044,7 +1124,7 @@ def _tabulated(top):
         # octave below it, so it asks for nothing past the candidate.
         (20.0, 5.0, [FIRST_DOUBLING_CALL]),  # the first candidate, 10, is below threshold
         # 5 is above, the rest reach past 40: 10 alone
-        (40.0, 2.5, [FIRST_DOUBLING_CALL, 199, 1]),
+        (40.0, 2.5, [FIRST_DOUBLING_CALL, 509, 1]),
     ],
     ids=["first-candidate", "one-at-a-time"],
 )
@@ -1212,15 +1292,30 @@ def _width_and_calls(find, table, threshold):
 @example(case=(SpectrumTable([0.0, 1.0, 2.0], [0.0] * 3, [0.0] * 3, [1.0, math.inf, 0.0]), 0.51))
 @example(case=(SpectrumTable([0.0, 1.0], [0.0] * 2, [0.0] * 2, [1.0, math.inf]), 0.51))
 def test_bandwidth_on_lists_is_the_array_version_bit_for_bit(case):
+    # Where the array version's width is nan (a nan or inf row next to the
+    # crossing), the list version raises instead, after the same calls.
     table, threshold = case
-    assert _width_and_calls(bandwidth, table, threshold) == _width_and_calls(
-        _array_bandwidth, table, threshold
-    )
+    got, want = (_width_and_calls(find, table, threshold) for find in (bandwidth, _array_bandwidth))
+    if isinstance(want[0], list) and math.isnan(np.array(want[0]).view(float)[0]):
+        assert re.fullmatch(r"fidelity (nan|inf) at omega=\S+ next to the crossing", str(got[0]))
+        assert got[1] == want[1]
+    else:
+        assert got == want
 
 
 def test_nonunit_gain_spectrum_warns():
     with pytest.warns(NonUnitGainWarning):
         fidelity_spectrum(Nopa(0.5), [0.0, 1.0], gain=0.9)
+
+
+def test_the_nonunit_gain_warning_points_at_the_caller():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = sys._getframe().f_lineno + 1
+        fidelity_spectrum(Nopa(0.5), [0.0, 1.0], gain=0.9)
+    assert [(w.category, w.filename, w.lineno) for w in caught] == [
+        (NonUnitGainWarning, __file__, line)
+    ]
 
 
 # ---------------------------------------------------------------------------
