@@ -134,12 +134,16 @@ def write_json_columns(columns: dict[str, np.ndarray]) -> str:
     """
     distinct = list({id(c): c for c in columns.values()}.values())
     if distinct and len(distinct[0]) >= _VECTOR_ROWS:
-        item = _ascii(_ITEM_SEP)
         texts: list[list[str]] = [[] for _ in distinct]
         for fields in _blocks(distinct, as_json=True):
-            separators = np.broadcast_to(item, (len(item), fields.shape[2]))
+            # One column's items at a time, [byte, row]: the field, then the
+            # separator rows, filled once a block.
+            width, _, rows = fields.shape
+            items = np.empty((width + len(_ITEM_SEP), rows), np.uint8)
+            items[width:] = np.frombuffer(_ITEM_SEP.encode("ascii"), np.uint8)[:, None]
             for k, text in enumerate(texts):
-                text.append(_joined([fields[:, k], separators]))
+                items[:width] = fields[:, k]
+                text.append(_text_of(items))
         arrays = ["".join(text)[: -len(_ITEM_SEP)] for text in texts]
     else:
         arrays = [_rounded(c) for c in distinct]
@@ -162,13 +166,17 @@ def write_csv(header: tuple[str, ...], columns: Sequence[np.ndarray]) -> str:
     if n >= _VECTOR_ROWS:
         distinct = list({id(c): c for c in columns}.values())
         index = {id(c): k for k, c in enumerate(distinct)}
-        seps = [_ascii(",")] * (len(columns) - 1) + [_ascii("\n")]
         texts = [head]
         for fields in _blocks(distinct, as_json=False):
-            parts = []
-            for column, sep in zip(columns, seps):
-                parts += [fields[:, index[id(column)]], np.broadcast_to(sep, (1, fields.shape[2]))]
-            texts.append(_joined(parts))
+            # The block's lines, [cell, byte, row]: each cell's field, then
+            # its separator, "," or after the last cell "\n".
+            width, _, rows = fields.shape
+            lines = np.empty((len(columns), width + 1, rows), np.uint8)
+            for cell, column in zip(lines, columns):
+                cell[:width] = fields[:, index[id(column)]]
+            lines[:, width] = ord(",")
+            lines[-1, width] = ord("\n")
+            texts.append(_text_of(lines.reshape(-1, rows)))
         return "".join(texts)
     # One % over the interleaved cells of every row; a column written twice
     # gets one % of its own, and its text goes in through %s.
@@ -207,10 +215,11 @@ def format_number(value: float) -> str:
 # subnormals) is written by %.
 
 # Tables of at least this many rows take the numpy path.  It costs about
-# 120 us a call whatever the size, and it broke even with % at 200 rows
-# on 3- and 4-column spectrum tables, CSV and JSON, on 2 shared CPUs
-# (Python 3.11, numpy 2.4); sweep tables have 200 to 10^4 rows, a point
-# table one.
+# 100 us a call whatever the size (warm, best of 7 x 2,000 calls on a
+# one-row table sent through it), and it breaks even with % between 150
+# and 200 rows on 3- and 4-column spectrum tables, CSV and JSON, on 2
+# shared CPUs (Python 3.11, numpy 2.4); sweep tables have 200 to 10^4
+# rows, a point table one.
 _VECTOR_ROWS = 200
 # Values formatted per numpy block, which bounds its working memory.
 _BLOCK_VALUES = 1 << 13
@@ -230,13 +239,9 @@ def _blocks(columns: Sequence[np.ndarray], as_json: bool):
         yield _fields(block.ravel(), as_json).reshape(-1, *block.shape)
 
 
-def _ascii(text: str) -> np.ndarray:
-    return np.frombuffer(text.encode("ascii"), np.uint8)[:, None]
-
-
-def _joined(parts: list[np.ndarray]) -> str:
-    # The text of arrays stacked byte row over byte row, read value by value.
-    return np.concatenate(parts).T.tobytes().translate(None, b"\0").decode("ascii")
+def _text_of(area: np.ndarray) -> str:
+    # The text of a [byte, value] array, read value by value, NULs dropped.
+    return area.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _fields(values: np.ndarray, as_json: bool) -> np.ndarray:

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 import cvteleport
@@ -500,25 +500,63 @@ def test_serializers_write_the_reference_bytes(rows):
 # The writers format v_p from v_x's text when the two match bit for bit;
 # these v_p columns match v_x, or fail to only by a zero's sign or a NaN,
 # which == alone does not see.
-@settings(deadline=None, max_examples=300, derandomize=True)
-@given(
-    rows=st.lists(st.tuples(SERIALIZED, SERIALIZED, SERIALIZED), min_size=1, max_size=12),
-    v_p_is=st.sampled_from(["v_x", "a copy", "a zero flipped", "a nan"]),
-    at=st.integers(0, 11),
-    zero=st.sampled_from([0.0, -0.0]),
-)
-def test_serializers_write_v_p_near_v_x_as_the_reference(rows, v_p_is, at, zero):
-    omega, v_x, fidelity = (np.array(col) for col in zip(*rows))
+V_P_IS = st.sampled_from(["v_x", "a copy", "a zero flipped", "a nan"])
+
+
+def _near_v_x_table(omega, v_x, fidelity, v_p_is, at, zero):
+    # A table of any values whose v_p is v_p_is, changed (if at all) at row
+    # at modulo the row count.
     at %= len(v_x)
+    v_x = v_x.copy()
     v_p = v_x.copy()  # equal values, a new array
     if v_p_is == "a zero flipped":
         v_x[at], v_p[at] = zero, -zero
     elif v_p_is == "a nan":
         v_p[at] = math.nan
-    table = SpectrumTable(np.arange(len(rows), dtype=float), v_x, v_p, fidelity)
-    table.omega = omega  # any values, past the omega checks
+    table = SpectrumTable(np.arange(len(v_x), dtype=float), v_x, v_p, fidelity)
+    table.omega = np.asarray(omega, dtype=float)  # any values, past the omega checks
     if v_p_is == "v_x":
         table.v_p = table.v_x
+    return table
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(
+    rows=st.lists(st.tuples(SERIALIZED, SERIALIZED, SERIALIZED), min_size=1, max_size=12),
+    v_p_is=V_P_IS,
+    at=st.integers(0, 11),
+    zero=st.sampled_from([0.0, -0.0]),
+)
+def test_serializers_write_v_p_near_v_x_as_the_reference(rows, v_p_is, at, zero):
+    columns = (np.array(col) for col in zip(*rows))
+    table = _near_v_x_table(*columns, v_p_is, at, zero)
+    assert table.to_csv() == _reference_csv(table)
+    assert table.to_json() == _reference_json(table)
+
+
+# The same rows tiled to at least _VECTOR_ROWS rows, so that the writers'
+# numpy path, not %, writes the non-finite values, signed zeros and
+# subnormals; a zero flipped or a nan lands anywhere in the tiled rows.
+# An example costs about 5 ms, and shrinking a failing one ran for over
+# 5 minutes, so a failure is reported as drawn: at most 12 distinct rows.
+@settings(
+    deadline=None,
+    max_examples=100,
+    derandomize=True,
+    phases=(Phase.explicit, Phase.generate),
+)
+@given(
+    rows=st.lists(st.tuples(SERIALIZED, SERIALIZED, SERIALIZED), min_size=1, max_size=12),
+    extra=st.integers(0, 12),
+    v_p_is=V_P_IS,
+    at=st.integers(0, 10**6),
+    zero=st.sampled_from([0.0, -0.0]),
+)
+def test_numpy_writers_write_the_reference_bytes(rows, extra, v_p_is, at, zero):
+    count = _text._VECTOR_ROWS + extra
+    columns = (np.resize(np.array(col), count) for col in zip(*rows))
+    table = _near_v_x_table(*columns, v_p_is, at, zero)
+    assert len(table) >= _text._VECTOR_ROWS
     assert table.to_csv() == _reference_csv(table)
     assert table.to_json() == _reference_json(table)
 
@@ -562,8 +600,9 @@ def _column_texts(values, as_json):
     # count: one block of cells, read back line by line.
     texts = []
     for fields in _text._blocks([tuple(values)], as_json):
-        newline = np.full((1, fields.shape[2]), ord("\n"), np.uint8)
-        texts += _text._joined([fields[:, 0], newline]).split("\n")[:-1]
+        lines = np.full((fields.shape[0] + 1, fields.shape[2]), ord("\n"), np.uint8)
+        lines[:-1] = fields[:, 0]
+        texts += _text._text_of(lines).split("\n")[:-1]
     return texts
 
 
@@ -606,6 +645,28 @@ def test_column_formatter_writes_the_edges():
     values = EDGES + [-v for v in EDGES]
     assert _column_texts(values, as_json=False) == ["%.12g" % v for v in values]
     assert _column_texts(values, as_json=True) == [_json_number("%.12g" % v) for v in values]
+
+
+def test_writers_cross_blocks_of_different_widths_as_the_reference():
+    # Rows x distinct columns past _BLOCK_VALUES, so that the writers take
+    # several numpy blocks: the first holds plain spectrum values, the later
+    # ones the edges, whose texts make wider fields.  v_p is v_x (3
+    # distinct columns) or differs from it by one zero's sign in the last
+    # block (4).
+    count = 2 * (_text._BLOCK_VALUES // 3) + 5
+    plain = np.linspace(0.0, 20.0, count)
+    edges = np.resize(np.array(EDGES + [-v for v in EDGES]), count)
+    head = _text._BLOCK_VALUES // 4
+    v_x = np.concatenate([plain[:head], edges[head:]])
+    fidelity = np.concatenate([plain[:head] / 40.0, edges[::-1][head:]])
+    last_zero = int(np.flatnonzero(v_x == 0.0)[-1])
+    for v_p_is in ("v_x", "a zero flipped"):
+        table = _near_v_x_table(plain, v_x, fidelity, v_p_is, last_zero, -0.0)
+        distinct = len({id(c) for c in table._written_columns()})
+        assert distinct == (3 if v_p_is == "v_x" else 4)
+        assert len(table) * distinct > 2 * _text._BLOCK_VALUES
+        assert table.to_csv() == _reference_csv(table)
+        assert table.to_json() == _reference_json(table)
 
 
 @settings(deadline=None, max_examples=300, derandomize=True)

@@ -1,11 +1,15 @@
 """Covariance-matrix and Monte-Carlo validation of the symbolic pipeline."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cvteleport
 from cvteleport.criteria import teleport_fidelity
 from cvteleport.epr import Nopa, ZeroBandwidth, make_epr_pair
 from cvteleport.linmode import (
@@ -351,6 +355,32 @@ def test_mc_matches_the_per_component_reference():
         assert row.se == pytest.approx(se, rel=1e-14, abs=0)
         assert row.ok is (abs(estimate - analytic) <= max(5.0 * se, 1e-12))
     assert report.all_ok
+
+
+def test_oracle_check_prints_the_same_bytes_under_one_and_two_blas_threads():
+    # The entry values are one BLAS product per batch (of the weights with
+    # the draw scales folded in), so a thread count that split its sums
+    # differently would move the report's last digits.  A lossy source and
+    # detector give 20 draw rows; 70,001 samples make two batches, the
+    # second of 4,465.
+    argv = ["oracle-check", "--epsilon", "0.6", "--beta", "0.8", "--eta2", "0.9"]
+    argv += ["--samples", "70001", "--seed", "5"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cvteleport.__file__)))
+    stdout = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cvteleport", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        stdout.append(proc.stdout)
+    assert '"all_ok": true' in stdout[0]
+    assert stdout[0] == stdout[1]
 
 
 def test_mc_config_limits():
