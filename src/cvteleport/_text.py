@@ -132,27 +132,30 @@ def write_json_columns(columns: dict[str, np.ndarray]) -> str:
     print alike (0.0 == -0.0 prints as 0.0 and -0.0), so callers that find
     two columns bitwise equal pass one of them twice.
     """
+    if not columns:
+        return "{}\n"
     distinct = list({id(c): c for c in columns.values()}.values())
-    if distinct and len(distinct[0]) >= _VECTOR_ROWS:
+    if len(distinct[0]) >= _VECTOR_ROWS:
+        # Each column's items block by block, each item followed by its
+        # separator; the last item's is dropped.
         texts: list[list[str]] = [[] for _ in distinct]
         for fields in _blocks(distinct, as_json=True):
-            # One column's items at a time, [byte, row]: the field, then the
-            # separator rows, filled once a block.
-            width, _, rows = fields.shape
-            items = np.empty((width + len(_ITEM_SEP), rows), np.uint8)
-            items[width:] = np.frombuffer(_ITEM_SEP.encode("ascii"), np.uint8)[:, None]
             for k, text in enumerate(texts):
-                items[:width] = fields[:, k]
-                text.append(_text_of(items))
-        arrays = ["".join(text)[: -len(_ITEM_SEP)] for text in texts]
+                text.append(_text_of(fields[:, k]))
+        for text in texts:
+            text[-1] = text[-1][: -len(_ITEM_SEP)]
     else:
-        arrays = [_rounded(c) for c in distinct]
-    rendered = {id(c): text for c, text in zip(distinct, arrays)}
-    blocks = []
+        texts = [[_rounded(c)] if len(c) else [] for c in distinct]
+    rendered = {id(c): text for c, text in zip(distinct, texts)}
+    # The document in one join: each array opens and closes around its
+    # items, and the arrays are parted by ",".
+    parts = ["{"]
     for name in sorted(columns):
-        values = rendered[id(columns[name])]
-        blocks.append(f"  {_quoted(name)}: " + (f"[\n    {values}\n  ]" if values else "[]"))
-    return "{\n" + ",\n".join(blocks) + "\n}\n" if blocks else "{}\n"
+        items = rendered[id(columns[name])]
+        parts += ["\n  ", _quoted(name), ": ["]
+        parts += ["\n    ", *items, "\n  ],"] if items else ["],"]
+    parts[-1] = parts[-1][:-1] + "\n}\n"
+    return "".join(parts)
 
 
 def write_csv(header: tuple[str, ...], columns: Sequence[np.ndarray]) -> str:
@@ -166,17 +169,15 @@ def write_csv(header: tuple[str, ...], columns: Sequence[np.ndarray]) -> str:
     if n >= _VECTOR_ROWS:
         distinct = list({id(c): c for c in columns}.values())
         index = {id(c): k for k, c in enumerate(distinct)}
+        order = [index[id(c)] for c in columns]
         texts = [head]
         for fields in _blocks(distinct, as_json=False):
-            # The block's lines, [cell, byte, row]: each cell's field, then
-            # its separator, "," or after the last cell "\n".
-            width, _, rows = fields.shape
-            lines = np.empty((len(columns), width + 1, rows), np.uint8)
-            for cell, column in zip(lines, columns):
-                cell[:width] = fields[:, index[id(column)]]
-            lines[:, width] = ord(",")
-            lines[-1, width] = ord("\n")
-            texts.append(_text_of(lines.reshape(-1, rows)))
+            # The block's lines, [byte, cell, row]: each cell's field and its
+            # separator, "," or after the last cell "\n".
+            if len(order) != len(distinct):
+                fields = fields[:, order]
+            fields[-1, -1] = ord("\n")
+            texts.append(_text_of(fields))
         return "".join(texts)
     # One % over the interleaved cells of every row; a column written twice
     # gets one % of its own, and its text goes in through %s.
@@ -210,18 +211,20 @@ def format_number(value: float) -> str:
 # rint(p) is the 12-digit mantissa whenever p is more than 1e-4 from a
 # half.  The mantissa's digits go to fixed columns around a fixed decimal
 # point, the stripped zeros (and a point with nothing after it) become
-# NUL bytes, and one translate deletes every NUL.  Everything else (a
+# NUL bytes, and bytes.translate deletes every NUL.  Everything else (a
 # mantissa near a half, an exponent outside -4..11, 0, inf, nan,
 # subnormals) is written by %.
 
 # Tables of at least this many rows take the numpy path.  It costs about
-# 100 us a call whatever the size (warm, best of 7 x 2,000 calls on a
-# one-row table sent through it), and it breaks even with % between 150
-# and 200 rows on 3- and 4-column spectrum tables, CSV and JSON, on 2
-# shared CPUs (Python 3.11, numpy 2.4); sweep tables have 200 to 10^4
-# rows, a point table one.
-_VECTOR_ROWS = 200
-# Values formatted per numpy block, which bounds its working memory.
+# 80 us a call in CSV and 90 us in JSON whatever the size (warm, best of
+# 7 x 2,000 calls on a one-row table sent through it), and it breaks even
+# with % between 120 and 130 rows on 3-column spectrum tables and between
+# 90 and 100 rows on 4-column ones, CSV and JSON, on 2 shared CPUs
+# (Python 3.11, numpy 2.4); sweep tables have 200 to 10^4 rows, a point
+# table one.
+_VECTOR_ROWS = 130
+# Values formatted per numpy block, which bounds its working memory.  A
+# 10^4-row table is written faster than with 2^12 or 2^14 values a block.
 _BLOCK_VALUES = 1 << 13
 # Powers of ten, each an exact float.
 _POW10 = np.array([float(10**k) for k in range(16)])
@@ -230,54 +233,48 @@ _POW10 = np.array([float(10**k) for k in range(16)])
 def _blocks(columns: Sequence[np.ndarray], as_json: bool):
     # Per block of rows, the columns' text as an array indexed [byte,
     # column, row]: each value's text runs down one array column, padded
-    # with NULs.  The text is built transposed so that each numpy pass runs
-    # along the rows, and all columns go through one _fields call a block.
-    stacked = np.stack(columns)
+    # with NULs, and its last rows hold the separator that follows the
+    # value in the table: "," in CSV, _ITEM_SEP in JSON.  The text is built
+    # transposed so that each numpy pass runs along the rows, and all
+    # columns go through one _fields call a block, their values copied
+    # once, end to end.
     step = max(_BLOCK_VALUES // len(columns), 1)
-    for start in range(0, stacked.shape[1], step):
-        block = stacked[:, start : start + step]
-        yield _fields(block.ravel(), as_json).reshape(-1, *block.shape)
+    for start in range(0, len(columns[0]), step):
+        values = np.concatenate([c[start : start + step] for c in columns])
+        yield _fields(values, as_json).reshape(-1, len(columns), len(values) // len(columns))
 
 
 def _text_of(area: np.ndarray) -> str:
-    # The text of a [byte, value] array, read value by value, NULs dropped.
+    # The text of an array indexed [byte, ..., row], read with its axes
+    # reversed (row by row, byte last), NULs dropped.
     return area.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _fields(values: np.ndarray, as_json: bool) -> np.ndarray:
-    # The values' text as NUL-padded ASCII: byte i of value j's text (NULs
-    # aside) is row i, column j.
+    # The values' text as NUL-padded ASCII, then the separator: byte i of
+    # value j's text (NULs aside) is row i, column j.  Rows from the top:
+    # the sign, the integer digits from 10^hi down to 10^0, the point, the
+    # fraction digits down to 10^(-narrow), NUL padding that only a long %
+    # text fills, and the separator.
     mag = np.abs(values)
     fast = (mag >= 1e-4) & (mag < 1e12)  # false for nan
     mag[~fast] = 1.0
     # A single-precision log10 is close enough: a wrong exponent leaves p
     # outside [1e11, 1e12), and % writes those values (next to a power of
     # ten) too.
-    x = np.clip(np.floor(np.log10(mag.astype(np.float32))), -4, 11).astype(np.intp)
+    x = np.floor(np.log10(mag.astype(np.float32)))
+    x = np.minimum(np.maximum(x, -4, out=x), 11, out=x).astype(np.intp)
     p = mag * _POW10.take(11 - x)
     m = np.rint(p)
     fast &= (p >= 1e11) & (p < 1e12) & (np.abs(p - m) < 0.5 - 1e-4)
-    carry = m == 1e12  # rounds up to the next power of ten
-    m[carry] = 1e11
-    x[carry] += 1
-    fast &= x <= 11
+    if m.max() >= 1e12:  # a mantissa rounds up to the next power of ten
+        carry = m == 1e12
+        m[carry] = 1e11
+        x[carry] += 1
+        fast &= x <= 11
     hi = int(x.max(where=fast, initial=0))
     lo = int(x.min(where=fast, initial=hi))
-    # Digit rows from 10^hi down to 10^(-narrow): the mantissa's twelve
-    # digits at the rows of their powers, "0" elsewhere, then NUL for the
-    # integer part's leading zeros and the fraction's trailing ones.
     narrow = max(11 - lo, 1)
-    area = np.full((hi + 1 + narrow, len(values)), ord("0"), np.uint8)
-    mantissa = _digits(m)
-    for e in range(lo, hi + 1):
-        np.copyto(area[hi - e : hi - e + 12], mantissa, where=x == e)
-    area[:hi] *= np.arange(hi)[:, None] >= hi - np.maximum(x, 0)
-    shown = area[hi + 1 :] != ord("0")
-    for k in range(narrow - 2, -1, -1):
-        shown[k] |= shown[k + 1]
-    if as_json:
-        shown[0] = True  # json writes an integral float with ".0"
-    area[hi + 1 :] *= shown
 
     slow = np.flatnonzero(~fast)
     texts = ["%.12g" % v for v in values[slow].tolist()]
@@ -285,38 +282,66 @@ def _fields(values: np.ndarray, as_json: bool) -> np.ndarray:
         texts = [_json_number(t) for t in texts]
     negative = np.signbit(values) & fast
     sign = int(negative.any())
-    width = max([sign + hi + narrow + 2] + [len(t) for t in texts])
-    field = np.empty((width, len(values)), np.uint8)
-    field[sign + hi + narrow + 2 :] = 0  # rows only a long % text fills
+    point = sign + hi + 1
+    width = max([point + 1 + narrow] + [len(t) for t in texts])
+    separator = _ITEM_SEP if as_json else ","
+    field = np.empty((width + len(separator), len(values)), np.uint8)
     if sign:
         field[0] = negative
         field[0] *= ord("-")
-    field[sign : sign + hi + 1] = area[: hi + 1]
-    field[sign + hi + 1] = shown[0]
-    field[sign + hi + 1] *= ord(".")
-    field[sign + hi + 2 : sign + hi + 2 + narrow] = area[hi + 1 :]
+    # "0" in every digit row, then each mantissa digit added at the row of
+    # its power, either side of the point: per exponent one multiply by the
+    # mask and one add, where a masked copy would run byte by byte.
+    field[sign : point + 1 + narrow] = ord("0")
+    fraction = field[point + 1 : point + 1 + narrow]
+    digits = _digits(m)
+    placed = np.empty_like(digits)
+    for e in range(lo, hi + 1):
+        np.multiply(digits, x == e, out=placed)
+        if e < 0:
+            field[point - e : point - e + 12] += placed
+        else:
+            field[point - 1 - e : point] += placed[: e + 1]
+            fraction[: 11 - e] += placed[e + 1 :]
+    # The integer part's leading zeros become NUL: the rows of 10^hi down
+    # to 10^1 above a value's own power.
+    field[sign : point - 1] *= np.arange(hi, 0, -1)[:, None] <= x
+    # The fraction's trailing zeros, and a point with nothing after it,
+    # become NUL.
+    shown = fraction != ord("0")
+    step = 1
+    while step < narrow:  # shown[k] |= shown[k + 1:], in log2(narrow) passes
+        shown[:-step] |= shown[step:]
+        step *= 2
+    if as_json:
+        shown[0] = True  # json writes an integral float with ".0"
+    fraction *= shown
+    field[point] = shown[0]
+    field[point] *= ord(".")
+    field[point + 1 + narrow : width] = 0
+    field[width:] = np.frombuffer(separator.encode("ascii"), np.uint8)[:, None]
     if texts:
         padded = "".join([t.ljust(width, "\0") for t in texts]).encode("ascii")
-        field[:, slow] = np.frombuffer(padded, np.uint8).reshape(len(texts), width).T
+        field[:width, slow] = np.frombuffer(padded, np.uint8).reshape(len(texts), width).T
     return field
 
 
 def _digits(m: np.ndarray) -> np.ndarray:
-    # The twelve ASCII digits of integral floats below 1e12, one array row
-    # per digit, worked out on each value's two six-digit halves in int32.
-    # A pair of digits is q mod 100 for a floored quotient q of a half,
-    # taken in uint8, whose wraparound (mod 256) leaves 0..99 intact.
-    high = (m / 1e6).astype(np.int32)
-    halves = np.stack([high, (m - high * 1e6).astype(np.int32)])
-    q = np.empty((3, 2, len(m)), np.uint8)  # [pair of the half, half, value]
-    q[0] = halves // 10000
-    q[1] = halves // 100
-    q[2] = halves
-    q[1:] -= 100 * q[:-1]
-    q = q.transpose(1, 0, 2).reshape(6, len(m))
-    tens = q // 10
+    # The twelve decimal digits (0..9, not ASCII) of integral floats below
+    # 1e12, one array row per digit, worked out on each value's two
+    # six-digit halves in int32.  A pair of digits is q mod 100 for a
+    # floored quotient q of a half, taken in uint8, whose wraparound (mod
+    # 256) leaves 0..99 intact.
+    halves = np.empty((2, len(m)), np.int32)
+    halves[0] = m / 1e6
+    halves[1] = m - halves[0] * 1e6
+    q = np.empty((2, 3, len(m)), np.uint8)  # [half, pair of the half, value]
+    q[:, 0] = halves // 10000
+    q[:, 1] = halves // 100
+    q[:, 2] = halves
+    q[:, 1:] -= 100 * q[:, :-1]
+    q = q.reshape(6, len(m))
     digits = np.empty((12, len(m)), np.uint8)
-    digits[0::2] = tens
+    tens = np.floor_divide(q, 10, out=digits[0::2])
     digits[1::2] = q - 10 * tens
-    digits += ord("0")
     return digits

@@ -406,12 +406,13 @@ class SpectrumTable:
     evaluator: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        self.omega, self.v_x, self.v_p, self.fidelity = columns = [
-            np.array(c, dtype=float) for c in (self.omega, self.v_x, self.v_p, self.fidelity)
-        ]
+        # v_p given as v_x itself, as every symmetric kernel table gives it,
+        # stays one array: one copy, and one text in to_csv and to_json.
+        omega, v_x, fidelity = (np.array(c, float) for c in (self.omega, self.v_x, self.fidelity))
+        v_p = v_x if self.v_p is self.v_x else np.array(self.v_p, float)
+        self.omega, self.v_x, self.v_p, self.fidelity = columns = omega, v_x, v_p, fidelity
         for column in columns:
             column.flags.writeable = False
-        omega = self.omega
         if any(len(c) != len(omega) for c in columns):
             raise ValueError("all columns must have equal length")
         if len(omega) == 0:
@@ -441,7 +442,7 @@ class SpectrumTable:
         # int64 views compare bits, not values: 0.0 == -0.0, yet they print
         # as 0 and -0.
         v_x, v_p = self.v_x, self.v_p
-        same = np.array_equal(v_x.view(np.int64), v_p.view(np.int64))
+        same = v_p is v_x or np.array_equal(v_x.view(np.int64), v_p.view(np.int64))
         return self.omega, v_x, v_x if same else v_p, self.fidelity
 
     def to_csv(self) -> str:

@@ -889,7 +889,7 @@ STDOUT_SHA256 = [
         ("bandwidth", "--kappa", "1.54", "--gamma", "3.6"),
         id="bandwidth-physical-lossless",
     ),
-    # Tables of _text._VECTOR_ROWS (200) rows or more, which the numpy
+    # Tables of _text._VECTOR_ROWS (130) rows or more, which the numpy
     # writer formats; the physical-rate ones report frequencies in user
     # units, rebuilt by cli._reindex.
     pytest.param(

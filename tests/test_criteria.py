@@ -597,12 +597,11 @@ def test_large_tables_write_the_reference_bytes():
 
 def _column_texts(values, as_json):
     # Each value's text from the numpy column formatter, whatever the row
-    # count: one block of cells, read back line by line.
+    # count: one column's blocks, each value followed by its separator.
+    separator = _text._ITEM_SEP if as_json else ","
     texts = []
-    for fields in _text._blocks([tuple(values)], as_json):
-        lines = np.full((fields.shape[0] + 1, fields.shape[2]), ord("\n"), np.uint8)
-        lines[:-1] = fields[:, 0]
-        texts += _text._text_of(lines).split("\n")[:-1]
+    for fields in _text._blocks([np.array(values, dtype=float)], as_json):
+        texts += _text._text_of(fields[:, 0]).split(separator)[:-1]
     return texts
 
 
@@ -667,6 +666,75 @@ def test_writers_cross_blocks_of_different_widths_as_the_reference():
         assert len(table) * distinct > 2 * _text._BLOCK_VALUES
         assert table.to_csv() == _reference_csv(table)
         assert table.to_json() == _reference_json(table)
+
+
+def test_writers_cross_block_seams_as_the_reference():
+    # Rows x distinct columns an exact multiple of _BLOCK_VALUES, so that
+    # the last block is full and its last item ends in the separator the
+    # JSON writer drops, then one row more, a last block of one row: with 4
+    # distinct columns (v_p apart from v_x) and with all four columns one
+    # object.
+    for distinct in (4, 1):
+        full = 2 * (_text._BLOCK_VALUES // distinct)
+        for rows in (full, full + 1):
+            omega = np.linspace(0.0, 20.0, rows)
+            table = _near_v_x_table(omega, np.resize(EDGES, rows), omega / 40.0, "a nan", 3, 0.0)
+            if distinct == 1:
+                table.v_x = table.v_p = table.fidelity = table.omega
+            assert len({id(c) for c in table._written_columns()}) == distinct
+            assert table.to_csv() == _reference_csv(table)
+            assert table.to_json() == _reference_json(table)
+
+
+def _formatted_values(table, monkeypatch):
+    # How many values the numpy column formatter formats for to_csv and
+    # for to_json.
+    counts = []
+    fields = _text._fields
+
+    def counted(values, as_json):
+        counts.append(len(values))
+        return fields(values, as_json)
+
+    monkeypatch.setattr(_text, "_fields", counted)
+    table.to_csv()
+    csv_values = sum(counts)
+    counts.clear()
+    table.to_json()
+    return csv_values, sum(counts)
+
+
+def test_v_p_given_as_v_x_stays_one_array(monkeypatch):
+    # A table given one object as v_x and v_p, as every symmetric kernel
+    # table is, keeps one read-only copy of it and formats it once.
+    rows = _text._VECTOR_ROWS + 7
+    omega = np.linspace(0.0, 20.0, rows)
+    v = 1.0 + omega / 3.0
+    given = SpectrumTable(omega, v, v, omega / 40.0)
+    kernel = fidelity_spectrum(Nopa(0.5), omega)
+    for table in (given, kernel):
+        assert table.v_p is table.v_x and not table.v_x.flags.writeable
+        assert table._written_columns()[2] is table.v_x
+        assert _formatted_values(table, monkeypatch) == (3 * rows, 3 * rows)
+    assert given.v_x is not v  # a copy, which writing v leaves be
+    v[0] = -1.0
+    assert given.v_x[0] == 1.0
+    for table in (given, kernel):
+        assert table.to_csv() == _reference_csv(table)
+        assert table.to_json() == _reference_json(table)
+
+
+def test_v_p_matching_v_x_bit_for_bit_is_formatted_once(monkeypatch):
+    # A table read from CSV has v_p apart from v_x; where the two match bit
+    # for bit, v_x's text is still written under both names.
+    rows = _text._VECTOR_ROWS + 7
+    kernel = fidelity_spectrum(Nopa(0.5), np.linspace(0.0, 20.0, rows))
+    loaded = SpectrumTable.from_csv(kernel.to_csv())
+    assert loaded.v_p is not loaded.v_x
+    assert loaded._written_columns()[2] is loaded.v_x
+    assert _formatted_values(loaded, monkeypatch) == (3 * rows, 3 * rows)
+    assert loaded.to_csv() == kernel.to_csv() == _reference_csv(loaded)
+    assert loaded.to_json() == kernel.to_json() == _reference_json(loaded)
 
 
 @settings(deadline=None, max_examples=300, derandomize=True)
