@@ -54,25 +54,35 @@ def _encoded(value, newline: str) -> str:
     # value as json writes it on a line that newline (a line break and the
     # line's indent) begins: numbers by the float and int reprs, keys and
     # strings by json's own escaper, which raises TypeError for a key that
-    # is not a string.
+    # is not a string.  A report is a dict of finite floats and bools, so
+    # those are tested first, by identity and exact type, and a dict writes
+    # a finite float item itself, with no call; anything else goes down
+    # the isinstance chain.
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = newline + "  "
+    if type(value) is dict or isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key in sorted(value):
+            item = value[key]
+            if type(item) is float and math.isfinite(item):
+                text = float.__repr__(item)
+            else:
+                text = _encoded(item, inner)
+            items.append(f"{_quoted(key)}: {text}")
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
     if isinstance(value, float):
         return float.__repr__(value) if math.isfinite(value) else f'"{value:g}"'
     if isinstance(value, str):
         return _quoted(value)
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    inner = newline + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [_quoted(key) + ": " + _encoded(value[key], inner) for key in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -182,13 +192,15 @@ def write_csv(header: tuple[str, ...], columns: Sequence[np.ndarray]) -> str:
     # One % over the interleaved cells of every row; a column written twice
     # gets one % of its own, and its text goes in through %s.
     cells: list = [None] * (len(columns) * n)
-    shared: dict[int, list[str]] = {}
+    ids = [id(c) for c in columns]
+    shared: dict[int, list[str] | None] = {i: None for i in ids if ids.count(i) > 1}
     row = []
     for k, column in enumerate(columns):
-        if sum(c is column for c in columns) > 1:
-            if id(column) not in shared:
-                shared[id(column)] = ("\n".join(["%.12g"] * n) % tuple(column.tolist())).split("\n")
+        if id(column) in shared:
             values = shared[id(column)]
+            if values is None:
+                values = ("\n".join(["%.12g"] * n) % tuple(column.tolist())).split("\n")
+                shared[id(column)] = values
             row.append("%s")
         else:
             values = column.tolist()

@@ -352,26 +352,31 @@ def _emit_table(table: SpectrumTable, v: dict) -> None:
         )
 
 
-def _reindex(table: SpectrumTable, user_grid: np.ndarray, scale: float) -> SpectrumTable:
+def _reindex(table: SpectrumTable, user: float | np.ndarray, scale: float) -> SpectrumTable:
     # Report frequencies in the units the user supplied them in.
     if scale == 1.0:
         return table
-    return SpectrumTable(user_grid, table.v_x, table.v_p, table.fidelity)
+    return table._relabeled(user)
 
 
 def _table(
     v: dict, pipeline: str, point: bool = False, threshold: float | None = None
-) -> tuple[SpectrumTable, np.ndarray, float]:
-    """(table, user-unit grid, scale) on the sweep grid, or at --omega if point.
+) -> tuple[SpectrumTable, float | np.ndarray, float]:
+    """(table, user-unit frequencies, scale) on the sweep grid, or at --omega if point.
 
     The table has dimensionless frequencies and keeps its evaluator; a
-    threshold goes to the sweep, for a bandwidth() on the table.
+    threshold goes to the sweep, for a bandwidth() on the table.  A point
+    is one number, a one-row table from one scalar kernel call.
     """
     src, scale = _resolve_source(v)
-    user = np.array([_float("--omega", v["omega"])]) if point else _resolve_grid(v)
+    if point:
+        user = _float("--omega", v["omega"])
+        _check_frequency("--omega", user * scale, scale)
+    else:
+        user = _resolve_grid(v)
+        _check_frequency("--omega-start", user[0] * scale, scale)
+        _check_frequency("--omega-stop", user[-1] * scale, scale)
     grid = user * scale
-    _check_frequency("--omega" if point else "--omega-start", grid[0], scale)
-    _check_frequency("--omega-stop", grid[-1], scale)
     if pipeline == "teleport":
         setting = (_resolve_gain(v, for_swap=False), _resolve_detector(v), _resolve_input(v))
         table = _sweep(lambda w: src, grid, *setting, threshold)

@@ -14,13 +14,13 @@ the bandwidth extraction used for sweeps.
 The kernel (_teleport_columns) weighs each EPR pair's two real spectra,
 never complex amplitudes, and it serves every spectrum row, the criteria
 report and the bandwidth: the report's variances and fidelity are a
-one-point kernel call, bit for bit the values of a one-row spectrum, and
-its output and conditional variances and transfer coefficients follow
-from the linear-channel identities.  bandwidth() asks the kernel for many
-frequencies per call to narrow a bracket around the threshold crossing,
-then interpolates inside it, so a width is exact to a few ulps on a
-smooth source.  One sweep (_sweep) builds every kernel table, a swap's
-and the command line's included.  teleport_fidelity and
+kernel call at a scalar frequency, bit for bit the values of a one-row
+spectrum, and its output and conditional variances and transfer
+coefficients follow from the linear-channel identities.  bandwidth()
+asks the kernel for many frequencies per call to narrow a bracket around
+the threshold crossing, then interpolates inside it, so a width is exact
+to a few ulps on a smooth source.  One sweep (_sweep) builds every kernel
+table, a swap's and the command line's included.  teleport_fidelity and
 classical_objective act on quadrature expansions; the expansion reference
 for the conditional variances and transfer coefficients (ralph_lam) is
 test code, in tests/references.py.
@@ -269,12 +269,17 @@ def fidelity_point(
     amp = 0.5 / np.sqrt(sigma_x * sigma_p)
     if alpha == 0:
         return amp
-    # Squared by multiplying, as numpy squares an array: past the float
-    # range a Python float's ** raises OverflowError, where the product is
-    # inf for a scalar gain as for an array of them.  Over an infinite
-    # width that is inf/inf, a nan the kernel's [0, 1] check rejects.
-    delta = (1.0 - gain) * complex(alpha)
-    dx, dp = delta.real, delta.imag
+    # The amplitude error part by part, in real arithmetic: numpy's complex
+    # multiply of arrays rounds differently from a scalar's (Python's, or a
+    # numpy scalar's), and these are the scalar's bits for a gain of either
+    # kind.  Squared by multiplying, as numpy squares an array: past the
+    # float range a Python float's ** raises OverflowError, where the
+    # product is inf for a scalar gain as for an array of them.  Over an
+    # infinite width that is inf/inf, a nan the kernel's [0, 1] check
+    # rejects.
+    error, alpha = 1.0 - gain, complex(alpha)
+    dx = error.real * alpha.real - error.imag * alpha.imag
+    dp = error.real * alpha.imag + error.imag * alpha.real
     return amp * np.exp(-(dx * dx) / (2.0 * sigma_x) - (dp * dp) / (2.0 * sigma_p))
 
 
@@ -335,8 +340,10 @@ def _closed_rows(
     gain: complex | np.ndarray, in_model: InputModel, alpha: complex
 ) -> bool | np.ndarray:
     # The rows where the closed form is the fidelity: every unit-gain row of
-    # a coherent input at alpha = 0.  The kernel and the plan read this one rule.
-    return alpha == 0 and in_model.v_x == in_model.v_p == 1.0 and np.equal(gain, 1)
+    # a coherent input at alpha = 0.  The kernel and the plan read this one
+    # rule.  One gain for every row gives a 0-d mask: == on a number is
+    # Python's, far cheaper than np.equal's on a scalar.
+    return alpha == 0 and in_model.v_x == in_model.v_p == 1.0 and np.asarray(gain == 1)
 
 
 def _checked_fidelity(
@@ -361,7 +368,7 @@ def _checked_fidelity(
     # The largest gap on a unit row decides the check (a nan gap fails
     # it); the mask that names the first row off is built only then.
     gap = np.abs(closed - generic)
-    if not gap.max(where=unit, initial=0.0) <= 1e-12:
+    if not np.maximum.reduce(gap, axis=None, where=unit, initial=0.0) <= 1e-12:
         off = unit & ~(gap <= 1e-12)
         raise AssertionError(
             "generic fidelity path disagrees with closed form at "
@@ -383,9 +390,11 @@ class SpectrumTable:
 
     Each column is a read-only float64 numpy array (earlier releases held
     tuples of floats), the table's own copy of any sequence of floats it
-    was given.  Rows are ascending in omega; rows() yields them as Python
-    floats.  Two tables are equal when their columns are, value
-    by value (so 0.0 equals -0.0 and a nan equals nothing); the evaluator
+    was given, read-only arrays included; one number (a 0-d column, as
+    the kernel gives at a scalar frequency) is a one-row column.  Rows are
+    ascending in omega; rows() yields them as Python floats.  Two tables
+    are equal when their columns are, value by value (so 0.0 equals -0.0
+    and a nan equals nothing); the evaluator
     is not compared.  An optional evaluator (an array of frequencies -> the
     array of their fidelities) lets bandwidth() refine beyond the tabulated
     grid; it is attached by the sweep constructors and absent on tables
@@ -408,19 +417,36 @@ class SpectrumTable:
     def __post_init__(self) -> None:
         # v_p given as v_x itself, as every symmetric kernel table gives it,
         # stays one array: one copy, and one text in to_csv and to_json.
-        omega, v_x, fidelity = (np.array(c, float) for c in (self.omega, self.v_x, self.fidelity))
-        v_p = v_x if self.v_p is self.v_x else np.array(self.v_p, float)
-        self.omega, self.v_x, self.v_p, self.fidelity = columns = omega, v_x, v_p, fidelity
-        for column in columns:
-            column.flags.writeable = False
-        if any(len(c) != len(omega) for c in columns):
+        v_x = _column(self.v_x)
+        v_p = v_x if self.v_p is self.v_x else _column(self.v_p)
+        self.omega, self.v_x, self.v_p = _column(self.omega), v_x, v_p
+        self.fidelity = _column(self.fidelity)
+        self._check()
+
+    def _check(self) -> None:
+        omega = self.omega
+        if not len(omega) == len(self.v_x) == len(self.v_p) == len(self.fidelity):
             raise ValueError("all columns must have equal length")
         if len(omega) == 0:
             raise ValueError("empty spectrum table")
-        if not np.isfinite(omega).all():
-            raise ValueError("omega column must be finite")
-        if not (omega[1:] > omega[:-1]).all():
+        # Strictly increasing from a finite first row to a finite last one is
+        # finite throughout (a nan compares false), so every row is tested
+        # for finiteness only once that fails, to give the right message.
+        if not (-math.inf < omega[0] and omega[-1] < math.inf and (omega[1:] > omega[:-1]).all()):
+            if not np.isfinite(omega).all():
+                raise ValueError("omega column must be finite")
             raise ValueError("omega column must be strictly increasing")
+
+    def _relabeled(self, omega: float | Sequence[float] | np.ndarray) -> "SpectrumTable":
+        # These rows at other frequencies (the command line's user units),
+        # with no evaluator.  The new omega is copied and checked as the
+        # constructor does; the other columns are this table's own, copied
+        # and read-only already, so the new table shares them.
+        table = object.__new__(SpectrumTable)
+        table.omega, table.v_x, table.v_p = _column(omega), self.v_x, self.v_p
+        table.fidelity, table.evaluator = self.fidelity, None
+        table._check()
+        return table
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpectrumTable):
@@ -457,10 +483,17 @@ class SpectrumTable:
         return write_json_columns(dict(zip(CSV_HEADER, self._written_columns())))
 
 
+def _column(values) -> np.ndarray:
+    # A table's own read-only float64 copy of a column, one number a row.
+    column = np.array(values, float, ndmin=1)
+    column.setflags(write=False)
+    return column
+
+
 class _Columns(NamedTuple):
-    # The kernel's arrays over the grid: error variances, fidelity, the
-    # output variances V_out = |g|^2 V_in + noise and the noise itself,
-    # which is the same on both axes (see _port_noise).
+    # The kernel's arrays over the grid (0-d at a scalar frequency): error
+    # variances, fidelity, the output variances V_out = |g|^2 V_in + noise
+    # and the noise itself, which is the same on both axes (see _port_noise).
     v_x: np.ndarray
     v_p: np.ndarray
     fidelity: np.ndarray
@@ -471,7 +504,7 @@ class _Columns(NamedTuple):
 
 def _teleport_columns(
     src: SqueezerSpectrum,
-    omega: np.ndarray,
+    omega: float | np.ndarray,
     gain: complex | np.ndarray,
     detector: BellDetector,
     in_model: InputModel,
@@ -480,10 +513,15 @@ def _teleport_columns(
     # The one kernel behind every spectrum row and the criteria report: the
     # variances and the fidelity of a teleport over src of a coherent
     # amplitude alpha, on a frequency grid, with gain one number or an
-    # array over the grid.  One noise array, summed over the source's EPR
-    # pairs from their spectra (see _port_noise), serves both axes, so no
-    # (ports x omega) matrix and no complex amplitude is ever held; on a
-    # symmetric input (v_x == v_p) the P columns are the X arrays themselves.
+    # array over the grid.  A scalar frequency runs the same statements
+    # and gives 0-d columns, bit for bit the values of the one-element
+    # grid, since numpy rounds alike on a scalar and on an array.  One
+    # noise array, summed over the source's EPR pairs from their spectra
+    # (see _port_noise), serves both axes, so no (ports x omega) matrix and
+    # no complex amplitude is ever held; on a symmetric input (v_x == v_p)
+    # the P columns are the X arrays themselves.  A scalar is taken as a
+    # 0-d array.
+    omega = np.asarray(omega, dtype=float)
     pairs = src._pairs(omega, (-gain, 1), (gain, 1))
     own = None
     if pairs[0][2] is None:
@@ -518,8 +556,11 @@ def _teleport_columns(
             sigma_p = (v_out_p + 1.0) / 4.0
         generic = fidelity_point(gain, sigma_x, sigma_p, alpha)
     # The extremes decide the check (a nan one fails it); the mask that
-    # names the first value outside is built only then.
-    if not (generic.min(initial=0.0) >= 0.0 and generic.max(initial=1.0) <= 1.0 + 1e-9):
+    # names the first value outside is built only then.  The ufuncs reduce
+    # a scalar as cheaply as an array, where the methods do not.
+    low = np.minimum.reduce(generic, axis=None, initial=0.0)
+    high = np.maximum.reduce(generic, axis=None, initial=1.0)
+    if not (low >= 0.0 and high <= 1.0 + 1e-9):
         inside = (generic >= 0.0) & (generic <= 1.0 + 1e-9)
         raise ValueError(f"fidelity {np.extract(~inside, generic)[0]} outside [0, 1]")
     f = _checked_fidelity(src, omega, gain, detector, in_model, alpha, generic, own)
@@ -537,7 +578,9 @@ def _port_noise(pairs: tuple, omega: np.ndarray) -> np.ndarray:
     # weights are never read.  A constant zero weight skips its term; a
     # term is exactly zero wherever its weight or its spectrum is, even
     # where a finite weight's square passed the float range.
-    noise = np.zeros(len(omega))
+    # [()] takes a 0-d array's numpy scalar, whose arithmetic costs a tenth
+    # of the 0-d array's; an array stays an array (a view), summed in place.
+    noise = np.zeros(omega.shape)[()]
     for _, _, powers, (a, b), _ in pairs:
         plus, minus = powers.variances()
         noise += _weighted(a + b, plus) + _weighted(a - b, minus)
@@ -560,14 +603,15 @@ def _weighted(w: complex | np.ndarray, spectrum: float | np.ndarray) -> float | 
 
 def _sweep(
     resource: Callable[[np.ndarray], SqueezerSpectrum],
-    grid: Sequence[float] | np.ndarray,
+    grid: float | Sequence[float] | np.ndarray,
     gain: GainSchedule | complex,
     detector: BellDetector,
     model: InputModel,
     threshold: float | None = None,
 ) -> SpectrumTable:
     # The kernel's table of a teleport over resource(omega) on grid, with
-    # the kernel on the frequencies asked for as its evaluator.  Given a
+    # the kernel on the frequencies asked for as its evaluator; one number
+    # for grid is a one-row table from one scalar kernel call.  Given a
     # threshold, where the closed form is the fidelity on every row of grid
     # (see _closed_rows), it gives that column before the kernel runs, and
     # the table is built on grid merged with the frequencies of bandwidth()'s
@@ -587,7 +631,7 @@ def _sweep(
         return _teleport_columns(resource(w), w, schedule.at(w), detector, model).fidelity
 
     values = _teleport_columns(src, grid, gains, detector, model)
-    if np.not_equal(gains, 1).any():
+    if np.count_nonzero(gains != 1):  # a row off unit gain
         warnings.warn(
             "nonunit gain: the v_x/v_p columns include the gain-mismatch "
             "input term and are not error spectra",
@@ -887,32 +931,31 @@ def evaluate_criteria(
 ) -> CriteriaReport:
     """Run one teleportation and score it against every classical boundary.
 
-    One one-point call of the spectrum kernel gives the error variances,
-    the fidelity and the output variances; at alpha = 0 the first three
-    are the one-row fidelity_spectrum values bit for bit.  The conditional
-    variances and transfer coefficients follow from the output variances
-    (see _conditional).
+    One call of the spectrum kernel at the scalar frequency omega gives
+    the error variances, the fidelity and the output variances; at
+    alpha = 0 the first three are the one-row fidelity_spectrum values
+    bit for bit.  The conditional variances and transfer coefficients
+    follow from the output variances (see _conditional).
     """
     model = in_model if in_model is not None else InputModel.coherent()
     g = as_gain(gain).at(omega)
-    cols = _teleport_columns(src, np.array([float(omega)]), g, detector, model, alpha)
-    v_out_x, v_out_p = float(cols.v_out_x[0]), float(cols.v_out_p[0])
-    noise = float(cols.noise[0])
+    cols = _teleport_columns(src, omega, g, detector, model, alpha)
+    v_out_x, v_out_p, noise = float(cols.v_out_x), float(cols.v_out_p), float(cols.noise)
     v_c_x, t_x = _conditional(v_out_x, noise, g, model.v_x)
     v_c_p, t_p = _conditional(v_out_p, noise, g, model.v_p)
     return CriteriaReport(
         omega=omega,
         gain=g,
         eta=detector.eta,
-        v_x=float(cols.v_x[0]),
-        v_p=float(cols.v_p[0]),
+        v_x=float(cols.v_x),
+        v_p=float(cols.v_p),
         v_out_x=v_out_x,
         v_out_p=v_out_p,
         v_c_x=v_c_x,
         v_c_p=v_c_p,
         t_x=t_x,
         t_p=t_p,
-        fidelity=float(cols.fidelity[0]),
+        fidelity=float(cols.fidelity),
         out_product_limit=output_product_limit(model),
         avg_fidelity_zero=g != 1,
     )

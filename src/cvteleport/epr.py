@@ -44,6 +44,7 @@ multiplying (see _ports).
 from __future__ import annotations
 
 import abc
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -226,9 +227,10 @@ def _terms(
 
 
 def _number(x):
-    # A 0-d numpy result as a plain Python number, so one-frequency calls
-    # return what they always did; arrays pass through.
-    return x.item() if isinstance(x, (np.ndarray, np.generic)) and x.ndim == 0 else x
+    # A 0-d numpy result (a numpy scalar or 0-d array) as a plain Python
+    # number, so one-frequency calls return what they always did; arrays
+    # and plain numbers pass through.
+    return x.item() if getattr(x, "ndim", None) == 0 else x
 
 
 def _abs2(z):
@@ -328,6 +330,18 @@ def _noisy_numerator(e: float, b: float) -> float:
     return (gamma_minus_1 + e) + (2.0 * b - (gamma_minus_1 + 1.0))
 
 
+_NO_ERRSTATE = contextlib.nullcontext()
+
+
+def _noisy_errstate(e: float):
+    # What a NOPA's noisy quotients need: only at threshold (e = 1) is the
+    # noisy denominator (1 - e)^2 + w^2 zero, at omega = 0, or so small just
+    # off it that the quotient passes the float range (inf, silently).
+    # Below threshold it is at least 2^-106, so nothing can warn, and no
+    # errstate is entered: one costs about a microsecond a call.
+    return np.errstate(divide="ignore", over="ignore") if e == 1.0 else _NO_ERRSTATE
+
+
 @dataclass(frozen=True)
 class Nopa(SqueezerSpectrum):
     """NOPA in dimensionless (epsilon, beta) form.
@@ -385,7 +399,7 @@ class Nopa(SqueezerSpectrum):
         w2 = np.square(omega, dtype=float)
         noisy_den = (1.0 - e) ** 2 + w2
         quiet_den = (1.0 + e) ** 2 + w2
-        with np.errstate(divide="ignore", over="ignore"):
+        with _noisy_errstate(e):
             s_plus = _number((_noisy_numerator(e, b) ** 2 + w2) / noisy_den)
         s_minus = _number(((2.0 * b - 1.0 - e) ** 2 + w2) / quiet_den)
         if b == 1.0:
@@ -404,7 +418,7 @@ class Nopa(SqueezerSpectrum):
         e, b = self.epsilon, self.beta
         w2 = np.square(omega, dtype=float)
         quiet = 1.0 - 4.0 * e * b / ((e + 1.0) ** 2 + w2)
-        with np.errstate(divide="ignore", over="ignore"):
+        with _noisy_errstate(e):
             noisy = 1.0 + 4.0 * e * b / ((e - 1.0) ** 2 + w2)
         return _number(noisy), _number(quiet)
 
@@ -435,11 +449,25 @@ class ZeroBandwidth(SqueezerSpectrum):
         return f"zero-bandwidth(r={self.r:g})"
 
 
+# How far below 1 a node's |S+|*|S-| may fall before CustomSpectrum rejects
+# it, in units of 2^-52: rounding only.  The amplitudes of a lossless NOPA
+# (Nopa(e).pair) reach 3.5 below 1 over e up to 1 - 2^-52 and omega up to
+# 10^4.
+_PRODUCT_ULPS = 8
+
+
 class CustomSpectrum(SqueezerSpectrum):
     """Squeezer defined by a tabulated transfer pair.
 
-    Linear interpolation acts on Re and Im of each amplitude separately;
-    queries outside the tabulated range are rejected.
+    Between nodes the magnitude and the unwrapped phase of each amplitude
+    are interpolated linearly; a node gives its own amplitude exactly, and
+    queries outside the tabulated range are rejected.  A lossless squeezer
+    has V+ V- = |S+|^2 |S-|^2 >= 1, and a table whose |S+|*|S-| falls below
+    1 at a node by more than rounding (_PRODUCT_ULPS units of 2^-52) is
+    rejected, naming the row.  Linear magnitudes keep the bound between
+    nodes: (1-t)a + tb times (1-t)c + td is at least 1 when ac and bd are.
+    (Interpolating Re and Im instead lost magnitude where an amplitude
+    rotates, so the spectra fell below vacuum.)
     """
 
     def __init__(
@@ -459,6 +487,19 @@ class CustomSpectrum(SqueezerSpectrum):
         self._omegas = np.array(omegas, dtype=float)
         self._s_plus = np.array(s_plus, dtype=complex)
         self._s_minus = np.array(s_minus, dtype=complex)
+        if not (np.isfinite(self._s_plus).all() and np.isfinite(self._s_minus).all()):
+            raise ValueError("table amplitudes must be finite")
+        magnitudes = np.abs(self._s_plus), np.abs(self._s_minus)
+        product = magnitudes[0] * magnitudes[1]
+        low = product < 1.0 - _PRODUCT_ULPS * 2.0 ** -52
+        if low.any():
+            k = int(np.argmax(low))
+            raise ValueError(
+                f"row {k + 1} (omega={self._omegas[k]:g}): |S+|*|S-| = {float(product[k])!r} is "
+                f"below 1 by more than {_PRODUCT_ULPS} units of 2^-52 (V+ V- >= 1 for a squeezer)"
+            )
+        phases = np.unwrap(np.angle(self._s_plus)), np.unwrap(np.angle(self._s_minus))
+        self._polar = tuple(zip(magnitudes, phases))
 
     CSV_HEADER = ("omega", "s_plus_re", "s_plus_im", "s_minus_re", "s_minus_im")
 
@@ -483,12 +524,13 @@ class CustomSpectrum(SqueezerSpectrum):
         with np.errstate(invalid="ignore"):  # 0/0 on the first node, which is exact
             t = (w - grid[lo]) / (grid[hi] - grid[lo])
 
-        def lerp(values: np.ndarray) -> np.ndarray:
-            a, b = values[lo], values[hi]
-            mid = _complex(a.real + t * (b.real - a.real), a.imag + t * (b.imag - a.imag))
-            return np.where(node, b, mid)
+        def interpolated(values: np.ndarray, polar: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+            r, phase = (v[lo] + t * (v[hi] - v[lo]) for v in polar)
+            return np.where(node, values[hi], _complex(r * np.cos(phase), r * np.sin(phase)))
 
-        return TransferPair(lerp(self._s_plus), lerp(self._s_minus))
+        return TransferPair(
+            interpolated(self._s_plus, self._polar[0]), interpolated(self._s_minus, self._polar[1])
+        )
 
     def describe(self) -> str:
         return f"custom({len(self._omegas)} rows)"

@@ -209,13 +209,15 @@ def swap_fidelity(cfg: SwapConfig, omega: float) -> float:
     V-_eff = (|gs-1|^2 A + |gs+1|^2 B)/4 over the summed spectra
     A = V+_1 + V+_2 and B = V-_1 + V-_2, at any gain, threshold included;
     like every teleport row it is cross-checked against the generic
-    Q-function fidelity to 1e-12.
+    Q-function fidelity to 1e-12.  One call of the kernel at the scalar
+    frequency omega.
     """
-    return float(_swap_columns(cfg, np.array([float(omega)])).fidelity[0])
+    return float(_swap_columns(cfg, omega).fidelity)
 
 
-def _swap_columns(cfg: SwapConfig, omega: np.ndarray) -> _Columns:
-    # The teleport kernel over the swapped pair on the grid.
+def _swap_columns(cfg: SwapConfig, omega: float | np.ndarray) -> _Columns:
+    # The teleport kernel over the swapped pair on the grid, or at one
+    # frequency.
     return _teleport_columns(
         _SwappedPair(cfg, omega), omega, _UNIT_GAIN.value, _IDEAL_DETECTOR, _COHERENT
     )

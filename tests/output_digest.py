@@ -37,6 +37,8 @@ import sys
 import tempfile
 import warnings
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.dont_write_bytecode = True  # leave no bytecode cache under bench/
 sys.path.insert(0, os.path.join(ROOT, "bench"))
@@ -97,7 +99,7 @@ def _run(src: str, ops: list, count: bool = False) -> tuple[list[list[str]], lis
 
         def counted(resource, omega, *args, **kwargs):
             calls[0] += 1
-            calls[1] += len(omega)
+            calls[1] += np.size(omega)  # a scalar frequency is one row
             return kernel(resource, omega, *args, **kwargs)
 
         # Every module that imported the kernel by name calls its own binding.

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -392,7 +393,7 @@ def test_bandwidth_kernel_calls(monkeypatch, capsys, args, calls):
     rows, kernel = [], criteria._teleport_columns
 
     def counted(src, omega, *rest):
-        rows.append(len(omega))
+        rows.append(np.size(omega))
         return kernel(src, omega, *rest)
 
     monkeypatch.setattr(criteria, "_teleport_columns", counted)

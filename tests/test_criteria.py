@@ -43,7 +43,7 @@ from cvteleport.criteria import (
 from cvteleport.criteria import FidelityPoint, OBJECTIVES
 from closed_form import nopa_fidelity_spectrum
 from references import ralph_lam
-from cvteleport.epr import CustomSpectrum, Nopa, ZeroBandwidth
+from cvteleport.epr import CustomSpectrum, Nopa, SqueezerSpectrum, TransferPair, ZeroBandwidth
 from cvteleport.swap import (
     SwapConfig,
     _SwappedPair,
@@ -59,7 +59,7 @@ from cvteleport.linmode import (
     difference_variance,
     normalized_variance,
 )
-from cvteleport import _text
+from cvteleport import _text, cli
 from cvteleport._text import _json_number, write_json
 from cvteleport.teleport import (
     BellDetector,
@@ -782,6 +782,66 @@ def test_spectrum_table_columns_are_read_only_float64_arrays():
     assert sweep.omega[0] == 0.0
 
 
+def test_a_0d_column_is_one_row():
+    # The kernel's columns at a scalar frequency are 0-d; a table takes
+    # each, and a plain number, as one row.
+    table = SpectrumTable(np.array(0.5), np.float64(1.25), 1.25, np.array(0.75))
+    assert len(table) == 1 and list(table.rows()) == [(0.5, 1.25, 1.25, 0.75)]
+    for column in (table.omega, table.v_x, table.v_p, table.fidelity):
+        assert column.shape == (1,) and not column.flags.writeable
+    point = criteria_module._sweep(lambda w: Nopa(0.5), 0.3, 1.0, BellDetector(1.0), COHERENT)
+    assert point == fidelity_spectrum(Nopa(0.5), [0.3])
+    assert point.to_csv() == fidelity_spectrum(Nopa(0.5), [0.3]).to_csv()
+
+
+def test_a_relabeled_table_shares_the_other_tables_columns():
+    # The command line's user-unit table is the kernel table's rows at the
+    # user's frequencies: only omega is new, the other columns are shared,
+    # and they stay read-only.
+    kernel = fidelity_spectrum(Nopa(0.5, 0.9), [0.0, 0.4, 0.8], detector=BellDetector(0.9))
+    for user in (kernel.omega * 2.5, [0.0, 1.0, 2.0]):
+        table = cli._reindex(kernel, user, 0.4)
+        assert table.v_x is kernel.v_x and table.v_p is kernel.v_p
+        assert table.fidelity is kernel.fidelity and table.evaluator is None
+        assert table.omega.tolist() == [0.0, 1.0, 2.0]
+        for column in (table.omega, table.v_x, table.v_p, table.fidelity):
+            assert not column.flags.writeable
+    assert cli._reindex(kernel, kernel.omega, 1.0) is kernel
+    one = fidelity_spectrum(Nopa(0.5), 0.2)
+    point = one._relabeled(0.5)  # one number is one row, as in the constructor
+    assert point.omega.tolist() == [0.5] and point.fidelity is one.fidelity
+
+
+def test_a_callers_array_is_copied_and_checked_even_read_only():
+    # Only another table's columns are shared: an array from anywhere else,
+    # read-only and owning its data or not, is copied and validated.
+    omega = np.array([0.0, 1.0, 2.0])
+    v = np.array([1.5, 1.25, 1.125])
+    for column in (omega, v):
+        column.flags.writeable = False
+        assert column.flags.owndata
+    table = SpectrumTable(omega, v, v, v / 4.0)
+    moved = table._relabeled(omega)
+    for t in (table, moved):
+        assert t.omega is not omega and not t.omega.flags.writeable
+    assert table.v_x is not v and table.v_p is table.v_x
+    for bad, message in (([0.0, math.nan, 2.0], "finite"), ([0.0, 2.0, 1.0], "strictly increasing")):
+        frozen = np.array(bad)
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError, match=message):
+            SpectrumTable(frozen, v, v, v)
+        with pytest.raises(ValueError, match=message):
+            table._relabeled(frozen)
+    with pytest.raises(ValueError, match="equal length"):
+        table._relabeled(omega[:2])
+    # Writing the caller's arrays afterwards leaves both tables as they were.
+    for column in (omega, v):
+        column.flags.writeable = True
+        column[0] = -7.0
+    assert table.omega.tolist() == moved.omega.tolist() == [0.0, 1.0, 2.0]
+    assert table.v_x.tolist() == [1.5, 1.25, 1.125]
+
+
 def test_spectrum_table_equality_compares_columns_by_value():
     table = SpectrumTable((0.0, 1.0), (2.0, -0.0), (2.0, 2.2), (0.5, 0.4))
     same = SpectrumTable([0, 1], np.array([2.0, 0.0]), (2.0, 2.2), (0.5, 0.4), evaluator=len)
@@ -1195,7 +1255,7 @@ def _kernel_rows(monkeypatch):
     rows, kernel = [], criteria_module._teleport_columns
 
     def counted(src, omega, *rest):
-        rows.append(len(omega))
+        rows.append(np.size(omega))
         return kernel(src, omega, *rest)
 
     monkeypatch.setattr(criteria_module, "_teleport_columns", counted)
@@ -1622,13 +1682,23 @@ def test_fidelity_point_of_empty_widths_is_empty():
         assert isinstance(f, np.ndarray) and f.shape == (0,)
 
 
+class _BelowVacuum(SqueezerSpectrum):
+    # Amplitudes S+ = S- = 2^-omega: spectra below vacuum, which no
+    # CustomSpectrum table may hold.
+    def pair(self, omega):
+        amplitude = 0.5 ** np.asarray(omega, dtype=float)
+        return TransferPair(amplitude, amplitude)
+
+
 def test_a_fidelity_outside_0_1_is_named_by_its_first_value():
-    # Tabulated spectra below vacuum (V+ = V- = 1, 1/4, 1/16) teleport at
-    # gain 0 with F = 1/(2 sigma), sigma = (1 + V)/4: 1, 1.6 and 32/17, so
-    # the second row is the first outside.  A gain that overflows the
-    # output at alpha != 0 leaves F = 0*exp(nan) = nan.
-    src = CustomSpectrum((0.0, 1.0, 2.0), (1.0, 0.5, 0.25), (1.0, 0.5, 0.25))
+    # Spectra below vacuum (V+ = V- = 1, 1/4, 1/16) teleport at gain 0
+    # with F = 1/(2 sigma), sigma = (1 + V)/4: 1, 1.6 and 32/17, so the
+    # second row is the first outside.  A gain that overflows the output
+    # at alpha != 0 leaves F = 0*exp(nan) = nan.
+    src = _BelowVacuum()
     grid = np.array([0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match=r"^row 2 \(omega=1\): \|S\+\|\*\|S-\| = 0\.25 is below 1"):
+        CustomSpectrum(grid, (1.0, 0.5, 0.25), (1.0, 0.5, 0.25))
     for gain in (0.0, np.zeros(3)):
         with pytest.raises(ValueError, match=r"^fidelity 1\.6 outside \[0, 1\]$"):
             criteria_module._teleport_columns(src, grid, gain, BellDetector(1.0), COHERENT)

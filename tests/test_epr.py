@@ -26,7 +26,8 @@ from cvteleport.linmode import (
     normalized_variance,
 )
 from cvteleport.swap import SwapConfig, swap_once, verification_teleport
-from cvteleport.teleport import BellDetector, teleport
+from cvteleport.criteria import fidelity_spectrum
+from cvteleport.teleport import BellDetector, GainSchedule, NonUnitGainWarning, teleport
 from references import bogoliubov_defect, couple_modes, nopa_transfer
 
 COHERENT = InputModel.coherent()
@@ -470,6 +471,56 @@ def test_custom_spectrum_validation():
         CustomSpectrum((0.0, 1.0), (1.0,), (1.0, 1.0))  # ragged columns
     with pytest.raises(ValueError):
         CustomSpectrum.from_csv("frequency,gain\n0,1\n")  # wrong header
+
+
+def test_custom_spectrum_rejects_a_node_below_the_vacuum_bound():
+    # |S+|*|S-| >= 1 at every node, to within 8 units of 2^-52; the first
+    # row below names itself, from the constructor as from a CSV table.
+    header = ",".join(CustomSpectrum.CSV_HEADER)
+    edge = 1.0 - 8 * 2.0 ** -52
+    assert CustomSpectrum((0.0, 1.0), (1.0, 2.0), (edge, 0.5)).pair(0.0).s_minus == edge
+    low = 1.0 - 9 * 2.0 ** -52
+    message = r"^row 2 \(omega=1\): \|S\+\|\*\|S-\| = 0\.999999999999998 is below 1 by more than 8"
+    with pytest.raises(ValueError, match=message):
+        CustomSpectrum((0.0, 1.0, 2.0), (1.0, 1.0, 4.0), (1.0, low, 0.5))
+    with pytest.raises(ValueError, match=r"^row 3 \(omega=2\): \|S\+\|\*\|S-\| = 0\.25 "):
+        CustomSpectrum.from_csv(f"{header}\n0,1,0,1,0\n1,0,2,0,0.5\n2,0.5,0,0,0.5\n")
+    for value in (math.inf, math.nan):  # at threshold S+ is inf: no table holds it
+        with pytest.raises(ValueError, match="^table amplitudes must be finite$"):
+            CustomSpectrum((0.0, 1.0), (value, 1.0), (0.0, 1.0))
+    # A lossy NOPA's squeezed ports alone fall below vacuum (its loss ports
+    # make up the rest), so they are no table.
+    pairs = [Nopa(0.6, 0.8).pair(w) for w in (0.0, 1.0)]
+    with pytest.raises(ValueError, match=r"^row 1 \(omega=0\)"):
+        CustomSpectrum((0.0, 1.0), [p.s_plus for p in pairs], [p.s_minus for p in pairs])
+
+
+def test_custom_spectrum_keeps_magnitude_between_nodes():
+    # A rotating amplitude: S+ = 2 e^(i phi), S- = e^(-i phi)/2 with phi
+    # turning by 3 rad between nodes.  Magnitude and unwrapped phase are
+    # linear in omega, so mid-way |S+| = 2 and |S-| = 1/2 still; linear Re
+    # and Im shrank both.
+    phis = (0.0, 3.0, 6.0)
+    src = CustomSpectrum(
+        (0.0, 1.0, 2.0),
+        [2.0 * complex(math.cos(p), math.sin(p)) for p in phis],
+        [0.5 * complex(math.cos(p), -math.sin(p)) for p in phis],
+    )
+    for w in (0.5, 1.25, 1.5):
+        pair = src.pair(w)
+        assert abs(abs(pair.s_plus) - 2.0) <= 1e-15 and abs(abs(pair.s_minus) - 0.5) <= 1e-15
+        assert abs(np.angle(pair.s_plus) - math.remainder(3.0 * w, 2 * math.pi)) <= 1e-14
+    # The example that raised "fidelity 1.0007623578202665 outside [0, 1]":
+    # an unpumped NOPA, whose amplitudes only rotate, tabulated at 41 nodes
+    # and teleported at gain 0 between them: the output is the vacuum the
+    # input was, F = 1.
+    nodes = [0.1 * k for k in range(41)]
+    pairs = [Nopa(0.0).pair(w) for w in nodes]
+    table = CustomSpectrum(nodes, [p.s_plus for p in pairs], [p.s_minus for p in pairs])
+    assert abs(_abs2(table.pair(1.25).s_plus) - 1.0) <= 1e-15
+    with pytest.warns(NonUnitGainWarning):
+        (f,) = fidelity_spectrum(table, [1.25], gain=GainSchedule.fixed(0.0)).fidelity
+    assert 1.0 - 1e-15 <= f <= 1.0
 
 
 def test_custom_spectrum_rejects_a_nan_frequency():

@@ -4,13 +4,14 @@ The settings are derandomized, so every run draws the same examples; the
 @example inputs pin the domain edges and the inputs of past defects.
 """
 
+import functools
 import math
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import exact
@@ -514,3 +515,186 @@ def test_one_swap_noise_array_is_both_axes_bit_for_bit(src_ab, src_cd, gain, gri
     cfg = SwapConfig(src_ab, src_cd, gain=gain)
     cols = _swap_columns(cfg, grid)
     _assert_one_noise_is_both_axes(cols, _SwappedPair(cfg, grid), grid, 1.0, BellDetector(1.0))
+
+
+# ---------------------------------------------------------------------------
+# A scalar frequency is the one-element grid
+
+
+def _source(src):
+    # The kernel's resource at every frequency: the source itself.
+    return lambda omega: src
+
+
+def _swap(src_ab, src_cd, gain):
+    # The kernel's resource at a frequency: the swapped pair built there,
+    # at optimal gain for gain None.
+    return functools.partial(_SwappedPair, SwapConfig(src_ab, src_cd, gain=gain))
+
+
+ZERO_BANDWIDTH = st.builds(ZeroBandwidth, st.floats(0.0, 3.0))
+CUSTOM = st.builds(_custom, EPSILON)
+RESOURCES = st.one_of(
+    st.builds(_source, st.one_of(NOPA, ZERO_BANDWIDTH, CUSTOM)),
+    st.builds(_swap, NOPA, st.one_of(st.none(), NOPA), st.one_of(st.none(), st.floats(-0.5, 2.0))),
+)
+UNIT, FIXED = GainSchedule.unit(), GainSchedule.fixed
+SCALAR_GAINS = st.one_of(
+    GAINS, st.complex_numbers(max_magnitude=3.0).map(FIXED), st.just(FIXED(1e154))
+)
+SCALARS = st.sampled_from((float, np.float64, np.array))
+ALPHAS = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=3.0))
+EDGE_OMEGA = 2.0126479536181394  # a complex alpha here once rounded apart
+
+
+def _outcome(call):
+    # The call's values, or the type and message of what it raised.
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _scalar_case(resource, omega, scalar, gain, eta2=1.0, model=COHERENT, alpha=0j):
+    return example(
+        resource=resource, omega=omega, scalar=scalar, gain=gain, eta2=eta2, model=model, alpha=alpha
+    )
+
+
+@settings(PROPERTY, max_examples=150)
+@given(
+    resource=RESOURCES,
+    omega=OMEGA,
+    scalar=SCALARS,
+    gain=SCALAR_GAINS,
+    eta2=st.one_of(st.just(1.0), ETA2),
+    model=INPUTS,
+    alpha=ALPHAS,
+)
+@_scalar_case(_source(THRESHOLD), 0.0, float, UNIT)
+@_scalar_case(_source(THRESHOLD), 0.0, np.array, FIXED(0.5), eta2=0.8)
+@_scalar_case(_source(THRESHOLD), 0.0, np.float64, UNIT, eta2=0.9, alpha=1 + 1j)
+@_scalar_case(_swap(THRESHOLD, None, None), 0.0, float, UNIT)
+@_scalar_case(_swap(THRESHOLD, Nopa(0.3, 0.6), 0.7), 0.0, np.float64, UNIT)
+@_scalar_case(
+    _source(Nopa(0.5, 0.9)), 0.3, np.array, FIXED(1.2 - 0.3j), 0.7, InputModel.squeezed(1.5), 0.5j
+)
+@_scalar_case(_source(Nopa(0.5)), 1.0, float, WOBBLE, 0.6, InputModel.squeezed(0.7), 2.0)
+@_scalar_case(_source(THRESHOLD), EDGE_OMEGA, float, WOBBLE, alpha=complex(EDGE_OMEGA, EDGE_OMEGA))
+@_scalar_case(_source(Nopa(0.5)), 0.0, float, FIXED(1e154))
+@_scalar_case(_source(Nopa(0.5)), 0.0, float, FIXED(1e154), alpha=1.0)
+@_scalar_case(_source(ZeroBandwidth(1.0)), 2.0, np.float64, FIXED(1e154), eta2=0.6)
+@_scalar_case(_source(_custom(0.0)), 1.25, np.array, FIXED(0.0))
+def test_a_scalar_frequency_is_the_one_element_grid_bit_for_bit(
+    resource, omega, scalar, gain, eta2, model, alpha
+):
+    # A Python float, a numpy scalar or a 0-d array runs the kernel's own
+    # statements and gives 0-d columns with the bits of the one-element
+    # grid's, or raises what it raises.
+    detector = BellDetector.from_efficiency(eta2)
+    w, grid = scalar(omega), np.array([omega])
+
+    def columns(at):
+        cols = criteria_module._teleport_columns(resource(at), at, gain.at(at), detector, model, alpha)
+        assert all(np.ndim(c) == np.ndim(at) for c in cols)
+        return [_bits(np.reshape(c, -1)) for c in cols]
+
+    assert _outcome(lambda: columns(w)) == _outcome(lambda: columns(grid))
+
+
+@PROPERTY
+@given(
+    src=st.one_of(NOPA, ZERO_BANDWIDTH, CUSTOM),
+    omega=OMEGA,
+    gain=SCALAR_GAINS,
+    eta2=st.one_of(st.just(1.0), ETA2),
+    model=INPUTS,
+    alpha=ALPHAS,
+)
+@example(src=THRESHOLD, omega=0.0, gain=UNIT, eta2=1.0, model=COHERENT, alpha=0j)
+@example(
+    src=Nopa(0.5, 0.8), omega=0.4, gain=FIXED(0.9 + 0.1j), eta2=0.7, model=InputModel.squeezed(1.5), alpha=1j
+)
+def test_criteria_reports_are_the_one_element_kernel_call(src, omega, gain, eta2, model, alpha):
+    detector = BellDetector.from_efficiency(eta2)
+
+    def report():
+        r = evaluate_criteria(src, omega, gain, detector, model, alpha)
+        return _bits([r.v_x, r.v_p, r.fidelity, r.v_out_x, r.v_out_p])
+
+    def kernel():
+        # The report from the one-element grid, as it was made before the
+        # kernel took a scalar: the gain at omega, the columns' first row.
+        g = gain.at(omega)
+        cols = criteria_module._teleport_columns(src, np.array([omega]), g, detector, model, alpha)
+        noise = float(cols.noise[0])
+        for v_out, v_in in ((cols.v_out_x[0], model.v_x), (cols.v_out_p[0], model.v_p)):
+            criteria_module._conditional(float(v_out), noise, g, v_in)
+        return _bits([cols.v_x[0], cols.v_p[0], cols.fidelity[0], cols.v_out_x[0], cols.v_out_p[0]])
+
+    assert _outcome(report) == _outcome(kernel)
+
+
+@PROPERTY
+@given(
+    src_ab=NOPA,
+    src_cd=st.one_of(st.none(), NOPA, CUSTOM),
+    gain=st.one_of(st.none(), CHANNEL_GAINS),
+    omega=OMEGA,
+)
+@example(src_ab=THRESHOLD, src_cd=None, gain=None, omega=0.0)
+@example(src_ab=THRESHOLD, src_cd=None, gain=0.5, omega=0.0)
+def test_swap_fidelity_is_the_one_element_kernel_call(src_ab, src_cd, gain, omega):
+    cfg = SwapConfig(src_ab, src_cd, gain=gain)
+    scalar = _outcome(lambda: _bits([swap_fidelity(cfg, omega)]))
+    assert scalar == _outcome(lambda: _bits(_swap_columns(cfg, np.array([omega])).fidelity))
+
+
+# ---------------------------------------------------------------------------
+# Tabulated sources
+
+
+def _table(nodes, plus, minus):
+    # A CustomSpectrum of the amplitudes r e^(i phi) at sorted nodes, or
+    # None where it rejects them.
+    amplitudes = [[r * complex(math.cos(p), math.sin(p)) for r, p in side] for side in (plus, minus)]
+    try:
+        return CustomSpectrum(nodes, *amplitudes)
+    except ValueError:
+        return None
+
+
+POLAR = st.tuples(st.floats(0.0, 30.0), st.floats(-10.0, 10.0))
+TABLES = st.one_of(
+    st.builds(_custom, FULL_EPSILON),
+    st.integers(2, 8).flatmap(
+        lambda n: st.builds(
+            _table,
+            st.lists(st.floats(0.0, 4.0), min_size=n, max_size=n, unique=True).map(sorted),
+            st.lists(POLAR, min_size=n, max_size=n),
+            st.lists(POLAR, min_size=n, max_size=n),
+        )
+    ),
+)
+
+
+@PROPERTY
+@given(
+    table=TABLES,
+    where=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+    gain=SCALAR_GAINS,
+    eta2=st.one_of(st.just(1.0), ETA2),
+)
+@example(table=_custom(0.0), where=[1.25 / 4.0], gain=FIXED(0.0), eta2=1.0)
+def test_every_accepted_table_teleports_with_a_fidelity_in_0_1(table, where, gain, eta2):
+    # Whatever amplitudes a table accepts (|S+|*|S-| >= 1 at its nodes),
+    # every frequency in its range, node or not, gives 0 <= F <= 1 at any
+    # gain: the kernel raises outside [0, 1 + 1e-9], and the bound here is
+    # the rounding of F <= 1.
+    assume(table is not None)
+    lo, hi = table._omegas[0], table._omegas[-1]
+    grid = sorted({lo + (hi - lo) * t for t in where})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonUnitGainWarning)
+        table = fidelity_spectrum(table, grid, gain, BellDetector.from_efficiency(eta2))
+    assert all(0.0 <= f <= 1.0 + 1e-12 for f in table.fidelity.tolist())

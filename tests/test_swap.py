@@ -354,10 +354,11 @@ def test_a_tabulated_source_is_evaluated_once_per_kernel_call(monkeypatch):
     # again for the closed form, and the swapped pair for V-_eff, so a
     # table and each evaluator call (as bandwidth() makes) take one pair(),
     # teleport and swap alike; swap_once takes one more, for the amplitudes
-    # of its expansions.
+    # of its expansions.  The table is a lossless NOPA's: a lossy one's
+    # squeezed ports alone fall below vacuum, which a table may not.
     src = Nopa(0.6, 0.8)
     nodes = [0.25 * k for k in range(41)]
-    pairs = [src.pair(w) for w in nodes]
+    pairs = [Nopa(0.6).pair(w) for w in nodes]
     custom = CustomSpectrum(nodes, [p.s_plus for p in pairs], [p.s_minus for p in pairs])
     calls = _count_calls(monkeypatch, CustomSpectrum, "pair")
     grid = [0.1 * k for k in range(51)]
