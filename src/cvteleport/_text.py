@@ -189,23 +189,22 @@ def write_csv(header: tuple[str, ...], columns: Sequence[np.ndarray]) -> str:
             fields[-1, -1] = ord("\n")
             texts.append(_text_of(fields))
         return "".join(texts)
-    # One % over the interleaved cells of every row; a column written twice
-    # gets one % of its own, and its text goes in through %s.
-    cells: list = [None] * (len(columns) * n)
-    ids = [id(c) for c in columns]
-    shared: dict[int, list[str] | None] = {i: None for i in ids if ids.count(i) > 1}
-    row = []
+    # One % over the interleaved cells of every row.  A column written twice
+    # has its cells formatted once, by a % of its own, and they go in
+    # through %s.
+    m, ids = len(columns), [id(c) for c in columns]
+    cells: list = [None] * (m * n)
+    row, shared = [], {}
     for k, column in enumerate(columns):
-        if id(column) in shared:
-            values = shared[id(column)]
-            if values is None:
-                values = ("\n".join(["%.12g"] * n) % tuple(column.tolist())).split("\n")
-                shared[id(column)] = values
-            row.append("%s")
-        else:
-            values = column.tolist()
+        if ids.count(ids[k]) == 1:
             row.append("%.12g")
-        cells[k :: len(columns)] = values
+            cells[k::m] = column.tolist()
+            continue
+        texts = shared.get(ids[k])
+        if texts is None:
+            texts = shared[ids[k]] = ("\n".join(["%.12g"] * n) % tuple(column.tolist())).split("\n")
+        row.append("%s")
+        cells[k::m] = texts
     return head + (",".join(row) + "\n") * n % tuple(cells)
 
 

@@ -14,7 +14,6 @@ failed oracle check).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
@@ -210,10 +209,7 @@ def _merge_config(parsed: dict) -> dict:
                 raise _ConfigError(f"{path}:{i}: unknown option {key.strip()!r}")
             if values[dest] is None:
                 values[dest] = val.strip()
-    for key, default in _DEFAULTS.items():
-        if key in values and values[key] is None:
-            values[key] = default
-    return values
+    return {k: _DEFAULTS.get(k) if v is None else v for k, v in values.items()}
 
 
 def _resolve_source(v: dict) -> tuple[SqueezerSpectrum, float]:
@@ -222,7 +218,7 @@ def _resolve_source(v: dict) -> tuple[SqueezerSpectrum, float]:
     The scale maps user frequencies to dimensionless ones: 1 for the
     --epsilon route, 2/(gamma+rho) for physical rates.
     """
-    physical = any(v.get(k) is not None for k in ("kappa", "gamma"))
+    physical = v.get("kappa") is not None or v.get("gamma") is not None
     if v.get("epsilon") is not None and physical:
         raise _ConfigError("give either --epsilon or --kappa/--gamma, not both")
     try:
@@ -267,13 +263,18 @@ def _resolve_detector(v: dict) -> BellDetector:
         raise _ConfigError(str(exc)) from None
 
 
+# The default gain and input, built once: both are frozen.
+_UNIT_GAIN = GainSchedule.unit()
+_COHERENT = InputModel.coherent()
+
+
 def _resolve_gain(v: dict, for_swap: bool) -> "GainSchedule | None":
     """None means per-frequency optimal swap gain (swap commands only)."""
     raw = v.get("gain")
     if raw is None:
-        return None if for_swap else GainSchedule.unit()
+        return None if for_swap else _UNIT_GAIN
     if raw == "unit":
-        return GainSchedule.unit()
+        return _UNIT_GAIN
     if raw == "optimal-swap":
         if not for_swap:
             raise _ConfigError("gain optimal-swap only applies to the swap pipeline")
@@ -286,7 +287,7 @@ def _resolve_gain(v: dict, for_swap: bool) -> "GainSchedule | None":
 def _resolve_input(v: dict) -> InputModel:
     raw = v["input"]
     if raw == "coherent":
-        return InputModel.coherent()
+        return _COHERENT
     if raw.startswith("squeezed:"):
         try:
             return InputModel.squeezed(_float("--input", raw[len("squeezed:"):]))
@@ -423,7 +424,7 @@ def _cmd_criteria(v: dict) -> int:
     except OverflowError as exc:  # the gain's signal term passes the float range
         raise _ConfigError(f"--gain: {exc}") from None
     if scale != 1.0:
-        report = dataclasses.replace(report, omega=omega)
+        report = report._relabeled(omega)
     sys.stdout.write(report.to_json())
     return 0
 

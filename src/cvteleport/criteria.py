@@ -7,9 +7,10 @@ Four families of criteria:
 * conditional variance / transfer coefficient pairs,
 * Gaussian fidelity against the input coherent state (classical ceiling 1/2),
 
-plus the least-noisy classical channel model that saturates the floors, the
-fidelity spectrum machinery (one array kernel over the frequency grid), and
-the bandwidth extraction used for sweeps.
+plus the fidelity spectrum machinery (one array kernel over the frequency
+grid) and the bandwidth extraction used for sweeps.  The least-noisy
+classical channel, which saturates the floors and against which the gate
+checks them, is test code, in tests/classical.py.
 
 The kernel (_teleport_columns) weighs each EPR pair's two real spectra,
 never complex amplitudes, and it serves every spectrum row, the criteria
@@ -20,10 +21,10 @@ coefficients follow from the linear-channel identities.  bandwidth()
 asks the kernel for many frequencies per call to narrow a bracket around
 the threshold crossing, then interpolates inside it, so a width is exact
 to a few ulps on a smooth source.  One sweep (_sweep) builds every kernel
-table, a swap's and the command line's included.  teleport_fidelity and
-classical_objective act on quadrature expansions; the expansion reference
-for the conditional variances and transfer coefficients (ralph_lam) is
-test code, in tests/references.py.
+table, a swap's and the command line's included.  teleport_fidelity acts
+on quadrature expansions; the expansion reference for the conditional
+variances and transfer coefficients (ralph_lam) is test code, in
+tests/references.py.
 
 Variances are normalized to vacuum = 1 throughout; Q-function widths (the
 sigma arguments of the fidelity) are in absolute units where vacuum
@@ -39,9 +40,9 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._text import read_csv, write_csv, write_json, write_json_columns
+from ._text import _encoded, read_csv, write_csv, write_json, write_json_columns
 from .epr import PortPowers, SqueezerSpectrum, _abs2
-from .linmode import Axis, InputModel, QuadExpansion, difference_variance, normalized_variance
+from .linmode import Axis, InputModel, normalized_variance
 from .teleport import (
     BellDetector,
     GainSchedule,
@@ -58,19 +59,13 @@ __all__ = [
     "TRANSFER_SUM_LIMIT",
     "VARIANCE_PRODUCT_LIMIT",
     "VARIANCE_SUM_LIMIT",
-    "ClassicalModelParams",
     "CriteriaReport",
     "FidelityPoint",
-    "OBJECTIVES",
     "SpectrumTable",
     "bandwidth",
-    "classical_model",
-    "classical_objective",
     "evaluate_criteria",
     "fidelity_point",
     "fidelity_spectrum",
-    "grid_search_classical",
-    "optimize_classical",
     "output_product_limit",
     "teleport_fidelity",
 ]
@@ -84,156 +79,9 @@ TRANSFER_SUM_LIMIT = 1.0
 FIDELITY_CLASSICAL_BOUND = 0.5
 
 
-# ---------------------------------------------------------------------------
-# Least-noisy classical channel
-
-
-@dataclass(frozen=True)
-class ClassicalModelParams:
-    """Splitting ratios and gains of the classical measure-and-resend channel.
-
-    s_a is the sender's asymmetric measurement split, s_b the receiver's
-    noise split; both strictly positive.  Gains default to unit, the only
-    regime in which the variance limits apply.
-    """
-
-    s_a: float = 1.0
-    s_b: float = 1.0
-    gamma_x: float = 1.0
-    gamma_p: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.s_a <= 0 or self.s_b <= 0:
-            raise ValueError("splitting parameters s_a, s_b must be positive")
-
-
-def classical_model(params: ClassicalModelParams) -> tuple[QuadExpansion, QuadExpansion]:
-    """Output expansions of the least noisy linear classical channel.
-
-    The sender measures both quadratures through an s_a split, the receiver
-    reconstructs through an s_b split:
-
-        X_out = gx*X_in + (gx/s_a)*X_a + (1/s_b)*X_b
-        P_out = gp*P_in - (gp*s_a)*P_a + s_b*P_b
-
-    with two fresh vacua a, b.  The commutator pairing is 1 for any gains,
-    so the channel is a legitimate quantum map; it merely has no shared
-    entanglement.
-    """
-    gx, gp = params.gamma_x, params.gamma_p
-    x_out = QuadExpansion(
-        complex(gx),
-        {
-            ("a", Axis.X): complex(gx / params.s_a),
-            ("b", Axis.X): complex(1.0 / params.s_b),
-        },
-    )
-    p_out = QuadExpansion(
-        complex(gp),
-        {
-            ("a", Axis.P): complex(-gp * params.s_a),
-            ("b", Axis.P): complex(params.s_b),
-        },
-    )
-    return x_out, p_out
-
-
-OBJECTIVES = ("product", "sum", "out_product", "out_sum")
-
-
-def classical_objective(
-    params: ClassicalModelParams, in_model: InputModel, objective: str
-) -> float:
-    """Evaluate one of the four boundary objectives for given parameters.
-
-    "product"/"sum" act on the added-noise (out minus in) variances,
-    "out_product"/"out_sum" on the raw output variances.
-    """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
-    x_out, p_out = classical_model(params)
-    if objective in ("product", "sum"):
-        vx = difference_variance(x_out, in_model, Axis.X)
-        vp = difference_variance(p_out, in_model, Axis.P)
-    else:
-        vx = normalized_variance(x_out, in_model, Axis.X)
-        vp = normalized_variance(p_out, in_model, Axis.P)
-    return vx * vp if objective.endswith("product") else vx + vp
-
-
 def output_product_limit(in_model: InputModel) -> float:
     """Classical floor on V_out_x * V_out_p; equals 9 for coherent inputs."""
     return (math.sqrt(in_model.v_x * in_model.v_p) + 2.0) ** 2
-
-
-def optimize_classical(
-    in_model: InputModel, objective: str
-) -> tuple[ClassicalModelParams, float]:
-    """Closed-form optimum of a classical objective at unit gain.
-
-    product: 4 for any s_a = s_b.  sum: 4 at s_a = s_b = 1.
-    out_product: (sqrt(v_x*v_p) + 2)^2 at s_a = s_b = (v_p/v_x)^(1/4).
-    out_sum: v_x + v_p + 4 at s_a = s_b = 1.
-
-    A local multiplicative grid around the optimum double checks that no
-    neighboring parameter choice does better.
-    """
-    vx, vp = in_model.v_x, in_model.v_p
-    if objective == "product":
-        params, value = ClassicalModelParams(1.0, 1.0), VARIANCE_PRODUCT_LIMIT
-    elif objective == "sum":
-        params, value = ClassicalModelParams(1.0, 1.0), VARIANCE_SUM_LIMIT
-    elif objective == "out_product":
-        s = (vp / vx) ** 0.25
-        params, value = ClassicalModelParams(s, s), output_product_limit(in_model)
-    elif objective == "out_sum":
-        params, value = ClassicalModelParams(1.0, 1.0), vx + vp + 4.0
-    else:
-        raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
-    attained = classical_objective(params, in_model, objective)
-    if not math.isclose(attained, value, rel_tol=1e-12, abs_tol=1e-12):
-        raise AssertionError(
-            f"closed-form optimum not attained: {attained} vs {value} for {objective}"
-        )
-    factors = [0.8, 0.9, 0.95, 1.0, 1.05, 1.1, 1.25]
-    best = min(
-        classical_objective(
-            ClassicalModelParams(params.s_a * fa, params.s_b * fb),
-            in_model,
-            objective,
-        )
-        for fa in factors
-        for fb in factors
-    )
-    if best < value - 1e-9:
-        raise AssertionError(
-            f"local refinement beat the closed form for {objective}: {best} < {value}"
-        )
-    return params, value
-
-
-def grid_search_classical(
-    in_model: InputModel,
-    objective: str,
-    points: int = 41,
-    bounds: tuple[float, float] = (0.1, 10.0),
-) -> tuple[ClassicalModelParams, float]:
-    """Brute-force refinement oracle: log grid over (s_a, s_b) at unit gain."""
-    lo, hi = bounds
-    if not (0 < lo < hi) or points < 2:
-        raise ValueError("need 0 < lo < hi and at least two grid points")
-    ratio = (hi / lo) ** (1.0 / (points - 1))
-    grid = [lo * ratio ** k for k in range(points)]
-    best_params, best_value = None, math.inf
-    for sa in grid:
-        for sb in grid:
-            p = ClassicalModelParams(sa, sb)
-            v = classical_objective(p, in_model, objective)
-            if v < best_value:
-                best_params, best_value = p, v
-    if best_params is None:
-        raise ValueError(f"{objective} objective is not finite anywhere on the grid")
-    return best_params, best_value
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +280,9 @@ class SpectrumTable:
         # Strictly increasing from a finite first row to a finite last one is
         # finite throughout (a nan compares false), so every row is tested
         # for finiteness only once that fails, to give the right message.
-        if not (-math.inf < omega[0] and omega[-1] < math.inf and (omega[1:] > omega[:-1]).all()):
+        # One row is strictly increasing: only its finiteness is tested.
+        increasing = len(omega) == 1 or (omega[1:] > omega[:-1]).all()
+        if not (-math.inf < omega[0] and omega[-1] < math.inf and increasing):
             if not np.isfinite(omega).all():
                 raise ValueError("omega column must be finite")
             raise ValueError("omega column must be strictly increasing")
@@ -681,8 +531,11 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
     math.inf when the evaluator never drops below it up to OMEGA_LIMIT (a
     threshold at or below the large-omega limit of the fidelity: 1/2 at
     unit gain, 1/(1 + g^2) at fixed gain g).  A nan (or inf) row next to
-    the final bracket raises ValueError, naming its frequency.
+    the final bracket raises ValueError, naming its frequency, and a
+    threshold that is not finite raises ValueError before the table is read.
     """
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold: expected a finite number, got {threshold}")
     om, fs = spectrum.omega, spectrum.fidelity
     if fs[0] < threshold:
         return 0.0
@@ -906,19 +759,72 @@ class CriteriaReport:
         }
 
     def to_json(self) -> str:
-        # Every field holds a plain number or bool, so the instance's field
-        # dict serves as the payload as it stands.
+        """write_json of the report's payload, byte for byte, from one template.
+
+        The payload is every field, with the gain as a number (as [re, im]
+        when its imaginary part is not 0), plus v_product, v_sum,
+        v_out_product and the verdicts.  Its key set is fixed, so its text
+        is one % over _REPORT_JSON, each value in key order: an exact-type
+        finite float is its float repr, anything else is what write_json
+        writes for it (a value json cannot write raises the same
+        TypeError).  A P-axis float that is its X twin's object (as
+        evaluate_criteria gives them on a symmetric input) is formatted
+        once, for both.
+        """
         gain = self.gain
-        return write_json(
-            dict(
-                vars(self),
-                gain=gain.real if gain.imag == 0 else [gain.real, gain.imag],
-                v_product=self.v_product,
-                v_sum=self.v_sum,
-                v_out_product=self.v_out_product,
-                verdicts=self.verdicts,
-            )
+        gain = gain.real if gain.imag == 0 else [gain.real, gain.imag]
+        v_product, v_sum, v_out_product = self.v_product, self.v_sum, self.v_out_product
+        verdicts = self.verdicts
+        t_p, v_c_p, v_out_p, v_p = self.t_p, self.v_c_p, self.v_out_p, self.v_p
+        return _REPORT_JSON % (
+            _json_text(self.avg_fidelity_zero),
+            _json_text(self.eta),
+            _json_text(self.fidelity),
+            _json_text(gain),
+            _json_text(self.omega),
+            _json_text(self.out_product_limit),
+            (t_p_text := _json_text(t_p)),
+            t_p_text if self.t_x is t_p else _json_text(self.t_x),
+            (v_c_p_text := _json_text(v_c_p)),
+            v_c_p_text if self.v_c_x is v_c_p else _json_text(self.v_c_x),
+            (v_out_p_text := _json_text(v_out_p)),
+            _json_text(v_out_product),
+            v_out_p_text if self.v_out_x is v_out_p else _json_text(self.v_out_x),
+            (v_p_text := _json_text(v_p)),
+            _json_text(v_product),
+            _json_text(v_sum),
+            v_p_text if self.v_x is v_p else _json_text(self.v_x),
+            *[_encoded(verdicts[key], "\n    ") for key in _VERDICT_KEYS],
         )
+
+    def _relabeled(self, omega: float) -> "CriteriaReport":
+        # This report at another frequency label (the command line's user
+        # units).  The instance dict is copied with the new omega, as
+        # SpectrumTable._relabeled shares its columns: dataclasses.replace
+        # would rerun the frozen __init__ over every field.
+        report = object.__new__(CriteriaReport)
+        report.__dict__.update(self.__dict__, omega=omega)
+        return report
+
+
+# The verdicts in key order, and CriteriaReport.to_json's text: write_json's
+# own layout of the payload's keys, each value a %s.
+_VERDICT_KEYS = (
+    "conditional_sum", "fidelity", "output_product", "transfer_sum",
+    "variance_product", "variance_sum",
+)
+_REPORT_JSON = write_json(
+    dict.fromkeys([*CriteriaReport.__dataclass_fields__, "v_product", "v_sum", "v_out_product"], 0)
+    | {"verdicts": dict.fromkeys(_VERDICT_KEYS, 0)}
+).replace(": 0", ": %s")
+
+
+def _json_text(value) -> str:
+    # A top-level payload value as write_json writes it: for an exact-type
+    # float, repr is float.__repr__, and the cheaper call.
+    if type(value) is float and math.isfinite(value):
+        return repr(value)
+    return _encoded(value, "\n  ")
 
 
 def evaluate_criteria(
@@ -935,20 +841,28 @@ def evaluate_criteria(
     the error variances, the fidelity and the output variances; at
     alpha = 0 the first three are the one-row fidelity_spectrum values
     bit for bit.  The conditional variances and transfer coefficients
-    follow from the output variances (see _conditional).
+    follow from the output variances (see _conditional).  Where the
+    kernel gives one column for both axes and the input is symmetric
+    (v_x == v_p), the report's v_p, v_out_p, v_c_p and t_p are the X-axis
+    float objects themselves, the bits _conditional would give P, so
+    to_json formats each once.
     """
     model = in_model if in_model is not None else InputModel.coherent()
     g = as_gain(gain).at(omega)
     cols = _teleport_columns(src, omega, g, detector, model, alpha)
-    v_out_x, v_out_p, noise = float(cols.v_out_x), float(cols.v_out_p), float(cols.noise)
+    v_x, v_out_x, noise = float(cols.v_x), float(cols.v_out_x), float(cols.noise)
     v_c_x, t_x = _conditional(v_out_x, noise, g, model.v_x)
-    v_c_p, t_p = _conditional(v_out_p, noise, g, model.v_p)
+    if cols.v_p is cols.v_x and model.v_p == model.v_x:
+        v_p, v_out_p, v_c_p, t_p = v_x, v_out_x, v_c_x, t_x
+    else:
+        v_p, v_out_p = float(cols.v_p), float(cols.v_out_p)
+        v_c_p, t_p = _conditional(v_out_p, noise, g, model.v_p)
     return CriteriaReport(
         omega=omega,
         gain=g,
         eta=detector.eta,
-        v_x=float(cols.v_x),
-        v_p=float(cols.v_p),
+        v_x=v_x,
+        v_p=v_p,
         v_out_x=v_out_x,
         v_out_p=v_out_p,
         v_c_x=v_c_x,

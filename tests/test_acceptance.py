@@ -8,14 +8,8 @@ exactly what moved and by how much.
 import math
 import random
 
-from cvteleport.criteria import (
-    OBJECTIVES,
-    bandwidth,
-    fidelity_spectrum,
-    grid_search_classical,
-    optimize_classical,
-    teleport_fidelity,
-)
+from classical import OBJECTIVES, grid_search_classical, optimize_classical
+from cvteleport.criteria import bandwidth, fidelity_spectrum, teleport_fidelity
 from cvteleport.epr import Nopa, ZeroBandwidth
 from cvteleport.linmode import Axis, InputModel, combine, commutator_pairing, unit_input
 from cvteleport.oracle import (

@@ -843,6 +843,29 @@ STDOUT_SHA256 = [
         ),
         id="criteria-squeezed-fixed-gain",
     ),
+    # The report's template with every P float the X one (a symmetric
+    # input), relabelled in user units, and a one-row CSV relabelled too.
+    pytest.param(
+        "264905b6dd558599338f20715588b3130558ab006f248b326a071e83d5ec1206",
+        ("criteria", "--kappa", "1.54", "--gamma", "3.6", "--rho", "0.4", "--omega", "0.8"),
+        id="criteria-physical-rho",
+    ),
+    pytest.param(
+        "fce2a4ee84ffe5b695979cc254b2cdc2fcc55440e31f4b8b9d52a3145bfb4f5b",
+        (
+            "criteria", "--epsilon", "0.6", "--beta", "0.9", "--omega", "0.5",
+            "--gain", "fixed:0.8",
+        ),
+        id="criteria-symmetric-fixed-gain",
+    ),
+    pytest.param(
+        "e49b263ca5c57df09aac13ddbad41ec2b1c89f37578fe001c574260d5136b786",
+        (
+            "point", "--kappa", "1.54", "--gamma", "3.6", "--rho", "0.4", "--eta2", "0.9",
+            "--omega", "0.8",
+        ),
+        id="point-physical-eta2",
+    ),
     pytest.param(
         "2676b80c29579a7424ab3db4887e98695d6b9e4fe891134ad9dfa013ec8c9a76",
         ("bandwidth", "--epsilon", "0.6"),

@@ -1,6 +1,7 @@
 """Classical boundaries, fidelity, spectrum tables and bandwidth extraction."""
 
 import bisect
+import dataclasses
 import json
 import math
 import os
@@ -27,20 +28,24 @@ from cvteleport.criteria import (
     TRANSFER_SUM_LIMIT,
     VARIANCE_PRODUCT_LIMIT,
     VARIANCE_SUM_LIMIT,
-    ClassicalModelParams,
+    CriteriaReport,
     SpectrumTable,
     bandwidth,
-    classical_model,
-    classical_objective,
     evaluate_criteria,
     fidelity_point,
     fidelity_spectrum,
-    grid_search_classical,
-    optimize_classical,
     output_product_limit,
     teleport_fidelity,
 )
-from cvteleport.criteria import FidelityPoint, OBJECTIVES
+from cvteleport.criteria import FidelityPoint
+from classical import (
+    OBJECTIVES,
+    ClassicalModelParams,
+    classical_model,
+    classical_objective,
+    grid_search_classical,
+    optimize_classical,
+)
 from closed_form import nopa_fidelity_spectrum
 from references import ralph_lam
 from cvteleport.epr import CustomSpectrum, Nopa, SqueezerSpectrum, TransferPair, ZeroBandwidth
@@ -1353,6 +1358,20 @@ def test_bandwidth_without_evaluator_needs_a_crossing():
         bandwidth(loaded)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+def test_bandwidth_rejects_a_threshold_that_is_not_finite(threshold):
+    # Raised before the table is read, in the command line's words; past
+    # the check, nan and -inf would read as an infinite width and inf as 0.
+    class Unread(SpectrumTable):
+        def __getattribute__(self, name):
+            raise AssertionError(f"read {name}")
+
+    table = object.__new__(Unread)
+    want = f"threshold: expected a finite number, got {float(threshold)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        bandwidth(table, threshold)
+
+
 # bandwidth() as it was on numpy arrays, before it kept its rows in lists:
 # the reference that the list version must match bit for bit, evaluator
 # calls included.  It shares the unchanged _doubling and _secant.
@@ -1558,6 +1577,149 @@ def test_report_with_detector_loss():
     want = 1.0 / (2.0 - 4 * 0.6 / 2.56 + (1 - eta2) / eta2)
     assert report.fidelity == pytest.approx(want, rel=1e-12)
     assert report.eta == pytest.approx(math.sqrt(eta2))
+
+
+def _payload_json(report):
+    # CriteriaReport.to_json's reference: the generic writer over the
+    # payload dict, as the method built it before it wrote a template.
+    gain = report.gain
+    return write_json(
+        dict(
+            vars(report),
+            gain=gain.real if gain.imag == 0 else [gain.real, gain.imag],
+            v_product=report.v_product,
+            v_sum=report.v_sum,
+            v_out_product=report.v_out_product,
+            verdicts=report.verdicts,
+        )
+    )
+
+
+def _assert_writes_the_payload_json(report):
+    # The same bytes, or the same exception with the same message.
+    try:
+        want = _payload_json(report)
+    except Exception as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            report.to_json()
+    else:
+        assert report.to_json() == want
+
+
+@st.composite
+def _evaluated_reports(draw):
+    beta = draw(st.sampled_from([1.0, 0.9, 0.5]))
+    src = Nopa(draw(st.floats(0.0, 0.99)), beta)
+    omega = draw(st.one_of(st.just(0.0), st.floats(0.0, 20.0)))
+    detector = BellDetector.from_efficiency(draw(st.sampled_from([1.0, 0.97, 0.6])))
+    model = draw(st.sampled_from([None, COHERENT, InputModel.squeezed(1.5), InputModel(0.5, 3.0)]))
+    alpha = draw(st.sampled_from([0j, 1.0, 0.5 - 2j]))
+    gain = draw(
+        st.one_of(
+            st.sampled_from([GainSchedule.unit(), 1.0]),
+            st.floats(0.0, 3.0),
+            st.builds(complex, st.floats(-2.0, 2.0), st.floats(-1.0, 1.0)),
+            st.sampled_from([GainSchedule.per_frequency(lambda w: 1.0 / (1.0 + 0.1 * w) + 0.05j * w)]),
+        )
+    )
+    return evaluate_criteria(src, omega, gain, detector, model, alpha)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(report=_evaluated_reports())
+@example(report=evaluate_criteria(Nopa(1.0), 0.0))  # threshold, unit gain
+@example(report=evaluate_criteria(Nopa(0.0), 0.0))  # the classical boundary
+@example(report=evaluate_criteria(Nopa(0.6, 0.9), 0.5, 0.8))  # symmetric, fixed gain
+def test_report_json_is_the_payload_json_for_evaluated_reports(report):
+    _assert_writes_the_payload_json(report)
+
+
+# Field values the generic writer spells in every way it can: repr, the
+# CSV strings of non-finite values, an int, a numpy float64 (a float
+# subclass, whose comparisons give numpy bools, which json cannot write).
+REPORT_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e16, 5e-324, 3, 0]),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+)
+REPORT_FIELDS = [f for f in CriteriaReport.__dataclass_fields__ if f not in ("gain", "avg_fidelity_zero")]
+
+
+@st.composite
+def _built_reports(draw):
+    fields = {name: draw(REPORT_VALUES) for name in REPORT_FIELDS}
+    # Each P field is the X field's object, a value of its own, or the
+    # zero of the other sign, which == takes for the X field.
+    for axis in ("v", "v_out", "v_c", "t"):
+        p_is = draw(st.sampled_from(["x", "own", "zeros"]))
+        if p_is == "x":
+            fields[f"{axis}_p"] = fields[f"{axis}_x"]
+        elif p_is == "zeros":
+            fields[f"{axis}_x"], fields[f"{axis}_p"] = draw(st.permutations([0.0, -0.0]))
+    gain = draw(
+        st.one_of(
+            REPORT_VALUES,
+            st.builds(complex, REPORT_VALUES, REPORT_VALUES),
+            st.builds(complex, REPORT_VALUES, st.sampled_from([0.0, -0.0])),
+        )
+    )
+    avg = draw(st.sampled_from([True, False, np.bool_(True)]))
+    return CriteriaReport(gain=gain, avg_fidelity_zero=avg, **fields)
+
+
+@settings(deadline=None, max_examples=500, derandomize=True)
+@given(report=_built_reports())
+def test_report_json_is_the_payload_json_for_built_reports(report):
+    _assert_writes_the_payload_json(report)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"omega": 2},
+        {"v_x": -0.0, "v_p": 0.0},
+        {"gain": complex(0.9, -0.0)},
+        {"gain": complex(math.nan, 1.0)},
+        {"gain": 1},
+        {"eta": np.float64(0.5), "fidelity": np.float64(math.inf)},
+        {"avg_fidelity_zero": np.bool_(False)},
+        {"avg_fidelity_zero": 1},
+        {"t_x": np.float32(0.5), "v_c_p": 1j},
+        {"v_x": np.float64(0.25), "v_p": np.float64(0.25)},
+    ],
+    ids=[
+        "int-omega", "signed-zeros", "complex-gain-minus-zero", "nan-complex-gain", "int-gain",
+        "float64-fields", "numpy-bool", "int-flag", "two-unwritable-values", "float64-verdicts",
+    ],
+)
+def test_report_json_is_the_payload_json_for_each_kind_of_value(changes):
+    report = evaluate_criteria(Nopa(0.6, 0.9), 0.5, 0.8 + 0.1j)
+    _assert_writes_the_payload_json(dataclasses.replace(report, **changes))
+
+
+@pytest.mark.parametrize(
+    "model, shared", [(COHERENT, True), (InputModel(2.0, 2.0), True), (InputModel.squeezed(1.5), False)]
+)
+def test_report_p_floats_are_the_x_objects_on_a_symmetric_input(model, shared):
+    report = evaluate_criteria(Nopa(0.6, 0.9), 0.5, 0.8, BellDetector(0.9), model, 0.3)
+    pairs = [("v_x", "v_p"), ("v_out_x", "v_out_p"), ("v_c_x", "v_c_p"), ("t_x", "t_p")]
+    for x, p in pairs:
+        assert (getattr(report, p) is getattr(report, x)) is shared, p
+        assert type(getattr(report, p)) is float
+    _assert_writes_the_payload_json(report)
+
+
+def test_relabeled_report_changes_only_omega():
+    report = evaluate_criteria(Nopa(0.6, 0.9), 0.5, 0.8 + 0.1j, in_model=InputModel.squeezed(1.5))
+    relabeled = report._relabeled(0.25)
+    assert type(relabeled) is CriteriaReport and relabeled is not report
+    assert relabeled.omega == 0.25 and report.omega == 0.5
+    for name in CriteriaReport.__dataclass_fields__:
+        if name != "omega":
+            assert getattr(relabeled, name) is getattr(report, name), name
+    assert relabeled == dataclasses.replace(report, omega=0.25)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        relabeled.omega = 1.0
 
 
 # ---------------------------------------------------------------------------

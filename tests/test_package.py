@@ -31,9 +31,13 @@ def test_root_exports_every_layer_all():
 
 
 # Names that only tests used: each was deleted, or moved into the test tree
-# as a reference (closed_form.py, references.py).
+# as a reference (classical.py, closed_form.py, references.py).
 TEST_ONLY = {
-    "criteria": ("nopa_fidelity_spectrum", "ralph_lam", "RalphLamResult"),
+    "criteria": (
+        "nopa_fidelity_spectrum", "ralph_lam", "RalphLamResult", "ClassicalModelParams",
+        "classical_model", "classical_objective", "OBJECTIVES", "optimize_classical",
+        "grid_search_classical",
+    ),
     "epr": ("couple_modes", "nopa_transfer"),
     "linmode": ("split_re_im", "vacuum_mode", "zero_expansion"),
     "oracle": ("condition_on", "sample_teleport_outcomes"),
