@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from json.encoder import encode_basestring_ascii as _quoted
 from typing import Sequence
@@ -44,51 +45,40 @@ def write_json(payload: dict) -> str:
     except that JSON has no token for inf or nan, so a non-finite float is
     written as the string the CSV prints ("inf", "-inf", "nan").  Keys
     must be strings; a value json cannot write raises TypeError, as there.
-    With an indent json's encoder runs in pure Python, so this one pass
-    writes the text directly instead.
     """
-    return _encoded(payload, "\n") + "\n"
+    return _json_value(payload, "\n") + "\n"
 
 
-def _encoded(value, newline: str) -> str:
-    # value as json writes it on a line that newline (a line break and the
-    # line's indent) begins: numbers by the float and int reprs, keys and
-    # strings by json's own escaper, which raises TypeError for a key that
-    # is not a string.  A report is a dict of finite floats and bools, so
-    # those are tested first, by identity and exact type, and a dict writes
-    # a finite float item itself, with no call; anything else goes down
-    # the isinstance chain.
+def _json_value(value, newline: str = "\n  ") -> str:
+    # value as write_json writes it on a line that newline (a line break and
+    # the line's indent) begins; by default, under a key of the document.
+    # A finite float is its repr and a bool its literal, with no call into
+    # json; anything else is json.dumps of its strict copy, each line break
+    # re-indented.
+    if type(value) is float and math.isfinite(value):
+        return repr(value)
     if value is True:
         return "true"
     if value is False:
         return "false"
-    inner = newline + "  "
-    if type(value) is dict or isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = []
-        for key in sorted(value):
-            item = value[key]
-            if type(item) is float and math.isfinite(item):
-                text = float.__repr__(item)
-            else:
-                text = _encoded(item, inner)
-            items.append(f"{_quoted(key)}: {text}")
-        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
-    if isinstance(value, float):
-        return float.__repr__(value) if math.isfinite(value) else f'"{value:g}"'
-    if isinstance(value, str):
-        return _quoted(value)
-    if value is None:
-        return "null"
-    if isinstance(value, int):
-        return int.__repr__(value)
+    text = json.dumps(_strict(value), sort_keys=True, indent=2, allow_nan=False)
+    return text.replace("\n", newline)
+
+
+def _strict(value):
+    # The value json.dumps writes as write_json promises: a non-finite float
+    # becomes the string the CSV prints, and a key that is not a string
+    # raises TypeError (json would write 1 as "1").
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"{value:g}"
+    if isinstance(value, dict):
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        return {key: _strict(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_encoded(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        return [_strict(item) for item in value]
+    return value
 
 
 def _json_number(text: str) -> str:
@@ -171,8 +161,8 @@ def write_json_columns(columns: dict[str, np.ndarray]) -> str:
 def write_csv(header: tuple[str, ...], columns: Sequence[np.ndarray]) -> str:
     """CSV text: the header line, then each row's float64 values as "%.12g" cells.
 
-    A column passed twice as one and the same object is formatted once, as
-    in write_json_columns.
+    On a table of _VECTOR_ROWS rows or more, a column passed twice as one
+    and the same object is formatted once, as in write_json_columns.
     """
     n = len(columns[0])
     head = ",".join(header) + "\n"
@@ -189,23 +179,12 @@ def write_csv(header: tuple[str, ...], columns: Sequence[np.ndarray]) -> str:
             fields[-1, -1] = ord("\n")
             texts.append(_text_of(fields))
         return "".join(texts)
-    # One % over the interleaved cells of every row.  A column written twice
-    # has its cells formatted once, by a % of its own, and they go in
-    # through %s.
-    m, ids = len(columns), [id(c) for c in columns]
+    # One % over the interleaved cells of every row.
+    m = len(columns)
     cells: list = [None] * (m * n)
-    row, shared = [], {}
     for k, column in enumerate(columns):
-        if ids.count(ids[k]) == 1:
-            row.append("%.12g")
-            cells[k::m] = column.tolist()
-            continue
-        texts = shared.get(ids[k])
-        if texts is None:
-            texts = shared[ids[k]] = ("\n".join(["%.12g"] * n) % tuple(column.tolist())).split("\n")
-        row.append("%s")
-        cells[k::m] = texts
-    return head + (",".join(row) + "\n") * n % tuple(cells)
+        cells[k::m] = column.tolist()
+    return head + (",".join(["%.12g"] * m) + "\n") * n % tuple(cells)
 
 
 def format_number(value: float) -> str:

@@ -30,7 +30,9 @@ from .epr import Nopa, NopaParams, SqueezerSpectrum, ZeroBandwidth
 from .linmode import Axis, InputModel, combine, normalized_variance, unit_input
 from .oracle import McConfig, covariance_teleport, fidelity_to_coherent, mc_check
 from .swap import SwapConfig, _swept
-from .teleport import BellDetector, GainSchedule, TeleportOutcome, teleport
+from .teleport import (
+    _COHERENT, _IDEAL_DETECTOR, _UNIT_GAIN, BellDetector, GainSchedule, TeleportOutcome, teleport
+)
 
 __all__ = ["main", "run"]
 
@@ -82,8 +84,8 @@ _DEFAULTS = {
 }
 
 
-# Each command's help line and options, declared once: build_parser() and
-# the plain route in run() both read this table.  An option stores its text
+# Each command's help line and options, declared once: _parser() and the
+# plain route in run() both read this table.  An option stores its text
 # under its flag's name (--omega-start: omega_start); a switch takes no
 # value and stores "1".
 _SOURCE_OPTS = (
@@ -132,8 +134,14 @@ def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser, with one subparser per command."""
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The top-level parser, with one subparser per command.
+
+    Built on the first run() that needs it, not at import, then reused:
+    each parse_args() call starts from a fresh namespace, so no flag
+    carries over from one run() to the next.
+    """
     parser = _Parser(prog="cvteleport", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, options) in _OPTIONS.items():
@@ -146,24 +154,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    # Built on the first run(), not at import, then reused: each
-    # parse_args() call starts from a fresh namespace, so no flag carries
-    # over from one run() to the next.
-    return build_parser()
-
-
-@functools.lru_cache(maxsize=None)
-def _plain_options() -> dict[str, tuple[dict, dict[str, str]]]:
-    """Per command: its unset values, and the dest of each flag taking a value."""
-    return {
-        name: (
-            {"command": name, **{_dest(flag): None for flag, _ in options}},
-            {flag: _dest(flag) for flag, _ in options if flag not in _SWITCHES},
-        )
-        for name, (_, options) in _OPTIONS.items()
-    }
+# Per command: its unset values, and the dest of each flag taking a value.
+_PLAIN_OPTIONS = {
+    name: (
+        {"command": name, **{_dest(flag): None for flag, _ in options}},
+        {flag: _dest(flag) for flag, _ in options if flag not in _SWITCHES},
+    )
+    for name, (_, options) in _OPTIONS.items()
+}
 
 
 def _plain(args: list[str]) -> dict | None:
@@ -177,7 +175,7 @@ def _plain(args: list[str]) -> dict | None:
     """
     if len(args) % 2 == 0 or args[0] not in _OPTIONS:
         return None
-    unset, dests = _plain_options()[args[0]]
+    unset, dests = _PLAIN_OPTIONS[args[0]]
     values = dict(unset)
     for flag, value in zip(args[1::2], args[2::2]):
         dest = dests.get(flag)
@@ -257,15 +255,13 @@ def _check_frequency(flag: str, omega: float, scale: float) -> None:
 
 
 def _resolve_detector(v: dict) -> BellDetector:
+    eta2 = _float("--eta2", v["eta2"])
+    if eta2 == 1.0:
+        return _IDEAL_DETECTOR
     try:
-        return BellDetector.from_efficiency(_float("--eta2", v["eta2"]))
+        return BellDetector.from_efficiency(eta2)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from None
-
-
-# The default gain and input, built once: both are frozen.
-_UNIT_GAIN = GainSchedule.unit()
-_COHERENT = InputModel.coherent()
 
 
 def _resolve_gain(v: dict, for_swap: bool) -> "GainSchedule | None":
@@ -360,27 +356,34 @@ def _reindex(table: SpectrumTable, user: float | np.ndarray, scale: float) -> Sp
     return table._relabeled(user)
 
 
+def _setting(v: dict) -> tuple[GainSchedule, BellDetector, InputModel]:
+    """The teleport's (gain, detector, input), resolved in that order."""
+    return _resolve_gain(v, for_swap=False), _resolve_detector(v), _resolve_input(v)
+
+
+def _point(v: dict) -> tuple[SqueezerSpectrum, float, float, tuple]:
+    """(source, scale, user-unit --omega, setting) of a one-frequency command."""
+    src, scale = _resolve_source(v)
+    omega = _float("--omega", v["omega"])
+    _check_frequency("--omega", omega * scale, scale)
+    return src, scale, omega, _setting(v)
+
+
 def _table(
-    v: dict, pipeline: str, point: bool = False, threshold: float | None = None
-) -> tuple[SpectrumTable, float | np.ndarray, float]:
-    """(table, user-unit frequencies, scale) on the sweep grid, or at --omega if point.
+    v: dict, pipeline: str, threshold: float | None = None
+) -> tuple[SpectrumTable, np.ndarray, float]:
+    """(table, user-unit frequencies, scale) on the sweep grid.
 
     The table has dimensionless frequencies and keeps its evaluator; a
-    threshold goes to the sweep, for a bandwidth() on the table.  A point
-    is one number, a one-row table from one scalar kernel call.
+    threshold goes to the sweep, for a bandwidth() on the table.
     """
     src, scale = _resolve_source(v)
-    if point:
-        user = _float("--omega", v["omega"])
-        _check_frequency("--omega", user * scale, scale)
-    else:
-        user = _resolve_grid(v)
-        _check_frequency("--omega-start", user[0] * scale, scale)
-        _check_frequency("--omega-stop", user[-1] * scale, scale)
+    user = _resolve_grid(v)
+    _check_frequency("--omega-start", user[0] * scale, scale)
+    _check_frequency("--omega-stop", user[-1] * scale, scale)
     grid = user * scale
     if pipeline == "teleport":
-        setting = (_resolve_gain(v, for_swap=False), _resolve_detector(v), _resolve_input(v))
-        table = _sweep(lambda w: src, grid, *setting, threshold)
+        table = _sweep(lambda w: src, grid, *_setting(v), threshold)
     elif pipeline == "swap":
         # Swapping verifies with a coherent input on ideal detectors, at
         # unit gain over the swapped pair whatever the swap gain.
@@ -401,8 +404,10 @@ def _cmd_spectrum(v: dict, pipeline: str) -> int:
 
 
 def _cmd_point(v: dict) -> int:
-    table, user, scale = _table(v, "teleport", point=True)
-    sys.stdout.write(_reindex(table, user, scale).to_csv())
+    # A one-row table from one scalar kernel call.
+    src, scale, omega, setting = _point(v)
+    table = _sweep(lambda w: src, omega * scale, *setting)
+    sys.stdout.write(_reindex(table, omega, scale).to_csv())
     return 0
 
 
@@ -415,10 +420,7 @@ def _cmd_bandwidth(v: dict) -> int:
 
 
 def _cmd_criteria(v: dict) -> int:
-    src, scale = _resolve_source(v)
-    omega = _float("--omega", v["omega"])
-    _check_frequency("--omega", omega * scale, scale)
-    setting = (_resolve_gain(v, for_swap=False), _resolve_detector(v), _resolve_input(v))
+    src, scale, omega, setting = _point(v)
     try:
         report = evaluate_criteria(src, omega * scale, *setting)
     except OverflowError as exc:  # the gain's signal term passes the float range
@@ -486,7 +488,7 @@ def _cmd_oracle_check(v: dict) -> int:
         flag = "--gain"
         cause = "a source at threshold needs unit gain, and a very large gain overflows it"
         if detector.eta < 1.0:
-            ideal = _mc_entries(teleport(src, schedule, BellDetector(1.0), omega))
+            ideal = _mc_entries(teleport(src, schedule, _IDEAL_DETECTOR, omega))
             if _largest_variance(ideal, model) <= _MC_VARIANCE_LIMIT:
                 flag, cause = "--eta2", "the detector noise (1 - eta^2)/eta^2 overflows it"
         if not math.isfinite(variance):

@@ -40,10 +40,13 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._text import _encoded, read_csv, write_csv, write_json, write_json_columns
+from ._text import _json_value, read_csv, write_csv, write_json, write_json_columns
 from .epr import PortPowers, SqueezerSpectrum, _abs2
 from .linmode import Axis, InputModel, normalized_variance
 from .teleport import (
+    _COHERENT,
+    _IDEAL_DETECTOR,
+    _UNIT_GAIN,
     BellDetector,
     GainSchedule,
     NonUnitGainWarning,
@@ -159,7 +162,7 @@ def teleport_fidelity(
     vacuum-normalized output variance: V_out/4 is the state variance in
     absolute units and the Q function adds one vacuum unit (1/4) on top.
     """
-    model = in_model if in_model is not None else InputModel.coherent()
+    model = in_model if in_model is not None else _COHERENT
     v_out_x = normalized_variance(outcome.x_tel, model, Axis.X)
     v_out_p = normalized_variance(outcome.p_tel, model, Axis.P)
     sigma_x = (v_out_x + 1.0) / 4.0
@@ -439,9 +442,11 @@ def _port_noise(pairs: tuple, omega: np.ndarray) -> np.ndarray:
 
 
 def _weighted(w: complex | np.ndarray, spectrum: float | np.ndarray) -> float | np.ndarray:
-    # |w|^2 times the spectrum, with the exact zeros of _port_noise.  They
-    # differ from the plain product only at 0*inf and 0*nan, where it is
-    # nan, so only a nan in it asks for the mask.
+    # |w|^2 times the spectrum, with the one exact-zero rule, that of
+    # _port_noise and of the swapped pair's quiet spectrum: zero wherever
+    # the weight or the spectrum is.  It differs from the plain product
+    # only at 0*inf and 0*nan, where that is nan, so only a nan in it asks
+    # for the mask.
     w2 = _abs2(w)
     if type(w2) is float and w2 < math.inf:
         return w2 * spectrum if w2 != 0 else 0.0
@@ -468,6 +473,7 @@ def _sweep(
     # first evaluator call (see _bandwidth_grid): the kernel works row by
     # row, so these are bit for bit the rows that call would merge, and
     # bandwidth() reads the same width without it.
+    _check_omega(grid)
     schedule = as_gain(gain)
     grid = np.asarray(grid, dtype=float)
     gains, src = schedule.at(grid), resource(grid)
@@ -494,8 +500,8 @@ def _sweep(
 def fidelity_spectrum(
     src: SqueezerSpectrum,
     omegas: Sequence[float] | np.ndarray,
-    gain: GainSchedule | complex = GainSchedule.unit(),
-    detector: BellDetector = BellDetector(1.0),
+    gain: GainSchedule | complex = _UNIT_GAIN,
+    detector: BellDetector = _IDEAL_DETECTOR,
     in_model: InputModel | None = None,
 ) -> SpectrumTable:
     """Sweep the teleporter over a frequency grid.
@@ -505,9 +511,10 @@ def fidelity_spectrum(
     coherent inputs the fidelity column is the closed form
     1/(1 + V- + tau^2) of the source's quiet spectrum, cross-checked
     against the generic Q-function path on every row; otherwise the generic
-    path stands alone.
+    path stands alone.  A frequency that is not finite, or of magnitude
+    past OMEGA_LIMIT, raises ValueError before any source is evaluated.
     """
-    model = in_model if in_model is not None else InputModel.coherent()
+    model = in_model if in_model is not None else _COHERENT
     return _sweep(lambda w: src, omegas, gain, detector, model)
 
 
@@ -589,10 +596,25 @@ def _bandwidth_grid(grid: np.ndarray, fidelity: np.ndarray, threshold: float) ->
     return np.concatenate((grid[:c], points, grid[c:]))
 
 
-# The frequency past which bandwidth() stops doubling, and above which the
-# command line rejects a frequency: the sources square it, and from about
-# 1.3e154 on the square passes the float range.
+# The frequency past which bandwidth() stops doubling, and above which every
+# sweep, report and command rejects a frequency: the sources square it, and
+# from about 1.3e154 on the square passes the float range.
 OMEGA_LIMIT = 1e154
+
+
+def _check_omega(omega: float | Sequence[float] | np.ndarray) -> None:
+    # The one rule for the frequencies asked of a sweep or a report, the
+    # command line's: finite, and of magnitude at most OMEGA_LIMIT, checked
+    # before any source is evaluated.  A plain number is tested in Python,
+    # at no measurable cost; a nan fails either test.
+    largest = abs(omega) if type(omega) is float else np.max(np.abs(omega), initial=0.0)
+    if not largest <= OMEGA_LIMIT:
+        bad = next(w for w in np.ravel(omega).tolist() if not abs(w) <= OMEGA_LIMIT)
+        raise ValueError(
+            f"omega: {bad!r} is not a finite frequency of magnitude at most {OMEGA_LIMIT:g}"
+        )
+
+
 _STOP = 1e-6  # bandwidth() narrows its bracket to this width
 # Points of the even grid that every evaluator call takes across the
 # bracket (and the first doubling call across the octave below its
@@ -764,12 +786,10 @@ class CriteriaReport:
         The payload is every field, with the gain as a number (as [re, im]
         when its imaginary part is not 0), plus v_product, v_sum,
         v_out_product and the verdicts.  Its key set is fixed, so its text
-        is one % over _REPORT_JSON, each value in key order: an exact-type
-        finite float is its float repr, anything else is what write_json
-        writes for it (a value json cannot write raises the same
-        TypeError).  A P-axis float that is its X twin's object (as
-        evaluate_criteria gives them on a symmetric input) is formatted
-        once, for both.
+        is one % over _REPORT_JSON, each value in key order as write_json
+        writes it (a value json cannot write raises the same TypeError).
+        A P-axis float that is its X twin's object (as evaluate_criteria
+        gives them on a symmetric input) is formatted once, for both.
         """
         gain = self.gain
         gain = gain.real if gain.imag == 0 else [gain.real, gain.imag]
@@ -777,24 +797,24 @@ class CriteriaReport:
         verdicts = self.verdicts
         t_p, v_c_p, v_out_p, v_p = self.t_p, self.v_c_p, self.v_out_p, self.v_p
         return _REPORT_JSON % (
-            _json_text(self.avg_fidelity_zero),
-            _json_text(self.eta),
-            _json_text(self.fidelity),
-            _json_text(gain),
-            _json_text(self.omega),
-            _json_text(self.out_product_limit),
-            (t_p_text := _json_text(t_p)),
-            t_p_text if self.t_x is t_p else _json_text(self.t_x),
-            (v_c_p_text := _json_text(v_c_p)),
-            v_c_p_text if self.v_c_x is v_c_p else _json_text(self.v_c_x),
-            (v_out_p_text := _json_text(v_out_p)),
-            _json_text(v_out_product),
-            v_out_p_text if self.v_out_x is v_out_p else _json_text(self.v_out_x),
-            (v_p_text := _json_text(v_p)),
-            _json_text(v_product),
-            _json_text(v_sum),
-            v_p_text if self.v_x is v_p else _json_text(self.v_x),
-            *[_encoded(verdicts[key], "\n    ") for key in _VERDICT_KEYS],
+            _json_value(self.avg_fidelity_zero),
+            _json_value(self.eta),
+            _json_value(self.fidelity),
+            _json_value(gain),
+            _json_value(self.omega),
+            _json_value(self.out_product_limit),
+            (t_p_text := _json_value(t_p)),
+            t_p_text if self.t_x is t_p else _json_value(self.t_x),
+            (v_c_p_text := _json_value(v_c_p)),
+            v_c_p_text if self.v_c_x is v_c_p else _json_value(self.v_c_x),
+            (v_out_p_text := _json_value(v_out_p)),
+            _json_value(v_out_product),
+            v_out_p_text if self.v_out_x is v_out_p else _json_value(self.v_out_x),
+            (v_p_text := _json_value(v_p)),
+            _json_value(v_product),
+            _json_value(v_sum),
+            v_p_text if self.v_x is v_p else _json_value(self.v_x),
+            *[_json_value(verdicts[key], "\n    ") for key in _VERDICT_KEYS],
         )
 
     def _relabeled(self, omega: float) -> "CriteriaReport":
@@ -819,19 +839,11 @@ _REPORT_JSON = write_json(
 ).replace(": 0", ": %s")
 
 
-def _json_text(value) -> str:
-    # A top-level payload value as write_json writes it: for an exact-type
-    # float, repr is float.__repr__, and the cheaper call.
-    if type(value) is float and math.isfinite(value):
-        return repr(value)
-    return _encoded(value, "\n  ")
-
-
 def evaluate_criteria(
     src: SqueezerSpectrum,
     omega: float = 0.0,
-    gain: GainSchedule | complex = GainSchedule.unit(),
-    detector: BellDetector = BellDetector(1.0),
+    gain: GainSchedule | complex = _UNIT_GAIN,
+    detector: BellDetector = _IDEAL_DETECTOR,
     in_model: InputModel | None = None,
     alpha: complex = 0j,
 ) -> CriteriaReport:
@@ -845,9 +857,12 @@ def evaluate_criteria(
     kernel gives one column for both axes and the input is symmetric
     (v_x == v_p), the report's v_p, v_out_p, v_c_p and t_p are the X-axis
     float objects themselves, the bits _conditional would give P, so
-    to_json formats each once.
+    to_json formats each once.  An omega that is not finite, or of
+    magnitude past OMEGA_LIMIT, raises ValueError before any source is
+    evaluated.
     """
-    model = in_model if in_model is not None else InputModel.coherent()
+    _check_omega(omega)
+    model = in_model if in_model is not None else _COHERENT
     g = as_gain(gain).at(omega)
     cols = _teleport_columns(src, omega, g, detector, model, alpha)
     v_x, v_out_x, noise = float(cols.v_x), float(cols.v_out_x), float(cols.noise)

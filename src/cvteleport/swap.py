@@ -25,10 +25,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .criteria import SpectrumTable, _Columns, _sweep, _teleport_columns
-from .epr import PortPowers, SqueezerSpectrum, _abs2, _number, make_epr_pair
-from .linmode import InputModel, QuadExpansion
-from .teleport import BellDetector, GainSchedule, TeleportOutcome, as_gain, teleport
+from .criteria import SpectrumTable, _Columns, _check_omega, _sweep, _teleport_columns, _weighted
+from .epr import PortPowers, SqueezerSpectrum, _number, make_epr_pair
+from .linmode import QuadExpansion
+from .teleport import (
+    _COHERENT, _IDEAL_DETECTOR, _UNIT_GAIN, GainSchedule, TeleportOutcome, as_gain, teleport
+)
 
 __all__ = [
     "SwapConfig",
@@ -139,18 +141,11 @@ class _SwappedPair:
         self.gain = gs = optimal_gain(ab, cd) if cfg.gain is None else cfg.gain.at(omega)
         vp1, vm1 = cfg.source_ab.variances(omega, ab)
         vp2, vm2 = (vp1, vm1) if cd is ab else cfg.source_cd.variances(omega, cd)
-        # A term whose factor is exactly zero is dropped: the noisy one at
-        # gs == 1, where 0*A is nan at threshold, and the quiet one where
-        # B = 0, which is nan for a gain so large that |gs+1|^2 is inf.
-        # Elsewhere the plain terms are the same bits, so only a nan in
-        # their sum asks for the masks.
-        b = vm1 + vm2
+        # The kernel's exact zeros (see criteria._weighted): the noisy term
+        # is 0 at gs == 1, where 0*A is nan at threshold, and the quiet one
+        # where B = 0, which is nan for a gain so large that |gs+1|^2 is inf.
         with np.errstate(invalid="ignore", over="ignore"):
-            noisy = _abs2(gs - 1) * (vp1 + vp2) / 4.0
-            quiet = _abs2(gs + 1) * b / 4.0
-            self.quiet = noisy + quiet
-            if np.isnan(self.quiet).any():
-                self.quiet = np.where(gs == 1, 0.0, noisy) + np.where(b == 0, 0.0, quiet)
+            self.quiet = _weighted(gs - 1, vp1 + vp2) / 4.0 + _weighted(gs + 1, vm1 + vm2) / 4.0
 
     def _pairs(
         self, omega: float | np.ndarray, x_weights: tuple, p_weights: tuple
@@ -173,12 +168,6 @@ class _SwappedPair:
 
     def describe(self) -> str:
         return self.cfg.describe()
-
-
-# The verification teleportation: unit gain, ideal detectors, coherent input.
-_UNIT_GAIN = GainSchedule.unit()
-_IDEAL_DETECTOR = BellDetector(1.0)
-_COHERENT = InputModel.coherent()
 
 
 def swap_once(cfg: SwapConfig, omega: float) -> SwapOutcome:
@@ -210,7 +199,8 @@ def swap_fidelity(cfg: SwapConfig, omega: float) -> float:
     A = V+_1 + V+_2 and B = V-_1 + V-_2, at any gain, threshold included;
     like every teleport row it is cross-checked against the generic
     Q-function fidelity to 1e-12.  One call of the kernel at the scalar
-    frequency omega.
+    frequency omega.  An omega that is not finite, or of magnitude past
+    OMEGA_LIMIT, raises ValueError before any source is evaluated.
     """
     return float(_swap_columns(cfg, omega).fidelity)
 
@@ -218,6 +208,7 @@ def swap_fidelity(cfg: SwapConfig, omega: float) -> float:
 def _swap_columns(cfg: SwapConfig, omega: float | np.ndarray) -> _Columns:
     # The teleport kernel over the swapped pair on the grid, or at one
     # frequency.
+    _check_omega(omega)
     return _teleport_columns(
         _SwappedPair(cfg, omega), omega, _UNIT_GAIN.value, _IDEAL_DETECTOR, _COHERENT
     )
@@ -228,7 +219,9 @@ def swap_spectrum(cfg: SwapConfig, omegas: Sequence[float] | np.ndarray) -> Spec
 
     Columns hold the verification error variances and fidelity, computed
     for the whole grid at once; the attached evaluator lets bandwidth()
-    bisect between and beyond rows.
+    bisect between and beyond rows.  A frequency that is not finite, or
+    of magnitude past OMEGA_LIMIT, raises ValueError before any source is
+    evaluated.
     """
     return _swept(cfg, omegas)
 

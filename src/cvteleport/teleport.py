@@ -98,7 +98,7 @@ def as_gain(gain: "GainSchedule | complex | float") -> GainSchedule:
     if isinstance(gain, GainSchedule):
         return gain
     g = complex(gain)
-    return GainSchedule.unit() if g == 1 else GainSchedule.fixed(g)
+    return _UNIT_GAIN if g == 1 else GainSchedule.fixed(g)
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,14 @@ class BellDetector:
         return math.sqrt(1.0 - self.eta ** 2) / self.eta
 
 
+# The default setting of every teleport, sweep and report, and the setting
+# a swap is verified in: unit gain, ideal detectors, a coherent input.  All
+# three are frozen, so one instance of each serves every caller.
+_UNIT_GAIN = GainSchedule.unit()
+_IDEAL_DETECTOR = BellDetector(1.0)
+_COHERENT = InputModel.coherent()
+
+
 @dataclass(frozen=True)
 class TeleportOutcome:
     """Teleported quadratures at one frequency, plus run metadata."""
@@ -143,8 +151,8 @@ _DET_P = ("det_f", "det_g")
 
 def teleport(
     src: SqueezerSpectrum,
-    gain: GainSchedule | complex = GainSchedule.unit(),
-    detector: BellDetector = BellDetector(1.0),
+    gain: GainSchedule | complex = _UNIT_GAIN,
+    detector: BellDetector = _IDEAL_DETECTOR,
     omega: float = 0.0,
 ) -> TeleportOutcome:
     """Run the pipeline against one source at one frequency.

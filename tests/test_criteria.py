@@ -53,6 +53,7 @@ from cvteleport.swap import (
     SwapConfig,
     _SwappedPair,
     _swap_columns,
+    swap_fidelity,
     swap_spectrum,
     verification_teleport,
 )
@@ -2020,3 +2021,41 @@ def test_unit_gain_conditional_variance_is_the_error_variance(s):
             report = evaluate_criteria(src, 0.3, 1.0, detector, model)
             assert (report.v_c_x, report.v_c_p) == (report.v_x, report.v_p)
             assert math.isfinite(report.v_c_p) and report.v_c_p > 0
+
+
+# Frequencies the command line rejects, asked of the library: each sweep and
+# report raises naming omega and the first offending value before any
+# source is evaluated, so no RuntimeWarning escapes the overflowing square.
+# A flat source, whose spectra stay finite at any omega, is refused alike.
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda: evaluate_criteria(Nopa(0.5), 1e200), "1e+200"),
+        (lambda: fidelity_spectrum(Nopa(0.5), [0.0, 1e200]), "1e+200"),
+        (lambda: swap_spectrum(SwapConfig(Nopa(0.5)), [0.0, math.inf]), "inf"),
+        (lambda: swap_fidelity(SwapConfig(Nopa(0.5)), 1e200), "1e+200"),
+        (lambda: evaluate_criteria(ZeroBandwidth(1.0), math.inf), "inf"),
+        (lambda: evaluate_criteria(ZeroBandwidth(1.0), math.nan), "nan"),
+        (lambda: fidelity_spectrum(ZeroBandwidth(1.0), [-1e155, 0.0, math.nan]), "-1e+155"),
+        (lambda: fidelity_spectrum(ZeroBandwidth(1.0), np.array(2e154)), "2e+154"),
+        (lambda: swap_fidelity(SwapConfig(ZeroBandwidth(1.0)), -math.inf), "-inf"),
+    ],
+    ids=[
+        "criteria", "spectrum", "swap-spectrum", "swap-fidelity", "flat-criteria-inf",
+        "flat-criteria-nan", "flat-spectrum-first-value", "flat-spectrum-0d", "flat-swap",
+    ],
+)
+def test_library_rejects_frequencies_past_the_limit(call, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^omega: {re.escape(value)} is not a finite frequency"):
+            call()
+
+
+def test_library_takes_frequencies_up_to_the_limit():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert evaluate_criteria(Nopa(0.5), -OMEGA_LIMIT).fidelity == 0.5
+        table = fidelity_spectrum(Nopa(0.5), [-OMEGA_LIMIT, 0.0, OMEGA_LIMIT])
+        assert table.fidelity[[0, 2]].tolist() == [0.5, 0.5]
+        assert swap_fidelity(SwapConfig(Nopa(0.5)), OMEGA_LIMIT) == 0.5

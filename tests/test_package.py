@@ -121,6 +121,14 @@ def test_no_module_reads_the_environment():
         assert not (_used_names(tree) | imported) & readers, path.name
 
 
+def test_no_module_asserts():
+    # Runtime invariants raise real exceptions: python -O strips every
+    # assert statement, and the check with it.
+    for path in SRC.glob("*.py"):
+        asserts = [n.lineno for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Assert)]
+        assert not asserts, f"{path.name}: assert on lines {asserts}"
+
+
 def _readers(tree: ast.AST, name: str, scope: str = "") -> list[str]:
     # The enclosing function of every mention of name that is not its
     # definition: a variable, an attribute or an imported alias.
