@@ -102,21 +102,6 @@ def _json_number(text: str) -> str:
     return sign + digits + "0" * (e + 1 - len(digits)) + ".0"
 
 
-def _rounded(column: np.ndarray) -> str:
-    # The values rounded to 12 significant digits, as json writes them, one
-    # per array line, from one % over the column.  A "%.12g" string with a
-    # "." and no exponent is already json's text; when every one is (the
-    # block has no "e" and one "." per value), two scans of the block stand
-    # in for a test per value.
-    values = tuple(column.tolist())
-    block = _ITEM_SEP.join(["%.12g"] * len(values)) % values
-    if "e" in block or block.count(".") != len(values):
-        texts = block.split(_ITEM_SEP)
-        texts = [t if "." in t and "e" not in t else _json_number(t) for t in texts]
-        block = _ITEM_SEP.join(texts)
-    return block
-
-
 _ITEM_SEP = ",\n    "  # between the items of an array under a top-level key
 
 
@@ -126,34 +111,28 @@ def write_json_columns(columns: dict[str, np.ndarray]) -> str:
     The same bytes as write_json({name: [float(f"{v:.12g}") for v in col]}),
     written straight from the "%.12g" strings, with no parse back to float:
     with an indent the generic encoder runs in pure Python, which long
-    spectrum columns cannot afford.  The columns are a table's: float64
-    arrays of equal length.  A column passed under two names as one and the
-    same object is rendered once: only identity, never ==, says two columns
-    print alike (0.0 == -0.0 prints as 0.0 and -0.0), so callers that find
-    two columns bitwise equal pass one of them twice.
+    spectrum columns cannot afford.  The columns are a table's: at least
+    one, each a non-empty float64 array, all of one length.  A column
+    passed under two names as one and the same object is rendered once:
+    only identity, never ==, says two columns print alike (0.0 == -0.0
+    prints as 0.0 and -0.0), so callers that find two columns bitwise
+    equal pass one of them twice.
     """
-    if not columns:
-        return "{}\n"
     distinct = list({id(c): c for c in columns.values()}.values())
-    if len(distinct[0]) >= _VECTOR_ROWS:
-        # Each column's items block by block, each item followed by its
-        # separator; the last item's is dropped.
-        texts: list[list[str]] = [[] for _ in distinct]
-        for fields in _blocks(distinct, as_json=True):
-            for k, text in enumerate(texts):
-                text.append(_text_of(fields[:, k]))
-        for text in texts:
-            text[-1] = text[-1][: -len(_ITEM_SEP)]
-    else:
-        texts = [[_rounded(c)] if len(c) else [] for c in distinct]
+    # Each column's items block by block, each item followed by its
+    # separator; the last item's is dropped.
+    texts: list[list[str]] = [[] for _ in distinct]
+    for fields in _blocks(distinct, as_json=True):
+        for k, text in enumerate(texts):
+            text.append(_text_of(fields[:, k]))
+    for text in texts:
+        text[-1] = text[-1][: -len(_ITEM_SEP)]
     rendered = {id(c): text for c, text in zip(distinct, texts)}
     # The document in one join: each array opens and closes around its
     # items, and the arrays are parted by ",".
     parts = ["{"]
     for name in sorted(columns):
-        items = rendered[id(columns[name])]
-        parts += ["\n  ", _quoted(name), ": ["]
-        parts += ["\n    ", *items, "\n  ],"] if items else ["],"]
+        parts += ["\n  ", _quoted(name), ": [\n    ", *rendered[id(columns[name])], "\n  ],"]
     parts[-1] = parts[-1][:-1] + "\n}\n"
     return "".join(parts)
 
@@ -205,13 +184,13 @@ def format_number(value: float) -> str:
 # mantissa near a half, an exponent outside -4..11, 0, inf, nan,
 # subnormals) is written by %.
 
-# Tables of at least this many rows take the numpy path.  It costs about
-# 80 us a call in CSV and 90 us in JSON whatever the size (warm, best of
-# 7 x 2,000 calls on a one-row table sent through it), and it breaks even
-# with % between 120 and 130 rows on 3-column spectrum tables and between
-# 90 and 100 rows on 4-column ones, CSV and JSON, on 2 shared CPUs
-# (Python 3.11, numpy 2.4); sweep tables have 200 to 10^4 rows, a point
-# table one.
+# CSV tables of at least this many rows take the numpy path, and every
+# JSON table does.  It costs about 80 us a call in CSV and 90 us in JSON
+# whatever the size (warm, best of 7 x 2,000 calls on a one-row table sent
+# through it), and it breaks even with % between 120 and 130 rows on
+# 3-column spectrum tables and between 90 and 100 rows on 4-column ones,
+# on 2 shared CPUs (Python 3.11, numpy 2.4).  The benchmark's sweep tables
+# have 200 to 10^4 rows, CSV and JSON, and its point tables one, in CSV.
 _VECTOR_ROWS = 130
 # Values formatted per numpy block, which bounds its working memory.  A
 # 10^4-row table is written faster than with 2^12 or 2^14 values a block.

@@ -502,7 +502,7 @@ def _cmd_oracle_check(v: dict) -> int:
     for r, g, alpha in _GAUSS_POINTS:
         state = covariance_teleport(r, g, alpha)
         est = fidelity_to_coherent(state, alpha)
-        ana = teleport_fidelity(teleport(ZeroBandwidth(r), g), alpha=alpha).fidelity
+        ana = teleport_fidelity(teleport(ZeroBandwidth(r), g), alpha=alpha)
         ok = abs(est - ana) <= 1e-9
         gauss_ok = gauss_ok and ok
         gauss_rows.append(

@@ -21,7 +21,8 @@ coefficients follow from the linear-channel identities.  bandwidth()
 asks the kernel for many frequencies per call to narrow a bracket around
 the threshold crossing, then interpolates inside it, so a width is exact
 to a few ulps on a smooth source.  One sweep (_sweep) builds every kernel
-table, a swap's and the command line's included.  teleport_fidelity acts
+table, a swap's and the command line's included, and swap_fidelity is
+its one-row swap table.  teleport_fidelity acts
 on quadrature expansions; the expansion reference for the conditional
 variances and transfer coefficients (ralph_lam) is test code, in
 tests/references.py.
@@ -33,6 +34,7 @@ variance is 1/4, so a coherent state has sigma = 1/2 per axis.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -63,7 +65,6 @@ __all__ = [
     "VARIANCE_PRODUCT_LIMIT",
     "VARIANCE_SUM_LIMIT",
     "CriteriaReport",
-    "FidelityPoint",
     "SpectrumTable",
     "bandwidth",
     "evaluate_criteria",
@@ -134,41 +135,30 @@ def fidelity_point(
     return amp * np.exp(-(dx * dx) / (2.0 * sigma_x) - (dp * dp) / (2.0 * sigma_p))
 
 
-@dataclass(frozen=True)
-class FidelityPoint:
-    """One fidelity evaluation with the Q-function widths behind it."""
-
-    fidelity: float
-    sigma_x: float
-    sigma_p: float
-    gain: complex
-    alpha: complex
-
-    def __post_init__(self) -> None:
-        if not self.sigma_x > 0 or not self.sigma_p > 0:
-            raise ValueError("Q-function variances must be positive")
-        if math.isnan(self.fidelity) or not -0.0 <= self.fidelity <= 1.0 + 1e-9:
-            raise ValueError(f"fidelity {self.fidelity} outside [0, 1]")
-
-
 def teleport_fidelity(
     outcome: TeleportOutcome,
     in_model: InputModel | None = None,
     alpha: complex = 0j,
-) -> FidelityPoint:
+) -> float:
     """Fidelity of one teleportation run against a coherent input at alpha.
 
     The Q-function variance per axis is (V_out + 1)/4 with V_out the
     vacuum-normalized output variance: V_out/4 is the state variance in
     absolute units and the Q function adds one vacuum unit (1/4) on top.
+    An alpha that is not finite, or a fidelity outside [0, 1] (nan
+    included, as a non-physical input can give), raises ValueError.
     """
+    if alpha != 0 and not cmath.isfinite(alpha):
+        raise ValueError(f"alpha: expected a finite amplitude, got {alpha}")
     model = in_model if in_model is not None else _COHERENT
     v_out_x = normalized_variance(outcome.x_tel, model, Axis.X)
     v_out_p = normalized_variance(outcome.p_tel, model, Axis.P)
     sigma_x = (v_out_x + 1.0) / 4.0
     sigma_p = (v_out_p + 1.0) / 4.0
     f = float(fidelity_point(outcome.gain, sigma_x, sigma_p, alpha))
-    return FidelityPoint(f, sigma_x, sigma_p, outcome.gain, alpha)
+    if not -0.0 <= f <= 1.0 + 1e-9:
+        raise ValueError(f"fidelity {f} outside [0, 1]")
+    return f
 
 
 def _closed_fidelity(
@@ -242,7 +232,8 @@ class SpectrumTable:
     Each column is a read-only float64 numpy array (earlier releases held
     tuples of floats), the table's own copy of any sequence of floats it
     was given, read-only arrays included; one number (a 0-d column, as
-    the kernel gives at a scalar frequency) is a one-row column.  Rows are
+    the kernel gives at a scalar frequency) is a one-row column, and a
+    column of more than one dimension is refused.  Rows are
     ascending in omega; rows() yields them as Python floats.  Two tables
     are equal when their columns are, value by value (so 0.0 equals -0.0
     and a nan equals nothing); the evaluator
@@ -276,6 +267,8 @@ class SpectrumTable:
 
     def _check(self) -> None:
         omega = self.omega
+        if not omega.ndim == self.v_x.ndim == self.v_p.ndim == self.fidelity.ndim == 1:
+            raise ValueError("every column must be one-dimensional")
         if not len(omega) == len(self.v_x) == len(self.v_p) == len(self.fidelity):
             raise ValueError("all columns must have equal length")
         if len(omega) == 0:
@@ -476,6 +469,10 @@ def _sweep(
     _check_omega(grid)
     schedule = as_gain(gain)
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim > 1:
+        raise ValueError(
+            f"omega: expected one frequency or a one-dimensional grid, got shape {grid.shape}"
+        )
     gains, src = schedule.at(grid), resource(grid)
     if threshold is not None and np.all(_closed_rows(gains, model, 0j)):
         planned = _bandwidth_grid(grid, _closed_fidelity(src, grid, detector), threshold)
@@ -858,10 +855,14 @@ def evaluate_criteria(
     (v_x == v_p), the report's v_p, v_out_p, v_c_p and t_p are the X-axis
     float objects themselves, the bits _conditional would give P, so
     to_json formats each once.  An omega that is not finite, or of
-    magnitude past OMEGA_LIMIT, raises ValueError before any source is
-    evaluated.
+    magnitude past OMEGA_LIMIT, or an alpha that is not finite raises
+    ValueError before any source is evaluated.
     """
     _check_omega(omega)
+    # An infinite amplitude makes the amplitude error 0*inf or inf/inf, a
+    # nan fidelity; the default 0 costs one comparison.
+    if alpha != 0 and not cmath.isfinite(alpha):
+        raise ValueError(f"alpha: expected a finite amplitude, got {alpha}")
     model = in_model if in_model is not None else _COHERENT
     g = as_gain(gain).at(omega)
     cols = _teleport_columns(src, omega, g, detector, model, alpha)

@@ -25,11 +25,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .criteria import SpectrumTable, _Columns, _check_omega, _sweep, _teleport_columns, _weighted
+from .criteria import SpectrumTable, _sweep, _weighted
 from .epr import PortPowers, SqueezerSpectrum, _number, make_epr_pair
 from .linmode import QuadExpansion
 from .teleport import (
-    _COHERENT, _IDEAL_DETECTOR, _UNIT_GAIN, GainSchedule, TeleportOutcome, as_gain, teleport
+    _COHERENT, _IDEAL_DETECTOR, _UNIT_GAIN, GainSchedule, TeleportOutcome, _check_frequency,
+    as_gain, teleport,
 )
 
 __all__ = [
@@ -175,8 +176,11 @@ def swap_once(cfg: SwapConfig, omega: float) -> SwapOutcome:
 
     Mode 4' contains the teleported mode 2 outright, so its raw variance
     diverges at the squeezing threshold; only the EPR combinations
-    X_1 - X_4' and P_1 + P_4' stay finite there.
+    X_1 - X_4' and P_1 + P_4' stay finite there.  Any finite omega is
+    taken; one that is not finite raises ValueError before any source is
+    evaluated.
     """
+    _check_frequency(omega)
     pair = _SwappedPair(cfg, omega)
     m = make_epr_pair(pair, omega)
     return SwapOutcome(m.x1, m.p1, m.x2, m.p2, omega, pair.gain, cfg.describe())
@@ -186,8 +190,11 @@ def verification_teleport(cfg: SwapConfig, omega: float) -> TeleportOutcome:
     """Teleport a fresh input over the swapped pair (1, 4') at unit gain.
 
     The output is input plus the swapped-pair EPR noise:
-    x_tel = x_in + (X_4' - X_1), p_tel = p_in + (P_4' + P_1).
+    x_tel = x_in + (X_4' - X_1), p_tel = p_in + (P_4' + P_1).  Any finite
+    omega is taken; one that is not finite raises ValueError before any
+    source is evaluated.
     """
+    _check_frequency(omega)
     return teleport(_SwappedPair(cfg, omega), _UNIT_GAIN, _IDEAL_DETECTOR, omega)
 
 
@@ -198,20 +205,11 @@ def swap_fidelity(cfg: SwapConfig, omega: float) -> float:
     V-_eff = (|gs-1|^2 A + |gs+1|^2 B)/4 over the summed spectra
     A = V+_1 + V+_2 and B = V-_1 + V-_2, at any gain, threshold included;
     like every teleport row it is cross-checked against the generic
-    Q-function fidelity to 1e-12.  One call of the kernel at the scalar
-    frequency omega.  An omega that is not finite, or of magnitude past
-    OMEGA_LIMIT, raises ValueError before any source is evaluated.
+    Q-function fidelity to 1e-12.  The one-row swap_spectrum at omega:
+    an omega that is not finite, or of magnitude past OMEGA_LIMIT,
+    raises ValueError before any source is evaluated.
     """
-    return float(_swap_columns(cfg, omega).fidelity)
-
-
-def _swap_columns(cfg: SwapConfig, omega: float | np.ndarray) -> _Columns:
-    # The teleport kernel over the swapped pair on the grid, or at one
-    # frequency.
-    _check_omega(omega)
-    return _teleport_columns(
-        _SwappedPair(cfg, omega), omega, _UNIT_GAIN.value, _IDEAL_DETECTOR, _COHERENT
-    )
+    return float(_swept(cfg, omega).fidelity[0])
 
 
 def swap_spectrum(cfg: SwapConfig, omegas: Sequence[float] | np.ndarray) -> SpectrumTable:

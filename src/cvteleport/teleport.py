@@ -160,7 +160,10 @@ def teleport(
     The EPR noise enters through the source's port decomposition; each port
     contributes (second - gain*first) on X and (second + gain*first) on P,
     with exact-zero weights suppressing the (possibly infinite) amplitude.
+    Any finite omega is taken; one that is not finite raises ValueError
+    before any source is evaluated.
     """
+    _check_frequency(omega)
     g = as_gain(gain).at(omega)
     x_terms, p_terms = _terms(src, omega, (-g, 1), (g, 1))
     if detector.eta < 1.0:
@@ -177,6 +180,15 @@ def teleport(
         eta=detector.eta,
         source=src.describe(),
     )
+
+
+def _check_frequency(omega: float) -> None:
+    # The rule of every single-frequency pipeline (teleport, and a swap's
+    # outcomes): a nan or infinite omega would fill the outcome with nan
+    # coefficients.  Sweeps and reports also bound it (see
+    # criteria._check_omega).
+    if not math.isfinite(omega):
+        raise ValueError(f"omega: {omega} is not a finite frequency")
 
 
 def spectral_variance_tel_in(

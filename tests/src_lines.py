@@ -28,10 +28,10 @@ KINDS = ("code", "comment", "docstring", "blank")
 _LAYOUT = (tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER)
 
 
-def counts(text: str) -> dict[str, int]:
-    """The lines of one module's source text, per kind."""
-    docstring: set[int] = set()
-    for node in ast.walk(ast.parse(text)):
+def docstrings(tree: ast.Module) -> list[ast.Expr]:
+    """The string statements that open the module, its classes and its functions."""
+    found = []
+    for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             first = node.body[0] if node.body else None
             if (
@@ -39,7 +39,15 @@ def counts(text: str) -> dict[str, int]:
                 and isinstance(first.value, ast.Constant)
                 and isinstance(first.value.value, str)
             ):
-                docstring.update(range(first.lineno, first.end_lineno + 1))
+                found.append(first)
+    return found
+
+
+def counts(text: str) -> dict[str, int]:
+    """The lines of one module's source text, per kind."""
+    docstring: set[int] = set()
+    for first in docstrings(ast.parse(text)):
+        docstring.update(range(first.lineno, first.end_lineno + 1))
     code: set[int] = set()
     for token in tokenize.generate_tokens(io.StringIO(text).readline):
         if token.type != tokenize.COMMENT and token.type not in _LAYOUT:

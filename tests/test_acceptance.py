@@ -49,7 +49,7 @@ def test_criterion_01_lossy_operating_point(capsys):
         omega=0.56,
     )
     v_x, v_p = spectral_variance_tel_in(out, COHERENT)
-    f = teleport_fidelity(out).fidelity
+    f = teleport_fidelity(out)
     ok = (
         abs(v_x - 0.453) <= 1e-3
         and abs(v_p - 0.453) <= 1e-3
@@ -66,7 +66,7 @@ def test_criterion_01_lossy_operating_point(capsys):
 
 def test_criterion_02_zero_frequency_fidelity_maxima(capsys):
     targets = (0.60, 0.69, 0.84, 0.94, 1.00)
-    got = tuple(teleport_fidelity(teleport(Nopa(e))).fidelity for e in EPS_GRID)
+    got = tuple(teleport_fidelity(teleport(Nopa(e))) for e in EPS_GRID)
     ok = all(abs(g - t) <= 0.005 for g, t in zip(got, targets))
     pairs = ", ".join(f"{g:.4f}/{t:.2f}" for g, t in zip(got, targets))
     _report(capsys, 2, ok, f"F(omega=0) got/target: {pairs} (+-0.005)")
@@ -132,7 +132,7 @@ def test_criterion_06_lossless_closed_forms(capsys):
         out = teleport(Nopa(e), omega=w)
         v_x, v_p = spectral_variance_tel_in(out, COHERENT)
         _, quiet = Nopa(e).variances(w)
-        f = teleport_fidelity(out).fidelity
+        f = teleport_fidelity(out)
         worst_v = max(worst_v, abs(v_x - 2.0 * quiet), abs(v_p - 2.0 * quiet))
         worst_f = max(worst_f, abs(f - 1.0 / (1.0 + quiet)))
     ok = worst_v <= 1e-12 and worst_f <= 1e-12
@@ -217,7 +217,7 @@ def test_criterion_09_independent_oracles(capsys):
         mag, phase = rng.uniform(0.0, 5.0), rng.uniform(0.0, 2.0 * math.pi)
         alpha = mag * complex(math.cos(phase), math.sin(phase))
         oracle_f = fidelity_to_coherent(covariance_teleport(r, g, alpha), alpha)
-        sym_f = teleport_fidelity(teleport(ZeroBandwidth(r), g), alpha=alpha).fidelity
+        sym_f = teleport_fidelity(teleport(ZeroBandwidth(r), g), alpha=alpha)
         worst_gauss = max(worst_gauss, abs(oracle_f - sym_f))
     gauss_ok = worst_gauss <= 1e-9
 
@@ -250,8 +250,8 @@ def test_criterion_10_quantum_boundary(capsys):
     above = True
     for e in (1e-4, 0.01, 0.1, 0.3, 0.5, 0.77, 0.95, 1.0):
         for w in (0.0, 0.5, 2.0, 10.0):
-            above = above and teleport_fidelity(teleport(Nopa(e), omega=w)).fidelity > 0.5
-    f0 = teleport_fidelity(teleport(Nopa(0.0), omega=0.7)).fidelity
+            above = above and teleport_fidelity(teleport(Nopa(e), omega=w)) > 0.5
+    f0 = teleport_fidelity(teleport(Nopa(0.0), omega=0.7))
     at_half = f0 == 0.5
 
     rng = random.Random(110)

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cvteleport
-from cvteleport import cli, criteria, swap
+from cvteleport import cli, criteria
 from cvteleport._text import format_number
 from cvteleport.cli import run
 from cvteleport.criteria import bandwidth, fidelity_spectrum
@@ -397,7 +397,6 @@ def test_bandwidth_kernel_calls(monkeypatch, capsys, args, calls):
         return kernel(src, omega, *rest)
 
     monkeypatch.setattr(criteria, "_teleport_columns", counted)
-    monkeypatch.setattr(swap, "_teleport_columns", counted)
     code, _, err = invoke(capsys, "bandwidth", *args)
     assert (code, err, rows) == (0, "", calls)
 
@@ -633,6 +632,21 @@ def test_configuration_errors_exit_1(capsys, args):
     code, _, err = invoke(capsys, *args)
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("spectrum", "--epsilon", "0.5", "--omega-start", "2", "--omega-stop", "1"),
+         "--omega-stop must not be below --omega-start"),
+        # The escape efficiency gamma/(gamma + rho) = 5e-324/10 rounds to 0.
+        (("point", "--kappa", "0", "--gamma", "5e-324", "--rho", "10"),
+         "the escape efficiency gamma/(gamma+rho) rounds to 0"),
+    ],
+    ids=["inverted-grid", "vanishing-escape"],
+)
+def test_inverted_grid_and_vanishing_escape_exit_1(capsys, args, message):
+    assert invoke(capsys, *args) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -37,7 +37,6 @@ from cvteleport.criteria import (
     output_product_limit,
     teleport_fidelity,
 )
-from cvteleport.criteria import FidelityPoint
 from classical import (
     OBJECTIVES,
     ClassicalModelParams,
@@ -52,8 +51,8 @@ from cvteleport.epr import CustomSpectrum, Nopa, SqueezerSpectrum, TransferPair,
 from cvteleport.swap import (
     SwapConfig,
     _SwappedPair,
-    _swap_columns,
     swap_fidelity,
+    swap_once,
     swap_spectrum,
     verification_teleport,
 )
@@ -226,14 +225,14 @@ def test_fidelity_classical_floor_is_exact():
 def test_fidelity_unit_gain_ignores_alpha():
     out = teleport(ZeroBandwidth(0.0))
     for alpha in (0j, 3 + 4j, -2.5j):
-        assert teleport_fidelity(out, alpha=alpha).fidelity == pytest.approx(0.5, rel=1e-12)
+        assert teleport_fidelity(out, alpha=alpha) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_fidelity_zero_gain_measures_overlap_decay():
     out = teleport(ZeroBandwidth(0.0), gain=0.0)
     for alpha in (0j, 1 + 1j, 2 - 0.5j):
         want = math.exp(-abs(alpha) ** 2)
-        assert teleport_fidelity(out, alpha=alpha).fidelity == pytest.approx(want, rel=1e-10)
+        assert teleport_fidelity(out, alpha=alpha) == pytest.approx(want, rel=1e-10)
 
 
 def test_fidelity_point_caps_at_one():
@@ -250,11 +249,13 @@ def test_fidelity_point_caps_at_one():
 def test_fidelity_point_validation():
     with pytest.raises(ValueError):
         fidelity_point(1.0, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        FidelityPoint(1.5, 0.5, 0.5, 1.0, 0j)
-    with pytest.raises(ValueError):
-        FidelityPoint(math.nan, 0.5, 0.5, 1.0, 0j)
-    FidelityPoint(0.0, 0.5, 0.5, 0.0, 0j)  # zero is a legal fidelity
+    # A non-physical input, variances below vacuum, over a perfect resource.
+    with pytest.raises(ValueError, match=r"^fidelity 1\.818\d* outside \[0, 1\]$"):
+        teleport_fidelity(teleport(ZeroBandwidth(math.inf)), InputModel(0.1, 0.1))
+    # An amplitude error and a width both past the float range: inf/inf.
+    with pytest.raises(ValueError, match=r"^fidelity nan outside \[0, 1\]$"):
+        teleport_fidelity(teleport(ZeroBandwidth(1.0), 1e200), alpha=1.0)
+    assert teleport_fidelity(teleport(ZeroBandwidth(0.0), 0.0), alpha=40.0) == 0.0  # zero is legal
 
 
 def test_closed_form_fidelity_matches_generic_path():
@@ -266,7 +267,7 @@ def test_closed_form_fidelity_matches_generic_path():
         eta = rng.choice([1.0, rng.uniform(0.6, 1.0)])
         src = Nopa(eps, beta)
         out = teleport(src, detector=BellDetector(eta), omega=omega)
-        generic = teleport_fidelity(out).fidelity
+        generic = teleport_fidelity(out)
         closed = nopa_fidelity_spectrum(eps, omega, beta, eta)
         assert abs(generic - closed) < 1e-12
 
@@ -939,6 +940,14 @@ def test_bandwidth_is_infinite_when_never_crossed(kwargs, threshold):
         warnings.simplefilter("ignore", NonUnitGainWarning)
         table = fidelity_spectrum(Nopa(0.5), [0.0, 1.0], **kwargs)
     assert bandwidth(table, threshold) == math.inf
+
+
+def test_bandwidth_is_infinite_when_no_doubling_fits_under_the_limit():
+    # The first doubling candidate, 1.2e154, lies past OMEGA_LIMIT: the flat
+    # fidelity 0.8808 is never seen to cross 0.6, and nothing is evaluated.
+    table = fidelity_spectrum(ZeroBandwidth(1.0), [0.0, 6e153])
+    table.evaluator = lambda w: pytest.fail(f"evaluator called at {w}")
+    assert bandwidth(table, 0.6) == math.inf
 
 
 def _checked_bandwidth(table, threshold):
@@ -1786,7 +1795,9 @@ def test_kernel_columns_match_the_expansions(src, gain, eta2, model):
 )
 def test_swap_kernel_rows_match_the_expansions(cfg):
     grid = np.array([0.0, 0.4, 1.3, 3.0])
-    cols = _swap_columns(cfg, grid)
+    cols = criteria_module._teleport_columns(
+        _SwappedPair(cfg, grid), grid, 1.0, BellDetector(1.0), COHERENT
+    )
     for i, w in enumerate(grid.tolist()):
         want = expansion_columns(verification_teleport(cfg, w), COHERENT)
         got = (cols.v_x[i], cols.v_p[i], cols.v_out_x[i], cols.v_out_p[i])
@@ -1991,7 +2002,7 @@ def test_criteria_report_matches_ralph_lam_on_the_expansions():
             (report.v_c_p, rl.v_c_p),
             (report.t_x, rl.t_x),
             (report.t_p, rl.t_p),
-            (report.fidelity, teleport_fidelity(out, model, alpha).fidelity),
+            (report.fidelity, teleport_fidelity(out, model, alpha)),
         ]
         for got, want in pairs:
             assert_close(got, want)
@@ -2059,3 +2070,52 @@ def test_library_takes_frequencies_up_to_the_limit():
         table = fidelity_spectrum(Nopa(0.5), [-OMEGA_LIMIT, 0.0, OMEGA_LIMIT])
         assert table.fidelity[[0, 2]].tolist() == [0.5, 0.5]
         assert swap_fidelity(SwapConfig(Nopa(0.5)), OMEGA_LIMIT) == 0.5
+
+
+class _Counted(SqueezerSpectrum):
+    # Nopa(0.5)'s amplitudes, counting every evaluation of them.
+    def __init__(self):
+        self.calls = 0
+
+    def pair(self, omega):
+        self.calls += 1
+        return Nopa(0.5).pair(omega)
+
+
+_ONE_D = "omega: expected one frequency or a one-dimensional grid, got shape "
+_ALPHA = "alpha: expected a finite amplitude, got "
+
+
+# Grids of more than one dimension, amplitudes and teleport frequencies
+# that are not finite: each is refused, naming omega or alpha, before the
+# source is evaluated and with no RuntimeWarning.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda src: fidelity_spectrum(src, [[0.0, 1.0]]), _ONE_D + "(1, 2)"),
+        (lambda src: fidelity_spectrum(src, [[0.0], [1.0]]), _ONE_D + "(2, 1)"),
+        (lambda src: swap_spectrum(SwapConfig(src), [[0.0], [1.0]]), _ONE_D + "(2, 1)"),
+        (
+            lambda src: SpectrumTable([[0.0], [1.0]], [[0.0], [0.0]], [[0.0], [0.0]], [[1.0], [1.0]]),
+            "every column must be one-dimensional",
+        ),
+        (lambda src: evaluate_criteria(src, alpha=math.nan), _ALPHA + "nan"),
+        (lambda src: evaluate_criteria(src, gain=0.5, alpha=math.inf), _ALPHA + "inf"),
+        (lambda src: teleport_fidelity(teleport(Nopa(0.5)), alpha=math.nan), _ALPHA + "nan"),
+        (lambda src: teleport(src, 1, BellDetector(1.0), math.nan), "omega: nan is not a finite frequency"),
+        (lambda src: teleport(src, omega=math.inf), "omega: inf is not a finite frequency"),
+        (lambda src: verification_teleport(SwapConfig(src), math.nan), "omega: nan is not a finite frequency"),
+        (lambda src: swap_once(SwapConfig(src), -math.inf), "omega: -inf is not a finite frequency"),
+    ],
+    ids=[
+        "row-grid", "column-grid", "swap-grid", "table", "criteria-alpha-nan", "criteria-alpha-inf",
+        "teleport-fidelity-alpha", "teleport-nan", "teleport-inf", "verification-teleport", "swap-once",
+    ],
+)
+def test_library_refuses_before_evaluating_the_source(call, message):
+    src = _Counted()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(src)
+    assert src.calls == 0

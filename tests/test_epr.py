@@ -11,6 +11,7 @@ from cvteleport.epr import (
     Nopa,
     NopaParams,
     PortPowers,
+    SqueezerSpectrum,
     TransferPair,
     ZeroBandwidth,
     _abs2,
@@ -103,6 +104,12 @@ def test_nopa_params_threshold_guard():
         NopaParams(-0.1, 2.0)
     with pytest.raises(ValueError):
         NopaParams(0.5, 2.0, rho=-0.2)
+
+
+def test_escape_efficiency_that_rounds_to_0_is_refused():
+    # gamma/(gamma + rho) = 5e-324/10 lies below the smallest float.
+    with pytest.raises(ValueError, match=r"^the escape efficiency gamma/\(gamma\+rho\) rounds to 0$"):
+        NopaParams(0.0, 5e-324, 10.0)
 
 
 @pytest.mark.parametrize(
@@ -547,6 +554,14 @@ def test_describe_strings():
     assert Nopa(0.25, 0.8).describe() == "nopa(epsilon=0.25, beta=0.8)"
     assert "rows" in CustomSpectrum((0.0, 1.0), (1.0, 1.0), (1.0, 1.0)).describe()
     assert TransferPair(2.0, 0.5).powers()[:2] == (4.0, 0.25)
+
+
+def test_default_describe_is_the_class_name():
+    class Flat(SqueezerSpectrum):
+        def pair(self, omega):
+            return TransferPair(1.0, 1.0)
+
+    assert Flat().describe() == "Flat"
 
 
 # ---------------------------------------------------------------------------

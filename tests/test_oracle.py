@@ -169,7 +169,7 @@ def test_covariance_route_matches_symbolic_fidelity():
         gain = rng.uniform(0, 2)
         alpha = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         oracle = fidelity_to_coherent(covariance_teleport(r, gain, alpha), alpha)
-        symbolic = teleport_fidelity(teleport(ZeroBandwidth(r), gain), alpha=alpha).fidelity
+        symbolic = teleport_fidelity(teleport(ZeroBandwidth(r), gain), alpha=alpha)
         assert abs(oracle - symbolic) < 1e-9
 
 

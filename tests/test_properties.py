@@ -22,8 +22,8 @@ from cvteleport.linmode import Axis, InputModel, combine, commutator_pairing, un
 from cvteleport.oracle import McConfig, mc_check
 from cvteleport.swap import (
     SwapConfig,
-    _swap_columns,
     _SwappedPair,
+    _swept,
     optimal_gain,
     swap_fidelity,
     swap_spectrum,
@@ -513,8 +513,9 @@ def test_one_noise_array_is_both_axes_bit_for_bit(src, grid, gain, eta2, model):
 def test_one_swap_noise_array_is_both_axes_bit_for_bit(src_ab, src_cd, gain, grid):
     grid = np.array(grid)
     cfg = SwapConfig(src_ab, src_cd, gain=gain)
-    cols = _swap_columns(cfg, grid)
-    _assert_one_noise_is_both_axes(cols, _SwappedPair(cfg, grid), grid, 1.0, BellDetector(1.0))
+    pair = _SwappedPair(cfg, grid)
+    cols = criteria_module._teleport_columns(pair, grid, 1.0, BellDetector(1.0), COHERENT)
+    _assert_one_noise_is_both_axes(cols, pair, grid, 1.0, BellDetector(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +648,7 @@ def test_criteria_reports_are_the_one_element_kernel_call(src, omega, gain, eta2
 def test_swap_fidelity_is_the_one_element_kernel_call(src_ab, src_cd, gain, omega):
     cfg = SwapConfig(src_ab, src_cd, gain=gain)
     scalar = _outcome(lambda: _bits([swap_fidelity(cfg, omega)]))
-    assert scalar == _outcome(lambda: _bits(_swap_columns(cfg, np.array([omega])).fidelity))
+    assert scalar == _outcome(lambda: _bits(_swept(cfg, np.array([omega])).fidelity))
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,7 @@ def test_symbolic_fidelity_matches_closed_form():
         omega = rng.uniform(0, 4)
         gain = rng.uniform(-0.5, 1.5)
         cfg = SwapConfig(Nopa(eps), gain=gain)
-        symbolic = teleport_fidelity(verification_teleport(cfg, omega)).fidelity
+        symbolic = teleport_fidelity(verification_teleport(cfg, omega))
         assert abs(symbolic - closed_form_fidelity(cfg, omega, gain)) < 1e-12
 
 
