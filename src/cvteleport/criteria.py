@@ -461,11 +461,13 @@ def _sweep(
     # the kernel on the frequencies asked for as its evaluator; one number
     # for grid is a one-row table from one scalar kernel call.  Given a
     # threshold, where the closed form is the fidelity on every row of grid
-    # (see _closed_rows), it gives that column before the kernel runs, and
-    # the table is built on grid merged with the frequencies of bandwidth()'s
-    # first evaluator call (see _bandwidth_grid): the kernel works row by
-    # row, so these are bit for bit the rows that call would merge, and
-    # bandwidth() reads the same width without it.
+    # (see _closed_rows), the table is built on the rows that bandwidth()
+    # would ask its evaluator for up to and including its first refinement,
+    # doubling past the grid included (see _bandwidth_grid), planned on the
+    # closed form before the kernel runs.  The kernel works row by row and
+    # its fidelity on these rows is the closed form bit for bit, so they
+    # are the rows those calls would merge, and bandwidth() reads the same
+    # width from the table with those calls fewer.
     _check_omega(grid)
     schedule = as_gain(gain)
     grid = np.asarray(grid, dtype=float)
@@ -475,9 +477,16 @@ def _sweep(
         )
     gains, src = schedule.at(grid), resource(grid)
     if threshold is not None and np.all(_closed_rows(gains, model, 0j)):
-        planned = _bandwidth_grid(grid, _closed_fidelity(src, grid, detector), threshold)
+        closed = _closed_fidelity(src, grid, detector)
+        planned = _bandwidth_grid(
+            grid, closed, threshold, lambda w: _closed_fidelity(resource(w), w, detector)
+        )
         if planned is not grid:
-            grid, gains, src = planned, schedule.at(planned), resource(planned)
+            # One gain is unit on the new rows as on grid; a per-frequency
+            # schedule must be unit there too.
+            at = schedule.at(planned)
+            if schedule.fn is None or np.all(_closed_rows(at, model, 0j)):
+                grid, gains, src = planned, at, resource(planned)
 
     def fidelity(w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float).reshape(-1)
@@ -525,42 +534,62 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
     1e-6 wide: each call takes an even grid across the bracket and a
     stencil of points 5e-7 apart around the crossing that the rows next to
     it predict (see _refinement_points), and the bracket becomes the pair
-    of neighbouring rows that straddles the threshold.  A smooth crossing
-    on the grid takes one call, one in the first octave past the grid two.
-    The width is twice the crossing that the rows next to the final
-    bracket predict, which is exact to a few ulps on a smooth source; it
-    lies inside that bracket whatever the evaluator.  Tables without an
-    evaluator fall back to linear interpolation between the bracketing
-    rows.  Returns 0 when even the first row is below threshold, and
-    math.inf when the evaluator never drops below it up to OMEGA_LIMIT (a
-    threshold at or below the large-omega limit of the fidelity: 1/2 at
-    unit gain, 1/(1 + g^2) at fixed gain g).  A nan (or inf) row next to
-    the final bracket raises ValueError, naming its frequency, and a
-    threshold that is not finite raises ValueError before the table is read.
+    of neighbouring rows that straddles the threshold.  On a table of the
+    plain grid a smooth crossing on the grid takes one call, one in the
+    first octave past the grid two (the first doubling call and one
+    refinement), one further out four; the command line plans the
+    doubling and the first refinement into its table (see _sweep), so a
+    width there takes about one kernel call.  The width is twice the crossing
+    that the rows next to the final bracket predict, which is exact to a
+    few ulps on a smooth source; it lies inside that bracket whatever the
+    evaluator.  Tables without an evaluator fall back to linear
+    interpolation between the bracketing rows.  A first row below
+    threshold returns 0 at omega <= 0; past omega = 0 the evaluator is
+    asked for omega = 0, and the width is 0 if that is below threshold
+    too, else [0, first row] is the bracket (without an evaluator this
+    raises ValueError, naming the first row's frequency).  Returns
+    math.inf when the evaluator never drops below threshold up to
+    OMEGA_LIMIT (a threshold at or below the large-omega limit of the
+    fidelity: 1/2 at unit gain, 1/(1 + g^2) at fixed gain g).  A nan (or
+    inf) row next to the final bracket raises ValueError, naming its
+    frequency, and a threshold that is not finite raises ValueError before
+    the table is read.
     """
     if not math.isfinite(threshold):
         raise ValueError(f"threshold: expected a finite number, got {threshold}")
-    om, fs = spectrum.omega, spectrum.fidelity
-    if fs[0] < threshold:
-        return 0.0
-    ev = spectrum.evaluator
-    if not (fs < threshold).any():
+    om, fs, ev = spectrum.omega, spectrum.fidelity, spectrum.evaluator
+    below = fs < threshold
+    if below[0]:
+        if not om[0] > 0:
+            return 0.0
+        if ev is None:
+            raise ValueError(
+                f"fidelity below threshold from the first row, omega={om[0]}, "
+                "and no evaluator is attached to read omega = 0"
+            )
+        f0 = ev(np.zeros(1))
+        if f0[0] < threshold:
+            return 0.0
+        om, fs = np.concatenate(([0.0], om)), np.concatenate((f0, fs))
+        below = np.concatenate(([False], below))
+    if not below.any():
         if ev is None:
             raise ValueError(
                 "fidelity stays above threshold across the table and no "
                 "evaluator is attached to extend it"
             )
         om, fs = _doubling(ev, om, fs, threshold)
-        if not (fs < threshold).any():
+        below = fs < threshold
+        if not below.any():
             return math.inf
     # The rows are sorted by frequency, and the bracket is rows c - 1 and c,
     # the first row below threshold and its neighbour: no row lies inside.
-    c = int(np.argmax(fs < threshold))
+    # Only the rows around it are read (see _window).
+    om, fs, c = _window(om, fs, int(np.argmax(below)))
+    om, fs = om.tolist(), fs.tolist()
     if ev is None:
-        (lo, hi), (f_lo, f_hi) = om[c - 1 : c + 1].tolist(), fs[c - 1 : c + 1].tolist()
-        crossing = _secant(lo, f_lo, hi, f_hi, threshold)
+        crossing = _secant(om[c - 1], fs[c - 1], om[c], fs[c], threshold)
     else:
-        om, fs = om.tolist(), fs.tolist()
         while om[c] - om[c - 1] > _STOP:
             points = _refinement_points(om, fs, c, threshold)
             if not len(points):
@@ -569,6 +598,7 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
             om[c:c], fs[c:c] = points.tolist(), values
             # The first new row below threshold, or hi if none is.
             c += next((k for k, f in enumerate(values) if f < threshold), len(values))
+            om, fs, c = _window(om, fs, c)
         crossing = _crossing(om, fs, c, threshold)
     # Row c is below threshold, so only a nan or inf row c - 1 gives a nan.
     if math.isnan(crossing):
@@ -576,18 +606,43 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
     return 2.0 * crossing
 
 
-def _bandwidth_grid(grid: np.ndarray, fidelity: np.ndarray, threshold: float) -> np.ndarray:
-    # The grid with the frequencies of bandwidth()'s first evaluator call on
-    # the table of grid merged in, fidelity being that table's column (see
-    # _sweep).  The grid itself where bandwidth() would make no such call
-    # (the first row below threshold, a crossing past the grid, a bracket at
-    # most _STOP wide), or where the points are no table's: they are not
-    # strictly increasing where the floats are coarser than the stencil,
-    # past about 4e9.
-    c = int(np.argmax(fidelity < threshold))  # 0 if no row is below
+def _window(om, fs, c: int):
+    # The rows (om, fs) within _GUESS_ROWS // 2 of the bracket of rows
+    # c - 1 and c, at most _GUESS_ROWS of them, and c among them: every row
+    # that _crossing reads, and so every row the width search reads.
+    start = max(c - _GUESS_ROWS // 2, 0)
+    rows = slice(start, c + _GUESS_ROWS // 2)
+    return om[rows], fs[rows], c - start
+
+
+def _bandwidth_grid(
+    grid: np.ndarray,
+    fidelity: np.ndarray,
+    threshold: float,
+    closed: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    # The rows of bandwidth()'s calls on the table of grid up to and
+    # including its first refinement, fidelity being that table's column
+    # and closed its evaluator (see _sweep): grid, then, where no row of it
+    # is below threshold, the doubling rows past it, then the frequencies
+    # of the first refinement merged in.  A step is taken only where
+    # bandwidth() would take it (not past a first row below threshold, a
+    # fidelity that never drops below it, or a bracket at most _STOP
+    # wide), and only where its rows stay strictly increasing, as a
+    # table's must: they repeat where the floats are coarser than the
+    # octave below the first doubling candidate, near the smallest
+    # subnormals, or than the stencil, past about 4e9.
+    below = fidelity < threshold
+    if not below.any():
+        doubled, fidelity = _doubling(closed, grid, fidelity, threshold)
+        if not (doubled[1:] > doubled[:-1]).all():
+            return grid
+        grid, below = doubled, fidelity < threshold
+    c = int(np.argmax(below))  # 0 if no row is below
     if c == 0 or not grid[c] - grid[c - 1] > _STOP:
         return grid
-    points = _refinement_points(grid.tolist(), fidelity.tolist(), c, threshold)
+    om, fs, k = _window(grid, fidelity, c)
+    points = _refinement_points(om.tolist(), fs.tolist(), k, threshold)
     if not (points[1:] > points[:-1]).all():
         return grid
     return np.concatenate((grid[:c], points, grid[c:]))
@@ -626,6 +681,10 @@ _STENCIL = 32
 _GUESS_ROWS = 8
 # The stencil's offsets from the guess.
 _OFFSETS = 0.5 * _STOP * np.arange(-_STENCIL, _STENCIL + 1)
+# The even grid across [lo, hi] is _FRACTIONS * ((hi - lo) / (_GRID + 1))
+# + lo, numpy's own linspace formula without linspace's per-call cost: the
+# same bits wherever the step is not 0 (that is, but for subnormal ends).
+_FRACTIONS = np.arange(1.0, _GRID + 1)
 
 
 def _doubling(
@@ -654,7 +713,7 @@ def _doubling(
     candidates = candidates[candidates <= OMEGA_LIMIT]
     if not len(candidates):
         return om, fs
-    octave = np.linspace(last, first, _GRID + 2)[1:-1]
+    octave = _FRACTIONS * ((first - last) / (_GRID + 1)) + last
     values = ev(np.concatenate(([first], octave)))
     found = [values[:1]]
     if values[0] >= threshold and len(candidates) > 1:
@@ -689,7 +748,7 @@ def _refinement_points(om: list, fs: list, c: int, threshold: float) -> np.ndarr
     if math.isnan(guess):
         return _OFFSETS[:0]
     stencil = guess + _OFFSETS
-    grid = np.linspace(lo, hi, _GRID + 2)[1:-1]
+    grid = _FRACTIONS * ((hi - lo) / (_GRID + 1)) + lo
     first, last = grid.searchsorted(stencil[0]), grid.searchsorted(stencil[-1], "right")
     points = np.concatenate((grid[:first], stencil, grid[last:]))
     return points[points.searchsorted(lo, "right") : points.searchsorted(hi)]
@@ -697,11 +756,10 @@ def _refinement_points(om: list, fs: list, c: int, threshold: float) -> np.ndarr
 
 def _crossing(om: list, fs: list, c: int, threshold: float) -> float:
     # The crossing inside the bracket of rows c - 1 and c: the inverse
-    # polynomial through the _GUESS_ROWS rows around it, or, where that
-    # falls outside the bracket (or does not exist), the secant through the
-    # bracket, clamped inside it.
-    rows = slice(max(c - _GUESS_ROWS // 2, 0), c + _GUESS_ROWS // 2)
-    x = _inverse_guess(om[rows], fs[rows], threshold)
+    # polynomial through the rows around it, at most _GUESS_ROWS of them
+    # (see _window), or, where that falls outside the bracket (or does not
+    # exist), the secant through the bracket, clamped inside it.
+    x = _inverse_guess(om, fs, threshold)
     lo, hi = om[c - 1], om[c]
     if lo <= x <= hi:
         return x
@@ -711,15 +769,17 @@ def _crossing(om: list, fs: list, c: int, threshold: float) -> float:
 def _inverse_guess(xs: Sequence[float], fs: Sequence[float], threshold: float) -> float:
     # The crossing by inverse interpolation: the polynomial x(f) through the
     # rows around the bracket, evaluated at the threshold; nan when two rows
-    # share a fidelity and x(f) does not exist.
+    # share a fidelity and x(f) does not exist.  Past that check the
+    # fidelities are distinct, so g != f skips exactly the row's own factor
+    # (a nan row makes every term nan either way).
     if len(set(fs)) < len(fs):
         return math.nan
     gaps = [threshold - g for g in fs]
     guess = 0.0
-    for i, (x, f) in enumerate(zip(xs, fs)):
-        for j, g in enumerate(fs):
-            if j != i:
-                x *= gaps[j] / (f - g)
+    for x, f in zip(xs, fs):
+        for g, gap in zip(fs, gaps):
+            if g != f:
+                x *= gap / (f - g)
         guess += x
     return guess
 

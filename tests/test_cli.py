@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cvteleport
-from cvteleport import cli, criteria
+from cvteleport import cli, criteria, swap
 from cvteleport._text import format_number
 from cvteleport.cli import run
 from cvteleport.criteria import bandwidth, fidelity_spectrum
@@ -379,10 +380,12 @@ def test_bandwidth_prints_the_width_of_the_plain_grid(flags):
         # No closed form: the grid, then the refinement.
         (("--epsilon", "0.6", "--omega-stop", "10", "--gain", "fixed:0.9", "--threshold", "0.6"), [101, 128]),
         (("--epsilon", "0.6", "--omega-stop", "10", "--input", "squeezed:0.5"), [101, 128]),
-        # A crossing past the grid doubles as it did: the grid, the first
-        # doubling candidate with the octave below it, the refinement.
-        (("--epsilon", "0.6"), [51, 64, 128]),
-        (("--epsilon", "0.6", "--pipeline", "swap", "--omega-stop", "1"), [11, 64, 510, 128, 128]),
+        # A unit-gain crossing past the grid: the grid, the doubling rows
+        # (the first candidate with the octave below it, then every other
+        # candidate unless the first is below threshold) and the first
+        # refinement in one call, then any refinement left.
+        (("--epsilon", "0.6"), [243]),
+        (("--epsilon", "0.6", "--pipeline", "swap", "--omega-stop", "1"), [713, 128]),
         # A bracket from 0 to 1e10: the stencil's floats coincide, so the
         # grid stands alone and each refinement is a call of its own.
         (("--epsilon", "0.6", "--omega-step", "1e10", "--omega-stop", "1e10"), [2] + [128] * 7),
@@ -410,6 +413,54 @@ def test_bandwidth_doubles_from_a_tiny_grid(capsys, pipeline, width):
         "--omega-stop", "1e-70", "--pipeline", pipeline,
     )
     assert (code, out, err) == (0, width + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "args, width",
+    [
+        ((), "15.3153517753"),
+        (("--pipeline", "swap"), "5.33864453742"),
+        (("--threshold", "0.99"), "0"),  # F(0) = 0.9 is below it too
+    ],
+    ids=["teleport", "swap", "below-at-zero"],
+)
+def test_bandwidth_from_a_grid_past_the_crossing(capsys, args, width):
+    # Every row of [100, 101] is below threshold, but F(0) is not: the
+    # width is the default grid's, read from the bracket [0, 100].
+    code, out, err = invoke(
+        capsys, "bandwidth", "--epsilon", "0.6", "--omega-start", "100", "--omega-stop", "101", *args
+    )
+    assert (code, out, err) == (0, width + "\n", "")
+
+
+def test_bandwidth_kernel_work_on_scan_seed_1(monkeypatch, tmp_path):
+    # Every bandwidth op of the benchmark's scan workload at seed 1 (44
+    # teleport and 44 swap widths), run in process: the kernel calls and
+    # the swapped-pair builds they take in all.  A plan that stops
+    # covering the doubling path, or a second build per call, shows here.
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench"))
+    workloads = importlib.import_module("workloads")
+    calls, builds, kernel = [], [], criteria._teleport_columns
+
+    def counted(src, omega, *rest):
+        calls.append(np.size(omega))
+        return kernel(src, omega, *rest)
+
+    class Counted(swap._SwappedPair):
+        def __init__(self, cfg, omega):
+            builds.append(np.size(omega))
+            super().__init__(cfg, omega)
+
+    monkeypatch.setattr(criteria, "_teleport_columns", counted)
+    monkeypatch.setattr(swap, "_SwappedPair", Counted)
+    ops = [op for op in workloads.generate("scan", 1, str(tmp_path)) if op.command == "bandwidth"]
+    for op in ops:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(list(op.argv)) == 0
+        op.check(out.getvalue())
+    assert (len(ops), sum(op.swap for op in ops)) == (88, 44)
+    assert (len(calls), len(builds)) == (90, 90)
 
 
 @pytest.mark.filterwarnings("ignore::cvteleport.teleport.NonUnitGainWarning")

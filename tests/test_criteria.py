@@ -2,6 +2,7 @@
 
 import bisect
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -1207,7 +1208,22 @@ def test_the_plan_keeps_a_grid_where_floats_are_coarser_than_the_stencil():
     # The table above: the stencil around the guess near 2e12 holds equal
     # floats, which no table can, so the plan is the grid itself.
     grid = np.array([0.0, 1e12, 3e12])
-    assert criteria_module._bandwidth_grid(grid, 1.0 - grid / 4e12, 0.51) is grid
+    closed = lambda w: 1.0 - w / 4e12  # noqa: E731
+    assert criteria_module._bandwidth_grid(grid, closed(grid), 0.51, closed) is grid
+
+
+def test_the_plan_keeps_a_grid_where_floats_are_coarser_than_the_octave():
+    # From a last row of 5e-324 the octave below the first doubling
+    # candidate, 1e-323, holds no float between them, so its rows repeat
+    # the ends, which no table can: the plan is the grid itself, and the
+    # width is the plain grid's.
+    grid = np.array([0.0, 5e-324])
+    closed = CLOSED_FORMS[0]
+    assert criteria_module._bandwidth_grid(grid, closed(grid), 0.51, closed) is grid
+    planned = criteria_module._sweep(lambda w: Nopa(0.6), grid, 1.0, BellDetector(1.0), COHERENT, 0.51)
+    want = bandwidth(fidelity_spectrum(Nopa(0.6), grid), 0.51)
+    assert _bits(planned.omega) == _bits(grid)
+    assert _bits([bandwidth(planned, 0.51)]) == _bits([want])
 
 
 @pytest.mark.parametrize(
@@ -1233,17 +1249,34 @@ def test_the_closed_form_is_the_kernel_fidelity_bit_for_bit(src, detector, swap_
     assert _bits(closed) == _bits(table.fidelity)
 
 
-@pytest.mark.parametrize("make, width", SOURCES, ids=SOURCE_IDS)
+def _swap_closed(cfg):
+    # A swap's closed-form fidelity, the teleport's over the swapped pair.
+    return lambda w: criteria_module._closed_fidelity(_SwappedPair(cfg, w), w, BellDetector(1.0))
+
+
+# Each of SOURCES' closed-form fidelity, which the sweep plans with.
+CLOSED_FORMS = [
+    lambda w: criteria_module._closed_fidelity(Nopa(0.6), w, BellDetector(1.0)),
+    lambda w: criteria_module._closed_fidelity(Nopa(0.8, 0.7), w, BellDetector(0.95)),
+    _swap_closed(SwapConfig(Nopa(0.4))),
+    _swap_closed(SwapConfig(Nopa(0.6, 0.9))),
+    _swap_closed(SwapConfig(Nopa(0.7, 0.9), gain=0.8)),
+]
+
+
+@pytest.mark.parametrize(
+    "make, closed", [(make, closed) for (make, _), closed in zip(SOURCES, CLOSED_FORMS)], ids=SOURCE_IDS
+)
 @pytest.mark.parametrize("threshold", [0.51, 0.55, 0.6])
 @pytest.mark.parametrize("step", [0.1, 0.5, 2.0])
-def test_the_planned_table_holds_the_rows_of_the_first_refinement(make, width, threshold, step):
+def test_the_planned_table_holds_the_rows_of_the_first_refinement(make, closed, threshold, step):
     # The table on the planned grid is, row for row and bit for bit, the
     # table of the grid merged with the rows of bandwidth()'s first
     # evaluator call, so bandwidth() reads the same width from it with one
     # call less.
     grid = step * np.arange(int(20 / step) + 1)
     table = make(grid)
-    planned = criteria_module._bandwidth_grid(grid, table.fidelity, threshold)
+    planned = criteria_module._bandwidth_grid(grid, table.fidelity, threshold, closed)
     got, calls = _checked_bandwidth(make(planned), threshold)
     rows = dict(zip(table.omega.tolist(), table.fidelity.tolist()))
     evaluator, first = table.evaluator, []
@@ -1310,6 +1343,170 @@ def test_the_sweep_plans_only_where_the_closed_form_holds_on_every_row(monkeypat
     table = criteria_module._sweep(lambda w: src, grid, gain, detector, model, 0.6)
     assert rows == [51]
     assert table == fidelity_spectrum(src, grid, gain, detector, model)
+
+
+@pytest.mark.filterwarnings("ignore::cvteleport.teleport.NonUnitGainWarning")
+def test_the_plan_stands_only_where_a_schedule_is_unit_on_the_planned_rows(monkeypatch):
+    # Unit on the grid but not from 2 on, where the doubling rows lie: the
+    # closed form is not the fidelity there, so the table is the plain
+    # grid's, and so is the width, bit for bit.
+    src, grid, detector = Nopa(0.6, 0.9), 0.1 * np.arange(20), BellDetector(0.95)
+    gain = GainSchedule.per_frequency(lambda w: 1.0 if w < 2.0 else 0.999)
+    want = bandwidth(fidelity_spectrum(src, grid, gain, detector), 0.51)
+    rows = _kernel_rows(monkeypatch)
+    table = criteria_module._sweep(lambda w: src, grid, gain, detector, COHERENT, 0.51)
+    assert rows == [20]
+    assert _bits([bandwidth(table, 0.51)]) == _bits([want])
+
+
+def _plan_source(kind, eps, beta, eta, swap_gain):
+    # The sweep's (resource, detector) for one kind of source.
+    if kind == "swap":
+        return functools.partial(_SwappedPair, SwapConfig(Nopa(eps, beta), gain=swap_gain)), BellDetector(1.0)
+    src = Nopa(eps, beta)
+    return (lambda w: src), BellDetector(eta)
+
+
+@pytest.mark.parametrize("kind", ["lossless", "lossy", "lossy-detector", "swap"])
+@pytest.mark.parametrize("place", ["on-grid", "first-octave", "further", "never"])
+@settings(deadline=None, max_examples=12, derandomize=True)
+@given(
+    eps=st.floats(0.1, 0.95),
+    beta=st.floats(0.6, 0.99),
+    eta=st.floats(0.9, 0.999),
+    swap_gain=st.sampled_from([None, 0.8]),
+    depth=st.floats(1e-3, 1.0),
+    rows=st.integers(1, 60),
+    reach=st.floats(0.0, 1.0),
+)
+def test_the_plan_is_the_unplanned_search_bit_for_bit(
+    kind, place, eps, beta, eta, swap_gain, depth, rows, reach
+):
+    # The planned table is, row for row and bit for bit, the table of the
+    # grid merged with the rows of bandwidth()'s doubling calls and of its
+    # first refinement call on the plain table; bandwidth() then makes
+    # exactly the calls left, and reads the same width.  The grid ends
+    # past the crossing, within the octave below it, further below, or
+    # the fidelity never drops below the threshold (inf).
+    beta, eta = (1.0 if kind == "lossless" else beta), (eta if kind == "lossy-detector" else 1.0)
+    resource, detector = _plan_source(kind, eps, beta, eta, swap_gain)
+
+    def sweep(grid, threshold=None):
+        return criteria_module._sweep(resource, grid, 1.0, detector, COHERENT, threshold)
+
+    f0 = float(sweep(0.0).fidelity[0])
+    assume(f0 > 0.5)
+    if place == "never":
+        # The fidelity tends from above to 1/2, 1/(2 + tau^2) > 0.44 with a
+        # lossy detector, or 1/(2 + 0.8^2) > 0.37 on the fixed-gain swap.
+        threshold, stop = 0.3, 0.01 + 10.0 * reach
+    else:
+        threshold = 0.5 + (f0 - 0.5) * depth
+        crossing = bandwidth(sweep(0.1 * np.arange(51)), threshold) / 2
+        assume(0 < crossing < math.inf)
+        low, high = {"on-grid": (1.05, 4.0), "first-octave": (0.51, 0.99), "further": (1e-3, 0.49)}[place]
+        stop = crossing * (low + (high - low) * reach)
+    grid = np.linspace(0.0, stop, rows) if rows > 1 else np.zeros(1)
+
+    def recorded(table, calls):
+        evaluator = table.evaluator
+
+        def record(w):
+            values = evaluator(w)
+            calls.append((w, values))
+            return values
+
+        table.evaluator = record
+        return bandwidth(table, threshold)
+
+    def bits(calls):
+        return [(_bits(w), _bits(values)) for w, values in calls]
+
+    plain, calls = sweep(grid), []
+    want = recorded(plain, calls)
+    doubling = 0 if (plain.fidelity < threshold).any() else 1 + (calls[0][1][0] >= threshold)
+    planned_calls = min(len(calls), doubling + 1)
+    rows = dict(zip(plain.omega.tolist(), plain.fidelity.tolist()))
+    for omegas, values in calls[:planned_calls]:
+        rows.update(zip(omegas.tolist(), values.tolist()))
+    planned = sweep(grid, threshold)
+    assert _bits(planned.omega) == _bits(sorted(rows))
+    assert _bits(planned.fidelity) == _bits([rows[w] for w in sorted(rows)])
+    left = []
+    assert _bits([recorded(planned, left)]) == _bits([want])
+    assert bits(left) == bits(calls[planned_calls:])
+
+
+def test_the_even_grid_is_linspace_bit_for_bit():
+    # _refinement_points and _doubling take linspace's formula with no
+    # call to it: the same bits across brackets from 1e-8 to 1e154, wide
+    # ones and ones a few ulps across.
+    rng = np.random.default_rng(1)
+    lo = 10.0 ** rng.uniform(-8, 154, 20000)
+    narrow = lo * (1 + 10.0 ** rng.uniform(-15, 0, 20000))
+    hi = np.where(np.arange(20000) % 2, 10.0 ** rng.uniform(-8, 154, 20000), narrow)
+    grid, fractions = criteria_module._GRID, criteria_module._FRACTIONS
+    for a, b in zip(np.minimum(lo, hi).tolist(), np.maximum(lo, hi).tolist()):
+        want = np.linspace(a, b, grid + 2)[1:-1]
+        assert _bits(fractions * ((b - a) / (grid + 1)) + a) == _bits(want)
+
+
+@settings(deadline=None, max_examples=500, derandomize=True)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.floats(0.0, 1e6),
+            st.one_of(st.floats(0.0, 1.0), st.sampled_from((math.nan, math.inf, -math.inf, 0.5, -0.0))),
+        ),
+        min_size=2,
+        max_size=8,
+    ),
+    threshold=st.floats(0.3, 0.99),
+)
+def test_the_inverse_guess_skips_a_row_by_value_as_by_index(rows, threshold):
+    # Past the check that the fidelities are distinct, g != f skips the
+    # row's own factor and no other: the same bits as the loop that
+    # skipped it by index (_array_inverse_guess) on every window of 2 to 8
+    # rows, or nan on both sides.
+    xs, fs = sorted(x for x, _ in rows), [f for _, f in rows]
+    got, want = criteria_module._inverse_guess(xs, fs, threshold), _array_inverse_guess(xs, fs, threshold)
+    assert (math.isnan(got) and math.isnan(want)) or _bits([got]) == _bits([want])
+
+
+@pytest.mark.parametrize(
+    "make, width",
+    [
+        (lambda grid: fidelity_spectrum(Nopa(0.6), grid), 15.315351775261288),
+        (lambda grid: swap_spectrum(SwapConfig(Nopa(0.6)), grid), 5.3386445374227804),
+    ],
+    ids=["teleport", "swap"],
+)
+def test_a_grid_past_the_crossing_is_bracketed_from_zero(make, width):
+    # Every row of [100, 101] is below threshold, but the evaluator's row
+    # at 0 is above it: [0, 100] is the bracket, read as on the grid
+    # [0, 100], after one call for omega = 0 (it read 0 before).  Below
+    # threshold at 0 too, the width is 0 after that one call.
+    got, calls = _checked_bandwidth(make([100.0, 101.0]), 0.51)
+    want, plain_calls = _checked_bandwidth(make([0.0, 100.0]), 0.51)
+    assert _bits([got]) == _bits([want]) == _bits([width])
+    assert calls == [1, *plain_calls]
+    assert _checked_bandwidth(make([100.0, 101.0]), 0.99) == (0.0, [1])
+
+
+def test_a_loaded_grid_past_the_crossing_names_its_first_row():
+    # No evaluator to ask for omega = 0: an error naming the first row.
+    loaded = SpectrumTable.from_csv(fidelity_spectrum(Nopa(0.6), [100.0, 101.0]).to_csv())
+    with pytest.raises(ValueError, match=r"first row, omega=100\.0,"):
+        bandwidth(loaded, 0.51)
+
+
+def test_a_first_row_at_or_below_zero_still_reads_as_width_zero():
+    # The sign rule is open: a first row below threshold at omega <= 0 is
+    # a width of 0 with no evaluator call, as before.
+    for grid in ([0.0, 1.0], [-1.0, 0.0, 1.0]):
+        table = fidelity_spectrum(Nopa(0.6), grid)
+        table.evaluator = lambda w: pytest.fail(f"evaluator called at {w}")
+        assert bandwidth(table, 0.99) == 0.0
 
 
 def _tabulated(top):
