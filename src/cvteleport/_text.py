@@ -115,8 +115,7 @@ def write_json_columns(columns: dict[str, np.ndarray]) -> str:
     one, each a non-empty float64 array, all of one length.  A column
     passed under two names as one and the same object is rendered once:
     only identity, never ==, says two columns print alike (0.0 == -0.0
-    prints as 0.0 and -0.0), so callers that find two columns bitwise
-    equal pass one of them twice.
+    prints as 0.0 and -0.0).
     """
     distinct = list({id(c): c for c in columns.values()}.values())
     # Each column's items block by block, each item followed by its

@@ -53,6 +53,7 @@ from .teleport import (
     GainSchedule,
     NonUnitGainWarning,
     TeleportOutcome,
+    _one_frequency,
     as_gain,
 )
 
@@ -243,11 +244,11 @@ class SpectrumTable:
     loaded from disk.
 
     to_csv and to_json write each value to 12 significant digits through
-    the _text writers, and when v_p matches v_x bit for bit (as it does
-    for every kernel table on an input with v_x == v_p, coherent inputs
-    and swaps included) they format v_x once and write it under both
-    names.  The match must be bitwise, not ==, because 0.0 and -0.0
-    compare equal but print differently.
+    the _text writers, which format a column once when v_p is v_x itself,
+    as it is on every kernel table whose v_p matches v_x (an input with
+    v_x == v_p, coherent inputs and swaps included, or one gain of 1).
+    Only identity says so: 0.0 and -0.0 compare equal but print
+    differently.
     """
 
     omega: np.ndarray
@@ -257,8 +258,8 @@ class SpectrumTable:
     evaluator: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        # v_p given as v_x itself, as every symmetric kernel table gives it,
-        # stays one array: one copy, and one text in to_csv and to_json.
+        # v_p given as v_x itself, as the kernel gives it wherever the two
+        # match, stays one array: one copy, and one text in to_csv and to_json.
         v_x = _column(self.v_x)
         v_p = v_x if self.v_p is self.v_x else _column(self.v_p)
         self.omega, self.v_x, self.v_p = _column(self.omega), v_x, v_p
@@ -307,18 +308,8 @@ class SpectrumTable:
         columns = (self.omega, self.v_x, self.v_p, self.fidelity)
         return zip(*(c.tolist() for c in columns))
 
-    def _written_columns(self) -> tuple[np.ndarray, ...]:
-        # The columns as both writers format them: v_p is v_x itself when the
-        # two match bit for bit (every kernel table on an input with
-        # v_x == v_p), so its text is made once and written twice.  The
-        # int64 views compare bits, not values: 0.0 == -0.0, yet they print
-        # as 0 and -0.
-        v_x, v_p = self.v_x, self.v_p
-        same = v_p is v_x or np.array_equal(v_x.view(np.int64), v_p.view(np.int64))
-        return self.omega, v_x, v_x if same else v_p, self.fidelity
-
     def to_csv(self) -> str:
-        return write_csv(CSV_HEADER, self._written_columns())
+        return write_csv(CSV_HEADER, (self.omega, self.v_x, self.v_p, self.fidelity))
 
     @classmethod
     def from_csv(cls, path_or_text: str) -> "SpectrumTable":
@@ -326,7 +317,8 @@ class SpectrumTable:
         return cls(*read_csv(path_or_text, CSV_HEADER))
 
     def to_json(self) -> str:
-        return write_json_columns(dict(zip(CSV_HEADER, self._written_columns())))
+        columns = (self.omega, self.v_x, self.v_p, self.fidelity)
+        return write_json_columns(dict(zip(CSV_HEADER, columns)))
 
 
 def _column(values) -> np.ndarray:
@@ -365,8 +357,9 @@ def _teleport_columns(
     # noise array, summed over the source's EPR pairs from their spectra
     # (see _port_noise), serves both axes, so no (ports x omega) matrix and
     # no complex amplitude is ever held; on a symmetric input (v_x == v_p)
-    # the P columns are the X arrays themselves.  A scalar is taken as a
-    # 0-d array.
+    # the P columns are the X arrays themselves, and at one gain of 1 the
+    # error variance v_p is v_x itself on any input.  A scalar is taken as
+    # a 0-d array.
     omega = np.asarray(omega, dtype=float)
     pairs = src._pairs(omega, (-gain, 1), (gain, 1))
     own = None
@@ -397,7 +390,9 @@ def _teleport_columns(
         if in_model.v_p == in_model.v_x:
             v_p, v_out_p, sigma_p = v_x, v_out_x, sigma_x
         else:
-            v_p = mismatch * in_model.v_p + noise
+            # One gain of 1 leaves no input term on either axis: v_p is v_x.
+            unit = type(mismatch) is float and mismatch == 0
+            v_p = v_x if unit else mismatch * in_model.v_p + noise
             v_out_p = g2 * in_model.v_p + noise
             sigma_p = (v_out_p + 1.0) / 4.0
         generic = fidelity_point(gain, sigma_x, sigma_p, alpha)
@@ -460,14 +455,15 @@ def _sweep(
     # The kernel's table of a teleport over resource(omega) on grid, with
     # the kernel on the frequencies asked for as its evaluator; one number
     # for grid is a one-row table from one scalar kernel call.  Given a
-    # threshold, where the closed form is the fidelity on every row of grid
-    # (see _closed_rows), the table is built on the rows that bandwidth()
-    # would ask its evaluator for up to and including its first refinement,
-    # doubling past the grid included (see _bandwidth_grid), planned on the
-    # closed form before the kernel runs.  The kernel works row by row and
-    # its fidelity on these rows is the closed form bit for bit, so they
-    # are the rows those calls would merge, and bandwidth() reads the same
-    # width from the table with those calls fewer.
+    # threshold, where the one gain of the schedule is unit on a coherent
+    # input (the closed form is then the fidelity on every row, see
+    # _closed_rows), the table is built on the rows that bandwidth() would
+    # ask its evaluator for up to and including its first refinement (see
+    # _bandwidth_grid), planned on the closed form before the kernel runs.
+    # The kernel works row by row and its fidelity on these rows is the
+    # closed form bit for bit, so they are the rows those calls would
+    # merge, and bandwidth() reads the same width from the table with those
+    # calls fewer.
     _check_omega(grid)
     schedule = as_gain(gain)
     grid = np.asarray(grid, dtype=float)
@@ -476,17 +472,13 @@ def _sweep(
             f"omega: expected one frequency or a one-dimensional grid, got shape {grid.shape}"
         )
     gains, src = schedule.at(grid), resource(grid)
-    if threshold is not None and np.all(_closed_rows(gains, model, 0j)):
+    if threshold is not None and schedule.fn is None and _closed_rows(gains, model, 0j):
         closed = _closed_fidelity(src, grid, detector)
         planned = _bandwidth_grid(
             grid, closed, threshold, lambda w: _closed_fidelity(resource(w), w, detector)
         )
         if planned is not grid:
-            # One gain is unit on the new rows as on grid; a per-frequency
-            # schedule must be unit there too.
-            at = schedule.at(planned)
-            if schedule.fn is None or np.all(_closed_rows(at, model, 0j)):
-                grid, gains, src = planned, at, resource(planned)
+            grid, src = planned, resource(planned)
 
     def fidelity(w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float).reshape(-1)
@@ -537,9 +529,10 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
     of neighbouring rows that straddles the threshold.  On a table of the
     plain grid a smooth crossing on the grid takes one call, one in the
     first octave past the grid two (the first doubling call and one
-    refinement), one further out four; the command line plans the
-    doubling and the first refinement into its table (see _sweep), so a
-    width there takes about one kernel call.  The width is twice the crossing
+    refinement), one further out four; at one unit gain on a coherent
+    input the command line plans the row at omega = 0 or the doubling, and
+    the first refinement, into its table (see _sweep), so a width there
+    takes about one kernel call.  The width is twice the crossing
     that the rows next to the final bracket predict, which is exact to a
     few ulps on a smooth source; it lies inside that bracket whatever the
     evaluator.  Tables without an evaluator fall back to linear
@@ -557,35 +550,16 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
     """
     if not math.isfinite(threshold):
         raise ValueError(f"threshold: expected a finite number, got {threshold}")
-    om, fs, ev = spectrum.omega, spectrum.fidelity, spectrum.evaluator
-    below = fs < threshold
-    if below[0]:
-        if not om[0] > 0:
-            return 0.0
-        if ev is None:
-            raise ValueError(
-                f"fidelity below threshold from the first row, omega={om[0]}, "
-                "and no evaluator is attached to read omega = 0"
-            )
-        f0 = ev(np.zeros(1))
-        if f0[0] < threshold:
-            return 0.0
-        om, fs = np.concatenate(([0.0], om)), np.concatenate((f0, fs))
-        below = np.concatenate(([False], below))
-    if not below.any():
-        if ev is None:
-            raise ValueError(
-                "fidelity stays above threshold across the table and no "
-                "evaluator is attached to extend it"
-            )
-        om, fs = _doubling(ev, om, fs, threshold)
-        below = fs < threshold
-        if not below.any():
-            return math.inf
+    ev = spectrum.evaluator
+    om, fs, c = _bracketed(spectrum.omega, spectrum.fidelity, threshold, ev)
+    if c == 0:
+        return 0.0
+    if c == len(om):
+        return math.inf
     # The rows are sorted by frequency, and the bracket is rows c - 1 and c,
     # the first row below threshold and its neighbour: no row lies inside.
     # Only the rows around it are read (see _window).
-    om, fs, c = _window(om, fs, int(np.argmax(below)))
+    om, fs, c = _window(om, fs, c)
     om, fs = om.tolist(), fs.tolist()
     if ev is None:
         crossing = _secant(om[c - 1], fs[c - 1], om[c], fs[c], threshold)
@@ -615,6 +589,39 @@ def _window(om, fs, c: int):
     return om[rows], fs[rows], c - start
 
 
+def _bracketed(
+    om: np.ndarray, fs: np.ndarray, threshold: float, ev: Callable[[np.ndarray], np.ndarray] | None
+) -> tuple[np.ndarray, np.ndarray, int]:
+    # The rows (om, fs) that bandwidth() brackets the crossing on before it
+    # refines, and c, the first of them below threshold: the table's rows,
+    # with ev's row at omega = 0 in front where the first row is below
+    # threshold past omega = 0, or with the doubling rows past them (see
+    # _doubling) where no row is below.  c = 0 is a width of 0, and
+    # c = len(om) a fidelity that never drops below threshold up to
+    # OMEGA_LIMIT.
+    below = fs < threshold
+    if below[0]:
+        if not om[0] > 0:
+            return om, fs, 0
+        if ev is None:
+            raise ValueError(
+                f"fidelity below threshold from the first row, omega={om[0]}, "
+                "and no evaluator is attached to read omega = 0"
+            )
+        f0 = ev(np.zeros(1))
+        return np.concatenate(([0.0], om)), np.concatenate((f0, fs)), int(not f0[0] < threshold)
+    if not below.any():
+        if ev is None:
+            raise ValueError(
+                "fidelity stays above threshold across the table and no "
+                "evaluator is attached to extend it"
+            )
+        om, fs = _doubling(ev, om, fs, threshold)
+        below = fs < threshold
+    c = int(np.argmax(below))
+    return om, fs, c if below[c] else len(om)
+
+
 def _bandwidth_grid(
     grid: np.ndarray,
     fidelity: np.ndarray,
@@ -623,29 +630,19 @@ def _bandwidth_grid(
 ) -> np.ndarray:
     # The rows of bandwidth()'s calls on the table of grid up to and
     # including its first refinement, fidelity being that table's column
-    # and closed its evaluator (see _sweep): grid, then, where no row of it
-    # is below threshold, the doubling rows past it, then the frequencies
-    # of the first refinement merged in.  A step is taken only where
-    # bandwidth() would take it (not past a first row below threshold, a
-    # fidelity that never drops below it, or a bracket at most _STOP
-    # wide), and only where its rows stay strictly increasing, as a
-    # table's must: they repeat where the floats are coarser than the
-    # octave below the first doubling candidate, near the smallest
-    # subnormals, or than the stencil, past about 4e9.
-    below = fidelity < threshold
-    if not below.any():
-        doubled, fidelity = _doubling(closed, grid, fidelity, threshold)
-        if not (doubled[1:] > doubled[:-1]).all():
-            return grid
-        grid, below = doubled, fidelity < threshold
-    c = int(np.argmax(below))  # 0 if no row is below
-    if c == 0 or not grid[c] - grid[c - 1] > _STOP:
-        return grid
-    om, fs, k = _window(grid, fidelity, c)
-    points = _refinement_points(om.tolist(), fs.tolist(), k, threshold)
-    if not (points[1:] > points[:-1]).all():
-        return grid
-    return np.concatenate((grid[:c], points, grid[c:]))
+    # and closed its evaluator (see _sweep): the rows it brackets on (see
+    # _bracketed), then, where that bracket is wider than _STOP, the
+    # frequencies of the first refinement merged in.  Rows added to grid
+    # stand only where they stay strictly increasing, as a table's must:
+    # they repeat where the floats are coarser than the octave below the
+    # first doubling candidate, near the smallest subnormals, or than the
+    # stencil, past about 4e9; the plan is then grid itself.
+    om, fs, c = _bracketed(grid, fidelity, threshold, closed)
+    if 0 < c < len(om) and om[c] - om[c - 1] > _STOP:
+        near, near_fs, k = _window(om, fs, c)
+        points = _refinement_points(near.tolist(), near_fs.tolist(), k, threshold)
+        om = np.concatenate((om[:c], points, om[c:]))
+    return om if om is grid or (om[1:] > om[:-1]).all() else grid
 
 
 # The frequency past which bandwidth() stops doubling, and above which every
@@ -658,8 +655,13 @@ def _check_omega(omega: float | Sequence[float] | np.ndarray) -> None:
     # The one rule for the frequencies asked of a sweep or a report, the
     # command line's: finite, and of magnitude at most OMEGA_LIMIT, checked
     # before any source is evaluated.  A plain number is tested in Python,
-    # at no measurable cost; a nan fails either test.
-    largest = abs(omega) if type(omega) is float else np.max(np.abs(omega), initial=0.0)
+    # at no measurable cost; a nan fails either test.  Anything else is
+    # reduced in float64: a narrower float would cast OMEGA_LIMIT past its
+    # own range.
+    if type(omega) is float:
+        largest = abs(omega)
+    else:
+        largest = np.maximum.reduce(np.abs(omega), axis=None, initial=0.0, dtype=float)
     if not largest <= OMEGA_LIMIT:
         bad = next(w for w in np.ravel(omega).tolist() if not abs(w) <= OMEGA_LIMIT)
         raise ValueError(
@@ -914,11 +916,14 @@ def evaluate_criteria(
     kernel gives one column for both axes and the input is symmetric
     (v_x == v_p), the report's v_p, v_out_p, v_c_p and t_p are the X-axis
     float objects themselves, the bits _conditional would give P, so
-    to_json formats each once.  An omega that is not finite, or of
-    magnitude past OMEGA_LIMIT, or an alpha that is not finite raises
-    ValueError before any source is evaluated.
+    to_json formats each once.  omega is one frequency: the report keeps
+    a Python int or float as given and holds a numpy scalar or 0-d array
+    as its float64 value.  An omega that is an array of another shape, or
+    not finite, or of magnitude past OMEGA_LIMIT, or an alpha that is not
+    finite raises ValueError before any source is evaluated.
     """
     _check_omega(omega)
+    omega = _one_frequency(omega)
     # An infinite amplitude makes the amplitude error 0*inf or inf/inf, a
     # nan fidelity; the default 0 costs one comparison.
     if alpha != 0 and not cmath.isfinite(alpha):

@@ -30,7 +30,7 @@ from .epr import PortPowers, SqueezerSpectrum, _number, make_epr_pair
 from .linmode import QuadExpansion
 from .teleport import (
     _COHERENT, _IDEAL_DETECTOR, _UNIT_GAIN, GainSchedule, TeleportOutcome, _check_frequency,
-    as_gain, teleport,
+    _one_frequency, as_gain, teleport,
 )
 
 __all__ = [
@@ -176,9 +176,10 @@ def swap_once(cfg: SwapConfig, omega: float) -> SwapOutcome:
 
     Mode 4' contains the teleported mode 2 outright, so its raw variance
     diverges at the squeezing threshold; only the EPR combinations
-    X_1 - X_4' and P_1 + P_4' stay finite there.  Any finite omega is
-    taken; one that is not finite raises ValueError before any source is
-    evaluated.
+    X_1 - X_4' and P_1 + P_4' stay finite there.  Any one finite omega
+    is taken: a number, a numpy scalar or a 0-d array.  One that is not
+    finite, or an array of another shape (one row included), raises
+    ValueError before any source is evaluated.
     """
     _check_frequency(omega)
     pair = _SwappedPair(cfg, omega)
@@ -190,9 +191,8 @@ def verification_teleport(cfg: SwapConfig, omega: float) -> TeleportOutcome:
     """Teleport a fresh input over the swapped pair (1, 4') at unit gain.
 
     The output is input plus the swapped-pair EPR noise:
-    x_tel = x_in + (X_4' - X_1), p_tel = p_in + (P_4' + P_1).  Any finite
-    omega is taken; one that is not finite raises ValueError before any
-    source is evaluated.
+    x_tel = x_in + (X_4' - X_1), p_tel = p_in + (P_4' + P_1).  Any one
+    finite omega is taken, as by swap_once.
     """
     _check_frequency(omega)
     return teleport(_SwappedPair(cfg, omega), _UNIT_GAIN, _IDEAL_DETECTOR, omega)
@@ -205,10 +205,12 @@ def swap_fidelity(cfg: SwapConfig, omega: float) -> float:
     V-_eff = (|gs-1|^2 A + |gs+1|^2 B)/4 over the summed spectra
     A = V+_1 + V+_2 and B = V-_1 + V-_2, at any gain, threshold included;
     like every teleport row it is cross-checked against the generic
-    Q-function fidelity to 1e-12.  The one-row swap_spectrum at omega:
-    an omega that is not finite, or of magnitude past OMEGA_LIMIT,
-    raises ValueError before any source is evaluated.
+    Q-function fidelity to 1e-12.  The one-row swap_spectrum at omega,
+    one frequency (a number, a numpy scalar or a 0-d array): an array of
+    another shape, or an omega that is not finite or of magnitude past
+    OMEGA_LIMIT, raises ValueError before any source is evaluated.
     """
+    _one_frequency(omega)
     return float(_swept(cfg, omega).fidelity[0])
 
 

@@ -160,8 +160,9 @@ def teleport(
     The EPR noise enters through the source's port decomposition; each port
     contributes (second - gain*first) on X and (second + gain*first) on P,
     with exact-zero weights suppressing the (possibly infinite) amplitude.
-    Any finite omega is taken; one that is not finite raises ValueError
-    before any source is evaluated.
+    Any one finite omega is taken: a number, a numpy scalar or a 0-d
+    array.  One that is not finite, or an array of another shape (one row
+    included), raises ValueError before any source is evaluated.
     """
     _check_frequency(omega)
     g = as_gain(gain).at(omega)
@@ -184,11 +185,24 @@ def teleport(
 
 def _check_frequency(omega: float) -> None:
     # The rule of every single-frequency pipeline (teleport, and a swap's
-    # outcomes): a nan or infinite omega would fill the outcome with nan
-    # coefficients.  Sweeps and reports also bound it (see
-    # criteria._check_omega).
+    # outcomes): one frequency (see _one_frequency), and finite, since a nan
+    # or infinite omega would fill the outcome with nan coefficients.
+    # Sweeps and reports also bound it (see criteria._check_omega).
+    _one_frequency(omega)
     if not math.isfinite(omega):
         raise ValueError(f"omega: {omega} is not a finite frequency")
+
+
+def _one_frequency(omega: float) -> float:
+    # omega as one number, before any source is evaluated: a Python int or
+    # float as given, at no measurable cost, and a numpy scalar or 0-d array
+    # as its float64 value; any other shape, a grid of one row included,
+    # raises ValueError.
+    if type(omega) is float or type(omega) is int:
+        return omega
+    if np.ndim(omega) != 0:
+        raise ValueError(f"omega: expected one frequency, got shape {np.shape(omega)}")
+    return float(omega)
 
 
 def spectral_variance_tel_in(

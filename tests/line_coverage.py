@@ -70,7 +70,8 @@ def _tracer(executed: set):
     return traced
 
 
-def _trace(executed: set) -> None:
+def trace(executed: set) -> None:
+    """Record in executed each (file, line) that a frame of the package runs, from here on."""
     tracer = _tracer(executed)
     threading.settrace(tracer)
     sys.settrace(tracer)
@@ -98,7 +99,7 @@ def trace_child(records: str) -> None:
         pathlib.Path(records, f"{os.getpid()}.lines").write_text(rows, encoding="utf-8")
 
     atexit.register(write)
-    _trace(executed)
+    trace(executed)
 
 
 def main(argv: list[str]) -> int:
@@ -113,7 +114,7 @@ def main(argv: list[str]) -> int:
         (site / "sitecustomize.py").write_text(code, encoding="utf-8")
         inherited = os.environ.get("PYTHONPATH")
         os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(site), inherited]))
-        _trace(executed)
+        trace(executed)
         try:
             status = pytest.main(argv)
         finally:
@@ -127,6 +128,12 @@ def main(argv: list[str]) -> int:
             for row in record.read_text(encoding="utf-8").splitlines():
                 name, line = row.rsplit("\t", 1)
                 executed.add((name, int(line)))
+    missed = report(executed)
+    return 1 if missed or status else 0
+
+
+def report(executed: set) -> int:
+    """Print each statement of the package not in executed, and their count; return the count."""
     missed = 0
     for path in sorted(PACKAGE.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
@@ -137,7 +144,7 @@ def main(argv: list[str]) -> int:
                 missed += 1
                 print(f"{path.relative_to(ROOT).as_posix()}:{first}: {lines[first - 1].strip()}")
     print(f"{missed} unexecuted statements")
-    return 1 if missed or status else 0
+    return missed
 
 
 if __name__ == "__main__":

@@ -56,14 +56,16 @@ def _seeds(spec: str) -> tuple[str, range]:
     return workload, range(int(first), int(last or first) + 1)
 
 
-def _ops(specs: list[str], workdir: str):
+def generate_ops(specs: list[str], workdir: str):
+    """The ops of each workload:seeds spec, in order, writing their files under workdir."""
     for spec in specs:
         workload, seeds = _seeds(spec)
         for seed in seeds:
             yield from workloads.generate(workload, seed, workdir)
 
 
-def _op_parts(cli, op: workloads.Op) -> list[str]:
+def run_op(cli, op: workloads.Op) -> list[str]:
+    """Run op through cli.run in process; its outputs, as _digest reads them."""
     # The exit code, stdout, stderr, the warnings raised and the --output
     # file's bytes (as latin-1 text, which maps each byte to one character).
     out, err = io.StringIO(), io.StringIO()
@@ -109,7 +111,7 @@ def _run(src: str, ops: list, count: bool = False) -> tuple[list[list[str]], lis
     outputs, counts = [], []
     for op in ops:
         calls[:] = 0, 0
-        outputs.append(_op_parts(cli, op))
+        outputs.append(run_op(cli, op))
         counts.append(list(calls))
     return outputs, counts
 
@@ -170,13 +172,13 @@ def main(argv: list[str]) -> int:
         return 1
     if argv[0] == "--parts":  # the child: one checkout's outputs and calls as JSON
         src, workdir, *specs = argv[1:]
-        json.dump(_run(src, list(_ops(specs, workdir)), count=True), sys.stdout)
+        json.dump(_run(src, list(generate_ops(specs, workdir)), count=True), sys.stdout)
         return 0
     other = None
     if argv[0] == "--against":
         other, argv = os.path.abspath(argv[1]), argv[2:]
     with tempfile.TemporaryDirectory(prefix="cvteleport-digest-") as workdir:
-        ops = list(_ops(argv, workdir))
+        ops = list(generate_ops(argv, workdir))
         theirs = None
         if other is not None:
             child = [sys.executable, os.path.abspath(__file__), "--parts"]

@@ -389,6 +389,15 @@ def test_bandwidth_prints_the_width_of_the_plain_grid(flags):
         # A bracket from 0 to 1e10: the stencil's floats coincide, so the
         # grid stands alone and each refinement is a call of its own.
         (("--epsilon", "0.6", "--omega-step", "1e10", "--omega-stop", "1e10"), [2] + [128] * 7),
+        # A grid past the crossing: the grid, the row at 0 and the first
+        # refinement of [0, 100] in one call, then the refinements left; or
+        # the grid and the row at 0 alone, where F(0) is below threshold.
+        (("--epsilon", "0.6", "--omega-start", "100", "--omega-stop", "101"), [140, 128, 128]),
+        (
+            ("--epsilon", "0.6", "--omega-start", "100", "--omega-stop", "101", "--pipeline", "swap"),
+            [140, 128, 128],
+        ),
+        (("--epsilon", "0.6", "--omega-start", "100", "--omega-stop", "101", "--threshold", "0.99"), [12]),
     ],
 )
 def test_bandwidth_kernel_calls(monkeypatch, capsys, args, calls):
@@ -1030,6 +1039,21 @@ STDOUT_SHA256 = [
         "6df8a3fda4b9fd0612ab4adef79d7134518bdec5e9531b3601b37b35f916fdd5",
         ("swap-spectrum", "--epsilon", "1", "--omega-stop", "20", "--format", "json"),
         id="swap-threshold-json-201-rows",
+    ),
+    # A squeezed input at unit gain: v_p is v_x bit for bit, and the
+    # kernel gives it as v_x itself.
+    pytest.param(
+        "b3221b42e9e4e28bb12020af493b9eb0ff9ce98f1df5745f76a4a809fa73ca2c",
+        ("spectrum", "--epsilon", "0.5", "--input", "squeezed:2", "--omega-stop", "20", "--omega-step", "0.01"),
+        id="spectrum-squeezed-unit-gain-2001-rows",
+    ),
+    pytest.param(
+        "3e9222284e1f40e044cb24ff07d26771f3d6c67cecbbabfb39b55e5852ee608c",
+        (
+            "spectrum", "--epsilon", "0.5", "--input", "squeezed:2", "--omega-stop", "20",
+            "--omega-step", "0.01", "--format", "json",
+        ),
+        id="spectrum-squeezed-unit-gain-json-2001-rows",
     ),
 ]
 

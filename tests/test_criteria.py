@@ -578,15 +578,16 @@ def _squeezed_fixed_gain(grid):
 
 
 def test_large_tables_write_the_reference_bytes():
-    # A symmetric source's v_p matches v_x bit for bit and is written from
-    # v_x's text, a swap table's included (each EPR pair adds its X and P
-    # noise in mirrored order); a squeezed input's v_p is written apart.
+    # A symmetric source's v_p is v_x itself and is written from v_x's
+    # text, a swap table's included (each EPR pair adds its X and P noise
+    # in mirrored order); a squeezed input's v_p at gain 0.8 is written
+    # apart.
     teleport_table = fidelity_spectrum(Nopa(0.5), np.linspace(0.0, 20.0, 10_000))
     swap_table = swap_spectrum(SwapConfig(Nopa(0.6, 0.85)), np.linspace(0.0, 5.0, 1200))
     squeezed_table = _squeezed_fixed_gain(np.linspace(0.0, 20.0, 1200))
     for table in (teleport_table, swap_table):
-        assert table._written_columns()[2] is table.v_x
-    assert squeezed_table._written_columns()[2] is squeezed_table.v_p
+        assert table.v_p is table.v_x
+    assert squeezed_table.v_p is not squeezed_table.v_x
     for table in (teleport_table, swap_table, squeezed_table):
         assert table.to_csv() == _reference_csv(table)
         assert table.to_json() == _reference_json(table)
@@ -596,8 +597,8 @@ def test_large_tables_write_the_reference_bytes():
         swap_table = swap_spectrum(SwapConfig(Nopa(0.6, 0.85)), np.linspace(0.0, 5.0, rows))
         squeezed_table = _squeezed_fixed_gain(np.linspace(0.0, 20.0, rows))
         for table in (teleport_table, swap_table):
-            assert table._written_columns()[2] is table.v_x
-        assert squeezed_table._written_columns()[2] is squeezed_table.v_p
+            assert table.v_p is table.v_x
+        assert squeezed_table.v_p is not squeezed_table.v_x
         for table in (teleport_table, swap_table, squeezed_table):
             assert table.to_csv() == _reference_csv(table)
             assert table.to_json() == _reference_json(table)
@@ -669,7 +670,7 @@ def test_writers_cross_blocks_of_different_widths_as_the_reference():
     last_zero = int(np.flatnonzero(v_x == 0.0)[-1])
     for v_p_is in ("v_x", "a zero flipped"):
         table = _near_v_x_table(plain, v_x, fidelity, v_p_is, last_zero, -0.0)
-        distinct = len({id(c) for c in table._written_columns()})
+        distinct = len({id(c) for c in (table.omega, table.v_x, table.v_p, table.fidelity)})
         assert distinct == (3 if v_p_is == "v_x" else 4)
         assert len(table) * distinct > 2 * _text._BLOCK_VALUES
         assert table.to_csv() == _reference_csv(table)
@@ -689,7 +690,7 @@ def test_writers_cross_block_seams_as_the_reference():
             table = _near_v_x_table(omega, np.resize(EDGES, rows), omega / 40.0, "a nan", 3, 0.0)
             if distinct == 1:
                 table.v_x = table.v_p = table.fidelity = table.omega
-            assert len({id(c) for c in table._written_columns()}) == distinct
+            assert len({id(c) for c in (table.omega, table.v_x, table.v_p, table.fidelity)}) == distinct
             assert table.to_csv() == _reference_csv(table)
             assert table.to_json() == _reference_json(table)
 
@@ -722,7 +723,6 @@ def test_v_p_given_as_v_x_stays_one_array(monkeypatch):
     kernel = fidelity_spectrum(Nopa(0.5), omega)
     for table in (given, kernel):
         assert table.v_p is table.v_x and not table.v_x.flags.writeable
-        assert table._written_columns()[2] is table.v_x
         assert _formatted_values(table, monkeypatch) == (3 * rows, 3 * rows)
     assert given.v_x is not v  # a copy, which writing v leaves be
     v[0] = -1.0
@@ -732,15 +732,26 @@ def test_v_p_given_as_v_x_stays_one_array(monkeypatch):
         assert table.to_json() == _reference_json(table)
 
 
-def test_v_p_matching_v_x_bit_for_bit_is_formatted_once(monkeypatch):
-    # A table read from CSV has v_p apart from v_x; where the two match bit
-    # for bit, v_x's text is still written under both names.
+def test_a_unit_gain_kernel_table_gives_v_p_as_v_x_on_a_squeezed_input():
+    # One gain of 1 leaves no input term on either axis, so the kernel
+    # gives v_p as v_x itself on an input with v_x != v_p too, at a scalar
+    # frequency as on a grid; the bits are those of its own v_p sum.
+    squeezed, grid = InputModel.squeezed(2.0), np.linspace(0.0, 20.0, 201)
+    table = fidelity_spectrum(Nopa(0.5, 0.9), grid, in_model=squeezed)
+    assert table.v_p is table.v_x
+    noise = criteria_module._teleport_columns(Nopa(0.5, 0.9), grid, 1.0, BellDetector(1.0), squeezed).noise
+    assert _bits(table.v_x) == _bits(0.0 * squeezed.v_p + noise)
+    point = criteria_module._teleport_columns(Nopa(0.5), 1.0, 1.0, BellDetector(1.0), squeezed)
+    assert point.v_p is point.v_x
+
+
+def test_v_p_matching_v_x_bit_for_bit_is_formatted_once():
+    # The kernel's v_p is v_x itself, formatted once.  A table read from
+    # CSV has v_p apart from v_x, formatted apart, and writes the same bytes.
     rows = _text._VECTOR_ROWS + 7
     kernel = fidelity_spectrum(Nopa(0.5), np.linspace(0.0, 20.0, rows))
     loaded = SpectrumTable.from_csv(kernel.to_csv())
-    assert loaded.v_p is not loaded.v_x
-    assert loaded._written_columns()[2] is loaded.v_x
-    assert _formatted_values(loaded, monkeypatch) == (3 * rows, 3 * rows)
+    assert kernel.v_p is kernel.v_x and loaded.v_p is not loaded.v_x
     assert loaded.to_csv() == kernel.to_csv() == _reference_csv(loaded)
     assert loaded.to_json() == kernel.to_json() == _reference_json(loaded)
 
@@ -1310,20 +1321,18 @@ def _kernel_rows(monkeypatch):
     return rows
 
 
-def test_a_unit_schedule_on_every_row_plans_the_sweep(monkeypatch):
-    # The closed form is the fidelity wherever the gain is 1 on a coherent
-    # input at alpha = 0, so a per-frequency schedule that is 1 on every row
-    # plans as unit gain does: the grid and the first refinement come from
-    # one kernel call, and bandwidth() reads from that table, with no call
-    # more, the width it reads from the plain grid's.
+def test_a_unit_schedule_on_every_row_is_not_planned(monkeypatch):
+    # Only one gain for every row is planned: a per-frequency schedule,
+    # even one that is 1 on every row, takes the plain grid, and bandwidth()
+    # refines it with one call more, to the same width bit for bit.
     src, grid, detector = Nopa(0.6, 0.9), 0.1 * np.arange(51), BellDetector(0.95)
     unit = GainSchedule.per_frequency(lambda w: 1.0)
     want = bandwidth(fidelity_spectrum(src, grid, unit, detector), 0.6)
     rows = _kernel_rows(monkeypatch)
     table = criteria_module._sweep(lambda w: src, grid, unit, detector, COHERENT, 0.6)
-    assert rows == [179]
+    assert rows == [51]
     assert _bits([bandwidth(table, 0.6)]) == _bits([want])
-    assert rows == [179]
+    assert rows == [51, 128]
 
 
 @pytest.mark.filterwarnings("ignore::cvteleport.teleport.NonUnitGainWarning")
@@ -1368,7 +1377,7 @@ def _plan_source(kind, eps, beta, eta, swap_gain):
 
 
 @pytest.mark.parametrize("kind", ["lossless", "lossy", "lossy-detector", "swap"])
-@pytest.mark.parametrize("place", ["on-grid", "first-octave", "further", "never"])
+@pytest.mark.parametrize("place", ["on-grid", "first-octave", "further", "never", "past", "past-zero"])
 @settings(deadline=None, max_examples=12, derandomize=True)
 @given(
     eps=st.floats(0.1, 0.95),
@@ -1383,11 +1392,13 @@ def test_the_plan_is_the_unplanned_search_bit_for_bit(
     kind, place, eps, beta, eta, swap_gain, depth, rows, reach
 ):
     # The planned table is, row for row and bit for bit, the table of the
-    # grid merged with the rows of bandwidth()'s doubling calls and of its
-    # first refinement call on the plain table; bandwidth() then makes
-    # exactly the calls left, and reads the same width.  The grid ends
-    # past the crossing, within the octave below it, further below, or
-    # the fidelity never drops below the threshold (inf).
+    # grid merged with the rows of bandwidth()'s bracketing calls (the row
+    # at 0, or the doubling) and of its first refinement call on the plain
+    # table; bandwidth() then makes exactly the calls left, and reads the
+    # same width.  The grid ends past the crossing, within the octave below
+    # it, further below, or the fidelity never drops below the threshold
+    # (inf); or the grid starts past the crossing, with F(0) above the
+    # threshold or below it (a width of 0).
     beta, eta = (1.0 if kind == "lossless" else beta), (eta if kind == "lossy-detector" else 1.0)
     resource, detector = _plan_source(kind, eps, beta, eta, swap_gain)
 
@@ -1396,17 +1407,25 @@ def test_the_plan_is_the_unplanned_search_bit_for_bit(
 
     f0 = float(sweep(0.0).fidelity[0])
     assume(f0 > 0.5)
+    start = 0.0
     if place == "never":
         # The fidelity tends from above to 1/2, 1/(2 + tau^2) > 0.44 with a
         # lossy detector, or 1/(2 + 0.8^2) > 0.37 on the fixed-gain swap.
         threshold, stop = 0.3, 0.01 + 10.0 * reach
+    elif place == "past-zero":
+        threshold, start = f0 + (1.0 - f0) * depth, 0.01 + 10.0 * reach
+        stop = 2.0 * start
     else:
         threshold = 0.5 + (f0 - 0.5) * depth
         crossing = bandwidth(sweep(0.1 * np.arange(51)), threshold) / 2
         assume(0 < crossing < math.inf)
-        low, high = {"on-grid": (1.05, 4.0), "first-octave": (0.51, 0.99), "further": (1e-3, 0.49)}[place]
+        low, high = {
+            "on-grid": (1.05, 4.0), "first-octave": (0.51, 0.99), "further": (1e-3, 0.49), "past": (1.05, 4.0)
+        }[place]
         stop = crossing * (low + (high - low) * reach)
-    grid = np.linspace(0.0, stop, rows) if rows > 1 else np.zeros(1)
+        if place == "past":
+            start, stop = stop, 2.0 * stop
+    grid = np.linspace(start, stop, rows) if rows > 1 else np.array([start])
 
     def recorded(table, calls):
         evaluator = table.evaluator
@@ -1424,8 +1443,13 @@ def test_the_plan_is_the_unplanned_search_bit_for_bit(
 
     plain, calls = sweep(grid), []
     want = recorded(plain, calls)
-    doubling = 0 if (plain.fidelity < threshold).any() else 1 + (calls[0][1][0] >= threshold)
-    planned_calls = min(len(calls), doubling + 1)
+    if plain.fidelity[0] < threshold:
+        bracketing = 1  # the row at 0
+    elif (plain.fidelity < threshold).any():
+        bracketing = 0
+    else:
+        bracketing = 1 + (calls[0][1][0] >= threshold)
+    planned_calls = min(len(calls), bracketing + 1)
     rows = dict(zip(plain.omega.tolist(), plain.fidelity.tolist()))
     for omegas, values in calls[:planned_calls]:
         rows.update(zip(omegas.tolist(), values.tolist()))
@@ -2269,6 +2293,28 @@ def test_library_takes_frequencies_up_to_the_limit():
         assert swap_fidelity(SwapConfig(Nopa(0.5)), OMEGA_LIMIT) == 0.5
 
 
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.longdouble])
+def test_frequencies_of_any_float_dtype_are_their_float64_values(dtype):
+    # A grid, a numpy scalar or a 0-d array of any float dtype gives, with
+    # no warning, what its float64 values give; the report holds the
+    # frequency as a Python float, and a Python int as given.
+    cfg, grid = SwapConfig(Nopa(0.6, 0.9)), np.array([0.0, 0.3, 1.7, 5.0], dtype)
+    want = grid.astype(float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for got, plain in [
+            (fidelity_spectrum(Nopa(0.5), grid), fidelity_spectrum(Nopa(0.5), want)),
+            (swap_spectrum(cfg, grid), swap_spectrum(cfg, want)),
+        ]:
+            assert _bits(got.omega) == _bits(want) and got.to_csv() == plain.to_csv()
+        for w, w64 in zip([*grid, *(np.array(w) for w in grid)], 2 * want.tolist()):
+            assert _bits([swap_fidelity(cfg, w)]) == _bits([swap_fidelity(cfg, w64)])
+            report = evaluate_criteria(Nopa(0.5), w)
+            assert type(report.omega) is float
+            assert report.to_json() == evaluate_criteria(Nopa(0.5), w64).to_json()
+    assert type(evaluate_criteria(Nopa(0.5), 3).omega) is int
+
+
 class _Counted(SqueezerSpectrum):
     # Nopa(0.5)'s amplitudes, counting every evaluation of them.
     def __init__(self):
@@ -2280,7 +2326,9 @@ class _Counted(SqueezerSpectrum):
 
 
 _ONE_D = "omega: expected one frequency or a one-dimensional grid, got shape "
+_ONE = "omega: expected one frequency, got shape "
 _ALPHA = "alpha: expected a finite amplitude, got "
+_FINITE = "omega: %s is not a finite frequency of magnitude at most 1e+154"
 
 
 # Grids of more than one dimension, amplitudes and teleport frequencies
@@ -2303,10 +2351,19 @@ _ALPHA = "alpha: expected a finite amplitude, got "
         (lambda src: teleport(src, omega=math.inf), "omega: inf is not a finite frequency"),
         (lambda src: verification_teleport(SwapConfig(src), math.nan), "omega: nan is not a finite frequency"),
         (lambda src: swap_once(SwapConfig(src), -math.inf), "omega: -inf is not a finite frequency"),
+        (lambda src: swap_fidelity(SwapConfig(src), [1.0, 2.0]), _ONE + "(2,)"),
+        (lambda src: swap_fidelity(SwapConfig(src), np.array([1.0])), _ONE + "(1,)"),
+        (lambda src: evaluate_criteria(src, [1.0]), _ONE + "(1,)"),
+        (lambda src: teleport(src, omega=np.array([1.0])), _ONE + "(1,)"),
+        (lambda src: verification_teleport(SwapConfig(src), np.array([1.0, 2.0])), _ONE + "(2,)"),
+        (lambda src: swap_once(SwapConfig(src), [1.0, 2.0]), _ONE + "(2,)"),
+        (lambda src: fidelity_spectrum(src, np.array([1.0, np.inf], np.float32)), _FINITE % "inf"),
     ],
     ids=[
         "row-grid", "column-grid", "swap-grid", "table", "criteria-alpha-nan", "criteria-alpha-inf",
         "teleport-fidelity-alpha", "teleport-nan", "teleport-inf", "verification-teleport", "swap-once",
+        "swap-fidelity-grid", "swap-fidelity-one-row", "criteria-one-row", "teleport-one-row",
+        "verification-teleport-grid", "swap-once-grid", "float32-inf",
     ],
 )
 def test_library_refuses_before_evaluating_the_source(call, message):
