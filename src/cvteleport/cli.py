@@ -24,7 +24,8 @@ import numpy as np
 
 from ._text import format_number, write_json
 from .criteria import (
-    OMEGA_LIMIT, SpectrumTable, _sweep, bandwidth, evaluate_criteria, teleport_fidelity
+    _STOP, OMEGA_LIMIT, SpectrumTable, _closed_rows, _closed_width, _sweep, bandwidth,
+    evaluate_criteria, teleport_fidelity,
 )
 from .epr import Nopa, NopaParams, SqueezerSpectrum, ZeroBandwidth
 from .linmode import Axis, InputModel, combine, normalized_variance, unit_input
@@ -369,21 +370,28 @@ def _point(v: dict) -> tuple[SqueezerSpectrum, float, float, tuple]:
     return src, scale, omega, _setting(v)
 
 
-def _table(
-    v: dict, pipeline: str, threshold: float | None = None
-) -> tuple[SpectrumTable, np.ndarray, float]:
-    """(table, user-unit frequencies, scale) on the sweep grid.
+def _pipeline(v: dict, pipeline: str) -> tuple[Callable, np.ndarray, float, Callable | None]:
+    """(sweep, user-unit grid, scale, closed) of a table command.
 
-    The table has dimensionless frequencies and keeps its evaluator; a
-    threshold goes to the sweep, for a bandwidth() on the table.
+    sweep(grid, threshold=None) is the pipeline's kernel table on
+    dimensionless frequencies, with its evaluator (see criteria._sweep);
+    closed(threshold) is its crossing in closed form (see
+    criteria._closed_width), or closed is None where the setting has none.
     """
     src, scale = _resolve_source(v)
     user = _resolve_grid(v)
     _check_frequency("--omega-start", user[0] * scale, scale)
     _check_frequency("--omega-stop", user[-1] * scale, scale)
-    grid = user * scale
     if pipeline == "teleport":
-        table = _sweep(lambda w: src, grid, *_setting(v), threshold)
+        gain, detector, model = _setting(v)
+
+        def sweep(grid: np.ndarray, threshold: float | None = None) -> SpectrumTable:
+            return _sweep(lambda w: src, grid, gain, detector, model, threshold)
+
+        # At one unit gain on a coherent input, where the closed form is the fidelity.
+        closed = None
+        if gain.fn is None and _closed_rows(gain.value, model, 0j):
+            closed = functools.partial(_closed_width, src, detector=detector)
     elif pipeline == "swap":
         # Swapping verifies with a coherent input on ideal detectors, at
         # unit gain over the swapped pair whatever the swap gain.
@@ -391,15 +399,40 @@ def _table(
             raise _ConfigError("--eta2 does not apply to the swap pipeline")
         if v["input"] != "coherent":
             raise _ConfigError("--input does not apply to the swap pipeline")
-        table = _swept(SwapConfig(src, gain=_resolve_gain(v, for_swap=True)), grid, threshold)
+        cfg = SwapConfig(src, gain=_resolve_gain(v, for_swap=True))
+        sweep = functools.partial(_swept, cfg)
+        closed = None if cfg.gain is not None else functools.partial(_closed_width, src, swap=True)
     else:
         raise _ConfigError(f"--pipeline: expected teleport or swap, got {pipeline!r}")
-    return table, user, scale
+    return sweep, user, scale, closed
+
+
+def _confirmed(sweep: Callable, crossing: float | None, threshold: float) -> float | None:
+    """The width 2*crossing where one kernel call confirms it, else None.
+
+    The rows read are the two that straddle the crossing, _STOP apart (or
+    neighbouring floats around it, where they are coarser): they must read
+    F >= threshold, then F < threshold.  A width of 0 is read on the row
+    at 0, which must be below threshold, and an inf one on the row at
+    OMEGA_LIMIT, which must not.
+    """
+    if crossing is None:
+        return None
+    if crossing == 0.0:
+        rows, above = [0.0], [False]
+    elif crossing == math.inf:
+        rows, above = [OMEGA_LIMIT], [True]
+    else:
+        low = min(crossing - 0.5 * _STOP, math.nextafter(crossing, 0.0))
+        high = max(crossing + 0.5 * _STOP, math.nextafter(crossing, math.inf))
+        rows, above = [max(low, 0.0), high], [True, False]
+    fidelity = sweep(np.array(rows)).fidelity.tolist()
+    return 2.0 * crossing if [f >= threshold for f in fidelity] == above else None
 
 
 def _cmd_spectrum(v: dict, pipeline: str) -> int:
-    table, user, scale = _table(v, pipeline)
-    _emit_table(_reindex(table, user, scale), v)
+    sweep, user, scale, _ = _pipeline(v, pipeline)
+    _emit_table(_reindex(sweep(user * scale), user, scale), v)
     return 0
 
 
@@ -412,10 +445,15 @@ def _cmd_point(v: dict) -> int:
 
 
 def _cmd_bandwidth(v: dict) -> int:
+    # A width from the closed root where one exists and the kernel confirms
+    # it, else from the search on the table of the grid.
     threshold = _float("--threshold", v["threshold"])
-    table, _, scale = _table(v, v["pipeline"], threshold=threshold)
+    sweep, user, scale, closed = _pipeline(v, v["pipeline"])
+    width = None if closed is None else _confirmed(sweep, closed(threshold), threshold)
+    if width is None:
+        width = bandwidth(sweep(user * scale, threshold), threshold)
     # A fidelity that never drops below the threshold prints inf.
-    sys.stdout.write(format_number(bandwidth(table, threshold) / scale) + "\n")
+    sys.stdout.write(format_number(width / scale) + "\n")
     return 0
 
 

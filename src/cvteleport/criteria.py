@@ -43,7 +43,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from ._text import _json_value, read_csv, write_csv, write_json, write_json_columns
-from .epr import PortPowers, SqueezerSpectrum, _abs2
+from .epr import Nopa, PortPowers, SqueezerSpectrum, _abs2
 from .linmode import Axis, InputModel, normalized_variance
 from .teleport import (
     _COHERENT,
@@ -463,7 +463,10 @@ def _sweep(
     # The kernel works row by row and its fidelity on these rows is the
     # closed form bit for bit, so they are the rows those calls would
     # merge, and bandwidth() reads the same width from the table with those
-    # calls fewer.
+    # calls fewer.  The command line asks for this plan only where the
+    # width has no closed root (see _closed_width), or the kernel did not
+    # confirm it: a lossy swap's, at any swap gain, and a swap's at a fixed
+    # one.
     _check_omega(grid)
     schedule = as_gain(gain)
     grid = np.asarray(grid, dtype=float)
@@ -532,7 +535,11 @@ def bandwidth(spectrum: SpectrumTable, threshold: float = 0.51) -> float:
     refinement), one further out four; at one unit gain on a coherent
     input the command line plans the row at omega = 0 or the doubling, and
     the first refinement, into its table (see _sweep), so a width there
-    takes about one kernel call.  The width is twice the crossing
+    takes about one kernel call.  The command line searches only widths
+    with no closed root, lossy and fixed-gain swaps among them: a unit-gain
+    teleport of a coherent input over a Nopa and an optimal-gain swap of a
+    lossless one take the root in closed form, which one kernel call on
+    the two rows around it confirms.  The width is twice the crossing
     that the rows next to the final bracket predict, which is exact to a
     few ulps on a smooth source; it lies inside that bracket whatever the
     evaluator.  Tables without an evaluator fall back to linear
@@ -645,6 +652,82 @@ def _bandwidth_grid(
     return om if om is grid or (om[1:] > om[:-1]).all() else grid
 
 
+def _closed_width(
+    src: SqueezerSpectrum,
+    threshold: float,
+    detector: BellDetector = _IDEAL_DETECTOR,
+    swap: bool = False,
+) -> float | None:
+    # The crossing in closed form: the frequency omega >= 0 up to which
+    # F >= threshold, 0 where F(0) is below it, inf where F stays at or above
+    # it up to OMEGA_LIMIT; None where src has no closed root.  The caller
+    # answers for the setting, and the kernel for the value (the command
+    # line reads F on the rows around the crossing).  For a unit-gain
+    # teleport of a coherent input over a Nopa (e, b) on detector,
+    # F = 1/(1 + V- + tau^2) (see _closed_fidelity) with
+    # V- = 1 - 4eb/((1 + e)^2 + omega^2), so
+    #     omega^2 = 4eb/k - (1 + e)^2,  k = 2 + tau^2 - 1/threshold.
+    # With swap, for src swapped with itself at the optimal gain where src
+    # is lossless (b = 1): V+ V- = 1 makes V-_eff = 2/(V+ + V-), and
+    #     omega^2 = 2e(sqrt(1 + 4/k) - 1) - (1 - e)^2,
+    #     k = 2(2 threshold - 1)/(1 - threshold).
+    # Both are taken without cancellation in k: near threshold 1/2 the
+    # differences 2 threshold - 1 and 1 - threshold are exact, and so is
+    # 1 - eta in tau^2 = (1 - eta)(1 + eta)/eta^2.  omega^2 is taken in
+    # exact Fractions (some 25 us, against 1 us in floats) where k's terms
+    # have opposite signs (a teleport below threshold 1/2 on a lossy
+    # detector), or where the last subtraction would lose more than two
+    # bits: it cancels as F(0) nears the threshold.  Otherwise, the terms
+    # of omega^2 being within 8u of their values (u = 2^-53), omega^2 is
+    # within 48u and omega within 25u.
+    if type(src) is not Nopa or swap and src.beta != 1.0:
+        return None
+    e, b = src.epsilon, src.beta
+    if swap:
+        if not threshold < 1.0:
+            return 0.0  # F <= 1, and F = 1 only at omega = 0
+        if not threshold > 0.5:
+            return math.inf  # F > 1/2
+        u = 2.0 * (1.0 - threshold) / (2.0 * threshold - 1.0)  # 4/k
+        q = 2.0 * e * u / (math.sqrt(1.0 + u) + 1.0)
+        square = q - (1.0 - e) ** 2
+        exact = q > 4.0 * abs(square)
+    else:
+        if not threshold > 0.0:
+            return math.inf  # F > 0
+        eta = detector.eta
+        tau2 = (1.0 - eta) * (1.0 + eta) / (eta * eta)
+        k = (2.0 * threshold - 1.0) / threshold + tau2
+        exact = threshold < 0.5 and tau2 > 0.0  # k's terms of opposite signs
+        if not exact:
+            if not k > 0.0:
+                return math.inf  # F(inf) = 1/(2 + tau^2) is at or above threshold
+            q = 4.0 * e * b / k
+            square = q - (1.0 + e) ** 2
+            exact = q > 4.0 * abs(square)
+    if exact:
+        # Imported here: fractions, with the decimal module it loads, adds
+        # about 2 ms to the start of every command.
+        from fractions import Fraction
+
+        t, e = Fraction(threshold), Fraction(e)
+        if swap:
+            u = 2 * (1 - t) / (2 * t - 1)
+            n, d = (1 + u).as_integer_ratio()
+            root = Fraction(math.isqrt(n * d << 256), d << 128)  # to 2^-128 of itself
+            square = float(2 * e * u / (root + 1) - (1 - e) ** 2)
+        else:
+            eta2 = Fraction(detector.eta) ** 2
+            k = 2 + (1 - eta2) / eta2 - 1 / t
+            if not k > 0:
+                return math.inf
+            square = float(4 * e * Fraction(b) / k - (1 + e) ** 2)
+    if not square > 0.0:
+        return 0.0
+    crossing = math.sqrt(square)
+    return crossing if crossing < OMEGA_LIMIT else math.inf
+
+
 # The frequency past which bandwidth() stops doubling, and above which every
 # sweep, report and command rejects a frequency: the sources square it, and
 # from about 1.3e154 on the square passes the float range.
@@ -657,11 +740,14 @@ def _check_omega(omega: float | Sequence[float] | np.ndarray) -> None:
     # before any source is evaluated.  A plain number is tested in Python,
     # at no measurable cost; a nan fails either test.  Anything else is
     # reduced in float64: a narrower float would cast OMEGA_LIMIT past its
-    # own range.
+    # own range, and an int past the float range is out of range too.
     if type(omega) is float:
         largest = abs(omega)
     else:
-        largest = np.maximum.reduce(np.abs(omega), axis=None, initial=0.0, dtype=float)
+        try:
+            largest = np.maximum.reduce(np.abs(omega), axis=None, initial=0.0, dtype=float)
+        except OverflowError:
+            largest = math.inf
     if not largest <= OMEGA_LIMIT:
         bad = next(w for w in np.ravel(omega).tolist() if not abs(w) <= OMEGA_LIMIT)
         raise ValueError(

@@ -107,8 +107,8 @@ class InputModel:
     @classmethod
     def squeezed(cls, s_v: float) -> "InputModel":
         """Pure squeezed input: v_x = 1/s_v**2, v_p = s_v**2."""
-        if not s_v > 0:
-            raise ValueError("squeezing parameter s_v must be positive")
+        if not 0 < s_v < math.inf:
+            raise ValueError(f"squeezing parameter s_v must be finite and positive, got {s_v}")
         try:
             return cls(s_v ** -2, s_v ** 2)
         except OverflowError:

@@ -186,10 +186,15 @@ def teleport(
 def _check_frequency(omega: float) -> None:
     # The rule of every single-frequency pipeline (teleport, and a swap's
     # outcomes): one frequency (see _one_frequency), and finite, since a nan
-    # or infinite omega would fill the outcome with nan coefficients.
-    # Sweeps and reports also bound it (see criteria._check_omega).
+    # or infinite omega would fill the outcome with nan coefficients, as an
+    # int past the float range would.  Sweeps and reports also bound it (see
+    # criteria._check_omega).
     _one_frequency(omega)
-    if not math.isfinite(omega):
+    try:
+        finite = math.isfinite(omega)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ValueError(f"omega: {omega} is not a finite frequency")
 
 

@@ -157,10 +157,19 @@ def teleport_fidelity(quiet: Fraction, eta: float) -> Fraction:
     return 1 / (1 + quiet + tau2(eta))
 
 
-def swap_fidelity(noisy: Fraction, quiet: Fraction, gain: complex | Fraction) -> Fraction:
-    """Verification fidelity 1/(1 + |g-1|^2 A/4 + |g+1|^2 B/4) for summed spectra A, B."""
+def swap_fidelity(noisy: Fraction | None, quiet: Fraction, gain: complex | Fraction) -> Fraction:
+    """Verification fidelity 1/(1 + |g-1|^2 A/4 + |g+1|^2 B/4) for summed spectra A, B.
+
+    A None is an infinite A (a source at threshold): its term is 0 at
+    gain 1, and F is 0 at any other gain.
+    """
     g, one = Cx(gain) if isinstance(gain, Fraction) else Cx.of(gain), Cx(Fraction(1))
-    return 1 / (1 + (g - one).abs2() * noisy / 4 + (g + one).abs2() * quiet / 4)
+    weight = (g - one).abs2()
+    if noisy is None:
+        if weight:
+            return Fraction(0)
+        noisy = Fraction(0)
+    return 1 / (1 + weight * noisy / 4 + (g + one).abs2() * quiet / 4)
 
 
 def teleport_width(epsilon: float, beta: float, eta: float, threshold: float) -> tuple[Fraction, Fraction]:
@@ -202,7 +211,7 @@ def swap_width(
     def above(omega: Fraction) -> bool:
         noisy, quiet = nopa_spectra(epsilon, beta, omega)
         g = optimal_gain(epsilon, beta, omega) if gain is None else gain
-        return swap_fidelity(2 * noisy, 2 * quiet, g) >= t
+        return swap_fidelity(None if noisy is None else 2 * noisy, 2 * quiet, g) >= t
 
     lo, hi = Fraction(0), Fraction(1)
     if not above(lo):

@@ -12,6 +12,8 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,11 +24,13 @@ import cvteleport
 from cvteleport import cli, criteria, swap
 from cvteleport._text import format_number
 from cvteleport.cli import run
-from cvteleport.criteria import bandwidth, fidelity_spectrum
+from cvteleport.criteria import OMEGA_LIMIT, bandwidth, fidelity_spectrum
 from cvteleport.epr import Nopa, NopaParams
 from cvteleport.linmode import InputModel
 from cvteleport.swap import SwapConfig, swap_fidelity, swap_spectrum
 from cvteleport.teleport import BellDetector, GainSchedule, NonUnitGainWarning
+
+import exact
 
 HEADER = "omega,v_x,v_p,fidelity"
 
@@ -311,26 +315,31 @@ def _bandwidth_flags(draw):
     return flags
 
 
+def _source_of(flags):
+    # The source and the frequency scale the command line builds from flags.
+    if "--epsilon" in flags:
+        return Nopa(float(flags["--epsilon"]), float(flags.get("--beta", "1"))), 1.0
+    params = NopaParams(*(float(flags.get(k, "0")) for k in ("--kappa", "--gamma", "--rho")))
+    return Nopa.from_rates(params), 2.0 / (params.gamma + params.rho)
+
+
 def _plain_grid_output(flags):
     # What bandwidth must print for flags: the width that bandwidth() reads
     # from the library's table on the plain --omega-* grid, in user units,
     # or the error it raises.
-    if "--epsilon" in flags:
-        src, scale = Nopa(float(flags["--epsilon"]), float(flags.get("--beta", "1"))), 1.0
-    else:
-        params = NopaParams(*(float(flags[k]) for k in ("--kappa", "--gamma", "--rho")))
-        src, scale = Nopa.from_rates(params), 2.0 / (params.gamma + params.rho)
-    omega = cli._resolve_grid({k[2:].replace("-", "_"): v for k, v in flags.items()}) * scale
-    gain = flags["--gain"]
+    src, scale = _source_of(flags)
+    grid = {k: v for k, v in cli._DEFAULTS.items() if k.startswith("omega_")}
+    omega = cli._resolve_grid(grid | {k[2:].replace("-", "_"): v for k, v in flags.items()}) * scale
+    gain = flags.get("--gain", "unit")
     fixed = float(gain[len("fixed:"):]) if gain.startswith("fixed:") else None
     try:
-        if flags["--pipeline"] == "teleport":
+        if flags.get("--pipeline", "teleport") == "teleport":
             table = fidelity_spectrum(
                 src,
                 omega,
                 GainSchedule.unit() if fixed is None else GainSchedule.fixed(fixed),
-                BellDetector.from_efficiency(float(flags["--eta2"])),
-                InputModel.squeezed(float(flags["--input"][len("squeezed:"):])),
+                BellDetector.from_efficiency(float(flags.get("--eta2", "1"))),
+                InputModel.squeezed(float(flags.get("--input", "squeezed:1")[len("squeezed:"):])),
             )
         else:
             table = swap_spectrum(SwapConfig(src, gain=fixed), omega)
@@ -340,14 +349,130 @@ def _plain_grid_output(flags):
     return 0, format_number(width / scale) + "\n", ""
 
 
+# How far a closed-root width may lie from its exact bracket, in
+# exact.bracket_ulps units: criteria._closed_width takes the crossing
+# within 25u = 12.5 ULP of its exact value in floats (within 1 ULP where it
+# takes Fractions), and the command line's division by the physical-rate
+# scale adds half of one.
+CLOSED_WIDTH_ULPS = 13
+
+
+def _has_closed_root(flags):
+    # Whether the width flags ask for has a closed root: a unit-gain
+    # teleport of a coherent input, or an optimal-gain swap of a lossless
+    # source.
+    if flags.get("--pipeline", "teleport") == "teleport":
+        coherent = flags.get("--input", "coherent") in ("coherent", "squeezed:1")
+        return flags.get("--gain", "unit") == "unit" and coherent
+    return flags.get("--gain", "optimal-swap") == "optimal-swap" and _source_of(flags)[0].beta == 1.0
+
+
+def _exact_fidelity(flags, omega):
+    # The exact fidelity at the dimensionless frequency omega of flags with
+    # a closed root.
+    src, _ = _source_of(flags)
+    e, b = src.epsilon, src.beta
+    noisy, quiet = exact.nopa_spectra(e, b, omega)
+    if flags.get("--pipeline", "teleport") == "teleport":
+        eta = BellDetector.from_efficiency(float(flags.get("--eta2", "1"))).eta
+        return exact.teleport_fidelity(quiet, eta)
+    return exact.swap_fidelity(None if noisy is None else 2 * noisy, 2 * quiet, exact.optimal_gain(e, b, omega))
+
+
+def _exact_width(flags):
+    # The exact width of flags with a closed root, in user units: "0" where
+    # F(0) is below threshold, "inf" where F never drops below it, else
+    # tests/exact.py's bracket of Fractions around it.
+    src, scale = _source_of(flags)
+    e, b, threshold = src.epsilon, src.beta, float(flags["--threshold"])
+    if _exact_fidelity(flags, 0.0) < Fraction(threshold):
+        return "0"
+    if flags.get("--pipeline", "teleport") == "teleport":
+        eta = BellDetector.from_efficiency(float(flags.get("--eta2", "1"))).eta
+        if not 2 + exact.tau2(eta) - 1 / Fraction(threshold) > 0:
+            return "inf"
+        lo, hi = exact.teleport_width(e, b, eta, threshold)
+    else:
+        try:
+            lo, hi = exact.swap_width(e, b, threshold)
+        except ValueError:  # never below threshold
+            return "inf"
+    return lo / Fraction(scale), hi / Fraction(scale)
+
+
+def _run_bandwidth(flags):
+    # (exit code, stdout, stderr) of the bandwidth command on flags, the
+    # width it formatted for stdout (None if it formatted none), and each
+    # closed-root confirmation it made as (rows, kernel fidelities, width
+    # or None).
+    widths, confirmations, confirmed = [], [], cli._confirmed
+
+    def formatted(width):
+        widths.append(width)
+        return format_number(width)
+
+    def confirming(sweep, crossing, threshold):
+        rows, fidelity = [], []
+
+        def read(grid):
+            table = sweep(grid)
+            rows.extend(grid.tolist())
+            fidelity.extend(table.fidelity.tolist())
+            return table
+
+        width = confirmed(read, crossing, threshold)
+        confirmations.append((rows, fidelity, width))
+        return width
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "format_number", formatted), mock.patch.object(cli, "_confirmed", confirming):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["bandwidth", *(part for item in flags.items() for part in item)])
+    return code, out.getvalue(), err.getvalue(), widths[-1] if widths else None, confirmations
+
+
+def _assert_exact_width(flags):
+    # A width with a closed root is that root's, confirmed by one kernel
+    # call, and within CLOSED_WIDTH_ULPS of the exact one (or exactly 0 or
+    # inf).  A row of that call on the wrong side of the threshold, in the
+    # kernel or exactly, has an exact fidelity within 4 ulps of it, which no
+    # float fidelity resolves; where the kernel's rows do not confirm the
+    # root, the width is the search's on the plain grid, digit for digit.
+    code, out, err, width, confirmations = _run_bandwidth(flags)
+    assert (code, err) == (0, "")
+    ((rows, fidelity, confirmed),) = confirmations
+    threshold = float(flags["--threshold"])
+    # Above, then below the threshold around a crossing; below at 0 for a
+    # width of 0, above at OMEGA_LIMIT for one of inf.
+    above = [True, False] if len(rows) == 2 else [rows == [OMEGA_LIMIT]]
+    assert (confirmed is None) == ([f >= threshold for f in fidelity] != above)
+    for row, f, want in zip(rows, fidelity, above):
+        exact_f = _exact_fidelity(flags, row)
+        if (f >= threshold) != want or (exact_f >= Fraction(threshold)) != want:
+            assert exact.ulps(threshold, exact_f) <= 4
+    if confirmed is None:
+        assert (code, out, err) == _plain_grid_output(flags)
+        return
+    want = _exact_width(flags)
+    if isinstance(want, str):
+        assert out == want + "\n"
+    else:
+        assert exact.bracket_ulps(width, want) <= CLOSED_WIDTH_ULPS
+
+
 @pytest.mark.filterwarnings("ignore::cvteleport.teleport.NonUnitGainWarning")
 @settings(deadline=None, max_examples=300, derandomize=True)
 @given(flags=_bandwidth_flags())
-# Floats coarser than the stencil: a 0 to 1e10 bracket guessed near 1e10.
+# Floats coarser than the stencil: a 0 to 1e10 bracket guessed near 1e10,
+# on a closed root and on a planned table.
 @example(flags={
     "--epsilon": "0.6", "--omega-start": "0", "--omega-step": "1e10", "--omega-stop": "1e10",
     "--threshold": "0.51", "--pipeline": "teleport", "--gain": "unit", "--eta2": "1",
     "--input": "squeezed:1",
+})
+@example(flags={
+    "--epsilon": "0.6", "--beta": "0.9", "--omega-start": "0", "--omega-step": "1e10",
+    "--omega-stop": "1e10", "--threshold": "0.51", "--pipeline": "swap", "--gain": "optimal-swap",
 })
 # No closed form: an ill-conditioned width at a gain just off unit, whose
 # printed digits move with the rows it is read from.
@@ -357,47 +482,179 @@ def _plain_grid_output(flags):
     "--eta2": "1", "--input": "squeezed:1",
 })
 def test_bandwidth_prints_the_width_of_the_plain_grid(flags):
-    # The command line builds its table on the grid and the first
-    # refinement together where the closed form places them; what it
-    # prints is still, digit for digit, the width bandwidth() reads from
-    # the table of the plain grid, or the error that raises.
+    # Where the width has no closed root, the command line builds its
+    # table on the grid and the first refinement together where the closed
+    # form places them; what it prints is still, digit for digit, the
+    # width bandwidth() reads from the table of the plain grid, or the
+    # error that raises.  Where it has one, it prints the root's width,
+    # within CLOSED_WIDTH_ULPS of the exact one: the plain grid's search
+    # misses it by more than the printed digits where the width is
+    # ill-conditioned, at a threshold near 1/2.
+    if _has_closed_root(flags):
+        _assert_exact_width(flags)
+        return
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(["bandwidth", *(part for item in flags.items() for part in item)])
     assert (code, out.getvalue(), err.getvalue()) == _plain_grid_output(flags)
 
 
+@st.composite
+def _closed_root_flags(draw):
+    # The flags of a bandwidth command whose width has a closed root: a
+    # unit-gain teleport of a coherent input on ideal or lossy detectors,
+    # or an optimal-gain swap of a lossless source, dimensionless or in
+    # physical rates; thresholds across (0.4, 1), near 1/2 and near F(0).
+    swap = draw(st.booleans())
+    eps = draw(st.floats(1e-3, 1.0))
+    beta = 1.0 if swap or draw(st.booleans()) else draw(st.floats(0.05, 1.0))
+    if beta < 1.0:
+        eps = min(eps, 0.999)
+    if draw(st.booleans()):
+        flags = {"--epsilon": repr(eps), "--beta": repr(beta)}
+    else:
+        gamma = draw(st.floats(0.1, 10.0))
+        rho = gamma * (1.0 / beta - 1.0)
+        kappa = min(eps, 0.999) * (gamma + rho) / 2.0
+        flags = {"--kappa": repr(kappa), "--gamma": repr(gamma), "--rho": repr(rho)}
+    src, _ = _source_of(flags)
+    if swap:
+        flags["--pipeline"] = "swap"
+        f0, limit = swap_fidelity(SwapConfig(src), 0.0), 0.5
+    else:
+        eta2 = draw(st.sampled_from((1.0, 1.0, draw(st.floats(0.5, 1.0)))))
+        flags["--eta2"] = repr(eta2)
+        f0 = float(fidelity_spectrum(src, 0.0, detector=BellDetector.from_efficiency(eta2)).fidelity[0])
+        limit = 1.0 / (1.0 + 1.0 / eta2)  # 1/(2 + tau^2)
+    # Mostly between the large-omega limit of F and F(0), where the width
+    # is finite; else near either end, or near 1/2.
+    near = draw(st.sampled_from((None, None, None, None, limit, f0, 0.5)))
+    if near is None:
+        threshold = limit + (f0 - limit) * draw(st.floats(0.0, 1.0))
+    else:
+        threshold = near * (1.0 + draw(st.sampled_from((-1, 1))) * 10.0 ** -draw(st.integers(2, 12)))
+    flags["--threshold"] = repr(threshold)
+    return flags
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(flags=_closed_root_flags())
+# F(0) below threshold prints 0; a threshold at or below the large-omega
+# limit 1/(2 + tau^2), on either pipeline, prints inf.
+@example(flags={"--epsilon": "0.6", "--threshold": "0.99"})
+@example(flags={"--epsilon": "0.6", "--threshold": "0.99", "--pipeline": "swap"})
+@example(flags={"--epsilon": "0.5", "--eta2": "0.8", "--threshold": "0.44"})
+@example(flags={"--epsilon": "0.5", "--threshold": "0.5"})
+@example(flags={"--epsilon": "0.5", "--threshold": "0.5", "--pipeline": "swap"})
+# A source at threshold.
+@example(flags={"--epsilon": "1", "--threshold": "0.9"})
+@example(flags={"--epsilon": "1", "--threshold": "0.9", "--pipeline": "swap"})
+# F(0) within 1e-9 of the threshold: F(0) is 0.9 on the teleport, 0.82 on
+# the swap.
+@example(flags={"--epsilon": "0.5", "--threshold": "0.899999999"})
+@example(flags={"--epsilon": "0.5", "--threshold": "0.900000001"})
+@example(flags={"--epsilon": "0.5", "--threshold": "0.819999999", "--pipeline": "swap"})
+@example(flags={"--epsilon": "0.5", "--threshold": "0.820000001", "--pipeline": "swap"})
+# A threshold within 1e-7 of 1/2.
+@example(flags={"--epsilon": "0.6", "--threshold": "0.5000001"})
+@example(flags={"--epsilon": "0.6", "--threshold": "0.5000001", "--pipeline": "swap"})
+@example(flags={"--epsilon": "0.6", "--threshold": "0.4999999", "--eta2": "0.9999999"})
+# Physical rates, lossy and lossless.
+@example(flags={"--kappa": "0.3", "--gamma": "1", "--rho": "0.5", "--eta2": "0.9", "--threshold": "0.55"})
+@example(flags={"--kappa": "0.3", "--gamma": "1", "--threshold": "0.55", "--pipeline": "swap"})
+def test_closed_root_widths_are_exact(flags):
+    # Every width with a closed root lies within CLOSED_WIDTH_ULPS of its
+    # exact bracket, ill-conditioned ones included, or is exactly 0 or inf.
+    _assert_exact_width(flags)
+
+
+@pytest.mark.parametrize(
+    "args, width",
+    [
+        # The search printed 103.574544616 and 1414.2117946; the exact
+        # widths are 103.574544627643... and 1414.21179458470...
+        (("--epsilon", "0.6", "--threshold", "0.5000001", "--pipeline", "swap"), "103.574544628"),
+        (("--epsilon", "0.5", "--threshold", "0.500001", "--omega-stop", "0.1"), "1414.21179458"),
+    ],
+)
+def test_bandwidth_prints_the_exact_width_near_one_half(capsys, args, width):
+    code, out, err = invoke(capsys, "bandwidth", *args)
+    assert (code, out, err) == (0, width + "\n", "")
+
+
+@pytest.mark.parametrize("pipeline", ["teleport", "swap"])
+@pytest.mark.parametrize("wrong", [0.5, 2.0, 0.0, math.inf])
+def test_an_unconfirmed_root_takes_the_search(monkeypatch, capsys, pipeline, wrong):
+    # A closed root that the kernel's rows do not confirm (here one scaled
+    # off the crossing, or a width of 0 or inf that is neither) leaves the
+    # width to the search on the planned table: the same digits, after
+    # the one confirming call.
+    args = ("--epsilon", "0.6", "--omega-stop", "10", "--pipeline", pipeline)
+    _, want, _ = invoke(capsys, "bandwidth", *args)
+    closed = cli._closed_width
+    monkeypatch.setattr(cli, "_closed_width", lambda *a, **k: closed(*a, **k) * wrong)
+    rows, kernel = [], criteria._teleport_columns
+
+    def counted(src, omega, *rest):
+        rows.append(np.size(omega))
+        return kernel(src, omega, *rest)
+
+    monkeypatch.setattr(criteria, "_teleport_columns", counted)
+    assert invoke(capsys, "bandwidth", *args) == (0, want, "")
+    assert rows == [1 if wrong in (0.0, math.inf) else 2, 229]
+
+
 @pytest.mark.filterwarnings("ignore::cvteleport.teleport.NonUnitGainWarning")
 @pytest.mark.parametrize(
     "args, calls",
     [
-        # A unit-gain crossing on the grid: the grid and its refinement in
-        # one call, on either pipeline and at any swap gain.
-        (("--epsilon", "0.6", "--omega-stop", "10"), [229]),
-        (("--kappa", "0.3", "--gamma", "1", "--omega-stop", "10"), [229]),
-        (("--epsilon", "0.6", "--omega-stop", "10", "--pipeline", "swap"), [229]),
+        # A closed root (a unit-gain teleport of a coherent input, or the
+        # optimal-gain swap of a lossless source): one call on the two rows
+        # around it, wherever the grid lies.
+        (("--epsilon", "0.6", "--omega-stop", "10"), [2]),
+        (("--kappa", "0.3", "--gamma", "1", "--omega-stop", "10"), [2]),
+        (("--epsilon", "0.6", "--omega-stop", "10", "--pipeline", "swap"), [2]),
+        # A planned crossing on the grid (a swap at a fixed gain, or of a
+        # lossy source): the grid and its refinement in one call.
         (("--epsilon", "0.6", "--omega-stop", "10", "--pipeline", "swap", "--gain", "fixed:0.8"), [229]),
         # No closed form: the grid, then the refinement.
         (("--epsilon", "0.6", "--omega-stop", "10", "--gain", "fixed:0.9", "--threshold", "0.6"), [101, 128]),
         (("--epsilon", "0.6", "--omega-stop", "10", "--input", "squeezed:0.5"), [101, 128]),
-        # A unit-gain crossing past the grid: the grid, the doubling rows
-        # (the first candidate with the octave below it, then every other
+        # A closed root past the grid: one call too.
+        (("--epsilon", "0.6"), [2]),
+        # A planned crossing past the grid: the grid, the doubling rows (the
+        # first candidate with the octave below it, then every other
         # candidate unless the first is below threshold) and the first
         # refinement in one call, then any refinement left.
-        (("--epsilon", "0.6"), [243]),
-        (("--epsilon", "0.6", "--pipeline", "swap", "--omega-stop", "1"), [713, 128]),
+        (("--epsilon", "0.6", "--beta", "0.9", "--pipeline", "swap", "--omega-stop", "1"), [713, 128]),
         # A bracket from 0 to 1e10: the stencil's floats coincide, so the
         # grid stands alone and each refinement is a call of its own.
-        (("--epsilon", "0.6", "--omega-step", "1e10", "--omega-stop", "1e10"), [2] + [128] * 7),
-        # A grid past the crossing: the grid, the row at 0 and the first
-        # refinement of [0, 100] in one call, then the refinements left; or
-        # the grid and the row at 0 alone, where F(0) is below threshold.
-        (("--epsilon", "0.6", "--omega-start", "100", "--omega-stop", "101"), [140, 128, 128]),
         (
-            ("--epsilon", "0.6", "--omega-start", "100", "--omega-stop", "101", "--pipeline", "swap"),
+            ("--epsilon", "0.6", "--beta", "0.9", "--pipeline", "swap", "--omega-step", "1e10",
+             "--omega-stop", "1e10"),
+            [2] + [128] * 7,
+        ),
+        # A grid past the crossing: one call for a closed root; for a planned
+        # one the grid, the row at 0 and the first refinement of [0, 100] in
+        # one call, then the refinements left, or the grid and the row at 0
+        # alone, where F(0) is below threshold.
+        (("--epsilon", "0.6", "--omega-start", "100", "--omega-stop", "101"), [2]),
+        (
+            ("--epsilon", "0.6", "--beta", "0.9", "--omega-start", "100", "--omega-stop", "101",
+             "--pipeline", "swap"),
             [140, 128, 128],
         ),
-        (("--epsilon", "0.6", "--omega-start", "100", "--omega-stop", "101", "--threshold", "0.99"), [12]),
+        # A closed width of 0, read on the row at 0.
+        (("--epsilon", "0.6", "--omega-start", "100", "--omega-stop", "101", "--threshold", "0.99"), [1]),
+        (
+            ("--epsilon", "0.6", "--beta", "0.9", "--omega-start", "100", "--omega-stop", "101",
+             "--threshold", "0.99", "--pipeline", "swap"),
+            [12],
+        ),
+        # A closed width of inf, read on the row at OMEGA_LIMIT.
+        (("--epsilon", "0.5", "--threshold", "0.4"), [1]),
+        (("--epsilon", "0.5", "--threshold", "0.4", "--pipeline", "swap"), [1]),
+        (("--epsilon", "0.6", "--beta", "0.9", "--omega-stop", "10", "--pipeline", "swap"), [229]),
     ],
 )
 def test_bandwidth_kernel_calls(monkeypatch, capsys, args, calls):
@@ -444,8 +701,9 @@ def test_bandwidth_from_a_grid_past_the_crossing(capsys, args, width):
 
 def test_bandwidth_kernel_work_on_scan_seed_1(monkeypatch, tmp_path):
     # Every bandwidth op of the benchmark's scan workload at seed 1 (44
-    # teleport and 44 swap widths), run in process: the kernel calls and
-    # the swapped-pair builds they take in all.  A plan that stops
+    # teleport and 44 swap widths), run in process: the kernel calls, the
+    # rows they ask for and the swapped-pair builds they take in all.  A
+    # closed root that slips back to the planned table, a plan that stops
     # covering the doubling path, or a second build per call, shows here.
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench"))
     workloads = importlib.import_module("workloads")
@@ -469,7 +727,10 @@ def test_bandwidth_kernel_work_on_scan_seed_1(monkeypatch, tmp_path):
             assert run(list(op.argv)) == 0
         op.check(out.getvalue())
     assert (len(ops), sum(op.swap for op in ops)) == (88, 44)
-    assert (len(calls), len(builds)) == (90, 90)
+    # 66 closed roots (the 44 teleports and 22 lossless swaps) of one call
+    # on 2 rows each, and 22 lossy swaps on their planned tables, each built
+    # on the grid and then on the plan.
+    assert (len(calls), calls.count(2), len(builds), sum(calls)) == (88, 66, 66, 4068)
 
 
 @pytest.mark.filterwarnings("ignore::cvteleport.teleport.NonUnitGainWarning")

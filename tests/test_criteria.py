@@ -2315,6 +2315,27 @@ def test_frequencies_of_any_float_dtype_are_their_float64_values(dtype):
     assert type(evaluate_criteria(Nopa(0.5), 3).omega) is int
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda src: fidelity_spectrum(src, [10**400]),
+        lambda src: fidelity_spectrum(src, np.array([0.0, -10**400], dtype=object)),
+        lambda src: evaluate_criteria(src, 10**400),
+        lambda src: teleport(src, omega=10**400),
+        lambda src: swap_once(SwapConfig(src), -10**400),
+    ],
+    ids=["spectrum", "spectrum-object-array", "criteria", "teleport", "swap-once"],
+)
+def test_library_refuses_an_int_past_the_float_range(call):
+    # An int that no float holds once escaped as numpy's OverflowError.
+    src = _Counted()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^omega: -?10{400} is not a finite frequency"):
+            call(src)
+    assert src.calls == 0
+
+
 class _Counted(SqueezerSpectrum):
     # Nopa(0.5)'s amplitudes, counting every evaluation of them.
     def __init__(self):

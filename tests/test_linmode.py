@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -54,6 +55,14 @@ def test_input_model_validation():
 def test_input_model_rejects_non_finite_variances(v_x, v_p):
     with pytest.raises(ValueError, match="finite"):
         InputModel(v_x, v_p)
+
+
+@pytest.mark.parametrize("s_v", [math.nan, math.inf, -math.inf, 0.0, -2.0])
+def test_squeezed_input_names_a_bad_parameter(s_v):
+    # A nan is neither finite nor positive, and the message says both.
+    message = f"squeezing parameter s_v must be finite and positive, got {s_v}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        InputModel.squeezed(s_v)
 
 
 def test_squeezed_input_is_pure():
