@@ -13,7 +13,6 @@ failed oracle check).
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import os
@@ -40,13 +39,6 @@ __all__ = ["main", "run"]
 
 class _ConfigError(Exception):
     """Invalid flags, config file entries, or parameter values."""
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; our contract reserves 2
-    # for runtime failures, so turn usage problems into config errors.
-    def error(self, message: str):
-        raise _ConfigError(message)
 
 
 def _float(name: str, raw: str) -> float:
@@ -85,10 +77,10 @@ _DEFAULTS = {
 }
 
 
-# Each command's help line and options, declared once: _parser() and the
-# plain route in run() both read this table.  An option stores its text
-# under its flag's name (--omega-start: omega_start); a switch takes no
-# value and stores "1".
+# Each command's help line and options, declared once: _parse() and the
+# help text both read this table.  An option stores its text under its
+# flag's name (--omega-start: omega_start); a switch takes no value and
+# stores "1".
 _SOURCE_OPTS = (
     ("--epsilon", "dimensionless pump parameter in [0, 1]"),
     ("--kappa", "parametric gain rate (physical units)"),
@@ -131,58 +123,64 @@ _OPTIONS = {
 }
 
 
-def _dest(flag: str) -> str:
-    return flag[2:].replace("-", "_")
+def _flags(name: str, options: tuple) -> tuple[dict, dict]:
+    """A command's unset values, and the dest of each of its flags."""
+    dests = {flag: flag[2:].replace("-", "_") for flag, _ in options}
+    return {"command": name, **dict.fromkeys(dests.values())}, dests
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The top-level parser, with one subparser per command.
+# Built once: each parse copies its command's unset values.
+_FLAGS = {name: _flags(name, options) for name, (_, options) in _OPTIONS.items()}
 
-    Built on the first run() that needs it, not at import, then reused:
-    each parse_args() call starts from a fresh namespace, so no flag
-    carries over from one run() to the next.
+
+def _help(command: str | None) -> str:
+    """The usage text of one command, or of the program."""
+    if command is None:
+        summary = __doc__.splitlines()[0]
+        rows = [(name, text) for name, (text, _) in _OPTIONS.items()]
+    else:
+        summary, options = _OPTIONS[command]
+        rows = [(flag + ("" if flag in _SWITCHES else " VALUE"), text) for flag, text in options]
+    listed = "".join(f"  {name:<22}{text}\n" for name, text in rows)
+    usage = f"cvteleport {command or '<command>'} [--flag value | --flag=value | -h] ..."
+    return f"usage: {usage}\n\n{summary}\n\n{listed}"
+
+
+def _parse(args: Sequence[str]) -> dict | None:
+    """The command and the text of each of its options, or None after help.
+
+    A flag is one of the command's own options, spelled out, as --flag
+    value or --flag=value; the token after a value flag is its value,
+    whatever it starts with.  A switch stores "1" and takes no value.  A
+    repeated flag keeps its last value.  -h or --help prints the usage of
+    the command, or of the program where no command comes first.
     """
-    parser = _Parser(prog="cvteleport", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, options) in _OPTIONS.items():
-        p = sub.add_parser(name, help=summary)
-        for flag, text in options:
-            if flag in _SWITCHES:
-                p.add_argument(flag, dest=_dest(flag), action="store_const", const="1", help=text)
-            else:
-                p.add_argument(flag, dest=_dest(flag), help=text)
-    return parser
-
-
-# Per command: its unset values, and the dest of each flag taking a value.
-_PLAIN_OPTIONS = {
-    name: (
-        {"command": name, **{_dest(flag): None for flag, _ in options}},
-        {flag: _dest(flag) for flag, _ in options if flag not in _SWITCHES},
-    )
-    for name, (_, options) in _OPTIONS.items()
-}
-
-
-def _plain(args: list[str]) -> dict | None:
-    """What argparse reads from a command and exact --flag value pairs, or None.
-
-    argparse takes an exact option string followed by a token that does not
-    start with "-" as that option and its value, and a repeated option keeps
-    its last value.  Any other argv (help, abbreviated or joined flags, "--",
-    a switch, a missing value, a value starting with "-", an unknown flag or
-    command) returns None and is left to argparse and its messages.
-    """
-    if len(args) % 2 == 0 or args[0] not in _OPTIONS:
-        return None
-    unset, dests = _PLAIN_OPTIONS[args[0]]
+    command = args[0] if args and args[0] in _FLAGS else None
+    unset, dests = _FLAGS[command] if command else ({}, {})
     values = dict(unset)
-    for flag, value in zip(args[1::2], args[2::2]):
+    unread = []
+    tokens = iter(args[1:] if command else args)
+    for token in tokens:
+        flag, joined, value = token.partition("=")
         dest = dests.get(flag)
-        if dest is None or value.startswith("-"):
-            return None
-        values[dest] = value
+        if dest is None:
+            if token in ("-h", "--help"):
+                sys.stdout.write(_help(command))
+                return None
+            unread.append(token)
+        elif flag in _SWITCHES:
+            if joined:
+                raise _ConfigError(f"{flag}: takes no value, got {value!r}")
+            values[dest] = "1"
+        else:
+            values[dest] = value if joined else next(tokens, None)
+            if values[dest] is None:
+                raise _ConfigError(f"{flag}: expected a value")
+    if command is None:
+        got = f", got {args[0]!r}" if args else ""
+        raise _ConfigError(f"expected a command: {', '.join(_OPTIONS)}{got}")
+    if unread:
+        raise _ConfigError(f"unrecognized arguments: {' '.join(unread)}")
     return values
 
 
@@ -565,17 +563,11 @@ _COMMANDS: dict[str, Callable[[dict], int]] = {
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else list(argv)
     try:
-        parsed = _plain(args)
-        if parsed is None:
-            parsed = vars(_parser().parse_args(args))
-        values = _merge_config(parsed)
-    except _ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return _COMMANDS[parsed["command"]](values)
+        parsed = _parse(sys.argv[1:] if argv is None else argv)
+        if parsed is None:  # the help was asked for
+            return 0
+        return _COMMANDS[parsed["command"]](_merge_config(parsed))
     except _ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,9 +9,11 @@ line, which move with any edit).  Two trees whose digests match printed
 and wrote the same bytes for every op.
 
     python tests/output_digest.py sweep:1-5 scan:1-10 validate:1-2
-    python tests/output_digest.py --against ../other sweep:1-5 scan:1-10 validate:1-2
+    python tests/output_digest.py sweep:1-5 scan:1-10 validate:1-2 --against ../other
 
-Each argument is ``workload:seed`` or ``workload:first-last``.  The package
+Each argument but ``--against <checkout>``, which may come anywhere, is
+``workload:seed`` or ``workload:first-last``; a malformed one, or an
+unknown workload, is refused by name before any op runs.  The package
 is imported from ``src/`` of the checkout this script sits in.  With
 ``--against <checkout>`` the same ops also run, in a child process,
 against the package in that checkout's ``src/``; both digests are printed,
@@ -51,9 +53,14 @@ _NUMBER = re.compile(r"-?(?:Infinity|NaN|inf|nan|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?
 
 
 def _seeds(spec: str) -> tuple[str, range]:
-    workload, _, seeds = spec.partition(":")
-    first, _, last = seeds.partition("-")
-    return workload, range(int(first), int(last or first) + 1)
+    match = re.fullmatch(r"(\w+):(\d+)(?:-(\d+))?", spec)
+    seeds = range(int(match[2]), int(match[3] or match[2]) + 1) if match else range(0)
+    if not seeds or match[1] not in workloads.WORKLOADS:
+        raise ValueError(
+            f"{spec}: expected workload:first[-last], first <= last, "
+            f"with workload one of {', '.join(workloads.WORKLOADS)}"
+        )
+    return match[1], seeds
 
 
 def generate_ops(specs: list[str], workdir: str):
@@ -167,16 +174,26 @@ def _compare(ops: list, mine: list[list[str]], theirs: list[list[str]], calls: l
 
 
 def main(argv: list[str]) -> int:
-    if not argv:
-        print(__doc__.strip(), file=sys.stderr)
-        return 1
-    if argv[0] == "--parts":  # the child: one checkout's outputs and calls as JSON
+    if argv[:1] == ["--parts"]:  # the child: one checkout's outputs and calls as JSON
         src, workdir, *specs = argv[1:]
         json.dump(_run(src, list(generate_ops(specs, workdir)), count=True), sys.stdout)
         return 0
     other = None
-    if argv[0] == "--against":
-        other, argv = os.path.abspath(argv[1]), argv[2:]
+    if "--against" in argv:
+        at = argv.index("--against")
+        if at + 1 == len(argv):
+            print("error: --against: expected a checkout", file=sys.stderr)
+            return 1
+        other, argv = os.path.abspath(argv[at + 1]), argv[:at] + argv[at + 2:]
+    if not argv:
+        print(__doc__.strip(), file=sys.stderr)
+        return 1
+    for spec in argv:
+        try:
+            _seeds(spec)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     with tempfile.TemporaryDirectory(prefix="cvteleport-digest-") as workdir:
         ops = list(generate_ops(argv, workdir))
         theirs = None

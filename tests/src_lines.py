@@ -17,7 +17,6 @@ read apart from comment and docstring edits.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import io
 import pathlib
@@ -88,6 +87,10 @@ def _print(table: dict[str, dict[str, int]], signed: bool = False) -> None:
 
 
 def main() -> None:
+    # Imported here: line_coverage's traced children import docstrings, and
+    # must load no more than the commands do.
+    import argparse
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", metavar="CHECKOUT", help="another checkout to compare with")
     args = parser.parse_args()

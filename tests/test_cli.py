@@ -1,6 +1,5 @@
 """End-to-end checks of the command-line front end via run()."""
 
-import argparse
 import contextlib
 import hashlib
 import importlib
@@ -263,6 +262,7 @@ def test_bandwidth_custom_threshold(capsys):
     [
         ("--epsilon", "0.5", "--threshold", "0.4"),  # below the classical 1/2
         ("--epsilon", "0.5", "--gain", "fixed:0.5"),  # F tends to 1/(1 + g^2) = 0.8
+        ("--epsilon", "0.5", "--threshold", "-0.5"),  # F > 0 everywhere
     ],
 )
 def test_bandwidth_never_crossed_prints_inf(capsys, args):
@@ -895,7 +895,7 @@ def test_config_file_errors(capsys, tmp_path):
     assert code == 1 and "key=value" in err
 
     # A missing file and one that does not decode as UTF-8 both name
-    # --config, whether run() or argparse reads the flags.
+    # --config, given spaced or joined.
     not_utf_8 = tmp_path / "latin.cfg"
     not_utf_8.write_bytes(b"epsilon=0.5\n\xff\n")
     for path, reason in [
@@ -980,6 +980,7 @@ def test_inverted_grid_and_vanishing_escape_exit_1(capsys, args, message):
         (("spectrum", "--epsilon", "0.5", "--omega-start=-inf"), "--omega-start"),
         (("point", "--kappa", "1", "--gamma", "nan"), "--gamma"),
         (("point", "--epsilon", "inf"), "--epsilon"),
+        (("spectrum", "--epsilon", "0.5", "--omega-start", "-inf"), "--omega-start"),
     ],
 )
 def test_non_finite_values_name_the_flag(capsys, args, flag):
@@ -994,6 +995,7 @@ def test_non_finite_values_name_the_flag(capsys, args, flag):
         (("oracle-check", "--epsilon", "0.5", "--samples", "2000", "--seed", "-1"), "--seed"),
         (("oracle-check", "--epsilon", "0.5", "--samples", "10"), "--samples"),
         (("oracle-check", "--epsilon", "0.5", "--samples", "100000001"), "--samples"),
+        (("oracle-check", "--epsilon", "0.5", "--seed", "x"), "--seed"),
     ],
 )
 def test_oracle_check_limits_name_the_flag(capsys, args, flag):
@@ -1066,6 +1068,9 @@ def test_grid_size_is_capped(capsys, stop, step):
          "--omega-stop"),
         # Physical rates: 1e5 in units of gamma = 1e-150 is 2e155 dimensionless.
         (("point", "--kappa", "1e-151", "--gamma", "1e-150", "--omega", "1e5"), "--omega"),
+        # The token after a value flag is its value, an exponent form too.
+        (("point", "--epsilon", "0.5", "--omega", "-1e160"), "--omega"),
+        (("criteria", "--epsilon", "0.5", "--omega", "-1e200"), "--omega"),
     ],
 )
 def test_frequencies_past_the_limit_name_the_flag(capsys, args, flag):
@@ -1578,9 +1583,10 @@ _VALUES = {
 
 @st.composite
 def _argvs(draw):
-    # A command and some of its flags, each --flag=value so that a value
-    # such as -1e300 is not read as an option.  A source flag is always
-    # among them: with none, the error names the flags there are to give.
+    # A command and some of its flags, each as --flag value or --flag=value
+    # (a value such as -1e300 reads the same either way).  A source flag is
+    # always among them: with none, the error names the flags there are to
+    # give.
     command = draw(st.sampled_from(sorted(_FLAGS)))
     flags = draw(st.sets(st.sampled_from(_FLAGS[command]), max_size=4))
     flags |= set(draw(st.sampled_from((("--epsilon",), ("--kappa", "--gamma")))))
@@ -1588,6 +1594,8 @@ def _argvs(draw):
     for flag in sorted(flags):
         if flag == "--gnuplot":
             argv.append(flag)
+        elif draw(st.booleans()):
+            argv += [flag, draw(_VALUES.get(flag, _number))]
         else:
             argv.append(f"{flag}={draw(_VALUES.get(flag, _number))}")
     if command == "oracle-check":
@@ -1696,130 +1704,163 @@ def test_oracle_check_at_threshold_with_unit_gain_passes(capsys):
 # ---------------------------------------------------------------------------
 # argument parsing
 
+_COMMAND_LIST = "spectrum, swap-spectrum, point, bandwidth, criteria, oracle-check"
+_POINT_AT_1 = f"{HEADER}\n1,0.769230769231,0.769230769231,0.722222222222\n"
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ("spectrum", "--epsilon", "0.5", "--omega-stop", "0.2"),
-        ("point", "--eps", "0.5", "--omega=1"),  # abbreviated and joined flags
-        ("spectrum", "--bogus"),
-        ("spectrum", "--epsilon", "0.5", "stray"),
-        ("spectrum", "--epsilon"),
-        ("spectrum", "--epsilon", "0.5", "--", "--omega-stop", "1"),
-        ("point", "--epsilon", "0.5", "--gnuplot"),  # a sweep flag on point
-        ("bandwidth", "--epsilon", "0.5", "--pipeline"),
-        ("spectrum", "-h"),
-        ("oracle-check", "--help"),
-        ("point", "--epsilon", "0.4", "--omega", "1", "--epsilon", "0.5"),  # the last one counts
-        ("point", "--epsilon", "0.5", "--omega", "-1"),  # argparse takes -1 as a value
-        ("criteria", "--config", "run.cfg", "--omega", "0.5"),
-        ("point", "--config", "run.cfg", "--epsilon", "0.4"),  # a flag overrides the file
-    ],
-)
-def test_commands_parse_alike_on_both_routes(capsys, monkeypatch, tmp_path, args):
-    # run() reads a command and exact --flag value pairs itself and hands
-    # any other argv to argparse.  Output, error text and exit code must
-    # not tell the two routes apart.
+
+# Each argv, then the exit code, stdout and stderr it gives, or an argv
+# that gives the same outcome.
+_PARSE_CASES = [
+    (("spectrum", "--epsilon", "0.5", "--omega-stop", "0.2"), (0, (
+        f"{HEADER}\n0,0.222222222222,0.222222222222,0.9\n"
+        "0.1,0.230088495575,0.230088495575,0.896825396825\n"
+        "0.2,0.25327510917,0.25327510917,0.887596899225\n"
+    ), "")),
+    # Flags are spelled out: --eps is no abbreviation of --epsilon.
+    (("point", "--eps", "0.5", "--omega=1"),
+     (1, "", "error: unrecognized arguments: --eps 0.5\n")),
+    (("spectrum", "--bogus"), (1, "", "error: unrecognized arguments: --bogus\n")),
+    (("spectrum", "--epsilon", "0.5", "stray"), (1, "", "error: unrecognized arguments: stray\n")),
+    (("spectrum", "--epsilon"), (1, "", "error: --epsilon: expected a value\n")),
+    (("spectrum", "--epsilon", "0.5", "--", "--omega-stop", "1"),
+     (1, "", "error: unrecognized arguments: --\n")),
+    (("point", "--epsilon", "0.5", "--gnuplot"),  # a sweep flag on point
+     (1, "", "error: unrecognized arguments: --gnuplot\n")),
+    (("bandwidth", "--epsilon", "0.5", "--pipeline"), (1, "", "error: --pipeline: expected a value\n")),
+    (("spectrum", "-h"), (0, cli._help("spectrum"), "")),
+    (("oracle-check", "--help"), (0, cli._help("oracle-check"), "")),
+    (("point", "--epsilon", "0.4", "--omega", "1", "--epsilon", "0.5"),  # the last one counts
+     ("point", "--epsilon", "0.5", "--omega", "1")),
+    (("point", "--epsilon", "0.5", "--omega", "-1"), (0, f"{HEADER}\n-1,0.769230769231,0.769230769231,0.722222222222\n", "")),
+    (("criteria", "--config", "run.cfg", "--omega", "0.5"),
+     ("criteria", "--epsilon", "0.5", "--beta", "0.9", "--omega", "0.5")),
+    (("point", "--config", "run.cfg", "--epsilon", "0.4"),  # a flag overrides the file
+     ("point", "--epsilon", "0.4", "--beta", "0.9")),
+    (("point", "--epsilon=0.5", "--omega=1"), (0, _POINT_AT_1, "")),
+    (("point", "--omega", "1", "--epsilon=0.4", "--epsilon", "0.5"), (0, _POINT_AT_1, "")),
+    # The token after a value flag is its value, whatever it starts with.
+    (("point", "--epsilon", "0.5", "--omega", "--epsilon"),
+     (1, "", "error: --omega: expected a number, got '--epsilon'\n")),
+    (("point", "--epsilon", "-h"), (1, "", "error: --epsilon: expected a number, got '-h'\n")),
+    (("spectrum", "--epsilon", "0.5", "--gnuplot=1"),
+     (1, "", "error: --gnuplot: takes no value, got '1'\n")),
+    (("bandwidth", "--gnuplot=1"), (1, "", "error: unrecognized arguments: --gnuplot=1\n")),
+    (("-h",), (0, cli._help(None), "")),
+    ((), (1, "", f"error: expected a command: {_COMMAND_LIST}\n")),
+    (("frobnicate", "--epsilon", "0.5"),
+     (1, "", f"error: expected a command: {_COMMAND_LIST}, got 'frobnicate'\n")),
+    (("frobnicate", "--help"), (0, cli._help(None), "")),
+]
+
+
+# Each case is named by its argv's place in the table.
+@pytest.mark.parametrize("args, want", _PARSE_CASES, ids=[f"args{i}" for i in range(len(_PARSE_CASES))])
+def test_commands_parse_alike_on_both_routes(capsys, monkeypatch, tmp_path, args, want):
+    # run(argv) and main(), which reads sys.argv and exits with run()'s
+    # code, give each argv the same outcome.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text("epsilon=0.5\nbeta=0.9\n")
-
-    def outcome():
-        try:
-            code = run(list(args))
-        except SystemExit as exc:  # -h prints the help and exits
-            code = ("exit", exc.code)
-        return (code, *capsys.readouterr())
-
-    want = outcome()
-    # argparse reads every argv.
-    monkeypatch.setattr(cli, "_plain", lambda args: None)
-    assert outcome() == want
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        ("spectrum", "--epsilon", "0.5", "--omega-stop", "0.2", "--format", "json"),
-        ("swap-spectrum", "--epsilon", "0.6", "--beta", "0.9", "--omega-stop", "0.2"),
-        ("point", "--epsilon", "0.5", "--omega", "0.3", "--eta2", "0.9"),
-        ("bandwidth", "--epsilon", "0.5", "--pipeline", "swap"),
-        ("criteria", "--kappa", "0.5", "--gamma", "2", "--omega", "0.1"),
-        ("oracle-check", "--epsilon", "1", "--samples", "2000", "--seed", "7"),
-    ],
-    ids=lambda args: args[0],
-)
-def test_canonical_argv_needs_no_argparse(capsys, monkeypatch, args):
-    with monkeypatch.context() as m:
-        m.setattr(cli, "_plain", lambda args: None)
-        want = invoke(capsys, *args)
-    assert want[0] == 0
-
-    def refuse(*_):
-        raise AssertionError("argparse read a command and --flag value pairs")
-
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
-    assert invoke(capsys, *args) == want
+    got = invoke(capsys, *args)
+    if isinstance(want[0], str):
+        want = invoke(capsys, *want)
+        assert want[0] == 0
+    assert got == want
+    monkeypatch.setattr(sys, "argv", ["cvteleport", *args])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert (exc.value.code, *capsys.readouterr()) == want
 
 
 _COMMAND_FLAGS = {name: [flag for flag, _ in options] for name, (_, options) in cli._OPTIONS.items()}
 _ANY_FLAG = sorted({flag for flags in _COMMAND_FLAGS.values() for flag in flags})
-_PLAIN_VALUE = st.one_of(
-    st.sampled_from(["", "a b", "x=y", "inf"]),
-    st.floats(min_value=0).map(repr),
-    st.integers(min_value=0).map(str),
-)
 _ANY_VALUE = st.one_of(
-    _PLAIN_VALUE,
-    st.sampled_from(["-", "-1", "-inf", "--epsilon"]),
+    st.sampled_from(["", "a b", "x=y", "inf", "-", "-1", "-inf", "-h", "--help", "--", "--epsilon"]),
     st.floats().map(repr),
     st.integers().map(str),
 )
 
 
 @st.composite
-def _route_argvs(draw):
+def _pairs(draw):
+    # A command and some of its flags, each spaced or joined and repeated at
+    # will, with the values that the last of each sets.
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    argv, want = [command], dict.fromkeys(_COMMAND_FLAGS[command])
+    for flag in draw(st.lists(st.sampled_from(_COMMAND_FLAGS[command]), max_size=8)):
+        if flag == "--gnuplot":
+            argv.append(flag)
+            want[flag] = "1"
+            continue
+        want[flag] = value = draw(_ANY_VALUE)
+        argv += [flag, value] if draw(st.booleans()) else [f"{flag}={value}"]
+    return argv, {"command": command, **{flag[2:].replace("-", "_"): v for flag, v in want.items()}}
+
+
+@st.composite
+def _soups(draw):
+    # Any tokens: flags of the command or of another, their prefixes,
+    # joined pairs, "--", help flags and values, after a command or none.
     command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
     flags = st.sampled_from(_COMMAND_FLAGS[command])
-    if draw(st.booleans()):
-        # A command and exact --flag value pairs, flags repeated at will.
-        pairs = draw(st.lists(st.tuples(flags, _PLAIN_VALUE), max_size=6))
-        return [command, *(token for pair in pairs for token in pair)]
     token = st.one_of(
         flags,
-        st.sampled_from(_ANY_FLAG),  # other commands' flags and the switch
+        st.sampled_from(_ANY_FLAG),
         flags.flatmap(lambda f: st.integers(3, len(f) - 1).map(lambda k: f[:k])),
         st.tuples(flags, _ANY_VALUE).map("=".join),
-        st.sampled_from(["--", "-h", "--help"]),
         _ANY_VALUE,
     )
-    head = draw(st.sampled_from([[command], [command], [], ["bogus"]]))
+    head = draw(st.sampled_from([[command], [command], [], ["bogus"], ["-h"]]))
     return [*head, *draw(st.lists(token, max_size=9))]
 
 
-def test_plain_route_reads_what_argparse_reads():
-    parser = cli._parser()
-    accepted = []
+def test_parser_reads_the_last_value_of_each_flag(monkeypatch, tmp_path):
+    # Spaced and joined pairs read as the model says; any other argv prints
+    # the help and exits 0, or prints one error line and exits 1.  The
+    # commands are stubbed: only parsing and --config are under test.
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    monkeypatch.setattr(cli, "_COMMANDS", dict.fromkeys(cli._COMMANDS, lambda v: ran.append(v) or 0))
+    outcomes = []
 
     @settings(deadline=None, max_examples=600, derandomize=True)
-    @given(argv=_route_argvs())
-    def check(argv):
-        plain = cli._plain(argv)
-        accepted.append(plain is not None)
-        if plain is None:
+    @given(case=st.one_of(_pairs(), _soups().map(lambda argv: (argv, None))))
+    def check(case):
+        argv, want = case
+        if want is not None:
+            assert cli._parse(argv) == want
+            outcomes.append("pairs")
             return
-        assert plain == vars(parser.parse_args(argv))
+        ran.clear()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        if code == 1:
+            assert (out.getvalue(), ran) == ("", [])
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        elif ran:  # the soup parsed
+            assert (code, out.getvalue(), err.getvalue()) == (0, "", "")
+        else:
+            command = argv[0] if argv[0] in cli._OPTIONS else None
+            assert (code, out.getvalue(), err.getvalue()) == (0, cli._help(command), "")
+        outcomes.append("help" if code == 0 and not ran else code)
 
     check()
-    # The route must answer often enough for the comparison to mean something.
-    assert len(accepted) >= 500
-    assert 3 * sum(accepted) >= len(accepted)
+    # Each kind of outcome must come up often enough to mean something.
+    assert len(outcomes) >= 500
+    assert 3 * outcomes.count("pairs") >= len(outcomes)
+    assert 5 * outcomes.count(1) >= len(outcomes)
+    assert 20 * outcomes.count("help") >= len(outcomes)
 
 
 def test_help_lists_the_commands(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["-h"])
-    assert exc.value.code == 0
-    assert "swap-spectrum" in capsys.readouterr().out
+    assert run(["-h"]) == 0
+    out = capsys.readouterr().out
+    for name, (summary, options) in cli._OPTIONS.items():
+        assert f"\n  {name} " in out and summary in out
+        assert run([name, "--help"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for flag, text in options:
+            assert any(line.split()[:1] == [flag] and line.endswith(text) for line in lines), flag
 
 
 # ---------------------------------------------------------------------------
@@ -1827,8 +1868,8 @@ def test_help_lists_the_commands(capsys):
 
 
 def test_runs_in_one_process_share_no_flags(capsys):
-    # The parser is built once per process; a flag of one run must not
-    # reach the next.
+    # Each run starts from its command's unset values; a flag of one run
+    # must not reach the next.
     argv = ["point", "--epsilon", "0.5"]
     src = os.path.dirname(os.path.dirname(os.path.abspath(cvteleport.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -1873,3 +1914,22 @@ def test_benchmark_outputs_keep_their_digest():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == BENCHMARK_DIGEST
+
+
+@pytest.mark.parametrize(
+    "args, spec",
+    [
+        (["scan:x"], "scan:x"),
+        (["scan:1-"], "scan:1-"),
+        (["scan:3-1"], "scan:3-1"),
+        (["sweep:1", "--against", ".", "bogus:1"], "bogus:1"),  # --against between specs
+    ],
+)
+def test_output_digest_names_a_bad_spec(args, spec):
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "output_digest.py")
+    proc = subprocess.run([sys.executable, script, *args], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        f"error: {spec}: expected workload:first[-last], first <= last, "
+        "with workload one of sweep, scan, validate\n"
+    )

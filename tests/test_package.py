@@ -159,8 +159,12 @@ def test_one_walker_reads_the_port_layout():
 def test_cli_import_leaves_scipy_out():
     # scipy is installed but unused: importing it would add 0.2 s (scipy
     # alone) to 0.8 s (scipy.interpolate) to the start of every command.
+    # The commands parse their own argv, so argparse stays out too.
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    code = "import sys, cvteleport.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys, cvteleport.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'argparse')))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
